@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .configs import ConfigSpace, rank_composition
+from .configs import ConfigSpace, rank_composition, sip_measure
 from .errors import InputError, VerificationError
-from .graphs import Graph, build_rw_generator, reversible_spectrum, rw_spectrum
+from .graphs import Graph, build_rw_generator, gap_tolerance, reversible_spectrum, rw_spectrum
 from .reporting import CheckResult, make_check
 from .sip import build_sip_generator
 
@@ -245,18 +245,21 @@ def bep_gap_report(graph: Graph, degree_max: int, tol: float = 1e-8,
 
     Degrees decouple, so the truncated spectrum is the multiset union of
     the per-degree matrix spectra; its gap is compared against the walk
-    gap through the same sandwich as for the particle system.
+    gap through the same sandwich as for the particle system, with the
+    same tolerance relative to gap_rw (`graphs.gap_tolerance`).
     """
     if degree_max < 1:
         raise InputError(f"need degree_max >= 1, got {degree_max}")
-    gap_rw = rw_spectrum(build_rw_generator(graph), want_vectors=False).gap
+    walk = build_rw_generator(graph)
+    gap_rw = rw_spectrum(walk, want_vectors=False).gap
+    atol = gap_tolerance(walk, gap_rw, tol)
     values = [np.zeros(1)]  # degree 0: constants, eigenvalue 0
     level_gaps = {}
     checks = []
     for k in range(1, degree_max + 1):
         built = bep_matrix(graph, k, cap=cap, strict=strict)
         checks.append(built.check)
-        mu = build_sip_generator(graph, k, cap).measure
+        mu = sip_measure(graph, built.space)
         spec = reversible_spectrum(built.matrix, mu.probabilities, want_vectors=False)
         level_gaps[k] = spec.gap
         values.append(spec.eigenvalues)
@@ -265,15 +268,14 @@ def bep_gap_report(graph: Graph, degree_max: int, tol: float = 1e-8,
     a_min = graph.alpha_min
     lower = min(1.0, a_min) * gap_rw
     checks.append(make_check(f"bep-gap-lower[K={degree_max}]",
-                             max(0.0, lower - gap_bep), tol))
+                             max(0.0, lower - gap_bep), atol))
     checks.append(make_check(f"bep-gap-upper[K={degree_max}]",
-                             max(0.0, gap_bep - gap_rw), tol))
+                             max(0.0, gap_bep - gap_rw), atol))
     if a_min >= 1.0:
         checks.append(make_check(f"bep-gap-equality[K={degree_max}]",
-                                 abs(gap_bep - gap_rw), tol))
+                                 abs(gap_bep - gap_rw), atol))
     checks.append(make_check(f"walk-gap-in-spectrum[K={degree_max}]",
-                             float(np.abs(spectrum - gap_rw).min()),
-                             tol * (1.0 + gap_rw)))
+                             float(np.abs(spectrum - gap_rw).min()), atol))
     report = BepGapReport(degree_max, gap_rw, gap_bep, level_gaps, spectrum,
                           a_min, tuple(checks), simplex_measure(graph).log_beta)
     if strict and not report.passed:

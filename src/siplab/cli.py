@@ -234,6 +234,9 @@ def _sweep_one(task, k_max):
     gi, spec, ai, graph = task
     rows = []
     try:
+        if not graph.connected:
+            raise InputError(f"graph is disconnected ({graph.components} components) "
+                             f"so gap ratios are undefined")
         gap_walk = rw_gap(graph)
         for k in range(2, k_max + 1):
             gap_k = sip_gap(graph, k)

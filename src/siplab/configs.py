@@ -2,9 +2,10 @@
 
 A configuration is a vector of n nonnegative occupation numbers summing
 to k (a weak composition of k into n parts).  The space is ordered
-lexicographically; rank and unrank are computed combinatorially from
-binomial counts, without table lookups, and agree with the enumerated
-list order.
+lexicographically; rank and unrank of one configuration are computed
+combinatorially from binomial counts and agree with the enumerated list
+order.  Whole arrays are ranked at once by binary search on base-(k+1)
+keys, whose numeric order is the lex order.
 
 The attached probability law weights a configuration eta by the product
 over sites of Gamma(alpha_x + eta_x) / (Gamma(alpha_x) eta_x!), with the
@@ -13,6 +14,7 @@ gamma ratios evaluated as rising factorials in log space.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -76,17 +78,57 @@ def unrank_composition(r: int, n: int, k: int) -> tuple:
     return tuple(eta)
 
 
+def _place_values(n: int, k: int) -> np.ndarray:
+    """Base-(k+1) place values (k+1)^(n-1), .., (k+1), 1.
+
+    Every occupation is at most k, so `occ @ place` is the
+    occupation read as a base-(k+1) numeral; lex order of the weak
+    compositions of k is the numeric order of these keys.  The keys are
+    int64 when (k+1)^n fits and Python integers otherwise.
+    """
+    base = k + 1
+    if base ** n <= np.iinfo(np.int64).max:
+        return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.array([base ** (n - 1 - i) for i in range(n)], dtype=object)
+
+
 @dataclass(frozen=True)
 class ConfigSpace:
-    """All occupation vectors with n sites and k particles, in lex order."""
+    """All occupation vectors with n sites and k particles, in lex order.
+
+    `keys` holds the ascending base-(k+1) keys of the occupations, so a
+    whole array of configurations is ranked by one binary search; moving
+    one particle from x to y changes a key by place[y] - place[x].
+    """
 
     n: int
     k: int
     occupations: np.ndarray
 
+    def __post_init__(self):
+        place = _place_values(self.n, self.k)
+        keys = self.occupations @ place
+        if np.any(keys[1:] <= keys[:-1]):
+            raise InputError("occupations must be distinct and in lex order")
+        place.setflags(write=False)
+        keys.setflags(write=False)
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "keys", keys)
+
     @property
     def size(self) -> int:
         return self.occupations.shape[0]
+
+    def rank_keys(self, keys) -> np.ndarray:
+        """Ranks of the configurations with the given 1-d array of keys;
+        a key that belongs to no configuration is an error."""
+        keys = np.asarray(keys, dtype=self.keys.dtype)
+        ranks = np.searchsorted(self.keys, keys)
+        found = ranks < self.size
+        found[found] = self.keys[ranks[found]] == keys[found]
+        if not np.all(found):
+            raise InputError(f"not a configuration with n={self.n}, k={self.k}")
+        return ranks
 
     def rank(self, eta) -> int:
         return rank_composition(eta)
@@ -95,14 +137,18 @@ class ConfigSpace:
         return unrank_composition(r, self.n, self.k)
 
 
-def _compositions(n: int, k: int):
-    """Yield weak compositions of k into n parts in ascending lex order."""
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(n - 1, k - first):
-            yield (first,) + rest
+def _compositions(n: int, k: int, size: int) -> np.ndarray:
+    """Weak compositions of k into n parts, one per row, in ascending lex order.
+
+    The prefix sums of a composition are a nondecreasing sequence of n-1
+    values in [0, k], and lex order of the compositions is lex order of
+    those sequences, which is the order in which
+    combinations_with_replacement yields them.
+    """
+    prefix_sums = itertools.combinations_with_replacement(range(k + 1), n - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(prefix_sums), dtype=np.int64,
+                       count=size * (n - 1)).reshape(size, n - 1)
+    return np.diff(bars, prepend=0, append=k, axis=1)
 
 
 def enumerate_configs(n: int, k: int, cap: int | None = None) -> ConfigSpace:
@@ -113,7 +159,7 @@ def enumerate_configs(n: int, k: int, cap: int | None = None) -> ConfigSpace:
     if size > limit:
         raise StateCapError(f"configuration space with n={n}, k={k} has {size} "
                             f"states, exceeding the cap of {limit}")
-    occ = np.array(list(_compositions(n, k)), dtype=np.int64).reshape(size, n)
+    occ = _compositions(n, k, size)
     occ.setflags(write=False)
     return ConfigSpace(n, k, occ)
 

@@ -8,7 +8,13 @@ with respect to the probability vector alpha / sum(alpha).
 Spectra are computed by symmetrizing the negative generator with the
 square root of the reversible measure and running a dense symmetric
 eigensolve, so eigenvalues are real by construction and eigenfunctions
-come back orthonormal in the weighted L2 inner product.
+come back orthonormal in the weighted L2 inner product.  That dense
+solve serves every full spectrum (`spectrum`, `tv-curve`, the eigenspace
+dichotomy, the truncated diffusion spectrum); gap-only commands (`sweep`
+and the gap report) use the sparse shift-invert solver `sip.sip_gap`,
+with the same reversibility and eigenpair-residual checks.  Statements
+about gaps are checked at a tolerance relative to the walk gap
+(`gap_tolerance`).
 """
 
 from __future__ import annotations
@@ -229,6 +235,19 @@ def build_rw_generator(graph: Graph) -> RwGenerator:
     stationary = a / a.sum()
     stationary.setflags(write=False)
     return RwGenerator(graph, m, stationary)
+
+
+def gap_tolerance(walk: RwGenerator, gap_rw: float, rtol: float) -> float:
+    """Absolute tolerance for statements about spectral gaps: rtol * gap_rw.
+
+    Multiplying every edge weight by a constant is a change of time scale
+    that multiplies every gap by it, so the tolerance follows gap_rw.  On
+    a disconnected graph every gap is zero, and the walk's largest rate
+    sets the rounding scale instead.
+    """
+    if walk.graph.connected:
+        return rtol * gap_rw
+    return rtol * float(np.abs(walk.matrix).max())
 
 
 def detailed_balance_residual(matrix: np.ndarray, measure: np.ndarray) -> float:

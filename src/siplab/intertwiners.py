@@ -61,15 +61,15 @@ def build_annihilation(graph: Graph, k: int, cap: int | None = None) -> Annihila
         raise InputError(f"need k >= 1, got {k}")
     low = enumerate_configs(graph.n, k - 1, cap)
     high = enumerate_configs(graph.n, k, cap)
+    occ = high.occupations
+    keys = occ @ low.place
     m = np.zeros((high.size, low.size))
-    for s in range(high.size):
-        eta = high.occupations[s]
-        for x in range(graph.n):
-            if eta[x] == 0:
-                continue
-            target = list(eta)
-            target[x] -= 1
-            m[s, low.rank(target)] += eta[x]
+    # keys are linear in the occupations, so reading level-k states in the
+    # level-(k-1) base and subtracting place[x] gives the key of eta - delta_x;
+    # one block per site x: every state with a particle there loses it
+    for x in range(graph.n):
+        s = np.flatnonzero(occ[:, x])
+        m[s, low.rank_keys(keys[s] - low.place[x])] = occ[s, x]
     m.setflags(write=False)
     return AnnihilationOp(k, m, low, high)
 
@@ -80,13 +80,12 @@ def build_creation(graph: Graph, k: int, cap: int | None = None) -> CreationOp:
     low = enumerate_configs(graph.n, k - 1, cap)
     high = enumerate_configs(graph.n, k, cap)
     alpha = graph.site_weights
+    occ = low.occupations
+    keys = occ @ high.place
     m = np.zeros((low.size, high.size))
-    for s in range(low.size):
-        xi = low.occupations[s]
-        for x in range(graph.n):
-            target = list(xi)
-            target[x] += 1
-            m[s, high.rank(target)] += xi[x] + alpha[x]
+    # one block per site x: every state gains a particle there
+    for x in range(graph.n):
+        m[np.arange(low.size), high.rank_keys(keys + high.place[x])] = occ[:, x] + alpha[x]
     m.setflags(write=False)
     return CreationOp(k, m, low, high)
 

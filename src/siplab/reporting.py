@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import VerificationError
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -35,17 +33,6 @@ class CheckResult:
 def make_check(identity: str, residual: float, tolerance: float, detail: str = "") -> CheckResult:
     return CheckResult(identity, float(residual), float(tolerance),
                        bool(residual <= tolerance), detail)
-
-
-def require(checks, context: str = "") -> None:
-    """Raise VerificationError if any check in the iterable failed."""
-    failed = [c for c in checks if not c.passed]
-    if failed:
-        lines = [f"{c.identity}: residual {c.residual:.3e} > tol {c.tolerance:.3e}"
-                 + (f" ({c.detail})" if c.detail else "")
-                 for c in failed]
-        prefix = f"{context}: " if context else ""
-        raise VerificationError(prefix + "; ".join(lines))
 
 
 @dataclass(frozen=True)

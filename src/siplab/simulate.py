@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from .configs import enumerate_configs, sip_measure
 from .errors import InputError
@@ -235,6 +234,8 @@ def chi_square_pvalue(counts: dict, states, probs, min_expected: float = 5.0) ->
         expected = np.concatenate([expected[~pool], [expected[pool].sum()]])
     if observed.size < 2:
         return 1.0
+    import scipy.stats  # imported here: it is slow to load and no CLI path needs it
+
     stat, p = scipy.stats.chisquare(observed, expected)
     return float(p)
 

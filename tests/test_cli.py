@@ -137,6 +137,46 @@ def test_sweep_row_error_sets_exit_one(tmp_path, capsys, monkeypatch):
     assert any(row[-1] for row in rows)
 
 
+def test_sweep_disconnected_graph_is_an_error_row(tmp_path, capsys):
+    graph = tmp_path / "split.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1], [2, 3, 1]],
+                                 "alpha": [1, 1, 1, 1]}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "graphs": [str(graph), "path(3)"],
+        "alpha": {"n_samples": 1, "range": [0.5, 2.0]},
+        "k_max": 3,
+        "seed": 2,
+    }))
+    code, out, _ = run(["sweep", str(spec)], capsys)
+    assert code == 1
+    _, rows = read_csv(out)
+    errors = [row for row in rows if row[-1]]
+    assert len(errors) == 1 and errors[0][0] == str(graph)
+    assert errors[0][2] == "-1" and "disconnected" in errors[0][-1]
+    assert len(rows) == 1 + 2  # the connected graph still gets k = 2, 3
+
+
+def test_sweep_byte_identical_across_jobs_and_calls(tmp_path, capsys, monkeypatch):
+    """Levels of 462 states go through the sparse solver, whose fixed start
+    vector makes the gaps repeat exactly."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "graphs": ["path(6)", "cycle(6)"],
+        "alpha": {"n_samples": 2, "range": [0.3, 3.0]},
+        "k_max": 6,
+        "seed": 7,
+    }))
+    outputs = []
+    for jobs in ("1", "2", "2"):
+        path = tmp_path / f"sweep{len(outputs)}.csv"
+        code, _, _ = run(["sweep", str(spec), "--csv", str(path), "--jobs", jobs], capsys)
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_simulate_outputs(tmp_path, capsys):
     csv_path = tmp_path / "sim.csv"
     json_path = tmp_path / "sim.json"

@@ -102,3 +102,22 @@ def test_dimension_mismatch():
     mu = sip_measure(path_graph(2), enumerate_configs(2, 2))
     with pytest.raises(InputError):
         inner_product(mu, np.ones(2), np.ones(3))
+
+
+def test_rank_keys_match_rank_composition():
+    for n, k in ((1, 3), (2, 0), (3, 4), (5, 3)):
+        space = enumerate_configs(n, k)
+        ranks = space.rank_keys(space.occupations @ space.place)
+        assert ranks.tolist() == list(range(space.size))
+        assert ranks.tolist() == [rank_composition(eta) for eta in space.occupations]
+    with pytest.raises(InputError):
+        space.rank_keys(np.array([space.keys[-1] + 1]))
+
+
+def test_rank_keys_fall_back_to_python_integers():
+    # (k+1)^n = 3^41 does not fit in int64
+    space = enumerate_configs(41, 2)
+    assert space.keys.dtype == object
+    picks = np.array([0, 17, space.size - 1])
+    assert space.rank_keys(space.keys[picks]).tolist() == picks.tolist()
+    assert space.rank((0,) * 39 + (1, 1)) == 1

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
+import siplab.sip
 from conftest import hausdorff_gap, sip_dirichlet_oracle
-from siplab.errors import InputError, VerificationError
+from siplab.bep import bep_gap_report
+from siplab.configs import space_size
+from siplab.errors import EigensolverError, InputError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
-                           random_connected_graph, rw_spectrum)
-from siplab.sip import (build_sip_generator, gap_sandwich_report, sip_dirichlet_form,
-                        sip_gap, sip_spectrum, spectrum_included, transition_matrix,
-                        tv_sandwich)
+                           random_connected_graph, rw_gap, rw_spectrum)
+from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
+                        sip_dirichlet_form, sip_gap, sip_spectrum, spectrum_included,
+                        transition_matrix, tv_sandwich)
 
 # assembled by hand from the jump rates eta_x c (alpha_y + eta_y) on
 # states [(0,2), (1,1), (2,0)] with c = 1, alpha = (1, 1)
@@ -205,3 +209,115 @@ def test_sip_gap_monotone_in_particle_number():
     gaps = [sip_gap(g, k) for k in range(1, 5)]
     for lo, hi in zip(gaps[1:], gaps[:-1]):
         assert lo <= hi + 1e-9
+
+
+def dense_gap(graph, k):
+    """The dense oracle: full symmetric eigensolve of the assembled generator."""
+    return sip_spectrum(build_sip_generator(graph, k), want_vectors=False).gap
+
+
+def count_eigsh_calls(monkeypatch):
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha_range", [(0.3, 3.0), (1.0, 3.0)])
+def test_sparse_gap_matches_dense_oracle_random_graphs(alpha_range):
+    rng = np.random.default_rng(31)
+    for n in (4, 5, 6, 7):
+        g = random_connected_graph(n, rng, alpha_range=alpha_range)
+        for k in range(1, 8):
+            assert sip_gap(g, k) == pytest.approx(dense_gap(g, k), rel=1e-10), (n, k)
+
+
+def test_sparse_gap_complete_graph_degenerate_gap(monkeypatch):
+    calls = count_eigsh_calls(monkeypatch)
+    alpha = np.random.default_rng(32).uniform(0.3, 3.0, size=6)
+    for g in (complete_graph(6), complete_graph(6, alpha)):
+        # the gap |alpha| / n has multiplicity n - 1 at every level
+        gap = sip_gap(g, 6)
+        assert gap == pytest.approx(dense_gap(g, 6), rel=1e-10)
+        assert gap == pytest.approx(g.alpha_total / 6, rel=1e-10)
+    assert calls == [space_size(6, 6)] * 2
+
+
+def test_sparse_gap_zero_edge_graph():
+    g = Graph(3, np.zeros((3, 3)), np.ones(3))
+    for k in (2, 30):  # 6 states, and 496 states, past the dense fallback
+        assert sip_gap(g, k) == 0.0 == dense_gap(g, k)
+
+
+def test_sparse_gap_either_side_of_dense_fallback(monkeypatch):
+    calls = count_eigsh_calls(monkeypatch)
+    g = path_graph(2, alpha=[0.7, 1.9])  # k particles on two sites: k + 1 states
+    for size in (SPARSE_GAP_MIN_STATES - 1, SPARSE_GAP_MIN_STATES):
+        assert sip_gap(g, size - 1) == pytest.approx(dense_gap(g, size - 1), rel=1e-10)
+    assert calls == [SPARSE_GAP_MIN_STATES]
+    # the smallest spaces ARPACK accepts: two wanted eigenpairs and one more state
+    monkeypatch.setattr(siplab.sip, "SPARSE_GAP_MIN_STATES", 3)
+    for k in (1, 2, 3):
+        assert sip_gap(g, k) == pytest.approx(dense_gap(g, k), rel=1e-10)
+    assert calls == [SPARSE_GAP_MIN_STATES, 3, 4]
+
+
+def test_sparse_gap_checks_detailed_balance(monkeypatch):
+    real = siplab.sip._jumps
+
+    def skewed(graph, space):
+        sources, targets, rates = real(graph, space)
+        rates = rates.copy()
+        rates[0] *= 1.5
+        return sources, targets, rates
+
+    monkeypatch.setattr(siplab.sip, "_jumps", skewed)
+    with pytest.raises(VerificationError):
+        sip_gap(path_graph(4), 12)
+
+
+def test_sparse_gap_checks_eigenpair_residual(monkeypatch):
+    real = scipy.sparse.linalg.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        return vals * (1 + 1e-4), vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+    with pytest.raises(EigensolverError):
+        sip_gap(path_graph(4), 12)
+
+
+def test_sparse_gap_when_keys_overflow_int64():
+    # 3^40 > 2^63, so the level-2 ranks fall back to Python-integer keys;
+    # unit site weights put the gap in the equality regime
+    g = path_graph(40)
+    assert space_size(40, 2) >= SPARSE_GAP_MIN_STATES
+    assert sip_gap(g, 2) == pytest.approx(rw_gap(g), rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha_range", [(0.3, 3.0), (1.0, 3.0)])
+def test_gap_verdicts_invariant_under_time_rescaling(alpha_range):
+    """c -> lam c multiplies every gap by lam; verdicts and ratios must not move.
+    K=6 on 6 vertices takes levels 2-5 through the dense solve and level 6
+    (462 states) through the sparse one."""
+    rng = np.random.default_rng(33)
+    for _ in range(3):
+        g = random_connected_graph(6, rng, alpha_range=alpha_range)
+        base = gap_sandwich_report(g, 6, strict=False)
+        base_bep = bep_gap_report(g, 3)
+        assert base.passed and base_bep.passed
+        for lam in (1e-6, 1.0, 1e3, 1e5, 1e7):
+            scaled = Graph(g.n, g.edge_weights * lam, g.site_weights)
+            report = gap_sandwich_report(scaled, 6, strict=False)
+            assert report.passed, report.failures
+            assert report.tolerance == pytest.approx(lam * base.tolerance, rel=1e-9)
+            for k, ratio in base.ratios.items():
+                assert report.ratios[k] == pytest.approx(ratio, rel=1e-9)
+            bep = bep_gap_report(scaled, 3)
+            assert [c.passed for c in bep.checks] == [c.passed for c in base_bep.checks]
