@@ -8,7 +8,7 @@ ones annihilated by the addition operator.
 """
 import numpy as np
 
-from siplab import (build_annihilation, build_creation, check_adjoint,
+from siplab import (Level, build_annihilation, build_creation, check_adjoint,
                     check_intertwinings, eigen_dichotomy, invert_annihilation,
                     kernel_basis, lift_eigenfunction, random_connected_graph,
                     build_rw_generator, rw_spectrum, build_sip_generator)
@@ -23,8 +23,9 @@ print(f"removal matrix: {ann.matrix.shape}, addition matrix: {cre.matrix.shape}"
 print("removal applied to constants counts particles:",
       np.unique(ann.matrix @ np.ones(ann.space_low.size)))
 
-print("\nadjoint identity:", check_adjoint(g, k))
-for check in check_intertwinings(g, k):
+level = Level(g, k)
+print("\nadjoint identity:", check_adjoint(level))
+for check in check_intertwinings(level):
     print("intertwining:", check)
 
 # The constructive inverse: the removal operator is injective, and a
@@ -43,14 +44,14 @@ print(f"\nlifted slow mode: eigenvalue {lam:.9f}, residual "
 
 # Every eigenvalue at level k is either inherited through the lift or
 # newly created inside the kernel of the addition operator.
-result = eigen_dichotomy(g, k)
+result = eigen_dichotomy(level)
 print(f"\neigenspace split at k={k} "
       f"(image total {result.dim_image_total}, kernel total {result.dim_kernel_total}):")
 for group in result.groups:
     origin = "lifted" if group.dim_image else "new"
     print(f"  eigenvalue {group.eigenvalue:10.6f}  dim {group.dim}  -> {origin}")
 
-basis = kernel_basis(g, k)
+basis = kernel_basis(level)
 print("\nkernel dimension:", basis.shape[1],
       "= level-k size minus level-(k-1) size:",
       ann.space_high.size - ann.space_low.size)

@@ -8,7 +8,7 @@ which is how the removal intertwining is proved without computation.
 """
 import numpy as np
 
-from siplab import (build_labeled_generators, check_labeled_identities,
+from siplab import (Level, build_labeled_generators, check_labeled_identities,
                     check_stationary_law, labeled_index, labeled_stationary_measure,
                     path_graph, random_connected_graph)
 
@@ -40,5 +40,5 @@ print()
 rng = np.random.default_rng(3)
 g3 = random_connected_graph(3, rng)
 print("identity suite on a random 3-site graph, k = 3:")
-for check in check_labeled_identities(g3, 3):
+for check in check_labeled_identities(Level(g3, 3)):
     print(f"  {check.identity:45s} residual {check.residual:.2e}  pass={check.passed}")

@@ -9,7 +9,7 @@ degree, and nothing is sampled or integrated numerically.
 """
 import numpy as np
 
-from siplab import (apply_bep_generator, bep_gap_report, bep_matrix, complete_graph,
+from siplab import (Level, apply_bep_generator, bep_gap_report, bep_matrix, complete_graph,
                     path_graph, poly_lift, random_connected_graph)
 from siplab.configs import enumerate_configs
 
@@ -18,7 +18,7 @@ np.set_printoptions(precision=6, suppress=True)
 # Symbolic differentiation of the three degree-2 monomials on two sites
 # reproduces the 3x3 particle generator.
 g = path_graph(2)
-built = bep_matrix(g, 2)
+built = bep_matrix(Level(g, 2))
 print("diffusion generator on degree-2 monomials (two sites):")
 print(built.matrix)
 print("entrywise agreement with the particle generator:", built.check.passed,
@@ -43,7 +43,7 @@ print()
 # l (|alpha| + l - 1) / n.
 alpha = [1.3, 0.7, 2.1]
 g = complete_graph(3, alpha)
-report = bep_gap_report(g, 4)
+report = bep_gap_report(Level(g, 4))
 print(f"complete(3), alpha = {alpha}: truncated diffusion spectrum (distinct):")
 print(" ", sorted(set(np.round(report.spectrum, 8))))
 print("  closed form:", sorted({l * (sum(alpha) + l - 1) / 3 for l in range(5)}))
@@ -51,6 +51,6 @@ print()
 
 # The gap sandwich transfers verbatim to the diffusion.
 g = random_connected_graph(4, np.random.default_rng(2), alpha_range=(1.0, 2.0))
-report = bep_gap_report(g, 3)
+report = bep_gap_report(Level(g, 3))
 print(f"random graph, alpha_min >= 1: gap_bep = {report.gap_bep:.9f}, "
       f"gap_rw = {report.gap_rw:.9f}, all checks pass -> {report.passed}")

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .configs import ConfigSpace, rank_composition, sip_measure
+from .configs import ConfigSpace, rank_composition
 from .errors import InputError, VerificationError
 from .graphs import Graph, build_rw_generator, gap_tolerance, reversible_spectrum, rw_spectrum
-from .reporting import CheckResult, make_check
-from .sip import build_sip_generator
+from .intertwiners import Level
+from .reporting import CheckResult, identity_check, make_check
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ class BepMatrix:
     check: CheckResult
 
 
-def bep_matrix(graph: Graph, k: int, rtol: float = 1e-10,
-               cap: int | None = None, strict: bool = False) -> BepMatrix:
+def bep_matrix(level: Level, rtol: float = 1e-10) -> BepMatrix:
     """Matrix of the diffusion generator on the degree-k scaled monomials.
 
     Column eta holds the expansion of G applied to z^eta / prod(eta!).
@@ -176,22 +175,17 @@ def bep_matrix(graph: Graph, k: int, rtol: float = 1e-10,
     matrix entrywise with the independently assembled particle
     generator; they must agree to rounding.
     """
-    gen = build_sip_generator(graph, k, cap)
+    gen = level.generator
     space = gen.space
     m = np.zeros((space.size, space.size))
     factorials = np.array([math.prod(math.factorial(int(e)) for e in occ)
                            for occ in space.occupations])
     for col in range(space.size):
-        image = apply_bep_generator(basis_monomial(space, col), graph)
+        image = apply_bep_generator(basis_monomial(space, col), level.graph)
         for expo, coeff in image.coeffs.items():
             row = space.rank(expo)
             m[row, col] = coeff * factorials[row]
-    scale = max(1.0, float(np.abs(gen.matrix).max()))
-    residual = float(np.abs(m - gen.matrix).max())
-    check = make_check(f"diffusion-matches-particles[k={k}]", residual, rtol * scale)
-    if strict and not check.passed:
-        raise VerificationError(f"symbolic diffusion matrix deviates from the "
-                                f"particle generator by {residual:.3e}")
+    check = identity_check(f"diffusion-matches-particles[k={level.k}]", m, gen.matrix, rtol)
     return BepMatrix(space, m, gen.matrix, check)
 
 
@@ -239,15 +233,16 @@ class BepGapReport:
         }
 
 
-def bep_gap_report(graph: Graph, degree_max: int, tol: float = 1e-8,
-                   cap: int | None = None, strict: bool = False) -> BepGapReport:
-    """Spectrum of the diffusion truncated at a polynomial degree.
+def bep_gap_report(top: Level, tol: float = 1e-8, strict: bool = False) -> BepGapReport:
+    """Spectrum of the diffusion truncated at the polynomial degree top.k.
 
     Degrees decouple, so the truncated spectrum is the multiset union of
-    the per-degree matrix spectra; its gap is compared against the walk
-    gap through the same sandwich as for the particle system, with the
-    same tolerance relative to gap_rw (`graphs.gap_tolerance`).
+    the per-degree matrix spectra of the levels 1..top.k; its gap is
+    compared against the walk gap through the same sandwich as for the
+    particle system, with the same tolerance relative to gap_rw
+    (`graphs.gap_tolerance`).  A disconnected graph fails a check.
     """
+    graph, degree_max = top.graph, top.k
     if degree_max < 1:
         raise InputError(f"need degree_max >= 1, got {degree_max}")
     walk = build_rw_generator(graph)
@@ -256,13 +251,16 @@ def bep_gap_report(graph: Graph, degree_max: int, tol: float = 1e-8,
     values = [np.zeros(1)]  # degree 0: constants, eigenvalue 0
     level_gaps = {}
     checks = []
-    for k in range(1, degree_max + 1):
-        built = bep_matrix(graph, k, cap=cap, strict=strict)
-        checks.append(built.check)
-        mu = sip_measure(graph, built.space)
-        spec = reversible_spectrum(built.matrix, mu.probabilities, want_vectors=False)
-        level_gaps[k] = spec.gap
+    # top level first, so one over the state cap is refused before any work
+    level = top
+    while level.k >= 1:
+        built = bep_matrix(level)
+        checks.insert(0, built.check)
+        spec = reversible_spectrum(built.matrix, level.measure.probabilities,
+                                   want_vectors=False)
+        level_gaps[level.k] = spec.gap
         values.append(spec.eigenvalues)
+        level = level.lower
     spectrum = np.sort(np.concatenate(values))
     gap_bep = min(level_gaps.values())
     a_min = graph.alpha_min
@@ -276,8 +274,12 @@ def bep_gap_report(graph: Graph, degree_max: int, tol: float = 1e-8,
                                  abs(gap_bep - gap_rw), atol))
     checks.append(make_check(f"walk-gap-in-spectrum[K={degree_max}]",
                              float(np.abs(spectrum - gap_rw).min()), atol))
-    report = BepGapReport(degree_max, gap_rw, gap_bep, level_gaps, spectrum,
-                          a_min, tuple(checks), simplex_measure(graph).log_beta)
+    if not graph.connected:
+        checks.append(make_check(f"graph-connected[K={degree_max}]",
+                                 float(graph.components - 1), 0.0,
+                                 detail=f"{graph.components} components: every gap vanishes"))
+    report = BepGapReport(degree_max, gap_rw, gap_bep, dict(sorted(level_gaps.items())),
+                          spectrum, a_min, tuple(checks), simplex_measure(graph).log_beta)
     if strict and not report.passed:
         bad = [c.identity for c in checks if not c.passed]
         raise VerificationError("diffusion gap checks failed: " + ", ".join(bad))

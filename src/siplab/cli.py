@@ -33,8 +33,9 @@ from .configs import rank_composition, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import (Graph, build_rw_generator, graph_from_preset, load_graph, rw_gap,
                      rw_spectrum)
-from .intertwiners import (check_adjoint, check_intertwinings, dirichlet_decomposition_check,
-                           eigen_dichotomy, minmax_comparison_check)
+from .intertwiners import (Ladder, check_adjoint, check_intertwinings,
+                           dirichlet_decomposition_check, eigen_dichotomy,
+                           minmax_comparison_check)
 from .lookdown import (DEFAULT_LABELED_CAP, check_labeled_identities, check_stationary_law,
                        labeled_index)
 from .reporting import CheckSuite, make_check
@@ -151,71 +152,71 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _suite_sip(graph: Graph, k_max: int, rng: np.random.Generator) -> tuple[CheckSuite, dict]:
-    report = gap_sandwich_report(graph, k_max, strict=False)
+def _suite_sip(ladder: Ladder, k_max: int, rng: np.random.Generator) -> tuple[CheckSuite, dict]:
+    report = gap_sandwich_report(ladder.graph, k_max, strict=False)
     checks = []
     for k in range(2, k_max + 1):
-        checks.append(check_adjoint(graph, k))
-        checks.extend(check_intertwinings(graph, k))
-        dichotomy = eigen_dichotomy(graph, k)
+        level = ladder[k]
+        checks.append(check_adjoint(level))
+        checks.extend(check_intertwinings(level))
+        dichotomy = eigen_dichotomy(level)
         checks.append(make_check(f"orthogonal-decomposition-dims[k={k}]",
                                  0.0 if dichotomy.passed else 1.0, 0.5))
-        size = dichotomy.size_high
         for _ in range(3):
             checks.extend(dirichlet_decomposition_check(
-                graph, k, rng.standard_normal(size)).checks)
-        checks.extend(minmax_comparison_check(graph, k, rng=rng).checks)
+                level, rng.standard_normal(level.space.size)).checks)
+        checks.extend(minmax_comparison_check(level, rng=rng).checks)
     return CheckSuite("sip", tuple(checks)), report.to_dict()
 
 
-def _suite_lookdown(graph: Graph, k_max: int) -> CheckSuite:
+def _suite_lookdown(ladder: Ladder, k_max: int) -> CheckSuite:
+    """Levels 2..k_max up to the labeled cap; the note names the levels past it."""
+    n = ladder.graph.n
     checks = []
-    for k in range(2, k_max + 1):
-        if graph.n ** k > DEFAULT_LABELED_CAP:
-            break
-        checks.extend(check_labeled_identities(graph, k))
-        checks.extend(check_stationary_law(graph, k).checks)
+    k = 2
+    while k <= k_max and n ** k <= DEFAULT_LABELED_CAP:
+        checks.extend(check_labeled_identities(ladder[k]))
+        checks.extend(check_stationary_law(ladder.graph, k).checks)
+        k += 1
     if not checks:
         raise InputError("labeled suite needs K >= 2 within the labeled cap")
-    return CheckSuite("lookdown", tuple(checks),
-                      note="the time-reversed lookdown generator is not constructed; "
-                           "its intertwining with a labeled particle-addition operator "
-                           "is left unverified")
+    note = ("the time-reversed lookdown generator is not constructed; its intertwining "
+            "with a labeled particle-addition operator is left unverified")
+    if k <= k_max:
+        levels = f"level k={k}" if k == k_max else f"levels k={k}..{k_max}"
+        note += (f"; {levels} skipped: {n}^{k} = {n ** k} labeled states"
+                 f"{' and more' if k < k_max else ''} exceed the cap {DEFAULT_LABELED_CAP}")
+    return CheckSuite("lookdown", tuple(checks), note=note)
 
 
-def _suite_bep(graph: Graph, k_max: int) -> tuple[CheckSuite, dict]:
-    report = bep_gap_report(graph, k_max)
-    return CheckSuite("bep", tuple(report.checks)), report.to_dict()
+def _run_suites(graph: Graph, k_max: int, suite: str, seed: int, bep_degree: int) -> dict:
+    """Run the requested suites on one shared ladder of levels; returns the
+    payload without its manifest."""
+    rng = np.random.default_rng(seed)
+    ladder = Ladder(graph)
+    suites, payload = {}, {}
+    if suite in ("all", "sip"):
+        suites["sip"], payload["gap_report"] = _suite_sip(ladder, k_max, rng)
+    if suite in ("all", "lookdown"):
+        suites["lookdown"] = _suite_lookdown(ladder, k_max)
+    if suite in ("all", "bep"):
+        report = bep_gap_report(ladder[bep_degree])
+        suites["bep"] = CheckSuite("bep", tuple(report.checks))
+        payload["bep_report"] = report.to_dict()
+    payload["pass"] = (all(s.passed for s in suites.values())
+                       and payload.get("gap_report", {"pass": True})["pass"])
+    payload["suites"] = {name: s.to_dict() for name, s in suites.items()}
+    return payload
 
 
 def cmd_verify(args) -> int:
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    rng = np.random.default_rng(args.seed)
-    suites = {}
-    reports = {}
-    if args.suite in ("all", "sip"):
-        suite, gap_dict = _suite_sip(graph, args.K, rng)
-        suites["sip"] = suite
-        reports["gap_report"] = gap_dict
-    if args.suite in ("all", "lookdown"):
-        suites["lookdown"] = _suite_lookdown(graph, args.K)
-    if args.suite in ("all", "bep"):
-        suite, bep_dict = _suite_bep(graph, args.K)
-        suites["bep"] = suite
-        reports["bep_report"] = bep_dict
-    all_pass = all(s.passed for s in suites.values())
-    if "gap_report" in reports:
-        all_pass = all_pass and reports["gap_report"]["pass"]
-    payload = {
-        "manifest": _manifest("verify", {"graph": args.graph, "K": args.K,
-                                         "suite": args.suite, "alpha": args.alpha},
-                              digest, args.seed),
-        "pass": all_pass,
-        "suites": {name: s.to_dict() for name, s in suites.items()},
-        **reports,
-    }
+    payload = _run_suites(graph, args.K, args.suite, args.seed, args.K)
+    payload["manifest"] = _manifest("verify", {"graph": args.graph, "K": args.K,
+                                               "suite": args.suite, "alpha": args.alpha},
+                                    digest, args.seed)
     _write_json(args.json, payload)
-    return 0 if all_pass else 1
+    return 0 if payload["pass"] else 1
 
 
 def _sweep_rows(graphs, n_samples, lo, hi, k_max, seed):
@@ -330,24 +331,14 @@ def cmd_tv_curve(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """All three suites, with the diffusion truncated at degree min(K, 4)."""
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    rng = np.random.default_rng(args.seed)
-    sip_suite, gap_dict = _suite_sip(graph, args.K, rng)
-    look_suite = _suite_lookdown(graph, args.K)
-    bep_suite, bep_dict = _suite_bep(graph, min(args.K, 4))
-    all_pass = (sip_suite.passed and look_suite.passed and bep_suite.passed
-                and gap_dict["pass"])
-    payload = {
-        "manifest": _manifest("report", {"graph": args.graph, "K": args.K,
-                                         "alpha": args.alpha}, digest, args.seed),
-        "pass": all_pass,
-        "gap_report": gap_dict,
-        "bep_report": bep_dict,
-        "suites": {s.name: s.to_dict() for s in (sip_suite, look_suite, bep_suite)},
-        "state_cap": state_cap(),
-    }
+    payload = _run_suites(graph, args.K, "all", args.seed, min(args.K, 4))
+    payload["manifest"] = _manifest("report", {"graph": args.graph, "K": args.K,
+                                               "alpha": args.alpha}, digest, args.seed)
+    payload["state_cap"] = state_cap()
     _write_json(args.json, payload)
-    return 0 if all_pass else 1
+    return 0 if payload["pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

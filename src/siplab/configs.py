@@ -151,7 +151,9 @@ def _compositions(n: int, k: int, size: int) -> np.ndarray:
     return np.diff(bars, prepend=0, append=k, axis=1)
 
 
-def enumerate_configs(n: int, k: int, cap: int | None = None) -> ConfigSpace:
+def capped_size(n: int, k: int, cap: int | None = None) -> int:
+    """Number of configurations with n sites and k particles, refused with
+    StateCapError above the cap (default: the active `state_cap()`)."""
     if n < 1 or k < 0:
         raise InputError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     size = space_size(n, k)
@@ -159,6 +161,11 @@ def enumerate_configs(n: int, k: int, cap: int | None = None) -> ConfigSpace:
     if size > limit:
         raise StateCapError(f"configuration space with n={n}, k={k} has {size} "
                             f"states, exceeding the cap of {limit}")
+    return size
+
+
+def enumerate_configs(n: int, k: int, cap: int | None = None) -> ConfigSpace:
+    size = capped_size(n, k, cap)
     occ = _compositions(n, k, size)
     occ.setflags(write=False)
     return ConfigSpace(n, k, occ)

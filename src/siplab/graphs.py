@@ -22,9 +22,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import EigensolverError, InputError
 
@@ -38,33 +41,13 @@ def residual_tol(scale: float, rtol: float = RESIDUAL_RTOL) -> float:
     return rtol * max(1.0, float(scale))
 
 
-def _count_components(weights: np.ndarray) -> int:
-    """Union-find over the positive-weight edges."""
-    n = weights.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            if weights[x, y] > 0.0:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-    return len({find(x) for x in range(n)})
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable weighted graph with site weights.
 
     edge_weights must be symmetric with zero diagonal and nonnegative
     entries; site_weights must be strictly positive.  Connectivity of
-    the positive-weight edge set is computed once and recorded.
+    the positive-weight edge set is computed on first use and kept.
     """
 
     n: int
@@ -92,7 +75,12 @@ class Graph:
         a.setflags(write=False)
         object.__setattr__(self, "edge_weights", w)
         object.__setattr__(self, "site_weights", a)
-        object.__setattr__(self, "components", _count_components(w))
+
+    @cached_property
+    def components(self) -> int:
+        """Number of connected components of the positive-weight edges."""
+        return int(connected_components(scipy.sparse.csr_array(self.edge_weights),
+                                        directed=False, return_labels=False))
 
     @property
     def connected(self) -> bool:

@@ -17,20 +17,26 @@ module builds the operators as exact matrices and provides residual
 checks for every one of those identities, plus the Dirichlet-form
 decomposition and the single-walk comparison bounds used to sandwich
 the spectral gap.
+
+Every statement is about one level k or two consecutive ones, so the
+checks take a `Level`, which builds each level-k piece once and keeps
+it; a `Ladder` shares each level with the one above it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .configs import ConfigSpace, enumerate_configs, sip_measure, variance
+from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
+                      variance)
 from .errors import InputError
-from .graphs import Graph, build_rw_generator, rw_dirichlet_form, rw_gap, rw_spectrum
-from .reporting import CheckResult, make_check
+from .graphs import Graph, Spectrum, build_rw_generator, rw_dirichlet_form, rw_spectrum
+from .reporting import CheckResult, identity_check, make_check
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_spectrum
 
 SV_CUTOFF = 1e-10
@@ -56,11 +62,11 @@ class CreationOp:
     space_high: ConfigSpace
 
 
-def build_annihilation(graph: Graph, k: int, cap: int | None = None) -> AnnihilationOp:
+def build_annihilation(graph: Graph, k: int) -> AnnihilationOp:
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    low = enumerate_configs(graph.n, k - 1, cap)
-    high = enumerate_configs(graph.n, k, cap)
+    low = enumerate_configs(graph.n, k - 1)
+    high = enumerate_configs(graph.n, k)
     occ = high.occupations
     keys = occ @ low.place
     m = np.zeros((high.size, low.size))
@@ -74,11 +80,11 @@ def build_annihilation(graph: Graph, k: int, cap: int | None = None) -> Annihila
     return AnnihilationOp(k, m, low, high)
 
 
-def build_creation(graph: Graph, k: int, cap: int | None = None) -> CreationOp:
+def build_creation(graph: Graph, k: int) -> CreationOp:
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    low = enumerate_configs(graph.n, k - 1, cap)
-    high = enumerate_configs(graph.n, k, cap)
+    low = enumerate_configs(graph.n, k - 1)
+    high = enumerate_configs(graph.n, k)
     alpha = graph.site_weights
     occ = low.occupations
     keys = occ @ high.place
@@ -90,43 +96,96 @@ def build_creation(graph: Graph, k: int, cap: int | None = None) -> CreationOp:
     return CreationOp(k, m, low, high)
 
 
-def injectivity_margin(matrix: np.ndarray) -> float:
-    """Smallest over largest singular value; positive means full column rank."""
-    sv = scipy.linalg.svdvals(matrix)
-    return float(sv[min(matrix.shape) - 1] / sv[0])
+def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple:
+    """(xi, walk, eigenvalues) for each configuration xi of `space`, in rank
+    order: the walk with site weights alpha + xi and its spectrum."""
+    walks = []
+    for xi in space.occupations:
+        walk = build_rw_generator(graph.with_site_weights(graph.site_weights + xi))
+        walks.append((xi, walk, rw_spectrum(walk, want_vectors=False).eigenvalues))
+    return tuple(walks)
 
 
-def removal_composition(graph: Graph, k: int, level: int, cap: int | None = None) -> np.ndarray:
-    """Product of removal matrices taking functions on level `level` up to k.
+class Level:
+    """Level k of the inclusion process on a graph, with the operators
+    that tie it to level k-1.
 
-    Equals (k - level)! times `binomial_removal_matrix` because every
-    removal order of the same particle subset contributes once.
+    Each piece is built on first use and then kept: `generator` (which
+    carries `space` and `measure`), the removal and addition operators
+    `annihilation` (A_k) and `creation` (C_k), the dense `spectrum` with
+    eigenfunctions, `kernel`, a mu-orthonormal basis of Ker C_k, and
+    `shifted_walks`, the walks with site weights alpha + xi over the
+    level-(k-1) configurations xi.  `lower` is level k-1: the one given,
+    else a new one made on first use.  Level 0 has one state and the zero
+    generator.
     """
-    if not 0 <= level < k:
-        raise InputError(f"need 0 <= level < k, got level={level}, k={k}")
-    m = build_annihilation(graph, level + 1, cap).matrix
-    for j in range(level + 2, k + 1):
-        m = build_annihilation(graph, j, cap).matrix @ m
-    return m
+
+    def __init__(self, graph: Graph, k: int, lower: Level | None = None):
+        if k < 0:
+            raise InputError(f"need k >= 0 particles, got {k}")
+        if lower is not None and (lower.graph is not graph or lower.k != k - 1):
+            raise InputError(f"lower must be level {k - 1} of the same graph")
+        self.graph = graph
+        self.k = k
+        self._lower = lower
+
+    @property
+    def lower(self) -> Level:
+        if self._lower is None:
+            self._lower = Level(self.graph, self.k - 1)
+        return self._lower
+
+    @cached_property
+    def generator(self) -> SipGenerator:
+        if self.k == 0:
+            space = enumerate_configs(self.graph.n, 0)
+            return SipGenerator(self.graph, space, np.zeros((1, 1)),
+                                sip_measure(self.graph, space))
+        return build_sip_generator(self.graph, self.k)
+
+    @property
+    def space(self) -> ConfigSpace:
+        return self.generator.space
+
+    @property
+    def measure(self) -> SipMeasure:
+        return self.generator.measure
+
+    @cached_property
+    def annihilation(self) -> AnnihilationOp:
+        return build_annihilation(self.graph, self.k)
+
+    @cached_property
+    def creation(self) -> CreationOp:
+        return build_creation(self.graph, self.k)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return sip_spectrum(self.generator)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        return kernel_basis(self, mu_orthonormal=True)
+
+    @cached_property
+    def shifted_walks(self) -> tuple:
+        return build_shifted_walks(self.graph, self.lower.space)
 
 
-def binomial_removal_matrix(space_high: ConfigSpace, space_low: ConfigSpace) -> np.ndarray:
-    """Subset-count form of the composed removal: entry (eta, zeta) is
-    prod_x binom(eta_x, zeta_x), the number of ways to pick zeta inside eta.
+class Ladder:
+    """Levels 0, 1, 2, ... of one graph, made bottom-up on first request,
+    each holding the one below as its `lower`.  A level over the state cap
+    is refused before any level is made."""
 
-    Removing particles one at a time reaches each sub-configuration
-    through every removal order, so the matrix product form equals
-    (k - level)! times this matrix.
-    """
-    m = np.zeros((space_high.size, space_low.size))
-    for s in range(space_high.size):
-        eta = space_high.occupations[s]
-        for t in range(space_low.size):
-            zeta = space_low.occupations[t]
-            if np.any(zeta > eta):
-                continue
-            m[s, t] = math.prod(math.comb(int(e), int(z)) for e, z in zip(eta, zeta))
-    return m
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._levels = [Level(graph, 0)]
+
+    def __getitem__(self, k: int) -> Level:
+        capped_size(self.graph.n, k)
+        while len(self._levels) <= k:
+            self._levels.append(Level(self.graph, len(self._levels), self._levels[-1]))
+        return self._levels[k]
 
 
 def invert_annihilation(h, space_high: ConfigSpace, space_low: ConfigSpace) -> np.ndarray:
@@ -164,44 +223,25 @@ def invert_annihilation(h, space_high: ConfigSpace, space_low: ConfigSpace) -> n
     return g
 
 
-def check_adjoint(graph: Graph, k: int, rtol: float = 1e-10,
-                  cap: int | None = None) -> CheckResult:
+def check_adjoint(level: Level, rtol: float = 1e-10) -> CheckResult:
     """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity."""
-    ann = build_annihilation(graph, k, cap)
-    cre = build_creation(graph, k, cap)
-    mu_high = sip_measure(graph, ann.space_high)
-    mu_low = sip_measure(graph, ann.space_low)
-    factor = k / (graph.alpha_total + k - 1)
-    lhs = ann.matrix.T @ np.diag(mu_high.probabilities)
-    rhs = factor * np.diag(mu_low.probabilities) @ cre.matrix
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    residual = float(np.abs(lhs - rhs).max())
-    return make_check(f"adjoint[k={k}]", residual, rtol * scale)
+    k = level.k
+    factor = k / (level.graph.alpha_total + k - 1)
+    lhs = level.annihilation.matrix.T @ np.diag(level.measure.probabilities)
+    rhs = factor * np.diag(level.lower.measure.probabilities) @ level.creation.matrix
+    return identity_check(f"adjoint[k={k}]", lhs, rhs, rtol)
 
 
-def check_intertwinings(graph: Graph, k: int, rtol: float = 1e-10,
-                        cap: int | None = None) -> tuple[CheckResult, CheckResult]:
+def check_intertwinings(level: Level, rtol: float = 1e-10) -> tuple[CheckResult, CheckResult]:
     """Residuals of A L_{k-1} - L_k A and C L_k - L_{k-1} C."""
-    ann = build_annihilation(graph, k, cap)
-    cre = build_creation(graph, k, cap)
-    gen_high = build_sip_generator(graph, k, cap)
-    if k >= 2:
-        low_matrix = build_sip_generator(graph, k - 1, cap).matrix
-    else:
-        low_matrix = np.zeros((1, 1))
-    lhs_a = ann.matrix @ low_matrix
-    rhs_a = gen_high.matrix @ ann.matrix
-    scale_a = max(1.0, float(np.abs(lhs_a).max()), float(np.abs(rhs_a).max()))
-    res_a = float(np.abs(lhs_a - rhs_a).max())
-    lhs_c = cre.matrix @ gen_high.matrix
-    rhs_c = low_matrix @ cre.matrix
-    scale_c = max(1.0, float(np.abs(lhs_c).max()), float(np.abs(rhs_c).max()))
-    res_c = float(np.abs(lhs_c - rhs_c).max())
-    return (make_check(f"removal-intertwining[k={k}]", res_a, rtol * scale_a),
-            make_check(f"addition-intertwining[k={k}]", res_c, rtol * scale_c))
+    k = level.k
+    ann, cre = level.annihilation.matrix, level.creation.matrix
+    high, low = level.generator.matrix, level.lower.generator.matrix
+    return (identity_check(f"removal-intertwining[k={k}]", ann @ low, high @ ann, rtol),
+            identity_check(f"addition-intertwining[k={k}]", cre @ high, low @ cre, rtol))
 
 
-def lift_eigenfunction(graph: Graph, psi, k: int, cap: int | None = None):
+def lift_eigenfunction(graph: Graph, psi, k: int):
     """Lift a walk eigenfunction to level k as f(eta) = sum_x psi(x) eta_x.
 
     Returns (f, eigenvalue).  psi is rejected unless it is an actual
@@ -220,12 +260,11 @@ def lift_eigenfunction(graph: Graph, psi, k: int, cap: int | None = None):
     scale = max(1.0, float(np.abs(gen.matrix).max())) * norm
     if defect > 1e-8 * scale:
         raise InputError(f"psi is not an eigenfunction (defect {defect:.3e})")
-    space = enumerate_configs(graph.n, k, cap)
+    space = enumerate_configs(graph.n, k)
     return space.occupations @ psi, lam
 
 
-def kernel_basis(graph: Graph, k: int, cap: int | None = None,
-                 mu_orthonormal: bool = False) -> np.ndarray:
+def kernel_basis(level: Level, mu_orthonormal: bool = False) -> np.ndarray:
     """Basis of Ker C at level k, columns spanning the null space.
 
     Computed from the singular value decomposition of the addition
@@ -233,14 +272,12 @@ def kernel_basis(graph: Graph, k: int, cap: int | None = None,
     mu_orthonormal=True the basis is orthonormalized in the reversible
     inner product instead of the plain one.
     """
-    cre = build_creation(graph, k, cap)
-    u, sv, vt = scipy.linalg.svd(cre.matrix, full_matrices=True)
+    u, sv, vt = scipy.linalg.svd(level.creation.matrix, full_matrices=True)
     cut = SV_CUTOFF * sv[0]
     rank = int(np.sum(sv > cut))
     basis = vt[rank:].T
     if mu_orthonormal:
-        mu = sip_measure(graph, cre.space_high)
-        gram = basis.T @ (mu.probabilities[:, None] * basis)
+        gram = basis.T @ (level.measure.probabilities[:, None] * basis)
         chol = scipy.linalg.cholesky(gram, lower=False)
         basis = scipy.linalg.solve_triangular(chol, basis.T, trans="T").T
     return basis
@@ -265,8 +302,7 @@ class EigenDichotomy:
     passed: bool
 
 
-def eigen_dichotomy(graph: Graph, k: int, tol: float = 1e-8,
-                    cap: int | None = None) -> EigenDichotomy:
+def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
     """Split every eigenspace of the level-k generator between lifted
     functions (image of removal) and fresh ones (kernel of addition).
 
@@ -274,18 +310,13 @@ def eigen_dichotomy(graph: Graph, k: int, tol: float = 1e-8,
     overlap with the image so each basis vector lands cleanly on one
     side; a vector stuck in between fails the classification.
     """
-    gen = build_sip_generator(graph, k, cap)
-    spec = sip_spectrum(gen)
-    ann = build_annihilation(graph, k, cap)
-    d = np.sqrt(gen.measure.probabilities)
+    spec = level.spectrum
+    ann = level.annihilation
+    d = np.sqrt(level.measure.probabilities)
     # orthonormal coordinates: eigenvectors of the symmetrized operator
     vecs = spec.eigenfunctions * d[:, None]
     q_im = scipy.linalg.orth(d[:, None] * ann.matrix)
-    if k >= 2:
-        low_vals = sip_spectrum(build_sip_generator(graph, k - 1, cap),
-                                want_vectors=False).eigenvalues
-    else:
-        low_vals = np.zeros(1)
+    low_vals = level.lower.spectrum.eigenvalues
     groups = []
     ok = True
     vals = spec.eigenvalues
@@ -316,13 +347,10 @@ def eigen_dichotomy(graph: Graph, k: int, tol: float = 1e-8,
                           ann.space_low.size, ann.space_high.size, ok)
 
 
-def project_to_kernel(graph: Graph, k: int, f, cap: int | None = None) -> np.ndarray:
+def project_to_kernel(level: Level, f) -> np.ndarray:
     """Orthogonal projection (reversible inner product) onto Ker C."""
-    f = np.asarray(f, dtype=float)
-    basis = kernel_basis(graph, k, cap, mu_orthonormal=True)
-    mu = sip_measure(graph, enumerate_configs(graph.n, k, cap))
-    coeff = basis.T @ (mu.probabilities * f)
-    return basis @ coeff
+    coeff = level.kernel.T @ (level.measure.probabilities * np.asarray(f, dtype=float))
+    return level.kernel @ coeff
 
 
 @dataclass(frozen=True)
@@ -337,9 +365,7 @@ class DirichletDecomposition:
         return all(c.passed for c in self.checks)
 
 
-def dirichlet_decomposition_check(graph: Graph, k: int, f, rtol: float = 1e-9,
-                                  cap: int | None = None,
-                                  gen: SipGenerator | None = None) -> DirichletDecomposition:
+def dirichlet_decomposition_check(level: Level, f, rtol: float = 1e-9) -> DirichletDecomposition:
     """For f in Ker C, rewrite the level-k energy as a weighted sum of
     single-walk energies with shifted site weights and verify it.
 
@@ -351,30 +377,21 @@ def dirichlet_decomposition_check(graph: Graph, k: int, f, rtol: float = 1e-9,
     the mean-zero variance reduction of each section f_xi(x) = f(xi+delta_x),
     and the lower bound E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f).
     """
-    if gen is None:
-        gen = build_sip_generator(graph, k, cap)
-    f = project_to_kernel(graph, k, np.asarray(f, dtype=float), cap)
-    space = gen.space
-    low = enumerate_configs(graph.n, k - 1, cap)
-    mu_low = sip_measure(graph, low)
+    graph, k, gen = level.graph, level.k, level.generator
+    f = project_to_kernel(level, f)
+    space, low, mu_low = gen.space, level.lower.space, level.lower.measure
     a_total = graph.alpha_total
     z_ratio = math.exp(mu_low.log_normalization - gen.measure.log_normalization)
     energy = sip_dirichlet_form(gen, f)
+    # row t holds the section f(xi + delta_x) of the t-th configuration xi
+    raised = (low.occupations @ space.place)[:, None] + space.place[None, :]
+    sections = f[space.rank_keys(raised.ravel())].reshape(low.size, graph.n)
     shifted_sum = 0.0
-    inf_gap = math.inf
     var_residual = 0.0
     scale_f = max(1.0, float(np.abs(f).max()) ** 2)
-    for t in range(low.size):
-        xi = low.occupations[t]
-        shifted = graph.with_site_weights(graph.site_weights + xi)
-        section = np.empty(graph.n)
-        for x in range(graph.n):
-            eta = list(xi)
-            eta[x] += 1
-            section[x] = f[space.rank(eta)]
-        rw_gen = build_rw_generator(shifted)
-        shifted_sum += mu_low.probabilities[t] * rw_dirichlet_form(rw_gen, section)
-        inf_gap = min(inf_gap, rw_spectrum(rw_gen, want_vectors=False).gap)
+    for t, (xi, walk, _) in enumerate(level.shifted_walks):
+        section = sections[t]
+        shifted_sum += mu_low.probabilities[t] * rw_dirichlet_form(walk, section)
         weights = (graph.site_weights + xi) / (a_total + k - 1)
         plain_second = float(weights @ (section * section))
         sec_mean = float(weights @ section)
@@ -382,8 +399,8 @@ def dirichlet_decomposition_check(graph: Graph, k: int, f, rtol: float = 1e-9,
         var_residual = max(var_residual, abs(var - plain_second))
     decomposed = (a_total + k - 1) * z_ratio * shifted_sum
     scale_e = max(1.0, abs(energy), abs(decomposed))
-    var_f = variance(gen.measure, f)
-    bound = k * inf_gap * var_f
+    inf_gap = shifted_walk_gap_infimum(level)
+    bound = k * inf_gap * variance(gen.measure, f)
     checks = (
         make_check(f"dirichlet-decomposition[k={k}]",
                    abs(energy - decomposed), rtol * scale_e),
@@ -403,9 +420,9 @@ class ComparisonReport:
         return all(c.passed for c in self.checks)
 
 
-def minmax_comparison_check(graph: Graph, k: int, n_phi: int = 50,
+def minmax_comparison_check(level: Level, n_phi: int = 50,
                             rng: np.random.Generator | None = None,
-                            rtol: float = 1e-9, cap: int | None = None) -> ComparisonReport:
+                            rtol: float = 1e-9) -> ComparisonReport:
     """Compare the walk with site weights alpha to every shifted walk
     alpha + xi, xi a configuration of k-1 particles.
 
@@ -418,7 +435,7 @@ def minmax_comparison_check(graph: Graph, k: int, n_phi: int = 50,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    low = enumerate_configs(graph.n, k - 1, cap)
+    graph, k = level.graph, level.k
     alpha = graph.site_weights
     a_total = graph.alpha_total
     a_min = graph.alpha_min
@@ -433,12 +450,8 @@ def minmax_comparison_check(graph: Graph, k: int, n_phi: int = 50,
     worst_eig = 0.0
     base_d = np.array([rw_dirichlet_form(base_gen, phi) for phi in phis])
     base_norm = np.array([float((alpha / a_total) @ (phi * phi)) for phi in phis])
-    for t in range(low.size):
-        xi = low.occupations[t]
+    for xi, sh_gen, sh_vals in level.shifted_walks:
         beta = alpha + xi
-        shifted = graph.with_site_weights(beta)
-        sh_gen = build_rw_generator(shifted)
-        sh_vals = rw_spectrum(sh_gen, want_vectors=False).eigenvalues
         for i, phi in enumerate(phis):
             d_shift = rw_dirichlet_form(sh_gen, phi)
             worst_dir = max(worst_dir, dirichlet_factor * base_d[i] - d_shift)
@@ -456,24 +469,17 @@ def minmax_comparison_check(graph: Graph, k: int, n_phi: int = 50,
     return ComparisonReport(checks)
 
 
-def kernel_gap(graph: Graph, k: int, cap: int | None = None) -> float:
-    """Smallest eigenvalue of the negative generator restricted to Ker C."""
-    gen = build_sip_generator(graph, k, cap)
-    basis = kernel_basis(graph, k, cap, mu_orthonormal=True)
-    d = np.sqrt(gen.measure.probabilities)
-    q = d[:, None] * basis
-    neg = -gen.matrix
-    sym = neg * (d[:, None] / d[None, :])
-    sym = 0.5 * (sym + sym.T)
-    restricted = q.T @ sym @ q
-    return float(scipy.linalg.eigvalsh(restricted)[0])
+def kernel_gap(level: Level) -> float:
+    """Smallest eigenvalue of the negative generator restricted to Ker C.
+
+    The generator preserves Ker C, and in a mu-orthonormal basis B of it
+    the restriction is B^T diag(mu) (-L) B, symmetric by reversibility.
+    """
+    gen, basis = level.generator, level.kernel
+    restricted = basis.T @ (gen.measure.probabilities[:, None] * -gen.matrix) @ basis
+    return float(scipy.linalg.eigvalsh(0.5 * (restricted + restricted.T))[0])
 
 
-def shifted_walk_gap_infimum(graph: Graph, k: int, cap: int | None = None) -> float:
+def shifted_walk_gap_infimum(level: Level) -> float:
     """inf over xi in the (k-1)-particle space of gap_rw(alpha + xi)."""
-    low = enumerate_configs(graph.n, k - 1, cap)
-    best = math.inf
-    for t in range(low.size):
-        xi = low.occupations[t]
-        best = min(best, rw_gap(graph.with_site_weights(graph.site_weights + xi)))
-    return best
+    return min(float(vals[1]) for _, _, vals in level.shifted_walks)

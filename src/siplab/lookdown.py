@@ -30,9 +30,8 @@ import numpy as np
 from .configs import ConfigSpace, enumerate_configs, sip_measure
 from .errors import InputError, StateCapError
 from .graphs import Graph, build_rw_generator, detailed_balance_residual
-from .intertwiners import build_annihilation
-from .reporting import CheckResult, make_check
-from .sip import build_sip_generator
+from .intertwiners import Level
+from .reporting import CheckResult, identity_check, make_check
 
 DEFAULT_LABELED_CAP = 4096
 
@@ -64,23 +63,17 @@ def _labeled_generator(graph: Graph, k: int, lookdown: bool, cap: int) -> np.nda
     c = graph.edge_weights
     alpha = graph.site_weights
     states = labeled_states(n, k, cap)
-    size = states.shape[0]
-    m = np.zeros((size, size))
-    for s in range(size):
-        pos = states[s]
-        for i in range(k):
-            x = pos[i]
-            for y in range(n):
-                if c[x, y] == 0.0 or y == x:
-                    continue
-                if lookdown:
-                    company = 2 * int(np.sum(pos[:i] == y))
-                else:
-                    company = int(np.sum(pos == y))
-                rate = c[x, y] * (alpha[y] + company)
-                target = pos.copy()
-                target[i] = y
-                m[s, labeled_index(target, n)] += rate
+    rows = np.arange(states.shape[0])
+    m = np.zeros((rows.size, rows.size))
+    # one block per (label i, target site y): every state whose particle i
+    # sits next to y moves it there, which shifts the index by (y - x) n^(k-1-i)
+    for i in range(k):
+        x = states[:, i]
+        others = states[:, :i] if lookdown else states
+        for y in range(n):
+            s = np.flatnonzero(c[x, y])
+            company = (2 if lookdown else 1) * np.sum(others[s] == y, axis=1)
+            m[s, s + (y - x[s]) * n ** (k - 1 - i)] = c[x[s], y] * (alpha[y] + company)
     np.fill_diagonal(m, -m.sum(axis=1))
     m.setflags(write=False)
     return m
@@ -99,24 +92,21 @@ def build_labeled_generators(graph: Graph, k: int,
 def symmetrizer(n: int, k: int, cap: int = DEFAULT_LABELED_CAP) -> LabeledOperator:
     """Average over all k! label permutations; a stochastic projection."""
     states = labeled_states(n, k, cap)
-    size = states.shape[0]
-    m = np.zeros((size, size))
-    weight = 1.0 / math.factorial(k)
-    perms = list(itertools.permutations(range(k)))
-    for s in range(size):
-        pos = states[s]
-        for sigma in perms:
-            m[s, labeled_index(pos[list(sigma)], n)] += weight
+    rows = np.arange(states.shape[0])
+    m = np.zeros((rows.size, rows.size))
+    place = n ** np.arange(k - 1, -1, -1)
+    # each permutation moves every state to exactly one target
+    for sigma in itertools.permutations(range(k)):
+        m[rows, states[:, sigma] @ place] += 1.0 / math.factorial(k)
     m.setflags(write=False)
     return LabeledOperator("symmetrizer", k, m)
 
 
 def drop_top_pullback(n: int, k: int, cap: int = DEFAULT_LABELED_CAP) -> LabeledOperator:
     """Pull a function of k-1 labeled particles back through dropping the top one."""
-    states = labeled_states(n, k, cap)
-    m = np.zeros((states.shape[0], n ** (k - 1)))
-    for s in range(states.shape[0]):
-        m[s, labeled_index(states[s][: k - 1], n)] = 1.0
+    rows = np.arange(labeled_states(n, k, cap).shape[0])
+    m = np.zeros((rows.size, n ** (k - 1)))
+    m[rows, rows // n] = 1.0  # the top particle is the last digit
     m.setflags(write=False)
     return LabeledOperator("top-annihilation", k, m)
 
@@ -124,10 +114,9 @@ def drop_top_pullback(n: int, k: int, cap: int = DEFAULT_LABELED_CAP) -> Labeled
 def unlabel_pullback(space: ConfigSpace, cap: int = DEFAULT_LABELED_CAP) -> np.ndarray:
     """Matrix of f -> f(label-forgetting(.)), labeled states to occupation ranks."""
     states = labeled_states(space.n, space.k, cap)
+    occ = np.sum(states[:, :, None] == np.arange(space.n), axis=1)
     m = np.zeros((states.shape[0], space.size))
-    for s in range(states.shape[0]):
-        occ = np.bincount(states[s], minlength=space.n)
-        m[s, space.rank(occ)] = 1.0
+    m[np.arange(states.shape[0]), space.rank_keys(occ @ space.place)] = 1.0
     m.setflags(write=False)
     return m
 
@@ -137,20 +126,16 @@ def labeled_stationary_measure(graph: Graph, k: int,
     """Shared stationary law: particle i carries weight alpha at its site
     plus the number of lower-labeled companions there."""
     states = labeled_states(graph.n, k, cap)
-    alpha = graph.site_weights
-    denom = math.prod(graph.alpha_total + i for i in range(k))
-    omega = np.empty(states.shape[0])
-    for s in range(states.shape[0]):
-        pos = states[s]
-        w = 1.0
-        for i in range(k):
-            w *= alpha[pos[i]] + int(np.sum(pos[:i] == pos[i]))
-        omega[s] = w / denom
+    omega = np.ones(states.shape[0])
+    for i in range(k):
+        company = np.sum(states[:, :i] == states[:, i:i + 1], axis=1)
+        omega *= graph.site_weights[states[:, i]] + company
+    omega /= math.prod(graph.alpha_total + i for i in range(k))
     omega.setflags(write=False)
     return omega
 
 
-def check_labeled_identities(graph: Graph, k: int, rtol: float = 1e-10,
+def check_labeled_identities(level: Level, rtol: float = 1e-10,
                              cap: int = DEFAULT_LABELED_CAP) -> list[CheckResult]:
     """All matrix identities tying the labeled models to the unlabeled one.
 
@@ -158,8 +143,10 @@ def check_labeled_identities(graph: Graph, k: int, rtol: float = 1e-10,
     with both labeled generators, label forgetting onto the unlabeled
     generator, and the full removal-intertwining chain replayed through
     the labeled route, with the endpoints compared against the directly
-    assembled removal matrices.
+    assembled removal matrices.  The unlabeled pieces come from `level`
+    and its `lower`.
     """
+    graph, k = level.graph, level.k
     if k < 2:
         raise InputError("labeled identity suite needs k >= 2")
     n = graph.n
@@ -168,15 +155,13 @@ def check_labeled_identities(graph: Graph, k: int, rtol: float = 1e-10,
     s_hi = symmetrizer(n, k, cap).matrix
     s_lo = symmetrizer(n, k - 1, cap).matrix
     j_hi = drop_top_pullback(n, k, cap).matrix
-    gen_hi = build_sip_generator(graph, k)
-    gen_lo = build_sip_generator(graph, k - 1)
+    gen_hi, gen_lo = level.generator, level.lower.generator
     p_hi = unlabel_pullback(gen_hi.space, cap)
     p_lo = unlabel_pullback(gen_lo.space, cap)
-    ann = build_annihilation(graph, k)
+    ann = level.annihilation
 
     def check(name, lhs, rhs):
-        scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-        return make_check(name, float(np.abs(lhs - rhs).max()), rtol * scale)
+        return identity_check(name, lhs, rhs, rtol)
 
     checks = [
         check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
@@ -209,9 +194,7 @@ def check_labeled_identities(graph: Graph, k: int, rtol: float = 1e-10,
     # bottom particle of the lookdown model moves as the plain walk
     rw = build_rw_generator(graph).matrix
     bottom = np.zeros((n ** k, n))
-    states = labeled_states(n, k, cap)
-    for s in range(states.shape[0]):
-        bottom[s, states[s][0]] = 1.0
+    bottom[np.arange(n ** k), labeled_states(n, k, cap)[:, 0]] = 1.0
     checks.append(check(f"bottom-particle-walk[k={k}]",
                         lab_look_hi @ bottom, bottom @ rw))
     return checks
@@ -273,7 +256,7 @@ def check_stationary_law(graph: Graph, k: int, rtol: float = 1e-10,
     checks.append(make_check(f"unlabel-pushforward[k={k}]",
                              float(np.abs(push - mu.probabilities).max()), rtol))
     if k >= 2:
-        marginal = labeled_stationary_measure(graph, k, cap).reshape(-1, graph.n).sum(axis=1)
+        marginal = omega.reshape(-1, graph.n).sum(axis=1)
         checks.append(make_check(f"top-marginal[k={k}]",
                                  float(np.abs(marginal - labeled_stationary_measure(graph, k - 1, cap)).max()),
                                  1e-14))

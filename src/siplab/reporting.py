@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -33,6 +35,13 @@ class CheckResult:
 def make_check(identity: str, residual: float, tolerance: float, detail: str = "") -> CheckResult:
     return CheckResult(identity, float(residual), float(tolerance),
                        bool(residual <= tolerance), detail)
+
+
+def identity_check(identity: str, lhs, rhs, rtol: float) -> CheckResult:
+    """Matrix identity lhs = rhs: the largest entrywise residual against
+    rtol times the largest entry of either side (at least 1)."""
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    return make_check(identity, float(np.abs(lhs - rhs).max()), rtol * scale)
 
 
 @dataclass(frozen=True)

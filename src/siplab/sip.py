@@ -74,10 +74,10 @@ def _check_detailed_balance(defect: float, scale: float) -> None:
                                 f"(residual {defect:.3e} at scale {scale:.3e})")
 
 
-def build_sip_generator(graph: Graph, k: int, cap: int | None = None) -> SipGenerator:
+def build_sip_generator(graph: Graph, k: int) -> SipGenerator:
     if k < 1:
         raise InputError(f"need k >= 1 particles, got {k}")
-    space = enumerate_configs(graph.n, k, cap)
+    space = enumerate_configs(graph.n, k)
     mu = sip_measure(graph, space)
     size = space.size
     sources, targets, rates = _jumps(graph, space)
@@ -105,7 +105,7 @@ SPARSE_GAP_MIN_STATES = 300
 GAP_SHIFT_FRACTION = 1e-2
 
 
-def sip_gap(graph: Graph, k: int, cap: int | None = None) -> float:
+def sip_gap(graph: Graph, k: int) -> float:
     """Spectral gap of level k, without assembling a dense generator.
 
     The symmetrised operator D^(1/2) (-L) D^(-1/2), D = diag(mu), is built
@@ -118,7 +118,7 @@ def sip_gap(graph: Graph, k: int, cap: int | None = None) -> float:
     """
     if k < 1:
         raise InputError(f"need k >= 1 particles, got {k}")
-    space = enumerate_configs(graph.n, k, cap)
+    space = enumerate_configs(graph.n, k)
     mu = sip_measure(graph, space).probabilities
     size = space.size
     sources, targets, rates = _jumps(graph, space)
@@ -233,11 +233,12 @@ class GapReport:
 
 
 def gap_sandwich_report(graph: Graph, k_max: int, tol: float = 1e-8,
-                        strict: bool = True, cap: int | None = None) -> GapReport:
+                        strict: bool = True) -> GapReport:
     """Compute gap_k for 2 <= k <= k_max and check the two-sided bounds.
 
     `tol` is relative: the checks allow `gap_tolerance(walk, gap_rw, tol)`,
-    which the report records as `tolerance`.
+    which the report records as `tolerance`.  A disconnected graph is a
+    failure: every gap vanishes there, and the ratios are None.
     """
     if k_max < 2:
         raise InputError(f"need k_max >= 2, got {k_max}")
@@ -248,9 +249,12 @@ def gap_sandwich_report(graph: Graph, k_max: int, tol: float = 1e-8,
     lower = min(1.0, a_min) * gap_rw
     gaps = {}
     failures = []
+    if not graph.connected:
+        failures.append(f"graph is disconnected ({graph.components} components), "
+                        f"so every gap vanishes and the ratios are undefined")
     previous = gap_rw
     for k in range(2, k_max + 1):
-        gap_k = sip_gap(graph, k, cap)
+        gap_k = sip_gap(graph, k)
         gaps[k] = gap_k
         if gap_k < lower - atol:
             failures.append(f"k={k}: gap_k={gap_k:.12g} below lower bound {lower:.12g}")
@@ -262,15 +266,13 @@ def gap_sandwich_report(graph: Graph, k_max: int, tol: float = 1e-8,
         if gap_k > previous + atol:
             failures.append(f"k={k}: gap_k={gap_k:.12g} exceeds gap at k-1={previous:.12g}")
         previous = gap_k
-    # ratios are meaningless on disconnected graphs, where both gaps vanish
     report = GapReport(
         gap_rw=gap_rw,
         gaps=gaps,
         gap_sip=min(gaps.values()),
         alpha_min=a_min,
         lower_bound=lower,
-        ratios={k: (v / gap_rw if graph.connected else float("nan"))
-                for k, v in gaps.items()},
+        ratios={k: (v / gap_rw if graph.connected else None) for k, v in gaps.items()},
         equality_expected=a_min >= 1.0,
         failures=tuple(failures),
         tolerance=atol,

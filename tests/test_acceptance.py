@@ -11,7 +11,7 @@ import numpy as np
 from conftest import hausdorff_gap
 from siplab.bep import bep_gap_report, bep_matrix
 from siplab.graphs import complete_graph, path_graph, random_connected_graph, rw_gap
-from siplab.intertwiners import (check_adjoint, check_intertwinings,
+from siplab.intertwiners import (Level, check_adjoint, check_intertwinings,
                                  dirichlet_decomposition_check, eigen_dichotomy,
                                  minmax_comparison_check)
 from siplab.lookdown import check_labeled_identities, check_stationary_law
@@ -75,7 +75,7 @@ def test_criterion_3_gap_equality_log_concave_regime():
             gap_walk = rw_gap(g)
             for k in range(2, 6):
                 assert abs(sip_gap(g, k) - gap_walk) <= 1e-8, (n, k)
-            report = bep_gap_report(g, 4)
+            report = bep_gap_report(Level(g, 4))
             assert abs(report.gap_bep - gap_walk) <= 1e-8, n
         ok = True
     finally:
@@ -91,19 +91,19 @@ def test_criterion_4_identity_suite():
         per_combo = -(-kernel_budget // len(combos))
         for n, k in combos:
             g = random_connected_graph(n, rng, alpha_range=(0.3, 2.5))
-            assert check_adjoint(g, k).passed
-            for check in check_intertwinings(g, k):
+            level = Level(g, k)
+            assert check_adjoint(level).passed
+            for check in check_intertwinings(level):
                 assert check.passed, check
-            dichotomy = eigen_dichotomy(g, k)
+            dichotomy = eigen_dichotomy(level)
             assert dichotomy.passed
             assert dichotomy.dim_image_total == dichotomy.size_low
             assert dichotomy.dim_kernel_total == dichotomy.size_high - dichotomy.size_low
-            gen = build_sip_generator(g, k)
             for _ in range(per_combo):
-                f = rng.standard_normal(gen.space.size)
-                result = dirichlet_decomposition_check(g, k, f, gen=gen)
+                f = rng.standard_normal(level.space.size)
+                result = dirichlet_decomposition_check(level, f)
                 assert result.passed, result.checks
-            assert minmax_comparison_check(g, k, rng=rng).passed
+            assert minmax_comparison_check(level, rng=rng).passed
         ok = True
     finally:
         _report(4, "intertwining / adjoint / decomposition / comparison suite", ok)
@@ -116,7 +116,7 @@ def test_criterion_5_labeled_suite():
         for n in (2, 3):
             g = random_connected_graph(n, rng, alpha_range=(0.4, 2.0))
             for k in (2, 3):
-                for check in check_labeled_identities(g, k):
+                for check in check_labeled_identities(Level(g, k)):
                     assert check.passed, check
                 law = check_stationary_law(g, k)
                 assert law.passed, [c for c in law.checks if not c.passed]
@@ -133,7 +133,7 @@ def test_criterion_6_diffusion_matrix_equality():
         for n in (2, 3, 4):
             g = random_connected_graph(n, rng, alpha_range=(0.3, 2.5))
             for k in (2, 3, 4):
-                built = bep_matrix(g, k)
+                built = bep_matrix(Level(g, k))
                 assert built.check.passed, built.check
         ok = True
     finally:

@@ -10,6 +10,7 @@ from siplab.configs import enumerate_configs
 from siplab.errors import InputError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
                            random_connected_graph, rw_spectrum)
+from siplab.intertwiners import Level
 from siplab.sip import build_sip_generator
 
 
@@ -74,20 +75,20 @@ def test_generator_slow_mode_two_sites_by_hand():
 
 
 def test_generator_matches_particles_small_and_random():
-    built = bep_matrix(path_graph(2), 2)
+    built = bep_matrix(Level(path_graph(2), 2))
     np.testing.assert_array_equal(built.sip_matrix,
                                   [[-2.0, 2.0, 0.0], [2.0, -4.0, 2.0], [0.0, 2.0, -2.0]])
     assert built.check.passed and built.check.residual <= 1e-12
     rng = np.random.default_rng(1)
     g = random_connected_graph(3, rng)
     for k in (1, 2, 3):
-        assert bep_matrix(g, k).check.passed
+        assert bep_matrix(Level(g, k)).check.passed
 
 
 def test_generator_level_one_is_walk():
     rng = np.random.default_rng(2)
     g = random_connected_graph(4, rng)
-    built = bep_matrix(g, 1)
+    built = bep_matrix(Level(g, 1))
     walk = build_rw_generator(g).matrix
     relabel = [built.space.rank(tuple(int(y == x) for y in range(g.n)))
                for x in range(g.n)]
@@ -146,7 +147,7 @@ def test_gap_report_complete_graph_union_formula():
     rng = np.random.default_rng(5)
     alpha = rng.uniform(0.3, 3.0, size=3)
     g = complete_graph(3, alpha)
-    report = bep_gap_report(g, 3)
+    report = bep_gap_report(Level(g, 3))
     assert report.passed
     total = g.alpha_total
     expected = sorted({l * (total + l - 1) / 3.0 for l in range(4)})
@@ -154,7 +155,7 @@ def test_gap_report_complete_graph_union_formula():
 
 
 def test_gap_report_equality_unit_alpha_path():
-    report = bep_gap_report(path_graph(4), 4)
+    report = bep_gap_report(Level(path_graph(4), 4))
     assert report.passed
     assert report.gap_bep == pytest.approx(report.gap_rw, abs=1e-8)
 
@@ -163,7 +164,7 @@ def test_walk_gap_always_in_truncated_spectrum():
     rng = np.random.default_rng(6)
     g = random_connected_graph(3, rng, alpha_range=(0.3, 0.8))
     for degree in (1, 2, 3):
-        report = bep_gap_report(g, degree)
+        report = bep_gap_report(Level(g, degree))
         assert np.abs(report.spectrum - report.gap_rw).min() <= 1e-8 * (1 + report.gap_rw)
 
 

@@ -1,7 +1,10 @@
+import collections
 import json
+import sys
 
 import pytest
 
+import siplab.intertwiners
 from siplab.cli import main
 
 
@@ -79,6 +82,95 @@ def test_verify_lookdown_suite_cycle(tmp_path, capsys):
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["suites"]["lookdown"]["pass"] is True
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_disconnected_graph_fails_verify_and_report(tmp_path, capsys):
+    graph = tmp_path / "split.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1], [2, 3, 1]],
+                                 "alpha": [1, 1, 1, 1]}))
+    for argv in (["verify", str(graph), "--K", "3", "--suite", "sip"],
+                 ["verify", str(graph), "--K", "3", "--suite", "bep"],
+                 ["verify", str(graph), "--K", "3"],
+                 ["report", str(graph), "--K", "3"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 1, argv
+        report = _strict_json(out)
+        assert report["pass"] is False
+        if "gap_report" in report:
+            gaps = report["gap_report"]
+            assert gaps["ratio_k"] == {"2": None, "3": None}
+            assert any("disconnected (2 components)" in f for f in gaps["failures"])
+        if "bep_report" in report:
+            failing = [c for c in report["suites"]["bep"]["checks"] if not c["pass"]]
+            assert [c["identity"] for c in failing] == ["graph-connected[K=3]"]
+    # the labeled identities hold on any graph
+    code, out, _ = run(["verify", str(graph), "--K", "3", "--suite", "lookdown"], capsys)
+    assert code == 0 and _strict_json(out)["pass"] is True
+
+
+def test_lookdown_suite_names_skipped_levels(capsys):
+    # 9^3 = 729 labeled states fit the cap of 4096, 9^4 = 6561 do not
+    code, out, _ = run(["verify", "path(9)", "--K", "4", "--suite", "lookdown"], capsys)
+    assert code == 0
+    note = json.loads(out)["suites"]["lookdown"]["note"]
+    assert note.endswith("; level k=4 skipped: 9^4 = 6561 labeled states exceed the cap 4096")
+    code, out, _ = run(["verify", "path(9)", "--K", "1000000000", "--suite", "lookdown"],
+                       capsys)
+    assert code == 0
+    note = json.loads(out)["suites"]["lookdown"]["note"]
+    assert note.endswith("; levels k=4..1000000000 skipped: 9^4 = 6561 labeled states "
+                         "and more exceed the cap 4096")
+    checks = json.loads(out)["suites"]["lookdown"]["checks"]
+    assert {c["identity"].split("[")[1] for c in checks} == {"k=2]", "k=3]"}
+
+
+def test_levels_beyond_the_state_cap_are_refused(capsys, monkeypatch):
+    monkeypatch.setenv("SIPLAB_STATE_CAP", "50")
+    for suite in ("sip", "bep", "all"):
+        code, _, err = run(["verify", "path(3)", "--K", "2000", "--suite", suite], capsys)
+        assert code == 3, (suite, err)
+    code, _, _ = run(["verify", "path(3)", "--K", "1000000000", "--suite", "bep"], capsys)
+    assert code == 3
+    code, _, _ = run(["verify", "path(3)", "--K", "0", "--suite", "bep"], capsys)
+    assert code == 2
+
+
+def _count_level_builds(monkeypatch):
+    """Wrap the level builders in every siplab module that binds them and
+    count their calls by level k."""
+    levels = {"build_sip_generator": lambda graph, k: k,
+              "kernel_basis": lambda level, **_: level.k,
+              "build_shifted_walks": lambda graph, space: space.k + 1}
+    counts = {name: collections.Counter() for name in levels}
+    for name, level_of in levels.items():
+        original = getattr(siplab.intertwiners, name)
+
+        def counted(*args, _name=name, _level_of=level_of, _original=original, **kwargs):
+            counts[_name][_level_of(*args, **kwargs)] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("siplab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [["verify", "path(3)", "--K", "4", "--suite", "all"],
+                                  ["report", "path(3)", "--K", "4"]])
+def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
+    counts = _count_level_builds(monkeypatch)
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert counts["build_sip_generator"] == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert counts["kernel_basis"] == {2: 1, 3: 1, 4: 1}
+    assert counts["build_shifted_walks"] == {2: 1, 3: 1, 4: 1}
 
 
 def test_sweep_ratios_within_sandwich(tmp_path, capsys):

@@ -3,18 +3,33 @@ import math
 import numpy as np
 import pytest
 
+from conftest import binomial_removal_matrix, injectivity_margin, removal_composition
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
 from siplab.graphs import (build_rw_generator, complete_graph, path_graph,
                            random_connected_graph, rw_gap, rw_spectrum)
-from siplab.intertwiners import (binomial_removal_matrix, build_annihilation, build_creation,
-                                 check_adjoint, check_intertwinings,
-                                 dirichlet_decomposition_check, eigen_dichotomy,
-                                 injectivity_margin, invert_annihilation, kernel_basis,
+from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creation, check_adjoint,
+                                 check_intertwinings, dirichlet_decomposition_check,
+                                 eigen_dichotomy, invert_annihilation, kernel_basis,
                                  kernel_gap, lift_eigenfunction, minmax_comparison_check,
-                                 project_to_kernel, removal_composition,
-                                 shifted_walk_gap_infimum)
+                                 project_to_kernel, shifted_walk_gap_infimum)
 from siplab.sip import build_sip_generator, sip_spectrum
+
+
+def test_ladder_shares_each_level_with_the_one_above():
+    g = path_graph(3)
+    ladder = Ladder(g)
+    top = ladder[3]
+    assert top.lower is ladder[2] and ladder[2].lower is ladder[1]
+    assert top.generator is ladder[3].generator
+    np.testing.assert_array_equal(ladder[0].generator.matrix, [[0.0]])
+    assert Level(g, 2).lower.k == 1
+    with pytest.raises(InputError):
+        Level(g, 2, lower=ladder[2])
+    with pytest.raises(InputError):
+        ladder[-1]
+    with pytest.raises(InputError):
+        ladder[0].lower
 
 
 def test_annihilation_on_constants_counts_particles():
@@ -84,7 +99,7 @@ def test_kernel_dimension_and_mean_zero_condition():
     g = random_connected_graph(3, rng)
     for k in (1, 2, 3):
         cre = build_creation(g, k)
-        basis = kernel_basis(g, k)
+        basis = kernel_basis(Level(g, k))
         assert basis.shape[1] == cre.space_high.size - cre.space_low.size
         np.testing.assert_allclose(cre.matrix @ basis, 0.0, atol=1e-10)
         # kernel functions integrate to zero against the reversible law
@@ -99,7 +114,7 @@ def test_variance_on_kernel_is_second_moment():
     g = random_connected_graph(3, rng)
     k = 3
     mu = sip_measure(g, enumerate_configs(3, k))
-    f = project_to_kernel(g, k, rng.standard_normal(mu.space.size))
+    f = project_to_kernel(Level(g, k), rng.standard_normal(mu.space.size))
     assert variance(mu, f) == pytest.approx(inner_product(mu, f, f), rel=1e-10)
 
 
@@ -118,7 +133,7 @@ def test_adjoint_identity_on_constants_and_random():
     assert lhs == pytest.approx(float(k)) and rhs == pytest.approx(float(k))
     rng = np.random.default_rng(6)
     g3 = random_connected_graph(3, rng)
-    assert check_adjoint(g3, 3).residual <= 1e-11
+    assert check_adjoint(Level(g3, 3)).residual <= 1e-11
 
 
 def test_image_orthogonal_to_kernel():
@@ -127,7 +142,7 @@ def test_image_orthogonal_to_kernel():
     k = 3
     ann = build_annihilation(g, k)
     mu = sip_measure(g, ann.space_high)
-    basis = kernel_basis(g, k)
+    basis = kernel_basis(Level(g, k))
     for _ in range(10):
         h = rng.standard_normal(ann.space_low.size)
         for j in range(basis.shape[1]):
@@ -135,13 +150,13 @@ def test_image_orthogonal_to_kernel():
 
 
 def test_intertwinings_small_and_random():
-    ann_check, cre_check = check_intertwinings(path_graph(2), 2)
+    ann_check, cre_check = check_intertwinings(Level(path_graph(2), 2))
     assert ann_check.residual <= 1e-14 and cre_check.residual <= 1e-14
-    deg_a, deg_c = check_intertwinings(path_graph(2), 1)
+    deg_a, deg_c = check_intertwinings(Level(path_graph(2), 1))
     assert deg_a.passed and deg_c.passed
     rng = np.random.default_rng(8)
     g = random_connected_graph(4, rng)
-    for c in check_intertwinings(g, 4):
+    for c in check_intertwinings(Level(g, 4)):
         assert c.passed and c.residual <= c.tolerance
 
 
@@ -191,7 +206,7 @@ def test_eigen_dichotomy_dimensions_and_new_levels():
     rng = np.random.default_rng(10)
     g = random_connected_graph(3, rng)
     for k in (2, 3, 4):
-        result = eigen_dichotomy(g, k)
+        result = eigen_dichotomy(Level(g, k))
         assert result.passed
         assert result.dim_image_total == result.size_low
         assert result.dim_kernel_total == result.size_high - result.size_low
@@ -207,7 +222,7 @@ def test_eigen_dichotomy_degenerate_complete_graph():
     # adds exactly one eigenvalue whose whole eigenspace is fresh
     g = complete_graph(4)
     for k in (2, 3, 4):
-        result = eigen_dichotomy(g, k)
+        result = eigen_dichotomy(Level(g, k))
         assert result.passed
         fresh = [gr for gr in result.groups if gr.dim_kernel]
         assert len(fresh) == 1
@@ -219,7 +234,7 @@ def test_eigen_dichotomy_image_multiplicities_match_lower_level():
     rng = np.random.default_rng(11)
     g = random_connected_graph(3, rng)
     k = 3
-    result = eigen_dichotomy(g, k)
+    result = eigen_dichotomy(Level(g, k))
     low_vals = sip_spectrum(build_sip_generator(g, k - 1),
                             want_vectors=False).eigenvalues
     for group in result.groups:
@@ -229,13 +244,13 @@ def test_eigen_dichotomy_image_multiplicities_match_lower_level():
 
 
 def test_dirichlet_decomposition_zero_function():
-    result = dirichlet_decomposition_check(path_graph(2), 2, np.zeros(3))
+    result = dirichlet_decomposition_check(Level(path_graph(2), 2), np.zeros(3))
     assert result.passed
     assert result.energy == pytest.approx(0.0, abs=1e-14)
 
 
 def test_dirichlet_decomposition_two_sites_hand_case():
-    result = dirichlet_decomposition_check(path_graph(2), 2,
+    result = dirichlet_decomposition_check(Level(path_graph(2), 2),
                                            np.array([1.0, -1.0, 1.0]), rtol=1e-12)
     assert result.passed
     assert result.energy == pytest.approx(result.decomposed, abs=1e-12)
@@ -245,10 +260,10 @@ def test_dirichlet_decomposition_random_sweep():
     rng = np.random.default_rng(12)
     g = random_connected_graph(3, rng)
     for k in (2, 3, 4):
-        gen = build_sip_generator(g, k)
+        level = Level(g, k)
         for _ in range(34):  # 102 random functions across the three levels
-            f = rng.standard_normal(gen.space.size)
-            result = dirichlet_decomposition_check(g, k, f, gen=gen)
+            f = rng.standard_normal(level.space.size)
+            result = dirichlet_decomposition_check(level, f)
             assert result.passed, result.checks
 
 
@@ -256,7 +271,7 @@ def test_minmax_comparisons():
     rng = np.random.default_rng(13)
     g = random_connected_graph(3, rng, alpha_range=(0.3, 2.0))
     for k in (2, 3, 4):
-        report = minmax_comparison_check(g, k, rng=rng)
+        report = minmax_comparison_check(Level(g, k), rng=rng)
         assert report.passed, [c for c in report.checks if not c.passed]
     # alpha = 1: the eigenvalue comparison factor at k = 2 is 1/2
     g1 = path_graph(3)
@@ -273,7 +288,8 @@ def test_lower_bound_induction_chain():
         walk_gap = rw_gap(g)
         a_min = g.alpha_min
         for k in (2, 3):
-            kg = kernel_gap(g, k)
-            inf_shift = shifted_walk_gap_infimum(g, k)
+            level = Level(g, k)
+            kg = kernel_gap(level)
+            inf_shift = shifted_walk_gap_infimum(level)
             assert kg >= k * inf_shift - 1e-9
             assert k * inf_shift >= (a_min * k / (a_min + k - 1)) * walk_gap - 1e-9

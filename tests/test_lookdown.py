@@ -1,13 +1,68 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from siplab.configs import enumerate_configs, sip_measure
 from siplab.errors import StateCapError
 from siplab.graphs import build_rw_generator, path_graph, random_connected_graph
+from siplab.intertwiners import Level
 from siplab.lookdown import (build_labeled_generators, check_labeled_identities,
                              check_stationary_law, drop_top_pullback, labeled_index,
                              labeled_states, labeled_stationary_measure, symmetrizer,
                              unlabel_pullback)
+
+
+def _loop_operators(graph, k):
+    """The labeled operators built state by state, the direct reference for
+    the array-assembled ones: (symmetric, lookdown, symmetrizer, top drop,
+    unlabel, stationary law)."""
+    n, c, alpha = graph.n, graph.edge_weights, graph.site_weights
+    states = labeled_states(n, k)
+    size = states.shape[0]
+    space = enumerate_configs(n, k)
+    gens = [np.zeros((size, size)), np.zeros((size, size))]
+    sym = np.zeros((size, size))
+    drop = np.zeros((size, n ** (k - 1)))
+    unlabel = np.zeros((size, space.size))
+    omega = np.empty(size)
+    for s in range(size):
+        pos = states[s]
+        for lookdown, m in enumerate(gens):
+            for i in range(k):
+                for y in range(n):
+                    if c[pos[i], y] == 0.0:
+                        continue
+                    company = 2 * int(np.sum(pos[:i] == y)) if lookdown else int(np.sum(pos == y))
+                    target = pos.copy()
+                    target[i] = y
+                    m[s, labeled_index(target, n)] += c[pos[i], y] * (alpha[y] + company)
+        for sigma in itertools.permutations(range(k)):
+            sym[s, labeled_index(pos[list(sigma)], n)] += 1.0 / math.factorial(k)
+        drop[s, labeled_index(pos[:k - 1], n)] = 1.0
+        unlabel[s, space.rank(np.bincount(pos, minlength=n))] = 1.0
+        w = 1.0
+        for i in range(k):
+            w *= alpha[pos[i]] + int(np.sum(pos[:i] == pos[i]))
+        omega[s] = w / math.prod(graph.alpha_total + i for i in range(k))
+    for m in gens:
+        np.fill_diagonal(m, -m.sum(axis=1))
+    return gens[0], gens[1], sym, drop, unlabel, omega
+
+
+def test_array_assembly_equals_state_by_state_loops():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4):
+        g = random_connected_graph(n, rng, extra_edge_prob=0.3, alpha_range=(0.3, 2.5))
+        for k in (1, 2, 3):
+            sym, look = build_labeled_generators(g, k)
+            built = (sym.matrix, look.matrix, symmetrizer(n, k).matrix,
+                     drop_top_pullback(n, k).matrix,
+                     unlabel_pullback(enumerate_configs(n, k)),
+                     labeled_stationary_measure(g, k))
+            for got, want in zip(built, _loop_operators(g, k)):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_single_particle_generators_are_the_walk():
@@ -74,11 +129,11 @@ def test_drop_top_pullback_injective():
 
 
 def test_identity_suite_small_and_random():
-    for c in check_labeled_identities(path_graph(2), 2):
+    for c in check_labeled_identities(Level(path_graph(2), 2)):
         assert c.passed, c
     rng = np.random.default_rng(2)
     g = random_connected_graph(3, rng)
-    for c in check_labeled_identities(g, 3):
+    for c in check_labeled_identities(Level(g, 3)):
         assert c.passed and c.residual <= 1e-11, c
 
 

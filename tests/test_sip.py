@@ -10,6 +10,7 @@ from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
                            random_connected_graph, rw_gap, rw_spectrum)
+from siplab.intertwiners import Level
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
                         sip_dirichlet_form, sip_gap, sip_spectrum, spectrum_included,
                         transition_matrix, tv_sandwich)
@@ -310,7 +311,7 @@ def test_gap_verdicts_invariant_under_time_rescaling(alpha_range):
     for _ in range(3):
         g = random_connected_graph(6, rng, alpha_range=alpha_range)
         base = gap_sandwich_report(g, 6, strict=False)
-        base_bep = bep_gap_report(g, 3)
+        base_bep = bep_gap_report(Level(g, 3))
         assert base.passed and base_bep.passed
         for lam in (1e-6, 1.0, 1e3, 1e5, 1e7):
             scaled = Graph(g.n, g.edge_weights * lam, g.site_weights)
@@ -319,5 +320,5 @@ def test_gap_verdicts_invariant_under_time_rescaling(alpha_range):
             assert report.tolerance == pytest.approx(lam * base.tolerance, rel=1e-9)
             for k, ratio in base.ratios.items():
                 assert report.ratios[k] == pytest.approx(ratio, rel=1e-9)
-            bep = bep_gap_report(scaled, 3)
+            bep = bep_gap_report(Level(scaled, 3))
             assert [c.passed for c in bep.checks] == [c.passed for c in base_bep.checks]
