@@ -29,18 +29,19 @@ import numpy as np
 
 from . import __version__
 from .bep import bep_gap_report
-from .configs import rank_composition, state_cap
+from .configs import enumerate_configs, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import (Graph, build_rw_generator, graph_from_preset, load_graph, rw_gap,
                      rw_spectrum)
 from .intertwiners import (Ladder, check_adjoint, check_intertwinings,
                            dirichlet_decomposition_check, eigen_dichotomy,
                            minmax_comparison_check)
-from .lookdown import (DEFAULT_LABELED_CAP, check_labeled_identities, check_stationary_law,
-                       labeled_index)
+from .lookdown import DEFAULT_LABELED_CAP, check_labeled_identities, check_stationary_law
 from .reporting import CheckSuite, make_check
 from .sip import build_sip_generator, gap_sandwich_report, sip_gap, sip_spectrum, tv_sandwich
 from .simulate import SimConfig, simulate
+
+REPORT_MAX_DEGREE = 4
 
 
 def _fmt(x) -> str:
@@ -292,18 +293,18 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(graph, args.k, args.mode, args.horizon, args.paths,
                     args.seed, _parse_times(args.times))
     summary = simulate(cfg)
+    if cfg.mode == "sip":
+        space = enumerate_configs(graph.n, cfg.k)
+        rank = lambda states: space.rank_keys(states @ space.place)
+    else:  # mixed radix, bottom label the most significant digit
+        place = graph.n ** np.arange(cfg.k - 1, -1, -1)
+        rank = lambda states: states @ place
     rows = []
     for t in cfg.times:
         hist = summary.histograms[t]
-        ranked = {}
-        for state, count in hist.items():
-            if cfg.mode == "sip":
-                rank = rank_composition(state)
-            else:
-                rank = labeled_index(state, graph.n)
-            ranked[rank] = ranked.get(rank, 0) + count
-        for rank in sorted(ranked):
-            rows.append((t, rank, ranked[rank]))
+        ranks = rank(np.array(list(hist)))
+        counts = list(hist.values())
+        rows.extend((t, int(ranks[i]), counts[i]) for i in np.argsort(ranks))
     manifest = _manifest("simulate", {"graph": args.graph, "mode": args.mode,
                                       "k": args.k, "horizon": args.horizon,
                                       "paths": args.paths, "times": args.times},
@@ -331,9 +332,18 @@ def cmd_tv_curve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """All three suites, with the diffusion truncated at degree min(K, 4)."""
+    """All three suites, with the diffusion truncated at degree
+    min(K, REPORT_MAX_DEGREE); the payload records the requested degree
+    and why it was clamped."""
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    payload = _run_suites(graph, args.K, "all", args.seed, min(args.K, 4))
+    degree = min(args.K, REPORT_MAX_DEGREE)
+    payload = _run_suites(graph, args.K, "all", args.seed, degree)
+    payload["bep_degree"] = {"requested": args.K, "used": degree, "reason": None}
+    if degree < args.K:
+        payload["bep_degree"]["reason"] = (
+            f"report truncates the diffusion at degree {REPORT_MAX_DEGREE}, so the "
+            f"symbolic diffusion matrix stays small; `verify --suite bep --K {args.K}` "
+            f"checks it at degree {args.K}")
     payload["manifest"] = _manifest("report", {"graph": args.graph, "K": args.K,
                                                "alpha": args.alpha}, digest, args.seed)
     payload["state_cap"] = state_cap()

@@ -1,17 +1,19 @@
 """Continuous-time Monte Carlo for the particle dynamics.
 
-Paths are exact-in-law jump chains: in a given state the total exit
-rate is the sum over admissible moves, the holding time is exponential
-with that rate, and the move is picked by a linear scan proportionally
-to the individual channel rates.  The walker operates directly on
-occupation vectors (or labeled position tuples), so no state-space
-enumeration is needed; per-state channel tables are memoized as states
-are visited, and particle conservation is asserted for every state that
-ever enters the table.
+Paths are exact-in-law jump chains (Gillespie's direct method), and all of
+them advance together.  The states are one int array, `(P, n)` occupations
+(`sip`) or `(P, k)` labeled positions (`lookdown`).  Each round computes
+every channel rate of every live path with array operations, draws one
+exponential holding time and one uniform per path, records the sampling
+times the jump passes, and picks each move by a cumulative-sum comparison
+that never lands on a zero-rate channel.  Particle conservation is
+asserted over the batch at every round; a path with total rate 0 is
+absorbed and holds its state to the horizon.  Only the default start, a
+draw from the exact stationary law, enumerates a state space.
 
-Reproducibility: every path owns a generator spawned from the master
-seed by path index, so summaries are bit-identical across runs and
-independent of the order in which paths are merged.
+Reproducibility: one `default_rng(seed)` stream drives every path, the
+initial draws included, so a summary is bit-identical from run to run for
+a given seed and path count.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .lookdown import labeled_stationary_measure, labeled_states
 from .sip import build_sip_generator, sip_spectrum, transition_matrix
 
 MODES = ("sip", "lookdown")
+# Paths advance in batches of at most this many channel rates or sampled
+# entries (8 MB as float64), so memory stays bounded for any path count.
+BATCH_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,11 @@ class SimConfig:
             raise InputError("sampling times must lie in [0, horizon]")
         object.__setattr__(self, "times", times)
 
+    @property
+    def width(self) -> int:
+        """Length of one state: n occupations (sip) or k positions (lookdown)."""
+        return self.graph.n if self.mode == "sip" else self.k
+
 
 @dataclass
 class TrajectorySummary:
@@ -71,148 +81,143 @@ class TrajectorySummary:
         return sum(self.histograms[t].values())
 
 
-def _sip_channels(graph: Graph, k: int):
-    c = graph.edge_weights
-    alpha = graph.site_weights
-    n = graph.n
-    neighbors = [[(y, c[x, y]) for y in range(n) if y != x and c[x, y] > 0.0]
-                 for x in range(n)]
+def _channels(cfg: SimConfig):
+    """(rates, move, number of channels): `rates(states)` gives every
+    channel rate of every row, `move(states, rows, channel)` applies one
+    chosen channel per listed row in place and asserts conservation over
+    the whole batch."""
+    c, alpha, n, k = cfg.graph.edge_weights, cfg.graph.site_weights, cfg.graph.n, cfg.k
+    if cfg.mode == "sip":
+        # channel j moves one particle from src[j] to dst[j]
+        src, dst = np.nonzero(c)
+        weight = c[src, dst]
 
-    def channels(state):
-        rates = []
-        targets = []
-        for x in range(n):
-            if state[x] == 0:
-                continue
-            for y, cxy in neighbors[x]:
-                rates.append(state[x] * cxy * (alpha[y] + state[y]))
-                moved = list(state)
-                moved[x] -= 1
-                moved[y] += 1
-                assert sum(moved) == k, "particle number not conserved"
-                targets.append(tuple(moved))
-        return rates, targets, math.fsum(rates)
+        def rates(eta):
+            return eta[:, src] * weight * (alpha[dst] + eta[:, dst])
 
-    return channels
+        def move(eta, rows, channel):
+            eta[rows, src[channel]] -= 1
+            eta[rows, dst[channel]] += 1
+            assert np.all(eta >= 0) and np.all(eta.sum(axis=1) == k), \
+                "particle number not conserved"
+        return rates, move, src.size
 
-
-def _lookdown_channels(graph: Graph, k: int):
-    c = graph.edge_weights
-    alpha = graph.site_weights
-    n = graph.n
-    neighbors = [[(y, c[x, y]) for y in range(n) if y != x and c[x, y] > 0.0]
-                 for x in range(n)]
-
-    def channels(state):
-        rates = []
-        targets = []
+    # channel i * n + y moves particle i to site y; c has a zero diagonal
+    def rates(pos):
+        rows = np.arange(pos.shape[0])
+        out = c[pos]
+        weight = np.tile(alpha, (rows.size, 1))  # alpha_y + 2 #{j < i : x_j = y}
         for i in range(k):
-            x = state[i]
-            lower = state[:i]
-            for y, cxy in neighbors[x]:
-                rates.append(cxy * (alpha[y] + 2 * lower.count(y)))
-                moved = list(state)
-                moved[i] = y
-                assert len(moved) == k, "particle number not conserved"
-                targets.append(tuple(moved))
-        return rates, targets, math.fsum(rates)
+            out[:, i] *= weight
+            weight[rows, pos[:, i]] += 2
+        return out.reshape(rows.size, k * n)
 
-    return channels
+    def move(pos, rows, channel):
+        pos[rows, channel // n] = channel % n
+        assert np.all((pos >= 0) & (pos < n)), "particle left the graph"
+    return rates, move, k * n
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(index,)))
+def _pick(rates: np.ndarray, cum: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per row, the channel j with cum[j-1] <= target < cum[j], which has a
+    positive rate; when target = u * total rounds up to the total, the last
+    channel with a positive rate."""
+    channel = np.sum(cum <= target[:, None], axis=1)
+    over = channel == cum.shape[1]
+    if over.any():
+        channel[over] = cum.shape[1] - 1 - np.argmax(rates[over, ::-1] > 0.0, axis=1)
+    return channel
 
 
-def _run_path(channels, memo, state, times, rng):
-    """Sample the jump chain at the given times; returns (samples, absorbed)."""
-    samples = []
-    t = 0.0
-    ti = 0
-    absorbed = False
-    while ti < len(times):
-        entry = memo.get(state)
-        if entry is None:
-            entry = channels(state)
-            memo[state] = entry
-        rates, targets, total = entry
-        if total <= 0.0:
-            absorbed = True
-            samples.extend([state] * (len(times) - ti))
-            break
-        t_next = t + rng.exponential(1.0 / total)
-        while ti < len(times) and times[ti] < t_next:
-            samples.append(state)
-            ti += 1
-        if ti >= len(times):
-            break
-        t = t_next
-        u = rng.random() * total
-        acc = 0.0
-        idx = len(rates) - 1
-        for j, r in enumerate(rates):
-            acc += r
-            if u < acc:
-                idx = j
-                break
-        state = targets[idx]
-    return samples, absorbed
-
-
-def _stationary_sampler(cfg: SimConfig):
-    """Draw initial states from the exact stationary law of the chosen mode."""
+def _stationary_law(cfg: SimConfig):
+    """All states of the chosen mode, one per row, with their exact
+    stationary probabilities."""
     if cfg.mode == "sip":
         space = enumerate_configs(cfg.graph.n, cfg.k)
-        mu = sip_measure(cfg.graph, space)
-        states = [tuple(int(v) for v in row) for row in space.occupations]
-        probs = mu.probabilities
+        return space.occupations, sip_measure(cfg.graph, space).probabilities
+    return labeled_states(cfg.graph.n, cfg.k), labeled_stationary_measure(cfg.graph, cfg.k)
+
+
+def _initial_batch(cfg: SimConfig, initial, rng, P: int) -> np.ndarray:
+    n = cfg.graph.n
+    if callable(initial):
+        batch = np.asarray(initial(rng, P), dtype=np.int64)
     else:
-        lstates = labeled_states(cfg.graph.n, cfg.k)
-        states = [tuple(int(v) for v in row) for row in lstates]
-        probs = labeled_stationary_measure(cfg.graph, cfg.k)
-    cum = np.cumsum(probs)
+        batch = np.tile(np.asarray(initial, dtype=np.int64), (P, 1))
+    if batch.shape != (P, cfg.width):
+        raise InputError(f"initial states have shape {batch.shape}, "
+                         f"expected {(P, cfg.width)}")
+    if cfg.mode == "sip" and (np.any(batch < 0) or np.any(batch.sum(axis=1) != cfg.k)):
+        raise InputError(f"initial states must put {cfg.k} particles on {n} sites")
+    if cfg.mode == "lookdown" and np.any((batch < 0) | (batch >= n)):
+        raise InputError(f"initial positions must be sites 0..{n - 1}")
+    return np.array(batch)
 
-    def sample(rng):
-        return states[int(np.searchsorted(cum, rng.random()))]
 
-    return sample
+def _advance(cfg: SimConfig, rates, move, state: np.ndarray, rng):
+    """Advance one batch of paths past the last sampling time; returns the
+    (P, T, width) sampled states and the number of absorbed paths."""
+    times = np.asarray(cfg.times)
+    P, T = state.shape[0], times.size
+    samples = np.empty((P, T, cfg.width), dtype=np.int64)
+    clock = np.zeros(P)
+    taken = np.zeros(P, dtype=np.int64)  # sampling times recorded per path
+    n_absorbed = 0
+    live = np.arange(P)
+    while live.size:
+        r = rates(state[live])
+        cum = np.cumsum(r, axis=1)
+        total = cum[:, -1] if r.shape[1] else np.zeros(live.size)
+        hold = rng.standard_exponential(live.size)
+        u = rng.random(live.size)
+        stuck = total <= 0.0
+        n_absorbed += int(stuck.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump_at = np.where(stuck, np.inf, clock[live] + hold / total)
+        # record the state at every sampling time before the jump
+        reached = np.searchsorted(times, jump_at)
+        fresh = reached - taken[live]
+        rows = np.repeat(live, fresh)
+        cols = np.repeat(reached - np.cumsum(fresh), fresh) + np.arange(rows.size)
+        samples[rows, cols] = state[rows]
+        taken[live] = reached
+        go = reached < T
+        live = live[go]
+        move(state, live, _pick(r[go], cum[go], (u * total)[go]))
+        clock[live] = jump_at[go]
+    return samples, n_absorbed
 
 
 def simulate(cfg: SimConfig, initial=None, observable=None) -> TrajectorySummary:
     """Run all paths and histogram the sampled states per sampling time.
 
-    initial: a fixed state tuple, a callable rng -> state, or None for a
-    draw from the exact stationary law of the selected mode.
-    observable: optional callable state -> float; per-path samples at
-    every sampling time are collected into an array.
+    initial: a fixed state, a callable (rng, P) -> (P, width) int array of
+    states, or None for draws from the exact stationary law of the mode.
+    observable: optional callable (m, width) states -> (m,) values; its
+    per-path samples at every sampling time are collected into a
+    (n_paths, T) array.
     """
-    channels = (_sip_channels(cfg.graph, cfg.k) if cfg.mode == "sip"
-                else _lookdown_channels(cfg.graph, cfg.k))
+    rng = np.random.default_rng(cfg.seed)
+    rates, move, n_channels = _channels(cfg)
     if initial is None:
-        initial = _stationary_sampler(cfg)
-    if not callable(initial):
-        fixed = tuple(int(v) for v in initial)
-        expected = cfg.k if cfg.mode == "lookdown" else cfg.graph.n
-        if len(fixed) != expected:
-            raise InputError(f"initial state has length {len(fixed)}, expected {expected}")
-        if cfg.mode == "sip" and sum(fixed) != cfg.k:
-            raise InputError(f"initial state carries {sum(fixed)} particles, expected {cfg.k}")
-        initial = lambda rng: fixed
-    memo: dict = {}
+        states, probs = _stationary_law(cfg)
+        initial = lambda rng, P: states[rng.choice(states.shape[0], size=P, p=probs)]
+    T = len(cfg.times)
+    per_batch = max(1, BATCH_ENTRIES // max(n_channels, T * cfg.width))
     histograms = {t: {} for t in cfg.times}
-    obs = (np.empty((cfg.n_paths, len(cfg.times))) if observable is not None else None)
+    obs = np.empty((cfg.n_paths, T)) if observable is not None else None
     n_absorbed = 0
-    for p in range(cfg.n_paths):
-        rng = _path_rng(cfg.seed, p)
-        start = initial(rng)
-        samples, absorbed = _run_path(channels, memo, start, cfg.times, rng)
+    for first in range(0, cfg.n_paths, per_batch):
+        state = _initial_batch(cfg, initial, rng, min(per_batch, cfg.n_paths - first))
+        samples, absorbed = _advance(cfg, rates, move, state, rng)
         n_absorbed += absorbed
-        for t, state in zip(cfg.times, samples):
-            hist = histograms[t]
-            hist[state] = hist.get(state, 0) + 1
+        for j, t in enumerate(cfg.times):
+            seen, counts = np.unique(samples[:, j], axis=0, return_counts=True)
+            for key, count in zip(map(tuple, seen.tolist()), counts.tolist()):
+                histograms[t][key] = histograms[t].get(key, 0) + count
         if obs is not None:
-            obs[p] = [observable(s) for s in samples]
+            values = observable(samples.reshape(-1, cfg.width))
+            obs[first:first + state.shape[0]] = np.asarray(values, dtype=float).reshape(-1, T)
     return TrajectorySummary(cfg, histograms, obs, n_absorbed)
 
 
@@ -252,13 +257,8 @@ def stationary_chi_square(cfg: SimConfig, level: float = 0.01) -> StationaryTest
     sampled states still follow it at every sampling time (Bonferroni
     across times)."""
     summary = simulate(cfg)
-    if cfg.mode == "sip":
-        space = enumerate_configs(cfg.graph.n, cfg.k)
-        states = [tuple(int(v) for v in row) for row in space.occupations]
-        probs = sip_measure(cfg.graph, space).probabilities
-    else:
-        states = [tuple(int(v) for v in row) for row in labeled_states(cfg.graph.n, cfg.k)]
-        probs = labeled_stationary_measure(cfg.graph, cfg.k)
+    states, probs = _stationary_law(cfg)
+    states = list(map(tuple, states.tolist()))
     p_values = {t: chi_square_pvalue(summary.histograms[t], states, probs)
                 for t in cfg.times}
     threshold = level / len(cfg.times)
@@ -292,14 +292,14 @@ def projection_test(cfg: SimConfig, initial_config=None,
     if len(eta0) != cfg.graph.n or sum(eta0) != cfg.k:
         raise InputError(f"initial configuration must put {cfg.k} particles "
                          f"on {cfg.graph.n} sites")
-    site_list = [x for x in range(cfg.graph.n) for _ in range(eta0[x])]
+    site_list = np.repeat(np.arange(cfg.graph.n), eta0)
 
-    def labeled_start(rng):
-        return tuple(int(v) for v in rng.permutation(site_list))
+    def labeled_start(rng, P):
+        return site_list[np.argsort(rng.random((P, cfg.k)), axis=1)]
 
     summary = simulate(cfg, initial=labeled_start)
     spec = sip_spectrum(gen)
-    states = [tuple(int(v) for v in row) for row in space.occupations]
+    states = list(map(tuple, space.occupations.tolist()))
     row = space.rank(eta0)
     p_values = {}
     for t in cfg.times:
@@ -340,9 +340,7 @@ def relaxation_estimate(cfg: SimConfig, observable=None) -> RelaxationFit:
         psi = spec.eigenfunctions[:, 1]
         f, lam = lift_eigenfunction(cfg.graph, psi, cfg.k)
         space = enumerate_configs(cfg.graph.n, cfg.k)
-        values = {tuple(int(v) for v in space.occupations[r]): f[r]
-                  for r in range(space.size)}
-        observable = lambda s: values[s]
+        observable = lambda states: f[space.rank_keys(states @ space.place)]
     summary = simulate(cfg, observable=observable)
     obs = summary.observable_samples
     f0 = obs[:, 0]

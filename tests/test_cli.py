@@ -307,6 +307,26 @@ def test_report_aggregate(tmp_path, capsys):
     assert report["state_cap"] == 20_000
 
 
+def test_report_records_the_clamped_diffusion_degree(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    outputs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        code, _, _ = run(["report", "path(3)", "--K", "5", "--json", str(path)], capsys)
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert report["bep_report"]["degree_max"] == 4
+    clamp = report["bep_degree"]
+    assert (clamp["requested"], clamp["used"]) == (5, 4)
+    assert "degree 4" in clamp["reason"] and "--K 5" in clamp["reason"]
+    code, _, _ = run(["report", "path(3)", "--K", "3", "--json", str(tmp_path / "c.json")], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "c.json").read_text())["bep_degree"] == {
+        "requested": 3, "used": 3, "reason": None}
+
+
 def test_outputs_byte_identical_with_pinned_timestamp(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     a = tmp_path / "a.json"

@@ -1,8 +1,4 @@
-"""Smoke test: each demo script runs to completion.
-
-Demo 06 is left out: it only drives `simulate`, which the Monte-Carlo
-acceptance criteria already cover, and it takes several seconds.
-"""
+"""Smoke test: each demo script runs to completion."""
 
 import os
 import subprocess
@@ -12,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p for p in (ROOT / "demos").glob("0*.py") if not p.name.startswith("06_"))
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 def test_demo_set():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "07"]
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "06", "07"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -1,11 +1,19 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from siplab.configs import enumerate_configs
 from siplab.errors import InputError
-from siplab.graphs import Graph, complete_graph, path_graph
-from siplab.simulate import (SimConfig, chi_square_pvalue, projection_test,
+from siplab.graphs import (Graph, complete_graph, graph_from_edges, path_graph,
+                           random_connected_graph)
+from siplab.lookdown import labeled_states
+from siplab.simulate import (SimConfig, _channels, _pick, chi_square_pvalue, projection_test,
                              relaxation_estimate, simulate, stationary_chi_square)
+from siplab.sip import build_sip_generator, transition_matrix
+
+simulate_module = importlib.import_module("siplab.simulate")  # the package rebinds the name
 
 
 def test_config_validation():
@@ -47,6 +55,104 @@ def test_absorbing_state_flagged():
     summary = simulate(cfg, initial=(2, 0))
     assert summary.n_absorbed == 50
     assert summary.histograms[1.0] == {(2, 0): 50}
+
+
+def _loop_channels(graph, mode, state):
+    """Reference: {target state: rate} of one state, channel by channel."""
+    c, alpha, n = graph.edge_weights, graph.site_weights, graph.n
+    out = {}
+    for i, x in enumerate(state if mode == "lookdown" else range(n)):
+        for y in range(n):
+            if mode == "sip":
+                rate = state[x] * c[x, y] * (alpha[y] + state[y])
+                moved = list(state)
+                moved[x] -= 1
+                moved[y] += 1
+            else:
+                rate = c[x, y] * (alpha[y] + 2 * list(state[:i]).count(y))
+                moved = list(state)
+                moved[i] = y
+            if rate > 0:
+                out[tuple(moved)] = out.get(tuple(moved), 0.0) + rate
+    return out
+
+
+@pytest.mark.parametrize("mode", ["sip", "lookdown"])
+def test_batch_channels_match_state_by_state_loop(mode):
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(4, rng)
+    cfg = SimConfig(g, 3, mode, 1.0, 1, 0, (1.0,))
+    states = (enumerate_configs(4, 3).occupations if mode == "sip"
+              else labeled_states(4, 3)).copy()
+    rates, move, n_channels = _channels(cfg)
+    r = rates(states)
+    assert r.shape == (states.shape[0], n_channels)
+    for channel in range(r.shape[1]):
+        rows = np.flatnonzero(r[:, channel] > 0)
+        moved = states.copy()
+        move(moved, rows, np.full(rows.size, channel))
+        for row in rows:
+            loop = _loop_channels(g, mode, tuple(states[row]))
+            assert loop[tuple(moved[row])] == pytest.approx(r[row, channel], rel=1e-12)
+    for row, state in enumerate(states):
+        assert r[row].sum() == pytest.approx(sum(_loop_channels(g, mode, tuple(state)).values()),
+                                             rel=1e-12)
+
+
+def test_pick_skips_zero_rate_channels_at_both_ends():
+    rates = np.array([[0.0, 1.0, 2.0, 0.0, 0.0],
+                      [0.0, 0.0, 3.0, 0.0, 0.0],
+                      [0.5, 0.0, 0.5, 0.0, 0.0]])
+    cum = np.cumsum(rates, axis=1)
+    # u * total rounding up to the total must not land on a trailing zero channel
+    assert list(_pick(rates, cum, cum[:, -1])) == [2, 2, 2]
+    assert list(_pick(rates, cum, np.zeros(3))) == [1, 2, 0]
+    assert list(_pick(rates, cum, np.array([1.0, 1.5, 0.5]))) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("entries", [None, 60])
+@pytest.mark.parametrize("mode, stuck, moving", [("sip", (0, 0, 2), (2, 0, 0)),
+                                                  ("lookdown", (2, 2), (0, 0))])
+def test_mixed_batch_of_absorbed_and_moving_paths(monkeypatch, entries, mode, stuck, moving):
+    # site 2 is isolated: particles there never move, the pair 0-1 keeps mixing;
+    # a small BATCH_ENTRIES splits the 600 paths into batches of 6 to 10
+    if entries is not None:
+        monkeypatch.setattr(simulate_module, "BATCH_ENTRIES", entries)
+    g = graph_from_edges(3, [(0, 1, 1.0)], [1.0, 2.0, 1.0])
+    cfg = SimConfig(g, 2, mode, 2.0, 600, 17, (0.0, 0.5, 2.0))
+    starts = np.array([stuck, moving])
+
+    def initial(rng, P):
+        return starts[np.arange(P) % 2]
+
+    summary = simulate(cfg, initial=initial, observable=lambda states: states[:, 0])
+    n_stuck = summary.histograms[0.0][stuck]
+    assert summary.n_absorbed == n_stuck
+    if entries is None:
+        assert n_stuck == 300
+    for j, t in enumerate(cfg.times):
+        hist = summary.histograms[t]
+        assert sum(hist.values()) == 600
+        assert hist[stuck] == n_stuck
+        assert summary.observable_samples[:, j].sum() == sum(s[0] * c for s, c in hist.items())
+        for state in hist:
+            if mode == "sip":
+                assert sum(state) == 2 and min(state) >= 0
+            assert state == stuck or (state[2] == 0 if mode == "sip" else 2 not in state)
+    assert hist[moving] < 600 - n_stuck  # the moving paths did move
+
+
+def test_sip_transient_law_from_fixed_state():
+    g = path_graph(3, alpha=[0.5, 1.0, 2.0])
+    cfg = SimConfig(g, 2, "sip", 1.0, 20_000, 31, (0.25, 0.5, 1.0))
+    summary = simulate(cfg, initial=(2, 0, 0))
+    gen = build_sip_generator(g, 2)
+    states = list(map(tuple, gen.space.occupations.tolist()))
+    row = gen.space.rank((2, 0, 0))
+    for t in cfg.times:
+        law = np.clip(transition_matrix(gen, t)[row], 0.0, None)
+        p = chi_square_pvalue(summary.histograms[t], states, law / law.sum())
+        assert p > 0.01 / len(cfg.times), (t, p)
 
 
 def test_single_particle_stationary_frequencies():
