@@ -16,9 +16,9 @@ g = path_graph(2)
 sym, look = build_labeled_generators(g, 2)
 src = labeled_index((0, 1), 2)
 print("two labeled particles on two sites, unit weights:")
-print("  lookdown  rate top->bottom site:", look.matrix[src, labeled_index((0, 0), 2)])
-print("  symmetric rate top->bottom site:", sym.matrix[src, labeled_index((0, 0), 2)])
-print("  lookdown  rate bottom->top site:", look.matrix[src, labeled_index((1, 1), 2)])
+print("  lookdown  rate top->bottom site:", look[src, labeled_index((0, 0), 2)])
+print("  symmetric rate top->bottom site:", sym[src, labeled_index((0, 0), 2)])
+print("  lookdown  rate bottom->top site:", look[src, labeled_index((1, 1), 2)])
 print()
 
 omega = labeled_stationary_measure(g, 2)
@@ -27,7 +27,7 @@ for pos in [(0, 0), (0, 1), (1, 0), (1, 1)]:
     print(f"  {pos}: {omega[labeled_index(pos, 2)]:.6f}")
 print()
 
-report = check_stationary_law(g, 2)
+report = check_stationary_law(Level(g, 2))
 for check in report.checks:
     print(f"  {check.identity:45s} residual {check.residual:.2e}  pass={check.passed}")
 src, dst, asym = report.nonreversibility_witness

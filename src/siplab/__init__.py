@@ -22,7 +22,7 @@ from .intertwiners import (AnnihilationOp, CreationOp, Ladder, Level, build_anni
                            eigen_dichotomy, invert_annihilation, kernel_basis, kernel_gap,
                            lift_eigenfunction, minmax_comparison_check, project_to_kernel,
                            shifted_walk_gap_infimum)
-from .lookdown import (build_labeled_generators, check_labeled_identities,
+from .lookdown import (LabeledLevel, build_labeled_generators, check_labeled_identities,
                        check_stationary_law, drop_top_pullback, labeled_index,
                        labeled_states, labeled_stationary_measure, symmetrizer,
                        unlabel_pullback)

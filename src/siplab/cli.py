@@ -177,7 +177,7 @@ def _suite_lookdown(ladder: Ladder, k_max: int) -> CheckSuite:
     k = 2
     while k <= k_max and n ** k <= DEFAULT_LABELED_CAP:
         checks.extend(check_labeled_identities(ladder[k]))
-        checks.extend(check_stationary_law(ladder.graph, k).checks)
+        checks.extend(check_stationary_law(ladder[k]).checks)
         k += 1
     if not checks:
         raise InputError("labeled suite needs K >= 2 within the labeled cap")
@@ -220,20 +220,7 @@ def cmd_verify(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-def _sweep_rows(graphs, n_samples, lo, hi, k_max, seed):
-    tasks = []
-    for gi, spec in enumerate(graphs):
-        base = graph_from_preset(spec) if not os.path.exists(spec) else load_graph(spec)
-        for ai in range(n_samples):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                               spawn_key=(gi, ai)))
-            alpha = np.exp(rng.uniform(np.log(lo), np.log(hi), size=base.n))
-            tasks.append((gi, spec, ai, base.with_site_weights(alpha)))
-    return tasks
-
-
-def _sweep_one(task, k_max):
-    gi, spec, ai, graph = task
+def _sweep_one(spec, ai, graph, k_max):
     rows = []
     try:
         if not graph.connected:
@@ -245,7 +232,7 @@ def _sweep_one(task, k_max):
             rows.append((spec, ai, k, gap_k, gap_walk, gap_k / gap_walk, ""))
     except SiplabError as exc:
         rows.append((spec, ai, -1, float("nan"), float("nan"), float("nan"), str(exc)))
-    return (gi, ai), rows
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -267,20 +254,18 @@ def cmd_sweep(args) -> int:
     lo, hi = float(rng_range[0]), float(rng_range[1])
     if not 0 < lo <= hi:
         raise InputError("alpha.range must satisfy 0 < lo <= hi")
-    tasks = _sweep_rows(graphs, n_samples, lo, hi, k_max, seed)
-    jobs = args.jobs or os.cpu_count() or 1
-    results = {}
-    if jobs == 1:
-        for task in tasks:
-            key, rows = _sweep_one(task, k_max)
-            results[key] = rows
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            for key, rows in pool.map(lambda t: _sweep_one(t, k_max), tasks):
-                results[key] = rows
-    ordered = []
-    for key in sorted(results):
-        ordered.extend(results[key])
+    tasks = []
+    for gi, spec in enumerate(graphs):
+        base = graph_from_preset(spec) if not os.path.exists(spec) else load_graph(spec)
+        for ai in range(n_samples):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                               spawn_key=(gi, ai)))
+            alpha = np.exp(rng.uniform(np.log(lo), np.log(hi), size=base.n))
+            tasks.append((spec, ai, base.with_site_weights(alpha)))
+    # the sparse solves run in native code, so rows overlap on threads; map keeps task order
+    with concurrent.futures.ThreadPoolExecutor(args.jobs or os.cpu_count() or 1) as pool:
+        ordered = [row for rows in pool.map(lambda t: _sweep_one(*t, k_max), tasks)
+                   for row in rows]
     manifest = _manifest("sweep", {"spec": args.spec, "k_max": k_max,
                                    "n_samples": n_samples}, Path(args.spec).read_text(), seed)
     _write_csv(args.csv, ("graph_id", "alpha_id", "k", "gap_k", "gap_rw", "ratio", "error"),
@@ -379,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="gap ratios over graphs and random site weights")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--csv", help="CSV output path (default stdout)")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, help="threads computing rows (default: logical cores)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo state histograms")

@@ -238,10 +238,10 @@ def gap_tolerance(walk: RwGenerator, gap_rw: float, rtol: float) -> float:
     return rtol * float(np.abs(walk.matrix).max())
 
 
-def detailed_balance_residual(matrix: np.ndarray, measure: np.ndarray) -> float:
-    """max |m(x) Q(x,y) - m(y) Q(y,x)| over all pairs."""
+def detailed_balance_residual(matrix, measure: np.ndarray) -> float:
+    """max |m(x) Q(x,y) - m(y) Q(y,x)| over all pairs, Q dense or sparse."""
     flux = measure[:, None] * matrix
-    return float(np.abs(flux - flux.T).max())
+    return float(abs(flux - flux.T).max())
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, s
                       variance)
 from .errors import InputError
 from .graphs import Graph, Spectrum, build_rw_generator, rw_dirichlet_form, rw_spectrum
+from .lookdown import LabeledLevel
 from .reporting import CheckResult, identity_check, make_check
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_spectrum
 
@@ -113,11 +114,11 @@ class Level:
     Each piece is built on first use and then kept: `generator` (which
     carries `space` and `measure`), the removal and addition operators
     `annihilation` (A_k) and `creation` (C_k), the dense `spectrum` with
-    eigenfunctions, `kernel`, a mu-orthonormal basis of Ker C_k, and
+    eigenfunctions, `kernel`, a mu-orthonormal basis of Ker C_k,
     `shifted_walks`, the walks with site weights alpha + xi over the
-    level-(k-1) configurations xi.  `lower` is level k-1: the one given,
-    else a new one made on first use.  Level 0 has one state and the zero
-    generator.
+    level-(k-1) configurations xi, and `labeled`, the sparse labeled
+    operators and law.  `lower` is level k-1: the one given, else a new
+    one made on first use.  Level 0 has one state and the zero generator.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -170,6 +171,10 @@ class Level:
     @cached_property
     def shifted_walks(self) -> tuple:
         return build_shifted_walks(self.graph, self.lower.space)
+
+    @cached_property
+    def labeled(self) -> LabeledLevel:
+        return LabeledLevel(self)
 
 
 class Ladder:

@@ -14,24 +14,33 @@ to y at rate c[x, y] * alpha[y]) and differ in the interaction:
 Forgetting labels in either model reproduces the unlabeled inclusion
 dynamics, and the whole removal intertwining can be replayed through
 the labeled operators (symmetrization, top-particle drop, label
-forgetting).  This module builds all of those as explicit matrices and
+forgetting).  This module builds all of those as sparse matrices and
 checks each identity, plus the shared stationary law and its failure of
 detailed balance for the lookdown (but not the symmetric) model.
+
+The symmetrizer S_k, the average over all k! label permutations, is
+never formed densely: S_k = P_k Q_k through the unlabeled space, with
+P_k = `unlabel_pullback` and Q_k[eta, b] = 1[occ(b) = eta] prod_x eta_x! / k!
+(both from `symmetrizer`), so S_k X is P_k (Q_k X).  Each `intertwiners.Level`
+builds its `LabeledLevel` once; the dense symmetrizer is a test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse
 
-from .configs import ConfigSpace, enumerate_configs, sip_measure
+from .configs import ConfigSpace
 from .errors import InputError, StateCapError
 from .graphs import Graph, build_rw_generator, detailed_balance_residual
-from .intertwiners import Level
 from .reporting import CheckResult, identity_check, make_check
+
+if TYPE_CHECKING:
+    from .intertwiners import Level
 
 DEFAULT_LABELED_CAP = 4096
 
@@ -41,7 +50,7 @@ def labeled_states(n: int, k: int, cap: int = DEFAULT_LABELED_CAP) -> np.ndarray
     size = n ** k
     if size > cap:
         raise StateCapError(f"labeled space n^k = {size} exceeds cap {cap}")
-    return np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64)
+    return np.arange(size)[:, None] // n ** np.arange(k - 1, -1, -1) % n
 
 
 def labeled_index(positions, n: int) -> int:
@@ -51,81 +60,69 @@ def labeled_index(positions, n: int) -> int:
     return idx
 
 
-@dataclass(frozen=True)
-class LabeledOperator:
-    role: str
-    k: int
-    matrix: np.ndarray
+def _sparse(values, rows, cols, shape) -> scipy.sparse.csr_array:
+    return scipy.sparse.csr_array((values, (rows, cols)), shape=shape)
 
 
-def _labeled_generator(graph: Graph, k: int, lookdown: bool, cap: int) -> np.ndarray:
-    n = graph.n
-    c = graph.edge_weights
-    alpha = graph.site_weights
+def _labeled_generator(graph: Graph, k: int, lookdown: bool, cap: int) -> scipy.sparse.csr_array:
+    n, c, alpha = graph.n, graph.edge_weights, graph.site_weights
     states = labeled_states(n, k, cap)
     rows = np.arange(states.shape[0])
-    m = np.zeros((rows.size, rows.size))
+    exits = np.zeros(rows.size)
+    blocks = []
     # one block per (label i, target site y): every state whose particle i
-    # sits next to y moves it there, which shifts the index by (y - x) n^(k-1-i)
+    # sits next to y moves it there, which shifts the index by (y - x) n^(k-1-i);
+    # each row's exit rate sums its jumps in block order
     for i in range(k):
         x = states[:, i]
         others = states[:, :i] if lookdown else states
         for y in range(n):
             s = np.flatnonzero(c[x, y])
             company = (2 if lookdown else 1) * np.sum(others[s] == y, axis=1)
-            m[s, s + (y - x[s]) * n ** (k - 1 - i)] = c[x[s], y] * (alpha[y] + company)
-    np.fill_diagonal(m, -m.sum(axis=1))
-    m.setflags(write=False)
-    return m
+            rate = c[x[s], y] * (alpha[y] + company)
+            exits[s] += rate
+            blocks.append((rate, s, s + (y - x[s]) * n ** (k - 1 - i)))
+    values, sources, targets = (np.concatenate(p) for p in zip(*blocks, (-exits, rows, rows)))
+    return _sparse(values, sources, targets, (rows.size, rows.size))
 
 
-def build_labeled_generators(graph: Graph, k: int,
-                             cap: int = DEFAULT_LABELED_CAP) -> tuple[LabeledOperator, LabeledOperator]:
+def build_labeled_generators(graph: Graph, k: int, cap: int = DEFAULT_LABELED_CAP) -> tuple:
     """(symmetric, lookdown) generator pair on the labeled state space."""
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    sym = _labeled_generator(graph, k, lookdown=False, cap=cap)
-    look = _labeled_generator(graph, k, lookdown=True, cap=cap)
-    return (LabeledOperator("symmetric", k, sym), LabeledOperator("lookdown", k, look))
+    return (_labeled_generator(graph, k, lookdown=False, cap=cap),
+            _labeled_generator(graph, k, lookdown=True, cap=cap))
 
 
-def symmetrizer(n: int, k: int, cap: int = DEFAULT_LABELED_CAP) -> LabeledOperator:
-    """Average over all k! label permutations; a stochastic projection."""
-    states = labeled_states(n, k, cap)
-    rows = np.arange(states.shape[0])
-    m = np.zeros((rows.size, rows.size))
-    place = n ** np.arange(k - 1, -1, -1)
-    # each permutation moves every state to exactly one target
-    for sigma in itertools.permutations(range(k)):
-        m[rows, states[:, sigma] @ place] += 1.0 / math.factorial(k)
-    m.setflags(write=False)
-    return LabeledOperator("symmetrizer", k, m)
+def drop_top_pullback(n: int, k: int) -> scipy.sparse.csr_array:
+    """Pull a function of k-1 labeled particles back through dropping the top
+    one, the last digit."""
+    rows = np.arange(labeled_states(n, k).shape[0])
+    return _sparse(np.ones(rows.size), rows, rows // n, (rows.size, n ** (k - 1)))
 
 
-def drop_top_pullback(n: int, k: int, cap: int = DEFAULT_LABELED_CAP) -> LabeledOperator:
-    """Pull a function of k-1 labeled particles back through dropping the top one."""
-    rows = np.arange(labeled_states(n, k, cap).shape[0])
-    m = np.zeros((rows.size, n ** (k - 1)))
-    m[rows, rows // n] = 1.0  # the top particle is the last digit
-    m.setflags(write=False)
-    return LabeledOperator("top-annihilation", k, m)
-
-
-def unlabel_pullback(space: ConfigSpace, cap: int = DEFAULT_LABELED_CAP) -> np.ndarray:
-    """Matrix of f -> f(label-forgetting(.)), labeled states to occupation ranks."""
-    states = labeled_states(space.n, space.k, cap)
+def unlabel_pullback(space: ConfigSpace) -> scipy.sparse.csr_array:
+    """P_k: f -> f(label-forgetting(.)), labeled states to occupation ranks."""
+    states = labeled_states(space.n, space.k)
     occ = np.sum(states[:, :, None] == np.arange(space.n), axis=1)
-    m = np.zeros((states.shape[0], space.size))
-    m[np.arange(states.shape[0]), space.rank_keys(occ @ space.place)] = 1.0
-    m.setflags(write=False)
-    return m
+    rows = np.arange(states.shape[0])
+    return _sparse(np.ones(rows.size), rows, space.rank_keys(occ @ space.place),
+                   (rows.size, space.size))
 
 
-def labeled_stationary_measure(graph: Graph, k: int,
-                               cap: int = DEFAULT_LABELED_CAP) -> np.ndarray:
+def symmetrizer(space: ConfigSpace) -> tuple:
+    """The factors (P_k, Q_k) of S_k = P_k Q_k: Q_k is P_k transposed with each
+    row divided by its length, the k! / prod eta_x! labelings of eta."""
+    unlabel = unlabel_pullback(space)
+    ranks, rows = unlabel.indices, np.arange(unlabel.shape[0])
+    labelings = np.bincount(ranks, minlength=space.size)
+    return unlabel, _sparse(1.0 / labelings[ranks], ranks, rows, unlabel.shape[::-1])
+
+
+def labeled_stationary_measure(graph: Graph, k: int) -> np.ndarray:
     """Shared stationary law: particle i carries weight alpha at its site
     plus the number of lower-labeled companions there."""
-    states = labeled_states(graph.n, k, cap)
+    states = labeled_states(graph.n, k)
     omega = np.ones(states.shape[0])
     for i in range(k):
         company = np.sum(states[:, :i] == states[:, i:i + 1], axis=1)
@@ -135,68 +132,82 @@ def labeled_stationary_measure(graph: Graph, k: int,
     return omega
 
 
-def check_labeled_identities(level: Level, rtol: float = 1e-10,
-                             cap: int = DEFAULT_LABELED_CAP) -> list[CheckResult]:
+class LabeledLevel:
+    """The labeled pieces of one `Level`: the `symmetric` and `lookdown`
+    generators, `unlabel` (P_k), `average` (Q_k), `drop` (J_k) and `omega`."""
+
+    def __init__(self, level: Level):
+        graph, k = level.graph, level.k
+        self.symmetric, self.lookdown = build_labeled_generators(graph, k)
+        self.unlabel, self.average = symmetrizer(level.space)
+        self.drop = drop_top_pullback(graph.n, k)
+        self.omega = labeled_stationary_measure(graph, k)
+
+    def symmetrize(self, x):
+        """S_k x, applied as P_k (Q_k x)."""
+        return self.unlabel @ (self.average @ x)
+
+
+def check_labeled_identities(level: Level, rtol: float = 1e-10) -> list[CheckResult]:
     """All matrix identities tying the labeled models to the unlabeled one.
 
     Includes the top-drop intertwining, the exchange of symmetrization
     with both labeled generators, label forgetting onto the unlabeled
     generator, and the full removal-intertwining chain replayed through
     the labeled route, with the endpoints compared against the directly
-    assembled removal matrices.  The unlabeled pieces come from `level`
-    and its `lower`.
+    assembled removal matrices.  The unlabeled and labeled pieces come
+    from `level` and its `lower`.
     """
     graph, k = level.graph, level.k
     if k < 2:
         raise InputError("labeled identity suite needs k >= 2")
-    n = graph.n
-    lab_sym_hi, lab_look_hi = (op.matrix for op in build_labeled_generators(graph, k, cap))
-    lab_sym_lo, lab_look_lo = (op.matrix for op in build_labeled_generators(graph, k - 1, cap))
-    s_hi = symmetrizer(n, k, cap).matrix
-    s_lo = symmetrizer(n, k - 1, cap).matrix
-    j_hi = drop_top_pullback(n, k, cap).matrix
-    gen_hi, gen_lo = level.generator, level.lower.generator
-    p_hi = unlabel_pullback(gen_hi.space, cap)
-    p_lo = unlabel_pullback(gen_lo.space, cap)
-    ann = level.annihilation
+    hi, lo = level.labeled, level.lower.labeled
+    gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix
+    ann = level.annihilation.matrix
+    s_hi = hi.unlabel @ hi.average
+    unlabeled_hi = hi.unlabel @ gen_hi
 
     def check(name, lhs, rhs):
         return identity_check(name, lhs, rhs, rtol)
 
     checks = [
         check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
-        check(f"removal-as-labeled[k={k}]", p_hi @ ann.matrix, k * s_hi @ j_hi @ p_lo),
-        check(f"top-drop-intertwining[k={k}]", j_hi @ lab_look_lo, lab_look_hi @ j_hi),
-        check(f"symmetrize-lookdown[k={k}]", s_hi @ lab_look_hi, lab_sym_hi @ s_hi),
-        check(f"unlabel-symmetric[k={k}]", lab_sym_hi @ p_hi, p_hi @ gen_hi.matrix),
+        check(f"removal-as-labeled[k={k}]", hi.unlabel @ ann,
+              k * hi.symmetrize(hi.drop @ lo.unlabel)),
+        check(f"top-drop-intertwining[k={k}]", hi.drop @ lo.lookdown, hi.lookdown @ hi.drop),
+        check(f"symmetrize-lookdown[k={k}]", hi.symmetrize(hi.lookdown),
+              hi.symmetric @ hi.unlabel @ hi.average),
+        check(f"unlabel-symmetric[k={k}]", hi.symmetric @ hi.unlabel, unlabeled_hi),
         check(f"unlabel-symmetric-averaged[k={k}]",
-              s_hi @ lab_sym_hi @ p_hi, p_hi @ gen_hi.matrix),
+              hi.symmetrize(hi.symmetric @ hi.unlabel), unlabeled_hi),
         check(f"unlabel-lookdown-averaged[k={k}]",
-              s_hi @ lab_look_hi @ p_hi, p_hi @ gen_hi.matrix),
+              hi.symmetrize(hi.lookdown @ hi.unlabel), unlabeled_hi),
     ]
-    # labeled replay of the removal intertwining, step by step
+    # labeled replay of the removal intertwining, step by step, each
+    # product applied right to left; J_k P_{k-1} drops the top particle
+    # of an unlabeled function
+    drop = hi.drop @ lo.unlabel
     t = [
-        p_hi @ ann.matrix @ gen_lo.matrix / k,
-        s_hi @ j_hi @ p_lo @ gen_lo.matrix,
-        s_hi @ j_hi @ lab_sym_lo @ s_lo @ p_lo,
-        s_hi @ j_hi @ s_lo @ lab_look_lo @ p_lo,
-        s_hi @ j_hi @ lab_look_lo @ p_lo,
-        s_hi @ lab_look_hi @ j_hi @ p_lo,
-        lab_sym_hi @ s_hi @ j_hi @ p_lo,
-        lab_sym_hi @ s_hi @ p_hi @ ann.matrix / k,
-        p_hi @ gen_hi.matrix @ ann.matrix / k,
+        hi.unlabel @ (ann @ gen_lo) / k,
+        hi.symmetrize(hi.drop @ (lo.unlabel @ gen_lo)),
+        hi.symmetrize(hi.drop @ (lo.symmetric @ lo.symmetrize(lo.unlabel))),
+        hi.symmetrize(hi.drop @ lo.symmetrize(lo.lookdown @ lo.unlabel)),
+        hi.symmetrize(hi.drop @ (lo.lookdown @ lo.unlabel)),
+        hi.symmetrize(hi.lookdown @ drop),
+        hi.symmetric @ hi.symmetrize(drop),
+        hi.symmetric @ hi.symmetrize(hi.unlabel @ ann) / k,
+        hi.unlabel @ (gen_hi @ ann) / k,
     ]
     for step, (lhs, rhs) in enumerate(zip(t[:-1], t[1:])):
         checks.append(check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
-    checks.append(check(f"labeled-chain-endpoints[k={k}]",
-                        ann.matrix @ gen_lo.matrix, gen_hi.matrix @ ann.matrix))
-    checks.append(check(f"flatten-then-drop[k={k}]", s_hi @ j_hi, s_hi @ j_hi @ s_lo))
+    checks.append(check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
+    checks.append(check(f"flatten-then-drop[k={k}]", hi.symmetrize(hi.drop),
+                        hi.symmetrize(drop) @ lo.average))
     # bottom particle of the lookdown model moves as the plain walk
-    rw = build_rw_generator(graph).matrix
-    bottom = np.zeros((n ** k, n))
-    bottom[np.arange(n ** k), labeled_states(n, k, cap)[:, 0]] = 1.0
-    checks.append(check(f"bottom-particle-walk[k={k}]",
-                        lab_look_hi @ bottom, bottom @ rw))
+    rows = np.arange(graph.n ** k)
+    bottom = _sparse(np.ones(rows.size), rows, rows // graph.n ** (k - 1), (rows.size, graph.n))
+    checks.append(check(f"bottom-particle-walk[k={k}]", hi.lookdown @ bottom,
+                        bottom @ build_rw_generator(graph).matrix))
     return checks
 
 
@@ -210,54 +221,54 @@ class StationaryLawReport:
         return all(c.passed for c in self.checks)
 
 
-def check_stationary_law(graph: Graph, k: int, rtol: float = 1e-10,
-                         cap: int = DEFAULT_LABELED_CAP) -> StationaryLawReport:
+def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawReport:
     """Stationarity and reversibility structure of the shared labeled law.
 
     The law is stationary for both labeled generators; the symmetric one
     is reversible for it while the lookdown one must break detailed
     balance on at least one pair (for k >= 2 on any graph with an edge),
     and forgetting labels pushes the law onto the unlabeled reversible
-    measure.
+    measure of `level`.
     """
-    omega = labeled_stationary_measure(graph, k, cap)
-    sym, look = build_labeled_generators(graph, k, cap)
-    scale = max(1.0, float(np.abs(sym.matrix).max()), float(np.abs(look.matrix).max()))
+    graph, k = level.graph, level.k
+    omega, sym, look = level.labeled.omega, level.labeled.symmetric, level.labeled.lookdown
+    scale = max(1.0, float(abs(sym).max()), float(abs(look).max()))
     checks = [
+        # a probability, unitless at every rate scale: 4096 terms round within 9e-13
         make_check(f"stationary-mass[k={k}]", abs(float(omega.sum()) - 1.0), 1e-12),
         make_check(f"stationary-symmetric[k={k}]",
-                   float(np.abs(omega @ sym.matrix).max()), rtol * scale),
+                   float(np.abs(omega @ sym).max()), rtol * scale),
         make_check(f"stationary-lookdown[k={k}]",
-                   float(np.abs(omega @ look.matrix).max()), rtol * scale),
+                   float(np.abs(omega @ look).max()), rtol * scale),
         make_check(f"detailed-balance-symmetric[k={k}]",
-                   detailed_balance_residual(sym.matrix, omega), rtol * scale),
+                   detailed_balance_residual(sym, omega), rtol * scale),
     ]
     witness = None
     if k >= 2 and float(graph.edge_weights.max()) > 0.0:
-        flux = omega[:, None] * look.matrix
-        asym = np.abs(flux - flux.T)
-        np.fill_diagonal(asym, 0.0)
-        worst = float(asym.max())
-        idx = np.unravel_index(int(asym.argmax()), asym.shape)
-        states = labeled_states(graph.n, k, cap)
-        pair = (tuple(int(v) for v in states[idx[0]]),
-                tuple(int(v) for v in states[idx[1]]))
+        flux = scipy.sparse.csr_array(look * omega[:, None])
+        asym = abs(flux - flux.T).tocoo()
+        worst = float(asym.data.max(initial=0.0))
+        # the first largest entry in row-major order, the one a dense argmax
+        # over the zero-diagonal asymmetry picks
+        flat = asym.row.astype(np.int64) * asym.shape[1] + asym.col
+        first = int(flat[asym.data == worst].min()) if worst > 0.0 else 0
+        pair = tuple(tuple(int(v) for v in np.unravel_index(i, (graph.n,) * k))
+                     for i in divmod(first, asym.shape[1]))
         witness = (pair[0], pair[1], worst)
         # here the check asserts a FAILURE of detailed balance: some pair
         # must carry a macroscopic flux asymmetry
-        floor = 1e-6 * scale
+        floor = 1e-6 * scale  # omega is unitless, so the asymmetry scales as a rate
         checks.append(make_check(f"lookdown-breaks-detailed-balance[k={k}]",
                                  max(0.0, floor - worst), 0.0,
                                  detail=f"max flux asymmetry {worst:.6g} between "
                                         f"positions {list(pair[0])} and {list(pair[1])}"))
-    space = enumerate_configs(graph.n, k)
-    mu = sip_measure(graph, space)
-    push = omega @ unlabel_pullback(space, cap)
+    push = omega @ level.labeled.unlabel
     checks.append(make_check(f"unlabel-pushforward[k={k}]",
-                             float(np.abs(push - mu.probabilities).max()), rtol))
+                             float(np.abs(push - level.measure.probabilities).max()), rtol))
     if k >= 2:
         marginal = omega.reshape(-1, graph.n).sum(axis=1)
+        # unitless probabilities: n-term sums of k-factor products round below 1e-14
         checks.append(make_check(f"top-marginal[k={k}]",
-                                 float(np.abs(marginal - labeled_stationary_measure(graph, k - 1, cap)).max()),
+                                 float(np.abs(marginal - level.lower.labeled.omega).max()),
                                  1e-14))
     return StationaryLawReport(tuple(checks), witness)

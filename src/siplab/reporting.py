@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -39,9 +37,10 @@ def make_check(identity: str, residual: float, tolerance: float, detail: str = "
 
 def identity_check(identity: str, lhs, rhs, rtol: float) -> CheckResult:
     """Matrix identity lhs = rhs: the largest entrywise residual against
-    rtol times the largest entry of either side (at least 1)."""
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return make_check(identity, float(np.abs(lhs - rhs).max()), rtol * scale)
+    rtol times the largest entry of either side (at least 1).  Sides may
+    be scipy.sparse; a difference of two sparse sides stays sparse."""
+    scale = max(1.0, float(abs(lhs).max()), float(abs(rhs).max()))
+    return make_check(identity, float(abs(lhs - rhs).max()), rtol * scale)
 
 
 @dataclass(frozen=True)

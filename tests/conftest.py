@@ -5,6 +5,8 @@ These implement each quantity by the most direct route available
 library code is always checked against an independent computation.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +14,11 @@ import scipy.linalg
 
 from siplab.configs import ConfigSpace
 from siplab.errors import InputError
-from siplab.graphs import Graph
-from siplab.intertwiners import build_annihilation
+from siplab.graphs import Graph, build_rw_generator, detailed_balance_residual
+from siplab.intertwiners import Level, build_annihilation
+from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
+                             labeled_stationary_measure, unlabel_pullback)
+from siplab.reporting import identity_check, make_check
 
 
 def symmetric_dirichlet_oracle(graph: Graph, phi) -> float:
@@ -86,3 +91,109 @@ def binomial_removal_matrix(space_high: ConfigSpace, space_low: ConfigSpace) -> 
                 continue
             m[s, t] = math.prod(math.comb(int(e), int(z)) for e, z in zip(eta, zeta))
     return m
+
+
+@functools.cache
+def dense_symmetrizer(n: int, k: int) -> np.ndarray:
+    """Dense average over all k! label permutations of k labeled particles
+    on n sites: the oracle for the factored symmetrizer P_k Q_k.  Kept per
+    (n, k) and read-only, since k = 8 takes about a second."""
+    states = labeled_states(n, k)
+    rows = np.arange(states.shape[0])
+    m = np.zeros((rows.size, rows.size))
+    place = n ** np.arange(k - 1, -1, -1)
+    # each permutation moves every state to exactly one target
+    for sigma in itertools.permutations(range(k)):
+        m[rows, states[:, sigma] @ place] += 1.0 / math.factorial(k)
+    m.setflags(write=False)
+    return m
+
+
+def _dense_labeled(graph: Graph, k: int) -> tuple:
+    """(symmetric, lookdown, symmetrizer, top drop) as dense matrices."""
+    sym, look = (m.toarray() for m in build_labeled_generators(graph, k))
+    return sym, look, dense_symmetrizer(graph.n, k), drop_top_pullback(graph.n, k).toarray()
+
+
+def dense_labeled_identities(level: Level, rtol: float = 1e-10) -> list:
+    """The labeled identity suite replayed with dense n^k x n^k products
+    and the dense symmetrizer, in the suite's order."""
+    graph, k, n = level.graph, level.k, level.graph.n
+    lab_sym_hi, lab_look_hi, s_hi, j_hi = _dense_labeled(graph, k)
+    lab_sym_lo, lab_look_lo, s_lo, _ = _dense_labeled(graph, k - 1)
+    gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix
+    p_hi = unlabel_pullback(level.space).toarray()
+    p_lo = unlabel_pullback(level.lower.space).toarray()
+    ann = level.annihilation.matrix
+
+    def check(name, lhs, rhs):
+        return identity_check(name, lhs, rhs, rtol)
+
+    checks = [
+        check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
+        check(f"removal-as-labeled[k={k}]", p_hi @ ann, k * s_hi @ j_hi @ p_lo),
+        check(f"top-drop-intertwining[k={k}]", j_hi @ lab_look_lo, lab_look_hi @ j_hi),
+        check(f"symmetrize-lookdown[k={k}]", s_hi @ lab_look_hi, lab_sym_hi @ s_hi),
+        check(f"unlabel-symmetric[k={k}]", lab_sym_hi @ p_hi, p_hi @ gen_hi),
+        check(f"unlabel-symmetric-averaged[k={k}]", s_hi @ lab_sym_hi @ p_hi, p_hi @ gen_hi),
+        check(f"unlabel-lookdown-averaged[k={k}]", s_hi @ lab_look_hi @ p_hi, p_hi @ gen_hi),
+    ]
+    t = [
+        p_hi @ ann @ gen_lo / k,
+        s_hi @ j_hi @ p_lo @ gen_lo,
+        s_hi @ j_hi @ lab_sym_lo @ s_lo @ p_lo,
+        s_hi @ j_hi @ s_lo @ lab_look_lo @ p_lo,
+        s_hi @ j_hi @ lab_look_lo @ p_lo,
+        s_hi @ lab_look_hi @ j_hi @ p_lo,
+        lab_sym_hi @ s_hi @ j_hi @ p_lo,
+        lab_sym_hi @ s_hi @ p_hi @ ann / k,
+        p_hi @ gen_hi @ ann / k,
+    ]
+    for step, (lhs, rhs) in enumerate(zip(t[:-1], t[1:])):
+        checks.append(check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
+    checks.append(check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
+    checks.append(check(f"flatten-then-drop[k={k}]", s_hi @ j_hi, s_hi @ j_hi @ s_lo))
+    bottom = np.zeros((n ** k, n))
+    bottom[np.arange(n ** k), labeled_states(n, k)[:, 0]] = 1.0
+    checks.append(check(f"bottom-particle-walk[k={k}]", lab_look_hi @ bottom,
+                        bottom @ build_rw_generator(graph).matrix))
+    return checks
+
+
+def dense_stationary_law(level: Level, rtol: float = 1e-10) -> tuple:
+    """(checks, witness) of the stationary-law suite on the dense flux,
+    the witness at the dense row-major argmax of the flux asymmetry."""
+    graph, k = level.graph, level.k
+    omega = labeled_stationary_measure(graph, k)
+    sym, look, _, _ = _dense_labeled(graph, k)
+    scale = max(1.0, float(np.abs(sym).max()), float(np.abs(look).max()))
+    checks = [
+        make_check(f"stationary-mass[k={k}]", abs(float(omega.sum()) - 1.0), 1e-12),
+        make_check(f"stationary-symmetric[k={k}]", float(np.abs(omega @ sym).max()), rtol * scale),
+        make_check(f"stationary-lookdown[k={k}]", float(np.abs(omega @ look).max()), rtol * scale),
+        make_check(f"detailed-balance-symmetric[k={k}]",
+                   detailed_balance_residual(sym, omega), rtol * scale),
+    ]
+    witness = None
+    if k >= 2 and float(graph.edge_weights.max()) > 0.0:
+        flux = omega[:, None] * look
+        asym = np.abs(flux - flux.T)
+        np.fill_diagonal(asym, 0.0)
+        worst = float(asym.max())
+        states = labeled_states(graph.n, k)
+        pair = tuple(tuple(int(v) for v in states[i])
+                     for i in np.unravel_index(int(asym.argmax()), asym.shape))
+        witness = (pair[0], pair[1], worst)
+        checks.append(make_check(f"lookdown-breaks-detailed-balance[k={k}]",
+                                 max(0.0, 1e-6 * scale - worst), 0.0,
+                                 detail=f"max flux asymmetry {worst:.6g} between "
+                                        f"positions {list(pair[0])} and {list(pair[1])}"))
+    push = omega @ unlabel_pullback(level.space).toarray()
+    checks.append(make_check(f"unlabel-pushforward[k={k}]",
+                             float(np.abs(push - level.measure.probabilities).max()), rtol))
+    if k >= 2:
+        marginal = omega.reshape(-1, graph.n).sum(axis=1)
+        lower = labeled_stationary_measure(graph, k - 1)
+        checks.append(make_check(f"top-marginal[k={k}]",
+                                 float(np.abs(marginal - lower).max()), 1e-14))
+    return checks, witness

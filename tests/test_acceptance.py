@@ -116,9 +116,10 @@ def test_criterion_5_labeled_suite():
         for n in (2, 3):
             g = random_connected_graph(n, rng, alpha_range=(0.4, 2.0))
             for k in (2, 3):
-                for check in check_labeled_identities(Level(g, k)):
+                level = Level(g, k)
+                for check in check_labeled_identities(level):
                     assert check.passed, check
-                law = check_stationary_law(g, k)
+                law = check_stationary_law(level)
                 assert law.passed, [c for c in law.checks if not c.passed]
                 assert law.nonreversibility_witness is not None
         ok = True

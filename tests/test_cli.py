@@ -1,11 +1,15 @@
 import collections
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 import siplab.intertwiners
+import siplab.lookdown
 from siplab.cli import main
+
+EXPECTED_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "expected_checks.json"
 
 
 def run(argv, capsys):
@@ -73,6 +77,46 @@ def test_verify_small_alpha_marks_equality_not_applicable(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["pass"] is True
     assert report["gap_report"]["equality_check"] == "not-applicable"
+
+
+def _five_vertex_graph(tmp_path, alpha):
+    """A 5-cycle with one chord, the topology of the benchmark's labeled runs."""
+    edges = [[0, 1, 0.7], [1, 2, 1.3], [2, 3, 0.9], [3, 4, 1.6], [4, 0, 0.5], [0, 2, 1.1]]
+    path = tmp_path / "g5.json"
+    path.write_text(json.dumps({"n": 5, "edges": edges, "alpha": alpha}))
+    return str(path)
+
+
+@pytest.mark.parametrize("regime, alpha", [("general", [0.3, 0.8, 1.7, 0.5, 2.2]),
+                                           ("equality", [1.0, 2.4, 1.3, 2.9, 1.6])])
+def test_lookdown_suite_keeps_the_recorded_identities(regime, alpha, tmp_path, capsys):
+    expected = json.loads(EXPECTED_CHECKS.read_text())["lookdown_K4"][regime]
+    code, out, _ = run(["verify", _five_vertex_graph(tmp_path, alpha), "--K", "4",
+                        "--suite", "lookdown"], capsys)
+    assert code == 0
+    checks = json.loads(out)["suites"]["lookdown"]["checks"]
+    seen = collections.Counter(c["identity"] for c in checks)
+    for identity, count in expected.items():
+        assert seen[identity] >= count, identity
+    assert all(c["pass"] for c in checks if c["identity"] in expected)
+
+
+def test_each_labeled_level_is_built_once_per_run(tmp_path, capsys, monkeypatch):
+    original = siplab.lookdown.build_labeled_generators
+    counts = collections.Counter()
+
+    def counted(graph, k, *args, **kwargs):
+        counts[k] += 1
+        return original(graph, k, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("siplab") and getattr(module, "build_labeled_generators",
+                                                        None) is original:
+            monkeypatch.setattr(module, "build_labeled_generators", counted)
+    code, _, _ = run(["verify", _five_vertex_graph(tmp_path, [1.0] * 5), "--K", "4",
+                      "--suite", "lookdown"], capsys)
+    assert code == 0
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_verify_lookdown_suite_cycle(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_labeled_identities, dense_stationary_law, dense_symmetrizer
 from siplab.configs import enumerate_configs, sip_measure
 from siplab.errors import StateCapError
 from siplab.graphs import build_rw_generator, path_graph, random_connected_graph
@@ -17,7 +18,8 @@ from siplab.lookdown import (build_labeled_generators, check_labeled_identities,
 def _loop_operators(graph, k):
     """The labeled operators built state by state, the direct reference for
     the array-assembled ones: (symmetric, lookdown, symmetrizer, top drop,
-    unlabel, stationary law)."""
+    unlabel, stationary law).  Each jump's rate leaves the diagonal as the
+    jump is placed, so a row's exit rate is summed in jump order."""
     n, c, alpha = graph.n, graph.edge_weights, graph.site_weights
     states = labeled_states(n, k)
     size = states.shape[0]
@@ -37,7 +39,9 @@ def _loop_operators(graph, k):
                     company = 2 * int(np.sum(pos[:i] == y)) if lookdown else int(np.sum(pos == y))
                     target = pos.copy()
                     target[i] = y
-                    m[s, labeled_index(target, n)] += c[pos[i], y] * (alpha[y] + company)
+                    rate = c[pos[i], y] * (alpha[y] + company)
+                    m[s, labeled_index(target, n)] += rate
+                    m[s, s] -= rate
         for sigma in itertools.permutations(range(k)):
             sym[s, labeled_index(pos[list(sigma)], n)] += 1.0 / math.factorial(k)
         drop[s, labeled_index(pos[:k - 1], n)] = 1.0
@@ -46,8 +50,6 @@ def _loop_operators(graph, k):
         for i in range(k):
             w *= alpha[pos[i]] + int(np.sum(pos[:i] == pos[i]))
         omega[s] = w / math.prod(graph.alpha_total + i for i in range(k))
-    for m in gens:
-        np.fill_diagonal(m, -m.sum(axis=1))
     return gens[0], gens[1], sym, drop, unlabel, omega
 
 
@@ -57,9 +59,9 @@ def test_array_assembly_equals_state_by_state_loops():
         g = random_connected_graph(n, rng, extra_edge_prob=0.3, alpha_range=(0.3, 2.5))
         for k in (1, 2, 3):
             sym, look = build_labeled_generators(g, k)
-            built = (sym.matrix, look.matrix, symmetrizer(n, k).matrix,
-                     drop_top_pullback(n, k).matrix,
-                     unlabel_pullback(enumerate_configs(n, k)),
+            built = (sym.toarray(), look.toarray(), dense_symmetrizer(n, k),
+                     drop_top_pullback(n, k).toarray(),
+                     unlabel_pullback(enumerate_configs(n, k)).toarray(),
                      labeled_stationary_measure(g, k))
             for got, want in zip(built, _loop_operators(g, k)):
                 np.testing.assert_array_equal(got, want)
@@ -70,8 +72,8 @@ def test_single_particle_generators_are_the_walk():
     g = random_connected_graph(3, rng)
     sym, look = build_labeled_generators(g, 1)
     walk = build_rw_generator(g).matrix
-    np.testing.assert_allclose(sym.matrix, walk, atol=1e-14)
-    np.testing.assert_allclose(look.matrix, walk, atol=1e-14)
+    np.testing.assert_allclose(sym.toarray(), walk, atol=1e-14)
+    np.testing.assert_allclose(look.toarray(), walk, atol=1e-14)
 
 
 def test_two_particle_rates_two_sites():
@@ -79,12 +81,12 @@ def test_two_particle_rates_two_sites():
     sym, look = build_labeled_generators(g, 2)
     src = labeled_index((0, 1), 2)   # bottom at site 0, top at site 1
     dst = labeled_index((0, 0), 2)   # top joins the bottom
-    assert look.matrix[src, dst] == 3.0  # alpha + 2 * (one lower particle there)
-    assert sym.matrix[src, dst] == 2.0   # alpha + (one particle there)
+    assert look[src, dst] == 3.0  # alpha + 2 * (one lower particle there)
+    assert sym[src, dst] == 2.0   # alpha + (one particle there)
     # bottom jumping onto the top keeps rate alpha + 2*0 under lookdown
     dst_bottom = labeled_index((1, 1), 2)
-    assert look.matrix[src, dst_bottom] == 1.0
-    assert sym.matrix[src, dst_bottom] == 2.0
+    assert look[src, dst_bottom] == 1.0
+    assert sym[src, dst_bottom] == 2.0
 
 
 def test_labeled_cap():
@@ -97,8 +99,8 @@ def test_labeled_generators_zero_row_sums():
     rng = np.random.default_rng(8)
     g = random_connected_graph(3, rng)
     sym, look = build_labeled_generators(g, 3)
-    np.testing.assert_allclose(sym.matrix.sum(axis=1), 0.0, atol=1e-12)
-    np.testing.assert_allclose(look.matrix.sum(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(sym.sum(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(look.sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_stationary_measure_positive_probability():
@@ -111,7 +113,7 @@ def test_stationary_measure_positive_probability():
 
 
 def test_symmetrizer_is_stochastic_projection():
-    s = symmetrizer(3, 3).matrix
+    s = dense_symmetrizer(3, 3)
     np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-14)
     assert s.min() >= 0.0
     np.testing.assert_allclose(s @ s, s, atol=1e-13)
@@ -124,7 +126,7 @@ def test_symmetrizer_is_stochastic_projection():
 
 
 def test_drop_top_pullback_injective():
-    j = drop_top_pullback(3, 2).matrix
+    j = drop_top_pullback(3, 2).toarray()
     assert np.linalg.matrix_rank(j) == 3
 
 
@@ -141,8 +143,8 @@ def test_two_particle_symmetrized_lookdown_explicit():
     # the k = 2 exchange identity, checked entry by entry on a weighted edge
     g = path_graph(2, alpha=[1.7, 0.4])
     sym, look = build_labeled_generators(g, 2)
-    s = symmetrizer(2, 2).matrix
-    np.testing.assert_allclose(s @ look.matrix, sym.matrix @ s, atol=1e-13)
+    s = dense_symmetrizer(2, 2)
+    np.testing.assert_allclose(s @ look, sym @ s, atol=1e-13)
 
 
 def test_stationary_measure_two_sites_table():
@@ -173,7 +175,7 @@ def test_pushforward_matches_unlabeled_measure():
 def test_stationary_law_report():
     rng = np.random.default_rng(3)
     for g, k in [(path_graph(2), 2), (random_connected_graph(3, rng), 3)]:
-        report = check_stationary_law(g, k)
+        report = check_stationary_law(Level(g, k))
         assert report.passed, [c for c in report.checks if not c.passed]
         assert report.nonreversibility_witness is not None
         src, dst, asym = report.nonreversibility_witness
@@ -215,4 +217,60 @@ def test_bottom_particle_margin_is_walk():
     for s in range(states.shape[0]):
         proj[s, states[s][0]] = 1.0
     walk = build_rw_generator(g).matrix
-    np.testing.assert_allclose(look.matrix @ proj, proj @ walk, atol=1e-12)
+    np.testing.assert_allclose(look @ proj, proj @ walk, atol=1e-12)
+
+
+def test_factored_symmetrizer_matches_the_dense_one():
+    # the dense oracle adds 1/k! once per permutation, so its own rounding
+    # grows with k! (29 ulp at k = 6); up to k = 4 it stays within 4 ulp
+    for n, k in [(2, 1), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]:
+        unlabel, average = symmetrizer(enumerate_configs(n, k))
+        np.testing.assert_array_max_ulp((unlabel @ average).toarray(), dense_symmetrizer(n, k),
+                                        maxulp=4)
+
+
+def _replay_levels():
+    """Every level 2 <= k with n^k <= 256 labeled states."""
+    return [(n, k) for k in range(2, 9) for n in range(2, 17) if n ** k <= 256]
+
+
+@pytest.mark.parametrize("alpha_range", [(0.05, 0.9), (1.0, 3.0)])
+def test_sparse_suite_matches_a_dense_replay(alpha_range):
+    rng = np.random.default_rng(31)
+    for n, k in _replay_levels():
+        g = random_connected_graph(n, rng, extra_edge_prob=0.3, alpha_range=alpha_range)
+        level = Level(g, k)
+        law = check_stationary_law(level)
+        dense_checks, dense_witness = dense_stationary_law(level)
+        got = check_labeled_identities(level) + list(law.checks)
+        want = dense_labeled_identities(level) + dense_checks
+        assert [c.identity for c in got] == [c.identity for c in want]
+        assert [c.passed for c in got] == [c.passed for c in want]
+        assert [c.detail for c in got] == [c.detail for c in want]
+        np.testing.assert_allclose([c.tolerance for c in got], [c.tolerance for c in want],
+                                   rtol=1e-12, atol=0.0)
+        assert law.nonreversibility_witness == dense_witness
+        assert all(c.passed for c in got), (n, k)
+
+
+def _failed(level):
+    return {c.identity.split("[")[0] for c in check_labeled_identities(level) if not c.passed}
+
+
+def test_sparse_suite_fails_on_a_perturbed_lookdown_rate():
+    level = Level(random_connected_graph(3, np.random.default_rng(12)), 3)
+    look = level.labeled.lookdown.copy()
+    rows = np.repeat(np.arange(look.shape[0]), np.diff(look.indptr))
+    look.data[np.flatnonzero(look.indices != rows)[0]] *= 1.01
+    level.labeled.lookdown = look
+    failed = _failed(level)
+    assert "symmetrize-lookdown" in failed
+    assert any(name.startswith("labeled-chain-step-") for name in failed)
+
+
+def test_sparse_suite_fails_on_a_perturbed_label_average():
+    level = Level(random_connected_graph(3, np.random.default_rng(13)), 3)
+    average = level.labeled.average.copy()
+    average.data[0] *= 1.01
+    level.labeled.average = average
+    assert "symmetrizer-projection" in _failed(level)
