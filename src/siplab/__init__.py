@@ -14,12 +14,11 @@ from .configs import (ConfigSpace, SipMeasure, enumerate_configs, inner_product,
                       rank_composition, sip_measure, space_size, unrank_composition,
                       variance)
 from .sip import (GapReport, SipGenerator, build_sip_generator, gap_sandwich_report,
-                  sip_dirichlet_form, sip_gap, sip_spectrum, spectrum_included,
-                  transition_matrix, tv_sandwich)
+                  sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix, tv_sandwich)
 from .intertwiners import (AnnihilationOp, CreationOp, Ladder, Level, build_annihilation,
                            build_creation, build_shifted_walks, check_adjoint,
                            check_intertwinings, dirichlet_decomposition_check,
-                           eigen_dichotomy, invert_annihilation, kernel_basis, kernel_gap,
+                           eigen_dichotomy, invert_annihilation, kernel_basis,
                            lift_eigenfunction, minmax_comparison_check, project_to_kernel,
                            shifted_walk_gap_infimum)
 from .lookdown import (LabeledLevel, build_labeled_generators, check_labeled_identities,

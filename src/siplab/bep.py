@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .configs import ConfigSpace, rank_composition
+from .configs import ConfigSpace
 from .errors import InputError, VerificationError
 from .graphs import Graph, build_rw_generator, gap_tolerance, reversible_spectrum, rw_spectrum
 from .intertwiners import Level
@@ -58,15 +58,19 @@ class HomogPolynomial:
         object.__setattr__(self, "coeffs", clean)
 
     def items_sorted(self):
-        """Deterministic iteration, keyed by the lex rank of the exponents."""
-        return sorted(self.coeffs.items(), key=lambda kv: rank_composition(kv[0]))
+        """Deterministic iteration in lex order of the exponents, their rank order."""
+        return sorted(self.coeffs.items())
 
-    def to_vector(self, space: ConfigSpace) -> np.ndarray:
+    def ranks(self, space: ConfigSpace) -> np.ndarray:
+        """Ranks in `space` of the exponents, in the order of `coeffs`."""
         if space.n != self.n or space.k != self.degree:
             raise InputError("space does not match polynomial degree")
+        expos = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.n)
+        return space.rank_keys(expos @ space.place)
+
+    def to_vector(self, space: ConfigSpace) -> np.ndarray:
         v = np.zeros(space.size)
-        for expo, coeff in self.coeffs.items():
-            v[space.rank(expo)] = coeff
+        v[self.ranks(space)] = list(self.coeffs.values())
         return v
 
     def to_json_list(self) -> list:
@@ -182,9 +186,8 @@ def bep_matrix(level: Level, rtol: float = 1e-10) -> BepMatrix:
                            for occ in space.occupations])
     for col in range(space.size):
         image = apply_bep_generator(basis_monomial(space, col), level.graph)
-        for expo, coeff in image.coeffs.items():
-            row = space.rank(expo)
-            m[row, col] = coeff * factorials[row]
+        rows = image.ranks(space)
+        m[rows, col] = np.fromiter(image.coeffs.values(), float, rows.size) * factorials[rows]
     check = identity_check(f"diffusion-matches-particles[k={level.k}]", m, gen.matrix, rtol)
     return BepMatrix(space, m, gen.matrix, check)
 

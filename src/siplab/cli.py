@@ -119,6 +119,12 @@ def _resolve_graph(spec: str, alpha_raw: str | None) -> tuple[Graph, str]:
     return graph, f"{spec}|alpha={alpha}"
 
 
+def _positive_int(raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
+    return int(raw)
+
+
 def _parse_times(raw: str) -> tuple:
     try:
         times = tuple(float(v) for v in raw.split(","))
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="gap ratios over graphs and random site weights")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--csv", help="CSV output path (default stdout)")
-    p.add_argument("--jobs", type=int, help="threads computing rows (default: logical cores)")
+    p.add_argument("--jobs", type=_positive_int, help="threads computing rows (default: cores)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo state histograms")

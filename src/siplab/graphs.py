@@ -8,13 +8,15 @@ with respect to the probability vector alpha / sum(alpha).
 Spectra are computed by symmetrizing the negative generator with the
 square root of the reversible measure and running a dense symmetric
 eigensolve, so eigenvalues are real by construction and eigenfunctions
-come back orthonormal in the weighted L2 inner product.  That dense
-solve serves every full spectrum (`spectrum`, `tv-curve`, the eigenspace
-dichotomy, the truncated diffusion spectrum); gap-only commands (`sweep`
-and the gap report) use the sparse shift-invert solver `sip.sip_gap`,
-with the same reversibility and eigenpair-residual checks.  Statements
-about gaps are checked at a tolerance relative to the walk gap
-(`gap_tolerance`).
+come back orthonormal in the weighted L2 inner product.  The transform
+and its reversibility check (`symmetrize_reversible`) take a stack of
+walks as well as one, and so does the walk energy `rw_dirichlet_forms`.
+That dense solve serves every full spectrum (`spectrum`, `tv-curve`, the
+eigenspace dichotomy, the truncated diffusion spectrum); gap-only
+commands (`sweep` and the gap report) use the sparse shift-invert solver
+`sip.sip_gap`, with the same reversibility and eigenpair-residual
+checks.  Statements about gaps are checked at a tolerance relative to
+the walk gap (`gap_tolerance`).
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import EigensolverError, InputError
 
-# Identity residuals are checked at 1e-10 and eigenvalue equalities at
-# 1e-9, both scaled by the size of the matrix entries involved.
+# Identity residuals are checked at 1e-10, scaled by the size of the
+# matrix entries involved.
 RESIDUAL_RTOL = 1e-10
-EIGENVALUE_RTOL = 1e-9
 
 
-def residual_tol(scale: float, rtol: float = RESIDUAL_RTOL) -> float:
-    return rtol * max(1.0, float(scale))
+def residual_tol(scale, rtol: float = RESIDUAL_RTOL):
+    """rtol * max(1, scale), elementwise for an array of scales."""
+    return rtol * np.maximum(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class Graph:
         return float(self.site_weights.min())
 
     def with_site_weights(self, alpha) -> "Graph":
-        """Same edges, different site weights (used for shifted walks)."""
+        """Same edges, different site weights."""
         return replace(self, site_weights=np.asarray(alpha, dtype=float))
 
 
@@ -262,47 +264,47 @@ class Spectrum:
     def gap(self) -> float:
         return float(self.eigenvalues[1])
 
-    def zero_multiplicity(self, tol: float | None = None) -> int:
-        if tol is None:
-            tol = EIGENVALUE_RTOL * max(1.0, float(np.abs(self.eigenvalues).max()))
-        return int(np.sum(np.abs(self.eigenvalues) <= tol))
+
+def symmetrize_reversible(rate_matrix, measure) -> tuple:
+    """(sym, scale, defect) for a rate matrix Q reversible w.r.t. `measure`,
+    or for a stack of them with one measure per row.
+
+    The similarity transform D^(1/2) (-Q) D^(-1/2) with D = diag(measure)
+    is symmetric exactly when detailed balance holds; that is checked for
+    every matrix at `residual_tol(scale, 1e-8)`, not silently averaged
+    away, before `sym` averages the transform with its transpose.
+    """
+    neg = -np.asarray(rate_matrix, dtype=float)
+    scale = np.maximum(1.0, np.abs(neg).max(axis=(-2, -1)))
+    d = np.sqrt(measure)
+    sym = neg * (d[..., :, None] / d[..., None, :])
+    asym = np.abs(sym - np.swapaxes(sym, -1, -2)).max(axis=(-2, -1))
+    bad = asym > residual_tol(scale, 1e-8)
+    if np.any(bad):
+        raise InputError(f"generator is not reversible for the given measure "
+                         f"(symmetrization defect {float(np.max(asym * bad)):.3e})")
+    return 0.5 * (sym + np.swapaxes(sym, -1, -2)), scale, asym
 
 
 def reversible_spectrum(rate_matrix: np.ndarray, measure: np.ndarray,
                         want_vectors: bool = True) -> Spectrum:
-    """Eigendecompose -Q for a rate matrix Q reversible w.r.t. `measure`.
-
-    The similarity transform D^(1/2) (-Q) D^(-1/2) with D = diag(measure)
-    is symmetric exactly when detailed balance holds; that is checked
-    before the solve rather than silently averaged away.
-    """
-    neg = -np.asarray(rate_matrix, dtype=float)
-    scale = max(1.0, float(np.abs(neg).max()))
-    d = np.sqrt(measure)
-    sym = neg * (d[:, None] / d[None, :])
-    asym = float(np.abs(sym - sym.T).max())
-    if asym > residual_tol(scale, 1e-8):
-        raise InputError(f"generator is not reversible for the given measure "
-                         f"(symmetrization defect {asym:.3e})")
-    sym = 0.5 * (sym + sym.T)
+    """Eigendecompose -Q for a rate matrix Q reversible w.r.t. `measure`,
+    by a dense symmetric solve of `symmetrize_reversible`'s transform."""
+    sym, scale, asym = symmetrize_reversible(rate_matrix, measure)
     try:
         if want_vectors:
             vals, vecs = scipy.linalg.eigh(sym)
         else:
             vals = scipy.linalg.eigvalsh(sym)
-            vecs = None
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolve failed: {exc}") from exc
-    if vecs is not None:
+    funcs, defect = None, float(asym)
+    if want_vectors:
         defect = float(np.abs(sym @ vecs - vecs * vals[None, :]).max())
-    else:
-        defect = asym
-    if defect > residual_tol(scale, 1e-8):
-        raise EigensolverError(f"eigensolve residual {defect:.3e} exceeds "
-                               f"tolerance at scale {scale:.3e}")
-    funcs = None
-    if vecs is not None:
-        funcs = vecs / d[:, None]
+        if defect > residual_tol(scale, 1e-8):
+            raise EigensolverError(f"eigensolve residual {defect:.3e} exceeds "
+                                   f"tolerance at scale {scale:.3e}")
+        funcs = vecs / np.sqrt(measure)[:, None]
         funcs.setflags(write=False)
     vals.setflags(write=False)
     return Spectrum(vals, funcs, np.asarray(measure, dtype=float), defect)
@@ -316,15 +318,26 @@ def rw_gap(graph: Graph) -> float:
     return rw_spectrum(build_rw_generator(graph), want_vectors=False).gap
 
 
+def rw_dirichlet_forms(graph: Graph, beta, phi) -> np.ndarray:
+    """D_beta(phi) = (1/|beta|) sum_{x,y} beta_x beta_y c_xy phi(x) (phi(x) - phi(y)),
+    the energy of phi under the walk on `graph` with site weights beta.
+    beta and phi broadcast over all but their last axis: beta[:, None]
+    against phi[None] is the table of every walk and every function, and
+    equal leading shapes pair them row by row."""
+    beta = np.asarray(beta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    weights = beta[..., :, None] * beta[..., None, :] * graph.edge_weights
+    terms = phi[..., :, None] * (phi[..., :, None] - phi[..., None, :])
+    return np.einsum("...xy,...xy->...", weights, terms) / beta.sum(axis=-1)
+
+
 def rw_dirichlet_form(gen: RwGenerator, phi) -> float:
-    """(1/|alpha|) sum_{x,y} alpha_x alpha_y c_xy phi(x) (phi(x) - phi(y))."""
+    """The energy `rw_dirichlet_forms` of phi under the walk `gen`."""
     phi = np.asarray(phi, dtype=float)
     a = gen.graph.site_weights
     if phi.shape != a.shape:
         raise InputError(f"phi must have length {a.size}, got shape {phi.shape}")
-    weights = np.outer(a, a) * gen.graph.edge_weights
-    diff = phi[:, None] - phi[None, :]
-    return float((weights * phi[:, None] * diff).sum() / a.sum())
+    return float(rw_dirichlet_forms(gen.graph, a, phi))
 
 
 def rw_variance(gen: RwGenerator, phi) -> float:

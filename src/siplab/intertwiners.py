@@ -16,7 +16,8 @@ the two parts are orthogonal in the reversible inner product.  This
 module builds the operators as exact matrices and provides residual
 checks for every one of those identities, plus the Dirichlet-form
 decomposition and the single-walk comparison bounds used to sandwich
-the spectral gap.
+the spectral gap.  Those two run over the shifted walks, site weights
+alpha + xi for each (k-1)-configuration xi, as arrays with one row per xi.
 
 Every statement is about one level k or two consecutive ones, so the
 checks take a `Level`, which builds each level-k piece once and keeps
@@ -35,7 +36,8 @@ import scipy.linalg
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
 from .errors import InputError
-from .graphs import Graph, Spectrum, build_rw_generator, rw_dirichlet_form, rw_spectrum
+from .graphs import (Graph, Spectrum, build_rw_generator, rw_dirichlet_forms, rw_spectrum,
+                     symmetrize_reversible)
 from .lookdown import LabeledLevel
 from .reporting import CheckResult, identity_check, make_check
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_spectrum
@@ -97,14 +99,20 @@ def build_creation(graph: Graph, k: int) -> CreationOp:
     return CreationOp(k, m, low, high)
 
 
-def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple:
-    """(xi, walk, eigenvalues) for each configuration xi of `space`, in rank
-    order: the walk with site weights alpha + xi and its spectrum."""
-    walks = []
-    for xi in space.occupations:
-        walk = build_rw_generator(graph.with_site_weights(graph.site_weights + xi))
-        walks.append((xi, walk, rw_spectrum(walk, want_vectors=False).eigenvalues))
-    return tuple(walks)
+def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, eigenvalues), both (space.size, n): row s of beta is alpha + xi
+    for the s-th configuration xi of `space` in rank order, and row s of
+    eigenvalues the ascending spectrum of the walk with site weights beta[s],
+    all built, checked for reversibility and solved as one stack."""
+    beta = graph.site_weights + space.occupations
+    rates = graph.edge_weights * beta[:, None, :]
+    sites = np.arange(graph.n)
+    rates[:, sites, sites] = -rates.sum(axis=2)
+    sym, _, _ = symmetrize_reversible(rates, beta / beta.sum(axis=1, keepdims=True))
+    vals = np.linalg.eigvalsh(sym)
+    beta.setflags(write=False)
+    vals.setflags(write=False)
+    return beta, vals
 
 
 class Level:
@@ -115,10 +123,11 @@ class Level:
     carries `space` and `measure`), the removal and addition operators
     `annihilation` (A_k) and `creation` (C_k), the dense `spectrum` with
     eigenfunctions, `kernel`, a mu-orthonormal basis of Ker C_k,
-    `shifted_walks`, the walks with site weights alpha + xi over the
-    level-(k-1) configurations xi, and `labeled`, the sparse labeled
-    operators and law.  `lower` is level k-1: the one given, else a new
-    one made on first use.  Level 0 has one state and the zero generator.
+    `shifted_walks`, the arrays (beta, eigenvalues) of the walks with site
+    weights alpha + xi, a row per level-(k-1) configuration xi, and
+    `labeled`, the sparse labeled operators and law.  `lower` is level k-1:
+    the one given, else one made on first use.  Level 0 has one state and
+    the zero generator.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -232,8 +241,8 @@ def check_adjoint(level: Level, rtol: float = 1e-10) -> CheckResult:
     """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity."""
     k = level.k
     factor = k / (level.graph.alpha_total + k - 1)
-    lhs = level.annihilation.matrix.T @ np.diag(level.measure.probabilities)
-    rhs = factor * np.diag(level.lower.measure.probabilities) @ level.creation.matrix
+    lhs = level.annihilation.matrix.T * level.measure.probabilities[None, :]
+    rhs = (factor * level.lower.measure.probabilities)[:, None] * level.creation.matrix
     return identity_check(f"adjoint[k={k}]", lhs, rhs, rtol)
 
 
@@ -388,20 +397,17 @@ def dirichlet_decomposition_check(level: Level, f, rtol: float = 1e-9) -> Dirich
     a_total = graph.alpha_total
     z_ratio = math.exp(mu_low.log_normalization - gen.measure.log_normalization)
     energy = sip_dirichlet_form(gen, f)
-    # row t holds the section f(xi + delta_x) of the t-th configuration xi
+    # row t holds the section f(xi + delta_x) of the t-th configuration xi,
+    # and row t of beta its walk's site weights alpha + xi
     raised = (low.occupations @ space.place)[:, None] + space.place[None, :]
     sections = f[space.rank_keys(raised.ravel())].reshape(low.size, graph.n)
-    shifted_sum = 0.0
-    var_residual = 0.0
     scale_f = max(1.0, float(np.abs(f).max()) ** 2)
-    for t, (xi, walk, _) in enumerate(level.shifted_walks):
-        section = sections[t]
-        shifted_sum += mu_low.probabilities[t] * rw_dirichlet_form(walk, section)
-        weights = (graph.site_weights + xi) / (a_total + k - 1)
-        plain_second = float(weights @ (section * section))
-        sec_mean = float(weights @ section)
-        var = plain_second - sec_mean ** 2
-        var_residual = max(var_residual, abs(var - plain_second))
+    beta, _ = level.shifted_walks
+    shifted_sum = float(mu_low.probabilities @ rw_dirichlet_forms(graph, beta, sections))
+    weights = beta / (a_total + k - 1)
+    plain_second = (weights * (sections * sections)).sum(axis=1)
+    sec_mean = (weights * sections).sum(axis=1)
+    var_residual = float(np.abs((plain_second - sec_mean ** 2) - plain_second).max())
     decomposed = (a_total + k - 1) * z_ratio * shifted_sum
     scale_e = max(1.0, abs(energy), abs(decomposed))
     inf_gap = shifted_walk_gap_infimum(level)
@@ -436,55 +442,46 @@ def minmax_comparison_check(level: Level, n_phi: int = 50,
     with factor alpha_min (|alpha|+k-1) / (|alpha| (alpha_min+k-1)),
     the resulting eigenvalue-by-eigenvalue bound with factor
     alpha_min / (alpha_min+k-1), and the closing scalar inequality
-    alpha_min k / (alpha_min+k-1) >= min(1, alpha_min).
+    alpha_min k / (alpha_min+k-1) >= min(1, alpha_min).  Every walk meets
+    every test function at once, in the tables of `comparison_tables`.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     graph, k = level.graph, level.k
-    alpha = graph.site_weights
     a_total = graph.alpha_total
     a_min = graph.alpha_min
-    base_gen = build_rw_generator(graph)
-    base_vals = rw_spectrum(base_gen, want_vectors=False).eigenvalues
+    base_vals = rw_spectrum(build_rw_generator(graph), want_vectors=False).eigenvalues
     phis = rng.standard_normal((n_phi, graph.n))
     dirichlet_factor = a_total / (a_total + k - 1)
     norm_factor = a_min * (a_total + k - 1) / (a_total * (a_min + k - 1))
     eig_factor = a_min / (a_min + k - 1)
-    worst_dir = 0.0
-    worst_norm = 0.0
-    worst_eig = 0.0
-    base_d = np.array([rw_dirichlet_form(base_gen, phi) for phi in phis])
-    base_norm = np.array([float((alpha / a_total) @ (phi * phi)) for phi in phis])
-    for xi, sh_gen, sh_vals in level.shifted_walks:
-        beta = alpha + xi
-        for i, phi in enumerate(phis):
-            d_shift = rw_dirichlet_form(sh_gen, phi)
-            worst_dir = max(worst_dir, dirichlet_factor * base_d[i] - d_shift)
-            n_shift = float((beta / beta.sum()) @ (phi * phi))
-            worst_norm = max(worst_norm, norm_factor * n_shift - base_norm[i])
-        worst_eig = max(worst_eig, float((eig_factor * base_vals - sh_vals).max()))
+    beta, shift_vals = level.shifted_walks
+    base_d, base_norm = comparison_tables(graph, graph.site_weights[None, :], phis)
+    shift_d, shift_norm = comparison_tables(graph, beta, phis)
+    worst_dir = float((dirichlet_factor * base_d - shift_d).max())
+    worst_norm = float((norm_factor * shift_norm - base_norm).max())
+    worst_eig = float((eig_factor * base_vals - shift_vals).max())
     scale = max(1.0, float(np.abs(base_vals).max()))
     scalar_gap = min(1.0, a_min) - a_min * k / (a_min + k - 1) if k >= 2 else 0.0
     checks = (
         make_check(f"dirichlet-comparison[k={k}]", max(0.0, worst_dir), rtol * scale),
         make_check(f"norm-comparison[k={k}]", max(0.0, worst_norm), rtol),
         make_check(f"eigenvalue-comparison[k={k}]", max(0.0, worst_eig), rtol * scale),
+        # both terms lie in (0, 1] and carry no time scale, so an absolute
+        # bound of a few ulp of 1 fits their difference
         make_check(f"scalar-bound[k={k}]", max(0.0, scalar_gap), 1e-15),
     )
     return ComparisonReport(checks)
 
 
-def kernel_gap(level: Level) -> float:
-    """Smallest eigenvalue of the negative generator restricted to Ker C.
-
-    The generator preserves Ker C, and in a mu-orthonormal basis B of it
-    the restriction is B^T diag(mu) (-L) B, symmetric by reversibility.
-    """
-    gen, basis = level.generator, level.kernel
-    restricted = basis.T @ (gen.measure.probabilities[:, None] * -gen.matrix) @ basis
-    return float(scipy.linalg.eigvalsh(0.5 * (restricted + restricted.T))[0])
+def comparison_tables(graph: Graph, beta: np.ndarray, phis: np.ndarray) -> tuple:
+    """(energies, norms), both (len(beta), len(phis)): D_beta(phi) and
+    sum_x beta_x phi(x)^2 / |beta| for every row beta of `beta` against
+    every row phi of `phis`."""
+    energies = rw_dirichlet_forms(graph, beta[:, None, :], phis[None, :, :])
+    return energies, (beta / beta.sum(axis=1, keepdims=True)) @ (phis * phis).T
 
 
 def shifted_walk_gap_infimum(level: Level) -> float:
     """inf over xi in the (k-1)-particle space of gap_rw(alpha + xi)."""
-    return min(float(vals[1]) for _, _, vals in level.shifted_walks)
+    return float(level.shifted_walks[1][:, 1].min())

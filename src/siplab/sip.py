@@ -177,24 +177,6 @@ def sip_dirichlet_form(gen: SipGenerator, f) -> float:
     return float(gen.measure.probabilities @ (f * (-gen.matrix @ f)))
 
 
-def spectrum_included(small: np.ndarray, large: np.ndarray, rtol: float = 1e-8) -> bool:
-    """Greedy sorted pairing: every value of `small` matched in `large`,
-    with multiplicity, within rtol * (1 + |value|)."""
-    small = np.sort(np.asarray(small, dtype=float))
-    large = np.sort(np.asarray(large, dtype=float))
-    used = np.zeros(large.size, dtype=bool)
-    j = 0
-    for s in small:
-        tol = rtol * (1.0 + abs(s))
-        while j < large.size and (used[j] or large[j] < s - tol):
-            j += 1
-        if j >= large.size or large[j] > s + tol:
-            return False
-        used[j] = True
-        j += 1
-    return True
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Spectral gaps of the interacting system against the single walk."""

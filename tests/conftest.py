@@ -12,13 +12,20 @@ import math
 import numpy as np
 import scipy.linalg
 
-from siplab.configs import ConfigSpace
+from siplab.configs import ConfigSpace, variance
 from siplab.errors import InputError
-from siplab.graphs import Graph, build_rw_generator, detailed_balance_residual
-from siplab.intertwiners import Level, build_annihilation
+from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
+                           rw_dirichlet_form, rw_spectrum)
+from siplab.intertwiners import Level, build_annihilation, project_to_kernel
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
                              labeled_stationary_measure, unlabel_pullback)
 from siplab.reporting import identity_check, make_check
+
+
+def zero_multiplicity(spec: Spectrum, rtol: float = 1e-9) -> int:
+    """Eigenvalues within rtol times the largest one (at least 1) of zero."""
+    tol = rtol * max(1.0, float(np.abs(spec.eigenvalues).max()))
+    return int(np.sum(np.abs(spec.eigenvalues) <= tol))
 
 
 def symmetric_dirichlet_oracle(graph: Graph, phi) -> float:
@@ -197,3 +204,117 @@ def dense_stationary_law(level: Level, rtol: float = 1e-10) -> tuple:
         checks.append(make_check(f"top-marginal[k={k}]",
                                  float(np.abs(marginal - lower).max()), 1e-14))
     return checks, witness
+
+
+def spectrum_included(small: np.ndarray, large: np.ndarray, rtol: float = 1e-8) -> bool:
+    """Greedy sorted pairing: every value of `small` matched in `large`,
+    with multiplicity, within rtol * (1 + |value|)."""
+    small = np.sort(np.asarray(small, dtype=float))
+    large = np.sort(np.asarray(large, dtype=float))
+    used = np.zeros(large.size, dtype=bool)
+    j = 0
+    for s in small:
+        tol = rtol * (1.0 + abs(s))
+        while j < large.size and (used[j] or large[j] < s - tol):
+            j += 1
+        if j >= large.size or large[j] > s + tol:
+            return False
+        used[j] = True
+        j += 1
+    return True
+
+
+def kernel_gap(level: Level) -> float:
+    """Smallest eigenvalue of the negative generator restricted to Ker C.
+
+    The generator preserves Ker C, and in a mu-orthonormal basis B of it
+    the restriction is B^T diag(mu) (-L) B, symmetric by reversibility.
+    """
+    gen, basis = level.generator, level.kernel
+    restricted = basis.T @ (gen.measure.probabilities[:, None] * -gen.matrix) @ basis
+    return float(scipy.linalg.eigvalsh(0.5 * (restricted + restricted.T))[0])
+
+
+def loop_shifted_walks(level: Level) -> list:
+    """(xi, walk, eigenvalues) for each level-(k-1) configuration xi in rank
+    order, one walk generator and one eigensolve at a time: the oracle of
+    `build_shifted_walks`."""
+    graph = level.graph
+    walks = []
+    for xi in level.lower.space.occupations:
+        walk = build_rw_generator(graph.with_site_weights(graph.site_weights + xi))
+        walks.append((xi, walk, rw_spectrum(walk, want_vectors=False).eigenvalues))
+    return walks
+
+
+def loop_dirichlet_decomposition(level: Level, f, rtol: float = 1e-9) -> tuple:
+    """The checks of `dirichlet_decomposition_check`, one walk and one
+    section at a time."""
+    graph, k, gen = level.graph, level.k, level.generator
+    f = project_to_kernel(level, f)
+    space, low, mu_low = gen.space, level.lower.space, level.lower.measure
+    a_total = graph.alpha_total
+    z_ratio = math.exp(mu_low.log_normalization - gen.measure.log_normalization)
+    energy = float(gen.measure.probabilities @ (f * (-gen.matrix @ f)))
+    shifted_sum = 0.0
+    var_residual = 0.0
+    scale_f = max(1.0, float(np.abs(f).max()) ** 2)
+    walks = loop_shifted_walks(level)
+    for t, (xi, walk, _) in enumerate(walks):
+        section = np.array([f[space.rank(xi + np.eye(graph.n, dtype=int)[x])]
+                            for x in range(graph.n)])
+        shifted_sum += mu_low.probabilities[t] * rw_dirichlet_form(walk, section)
+        weights = (graph.site_weights + xi) / (a_total + k - 1)
+        plain_second = float(weights @ (section * section))
+        sec_mean = float(weights @ section)
+        var = plain_second - sec_mean ** 2
+        var_residual = max(var_residual, abs(var - plain_second))
+    decomposed = (a_total + k - 1) * z_ratio * shifted_sum
+    scale_e = max(1.0, abs(energy), abs(decomposed))
+    inf_gap = min(float(vals[1]) for _, _, vals in walks)
+    bound = k * inf_gap * variance(gen.measure, f)
+    return (
+        make_check(f"dirichlet-decomposition[k={k}]",
+                   abs(energy - decomposed), rtol * scale_e),
+        make_check(f"section-variance-reduction[k={k}]", var_residual, rtol * scale_f),
+        make_check(f"kernel-energy-lower-bound[k={k}]",
+                   max(0.0, bound - energy), rtol * max(1.0, abs(bound))),
+    )
+
+
+def loop_minmax_comparison(level: Level, n_phi: int = 50, rng=None, rtol: float = 1e-9) -> tuple:
+    """The checks of `minmax_comparison_check`, one walk and one test
+    function at a time, from the same single draw of test functions."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    graph, k = level.graph, level.k
+    alpha = graph.site_weights
+    a_total = graph.alpha_total
+    a_min = graph.alpha_min
+    base_gen = build_rw_generator(graph)
+    base_vals = rw_spectrum(base_gen, want_vectors=False).eigenvalues
+    phis = rng.standard_normal((n_phi, graph.n))
+    dirichlet_factor = a_total / (a_total + k - 1)
+    norm_factor = a_min * (a_total + k - 1) / (a_total * (a_min + k - 1))
+    eig_factor = a_min / (a_min + k - 1)
+    worst_dir = 0.0
+    worst_norm = 0.0
+    worst_eig = 0.0
+    base_d = np.array([rw_dirichlet_form(base_gen, phi) for phi in phis])
+    base_norm = np.array([float((alpha / a_total) @ (phi * phi)) for phi in phis])
+    for xi, sh_gen, sh_vals in loop_shifted_walks(level):
+        beta = alpha + xi
+        for i, phi in enumerate(phis):
+            d_shift = rw_dirichlet_form(sh_gen, phi)
+            worst_dir = max(worst_dir, dirichlet_factor * base_d[i] - d_shift)
+            n_shift = float((beta / beta.sum()) @ (phi * phi))
+            worst_norm = max(worst_norm, norm_factor * n_shift - base_norm[i])
+        worst_eig = max(worst_eig, float((eig_factor * base_vals - sh_vals).max()))
+    scale = max(1.0, float(np.abs(base_vals).max()))
+    scalar_gap = min(1.0, a_min) - a_min * k / (a_min + k - 1) if k >= 2 else 0.0
+    return (
+        make_check(f"dirichlet-comparison[k={k}]", max(0.0, worst_dir), rtol * scale),
+        make_check(f"norm-comparison[k={k}]", max(0.0, worst_norm), rtol),
+        make_check(f"eigenvalue-comparison[k={k}]", max(0.0, worst_eig), rtol * scale),
+        make_check(f"scalar-bound[k={k}]", max(0.0, scalar_gap), 1e-15),
+    )

@@ -52,6 +52,18 @@ def test_poly_lift_linear_and_injective():
                                 for occ in space.occupations], f, atol=1e-12)
 
 
+def test_to_vector_places_coefficients_by_rank():
+    space = enumerate_configs(3, 2)
+    p = HomogPolynomial(3, 2, {(0, 1, 1): 2.5, (2, 0, 0): -1.0})
+    v = p.to_vector(space)
+    assert v[space.rank((0, 1, 1))] == 2.5 and v[space.rank((2, 0, 0))] == -1.0
+    assert np.count_nonzero(v) == 2
+    np.testing.assert_array_equal(HomogPolynomial(3, 2, {}).to_vector(space), 0.0)
+    assert [e for e, _ in p.items_sorted()] == [(0, 1, 1), (2, 0, 0)]
+    with pytest.raises(InputError):
+        p.to_vector(enumerate_configs(3, 3))
+
+
 def test_generator_kills_constants():
     g = path_graph(3)
     p = HomogPolynomial(3, 0, {(0, 0, 0): 4.2})

@@ -258,6 +258,16 @@ def test_sweep_empty_spec_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_sweep_refuses_jobs_below_one(jobs, tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"graphs": ["path(3)"], "k_max": 2, "seed": 0,
+                                "alpha": {"n_samples": 1, "range": [0.5, 2.0]}}))
+    code, out, err = run(["sweep", str(spec), "--jobs", jobs], capsys)
+    assert code == 2 and out == ""
+    assert f"--jobs: must be an integer of at least 1, got {jobs!r}" in err
+
+
 def test_sweep_row_error_sets_exit_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SIPLAB_STATE_CAP", "20")
     spec = tmp_path / "sweep.json"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import symmetric_dirichlet_oracle
+from conftest import symmetric_dirichlet_oracle, zero_multiplicity
 from siplab.errors import InputError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, cycle_graph,
                            detailed_balance_residual, graph_from_edges, graph_from_preset,
@@ -93,7 +93,7 @@ def test_connected_zero_multiplicity_is_one():
     for _ in range(5):
         g = random_connected_graph(5, rng)
         spec = rw_spectrum(build_rw_generator(g))
-        assert spec.zero_multiplicity() == 1
+        assert zero_multiplicity(spec) == 1
         assert abs(spec.eigenvalues[0]) <= 1e-10
 
 
@@ -103,7 +103,7 @@ def test_disconnected_zero_multiplicity():
     w[2, 3] = w[3, 2] = 1.0
     g = Graph(4, w, np.ones(4))
     spec = rw_spectrum(build_rw_generator(g))
-    assert spec.zero_multiplicity() == 2
+    assert zero_multiplicity(spec) == 2
 
 
 def test_dirichlet_form_constant_vanishes():

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import binomial_removal_matrix, injectivity_margin, removal_composition
+from conftest import (binomial_removal_matrix, injectivity_margin, kernel_gap,
+                      loop_dirichlet_decomposition, loop_minmax_comparison, loop_shifted_walks,
+                      removal_composition)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
 from siplab.graphs import (build_rw_generator, complete_graph, path_graph,
-                           random_connected_graph, rw_gap, rw_spectrum)
+                           random_connected_graph, rw_dirichlet_form, rw_gap, rw_spectrum,
+                           symmetrize_reversible)
 from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creation, check_adjoint,
-                                 check_intertwinings, dirichlet_decomposition_check,
+                                 check_intertwinings, comparison_tables,
+                                 dirichlet_decomposition_check,
                                  eigen_dichotomy, invert_annihilation, kernel_basis,
-                                 kernel_gap, lift_eigenfunction, minmax_comparison_check,
+                                 lift_eigenfunction, minmax_comparison_check,
                                  project_to_kernel, shifted_walk_gap_infimum)
 from siplab.sip import build_sip_generator, sip_spectrum
 
@@ -293,3 +297,110 @@ def test_lower_bound_induction_chain():
             inf_shift = shifted_walk_gap_infimum(level)
             assert kg >= k * inf_shift - 1e-9
             assert k * inf_shift >= (a_min * k / (a_min + k - 1)) * walk_gap - 1e-9
+
+
+def _walk_levels():
+    """Levels k = 2..5 of one random graph per n = 3..7 in each regime,
+    alpha_min below 1 and at least 1."""
+    rng = np.random.default_rng(30)
+    for n in range(3, 8):
+        for alpha_range in [(0.3, 0.9), (1.0, 2.5)]:
+            ladder = Ladder(random_connected_graph(n, rng, alpha_range=alpha_range))
+            for k in range(2, 6):
+                yield ladder[k]
+
+
+WALK_LEVELS = list(_walk_levels())
+
+
+def test_stacked_walk_spectra_match_per_walk_solves():
+    for level in WALK_LEVELS:
+        beta, vals = level.shifted_walks
+        walks = loop_shifted_walks(level)
+        assert beta.shape == vals.shape == (level.lower.space.size, level.graph.n)
+        for s, (xi, walk, walk_vals) in enumerate(walks):
+            np.testing.assert_array_equal(beta[s], level.graph.site_weights + xi)
+            scale = max(1.0, float(np.abs(walk.matrix).max()))
+            np.testing.assert_allclose(vals[s], walk_vals, rtol=0, atol=1e-12 * scale)
+
+
+def test_comparison_tables_equal_per_walk_loop():
+    rng = np.random.default_rng(31)
+    for level in WALK_LEVELS:
+        phis = rng.standard_normal((50, level.graph.n))
+        beta, _ = level.shifted_walks
+        energies, norms = comparison_tables(level.graph, beta, phis)
+        loop_energies, loop_norms = [], []
+        for xi, walk, _ in loop_shifted_walks(level):
+            b = level.graph.site_weights + xi
+            loop_energies.append([rw_dirichlet_form(walk, phi) for phi in phis])
+            loop_norms.append([float((b / b.sum()) @ (phi * phi)) for phi in phis])
+        np.testing.assert_allclose(energies, loop_energies, rtol=1e-12)
+        np.testing.assert_allclose(norms, loop_norms, rtol=1e-12)
+        # the comparison sees walks out of rank order
+        if beta.shape[0] > 1:
+            rolled, _ = comparison_tables(level.graph, np.roll(beta, 1, axis=0), phis)
+            assert not np.allclose(rolled, loop_energies, rtol=1e-12)
+
+
+def test_array_checks_match_loop_oracle():
+    """Same names, verdicts and tolerances as the loop oracle.  Every
+    residual is equal but the decomposition's, which is rounding noise
+    summed in another order, seen below 6e-7 of its tolerance."""
+    rng = np.random.default_rng(32)
+    for level in WALK_LEVELS:
+        seed = int(rng.integers(2 ** 31))
+        f = rng.standard_normal(level.space.size)
+        fast = (minmax_comparison_check(level, rng=np.random.default_rng(seed)).checks
+                + dirichlet_decomposition_check(level, f).checks)
+        slow = (loop_minmax_comparison(level, rng=np.random.default_rng(seed))
+                + loop_dirichlet_decomposition(level, f))
+        assert [(c.identity, c.passed) for c in fast] == [(c.identity, c.passed) for c in slow]
+        for a, b in zip(fast, slow):
+            assert a.passed
+            assert a.tolerance == pytest.approx(b.tolerance, rel=1e-12)
+            if a.identity.startswith("dirichlet-decomposition"):
+                assert abs(a.residual - b.residual) <= 1e-5 * a.tolerance
+            else:
+                assert a.residual == b.residual, a.identity
+
+
+def test_walk_off_by_a_little_fails_the_decomposition():
+    rng = np.random.default_rng(33)
+    for level in WALK_LEVELS:
+        beta, vals = level.shifted_walks
+        f = rng.standard_normal(level.space.size)
+        assert dirichlet_decomposition_check(level, f).passed
+        shifted = beta.copy()
+        shifted[beta.shape[0] // 2, 0] += 1e-3
+        mutated = Level(level.graph, level.k, level.lower)
+        mutated.__dict__["shifted_walks"] = (shifted, vals)
+        assert not dirichlet_decomposition_check(mutated, f).checks[0].passed
+
+
+def test_walk_stack_refuses_an_irreversible_walk():
+    level = WALK_LEVELS[-1]
+    walks = loop_shifted_walks(level)
+    rates = np.array([walk.matrix for _, walk, _ in walks])
+    laws = np.array([walk.stationary for _, walk, _ in walks])
+    sym, scale, defect = symmetrize_reversible(rates, laws)
+    for s, (_, walk, _) in enumerate(walks):
+        single, single_scale, single_defect = symmetrize_reversible(walk.matrix, walk.stationary)
+        np.testing.assert_array_equal(sym[s], single)
+        assert scale[s] == single_scale and defect[s] == single_defect
+    x, y = np.argwhere(level.graph.edge_weights > 0)[0]
+    rates[len(walks) // 2, x, y] *= 1.01
+    with pytest.raises(InputError, match="not reversible"):
+        symmetrize_reversible(rates, laws)
+
+
+def test_adjoint_by_broadcasting_equals_diagonal_products():
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        g = random_connected_graph(int(rng.integers(2, 6)), rng, alpha_range=(0.3, 2.5))
+        for k in (2, 3, 4):
+            level = Level(g, k)
+            factor = k / (g.alpha_total + k - 1)
+            lhs = level.annihilation.matrix.T @ np.diag(level.measure.probabilities)
+            rhs = factor * np.diag(level.lower.measure.probabilities) @ level.creation.matrix
+            assert check_adjoint(level).residual == float(np.abs(lhs - rhs).max())

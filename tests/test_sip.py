@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import siplab.sip
-from conftest import hausdorff_gap, sip_dirichlet_oracle
+from conftest import hausdorff_gap, sip_dirichlet_oracle, spectrum_included
 from siplab.bep import bep_gap_report
 from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
@@ -12,8 +12,8 @@ from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph
                            random_connected_graph, rw_gap, rw_spectrum)
 from siplab.intertwiners import Level
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
-                        sip_dirichlet_form, sip_gap, sip_spectrum, spectrum_included,
-                        transition_matrix, tv_sandwich)
+                        sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix,
+                        tv_sandwich)
 
 # assembled by hand from the jump rates eta_x c (alpha_y + eta_y) on
 # states [(0,2), (1,1), (2,0)] with c = 1, alpha = (1, 1)
