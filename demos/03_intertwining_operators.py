@@ -10,7 +10,7 @@ import numpy as np
 
 from siplab import (Level, build_annihilation, build_creation, check_adjoint,
                     check_intertwinings, eigen_dichotomy, invert_annihilation,
-                    kernel_basis, lift_eigenfunction, random_connected_graph,
+                    lift_eigenfunction, random_connected_graph,
                     build_rw_generator, rw_spectrum, build_sip_generator)
 
 rng = np.random.default_rng(7)
@@ -46,12 +46,12 @@ print(f"\nlifted slow mode: eigenvalue {lam:.9f}, residual "
 # newly created inside the kernel of the addition operator.
 result = eigen_dichotomy(level)
 print(f"\neigenspace split at k={k} "
-      f"(image total {result.dim_image_total}, kernel total {result.dim_kernel_total}):")
+      f"(image total {result.size_low}, kernel total {result.size_high - result.size_low}):")
 for group in result.groups:
     origin = "lifted" if group.dim_image else "new"
     print(f"  eigenvalue {group.eigenvalue:10.6f}  dim {group.dim}  -> {origin}")
 
-basis = kernel_basis(level)
+basis = level.kernel
 print("\nkernel dimension:", basis.shape[1],
       "= level-k size minus level-(k-1) size:",
       ann.space_high.size - ann.space_low.size)

@@ -1,9 +1,9 @@
 """Finite weighted graphs and the single-particle random walk on them.
 
-A graph is a vertex set {0, .., n-1} with symmetric nonnegative edge
-rates c[x, y] and strictly positive site weights alpha[x].  The walk
-jumps from x to y at rate c[x, y] * alpha[y], which makes it reversible
-with respect to the probability vector alpha / sum(alpha).
+A graph is a vertex set {0, .., n-1} with finite symmetric nonnegative
+edge rates c[x, y] and strictly positive site weights alpha[x].  The
+walk jumps from x to y at rate c[x, y] * alpha[y], which makes it
+reversible with respect to the probability vector alpha / sum(alpha).
 
 Spectra are computed by symmetrizing the negative generator with the
 square root of the reversible measure and running a dense symmetric
@@ -12,9 +12,10 @@ come back orthonormal in the weighted L2 inner product.  The transform
 and its reversibility check (`symmetrize_reversible`) take a stack of
 walks as well as one, and so does the walk energy `rw_dirichlet_forms`.
 That dense solve serves every full spectrum (`spectrum`, `tv-curve`, the
-eigenspace dichotomy, the truncated diffusion spectrum); gap-only
-commands (`sweep` and the gap report) use the sparse shift-invert solver
-`sip.sip_gap`, with the same reversibility and eigenpair-residual
+truncated diffusion spectrum, and level k-1 of the eigenspace dichotomy,
+which at level k solves only its fresh block); gap-only commands (`sweep`,
+the gap report) use the sparse shift-invert solver `sip.sip_gap`, with
+the same reversibility (`require_reversible`) and eigenpair-residual
 checks.  Statements about gaps are checked at a tolerance relative to
 the walk gap (`gap_tolerance`).
 """
@@ -47,8 +48,8 @@ def residual_tol(scale, rtol: float = RESIDUAL_RTOL):
 class Graph:
     """Immutable weighted graph with site weights.
 
-    edge_weights must be symmetric with zero diagonal and nonnegative
-    entries; site_weights must be strictly positive.  Connectivity of
+    edge_weights must be symmetric with zero diagonal and finite
+    nonnegative entries; site_weights must be strictly positive.  Connectivity of
     the positive-weight edge set is computed on first use and kept.
     """
 
@@ -65,12 +66,12 @@ class Graph:
             raise InputError(f"edge_weights must be {self.n}x{self.n}, got {w.shape}")
         if a.shape != (self.n,):
             raise InputError(f"site_weights must have length {self.n}, got {a.shape}")
+        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+            raise InputError("edge_weights must be nonnegative and finite")
         if not np.array_equal(w, w.T):
             raise InputError("edge_weights must be symmetric")
         if np.any(np.diag(w) != 0.0):
             raise InputError("edge_weights must have zero diagonal")
-        if np.any(w < 0.0):
-            raise InputError("edge_weights must be nonnegative")
         if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
             raise InputError("site_weights must be strictly positive and finite")
         w.setflags(write=False)
@@ -271,19 +272,24 @@ def symmetrize_reversible(rate_matrix, measure) -> tuple:
 
     The similarity transform D^(1/2) (-Q) D^(-1/2) with D = diag(measure)
     is symmetric exactly when detailed balance holds; that is checked for
-    every matrix at `residual_tol(scale, 1e-8)`, not silently averaged
-    away, before `sym` averages the transform with its transpose.
+    every matrix by `require_reversible`, not silently averaged away,
+    before `sym` averages the transform with its transpose.
     """
     neg = -np.asarray(rate_matrix, dtype=float)
     scale = np.maximum(1.0, np.abs(neg).max(axis=(-2, -1)))
     d = np.sqrt(measure)
     sym = neg * (d[..., :, None] / d[..., None, :])
     asym = np.abs(sym - np.swapaxes(sym, -1, -2)).max(axis=(-2, -1))
+    require_reversible(asym, scale)
+    return 0.5 * (sym + np.swapaxes(sym, -1, -2)), scale, asym
+
+
+def require_reversible(asym, scale) -> None:
+    """Refuse symmetrization defects, dense or sparse, over `residual_tol(scale, 1e-8)`."""
     bad = asym > residual_tol(scale, 1e-8)
     if np.any(bad):
         raise InputError(f"generator is not reversible for the given measure "
                          f"(symmetrization defect {float(np.max(asym * bad)):.3e})")
-    return 0.5 * (sym + np.swapaxes(sym, -1, -2)), scale, asym
 
 
 def reversible_spectrum(rate_matrix: np.ndarray, measure: np.ndarray,

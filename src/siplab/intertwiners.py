@@ -12,7 +12,8 @@ and the creation operator is its weighted-addition adjoint:
 Both intertwine consecutive inclusion generators, A L_{k-1} = L_k A and
 C L_k = L_{k-1} C, which pins the whole eigenstructure: eigenfunctions
 at level k either come from level k-1 through A or live in Ker C, and
-the two parts are orthogonal in the reversible inner product.  This
+the two parts are orthogonal in the reversible inner product; one QR of
+D^(1/2) A, D = diag(mu_k), gives a basis of both (`removal_qr`).  This
 module builds the operators as exact matrices and provides residual
 checks for every one of those identities, plus the Dirichlet-form
 decomposition and the single-walk comparison bounds used to sandwich
@@ -36,13 +37,11 @@ import scipy.linalg
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
 from .errors import InputError
-from .graphs import (Graph, Spectrum, build_rw_generator, rw_dirichlet_forms, rw_spectrum,
-                     symmetrize_reversible)
+from .graphs import (Graph, Spectrum, build_rw_generator, residual_tol, rw_dirichlet_forms,
+                     rw_spectrum, symmetrize_reversible)
 from .lookdown import LabeledLevel
 from .reporting import CheckResult, identity_check, make_check
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_spectrum
-
-SV_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,9 @@ class Level:
 
     Each piece is built on first use and then kept: `generator` (which
     carries `space` and `measure`), the removal and addition operators
-    `annihilation` (A_k) and `creation` (C_k), the dense `spectrum` with
-    eigenfunctions, `kernel`, a mu-orthonormal basis of Ker C_k,
+    `annihilation` (A_k) and `creation` (C_k), the dense `spectrum`
+    (eigenvalues only), `qr` from `removal_qr`, whose trailing basis
+    columns are `kernel`, a mu-orthonormal basis of Ker C_k,
     `shifted_walks`, the arrays (beta, eigenvalues) of the walks with site
     weights alpha + xi, a row per level-(k-1) configuration xi, and
     `labeled`, the sparse labeled operators and law.  `lower` is level k-1:
@@ -171,11 +171,15 @@ class Level:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return sip_spectrum(self.generator)
+        return sip_spectrum(self.generator, want_vectors=False)
 
     @cached_property
+    def qr(self) -> tuple:
+        return removal_qr(self)
+
+    @property
     def kernel(self) -> np.ndarray:
-        return kernel_basis(self, mu_orthonormal=True)
+        return self.qr[0][:, self.qr[1].shape[1]:]
 
     @cached_property
     def shifted_walks(self) -> tuple:
@@ -278,23 +282,15 @@ def lift_eigenfunction(graph: Graph, psi, k: int):
     return space.occupations @ psi, lam
 
 
-def kernel_basis(level: Level, mu_orthonormal: bool = False) -> np.ndarray:
-    """Basis of Ker C at level k, columns spanning the null space.
-
-    Computed from the singular value decomposition of the addition
-    matrix with cutoff SV_CUTOFF times the top singular value.  With
-    mu_orthonormal=True the basis is orthonormalized in the reversible
-    inner product instead of the plain one.
-    """
-    u, sv, vt = scipy.linalg.svd(level.creation.matrix, full_matrices=True)
-    cut = SV_CUTOFF * sv[0]
-    rank = int(np.sum(sv > cut))
-    basis = vt[rank:].T
-    if mu_orthonormal:
-        gram = basis.T @ (level.measure.probabilities[:, None] * basis)
-        chol = scipy.linalg.cholesky(gram, lower=False)
-        basis = scipy.linalg.solve_triangular(chol, basis.T, trans="T").T
-    return basis
+def removal_qr(level: Level) -> tuple[np.ndarray, np.ndarray]:
+    """(D^(-1/2) Q, R) of the full QR D^(1/2) A_k = Q R, D = diag(mu_k): mu-orthonormal
+    columns, the first S_{k-1} spanning Range A_k and the rest its mu-orthogonal
+    complement Ker C_k (by the adjoint identity)."""
+    d = np.sqrt(level.measure.probabilities)
+    q, r = scipy.linalg.qr(d[:, None] * level.annihilation.matrix, overwrite_a=True)
+    q /= d[:, None]
+    q.setflags(write=False)
+    return q, r
 
 
 @dataclass(frozen=True)
@@ -303,68 +299,58 @@ class EigenGroup:
     dim: int
     dim_image: int
     dim_kernel: int
-    carried: bool
 
 
 @dataclass(frozen=True)
 class EigenDichotomy:
+    """Eigenvalue groups of level k and the four residuals of `eigen_dichotomy`."""
+
     groups: tuple
-    dim_image_total: int
-    dim_kernel_total: int
     size_low: int
     size_high: int
+    injectivity: float
+    off_diagonal: float
+    image_spectrum: float
+    kernel_residual: float
     passed: bool
 
 
 def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
-    """Split every eigenspace of the level-k generator between lifted
-    functions (image of removal) and fresh ones (kernel of addition).
-
-    Degenerate eigenspaces are rotated by the singular vectors of their
-    overlap with the image so each basis vector lands cleanly on one
-    side; a vector stuck in between fails the classification.
-    """
-    spec = level.spectrum
-    ann = level.annihilation
-    d = np.sqrt(level.measure.probabilities)
-    # orthonormal coordinates: eigenvectors of the symmetrized operator
-    vecs = spec.eigenfunctions * d[:, None]
-    q_im = scipy.linalg.orth(d[:, None] * ann.matrix)
-    low_vals = level.lower.spectrum.eigenvalues
-    groups = []
-    ok = True
-    vals = spec.eigenvalues
-    i = 0
+    """Split the spectrum of L_k between lifted eigenfunctions (Range A_k)
+    and fresh ones (Ker C_k), in the basis B of `removal_qr`.  It passes
+    when min |diag R| > tol max |diag R| (A_k is injective); when
+    M = B^T D (-L_k) B is block diagonal and its image block has the
+    spectrum of level k-1, to tol times the largest rate of L_k; and when
+    C_k B_ker = 0 to tol times the largest entry of C_k, which has no time
+    scale.  Groups cluster the lower spectrum and M's fresh eigenvalues."""
+    low_vals, (basis, r) = level.lower.spectrum.eigenvalues, level.qr
+    gen, cre, s = level.generator.matrix, level.creation.matrix, low_vals.size
+    # D (-L_k) is symmetric by detailed balance, so M is; eigvalsh reads its lower triangle
+    m = basis.T @ (-level.measure.probabilities[:, None] * gen) @ basis
+    diag = np.abs(np.diag(r))
+    injectivity = float(diag.min() / diag.max())
+    off_diagonal = float(np.abs(m[s:, :s]).max())
+    image_spectrum = float(np.abs(scipy.linalg.eigvalsh(m[:s, :s]) - low_vals).max())
+    kernel_residual = float(np.abs(cre @ level.kernel).max())
+    bound = residual_tol(float(np.abs(gen).max()), tol)
+    passed = (injectivity > tol and off_diagonal <= bound and image_spectrum <= bound
+              and kernel_residual <= residual_tol(float(cre.max()), tol))
+    vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
+    order = np.argsort(vals, kind="stable")
+    vals, is_image = vals[order], order < s
+    groups, i = [], 0
     while i < len(vals):
-        j = i + 1
-        group_tol = tol * (1.0 + abs(vals[i]))
-        while j < len(vals) and vals[j] - vals[i] <= group_tol:
-            j += 1
-        vg = vecs[:, i:j]
-        # singular values of the image overlap are the image-projection
-        # norms of the rotated eigenbasis, so they classify directly
-        sv = scipy.linalg.svdvals(q_im.T @ vg)
-        if sv.size < j - i:
-            sv = np.concatenate([sv, np.zeros(j - i - sv.size)])
-        n_im = int(np.sum(sv >= 1.0 - tol))
-        n_ker = int(np.sum(sv <= tol))
-        if n_im + n_ker != j - i:
-            ok = False
-        lam = float(vals[i:j].mean())
-        carried = bool(np.any(np.abs(low_vals - lam) <= tol * (1.0 + abs(lam))))
-        groups.append(EigenGroup(lam, j - i, n_im, n_ker, carried))
+        j = int(np.searchsorted(vals, vals[i] + tol * (1.0 + abs(vals[i])), side="right"))
+        n_im = int(is_image[i:j].sum())
+        groups.append(EigenGroup(float(vals[i:j].mean()), j - i, n_im, j - i - n_im))
         i = j
-    dim_im = sum(g.dim_image for g in groups)
-    dim_ker = sum(g.dim_kernel for g in groups)
-    ok = ok and dim_im == ann.space_low.size and dim_ker == ann.space_high.size - ann.space_low.size
-    return EigenDichotomy(tuple(groups), dim_im, dim_ker,
-                          ann.space_low.size, ann.space_high.size, ok)
+    return EigenDichotomy(tuple(groups), s, vals.size, injectivity, off_diagonal,
+                          image_spectrum, kernel_residual, passed)
 
 
 def project_to_kernel(level: Level, f) -> np.ndarray:
     """Orthogonal projection (reversible inner product) onto Ker C."""
-    coeff = level.kernel.T @ (level.measure.probabilities * np.asarray(f, dtype=float))
-    return level.kernel @ coeff
+    return level.kernel @ (level.kernel.T @ (level.measure.probabilities * np.asarray(f, float)))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ import scipy.sparse.linalg
 from .configs import ConfigSpace, SipMeasure, enumerate_configs, sip_measure
 from .errors import EigensolverError, InputError, VerificationError
 from .graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
-                     gap_tolerance, residual_tol, reversible_spectrum, rw_spectrum)
+                     gap_tolerance, require_reversible, residual_tol, reversible_spectrum,
+                     rw_spectrum)
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ def sip_gap(graph: Graph, k: int) -> float:
 
     The symmetrised operator D^(1/2) (-L) D^(-1/2), D = diag(mu), is built
     sparse from the jump triplets, after the detailed-balance check on
-    the sparse flux and the same symmetrisation check that
-    `reversible_spectrum` makes.  Its two lowest eigenpairs come from
+    the sparse flux and the symmetrisation check `require_reversible` that
+    `reversible_spectrum` makes too.  Its two lowest eigenpairs come from
     shift-invert Lanczos (`eigsh` with a fixed start vector, so results
     repeat exactly), or from a dense solve on small levels; either way
     both eigenpair residuals must pass `residual_tol(scale, 1e-8)`.
@@ -135,10 +136,7 @@ def sip_gap(graph: Graph, k: int) -> float:
         (np.concatenate([-rates * (d[sources] / d[targets]), exits]),
          (np.concatenate([sources, np.arange(size)]),
           np.concatenate([targets, np.arange(size)]))), shape=(size, size))
-    asym = float(abs(sym - sym.T).max())
-    if asym > residual_tol(scale, 1e-8):
-        raise InputError(f"generator is not reversible for the given measure "
-                         f"(symmetrization defect {asym:.3e})")
+    require_reversible(float(abs(sym - sym.T).max()), scale)
     sym = (0.5 * (sym + sym.T)).tocsc()
     try:
         if size < SPARSE_GAP_MIN_STATES:
@@ -321,6 +319,7 @@ def tv_sandwich(gen: SipGenerator, times, slack: float = 1e-8,
         value = float(np.abs(p - mu[None, :]).sum(axis=1).max())
         lower = float(np.exp(-gap * t))
         upper = float(min_mass ** -0.5 * np.exp(-gap * t))
+        # twice the TV distance lies in [0, 2] with no time scale: absolute slack
         ok = (value >= lower - slack) and (value <= upper + slack)
         rows.append(TvRow(t, value, lower, upper, ok))
     table = TvTable(tuple(rows), gap, min_mass)

@@ -8,6 +8,7 @@ library code is always checked against an independent computation.
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +21,7 @@ from siplab.intertwiners import Level, build_annihilation, project_to_kernel
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
                              labeled_stationary_measure, unlabel_pullback)
 from siplab.reporting import identity_check, make_check
+from siplab.sip import sip_spectrum
 
 
 def zero_multiplicity(spec: Spectrum, rtol: float = 1e-9) -> int:
@@ -233,6 +235,77 @@ def kernel_gap(level: Level) -> float:
     gen, basis = level.generator, level.kernel
     restricted = basis.T @ (gen.measure.probabilities[:, None] * -gen.matrix) @ basis
     return float(scipy.linalg.eigvalsh(0.5 * (restricted + restricted.T))[0])
+
+
+def svd_kernel_basis(level: Level) -> np.ndarray:
+    """Basis of Ker C_k from the full SVD of the addition matrix, cut at
+    1e-10 of the top singular value, then made orthonormal in the
+    reversible inner product through the Cholesky factor of its Gram
+    matrix.  The oracle of `Level.kernel`."""
+    _, sv, vt = scipy.linalg.svd(level.creation.matrix, full_matrices=True)
+    basis = vt[int(np.sum(sv > 1e-10 * sv[0])):].T
+    gram = basis.T @ (level.measure.probabilities[:, None] * basis)
+    chol = scipy.linalg.cholesky(gram, lower=False)
+    return scipy.linalg.solve_triangular(chol, basis.T, trans="T").T
+
+
+class DenseDichotomy(NamedTuple):
+    """groups holds (eigenvalue, dim, dim_image, dim_kernel, carried) for
+    each eigenvalue cluster of the dense level-k spectrum."""
+
+    groups: tuple
+    dim_image_total: int
+    dim_kernel_total: int
+    passed: bool
+
+
+def dense_eigen_dichotomy(level: Level, tol: float = 1e-8) -> DenseDichotomy:
+    """The eigenspace dichotomy eigenvector by eigenvector: cluster the
+    dense level-k eigenpairs, and classify each cluster by the singular
+    values of its overlap with an orthonormal basis of D^(1/2) Range A_k,
+    at least 1 - tol for a lifted vector and at most tol for a fresh one;
+    a vector in between fails.  `carried` marks a cluster whose eigenvalue
+    the dense level-(k-1) spectrum holds.  The oracle of `eigen_dichotomy`."""
+    spec = sip_spectrum(level.generator)
+    low_vals = sip_spectrum(level.lower.generator, want_vectors=False).eigenvalues
+    d = np.sqrt(level.measure.probabilities)
+    vecs = spec.eigenfunctions * d[:, None]
+    q_im = scipy.linalg.orth(d[:, None] * level.annihilation.matrix)
+    vals = spec.eigenvalues
+    groups, ok, i = [], True, 0
+    while i < len(vals):
+        j = i + 1
+        group_tol = tol * (1.0 + abs(vals[i]))
+        while j < len(vals) and vals[j] - vals[i] <= group_tol:
+            j += 1
+        sv = scipy.linalg.svdvals(q_im.T @ vecs[:, i:j])
+        sv = np.concatenate([sv, np.zeros(j - i - sv.size)])
+        n_im, n_ker = int(np.sum(sv >= 1.0 - tol)), int(np.sum(sv <= tol))
+        ok = ok and n_im + n_ker == j - i
+        lam = float(vals[i:j].mean())
+        carried = bool(np.any(np.abs(low_vals - lam) <= tol * (1.0 + abs(lam))))
+        groups.append((lam, j - i, n_im, n_ker, carried))
+        i = j
+    dim_im = sum(g[2] for g in groups)
+    dim_ker = sum(g[3] for g in groups)
+    ok = ok and dim_im == low_vals.size and dim_ker == vals.size - low_vals.size
+    return DenseDichotomy(tuple(groups), dim_im, dim_ker, ok)
+
+
+def assert_dichotomy_matches_dense(level: Level, result) -> None:
+    """`eigen_dichotomy`'s verdict and groups equal the dense oracle's:
+    eigenvalues to 1e-10 of the largest rate (at least 1), dimensions
+    exactly, and the oracle's totals are the level sizes."""
+    dense = dense_eigen_dichotomy(level)
+    assert result.passed == dense.passed
+    assert dense.dim_image_total == result.size_low
+    assert dense.dim_kernel_total == result.size_high - result.size_low
+    scale = max(1.0, float(np.abs(level.generator.matrix).max()))
+    assert len(result.groups) == len(dense.groups)
+    for group, (lam, dim, dim_image, dim_kernel, carried) in zip(result.groups, dense.groups):
+        assert abs(group.eigenvalue - lam) <= 1e-10 * scale
+        assert (group.dim, group.dim_image, group.dim_kernel) == (dim, dim_image, dim_kernel)
+        assert carried == (group.dim_image > 0)
 
 
 def loop_shifted_walks(level: Level) -> list:

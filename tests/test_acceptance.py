@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import hausdorff_gap
+from conftest import assert_dichotomy_matches_dense, hausdorff_gap
 from siplab.bep import bep_gap_report, bep_matrix
 from siplab.graphs import complete_graph, path_graph, random_connected_graph, rw_gap
 from siplab.intertwiners import (Level, check_adjoint, check_intertwinings,
@@ -97,8 +97,7 @@ def test_criterion_4_identity_suite():
                 assert check.passed, check
             dichotomy = eigen_dichotomy(level)
             assert dichotomy.passed
-            assert dichotomy.dim_image_total == dichotomy.size_low
-            assert dichotomy.dim_kernel_total == dichotomy.size_high - dichotomy.size_low
+            assert_dichotomy_matches_dense(level, dichotomy)
             for _ in range(per_combo):
                 f = rng.standard_normal(level.space.size)
                 result = dirichlet_decomposition_check(level, f)

@@ -52,6 +52,15 @@ def test_spectrum_malformed_graph_file(tmp_path, capsys):
     assert "malformed" in err or "input error" in err
 
 
+@pytest.mark.parametrize("weight", ["Infinity", "NaN"])
+def test_verify_refuses_a_non_finite_edge_weight(weight, tmp_path, capsys):
+    graph = tmp_path / "weights.json"
+    graph.write_text(f'{{"n": 3, "edges": [[0, 1, {weight}], [1, 2, 1]], "alpha": [1, 1, 1]}}')
+    code, _, err = run(["verify", str(graph), "--K", "2", "--suite", "sip"], capsys)
+    assert code == 2
+    assert "edge_weights must be nonnegative and finite" in err
+
+
 def test_spectrum_state_cap_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SIPLAB_STATE_CAP", "10")
     code, _, err = run(["spectrum", "complete(4)", "--k", "5"], capsys)
@@ -190,7 +199,7 @@ def _count_level_builds(monkeypatch):
     """Wrap the level builders in every siplab module that binds them and
     count their calls by level k."""
     levels = {"build_sip_generator": lambda graph, k: k,
-              "kernel_basis": lambda level, **_: level.k,
+              "removal_qr": lambda level: level.k,
               "build_shifted_walks": lambda graph, space: space.k + 1}
     counts = {name: collections.Counter() for name in levels}
     for name, level_of in levels.items():
@@ -213,7 +222,7 @@ def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert counts["build_sip_generator"] == {1: 1, 2: 1, 3: 1, 4: 1}
-    assert counts["kernel_basis"] == {2: 1, 3: 1, 4: 1}
+    assert counts["removal_qr"] == {2: 1, 3: 1, 4: 1}
     assert counts["build_shifted_walks"] == {2: 1, 3: 1, 4: 1}
 
 

@@ -7,8 +7,10 @@ from conftest import symmetric_dirichlet_oracle, zero_multiplicity
 from siplab.errors import InputError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, cycle_graph,
                            detailed_balance_residual, graph_from_edges, graph_from_preset,
-                           load_graph, path_graph, random_connected_graph,
-                           rw_dirichlet_form, rw_gap, rw_spectrum, rw_variance)
+                           load_graph, path_graph, random_connected_graph, require_reversible,
+                           reversible_spectrum, rw_dirichlet_form, rw_gap, rw_spectrum,
+                           rw_variance)
+from siplab.sip import sip_gap
 
 
 def test_generator_two_sites_unit_weights():
@@ -44,6 +46,31 @@ def test_graph_validation():
         graph_from_edges(3, [[0, 1, 1.0], [1, 0, 1.0]], [1, 1, 1])  # duplicate pair
     with pytest.raises(InputError):
         graph_from_edges(3, [[0, 0, 1.0]], [1, 1, 1])  # self loop
+
+
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_graph_refuses_non_finite_edge_weights(weight):
+    with pytest.raises(InputError, match="edge_weights must be nonnegative and finite"):
+        graph_from_edges(3, [[0, 1, weight], [1, 2, 1.0]], [1, 1, 1])
+
+
+def test_one_reversibility_policy_for_dense_and_sparse(monkeypatch):
+    require_reversible(1e-9, 1.0)
+    require_reversible(np.array([1e-9, 5e-7]), np.array([1.0, 100.0]))
+    with pytest.raises(InputError, match=r"symmetrization defect 2\.000e-07"):
+        require_reversible(np.array([1e-9, 2e-7]), np.array([1.0, 1.0]))
+    seen = []
+
+    def recording(asym, scale):
+        seen.append(np.ndim(asym))
+        require_reversible(asym, scale)
+
+    monkeypatch.setattr("siplab.graphs.require_reversible", recording)
+    monkeypatch.setattr("siplab.sip.require_reversible", recording)
+    gen = build_rw_generator(path_graph(3))
+    reversible_spectrum(gen.matrix, gen.stationary)
+    sip_gap(path_graph(3), 2)
+    assert seen == [0, 0]
 
 
 def test_graph_json_loading(tmp_path):

@@ -1,22 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import (binomial_removal_matrix, injectivity_margin, kernel_gap,
-                      loop_dirichlet_decomposition, loop_minmax_comparison, loop_shifted_walks,
-                      removal_composition)
+from conftest import (assert_dichotomy_matches_dense, binomial_removal_matrix,
+                      injectivity_margin, kernel_gap, loop_dirichlet_decomposition,
+                      loop_minmax_comparison, loop_shifted_walks, removal_composition,
+                      svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
-from siplab.graphs import (build_rw_generator, complete_graph, path_graph,
+from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, path_graph,
                            random_connected_graph, rw_dirichlet_form, rw_gap, rw_spectrum,
                            symmetrize_reversible)
 from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creation, check_adjoint,
                                  check_intertwinings, comparison_tables,
                                  dirichlet_decomposition_check,
-                                 eigen_dichotomy, invert_annihilation, kernel_basis,
-                                 lift_eigenfunction, minmax_comparison_check,
-                                 project_to_kernel, shifted_walk_gap_infimum)
+                                 eigen_dichotomy, invert_annihilation, lift_eigenfunction,
+                                 minmax_comparison_check, project_to_kernel, removal_qr,
+                                 shifted_walk_gap_infimum)
 from siplab.sip import build_sip_generator, sip_spectrum
 
 
@@ -103,7 +106,7 @@ def test_kernel_dimension_and_mean_zero_condition():
     g = random_connected_graph(3, rng)
     for k in (1, 2, 3):
         cre = build_creation(g, k)
-        basis = kernel_basis(Level(g, k))
+        basis = Level(g, k).kernel
         assert basis.shape[1] == cre.space_high.size - cre.space_low.size
         np.testing.assert_allclose(cre.matrix @ basis, 0.0, atol=1e-10)
         # kernel functions integrate to zero against the reversible law
@@ -146,7 +149,7 @@ def test_image_orthogonal_to_kernel():
     k = 3
     ann = build_annihilation(g, k)
     mu = sip_measure(g, ann.space_high)
-    basis = kernel_basis(Level(g, k))
+    basis = Level(g, k).kernel
     for _ in range(10):
         h = rng.standard_normal(ann.space_low.size)
         for j in range(basis.shape[1]):
@@ -210,13 +213,10 @@ def test_eigen_dichotomy_dimensions_and_new_levels():
     rng = np.random.default_rng(10)
     g = random_connected_graph(3, rng)
     for k in (2, 3, 4):
-        result = eigen_dichotomy(Level(g, k))
+        level = Level(g, k)
+        result = eigen_dichotomy(level)
         assert result.passed
-        assert result.dim_image_total == result.size_low
-        assert result.dim_kernel_total == result.size_high - result.size_low
-        for group in result.groups:
-            if not group.carried:
-                assert group.dim_image == 0
+        assert_dichotomy_matches_dense(level, result)
         # the zero eigenvalue is the lifted constant
         assert result.groups[0].dim_image == 1
 
@@ -226,8 +226,10 @@ def test_eigen_dichotomy_degenerate_complete_graph():
     # adds exactly one eigenvalue whose whole eigenspace is fresh
     g = complete_graph(4)
     for k in (2, 3, 4):
-        result = eigen_dichotomy(Level(g, k))
+        level = Level(g, k)
+        result = eigen_dichotomy(level)
         assert result.passed
+        assert_dichotomy_matches_dense(level, result)
         fresh = [gr for gr in result.groups if gr.dim_kernel]
         assert len(fresh) == 1
         assert fresh[0].dim == result.size_high - result.size_low
@@ -245,6 +247,173 @@ def test_eigen_dichotomy_image_multiplicities_match_lower_level():
         mult_low = int(np.sum(np.abs(low_vals - group.eigenvalue)
                               <= 1e-8 * (1.0 + abs(group.eigenvalue))))
         assert group.dim_image == mult_low
+
+
+def _dichotomy_levels():
+    """Levels k = 2..5 of one random graph per n = 3..6 in each regime,
+    then complete(4), whose eigenspaces are degenerate."""
+    rng = np.random.default_rng(40)
+    graphs = [random_connected_graph(n, rng, alpha_range=alpha_range)
+              for n in range(3, 7) for alpha_range in [(0.3, 0.9), (1.0, 2.5)]]
+    for g in graphs + [complete_graph(4)]:
+        ladder = Ladder(g)
+        for k in range(2, 6):
+            yield ladder[k]
+
+
+DICHOTOMY_LEVELS = list(_dichotomy_levels())
+
+
+def test_eigen_dichotomy_matches_dense_oracle():
+    for level in DICHOTOMY_LEVELS:
+        result = eigen_dichotomy(level)
+        assert result.passed, (level.graph.n, level.k)
+        assert_dichotomy_matches_dense(level, result)
+
+
+def test_kernel_basis_matches_svd_oracle():
+    rng = np.random.default_rng(41)
+    for level in DICHOTOMY_LEVELS:
+        mu = level.measure.probabilities
+        basis = level.kernel
+        assert basis.shape == (level.space.size, level.space.size - level.lower.space.size)
+        np.testing.assert_allclose(basis.T @ (mu[:, None] * basis), np.eye(basis.shape[1]),
+                                   rtol=0, atol=1e-12)
+        svd = svd_kernel_basis(level)
+        for _ in range(3):
+            f = rng.standard_normal(level.space.size)
+            np.testing.assert_allclose(project_to_kernel(level, f), svd @ (svd.T @ (mu * f)),
+                                       rtol=0, atol=1e-10)
+
+
+def test_lower_spectrum_and_fresh_block_make_the_level_spectrum():
+    for level in DICHOTOMY_LEVELS:
+        neg = -level.generator.matrix
+        basis = level.kernel
+        block = basis.T @ (level.measure.probabilities[:, None] * neg) @ basis
+        fresh = scipy.linalg.eigvalsh(0.5 * (block + block.T))
+        low = sip_spectrum(level.lower.generator, want_vectors=False).eigenvalues
+        dense = sip_spectrum(level.generator, want_vectors=False).eigenvalues
+        scale = max(1.0, float(np.abs(neg).max()))
+        np.testing.assert_allclose(np.sort(np.concatenate([low, fresh])), dense,
+                                   rtol=0, atol=1e-10 * scale)
+
+
+def _mutation_levels():
+    rng = np.random.default_rng(42)
+    for alpha_range in [(0.3, 0.9), (1.0, 2.5)]:
+        ladder = Ladder(random_connected_graph(4, rng, alpha_range=alpha_range))
+        for k in (2, 3, 4):
+            yield ladder[k]
+
+
+def _failing_checks(result, level, tol=1e-8) -> set:
+    """Which of the four dichotomy checks `result` fails, at the bounds
+    of the intact level."""
+    rate = tol * max(1.0, float(np.abs(level.generator.matrix).max()))
+    addition = tol * max(1.0, float(level.creation.matrix.max()))
+    return {name for name, bad in [("injectivity", result.injectivity <= tol),
+                                   ("off_diagonal", result.off_diagonal > rate),
+                                   ("image_spectrum", result.image_spectrum > rate),
+                                   ("kernel_residual", result.kernel_residual > addition)]
+            if bad}
+
+
+def _mutated(level, **pieces) -> Level:
+    mutated = Level(level.graph, level.k, pieces.pop("lower", level.lower))
+    mutated.__dict__.update(pieces)
+    return mutated
+
+
+def test_eigen_dichotomy_fails_a_wrong_generator():
+    # reversible for the same law and still intertwined with A_k, but
+    # one edge is 0.1% heavier than at level k-1
+    for level in _mutation_levels():
+        g = level.graph
+        x, y = np.argwhere(g.edge_weights > 0)[0]
+        c = g.edge_weights.copy()
+        c[x, y] *= 1.001
+        c[y, x] = c[x, y]
+        gen = build_sip_generator(replace(g, edge_weights=c), level.k)
+        assert eigen_dichotomy(level).passed
+        result = eigen_dichotomy(_mutated(level, generator=gen))
+        assert not result.passed, level.k
+        # the lifted part stays invariant, with the spectrum of the new edge
+        assert _failing_checks(result, level) == {"image_spectrum"}
+
+
+def test_eigen_dichotomy_fails_a_wrong_removal_entry():
+    for level in _mutation_levels():
+        ann = level.annihilation
+        matrix = ann.matrix.copy()
+        s, t = np.argwhere(matrix > 0)[len(matrix) // 2]
+        matrix[s, t] *= 1.01
+        wrong = type(ann)(ann.k, matrix, ann.space_low, ann.space_high)
+        result = eigen_dichotomy(_mutated(level, annihilation=wrong))
+        assert not result.passed, level.k
+        # the complement of the wrong range is no longer Ker C_k
+        assert "kernel_residual" in _failing_checks(result, level)
+
+
+def test_eigen_dichotomy_fails_a_wrong_addition_entry():
+    for level in _mutation_levels():
+        cre = level.creation
+        matrix = cre.matrix.copy()
+        s, t = np.argwhere(matrix > 0)[len(matrix) // 2]
+        matrix[s, t] *= 1.01
+        wrong = type(cre)(cre.k, matrix, cre.space_low, cre.space_high)
+        result = eigen_dichotomy(_mutated(level, creation=wrong))
+        assert not result.passed, level.k
+        assert _failing_checks(result, level) == {"kernel_residual"}
+
+
+def test_eigen_dichotomy_fails_a_nearly_singular_removal():
+    # one column scaled by 1e-10 spans the same range, so only the
+    # injectivity margin sees it
+    for level in _mutation_levels():
+        ann = level.annihilation
+        matrix = ann.matrix.copy()
+        matrix[:, -1] *= 1e-10
+        wrong = type(ann)(ann.k, matrix, ann.space_low, ann.space_high)
+        result = eigen_dichotomy(_mutated(level, annihilation=wrong))
+        assert not result.passed, level.k
+        assert _failing_checks(result, level) == {"injectivity"}
+
+
+def test_eigen_dichotomy_fails_a_lifted_direction_coupled_to_a_fresh_one():
+    # -L_k + eps (u v^T + v u^T) D, u lifted and v fresh, both of mu-norm 1:
+    # still self-adjoint for mu with the same image block, but not block diagonal
+    for level in _mutation_levels():
+        basis, r = level.qr
+        u, v = basis[:, 0], basis[:, r.shape[1]]
+        coupling = 1e-3 * (np.outer(u, v) + np.outer(v, u)) * level.measure.probabilities
+        gen = replace(level.generator, matrix=level.generator.matrix - coupling)
+        result = eigen_dichotomy(_mutated(level, generator=gen))
+        assert not result.passed, level.k
+        assert _failing_checks(result, level) == {"off_diagonal"}
+        assert result.off_diagonal == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_eigen_dichotomy_fails_a_wrong_lower_spectrum():
+    for level in _mutation_levels():
+        spec = level.lower.spectrum
+        vals = spec.eigenvalues.copy()
+        vals[len(vals) // 2] *= 1.001
+        lower = Level(level.graph, level.k - 1, level.lower.lower)
+        lower.__dict__["spectrum"] = Spectrum(vals, None, spec.measure, spec.residual)
+        result = eigen_dichotomy(_mutated(level, lower=lower))
+        assert not result.passed, level.k
+        assert _failing_checks(result, level) == {"image_spectrum"}
+
+
+def test_removal_qr_factors_the_weighted_removal():
+    for level in DICHOTOMY_LEVELS[:8]:
+        basis, r = removal_qr(level)
+        d = np.sqrt(level.measure.probabilities)[:, None]
+        np.testing.assert_allclose((d * basis) @ r, d * level.annihilation.matrix,
+                                   rtol=0, atol=1e-12 * level.k)
+        assert np.allclose(np.tril(r, -1), 0.0)
+        assert np.shares_memory(level.kernel, level.qr[0])
 
 
 def test_dirichlet_decomposition_zero_function():
