@@ -7,7 +7,7 @@ meet and the interacting system relaxes exactly as fast as one walker.
 """
 import numpy as np
 
-from siplab import (build_sip_generator, complete_graph, gap_sandwich_report,
+from siplab import (Level, build_sip_generator, complete_graph, gap_sandwich_report,
                     path_graph, random_connected_graph, sip_spectrum)
 
 np.set_printoptions(precision=6, suppress=True)
@@ -15,12 +15,12 @@ np.set_printoptions(precision=6, suppress=True)
 # Exact spectra for two particles on two sites: {0, 2, 6}.
 gen = build_sip_generator(path_graph(2), 2)
 print("two particles, two sites, unit weights:")
-print(gen.matrix)
+print(gen.matrix.toarray())
 print("spectrum:", sip_spectrum(gen, want_vectors=False).eigenvalues)
 print()
 
 # Unit site weights on a path: the gap is the same at every particle number.
-report = gap_sandwich_report(path_graph(4), 6)
+report = gap_sandwich_report(Level(path_graph(4), 6))
 print("path(4), alpha = 1, gap_rw =", f"{report.gap_rw:.12f}")
 for k, gap_k in sorted(report.gaps.items()):
     print(f"  k={k}: gap = {gap_k:.12f}  ratio = {report.ratios[k]:.12f}")
@@ -29,7 +29,7 @@ print()
 # Small site weights: interaction dominates and the gap may drop, but never
 # below alpha_min * gap_rw.
 g = path_graph(2, alpha=[0.2, 0.2])
-report = gap_sandwich_report(g, 6)
+report = gap_sandwich_report(Level(g, 6))
 print("path(2), alpha = 0.2:")
 print(f"  lower bound {report.lower_bound:.6f} <= gap_sip {report.gap_sip:.6f}"
       f" <= gap_rw {report.gap_rw:.6f}")
@@ -42,7 +42,7 @@ print()
 rng = np.random.default_rng(1)
 alpha = rng.uniform(0.2, 2.0, size=4)
 g = complete_graph(4, alpha)
-report = gap_sandwich_report(g, 5)
+report = gap_sandwich_report(Level(g, 5))
 print("complete(4), random alpha (alpha_min = %.3f):" % g.alpha_min)
 print("  |alpha| / n =", f"{g.alpha_total / 4:.12f}")
 print("  gaps:", {k: round(v, 12) for k, v in sorted(report.gaps.items())})
@@ -51,5 +51,5 @@ print()
 # A random weighted graph for good measure; the report validates the
 # sandwich, monotonicity in k, and equality when it applies.
 g = random_connected_graph(5, rng, alpha_range=(1.0, 2.5))
-report = gap_sandwich_report(g, 4)
+report = gap_sandwich_report(Level(g, 4))
 print("random graph n=5, alpha_min >= 1: all checks pass ->", report.passed)

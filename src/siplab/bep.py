@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy.special import gammaln
 
 from .configs import ConfigSpace
@@ -167,7 +168,7 @@ def basis_monomial(space: ConfigSpace, rank: int) -> HomogPolynomial:
 class BepMatrix:
     space: ConfigSpace
     matrix: np.ndarray
-    sip_matrix: np.ndarray
+    sip_matrix: scipy.sparse.csr_array
     check: CheckResult
 
 

@@ -160,7 +160,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _suite_sip(ladder: Ladder, k_max: int, rng: np.random.Generator) -> tuple[CheckSuite, dict]:
-    report = gap_sandwich_report(ladder.graph, k_max, strict=False)
+    report = gap_sandwich_report(ladder[k_max], strict=False)
     checks = []
     for k in range(2, k_max + 1):
         level = ladder[k]
@@ -234,7 +234,7 @@ def _sweep_one(spec, ai, graph, k_max):
                              f"so gap ratios are undefined")
         gap_walk = rw_gap(graph)
         for k in range(2, k_max + 1):
-            gap_k = sip_gap(graph, k)
+            gap_k = sip_gap(build_sip_generator(graph, k))
             rows.append((spec, ai, k, gap_k, gap_walk, gap_k / gap_walk, ""))
     except SiplabError as exc:
         rows.append((spec, ai, -1, float("nan"), float("nan"), float("nan"), str(exc)))

@@ -11,13 +11,11 @@ eigensolve, so eigenvalues are real by construction and eigenfunctions
 come back orthonormal in the weighted L2 inner product.  The transform
 and its reversibility check (`symmetrize_reversible`) take a stack of
 walks as well as one, and so does the walk energy `rw_dirichlet_forms`.
-That dense solve serves every full spectrum (`spectrum`, `tv-curve`, the
-truncated diffusion spectrum, and level k-1 of the eigenspace dichotomy,
-which at level k solves only its fresh block); gap-only commands (`sweep`,
-the gap report) use the sparse shift-invert solver `sip.sip_gap`, with
-the same reversibility (`require_reversible`) and eigenpair-residual
-checks.  Statements about gaps are checked at a tolerance relative to
-the walk gap (`gap_tolerance`).
+Every full spectrum takes that dense solve; the gaps of `sweep` and the
+gap report come from `sip.sip_gap` on the sparse generator, under the same
+`require_reversible` policy.  Gap statements are checked at a tolerance
+relative to the walk gap (`gap_tolerance`), and matrix sizes are read by
+`max_abs`, dense or sparse.
 """
 
 from __future__ import annotations
@@ -42,6 +40,17 @@ RESIDUAL_RTOL = 1e-10
 def residual_tol(scale, rtol: float = RESIDUAL_RTOL):
     """rtol * max(1, scale), elementwise for an array of scales."""
     return rtol * np.maximum(1.0, scale)
+
+
+def max_abs(m) -> float:
+    """Largest |entry| of a dense or scipy.sparse matrix, a sparse one read from
+    its stored values with no index sort: scipy's products, sums and broadcast
+    multiplies store each coordinate once; a COO one has its duplicates summed."""
+    if not scipy.sparse.issparse(m):
+        return float(np.abs(m).max())
+    if m.format == "coo" and not m.has_canonical_format:
+        m = m.tocsr()
+    return float(np.abs(m.data).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -244,7 +253,7 @@ def gap_tolerance(walk: RwGenerator, gap_rw: float, rtol: float) -> float:
 def detailed_balance_residual(matrix, measure: np.ndarray) -> float:
     """max |m(x) Q(x,y) - m(y) Q(y,x)| over all pairs, Q dense or sparse."""
     flux = measure[:, None] * matrix
-    return float(abs(flux - flux.T).max())
+    return max_abs(flux - flux.T)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ C L_k = L_{k-1} C, which pins the whole eigenstructure: eigenfunctions
 at level k either come from level k-1 through A or live in Ker C, and
 the two parts are orthogonal in the reversible inner product; one QR of
 D^(1/2) A, D = diag(mu_k), gives a basis of both (`removal_qr`).  This
-module builds the operators as exact matrices and provides residual
-checks for every one of those identities, plus the Dirichlet-form
+module builds A_k (at most n entries a row) and C_k (exactly n) as CSR,
+checks every one of those identities, and adds the Dirichlet-form
 decomposition and the single-walk comparison bounds used to sandwich
 the spectral gap.  Those two run over the shifted walks, site weights
 alpha + xi for each (k-1)-configuration xi, as arrays with one row per xi.
@@ -33,12 +33,13 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
 from .errors import InputError
-from .graphs import (Graph, Spectrum, build_rw_generator, residual_tol, rw_dirichlet_forms,
-                     rw_spectrum, symmetrize_reversible)
+from .graphs import (Graph, Spectrum, build_rw_generator, max_abs, residual_tol,
+                     rw_dirichlet_forms, rw_spectrum, symmetrize_reversible)
 from .lookdown import LabeledLevel
 from .reporting import CheckResult, identity_check, make_check
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_spectrum
@@ -46,20 +47,20 @@ from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_spec
 
 @dataclass(frozen=True)
 class AnnihilationOp:
-    """Matrix of uniform particle removal, functions on level k-1 to level k."""
+    """CSR matrix of uniform particle removal, functions on level k-1 to level k."""
 
     k: int
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     space_low: ConfigSpace
     space_high: ConfigSpace
 
 
 @dataclass(frozen=True)
 class CreationOp:
-    """Matrix of weighted particle addition, functions on level k to level k-1."""
+    """CSR matrix of weighted particle addition, functions on level k to level k-1."""
 
     k: int
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     space_low: ConfigSpace
     space_high: ConfigSpace
 
@@ -70,15 +71,12 @@ def build_annihilation(graph: Graph, k: int) -> AnnihilationOp:
     low = enumerate_configs(graph.n, k - 1)
     high = enumerate_configs(graph.n, k)
     occ = high.occupations
-    keys = occ @ low.place
-    m = np.zeros((high.size, low.size))
-    # keys are linear in the occupations, so reading level-k states in the
-    # level-(k-1) base and subtracting place[x] gives the key of eta - delta_x;
-    # one block per site x: every state with a particle there loses it
-    for x in range(graph.n):
-        s = np.flatnonzero(occ[:, x])
-        m[s, low.rank_keys(keys[s] - low.place[x])] = occ[s, x]
-    m.setflags(write=False)
+    # keys are linear in the occupations: a level-k state read in the level-(k-1)
+    # base, less place[x], is the key of eta - delta_x; one entry per occupied x
+    s, x = np.nonzero(occ)
+    cols = low.rank_keys((occ @ low.place)[s] - low.place[x])
+    m = scipy.sparse.csr_array((occ[s, x].astype(float), (s, cols)),
+                               shape=(high.size, low.size))
     return AnnihilationOp(k, m, low, high)
 
 
@@ -87,14 +85,12 @@ def build_creation(graph: Graph, k: int) -> CreationOp:
         raise InputError(f"need k >= 1, got {k}")
     low = enumerate_configs(graph.n, k - 1)
     high = enumerate_configs(graph.n, k)
-    alpha = graph.site_weights
     occ = low.occupations
-    keys = occ @ high.place
-    m = np.zeros((low.size, high.size))
-    # one block per site x: every state gains a particle there
-    for x in range(graph.n):
-        m[np.arange(low.size), high.rank_keys(keys + high.place[x])] = occ[:, x] + alpha[x]
-    m.setflags(write=False)
+    # one entry per (state, site x): every state gains a particle at each site
+    cols = high.rank_keys(((occ @ high.place)[:, None] + high.place).ravel())
+    rows = np.repeat(np.arange(low.size), graph.n)
+    m = scipy.sparse.csr_array(((occ + graph.site_weights).ravel(), (rows, cols)),
+                               shape=(low.size, high.size))
     return CreationOp(k, m, low, high)
 
 
@@ -120,14 +116,14 @@ class Level:
 
     Each piece is built on first use and then kept: `generator` (which
     carries `space` and `measure`), the removal and addition operators
-    `annihilation` (A_k) and `creation` (C_k), the dense `spectrum`
-    (eigenvalues only), `qr` from `removal_qr`, whose trailing basis
-    columns are `kernel`, a mu-orthonormal basis of Ker C_k,
-    `shifted_walks`, the arrays (beta, eigenvalues) of the walks with site
-    weights alpha + xi, a row per level-(k-1) configuration xi, and
-    `labeled`, the sparse labeled operators and law.  `lower` is level k-1:
-    the one given, else one made on first use.  Level 0 has one state and
-    the zero generator.
+    `annihilation` (A_k) and `creation` (C_k), all three CSR, the dense
+    `spectrum` (eigenvalues only), `qr`, the basis of `removal_qr` and the
+    |diagonal| of its R, whose trailing basis columns are `kernel`, a
+    mu-orthonormal basis of Ker C_k, `shifted_walks`, the arrays (beta,
+    eigenvalues) of the walks with site weights alpha + xi, a row per
+    level-(k-1) configuration xi, and `labeled`, the sparse labeled
+    operators and law.  `lower` is level k-1: the one given, else one made
+    on first use.  Level 0 has one state and a 1x1 CSR zero generator.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -149,7 +145,7 @@ class Level:
     def generator(self) -> SipGenerator:
         if self.k == 0:
             space = enumerate_configs(self.graph.n, 0)
-            return SipGenerator(self.graph, space, np.zeros((1, 1)),
+            return SipGenerator(self.graph, space, scipy.sparse.csr_array((1, 1)),
                                 sip_measure(self.graph, space))
         return build_sip_generator(self.graph, self.k)
 
@@ -175,11 +171,12 @@ class Level:
 
     @cached_property
     def qr(self) -> tuple:
-        return removal_qr(self)
+        basis, r = removal_qr(self)
+        return basis, np.abs(np.diag(r))
 
     @property
     def kernel(self) -> np.ndarray:
-        return self.qr[0][:, self.qr[1].shape[1]:]
+        return self.qr[0][:, self.qr[1].size:]
 
     @cached_property
     def shifted_walks(self) -> tuple:
@@ -287,7 +284,8 @@ def removal_qr(level: Level) -> tuple[np.ndarray, np.ndarray]:
     columns, the first S_{k-1} spanning Range A_k and the rest its mu-orthogonal
     complement Ker C_k (by the adjoint identity)."""
     d = np.sqrt(level.measure.probabilities)
-    q, r = scipy.linalg.qr(d[:, None] * level.annihilation.matrix, overwrite_a=True)
+    q, r = scipy.linalg.qr((level.annihilation.matrix * d[:, None]).toarray(),
+                           overwrite_a=True)
     q /= d[:, None]
     q.setflags(write=False)
     return q, r
@@ -323,18 +321,17 @@ def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
     spectrum of level k-1, to tol times the largest rate of L_k; and when
     C_k B_ker = 0 to tol times the largest entry of C_k, which has no time
     scale.  Groups cluster the lower spectrum and M's fresh eigenvalues."""
-    low_vals, (basis, r) = level.lower.spectrum.eigenvalues, level.qr
+    low_vals, (basis, diag) = level.lower.spectrum.eigenvalues, level.qr
     gen, cre, s = level.generator.matrix, level.creation.matrix, low_vals.size
     # D (-L_k) is symmetric by detailed balance, so M is; eigvalsh reads its lower triangle
-    m = basis.T @ (-level.measure.probabilities[:, None] * gen) @ basis
-    diag = np.abs(np.diag(r))
+    m = basis.T @ (-level.measure.probabilities[:, None] * (gen @ basis))
     injectivity = float(diag.min() / diag.max())
     off_diagonal = float(np.abs(m[s:, :s]).max())
     image_spectrum = float(np.abs(scipy.linalg.eigvalsh(m[:s, :s]) - low_vals).max())
     kernel_residual = float(np.abs(cre @ level.kernel).max())
-    bound = residual_tol(float(np.abs(gen).max()), tol)
+    bound = residual_tol(max_abs(gen), tol)
     passed = (injectivity > tol and off_diagonal <= bound and image_spectrum <= bound
-              and kernel_residual <= residual_tol(float(cre.max()), tol))
+              and kernel_residual <= residual_tol(max_abs(cre), tol))
     vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
     order = np.argsort(vals, kind="stable")
     vals, is_image = vals[order], order < s

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .graphs import max_abs
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -39,8 +41,8 @@ def identity_check(identity: str, lhs, rhs, rtol: float) -> CheckResult:
     """Matrix identity lhs = rhs: the largest entrywise residual against
     rtol times the largest entry of either side (at least 1).  Sides may
     be scipy.sparse; a difference of two sparse sides stays sparse."""
-    scale = max(1.0, float(abs(lhs).max()), float(abs(rhs).max()))
-    return make_check(identity, float(abs(lhs - rhs).max()), rtol * scale)
+    scale = max(1.0, max_abs(lhs), max_abs(rhs))
+    return make_check(identity, max_abs(lhs - rhs), rtol * scale)
 
 
 @dataclass(frozen=True)

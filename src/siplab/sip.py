@@ -3,15 +3,16 @@
 A particle at x jumps to y at rate c[x, y] * (alpha[y] + eta[y]), so the
 total jump rate out of eta along (x, y) is eta[x] * c[x, y] *
 (alpha[y] + eta[y]).  The chain is reversible for the gamma-product law
-from `configs.sip_measure`; reversibility is verified at assembly time.
-The generator is assembled from COO triplets, one block of jumps per
-ordered edge, and ranked through the configuration keys.
+from `configs.sip_measure`; reversibility is verified at assembly time,
+on the sparse flux.  The generator is a CSR array assembled once from
+COO triplets, one block of jumps per ordered edge, ranked through the
+configuration keys.
 
 `sip_gap` is the gap-only path used by `sweep` and the gap report: it
-builds the symmetrised generator as a sparse matrix and finds its two
-lowest eigenpairs by shift-invert Lanczos, with the detailed-balance and
-eigenpair-residual checks of the dense path.  Full spectra, the
-semigroup and the total-variation table use the dense `SipGenerator`.
+symmetrises a `SipGenerator` on the same sparse structure and finds its
+two lowest eigenpairs by shift-invert Lanczos, with the eigenpair-residual
+checks of the dense path.  Full spectra, the semigroup and the
+total-variation table solve a dense copy of the generator.
 
 The gap report machine-checks the sandwich
 
@@ -28,6 +29,7 @@ checks the classical semigroup bounds
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
@@ -37,15 +39,21 @@ import scipy.sparse.linalg
 from .configs import ConfigSpace, SipMeasure, enumerate_configs, sip_measure
 from .errors import EigensolverError, InputError, VerificationError
 from .graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
-                     gap_tolerance, require_reversible, residual_tol, reversible_spectrum,
-                     rw_spectrum)
+                     gap_tolerance, max_abs, require_reversible, residual_tol,
+                     reversible_spectrum, rw_spectrum)
+
+if TYPE_CHECKING:
+    from .intertwiners import Level
 
 
 @dataclass(frozen=True)
 class SipGenerator:
+    """Level k: its `space`, reversible law `measure` and generator `matrix`,
+    CSR with at most n(n-1)+1 entries a row, minus the exit rates on the diagonal."""
+
     graph: Graph
     space: ConfigSpace
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     measure: SipMeasure
 
 
@@ -69,12 +77,6 @@ def _jumps(graph: Graph, space: ConfigSpace):
     return np.concatenate(sources), np.concatenate(targets), np.concatenate(rates)
 
 
-def _check_detailed_balance(defect: float, scale: float) -> None:
-    if defect > residual_tol(scale):
-        raise VerificationError(f"assembled rate matrix breaks detailed balance "
-                                f"(residual {defect:.3e} at scale {scale:.3e})")
-
-
 def build_sip_generator(graph: Graph, k: int) -> SipGenerator:
     if k < 1:
         raise InputError(f"need k >= 1 particles, got {k}")
@@ -82,17 +84,18 @@ def build_sip_generator(graph: Graph, k: int) -> SipGenerator:
     mu = sip_measure(graph, space)
     size = space.size
     sources, targets, rates = _jumps(graph, space)
-    m = np.zeros((size, size))
-    m[sources, targets] = rates
-    np.fill_diagonal(m, -m.sum(axis=1))
-    scale = float(np.abs(m).max()) if size > 1 else 1.0
-    _check_detailed_balance(detailed_balance_residual(m, mu.probabilities), scale)
-    m.setflags(write=False)
+    exits = np.bincount(sources, weights=rates, minlength=size)
+    m = (scipy.sparse.csr_array((rates, (sources, targets)), shape=(size, size))
+         - scipy.sparse.diags_array(exits, dtype=float))
+    defect, scale = detailed_balance_residual(m, mu.probabilities), float(exits.max())
+    if defect > residual_tol(scale):
+        raise VerificationError(f"assembled rate matrix breaks detailed balance "
+                                f"(residual {defect:.3e} at scale {scale:.3e})")
     return SipGenerator(graph, space, m, mu)
 
 
 def sip_spectrum(gen: SipGenerator, want_vectors: bool = True) -> Spectrum:
-    return reversible_spectrum(gen.matrix, gen.measure.probabilities, want_vectors)
+    return reversible_spectrum(gen.matrix.toarray(), gen.measure.probabilities, want_vectors)
 
 
 # Levels with fewer states than this take the gap from a dense symmetric
@@ -106,37 +109,23 @@ SPARSE_GAP_MIN_STATES = 300
 GAP_SHIFT_FRACTION = 1e-2
 
 
-def sip_gap(graph: Graph, k: int) -> float:
-    """Spectral gap of level k, without assembling a dense generator.
-
-    The symmetrised operator D^(1/2) (-L) D^(-1/2), D = diag(mu), is built
-    sparse from the jump triplets, after the detailed-balance check on
-    the sparse flux and the symmetrisation check `require_reversible` that
-    `reversible_spectrum` makes too.  Its two lowest eigenpairs come from
-    shift-invert Lanczos (`eigsh` with a fixed start vector, so results
-    repeat exactly), or from a dense solve on small levels; either way
-    both eigenpair residuals must pass `residual_tol(scale, 1e-8)`.
-    """
-    if k < 1:
-        raise InputError(f"need k >= 1 particles, got {k}")
-    space = enumerate_configs(graph.n, k)
-    mu = sip_measure(graph, space).probabilities
-    size = space.size
-    sources, targets, rates = _jumps(graph, space)
-    exits = np.bincount(sources, weights=rates, minlength=size)
-    rate_scale = float(exits.max())
-    flux = scipy.sparse.csr_array((mu[sources] * rates, (sources, targets)),
-                                  shape=(size, size))
-    _check_detailed_balance(float(abs(flux - flux.T).max()), rate_scale)
+def sip_gap(gen: SipGenerator) -> float:
+    """Spectral gap of a level from D^(1/2) (-L) D^(-1/2), D = diag(mu), built
+    on the CSR structure of `gen.matrix` and checked by `require_reversible`
+    as `reversible_spectrum` does.  Its two lowest eigenpairs come from
+    shift-invert Lanczos (`eigsh` with a fixed start vector, so results repeat
+    exactly), or from a dense solve on small levels; either way both eigenpair
+    residuals must pass `residual_tol(scale, 1e-8)`."""
+    k, m, size = gen.space.k, gen.matrix, gen.space.size
+    rate_scale = float(-m.diagonal().min())
     if rate_scale == 0.0:
         return 0.0  # no edges: the generator is zero and so is every eigenvalue
     scale = max(1.0, rate_scale)
-    d = np.sqrt(mu)
-    sym = scipy.sparse.csc_array(
-        (np.concatenate([-rates * (d[sources] / d[targets]), exits]),
-         (np.concatenate([sources, np.arange(size)]),
-          np.concatenate([targets, np.arange(size)]))), shape=(size, size))
-    require_reversible(float(abs(sym - sym.T).max()), scale)
+    d = np.sqrt(gen.measure.probabilities)
+    rows = np.repeat(np.arange(size), np.diff(m.indptr))
+    sym = m.copy()
+    sym.data = -m.data * (d[rows] / d[m.indices])
+    require_reversible(max_abs(sym - sym.T), scale)
     sym = (0.5 * (sym + sym.T)).tocsc()
     try:
         if size < SPARSE_GAP_MIN_STATES:
@@ -212,30 +201,32 @@ class GapReport:
         }
 
 
-def gap_sandwich_report(graph: Graph, k_max: int, tol: float = 1e-8,
-                        strict: bool = True) -> GapReport:
-    """Compute gap_k for 2 <= k <= k_max and check the two-sided bounds.
+def gap_sandwich_report(top: Level, tol: float = 1e-8, strict: bool = True) -> GapReport:
+    """Compute gap_k for 2 <= k <= top.k, by `sip_gap` on the generator of
+    `top` and of each level below it, and check the two-sided bounds.
 
     `tol` is relative: the checks allow `gap_tolerance(walk, gap_rw, tol)`,
     which the report records as `tolerance`.  A disconnected graph is a
     failure: every gap vanishes there, and the ratios are None.
     """
-    if k_max < 2:
-        raise InputError(f"need k_max >= 2, got {k_max}")
+    graph, gaps, level = top.graph, {}, top
+    if top.k < 2:
+        raise InputError(f"need k_max >= 2, got {top.k}")
+    while level.k >= 2:
+        gaps[level.k] = sip_gap(level.generator)
+        level = level.lower
+    gaps = dict(sorted(gaps.items()))
     walk = build_rw_generator(graph)
     gap_rw = rw_spectrum(walk, want_vectors=False).gap
     atol = gap_tolerance(walk, gap_rw, tol)
     a_min = graph.alpha_min
     lower = min(1.0, a_min) * gap_rw
-    gaps = {}
     failures = []
     if not graph.connected:
         failures.append(f"graph is disconnected ({graph.components} components), "
                         f"so every gap vanishes and the ratios are undefined")
     previous = gap_rw
-    for k in range(2, k_max + 1):
-        gap_k = sip_gap(graph, k)
-        gaps[k] = gap_k
+    for k, gap_k in gaps.items():
         if gap_k < lower - atol:
             failures.append(f"k={k}: gap_k={gap_k:.12g} below lower bound {lower:.12g}")
         if gap_k > gap_rw + atol:

@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from siplab.configs import ConfigSpace, variance
+from siplab.configs import (ConfigSpace, rank_composition, space_size, unrank_composition,
+                            variance)
 from siplab.errors import InputError
 from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
                            rw_dirichlet_form, rw_spectrum)
@@ -44,7 +45,7 @@ def sip_dirichlet_oracle(gen, f) -> float:
     """(1/2) sum over ordered state pairs of mu(eta) rate(eta -> eta')
     (f(eta) - f(eta'))^2, straight from the rate matrix."""
     mu = gen.measure.probabilities
-    m = gen.matrix
+    m = gen.matrix.toarray()
     total = 0.0
     for s in range(gen.space.size):
         for t in range(gen.space.size):
@@ -52,6 +53,50 @@ def sip_dirichlet_oracle(gen, f) -> float:
                 continue
             total += mu[s] * m[s, t] * (f[s] - f[t]) ** 2
     return 0.5 * total
+
+
+def loop_sip_generator(graph: Graph, k: int) -> np.ndarray:
+    """Dense L_k state by state from the jump rates: a particle at x moves to
+    y at rate eta_x c[x, y] (alpha_y + eta_y), and each diagonal entry is
+    minus its row's sum.  The oracle of `build_sip_generator`."""
+    size = space_size(graph.n, k)
+    m = np.zeros((size, size))
+    for s in range(size):
+        eta = unrank_composition(s, graph.n, k)
+        for x in np.flatnonzero(eta):
+            for y in np.flatnonzero(graph.edge_weights[x]):
+                target = list(eta)
+                target[x] -= 1
+                target[y] += 1
+                rate = eta[x] * graph.edge_weights[x, y] * (graph.site_weights[y] + eta[y])
+                m[s, rank_composition(target)] = rate
+        m[s, s] = -m[s].sum()
+    return m
+
+
+def loop_annihilation(graph: Graph, k: int) -> np.ndarray:
+    """Dense A_k state by state: A[eta, eta - delta_x] = eta_x."""
+    m = np.zeros((space_size(graph.n, k), space_size(graph.n, k - 1)))
+    for s in range(m.shape[0]):
+        eta = unrank_composition(s, graph.n, k)
+        for x in range(graph.n):
+            if eta[x] > 0:
+                lower = list(eta)
+                lower[x] -= 1
+                m[s, rank_composition(lower)] = eta[x]
+    return m
+
+
+def loop_creation(graph: Graph, k: int) -> np.ndarray:
+    """Dense C_k state by state: C[xi, xi + delta_x] = xi_x + alpha_x."""
+    m = np.zeros((space_size(graph.n, k - 1), space_size(graph.n, k)))
+    for t in range(m.shape[0]):
+        xi = unrank_composition(t, graph.n, k - 1)
+        for x in range(graph.n):
+            upper = list(xi)
+            upper[x] += 1
+            m[t, rank_composition(upper)] = xi[x] + graph.site_weights[x]
+    return m
 
 
 def hausdorff_gap(values_a, values_b) -> float:
@@ -77,7 +122,7 @@ def removal_composition(graph: Graph, k: int, level: int) -> np.ndarray:
     """
     if not 0 <= level < k:
         raise InputError(f"need 0 <= level < k, got level={level}, k={k}")
-    m = build_annihilation(graph, level + 1).matrix
+    m = build_annihilation(graph, level + 1).matrix.toarray()
     for j in range(level + 2, k + 1):
         m = build_annihilation(graph, j).matrix @ m
     return m
@@ -130,10 +175,10 @@ def dense_labeled_identities(level: Level, rtol: float = 1e-10) -> list:
     graph, k, n = level.graph, level.k, level.graph.n
     lab_sym_hi, lab_look_hi, s_hi, j_hi = _dense_labeled(graph, k)
     lab_sym_lo, lab_look_lo, s_lo, _ = _dense_labeled(graph, k - 1)
-    gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix
+    gen_hi, gen_lo = level.generator.matrix.toarray(), level.lower.generator.matrix.toarray()
     p_hi = unlabel_pullback(level.space).toarray()
     p_lo = unlabel_pullback(level.lower.space).toarray()
-    ann = level.annihilation.matrix
+    ann = level.annihilation.matrix.toarray()
 
     def check(name, lhs, rhs):
         return identity_check(name, lhs, rhs, rtol)
@@ -233,7 +278,7 @@ def kernel_gap(level: Level) -> float:
     the restriction is B^T diag(mu) (-L) B, symmetric by reversibility.
     """
     gen, basis = level.generator, level.kernel
-    restricted = basis.T @ (gen.measure.probabilities[:, None] * -gen.matrix) @ basis
+    restricted = basis.T @ (gen.measure.probabilities[:, None] * -gen.matrix.toarray()) @ basis
     return float(scipy.linalg.eigvalsh(0.5 * (restricted + restricted.T))[0])
 
 
@@ -242,7 +287,7 @@ def svd_kernel_basis(level: Level) -> np.ndarray:
     1e-10 of the top singular value, then made orthonormal in the
     reversible inner product through the Cholesky factor of its Gram
     matrix.  The oracle of `Level.kernel`."""
-    _, sv, vt = scipy.linalg.svd(level.creation.matrix, full_matrices=True)
+    _, sv, vt = scipy.linalg.svd(level.creation.matrix.toarray(), full_matrices=True)
     basis = vt[int(np.sum(sv > 1e-10 * sv[0])):].T
     gram = basis.T @ (level.measure.probabilities[:, None] * basis)
     chol = scipy.linalg.cholesky(gram, lower=False)
@@ -270,7 +315,7 @@ def dense_eigen_dichotomy(level: Level, tol: float = 1e-8) -> DenseDichotomy:
     low_vals = sip_spectrum(level.lower.generator, want_vectors=False).eigenvalues
     d = np.sqrt(level.measure.probabilities)
     vecs = spec.eigenfunctions * d[:, None]
-    q_im = scipy.linalg.orth(d[:, None] * level.annihilation.matrix)
+    q_im = scipy.linalg.orth(d[:, None] * level.annihilation.matrix.toarray())
     vals = spec.eigenvalues
     groups, ok, i = [], True, 0
     while i < len(vals):
@@ -328,7 +373,7 @@ def loop_dirichlet_decomposition(level: Level, f, rtol: float = 1e-9) -> tuple:
     space, low, mu_low = gen.space, level.lower.space, level.lower.measure
     a_total = graph.alpha_total
     z_ratio = math.exp(mu_low.log_normalization - gen.measure.log_normalization)
-    energy = float(gen.measure.probabilities @ (f * (-gen.matrix @ f)))
+    energy = float(gen.measure.probabilities @ (f * (-gen.matrix.toarray() @ f)))
     shifted_sum = 0.0
     var_residual = 0.0
     scale_f = max(1.0, float(np.abs(f).max()) ** 2)

@@ -56,7 +56,7 @@ def test_criterion_2_gap_sandwich_random_graphs():
             gap_walk = rw_gap(g)
             floor = min(1.0, g.alpha_min) * gap_walk
             for k in range(2, 6):
-                gap_k = sip_gap(g, k)
+                gap_k = sip_gap(build_sip_generator(g, k))
                 assert floor - 1e-8 <= gap_k <= gap_walk + 1e-8, (n, k)
         elapsed = time.time() - started
         assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 2min"
@@ -74,7 +74,7 @@ def test_criterion_3_gap_equality_log_concave_regime():
             g = random_connected_graph(n, rng, alpha_range=(1.0, 3.0))
             gap_walk = rw_gap(g)
             for k in range(2, 6):
-                assert abs(sip_gap(g, k) - gap_walk) <= 1e-8, (n, k)
+                assert abs(sip_gap(build_sip_generator(g, k)) - gap_walk) <= 1e-8, (n, k)
             report = bep_gap_report(Level(g, 4))
             assert abs(report.gap_bep - gap_walk) <= 1e-8, n
         ok = True

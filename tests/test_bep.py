@@ -88,7 +88,7 @@ def test_generator_slow_mode_two_sites_by_hand():
 
 def test_generator_matches_particles_small_and_random():
     built = bep_matrix(Level(path_graph(2), 2))
-    np.testing.assert_array_equal(built.sip_matrix,
+    np.testing.assert_array_equal(built.sip_matrix.toarray(),
                                   [[-2.0, 2.0, 0.0], [2.0, -4.0, 2.0], [0.0, 2.0, -2.0]])
     assert built.check.passed and built.check.residual <= 1e-12
     rng = np.random.default_rng(1)

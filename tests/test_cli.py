@@ -3,11 +3,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import siplab.intertwiners
 import siplab.lookdown
+import siplab.sip
 from siplab.cli import main
+from siplab.graphs import random_connected_graph
 
 EXPECTED_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "expected_checks.json"
 
@@ -198,12 +201,13 @@ def test_levels_beyond_the_state_cap_are_refused(capsys, monkeypatch):
 def _count_level_builds(monkeypatch):
     """Wrap the level builders in every siplab module that binds them and
     count their calls by level k."""
-    levels = {"build_sip_generator": lambda graph, k: k,
-              "removal_qr": lambda level: level.k,
-              "build_shifted_walks": lambda graph, space: space.k + 1}
+    levels = {"build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
+              "_jumps": (siplab.sip, lambda graph, space: space.k),
+              "removal_qr": (siplab.intertwiners, lambda level: level.k),
+              "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1)}
     counts = {name: collections.Counter() for name in levels}
-    for name, level_of in levels.items():
-        original = getattr(siplab.intertwiners, name)
+    for name, (home, level_of) in levels.items():
+        original = getattr(home, name)
 
         def counted(*args, _name=name, _level_of=level_of, _original=original, **kwargs):
             counts[_name][_level_of(*args, **kwargs)] += 1
@@ -222,8 +226,39 @@ def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert counts["build_sip_generator"] == {1: 1, 2: 1, 3: 1, 4: 1}
+    # the gap report reads the shared generators: no level is assembled twice
+    assert counts["_jumps"] == {1: 1, 2: 1, 3: 1, 4: 1}
     assert counts["removal_qr"] == {2: 1, 3: 1, 4: 1}
     assert counts["build_shifted_walks"] == {2: 1, 3: 1, 4: 1}
+
+
+def _verdicts(payload):
+    """Every pass/fail of a verify payload, by suite and identity."""
+    verdicts = {"pass": payload["pass"], "gap_report": payload["gap_report"]["pass"],
+                "equality": payload["gap_report"]["equality_check"]}
+    for name, suite in payload["suites"].items():
+        verdicts[name] = (suite["pass"], [(c["identity"], c["pass"]) for c in suite["checks"]])
+    return verdicts
+
+
+@pytest.mark.parametrize("alpha_range", [(0.3, 0.9), (1.0, 2.5)], ids=["general", "equality"])
+def test_verdicts_invariant_under_relabeling_vertices(alpha_range, tmp_path, capsys):
+    rng = np.random.default_rng(61)
+    for i, n in enumerate((3, 4, 5)):
+        g = random_connected_graph(n, rng, alpha_range=alpha_range)
+        payloads = []
+        for perm in (np.arange(n), rng.permutation(n)):
+            w, alpha = g.edge_weights[np.ix_(perm, perm)], g.site_weights[perm]
+            edges = [[x, y, w[x, y]] for x in range(n) for y in range(x + 1, n) if w[x, y] > 0]
+            path = tmp_path / f"g{i}.json"
+            path.write_text(json.dumps({"n": n, "edges": edges, "alpha": alpha.tolist()}))
+            code, out, _ = run(["verify", str(path), "--K", "4", "--suite", "all"], capsys)
+            payloads.append((code, json.loads(out)))
+        (code, base), (code_perm, permuted) = payloads
+        assert code == code_perm and _verdicts(base) == _verdicts(permuted)
+        tolerance = base["gap_report"]["tolerance"]
+        for k, gap in base["gap_report"]["gap_k"].items():
+            assert abs(permuted["gap_report"]["gap_k"][k] - gap) <= tolerance, (n, k)
 
 
 def test_sweep_ratios_within_sandwich(tmp_path, capsys):

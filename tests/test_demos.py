@@ -1,4 +1,4 @@
-"""Smoke test: each demo script runs to completion."""
+"""Smoke test: each demo script, and the README's library tour, runs to completion."""
 
 import os
 import subprocess
@@ -15,11 +15,23 @@ def test_demo_set():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "06", "07"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def run_python(*args):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    result = run_python(str(demo))
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "gap_sandwich_report" in block
+    result = run_python("-c", block)
     assert result.returncode == 0, result.stderr[-2000:]

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from conftest import (assert_dichotomy_matches_dense, binomial_removal_matrix,
-                      injectivity_margin, kernel_gap, loop_dirichlet_decomposition,
-                      loop_minmax_comparison, loop_shifted_walks, removal_composition,
-                      svd_kernel_basis)
+                      injectivity_margin, kernel_gap, loop_annihilation, loop_creation,
+                      loop_dirichlet_decomposition, loop_minmax_comparison, loop_shifted_walks,
+                      loop_sip_generator, removal_composition, svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
 from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, path_graph,
@@ -29,7 +30,7 @@ def test_ladder_shares_each_level_with_the_one_above():
     top = ladder[3]
     assert top.lower is ladder[2] and ladder[2].lower is ladder[1]
     assert top.generator is ladder[3].generator
-    np.testing.assert_array_equal(ladder[0].generator.matrix, [[0.0]])
+    np.testing.assert_array_equal(ladder[0].generator.matrix.toarray(), [[0.0]])
     assert Level(g, 2).lower.k == 1
     with pytest.raises(InputError):
         Level(g, 2, lower=ladder[2])
@@ -37,6 +38,40 @@ def test_ladder_shares_each_level_with_the_one_above():
         ladder[-1]
     with pytest.raises(InputError):
         ladder[0].lower
+
+
+def _assert_level_operators_match_loops(graph, k):
+    """L_k, A_k and C_k are CSR, equal the state-by-state oracles (the
+    diagonal of L_k to rounding), and hold at most n(n-1)+1, at most n and
+    exactly n entries a row."""
+    n = graph.n
+    gen = build_sip_generator(graph, k).matrix
+    ann = build_annihilation(graph, k).matrix
+    cre = build_creation(graph, k).matrix
+    for op in (gen, ann, cre):
+        assert isinstance(op, scipy.sparse.csr_array)
+    oracle = loop_sip_generator(graph, k)
+    off = ~np.eye(oracle.shape[0], dtype=bool)
+    np.testing.assert_array_equal(gen.toarray()[off], oracle[off])
+    np.testing.assert_allclose(gen.diagonal(), np.diag(oracle), rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(ann.toarray(), loop_annihilation(graph, k))
+    np.testing.assert_array_equal(cre.toarray(), loop_creation(graph, k))
+    assert np.diff(ann.indptr).max() <= n
+    assert np.all(np.diff(cre.indptr) == n)
+    assert np.diff(gen.indptr).max() <= n * (n - 1) + 1
+
+
+@pytest.mark.parametrize("alpha_range", [(0.3, 0.9), (1.0, 2.5)], ids=["general", "equality"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_level_operators_match_the_loop_oracles(alpha_range, n):
+    g = random_connected_graph(n, np.random.default_rng(44 + n), alpha_range=alpha_range)
+    for k in range(1, 6):
+        _assert_level_operators_match_loops(g, k)
+
+
+def test_level_operators_match_the_loop_oracles_past_int64_keys():
+    # 3^40 > 2^63: the level-2 keys are Python integers
+    _assert_level_operators_match_loops(path_graph(40), 2)
 
 
 def test_annihilation_on_constants_counts_particles():
@@ -75,7 +110,7 @@ def test_annihilation_injective_two_ways():
         g = random_connected_graph(n, rng)
         for k in (1, 2, 3, 4):
             ann = build_annihilation(g, k)
-            assert injectivity_margin(ann.matrix) > 1e-8
+            assert injectivity_margin(ann.matrix.toarray()) > 1e-8
             gvec = rng.standard_normal(ann.space_low.size)
             recovered = invert_annihilation(ann.matrix @ gvec,
                                             ann.space_high, ann.space_low)
@@ -345,10 +380,10 @@ def test_eigen_dichotomy_fails_a_wrong_generator():
 def test_eigen_dichotomy_fails_a_wrong_removal_entry():
     for level in _mutation_levels():
         ann = level.annihilation
-        matrix = ann.matrix.copy()
+        matrix = ann.matrix.toarray()
         s, t = np.argwhere(matrix > 0)[len(matrix) // 2]
         matrix[s, t] *= 1.01
-        wrong = type(ann)(ann.k, matrix, ann.space_low, ann.space_high)
+        wrong = type(ann)(ann.k, scipy.sparse.csr_array(matrix), ann.space_low, ann.space_high)
         result = eigen_dichotomy(_mutated(level, annihilation=wrong))
         assert not result.passed, level.k
         # the complement of the wrong range is no longer Ker C_k
@@ -358,10 +393,10 @@ def test_eigen_dichotomy_fails_a_wrong_removal_entry():
 def test_eigen_dichotomy_fails_a_wrong_addition_entry():
     for level in _mutation_levels():
         cre = level.creation
-        matrix = cre.matrix.copy()
+        matrix = cre.matrix.toarray()
         s, t = np.argwhere(matrix > 0)[len(matrix) // 2]
         matrix[s, t] *= 1.01
-        wrong = type(cre)(cre.k, matrix, cre.space_low, cre.space_high)
+        wrong = type(cre)(cre.k, scipy.sparse.csr_array(matrix), cre.space_low, cre.space_high)
         result = eigen_dichotomy(_mutated(level, creation=wrong))
         assert not result.passed, level.k
         assert _failing_checks(result, level) == {"kernel_residual"}
@@ -372,9 +407,9 @@ def test_eigen_dichotomy_fails_a_nearly_singular_removal():
     # injectivity margin sees it
     for level in _mutation_levels():
         ann = level.annihilation
-        matrix = ann.matrix.copy()
+        matrix = ann.matrix.toarray()
         matrix[:, -1] *= 1e-10
-        wrong = type(ann)(ann.k, matrix, ann.space_low, ann.space_high)
+        wrong = type(ann)(ann.k, scipy.sparse.csr_array(matrix), ann.space_low, ann.space_high)
         result = eigen_dichotomy(_mutated(level, annihilation=wrong))
         assert not result.passed, level.k
         assert _failing_checks(result, level) == {"injectivity"}
@@ -384,10 +419,11 @@ def test_eigen_dichotomy_fails_a_lifted_direction_coupled_to_a_fresh_one():
     # -L_k + eps (u v^T + v u^T) D, u lifted and v fresh, both of mu-norm 1:
     # still self-adjoint for mu with the same image block, but not block diagonal
     for level in _mutation_levels():
-        basis, r = level.qr
-        u, v = basis[:, 0], basis[:, r.shape[1]]
+        basis, diag = level.qr
+        u, v = basis[:, 0], basis[:, diag.size]
         coupling = 1e-3 * (np.outer(u, v) + np.outer(v, u)) * level.measure.probabilities
-        gen = replace(level.generator, matrix=level.generator.matrix - coupling)
+        gen = replace(level.generator,
+                      matrix=scipy.sparse.csr_array(level.generator.matrix - coupling))
         result = eigen_dichotomy(_mutated(level, generator=gen))
         assert not result.passed, level.k
         assert _failing_checks(result, level) == {"off_diagonal"}
@@ -410,7 +446,7 @@ def test_removal_qr_factors_the_weighted_removal():
     for level in DICHOTOMY_LEVELS[:8]:
         basis, r = removal_qr(level)
         d = np.sqrt(level.measure.probabilities)[:, None]
-        np.testing.assert_allclose((d * basis) @ r, d * level.annihilation.matrix,
+        np.testing.assert_allclose((d * basis) @ r, d * level.annihilation.matrix.toarray(),
                                    rtol=0, atol=1e-12 * level.k)
         assert np.allclose(np.tril(r, -1), 0.0)
         assert np.shares_memory(level.kernel, level.qr[0])

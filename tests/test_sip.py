@@ -24,7 +24,7 @@ L2_TWO_SITES = np.array([[-2.0, 2.0, 0.0],
 
 def test_generator_two_sites_matches_hand_matrix():
     gen = build_sip_generator(path_graph(2), 2)
-    np.testing.assert_array_equal(gen.matrix, L2_TWO_SITES)
+    np.testing.assert_array_equal(gen.matrix.toarray(), L2_TWO_SITES)
 
 
 def test_generator_single_particle_is_the_walk():
@@ -35,13 +35,14 @@ def test_generator_single_particle_is_the_walk():
     # lex order of one-particle states is site n-1 first
     relabel = [gen1.space.rank(tuple(int(x == s) for s in range(g.n)))
                for x in range(g.n)]
-    np.testing.assert_allclose(gen1.matrix[np.ix_(relabel, relabel)], walk, atol=1e-14)
+    np.testing.assert_allclose(gen1.matrix.toarray()[np.ix_(relabel, relabel)], walk,
+                               atol=1e-14)
 
 
 def test_generator_zero_edges_is_zero():
     g = Graph(3, np.zeros((3, 3)), np.ones(3))
     gen = build_sip_generator(g, 3)
-    np.testing.assert_array_equal(gen.matrix, 0.0)
+    np.testing.assert_array_equal(gen.matrix.toarray(), 0.0)
 
 
 def test_spectrum_two_sites_hand_values():
@@ -98,7 +99,7 @@ def test_gap_report_complete_graph_equality_any_alpha():
     rng = np.random.default_rng(4)
     alpha = rng.uniform(0.2, 2.5, size=4)  # includes entries below 1
     g = complete_graph(4, alpha)
-    report = gap_sandwich_report(g, 4)
+    report = gap_sandwich_report(Level(g, 4))
     assert report.passed
     expected = g.alpha_total / 4
     for k, gap_k in report.gaps.items():
@@ -106,7 +107,7 @@ def test_gap_report_complete_graph_equality_any_alpha():
 
 
 def test_gap_report_path_graph_unit_alpha_equality():
-    report = gap_sandwich_report(path_graph(4), 4)
+    report = gap_sandwich_report(Level(path_graph(4), 4))
     assert report.passed and report.equality_expected
     for gap_k in report.gaps.values():
         assert gap_k == pytest.approx(report.gap_rw, abs=1e-8)
@@ -114,7 +115,7 @@ def test_gap_report_path_graph_unit_alpha_equality():
 
 def test_gap_report_small_alpha_sandwich():
     g = path_graph(2, alpha=[0.2, 0.2])
-    report = gap_sandwich_report(g, 5)
+    report = gap_sandwich_report(Level(g, 5))
     assert report.passed
     assert not report.equality_expected
     for ratio in report.ratios.values():
@@ -125,7 +126,7 @@ def test_gap_report_strict_raises_on_bogus_tolerance():
     g = path_graph(2, alpha=[0.2, 0.2])
     # the sandwich cannot hold with an absurd negative tolerance
     with pytest.raises(VerificationError):
-        gap_sandwich_report(g, 3, tol=-1.0)
+        gap_sandwich_report(Level(g, 3), tol=-1.0)
 
 
 def test_spectrum_inclusion_across_levels():
@@ -172,7 +173,7 @@ def test_semigroup_stochastic_and_matches_expm():
         p = transition_matrix(gen, t)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
         assert p.min() >= -1e-12
-        np.testing.assert_allclose(p, scipy.linalg.expm(t * gen.matrix), atol=1e-10)
+        np.testing.assert_allclose(p, scipy.linalg.expm(t * gen.matrix.toarray()), atol=1e-10)
     with pytest.raises(InputError):
         transition_matrix(gen, -0.1)
 
@@ -207,7 +208,7 @@ def test_tv_sandwich_all_levels_small_graph():
 def test_sip_gap_monotone_in_particle_number():
     rng = np.random.default_rng(9)
     g = random_connected_graph(3, rng, alpha_range=(0.3, 0.9))
-    gaps = [sip_gap(g, k) for k in range(1, 5)]
+    gaps = [sip_gap(build_sip_generator(g, k)) for k in range(1, 5)]
     for lo, hi in zip(gaps[1:], gaps[:-1]):
         assert lo <= hi + 1e-9
 
@@ -235,7 +236,8 @@ def test_sparse_gap_matches_dense_oracle_random_graphs(alpha_range):
     for n in (4, 5, 6, 7):
         g = random_connected_graph(n, rng, alpha_range=alpha_range)
         for k in range(1, 8):
-            assert sip_gap(g, k) == pytest.approx(dense_gap(g, k), rel=1e-10), (n, k)
+            gap = sip_gap(build_sip_generator(g, k))
+            assert gap == pytest.approx(dense_gap(g, k), rel=1e-10), (n, k)
 
 
 def test_sparse_gap_complete_graph_degenerate_gap(monkeypatch):
@@ -243,7 +245,7 @@ def test_sparse_gap_complete_graph_degenerate_gap(monkeypatch):
     alpha = np.random.default_rng(32).uniform(0.3, 3.0, size=6)
     for g in (complete_graph(6), complete_graph(6, alpha)):
         # the gap |alpha| / n has multiplicity n - 1 at every level
-        gap = sip_gap(g, 6)
+        gap = sip_gap(build_sip_generator(g, 6))
         assert gap == pytest.approx(dense_gap(g, 6), rel=1e-10)
         assert gap == pytest.approx(g.alpha_total / 6, rel=1e-10)
     assert calls == [space_size(6, 6)] * 2
@@ -252,19 +254,20 @@ def test_sparse_gap_complete_graph_degenerate_gap(monkeypatch):
 def test_sparse_gap_zero_edge_graph():
     g = Graph(3, np.zeros((3, 3)), np.ones(3))
     for k in (2, 30):  # 6 states, and 496 states, past the dense fallback
-        assert sip_gap(g, k) == 0.0 == dense_gap(g, k)
+        assert sip_gap(build_sip_generator(g, k)) == 0.0 == dense_gap(g, k)
 
 
 def test_sparse_gap_either_side_of_dense_fallback(monkeypatch):
     calls = count_eigsh_calls(monkeypatch)
     g = path_graph(2, alpha=[0.7, 1.9])  # k particles on two sites: k + 1 states
     for size in (SPARSE_GAP_MIN_STATES - 1, SPARSE_GAP_MIN_STATES):
-        assert sip_gap(g, size - 1) == pytest.approx(dense_gap(g, size - 1), rel=1e-10)
+        gap = sip_gap(build_sip_generator(g, size - 1))
+        assert gap == pytest.approx(dense_gap(g, size - 1), rel=1e-10)
     assert calls == [SPARSE_GAP_MIN_STATES]
     # the smallest spaces ARPACK accepts: two wanted eigenpairs and one more state
     monkeypatch.setattr(siplab.sip, "SPARSE_GAP_MIN_STATES", 3)
     for k in (1, 2, 3):
-        assert sip_gap(g, k) == pytest.approx(dense_gap(g, k), rel=1e-10)
+        assert sip_gap(build_sip_generator(g, k)) == pytest.approx(dense_gap(g, k), rel=1e-10)
     assert calls == [SPARSE_GAP_MIN_STATES, 3, 4]
 
 
@@ -279,7 +282,7 @@ def test_sparse_gap_checks_detailed_balance(monkeypatch):
 
     monkeypatch.setattr(siplab.sip, "_jumps", skewed)
     with pytest.raises(VerificationError):
-        sip_gap(path_graph(4), 12)
+        sip_gap(build_sip_generator(path_graph(4), 12))
 
 
 def test_sparse_gap_checks_eigenpair_residual(monkeypatch):
@@ -291,7 +294,7 @@ def test_sparse_gap_checks_eigenpair_residual(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     with pytest.raises(EigensolverError):
-        sip_gap(path_graph(4), 12)
+        sip_gap(build_sip_generator(path_graph(4), 12))
 
 
 def test_sparse_gap_when_keys_overflow_int64():
@@ -299,7 +302,7 @@ def test_sparse_gap_when_keys_overflow_int64():
     # unit site weights put the gap in the equality regime
     g = path_graph(40)
     assert space_size(40, 2) >= SPARSE_GAP_MIN_STATES
-    assert sip_gap(g, 2) == pytest.approx(rw_gap(g), rel=1e-10)
+    assert sip_gap(build_sip_generator(g, 2)) == pytest.approx(rw_gap(g), rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha_range", [(0.3, 3.0), (1.0, 3.0)])
@@ -310,12 +313,12 @@ def test_gap_verdicts_invariant_under_time_rescaling(alpha_range):
     rng = np.random.default_rng(33)
     for _ in range(3):
         g = random_connected_graph(6, rng, alpha_range=alpha_range)
-        base = gap_sandwich_report(g, 6, strict=False)
+        base = gap_sandwich_report(Level(g, 6), strict=False)
         base_bep = bep_gap_report(Level(g, 3))
         assert base.passed and base_bep.passed
         for lam in (1e-6, 1.0, 1e3, 1e5, 1e7):
             scaled = Graph(g.n, g.edge_weights * lam, g.site_weights)
-            report = gap_sandwich_report(scaled, 6, strict=False)
+            report = gap_sandwich_report(Level(scaled, 6), strict=False)
             assert report.passed, report.failures
             assert report.tolerance == pytest.approx(lam * base.tolerance, rel=1e-9)
             for k, ratio in base.ratios.items():
