@@ -20,7 +20,7 @@ np.set_printoptions(precision=6, suppress=True)
 g = path_graph(2)
 built = bep_matrix(Level(g, 2))
 print("diffusion generator on degree-2 monomials (two sites):")
-print(built.matrix)
+print(built.matrix.toarray())
 print("entrywise agreement with the particle generator:", built.check.passed,
       f"(residual {built.check.residual:.2e})")
 print()

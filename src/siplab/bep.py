@@ -13,18 +13,20 @@ entry with the k-particle inclusion generator; `bep_matrix` constructs
 it purely by symbolic differentiation and checks the coincidence, which
 is the algebraic form of the duality between the two processes.  All
 spectral statements about the diffusion are then read off from the
-particle side.
+particle side: each degree's gap is its level's `Level.gap`.
 
-Polynomials are sparse maps from exponent vectors to coefficients; the
-simplex constraint sum(z) = 1 is never substituted, every identity is
-checked coefficientwise on the homogeneous carrier where representation
-is unique.
+The calculus acts on `Terms`, batches of monomial terms held as three
+arrays (column, exponent rows, coefficient), and composes G from d_x and
+z_x edge by edge, for every basis monomial of a level at once.  The
+simplex constraint sum(z) = 1 is never substituted; every identity is
+checked coefficientwise on the homogeneous carrier, where the
+representation is unique.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -32,7 +34,7 @@ from scipy.special import gammaln
 
 from .configs import ConfigSpace
 from .errors import InputError, VerificationError
-from .graphs import Graph, build_rw_generator, gap_tolerance, reversible_spectrum, rw_spectrum
+from .graphs import Graph, build_rw_generator, gap_tolerance, rw_spectrum
 from .intertwiners import Level
 from .reporting import CheckResult, identity_check, make_check
 
@@ -62,55 +64,81 @@ class HomogPolynomial:
         """Deterministic iteration in lex order of the exponents, their rank order."""
         return sorted(self.coeffs.items())
 
-    def ranks(self, space: ConfigSpace) -> np.ndarray:
-        """Ranks in `space` of the exponents, in the order of `coeffs`."""
-        if space.n != self.n or space.k != self.degree:
-            raise InputError("space does not match polynomial degree")
-        expos = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.n)
-        return space.rank_keys(expos @ space.place)
+    def terms(self) -> Terms:
+        """The polynomial as one batch of terms, all in column 0."""
+        expo = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.n)
+        return Terms(np.zeros(len(expo), dtype=np.int64), expo,
+                     np.array(list(self.coeffs.values()), dtype=float))
 
     def to_vector(self, space: ConfigSpace) -> np.ndarray:
-        v = np.zeros(space.size)
-        v[self.ranks(space)] = list(self.coeffs.values())
+        """Coefficients placed at the ranks of their exponents in `space`."""
+        if space.n != self.n or space.k != self.degree:
+            raise InputError("space does not match polynomial degree")
+        terms, v = self.terms(), np.zeros(space.size)
+        v[space.rank_keys(terms.expo @ space.place)] = terms.coeff
         return v
 
-    def to_json_list(self) -> list:
-        return [{"exponents": list(e), "coeff": c} for e, c in self.items_sorted()]
+
+@dataclass(frozen=True)
+class Terms:
+    """A batch of monomial terms: term i is coeff[i] z^expo[i], a part of
+    the image of column col[i].  Equal monomials are not merged until the
+    batch is summed into a matrix or a polynomial."""
+
+    col: np.ndarray
+    expo: np.ndarray
+    coeff: np.ndarray
+
+    @staticmethod
+    def join(batches) -> Terms:
+        return Terms(*(np.concatenate(parts) for parts in
+                       zip(*((b.col, b.expo, b.coeff) for b in batches))))
+
+    def d(self, x: int) -> Terms:
+        """d/dz_x: lower exponent x and multiply by it; terms without z_x drop."""
+        keep = self.expo[:, x] > 0
+        expo = self.expo[keep]
+        coeff = self.coeff[keep] * expo[:, x]
+        expo[:, x] -= 1
+        return Terms(self.col[keep], expo, coeff)
+
+    def z(self, x: int) -> Terms:
+        """Multiplication by z_x: raise exponent x."""
+        expo = self.expo.copy()
+        expo[:, x] += 1
+        return Terms(self.col, expo, self.coeff)
+
+    def __rmul__(self, scale: float) -> Terms:
+        return Terms(self.col, self.expo, scale * self.coeff)
+
+    def __sub__(self, other: Terms) -> Terms:
+        return Terms.join((self, -1.0 * other))
 
 
-def _add_term(acc: dict, expo: tuple, coeff: float) -> None:
-    if coeff == 0.0:
-        return
-    new = acc.get(expo, 0.0) + coeff
-    if new == 0.0:
-        acc.pop(expo, None)
-    else:
-        acc[expo] = new
+def _apply(terms: Terms, graph: Graph, degree: int) -> Terms:
+    """G applied to a batch of degree-`degree` terms.  The ordered pairs
+    (x, y) and (y, x) give equal terms, so each edge x < y is taken once,
+    without the 1/2.  Every image term must keep the degree, or a raised
+    exponent could alias another configuration's base-(degree+1) key."""
+    c, alpha = graph.edge_weights.tolist(), graph.site_weights.tolist()
+    images = [Terms(terms.col[:0], terms.expo[:0], terms.coeff[:0])]
+    for x, y in zip(*np.nonzero(np.triu(graph.edge_weights))):
+        first = terms.d(x) - terms.d(y)
+        # drift -(alpha_y z_x - alpha_x z_y)(d_x - d_y), diffusion z_x z_y (d_x - d_y)^2
+        images += [-c[x][y] * alpha[y] * first.z(x), c[x][y] * alpha[x] * first.z(y),
+                   c[x][y] * (first.d(x) - first.d(y)).z(x).z(y)]
+    image = Terms.join(images)
+    wrong = image.expo.sum(axis=1) != degree
+    if np.any(wrong):
+        bad = image.expo[np.argmax(wrong)]
+        raise VerificationError(f"generator produced exponent {tuple(bad.tolist())} of "
+                                f"degree {int(bad.sum())} from degree {degree}")
+    return image
 
 
-def _diff(poly: dict, x: int) -> dict:
-    out = {}
-    for expo, coeff in poly.items():
-        if expo[x] == 0:
-            continue
-        lowered = list(expo)
-        lowered[x] -= 1
-        _add_term(out, tuple(lowered), coeff * expo[x])
-    return out
-
-
-def _mul_site(poly: dict, x: int) -> dict:
-    out = {}
-    for expo, coeff in poly.items():
-        raised = list(expo)
-        raised[x] += 1
-        _add_term(out, tuple(raised), coeff)
-    return out
-
-
-def _axpy(acc: dict, poly: dict, scale: float) -> None:
-    for expo, coeff in poly.items():
-        _add_term(acc, expo, scale * coeff)
+def _factorials(space: ConfigSpace) -> np.ndarray:
+    """prod_x eta_x! for each configuration eta of `space`, in rank order."""
+    return np.cumprod(np.arange(space.k + 1.0).clip(1.0))[space.occupations].prod(axis=1)
 
 
 def poly_lift(f, space: ConfigSpace) -> HomogPolynomial:
@@ -119,55 +147,26 @@ def poly_lift(f, space: ConfigSpace) -> HomogPolynomial:
     f = np.asarray(f, dtype=float)
     if f.shape != (space.size,):
         raise InputError(f"f must have length {space.size}")
-    coeffs = {}
-    for r in range(space.size):
-        if f[r] == 0.0:
-            continue
-        eta = tuple(int(e) for e in space.occupations[r])
-        coeffs[eta] = f[r] / math.prod(math.factorial(e) for e in eta)
-    return HomogPolynomial(space.n, space.k, coeffs)
+    ranks = np.flatnonzero(f)
+    coeffs = f[ranks] / _factorials(space)[ranks]
+    return HomogPolynomial(space.n, space.k,
+                           dict(zip(map(tuple, space.occupations[ranks].tolist()), coeffs)))
 
 
 def apply_bep_generator(poly: HomogPolynomial, graph: Graph) -> HomogPolynomial:
     """Apply the diffusion generator symbolically; degree is preserved."""
     if poly.n != graph.n:
         raise InputError(f"polynomial has {poly.n} variables, graph {graph.n}")
-    c = graph.edge_weights
-    alpha = graph.site_weights
-    acc: dict = {}
-    base = poly.coeffs
-    for x in range(graph.n):
-        dx = _diff(base, x)
-        for y in range(x + 1, graph.n):
-            if c[x, y] == 0.0:
-                continue
-            dy = _diff(base, y)
-            first = dict(dx)
-            _axpy(first, dy, -1.0)
-            # drift: -(alpha_y z_x - alpha_x z_y) (d_x - d_y)
-            _axpy(acc, _mul_site(first, x), -c[x, y] * alpha[y])
-            _axpy(acc, _mul_site(first, y), c[x, y] * alpha[x])
-            # diffusion: z_x z_y (d_x - d_y)^2
-            second = _diff(first, x)
-            _axpy(second, _diff(first, y), -1.0)
-            _axpy(acc, _mul_site(_mul_site(second, x), y), c[x, y])
-    for expo in acc:
-        if sum(expo) != poly.degree:
-            raise VerificationError(f"generator produced exponent {expo} of degree "
-                                    f"{sum(expo)} from degree {poly.degree}")
-    return HomogPolynomial(poly.n, poly.degree, acc)
-
-
-def basis_monomial(space: ConfigSpace, rank: int) -> HomogPolynomial:
-    eta = tuple(int(e) for e in space.occupations[rank])
-    return HomogPolynomial(space.n, space.k,
-                           {eta: 1.0 / math.prod(math.factorial(e) for e in eta)})
+    image = _apply(poly.terms(), graph, poly.degree)
+    expos, which = np.unique(image.expo, axis=0, return_inverse=True)
+    sums = np.bincount(which.ravel(), weights=image.coeff, minlength=len(expos))
+    return HomogPolynomial(poly.n, poly.degree, dict(zip(map(tuple, expos.tolist()), sums)))
 
 
 @dataclass(frozen=True)
 class BepMatrix:
     space: ConfigSpace
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     sip_matrix: scipy.sparse.csr_array
     check: CheckResult
 
@@ -175,20 +174,21 @@ class BepMatrix:
 def bep_matrix(level: Level, rtol: float = 1e-10) -> BepMatrix:
     """Matrix of the diffusion generator on the degree-k scaled monomials.
 
-    Column eta holds the expansion of G applied to z^eta / prod(eta!).
-    The module's central check compares this symbolically assembled
-    matrix entrywise with the independently assembled particle
-    generator; they must agree to rounding.
+    Column eta holds the expansion of G applied to z^eta / prod(eta!): one
+    batch carries every basis monomial through G, and its terms are ranked
+    by their keys and summed into a CSR.  The module's central check
+    compares this symbolically assembled matrix entrywise with the
+    independently assembled particle generator; they must agree to
+    rounding.
     """
     gen = level.generator
     space = gen.space
-    m = np.zeros((space.size, space.size))
-    factorials = np.array([math.prod(math.factorial(int(e)) for e in occ)
-                           for occ in space.occupations])
-    for col in range(space.size):
-        image = apply_bep_generator(basis_monomial(space, col), level.graph)
-        rows = image.ranks(space)
-        m[rows, col] = np.fromiter(image.coeffs.values(), float, rows.size) * factorials[rows]
+    scale = _factorials(space)
+    image = _apply(Terms(np.arange(space.size), space.occupations, 1.0 / scale),
+                   level.graph, space.k)
+    rows = space.rank_keys(image.expo @ space.place)
+    m = scipy.sparse.csr_array((image.coeff * scale[rows], (rows, image.col)),
+                               shape=(space.size, space.size))
     check = identity_check(f"diffusion-matches-particles[k={level.k}]", m, gen.matrix, rtol)
     return BepMatrix(space, m, gen.matrix, check)
 
@@ -209,11 +209,11 @@ def simplex_measure(graph: Graph) -> SimplexMeasure:
 
 @dataclass(frozen=True)
 class BepGapReport:
+    levels: tuple = field(repr=False, compare=False)  # levels 1..degree_max
     degree_max: int
     gap_rw: float
     gap_bep: float
     level_gaps: dict
-    spectrum: np.ndarray
     alpha_min: float
     checks: tuple
     log_beta: float
@@ -221,6 +221,12 @@ class BepGapReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The truncated spectrum, ascending: 0 for the constants and the
+        dense spectra of the levels, solved on first read."""
+        return np.sort(np.concatenate([[0.0]] + [lv.spectrum.eigenvalues for lv in self.levels]))
 
     def to_dict(self) -> dict:
         return {
@@ -238,13 +244,15 @@ class BepGapReport:
 
 
 def bep_gap_report(top: Level, tol: float = 1e-8, strict: bool = False) -> BepGapReport:
-    """Spectrum of the diffusion truncated at the polynomial degree top.k.
+    """Gap of the diffusion truncated at the polynomial degree top.k.
 
-    Degrees decouple, so the truncated spectrum is the multiset union of
-    the per-degree matrix spectra of the levels 1..top.k; its gap is
-    compared against the walk gap through the same sandwich as for the
-    particle system, with the same tolerance relative to gap_rw
-    (`graphs.gap_tolerance`).  A disconnected graph fails a check.
+    Degrees decouple, and `bep_matrix` checks that degree k carries the
+    generator of level k, so the truncated gap is the least of the
+    `Level.gap`s of levels 1..top.k, the gaps the particle report shares.
+    It is compared against the walk gap through the same sandwich as for
+    the particle system, with the same tolerance relative to gap_rw
+    (`graphs.gap_tolerance`), and level 1's spectrum must hold gap_rw.  A
+    disconnected graph fails a check.
     """
     graph, degree_max = top.graph, top.k
     if degree_max < 1:
@@ -252,20 +260,13 @@ def bep_gap_report(top: Level, tol: float = 1e-8, strict: bool = False) -> BepGa
     walk = build_rw_generator(graph)
     gap_rw = rw_spectrum(walk, want_vectors=False).gap
     atol = gap_tolerance(walk, gap_rw, tol)
-    values = [np.zeros(1)]  # degree 0: constants, eigenvalue 0
-    level_gaps = {}
-    checks = []
+    levels = [top]
+    while levels[-1].k > 1:
+        levels.append(levels[-1].lower)
     # top level first, so one over the state cap is refused before any work
-    level = top
-    while level.k >= 1:
-        built = bep_matrix(level)
-        checks.insert(0, built.check)
-        spec = reversible_spectrum(built.matrix, level.measure.probabilities,
-                                   want_vectors=False)
-        level_gaps[level.k] = spec.gap
-        values.append(spec.eigenvalues)
-        level = level.lower
-    spectrum = np.sort(np.concatenate(values))
+    checks = [bep_matrix(level).check for level in levels][::-1]
+    levels.reverse()
+    level_gaps = {level.k: level.gap for level in levels}
     gap_bep = min(level_gaps.values())
     a_min = graph.alpha_min
     lower = min(1.0, a_min) * gap_rw
@@ -277,13 +278,13 @@ def bep_gap_report(top: Level, tol: float = 1e-8, strict: bool = False) -> BepGa
         checks.append(make_check(f"bep-gap-equality[K={degree_max}]",
                                  abs(gap_bep - gap_rw), atol))
     checks.append(make_check(f"walk-gap-in-spectrum[K={degree_max}]",
-                             float(np.abs(spectrum - gap_rw).min()), atol))
+                             float(np.abs(levels[0].spectrum.eigenvalues - gap_rw).min()), atol))
     if not graph.connected:
         checks.append(make_check(f"graph-connected[K={degree_max}]",
                                  float(graph.components - 1), 0.0,
                                  detail=f"{graph.components} components: every gap vanishes"))
-    report = BepGapReport(degree_max, gap_rw, gap_bep, dict(sorted(level_gaps.items())),
-                          spectrum, a_min, tuple(checks), simplex_measure(graph).log_beta)
+    report = BepGapReport(tuple(levels), degree_max, gap_rw, gap_bep, level_gaps, a_min,
+                          tuple(checks), simplex_measure(graph).log_beta)
     if strict and not report.passed:
         bad = [c.identity for c in checks if not c.passed]
         raise VerificationError("diffusion gap checks failed: " + ", ".join(bad))

@@ -41,8 +41,6 @@ from .reporting import CheckSuite, make_check
 from .sip import build_sip_generator, gap_sandwich_report, sip_gap, sip_spectrum, tv_sandwich
 from .simulate import SimConfig, simulate
 
-REPORT_MAX_DEGREE = 4
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -196,7 +194,7 @@ def _suite_lookdown(ladder: Ladder, k_max: int) -> CheckSuite:
     return CheckSuite("lookdown", tuple(checks), note=note)
 
 
-def _run_suites(graph: Graph, k_max: int, suite: str, seed: int, bep_degree: int) -> dict:
+def _run_suites(graph: Graph, k_max: int, suite: str, seed: int) -> dict:
     """Run the requested suites on one shared ladder of levels; returns the
     payload without its manifest."""
     rng = np.random.default_rng(seed)
@@ -207,7 +205,7 @@ def _run_suites(graph: Graph, k_max: int, suite: str, seed: int, bep_degree: int
     if suite in ("all", "lookdown"):
         suites["lookdown"] = _suite_lookdown(ladder, k_max)
     if suite in ("all", "bep"):
-        report = bep_gap_report(ladder[bep_degree])
+        report = bep_gap_report(ladder[k_max])
         suites["bep"] = CheckSuite("bep", tuple(report.checks))
         payload["bep_report"] = report.to_dict()
     payload["pass"] = (all(s.passed for s in suites.values())
@@ -218,7 +216,7 @@ def _run_suites(graph: Graph, k_max: int, suite: str, seed: int, bep_degree: int
 
 def cmd_verify(args) -> int:
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    payload = _run_suites(graph, args.K, args.suite, args.seed, args.K)
+    payload = _run_suites(graph, args.K, args.suite, args.seed)
     payload["manifest"] = _manifest("verify", {"graph": args.graph, "K": args.K,
                                                "suite": args.suite, "alpha": args.alpha},
                                     digest, args.seed)
@@ -323,18 +321,9 @@ def cmd_tv_curve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """All three suites, with the diffusion truncated at degree
-    min(K, REPORT_MAX_DEGREE); the payload records the requested degree
-    and why it was clamped."""
+    """All three suites at K, on one shared ladder, with the state cap."""
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    degree = min(args.K, REPORT_MAX_DEGREE)
-    payload = _run_suites(graph, args.K, "all", args.seed, degree)
-    payload["bep_degree"] = {"requested": args.K, "used": degree, "reason": None}
-    if degree < args.K:
-        payload["bep_degree"]["reason"] = (
-            f"report truncates the diffusion at degree {REPORT_MAX_DEGREE}, so the "
-            f"symbolic diffusion matrix stays small; `verify --suite bep --K {args.K}` "
-            f"checks it at degree {args.K}")
+    payload = _run_suites(graph, args.K, "all", args.seed)
     payload["manifest"] = _manifest("report", {"graph": args.graph, "K": args.K,
                                                "alpha": args.alpha}, digest, args.seed)
     payload["state_cap"] = state_cap()

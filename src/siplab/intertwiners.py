@@ -42,7 +42,7 @@ from .graphs import (Graph, Spectrum, build_rw_generator, max_abs, residual_tol,
                      rw_dirichlet_forms, rw_spectrum, symmetrize_reversible)
 from .lookdown import LabeledLevel
 from .reporting import CheckResult, identity_check, make_check
-from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_spectrum
+from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_gap, sip_spectrum
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,14 @@ class Level:
     Each piece is built on first use and then kept: `generator` (which
     carries `space` and `measure`), the removal and addition operators
     `annihilation` (A_k) and `creation` (C_k), all three CSR, the dense
-    `spectrum` (eigenvalues only), `qr`, the basis of `removal_qr` and the
-    |diagonal| of its R, whose trailing basis columns are `kernel`, a
-    mu-orthonormal basis of Ker C_k, `shifted_walks`, the arrays (beta,
-    eigenvalues) of the walks with site weights alpha + xi, a row per
-    level-(k-1) configuration xi, and `labeled`, the sparse labeled
-    operators and law.  `lower` is level k-1: the one given, else one made
-    on first use.  Level 0 has one state and a 1x1 CSR zero generator.
+    `spectrum` (eigenvalues only), the `gap` from `sip_gap`, `qr`, the
+    basis of `removal_qr` and the |diagonal| of its R, whose trailing
+    basis columns are `kernel`, a mu-orthonormal basis of Ker C_k,
+    `shifted_walks`, the arrays (beta, eigenvalues) of the walks with site
+    weights alpha + xi, a row per level-(k-1) configuration xi, and
+    `labeled`, the sparse labeled operators and law.  `lower` is level
+    k-1: the one given, else one made on first use.  Level 0 has one state
+    and a 1x1 CSR zero generator.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -168,6 +169,10 @@ class Level:
     @cached_property
     def spectrum(self) -> Spectrum:
         return sip_spectrum(self.generator, want_vectors=False)
+
+    @cached_property
+    def gap(self) -> float:
+        return sip_gap(self.generator)
 
     @cached_property
     def qr(self) -> tuple:

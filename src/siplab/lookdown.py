@@ -232,7 +232,8 @@ def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawRepo
     """
     graph, k = level.graph, level.k
     omega, sym, look = level.labeled.omega, level.labeled.symmetric, level.labeled.lookdown
-    scale = max(1.0, max_abs(sym), max_abs(look))
+    rates = max(max_abs(sym), max_abs(look))
+    scale = max(1.0, rates)
     checks = [
         # a probability, unitless at every rate scale: 4096 terms round within 9e-13
         make_check(f"stationary-mass[k={k}]", abs(float(omega.sum()) - 1.0), 1e-12),
@@ -257,7 +258,7 @@ def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawRepo
         witness = (pair[0], pair[1], worst)
         # here the check asserts a FAILURE of detailed balance: some pair
         # must carry a macroscopic flux asymmetry
-        floor = 1e-6 * scale  # omega is unitless, so the asymmetry scales as a rate
+        floor = 1e-6 * rates  # omega is unitless, so the asymmetry scales as a rate
         checks.append(make_check(f"lookdown-breaks-detailed-balance[k={k}]",
                                  max(0.0, floor - worst), 0.0,
                                  detail=f"max flux asymmetry {worst:.6g} between "

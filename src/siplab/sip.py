@@ -8,7 +8,8 @@ on the sparse flux.  The generator is a CSR array assembled once from
 COO triplets, one block of jumps per ordered edge, ranked through the
 configuration keys.
 
-`sip_gap` is the gap-only path used by `sweep` and the gap report: it
+`sip_gap` is the gap-only path: `sweep` calls it, and `Level.gap` caches
+it once per level for the gap report and the diffusion report.  It
 symmetrises a `SipGenerator` on the same sparse structure and finds its
 two lowest eigenpairs by shift-invert Lanczos, with the eigenpair-residual
 checks of the dense path.  Full spectra, the semigroup and the
@@ -202,8 +203,8 @@ class GapReport:
 
 
 def gap_sandwich_report(top: Level, tol: float = 1e-8, strict: bool = True) -> GapReport:
-    """Compute gap_k for 2 <= k <= top.k, by `sip_gap` on the generator of
-    `top` and of each level below it, and check the two-sided bounds.
+    """Read gap_k for 2 <= k <= top.k from `Level.gap` of `top` and of each
+    level below it, and check the two-sided bounds.
 
     `tol` is relative: the checks allow `gap_tolerance(walk, gap_rw, tol)`,
     which the report records as `tolerance`.  A disconnected graph is a
@@ -213,7 +214,7 @@ def gap_sandwich_report(top: Level, tol: float = 1e-8, strict: bool = True) -> G
     if top.k < 2:
         raise InputError(f"need k_max >= 2, got {top.k}")
     while level.k >= 2:
-        gaps[level.k] = sip_gap(level.generator)
+        gaps[level.k] = level.gap
         level = level.lower
     gaps = dict(sorted(gaps.items()))
     walk = build_rw_generator(graph)

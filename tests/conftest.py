@@ -99,6 +99,78 @@ def loop_creation(graph: Graph, k: int) -> np.ndarray:
     return m
 
 
+def _add_term(acc: dict, expo: tuple, coeff: float) -> None:
+    if coeff == 0.0:
+        return
+    new = acc.get(expo, 0.0) + coeff
+    if new == 0.0:
+        acc.pop(expo, None)
+    else:
+        acc[expo] = new
+
+
+def _diff(poly: dict, x: int) -> dict:
+    out = {}
+    for expo, coeff in poly.items():
+        if expo[x] == 0:
+            continue
+        lowered = list(expo)
+        lowered[x] -= 1
+        _add_term(out, tuple(lowered), coeff * expo[x])
+    return out
+
+
+def _mul_site(poly: dict, x: int) -> dict:
+    out = {}
+    for expo, coeff in poly.items():
+        raised = list(expo)
+        raised[x] += 1
+        _add_term(out, tuple(raised), coeff)
+    return out
+
+
+def _axpy(acc: dict, poly: dict, scale: float) -> None:
+    for expo, coeff in poly.items():
+        _add_term(acc, expo, scale * coeff)
+
+
+def dict_bep_generator(poly: dict, graph: Graph) -> dict:
+    """The diffusion generator on a polynomial held as an exponent-to-
+    coefficient dict, one term at a time, with the edges x < y taken once:
+    the oracle of the batched calculus of `siplab.bep`."""
+    c, alpha = graph.edge_weights, graph.site_weights
+    acc: dict = {}
+    for x in range(graph.n):
+        dx = _diff(poly, x)
+        for y in range(x + 1, graph.n):
+            if c[x, y] == 0.0:
+                continue
+            first = dict(dx)
+            _axpy(first, _diff(poly, y), -1.0)
+            # drift: -(alpha_y z_x - alpha_x z_y) (d_x - d_y)
+            _axpy(acc, _mul_site(first, x), -c[x, y] * alpha[y])
+            _axpy(acc, _mul_site(first, y), c[x, y] * alpha[x])
+            # diffusion: z_x z_y (d_x - d_y)^2
+            second = _diff(first, x)
+            _axpy(second, _diff(first, y), -1.0)
+            _axpy(acc, _mul_site(_mul_site(second, x), y), c[x, y])
+    return acc
+
+
+def dict_bep_matrix(graph: Graph, k: int) -> np.ndarray:
+    """Dense diffusion matrix on the degree-k scaled monomials z^eta / eta!,
+    a column per monomial from `dict_bep_generator`, ranked by
+    `rank_composition`."""
+    size = space_size(graph.n, k)
+    m = np.zeros((size, size))
+    for col in range(size):
+        eta = unrank_composition(col, graph.n, k)
+        image = dict_bep_generator({eta: 1.0 / math.prod(map(math.factorial, eta))}, graph)
+        for expo, coeff in image.items():
+            m[rank_composition(expo), col] = coeff * math.prod(map(math.factorial, expo))
+    return m
+
+
 def hausdorff_gap(values_a, values_b) -> float:
     """Largest distance from any point of either set to the other set."""
     a = np.asarray(sorted(values_a), dtype=float)

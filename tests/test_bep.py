@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hausdorff_gap
-from siplab.bep import (HomogPolynomial, apply_bep_generator, basis_monomial, bep_gap_report,
+from conftest import dict_bep_generator, dict_bep_matrix, hausdorff_gap
+from siplab.bep import (HomogPolynomial, Terms, apply_bep_generator, bep_gap_report,
                         bep_matrix, poly_lift, simplex_measure)
 from siplab.configs import enumerate_configs
-from siplab.errors import InputError
-from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
-                           random_connected_graph, rw_spectrum)
+from siplab.errors import InputError, VerificationError
+from siplab.graphs import (Graph, build_rw_generator, complete_graph, gap_tolerance, path_graph,
+                           random_connected_graph, reversible_spectrum, rw_spectrum)
 from siplab.intertwiners import Level
 from siplab.sip import build_sip_generator
 
@@ -104,7 +104,8 @@ def test_generator_level_one_is_walk():
     walk = build_rw_generator(g).matrix
     relabel = [built.space.rank(tuple(int(y == x) for y in range(g.n)))
                for x in range(g.n)]
-    np.testing.assert_allclose(built.matrix[np.ix_(relabel, relabel)], walk, atol=1e-12)
+    np.testing.assert_allclose(built.matrix.toarray()[np.ix_(relabel, relabel)], walk,
+                               atol=1e-12)
 
 
 def test_intertwining_on_random_functions():
@@ -147,7 +148,7 @@ def test_degree_preserved_on_random_monomials():
         k = int(rng.integers(1, 6))
         g = random_connected_graph(n, rng)
         space = enumerate_configs(n, k)
-        p = basis_monomial(space, int(rng.integers(0, space.size)))
+        p = poly_lift(np.eye(space.size)[rng.integers(0, space.size)], space)
         image = apply_bep_generator(p, g)
         assert image.degree == k
         for expo in image.coeffs:
@@ -188,8 +189,79 @@ def test_simplex_measure_log_normalization():
         math.lgamma(0.5) + math.lgamma(1.5) + math.lgamma(2.0) - math.lgamma(4.0))
 
 
-def test_serialization_sorted():
-    p = HomogPolynomial(2, 2, {(2, 0): 1.0, (0, 2): -1.0})
-    dumped = p.to_json_list()
-    assert dumped == [{"exponents": [0, 2], "coeff": -1.0},
-                      {"exponents": [2, 0], "coeff": 1.0}]
+
+def _assert_matches_dict_oracle(g, k):
+    built = bep_matrix(Level(g, k))
+    oracle = dict_bep_matrix(g, k)
+    assert built.matrix.format == "csr" and built.check.passed
+    np.testing.assert_allclose(built.matrix.toarray(), oracle, rtol=0.0,
+                               atol=1e-13 * max(1.0, np.abs(oracle).max()))
+
+
+@pytest.mark.parametrize("alpha_range", [(0.3, 0.9), (1.0, 2.5)], ids=["general", "equality"])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_batched_matrix_matches_the_dict_oracle(alpha_range, n):
+    g = random_connected_graph(n, np.random.default_rng(70 + n), alpha_range=alpha_range)
+    for k in range(1, 6):
+        _assert_matches_dict_oracle(g, k)
+
+
+def test_batched_matrix_matches_the_dict_oracle_past_int64_keys():
+    # 3^40 > 2^63: the level-2 keys are Python integers
+    _assert_matches_dict_oracle(path_graph(40), 2)
+
+
+def test_generator_matches_the_dict_oracle_on_random_polynomials():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        n, degree = int(rng.integers(2, 6)), int(rng.integers(0, 6))
+        g = random_connected_graph(n, rng)
+        space = enumerate_configs(n, degree)
+        picks = rng.choice(space.size, size=min(space.size, 4), replace=False)
+        poly = {tuple(space.occupations[r].tolist()): rng.standard_normal() for r in picks}
+        image = apply_bep_generator(HomogPolynomial(n, degree, poly), g).coeffs
+        expected = dict_bep_generator(poly, g)
+        if degree == 0:
+            assert image == expected == {}
+        for expo in set(image) | set(expected):
+            assert image.get(expo, 0.0) == pytest.approx(expected.get(expo, 0.0),
+                                                         rel=1e-13, abs=1e-13)
+
+
+def test_a_degree_change_is_refused_before_ranking(monkeypatch):
+    z = Terms.z
+    monkeypatch.setattr(Terms, "z", lambda self, x: z(z(self, x), x))  # raises twice
+    with pytest.raises(VerificationError, match="degree"):
+        bep_matrix(Level(path_graph(3), 2))
+    with pytest.raises(VerificationError, match="degree"):
+        apply_bep_generator(HomogPolynomial(3, 1, {(1, 0, 0): 1.0}), path_graph(3))
+
+
+@pytest.mark.parametrize("alpha_range", [(0.3, 0.9), (1.0, 2.5)], ids=["general", "equality"])
+def test_dense_diffusion_spectra_match_the_level_gaps(alpha_range):
+    rng = np.random.default_rng(9)
+    for n in (3, 4, 5):
+        g = random_connected_graph(n, rng, alpha_range=alpha_range)
+        report = bep_gap_report(Level(g, 4))
+        walk = build_rw_generator(g)
+        atol = gap_tolerance(walk, rw_spectrum(walk, want_vectors=False).gap, 1e-8)
+        level = Level(g, 4)
+        while level.k >= 1:
+            dense = reversible_spectrum(bep_matrix(level).matrix.toarray(),
+                                        level.measure.probabilities, want_vectors=False)
+            assert abs(dense.gap - report.level_gaps[level.k]) <= atol, (n, level.k)
+            level = level.lower
+
+
+def test_dense_diffusion_spectra_on_complete_graphs_match_the_closed_form():
+    rng = np.random.default_rng(10)
+    for n in (3, 4):
+        alpha = rng.uniform(0.3, 3.0, size=n)
+        g = complete_graph(n, alpha)
+        level = Level(g, 4)
+        while level.k >= 1:
+            dense = reversible_spectrum(bep_matrix(level).matrix.toarray(),
+                                        level.measure.probabilities, want_vectors=False)
+            expected = [l * (alpha.sum() + l - 1) / n for l in range(level.k + 1)]
+            assert hausdorff_gap(dense.eigenvalues, expected) <= 1e-9, (n, level.k)
+            level = level.lower

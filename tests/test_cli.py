@@ -204,7 +204,9 @@ def _count_level_builds(monkeypatch):
     levels = {"build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
               "_jumps": (siplab.sip, lambda graph, space: space.k),
               "removal_qr": (siplab.intertwiners, lambda level: level.k),
-              "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1)}
+              "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1),
+              "sip_gap": (siplab.sip, lambda gen: gen.space.k),
+              "sip_spectrum": (siplab.sip, lambda gen, want_vectors=True: gen.space.k)}
     counts = {name: collections.Counter() for name in levels}
     for name, (home, level_of) in levels.items():
         original = getattr(home, name)
@@ -230,6 +232,23 @@ def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
     assert counts["_jumps"] == {1: 1, 2: 1, 3: 1, 4: 1}
     assert counts["removal_qr"] == {2: 1, 3: 1, 4: 1}
     assert counts["build_shifted_walks"] == {2: 1, 3: 1, 4: 1}
+    # the gap report and the diffusion report read each level's gap once
+    assert counts["sip_gap"] == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypatch):
+    counts = _count_level_builds(monkeypatch)
+    code, _, _ = run(["verify", "path(3)", "--K", "4", "--suite", "bep"], capsys)
+    assert code == 0
+    assert counts["sip_spectrum"] == {1: 1}
+    assert counts["sip_gap"] == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def _write_graph(path, weights, alpha):
+    n = len(alpha)
+    edges = [[x, y, weights[x, y]] for x in range(n) for y in range(x + 1, n) if weights[x, y] > 0]
+    path.write_text(json.dumps({"n": n, "edges": edges, "alpha": list(alpha)}))
+    return str(path)
 
 
 def _verdicts(payload):
@@ -248,17 +267,36 @@ def test_verdicts_invariant_under_relabeling_vertices(alpha_range, tmp_path, cap
         g = random_connected_graph(n, rng, alpha_range=alpha_range)
         payloads = []
         for perm in (np.arange(n), rng.permutation(n)):
-            w, alpha = g.edge_weights[np.ix_(perm, perm)], g.site_weights[perm]
-            edges = [[x, y, w[x, y]] for x in range(n) for y in range(x + 1, n) if w[x, y] > 0]
-            path = tmp_path / f"g{i}.json"
-            path.write_text(json.dumps({"n": n, "edges": edges, "alpha": alpha.tolist()}))
-            code, out, _ = run(["verify", str(path), "--K", "4", "--suite", "all"], capsys)
+            path = _write_graph(tmp_path / f"g{i}.json", g.edge_weights[np.ix_(perm, perm)],
+                                g.site_weights[perm].tolist())
+            code, out, _ = run(["verify", path, "--K", "4", "--suite", "all"], capsys)
             payloads.append((code, json.loads(out)))
         (code, base), (code_perm, permuted) = payloads
         assert code == code_perm and _verdicts(base) == _verdicts(permuted)
         tolerance = base["gap_report"]["tolerance"]
         for k, gap in base["gap_report"]["gap_k"].items():
             assert abs(permuted["gap_report"]["gap_k"][k] - gap) <= tolerance, (n, k)
+
+
+@pytest.mark.parametrize("alpha_range", [(0.3, 0.9), (1.0, 2.5)], ids=["general", "equality"])
+def test_verdicts_invariant_under_rescaling_time(alpha_range, tmp_path, capsys):
+    # c -> lambda c is a change of time scale: every rate and gap scales by lambda
+    rng = np.random.default_rng(62)
+    for n in (3, 4, 5):
+        g = random_connected_graph(n, rng, alpha_range=alpha_range)
+        payloads = {}
+        for scale in (1.0, 1e-6, 1e-3, 1e3, 1e6):
+            path = _write_graph(tmp_path / "g.json", scale * g.edge_weights,
+                                g.site_weights.tolist())
+            code, out, _ = run(["verify", path, "--K", "4", "--suite", "all"], capsys)
+            payloads[scale] = (code, json.loads(out))
+        code, base = payloads.pop(1.0)
+        assert code == 0
+        for scale, (code_scaled, scaled) in payloads.items():
+            assert code_scaled == code and _verdicts(scaled) == _verdicts(base), (n, scale)
+            tolerance = scaled["gap_report"]["tolerance"]
+            for k, gap in base["gap_report"]["gap_k"].items():
+                assert abs(scaled["gap_report"]["gap_k"][k] - scale * gap) <= tolerance, (n, k)
 
 
 def test_sweep_ratios_within_sandwich(tmp_path, capsys):
@@ -405,7 +443,7 @@ def test_report_aggregate(tmp_path, capsys):
     assert report["state_cap"] == 20_000
 
 
-def test_report_records_the_clamped_diffusion_degree(tmp_path, capsys, monkeypatch):
+def test_report_runs_the_diffusion_at_degree_K(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     outputs = []
     for name in ("a.json", "b.json"):
@@ -415,14 +453,8 @@ def test_report_records_the_clamped_diffusion_degree(tmp_path, capsys, monkeypat
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0])
-    assert report["bep_report"]["degree_max"] == 4
-    clamp = report["bep_degree"]
-    assert (clamp["requested"], clamp["used"]) == (5, 4)
-    assert "degree 4" in clamp["reason"] and "--K 5" in clamp["reason"]
-    code, _, _ = run(["report", "path(3)", "--K", "3", "--json", str(tmp_path / "c.json")], capsys)
-    assert code == 0
-    assert json.loads((tmp_path / "c.json").read_text())["bep_degree"] == {
-        "requested": 3, "used": 3, "reason": None}
+    assert report["bep_report"]["degree_max"] == 5
+    assert "bep_degree" not in report
 
 
 def test_outputs_byte_identical_with_pinned_timestamp(tmp_path, capsys, monkeypatch):
