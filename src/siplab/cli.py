@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bep import bep_gap_report
-from .configs import enumerate_configs, state_cap
+from .configs import enumerate_configs, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import (Graph, build_rw_generator, graph_from_preset, load_graph, rw_gap,
                      rw_spectrum)
@@ -224,15 +225,52 @@ def cmd_verify(args) -> int:
     return 0 if payload["pass"] else 1
 
 
-def _sweep_one(spec, ai, graph, k_max):
+def _level_gap(graph: Graph, k: int):
+    """One sweep task, run in a worker process: the gap of level k, or the
+    SiplabError that stopped it."""
+    try:
+        return sip_gap(build_sip_generator(graph, k))
+    except SiplabError as exc:
+        return exc
+
+
+def _sweep_gaps(samples: dict, k_max: int, jobs: int | None) -> dict:
+    """{sample: [gap or SiplabError for k = 2..k_max]} for each graph in
+    `samples`, one task per level on worker processes, largest level first.
+
+    Processes, not threads: of a sweep's work only SuperLU's factorization
+    releases the GIL. On a 1716-state level (2 cores, BLAS on one thread),
+    20 factors took 1040 ms in series and 590 ms on two threads, but 600
+    solves 373 and 256 ms, and the level builds, ARPACK's
+    reverse-communication loop and the small dense solves did not overlap
+    at all. Forked, not spawned: a spawned worker would import numpy, scipy
+    and siplab again, about 0.5 s, five times a whole sweep of path(7) and
+    cycle(7) to k=7. The fork pool starts every worker up front, before its
+    own manager thread, so it asks for no more than the cores or the tasks."""
+    tasks = sorted(((i, k) for i in samples for k in range(2, k_max + 1)),
+                   key=lambda task: -space_size(samples[task[0]].n, task[1]))
+    if not tasks:
+        return {}
+    cores = os.cpu_count() or 1
+    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with concurrent.futures.ProcessPoolExecutor(min(jobs or cores, cores, len(tasks)),
+                                                multiprocessing.get_context(start)) as pool:
+        futures = {(i, k): pool.submit(_level_gap, samples[i], k) for i, k in tasks}
+        return {i: [futures[i, k].result() for k in range(2, k_max + 1)] for i in samples}
+
+
+def _sweep_rows(spec, ai, graph, gaps) -> list:
+    """Rows of one sample from its level gaps, k = 2, 3, ..: each level up
+    to the first failing one, whose error ends them as a -1 row."""
     rows = []
     try:
         if not graph.connected:
             raise InputError(f"graph is disconnected ({graph.components} components) "
                              f"so gap ratios are undefined")
         gap_walk = rw_gap(graph)
-        for k in range(2, k_max + 1):
-            gap_k = sip_gap(build_sip_generator(graph, k))
+        for k, gap_k in enumerate(gaps, start=2):
+            if isinstance(gap_k, SiplabError):
+                raise gap_k
             rows.append((spec, ai, k, gap_k, gap_walk, gap_k / gap_walk, ""))
     except SiplabError as exc:
         rows.append((spec, ai, -1, float("nan"), float("nan"), float("nan"), str(exc)))
@@ -258,18 +296,18 @@ def cmd_sweep(args) -> int:
     lo, hi = float(rng_range[0]), float(rng_range[1])
     if not 0 < lo <= hi:
         raise InputError("alpha.range must satisfy 0 < lo <= hi")
-    tasks = []
+    samples = []
     for gi, spec in enumerate(graphs):
         base = graph_from_preset(spec) if not os.path.exists(spec) else load_graph(spec)
         for ai in range(n_samples):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                                spawn_key=(gi, ai)))
             alpha = np.exp(rng.uniform(np.log(lo), np.log(hi), size=base.n))
-            tasks.append((spec, ai, base.with_site_weights(alpha)))
-    # the sparse solves run in native code, so rows overlap on threads; map keeps task order
-    with concurrent.futures.ThreadPoolExecutor(args.jobs or os.cpu_count() or 1) as pool:
-        ordered = [row for rows in pool.map(lambda t: _sweep_one(*t, k_max), tasks)
-                   for row in rows]
+            samples.append((spec, ai, base.with_site_weights(alpha)))
+    gaps = _sweep_gaps({i: graph for i, (_, _, graph) in enumerate(samples) if graph.connected},
+                       k_max, args.jobs)
+    ordered = [row for i, (spec, ai, graph) in enumerate(samples)
+               for row in _sweep_rows(spec, ai, graph, gaps.get(i, []))]
     manifest = _manifest("sweep", {"spec": args.spec, "k_max": k_max,
                                    "n_samples": n_samples}, Path(args.spec).read_text(), seed)
     _write_csv(args.csv, ("graph_id", "alpha_id", "k", "gap_k", "gap_rw", "ratio", "error"),
@@ -359,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="gap ratios over graphs and random site weights")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--csv", help="CSV output path (default stdout)")
-    p.add_argument("--jobs", type=_positive_int, help="threads computing rows (default: cores)")
+    p.add_argument("--jobs", type=_positive_int,
+                   help="worker processes, at most the cores and the levels to solve "
+                        "(default: cores)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo state histograms")

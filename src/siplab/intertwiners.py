@@ -244,11 +244,22 @@ def invert_annihilation(h, space_high: ConfigSpace, space_low: ConfigSpace) -> n
 
 
 def check_adjoint(level: Level, rtol: float = 1e-10) -> CheckResult:
-    """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity."""
+    """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity.
+
+    A_k^T and C_k share the pattern {(xi, xi + delta_x)}, so once their
+    indices are sorted the two sides are compared on their CSR values; a
+    pattern that differs goes through `identity_check` as sparse sides."""
     k = level.k
     factor = k / (level.graph.alpha_total + k - 1)
-    lhs = level.annihilation.matrix.T * level.measure.probabilities[None, :]
-    rhs = (factor * level.lower.measure.probabilities)[:, None] * level.creation.matrix
+    mu, mu_low = level.measure.probabilities, factor * level.lower.measure.probabilities
+    ann_t = level.annihilation.matrix.T.tocsr()
+    cre = level.creation.matrix.sorted_indices()
+    if not (np.array_equal(ann_t.indptr, cre.indptr)
+            and np.array_equal(ann_t.indices, cre.indices)):
+        return identity_check(f"adjoint[k={k}]", ann_t * mu[None, :], mu_low[:, None] * cre,
+                              rtol)
+    lhs = ann_t.data * mu[ann_t.indices]
+    rhs = mu_low[np.repeat(np.arange(cre.shape[0]), np.diff(cre.indptr))] * cre.data
     return identity_check(f"adjoint[k={k}]", lhs, rhs, rtol)
 
 

@@ -106,8 +106,12 @@ SPARSE_GAP_MIN_STATES = 300
 # The shift sits this fraction of the largest exit rate below zero, the
 # bottom of the spectrum, so the two lowest eigenvalues dominate the
 # inverted operator.  It follows the operator's own scale with no floor,
-# so rescaling every edge weight rescales the whole solve.
-GAP_SHIFT_FRACTION = 1e-2
+# so rescaling every edge weight rescales the whole solve.  Nearer zero,
+# ARPACK needs fewer LU solves: 606 against 882 at 1e-2 on 24 levels of
+# 462-1716 states of path(7) and cycle(7) with random site weights, every
+# gap within 1e-13 relative of the 1e-2 one.  sym - sigma I stays positive
+# definite, with a condition number near 2e3.
+GAP_SHIFT_FRACTION = 1e-3
 
 
 def sip_gap(gen: SipGenerator) -> float:

@@ -8,9 +8,11 @@ library code is always checked against an independent computation.
 import functools
 import itertools
 import math
+import multiprocessing
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from siplab.configs import (ConfigSpace, rank_composition, space_size, unrank_composition,
@@ -23,6 +25,13 @@ from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labele
                              labeled_stationary_measure, unlabel_pullback)
 from siplab.reporting import identity_check, make_check
 from siplab.sip import sip_spectrum
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test joins the processes it starts, as the benchmark requires of a run."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def zero_multiplicity(spec: Spectrum, rtol: float = 1e-9) -> int:

@@ -1,15 +1,21 @@
 import collections
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import siplab.cli
 import siplab.intertwiners
 import siplab.lookdown
 import siplab.sip
 from siplab.cli import main
+from siplab.configs import space_size
+from siplab.errors import EigensolverError
 from siplab.graphs import random_connected_graph
 
 EXPECTED_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "expected_checks.json"
@@ -262,20 +268,29 @@ def _verdicts(payload):
 
 @pytest.mark.parametrize("alpha_range", [(0.3, 0.9), (1.0, 2.5)], ids=["general", "equality"])
 def test_verdicts_invariant_under_relabeling_vertices(alpha_range, tmp_path, capsys):
+    """verify --suite all and report: same exit code and verdicts, and every
+    gap and ratio within the report's tolerance."""
     rng = np.random.default_rng(61)
     for i, n in enumerate((3, 4, 5)):
         g = random_connected_graph(n, rng, alpha_range=alpha_range)
-        payloads = []
-        for perm in (np.arange(n), rng.permutation(n)):
-            path = _write_graph(tmp_path / f"g{i}.json", g.edge_weights[np.ix_(perm, perm)],
-                                g.site_weights[perm].tolist())
-            code, out, _ = run(["verify", path, "--K", "4", "--suite", "all"], capsys)
-            payloads.append((code, json.loads(out)))
-        (code, base), (code_perm, permuted) = payloads
-        assert code == code_perm and _verdicts(base) == _verdicts(permuted)
-        tolerance = base["gap_report"]["tolerance"]
-        for k, gap in base["gap_report"]["gap_k"].items():
-            assert abs(permuted["gap_report"]["gap_k"][k] - gap) <= tolerance, (n, k)
+        paths = [_write_graph(tmp_path / f"g{i}_{j}.json", g.edge_weights[np.ix_(perm, perm)],
+                              g.site_weights[perm].tolist())
+                 for j, perm in enumerate((np.arange(n), rng.permutation(n)))]
+        for command, options in (("verify", ["--suite", "all"]), ("report", [])):
+            payloads = []
+            for path in paths:
+                code, out, _ = run([command, path, "--K", "4", *options], capsys)
+                payloads.append((code, json.loads(out)))
+            (code, base), (code_perm, permuted) = payloads
+            assert code == code_perm and _verdicts(base) == _verdicts(permuted), (n, command)
+            report, report_perm = base["gap_report"], permuted["gap_report"]
+            for k, gap in report["gap_k"].items():
+                assert abs(report_perm["gap_k"][k] - gap) <= report["tolerance"], (n, k)
+                assert (abs(report_perm["ratio_k"][k] - report["ratio_k"][k])
+                        <= report["relative_tolerance"]), (n, k)
+            for k, gap in base["bep_report"]["level_gaps"].items():
+                assert (abs(permuted["bep_report"]["level_gaps"][k] - gap)
+                        <= report["tolerance"]), (n, k)
 
 
 @pytest.mark.parametrize("alpha_range", [(0.3, 0.9), (1.0, 2.5)], ids=["general", "equality"])
@@ -350,19 +365,80 @@ def test_sweep_refuses_jobs_below_one(jobs, tmp_path, capsys):
     assert f"--jobs: must be an integer of at least 1, got {jobs!r}" in err
 
 
+def _sweep_spec(path, graphs, k_max, seed, n_samples=1):
+    path.write_text(json.dumps({"graphs": graphs, "k_max": k_max, "seed": seed,
+                                "alpha": {"n_samples": n_samples, "range": [0.5, 2.0]}}))
+    return str(path)
+
+
 def test_sweep_row_error_sets_exit_one(tmp_path, capsys, monkeypatch):
+    """The rows of the level below the cap, then one -1 row; gap_k, gap_rw
+    and ratio agree to 1e-12 relative, and every other field exactly."""
     monkeypatch.setenv("SIPLAB_STATE_CAP", "20")
-    spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({
-        "graphs": ["path(5)"],
-        "alpha": {"n_samples": 1, "range": [0.5, 2.0]},
-        "k_max": 4,
-        "seed": 1,
-    }))
-    code, out, _ = run(["sweep", str(spec)], capsys)
+    spec = _sweep_spec(tmp_path / "sweep.json", ["path(5)"], 4, 1)
+    code, out, _ = run(["sweep", spec], capsys)
     assert code == 1
     _, rows = read_csv(out)
-    assert any(row[-1] for row in rows)
+    _, expected = read_csv(
+        "graph_id,alpha_id,k,gap_k,gap_rw,ratio,error\n"
+        "path(5),0,2,0.21409082770481463,0.21409082770481452,1.0000000000000004,\n"
+        "path(5),0,-1,nan,nan,nan,configuration space with n=5, k=3 has 35 states, "
+        "exceeding the cap of 20\n")
+    assert [row[:3] + row[6:] for row in rows] == [row[:3] + row[6:] for row in expected]
+    for row, want in zip(rows, expected):
+        assert [float(v) for v in row[3:6]] == pytest.approx(
+            [float(v) for v in want[3:6]], rel=1e-12, nan_ok=True)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="only forked workers inherit the patched sip_gap")
+def test_sweep_rows_stop_at_a_failing_level(tmp_path, capsys, monkeypatch):
+    """A level that fails in a worker ends its sample's rows with one -1 row
+    after the levels below it; other samples and graphs keep every row."""
+    spec = _sweep_spec(tmp_path / "sweep.json", ["path(5)", "cycle(4)"], 5, 3, n_samples=2)
+    code, out, _ = run(["sweep", spec, "--jobs", "2"], capsys)
+    assert code == 0
+    _, clean = read_csv(out)
+    real = siplab.cli.sip_gap
+
+    def failing_at_level_4(gen):
+        if gen.graph.n == 5 and gen.space.k == 4:
+            raise EigensolverError("gap eigensolve failed at k=4: injected")
+        return real(gen)
+
+    monkeypatch.setattr(siplab.cli, "sip_gap", failing_at_level_4)
+    code, out, _ = run(["sweep", spec, "--jobs", "2"], capsys)
+    assert code == 1
+    _, rows = read_csv(out)
+    error = ["nan", "nan", "nan", "gap eigensolve failed at k=4: injected"]
+    assert rows == (clean[0:2] + [["path(5)", "0", "-1", *error]]
+                    + clean[4:6] + [["path(5)", "1", "-1", *error]] + clean[8:])
+
+
+def test_sweep_asks_for_no_more_workers_than_cores_or_levels(tmp_path, capsys, monkeypatch):
+    """--jobs 1000000 is capped before any process starts: the recorder
+    refuses to start a pool past the cap. Levels go largest first."""
+    cores = os.cpu_count() or 1
+    asked, sizes = [], []
+
+    class Recorder(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context=None):
+            asked.append(max_workers)
+            assert max_workers <= cores
+            super().__init__(max_workers, mp_context)
+
+        def submit(self, fn, graph, k):
+            sizes.append(space_size(graph.n, k))
+            return super().submit(fn, graph, k)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    eight_levels = _sweep_spec(tmp_path / "eight.json", ["path(3)", "cycle(4)"], 3, 0, 2)
+    one_level = _sweep_spec(tmp_path / "one.json", ["path(3)"], 2, 0)
+    for spec, jobs in ((eight_levels, "1000000"), (one_level, "1000000"), (eight_levels, "1")):
+        code, _, _ = run(["sweep", spec, "--jobs", jobs], capsys)
+        assert code == 0
+    assert asked == [min(cores, 8), 1, 1]
+    assert sizes[:8] == [20, 20, 10, 10, 10, 10, 6, 6]
 
 
 def test_sweep_disconnected_graph_is_an_error_row(tmp_path, capsys):
@@ -383,6 +459,10 @@ def test_sweep_disconnected_graph_is_an_error_row(tmp_path, capsys):
     assert len(errors) == 1 and errors[0][0] == str(graph)
     assert errors[0][2] == "-1" and "disconnected" in errors[0][-1]
     assert len(rows) == 1 + 2  # the connected graph still gets k = 2, 3
+    # with no connected graph there is no level to solve and no pool
+    code, out, _ = run(["sweep", _sweep_spec(tmp_path / "split_only.json", [str(graph)], 3, 2)],
+                       capsys)
+    assert code == 1 and read_csv(out)[1] == [errors[0]]
 
 
 def test_sweep_byte_identical_across_jobs_and_calls(tmp_path, capsys, monkeypatch):

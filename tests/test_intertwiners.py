@@ -609,3 +609,25 @@ def test_adjoint_by_broadcasting_equals_diagonal_products():
             lhs = level.annihilation.matrix.T @ np.diag(level.measure.probabilities)
             rhs = factor * np.diag(level.lower.measure.probabilities) @ level.creation.matrix
             assert check_adjoint(level).residual == float(np.abs(lhs - rhs).max())
+
+
+def test_adjoint_fails_on_a_scaled_or_dropped_creation_entry():
+    """The aligned comparison catches a wrong value, and a pattern that no
+    longer matches falls back to sparse sides with the true residual."""
+    g = random_connected_graph(4, np.random.default_rng(35), alpha_range=(0.3, 2.5))
+    level = Level(g, 3)
+    factor = 3 / (g.alpha_total + 2)
+    assert check_adjoint(level).passed
+    scaled = level.creation.matrix.copy()
+    scaled.data[7] *= 1.01
+    coo = level.creation.matrix.tocoo()
+    keep = np.arange(coo.nnz) != 7
+    dropped = scipy.sparse.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                                     shape=coo.shape)
+    for matrix in (scaled, dropped):
+        mutated = Level(g, 3, level.lower)
+        mutated.__dict__["creation"] = replace(level.creation, matrix=matrix)
+        check = check_adjoint(mutated)
+        lhs = level.annihilation.matrix.T @ np.diag(level.measure.probabilities)
+        rhs = factor * np.diag(level.lower.measure.probabilities) @ matrix.toarray()
+        assert not check.passed and check.residual == float(np.abs(lhs - rhs).max())
