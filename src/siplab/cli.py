@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import ctypes
 import hashlib
 import json
 import multiprocessing
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bep import bep_gap_report
-from .configs import enumerate_configs, space_size, state_cap
+from .configs import capped_size, enumerate_configs, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import (Graph, build_rw_generator, graph_from_preset, load_graph, rw_gap,
                      rw_spectrum)
@@ -234,46 +236,114 @@ def _level_gap(graph: Graph, k: int):
         return exc
 
 
-def _sweep_gaps(samples: dict, k_max: int, jobs: int | None) -> dict:
-    """{sample: [gap or SiplabError for k = 2..k_max]} for each graph in
-    `samples`, one task per level on worker processes, largest level first.
+def _sweep_plan(graph: Graph, k_max: int) -> tuple:
+    """(walk gap, levels to solve, error that ends the rows or None) of one
+    sample, decided in the parent before any level is solved: a
+    disconnected graph or a failed walk solve has no levels, and the levels
+    stop below the first one over the state cap, whose StateCapError ends
+    the rows. So a k_max far past the cap costs no more than the levels
+    under it."""
+    gap_walk, k = float("nan"), 2
+    try:
+        if not graph.connected:
+            raise InputError(f"graph is disconnected ({graph.components} components) "
+                             f"so gap ratios are undefined")
+        gap_walk = rw_gap(graph)
+        while k <= k_max:
+            capped_size(graph.n, k)
+            k += 1
+    except SiplabError as exc:
+        return gap_walk, range(2, k), exc
+    return gap_walk, range(2, k), None
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) of the thread count of each OpenBLAS loaded in this
+    process, found in /proc/self/maps: numpy's and scipy's bundled copies
+    (prefixed scipy_openblas, ILP64 symbols suffixed 64_) or a system one.
+    Empty off Linux or under another BLAS."""
+    if sys.platform != "linux":
+        return []
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is no library
+            continue
+        for name in ("scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads", "openblas_{}_num_threads64_"):
+            if hasattr(lib, name.format("set")):
+                get, set_count = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_count.argtypes, set_count.restype = [ctypes.c_int], None
+                controls.append((get, set_count))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every OpenBLAS of this process on one thread inside the block, then
+    back to its count. Workers forked inside inherit the one thread: each
+    worker is one core, and a second BLAS thread per worker spins on the
+    cores the other workers need. With BLAS left at its default of one
+    thread per core, an op of the gap_sweep benchmark's inputs on 2 cores
+    and 2 workers took about 250 ms without this, 87 ms with it, and 132 ms
+    on two threads of one process. Setting the count inside each worker
+    instead started BLAS threads there and took 175 ms."""
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_count in controls:
+        set_count(1)
+    try:
+        yield
+    finally:
+        for (_, set_count), count in zip(controls, counts):
+            set_count(count)
+
+
+def _sweep_gaps(samples: dict, jobs: int | None) -> dict:
+    """{(sample, k): gap or SiplabError} for the `samples` {sample: (graph,
+    levels)}, one task per level on worker processes, largest level first.
 
     Processes, not threads: of a sweep's work only SuperLU's factorization
     releases the GIL. On a 1716-state level (2 cores, BLAS on one thread),
     20 factors took 1040 ms in series and 590 ms on two threads, but 600
     solves 373 and 256 ms, and the level builds, ARPACK's
     reverse-communication loop and the small dense solves did not overlap
-    at all. Forked, not spawned: a spawned worker would import numpy, scipy
-    and siplab again, about 0.5 s, five times a whole sweep of path(7) and
-    cycle(7) to k=7. The fork pool starts every worker up front, before its
-    own manager thread, so it asks for no more than the cores or the tasks."""
-    tasks = sorted(((i, k) for i in samples for k in range(2, k_max + 1)),
-                   key=lambda task: -space_size(samples[task[0]].n, task[1]))
+    at all. Forked on Linux: a spawned worker would import numpy, scipy and
+    siplab again, about 0.5 s, five times a whole sweep of path(7) and
+    cycle(7) to k=7. Elsewhere the platform's default method stands, since
+    macOS system libraries are not safe to fork. The fork pool starts every
+    worker up front, before its own manager thread, so it asks for no more
+    than the cores or the tasks."""
+    tasks = sorted(((i, k) for i, (_, levels) in samples.items() for k in levels),
+                   key=lambda task: -space_size(samples[task[0]][0].n, task[1]))
     if not tasks:
         return {}
     cores = os.cpu_count() or 1
-    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    with concurrent.futures.ProcessPoolExecutor(min(jobs or cores, cores, len(tasks)),
-                                                multiprocessing.get_context(start)) as pool:
-        futures = {(i, k): pool.submit(_level_gap, samples[i], k) for i, k in tasks}
-        return {i: [futures[i, k].result() for k in range(2, k_max + 1)] for i in samples}
+    start = "fork" if sys.platform == "linux" else None
+    with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
+            min(jobs or cores, cores, len(tasks)), multiprocessing.get_context(start)) as pool:
+        futures = {(i, k): pool.submit(_level_gap, samples[i][0], k) for i, k in tasks}
+        return {task: future.result() for task, future in futures.items()}
 
 
-def _sweep_rows(spec, ai, graph, gaps) -> list:
-    """Rows of one sample from its level gaps, k = 2, 3, ..: each level up
-    to the first failing one, whose error ends them as a -1 row."""
+def _sweep_rows(spec, ai, plan, gaps: dict) -> list:
+    """Rows of one sample from its plan and level gaps, k = 2, 3, ..: each
+    level up to the first failing one, then one -1 row for the error that
+    ended them."""
+    gap_walk, levels, error = plan
     rows = []
-    try:
-        if not graph.connected:
-            raise InputError(f"graph is disconnected ({graph.components} components) "
-                             f"so gap ratios are undefined")
-        gap_walk = rw_gap(graph)
-        for k, gap_k in enumerate(gaps, start=2):
-            if isinstance(gap_k, SiplabError):
-                raise gap_k
-            rows.append((spec, ai, k, gap_k, gap_walk, gap_k / gap_walk, ""))
-    except SiplabError as exc:
-        rows.append((spec, ai, -1, float("nan"), float("nan"), float("nan"), str(exc)))
+    for k in levels:
+        if isinstance(gaps[k], SiplabError):
+            error = gaps[k]
+            break
+        rows.append((spec, ai, k, gaps[k], gap_walk, gaps[k] / gap_walk, ""))
+    if error is not None:
+        rows.append((spec, ai, -1, float("nan"), float("nan"), float("nan"), str(error)))
     return rows
 
 
@@ -304,10 +374,12 @@ def cmd_sweep(args) -> int:
                                                                spawn_key=(gi, ai)))
             alpha = np.exp(rng.uniform(np.log(lo), np.log(hi), size=base.n))
             samples.append((spec, ai, base.with_site_weights(alpha)))
-    gaps = _sweep_gaps({i: graph for i, (_, _, graph) in enumerate(samples) if graph.connected},
-                       k_max, args.jobs)
-    ordered = [row for i, (spec, ai, graph) in enumerate(samples)
-               for row in _sweep_rows(spec, ai, graph, gaps.get(i, []))]
+    plans = [_sweep_plan(graph, k_max) for _, _, graph in samples]
+    gaps = _sweep_gaps({i: (graph, plans[i][1]) for i, (_, _, graph) in enumerate(samples)},
+                       args.jobs)
+    ordered = [row for i, (spec, ai, _) in enumerate(samples)
+               for row in _sweep_rows(spec, ai, plans[i],
+                                      {k: gaps[i, k] for k in plans[i][1]})]
     manifest = _manifest("sweep", {"spec": args.spec, "k_max": k_max,
                                    "n_samples": n_samples}, Path(args.spec).read_text(), seed)
     _write_csv(args.csv, ("graph_id", "alpha_id", "k", "gap_k", "gap_rw", "ratio", "error"),

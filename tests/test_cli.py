@@ -1,7 +1,6 @@
 import collections
 import concurrent.futures
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -390,7 +389,32 @@ def test_sweep_row_error_sets_exit_one(tmp_path, capsys, monkeypatch):
             [float(v) for v in want[3:6]], rel=1e-12, nan_ok=True)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys,
+                                                                monkeypatch):
+    """k_max 10**9 gives the rows and exit code of k_max 4: the levels stop
+    at the first one over the cap, before any task is listed, so one level
+    per sample reaches a worker."""
+    monkeypatch.setenv("SIPLAB_STATE_CAP", "20")
+    levels = []
+
+    class Recorder(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, graph, k):
+            levels.append(k)
+            return super().submit(fn, graph, k)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    outputs = []
+    for k_max in (4, 10 ** 9):
+        spec = _sweep_spec(tmp_path / f"sweep{k_max}.json", ["path(5)", "cycle(4)"], k_max, 1, 2)
+        code, out, _ = run(["sweep", spec], capsys)
+        assert code == 1
+        outputs.append(read_csv(out)[1])
+    assert outputs[0] == outputs[1]
+    assert [row[2] for row in outputs[0]] == ["2", "-1"] * 2 + ["2", "3", "-1"] * 2
+    assert sorted(levels) == [2] * 8 + [3] * 4
+
+
+@pytest.mark.skipif(sys.platform != "linux",
                     reason="only forked workers inherit the patched sip_gap")
 def test_sweep_rows_stop_at_a_failing_level(tmp_path, capsys, monkeypatch):
     """A level that fails in a worker ends its sample's rows with one -1 row
@@ -439,6 +463,34 @@ def test_sweep_asks_for_no_more_workers_than_cores_or_levels(tmp_path, capsys, m
         assert code == 0
     assert asked == [min(cores, 8), 1, 1]
     assert sizes[:8] == [20, 20, 10, 10, 10, 10, 6, 6]
+
+
+def _blas_thread_counts() -> list:
+    return [get() for get, _ in siplab.cli._openblas_thread_controls()]
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="only forked workers inherit the patched sip_gap")
+def test_sweep_workers_fork_with_one_blas_thread(tmp_path, capsys, monkeypatch):
+    """The sweep's workers run each OpenBLAS on one thread, and after the
+    sweep the count set before is back. The patched sip_gap reports the
+    worker's largest count as its gap."""
+    controls = siplab.cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = _blas_thread_counts()
+    monkeypatch.setattr(siplab.cli, "sip_gap", lambda gen: float(max(_blas_thread_counts())))
+    try:
+        for _, set_count in controls:
+            set_count(2)
+        code, out, _ = run(["sweep", _sweep_spec(tmp_path / "sweep.json", ["path(3)"], 4, 0),
+                            "--jobs", "2"], capsys)
+        assert code == 0
+        assert [row[3] for row in read_csv(out)[1]] == ["1", "1", "1"]
+        assert _blas_thread_counts() == [2] * len(controls)
+    finally:
+        for (_, set_count), count in zip(controls, before):
+            set_count(count)
 
 
 def test_sweep_disconnected_graph_is_an_error_row(tmp_path, capsys):
