@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import ctypes
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bep import bep_gap_report
-from .configs import capped_size, enumerate_configs, space_size, state_cap
+from .configs import capped_size, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import (Graph, build_rw_generator, graph_from_preset, load_graph, rw_gap,
                      rw_spectrum)
@@ -392,18 +393,8 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(graph, args.k, args.mode, args.horizon, args.paths,
                     args.seed, _parse_times(args.times))
     summary = simulate(cfg)
-    if cfg.mode == "sip":
-        space = enumerate_configs(graph.n, cfg.k)
-        rank = lambda states: space.rank_keys(states @ space.place)
-    else:  # mixed radix, bottom label the most significant digit
-        place = graph.n ** np.arange(cfg.k - 1, -1, -1)
-        rank = lambda states: states @ place
-    rows = []
-    for t in cfg.times:
-        hist = summary.histograms[t]
-        ranks = rank(np.array(list(hist)))
-        counts = list(hist.values())
-        rows.extend((t, int(ranks[i]), counts[i]) for i in np.argsort(ranks))
+    rows = [(t, int(rank), int(row[rank]))
+            for t, row in zip(cfg.times, summary.counts) for rank in np.flatnonzero(row)]
     manifest = _manifest("simulate", {"graph": args.graph, "mode": args.mode,
                                       "k": args.k, "horizon": args.horizon,
                                       "paths": args.paths, "times": args.times},
@@ -414,7 +405,8 @@ def cmd_simulate(args) -> int:
             "manifest": manifest,
             "n_paths": cfg.n_paths,
             "n_absorbed": summary.n_absorbed,
-            "samples_per_time": {str(t): summary.counts_total(t) for t in cfg.times},
+            "samples_per_time": {str(t): int(row.sum())
+                                 for t, row in zip(cfg.times, summary.counts)},
         })
     return 0
 
@@ -441,6 +433,7 @@ def cmd_report(args) -> int:
     return 0 if payload["pass"] else 1
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="siplab",
                                      description="Spectral laboratory for inclusion "
@@ -456,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--csv", help="CSV output path (default stdout)")
     p.add_argument("--json", help="optional JSON output path")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run identity and inequality suites")
     add_graph_arg(p)
@@ -464,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all", "sip", "lookdown", "bep"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="JSON output path (default stdout)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="gap ratios over graphs and random site weights")
     p.add_argument("spec", help="sweep spec JSON file")
@@ -472,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int,
                    help="worker processes, at most the cores and the levels to solve "
                         "(default: cores)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo state histograms")
     add_graph_arg(p)
@@ -484,21 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma separated sampling times")
     p.add_argument("--csv", help="CSV output path (default stdout)")
     p.add_argument("--json", help="optional JSON summary path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tv-curve", help="worst-start total variation against bounds")
     add_graph_arg(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--times", required=True)
     p.add_argument("--csv", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_tv_curve)
 
     p = sub.add_parser("report", help="aggregate verification report")
     add_graph_arg(p)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="JSON output path (default stdout)")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -509,7 +496,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # looked up at each call, not bound into the cached parser, so a
+        # wrapped or patched command is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as exc:
         print(f"siplab: input error: {exc}", file=sys.stderr)
         return 2

@@ -64,26 +64,35 @@ def _sparse(values, rows, cols, shape) -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array((values, (rows, cols)), shape=shape)
 
 
-def _labeled_generator(graph: Graph, k: int, lookdown: bool, cap: int) -> scipy.sparse.csr_array:
+def _labeled_jumps(graph: Graph, k: int, lookdown: bool, cap: int = DEFAULT_LABELED_CAP):
+    """COO triplets (source, target, rate) of every jump of a labeled model.
+
+    One block per (label i, target site y): every state whose particle i
+    sits next to y moves it there, which shifts the index by
+    (y - x) n^(k-1-i).  Each (source, target) pair occurs once, and the
+    blocks come label-major, site-minor.
+    """
     n, c, alpha = graph.n, graph.edge_weights, graph.site_weights
     states = labeled_states(n, k, cap)
-    rows = np.arange(states.shape[0])
-    exits = np.zeros(rows.size)
     blocks = []
-    # one block per (label i, target site y): every state whose particle i
-    # sits next to y moves it there, which shifts the index by (y - x) n^(k-1-i);
-    # each row's exit rate sums its jumps in block order
     for i in range(k):
         x = states[:, i]
         others = states[:, :i] if lookdown else states
         for y in range(n):
             s = np.flatnonzero(c[x, y])
             company = (2 if lookdown else 1) * np.sum(others[s] == y, axis=1)
-            rate = c[x[s], y] * (alpha[y] + company)
-            exits[s] += rate
-            blocks.append((rate, s, s + (y - x[s]) * n ** (k - 1 - i)))
-    values, sources, targets = (np.concatenate(p) for p in zip(*blocks, (-exits, rows, rows)))
-    return _sparse(values, sources, targets, (rows.size, rows.size))
+            blocks.append((s, s + (y - x[s]) * n ** (k - 1 - i),
+                           c[x[s], y] * (alpha[y] + company)))
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _labeled_generator(graph: Graph, k: int, lookdown: bool, cap: int) -> scipy.sparse.csr_array:
+    sources, targets, rates = _labeled_jumps(graph, k, lookdown, cap)
+    rows = np.arange(graph.n ** k)
+    # each row's exit rate sums its jumps in block order
+    exits = np.bincount(sources, weights=rates, minlength=rows.size)
+    return _sparse(np.concatenate([rates, -exits]), np.concatenate([sources, rows]),
+                   np.concatenate([targets, rows]), (rows.size, rows.size))
 
 
 def build_labeled_generators(graph: Graph, k: int, cap: int = DEFAULT_LABELED_CAP) -> tuple:

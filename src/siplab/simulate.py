@@ -1,15 +1,15 @@
 """Continuous-time Monte Carlo for the particle dynamics.
 
-Paths are exact-in-law jump chains (Gillespie's direct method), and all of
-them advance together.  The states are one int array, `(P, n)` occupations
-(`sip`) or `(P, k)` labeled positions (`lookdown`).  Each round computes
-every channel rate of every live path with array operations, draws one
-exponential holding time and one uniform per path, records the sampling
-times the jump passes, and picks each move by a cumulative-sum comparison
-that never lands on a zero-rate channel.  Particle conservation is
-asserted over the batch at every round; a path with total rate 0 is
-absorbed and holds its state to the horizon.  Only the default start, a
-draw from the exact stationary law, enumerates a state space.
+Paths are exact-in-law jump chains (Gillespie's direct method) on the
+state ranks of the chosen mode: occupation ranks (`sip`) or mixed-radix
+indices of labeled positions (`lookdown`), so every start enumerates that
+space under its state cap.  The moves are the COO triplets that build the
+level generators (`sip._jumps`, `lookdown._labeled_jumps`), laid out once
+per call as a checked `JumpTable`.  All paths advance together: each round
+gathers every live path's exit rate, draws one exponential holding time
+and one uniform per path, records the sampling times the jump passes, and
+picks the move from the state's cumulative rates, all of them positive.
+A path whose state has exit rate 0 is absorbed and holds it to the horizon.
 
 Reproducibility: one `default_rng(seed)` stream drives every path, the
 initial draws included, so a summary is bit-identical from run to run for
@@ -18,20 +18,21 @@ a given seed and path count.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .configs import enumerate_configs, sip_measure
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .graphs import Graph, build_rw_generator, rw_spectrum
 from .intertwiners import lift_eigenfunction
-from .lookdown import labeled_stationary_measure, labeled_states
-from .sip import build_sip_generator, sip_spectrum, transition_matrix
+from .lookdown import _labeled_jumps, labeled_states, labeled_stationary_measure, unlabel_pullback
+from .sip import _jumps, build_sip_generator, sip_spectrum, transition_matrix
 
 MODES = ("sip", "lookdown")
-# Paths advance in batches of at most this many channel rates or sampled
+# Paths advance in batches of at most this many gathered rates or sampled
 # entries (8 MB as float64), so memory stays bounded for any path count.
 BATCH_ENTRIES = 1 << 20
 
@@ -51,16 +52,19 @@ class SimConfig:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
             raise InputError("need k >= 1")
-        if not self.horizon > 0:
-            raise InputError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise InputError("horizon must be positive and finite")
         if self.n_paths < 1:
             raise InputError("need at least one path")
-        times = tuple(sorted(float(t) for t in self.times))
+        times = tuple(float(t) for t in self.times)
         if not times:
             raise InputError("need at least one sampling time")
-        if times[0] < 0 or times[-1] > self.horizon:
+        # NaN fails every comparison, so it is refused here too
+        if not all(0 <= t <= self.horizon for t in times):
             raise InputError("sampling times must lie in [0, horizon]")
-        object.__setattr__(self, "times", times)
+        if len(set(times)) < len(times):
+            raise InputError("sampling times must be distinct")
+        object.__setattr__(self, "times", tuple(sorted(times)))
 
     @property
     def width(self) -> int:
@@ -68,82 +72,79 @@ class SimConfig:
         return self.graph.n if self.mode == "sip" else self.k
 
 
+@dataclass(frozen=True)
+class JumpTable:
+    """The moves of every state rank s, in generator order: `targets[s, j]`
+    and the cumulative rates `cum[s, j]`, summed in that order, for j <
+    `degrees[s]`, padded with rank 0 and +inf; `exits[s]` is the total."""
+
+    cum: np.ndarray
+    targets: np.ndarray
+    exits: np.ndarray
+    degrees: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, size: int, sources, targets, rates) -> JumpTable:
+        if not (np.all(rates > 0.0) and np.all((targets >= 0) & (targets < size))):
+            raise VerificationError("jump table holds a move off the state space "
+                                    "or a rate that is not positive")
+        order = np.argsort(sources, kind="stable")
+        sources, targets, rates = sources[order], targets[order], rates[order]
+        degrees = np.bincount(sources, minlength=size)
+        slot = np.arange(sources.size) - (np.cumsum(degrees) - degrees)[sources]
+        shape = (size, max(1, int(degrees.max(initial=0))))
+        cum, moves = np.zeros(shape), np.zeros(shape, dtype=np.int64)
+        cum[sources, slot], moves[sources, slot] = rates, targets
+        cum = np.cumsum(cum, axis=1)
+        exits = cum[:, -1].copy()
+        cum[np.arange(shape[1]) >= degrees[:, None]] = np.inf
+        return cls(cum, moves, exits, degrees)
+
+    def pick(self, s: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Per path in state s, the move j with cum[s, j-1] <= target < cum[s, j];
+        when target = u * exit rounds up to the exit rate, the last move."""
+        return np.minimum(np.sum(self.cum[s] <= target[:, None], axis=1), self.degrees[s] - 1)
+
+
 @dataclass
 class TrajectorySummary:
-    """Per-sampling-time state histograms plus optional observable samples."""
+    """Per-sampling-time counts of every state rank, plus optional observable
+    samples; `start_law` is the exact stationary law of the ranks when the
+    paths were drawn from it."""
 
     config: SimConfig
-    histograms: dict = field(default_factory=dict)
+    states: np.ndarray  # (S, width), the state of each rank
+    counts: np.ndarray  # (T, S)
     observable_samples: np.ndarray | None = None
     n_absorbed: int = 0
+    start_law: np.ndarray | None = None
 
-    def counts_total(self, t: float) -> int:
-        return sum(self.histograms[t].values())
+    @functools.cached_property
+    def histograms(self) -> dict:
+        """{time: {state tuple: count}} over the states seen at each time."""
+        return {t: dict(zip(map(tuple, self.states[row > 0].tolist()), row[row > 0].tolist()))
+                for t, row in zip(self.config.times, self.counts)}
 
 
-def _channels(cfg: SimConfig):
-    """(rates, move, number of channels): `rates(states)` gives every
-    channel rate of every row, `move(states, rows, channel)` applies one
-    chosen channel per listed row in place and asserts conservation over
-    the whole batch."""
-    c, alpha, n, k = cfg.graph.edge_weights, cfg.graph.site_weights, cfg.graph.n, cfg.k
+def _level(cfg: SimConfig):
+    """(states, ranking of a state batch, stationary law, jump table) of the
+    chosen mode; row r of `states` is the state of rank r."""
+    graph, n, k = cfg.graph, cfg.graph.n, cfg.k
     if cfg.mode == "sip":
-        # channel j moves one particle from src[j] to dst[j]
-        src, dst = np.nonzero(c)
-        weight = c[src, dst]
-
-        def rates(eta):
-            return eta[:, src] * weight * (alpha[dst] + eta[:, dst])
-
-        def move(eta, rows, channel):
-            eta[rows, src[channel]] -= 1
-            eta[rows, dst[channel]] += 1
-            assert np.all(eta >= 0) and np.all(eta.sum(axis=1) == k), \
-                "particle number not conserved"
-        return rates, move, src.size
-
-    # channel i * n + y moves particle i to site y; c has a zero diagonal
-    def rates(pos):
-        rows = np.arange(pos.shape[0])
-        out = c[pos]
-        weight = np.tile(alpha, (rows.size, 1))  # alpha_y + 2 #{j < i : x_j = y}
-        for i in range(k):
-            out[:, i] *= weight
-            weight[rows, pos[:, i]] += 2
-        return out.reshape(rows.size, k * n)
-
-    def move(pos, rows, channel):
-        pos[rows, channel // n] = channel % n
-        assert np.all((pos >= 0) & (pos < n)), "particle left the graph"
-    return rates, move, k * n
+        space = enumerate_configs(n, k)
+        return (space.occupations, lambda batch: space.rank_keys(batch @ space.place),
+                lambda: sip_measure(graph, space).probabilities,
+                JumpTable.from_triplets(space.size, *_jumps(graph, space)))
+    states = labeled_states(n, k)
+    place = n ** np.arange(k - 1, -1, -1)  # the bottom label is the most significant digit
+    return (states, lambda batch: batch @ place, lambda: labeled_stationary_measure(graph, k),
+            JumpTable.from_triplets(states.shape[0], *_labeled_jumps(graph, k, lookdown=True)))
 
 
-def _pick(rates: np.ndarray, cum: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per row, the channel j with cum[j-1] <= target < cum[j], which has a
-    positive rate; when target = u * total rounds up to the total, the last
-    channel with a positive rate."""
-    channel = np.sum(cum <= target[:, None], axis=1)
-    over = channel == cum.shape[1]
-    if over.any():
-        channel[over] = cum.shape[1] - 1 - np.argmax(rates[over, ::-1] > 0.0, axis=1)
-    return channel
-
-
-def _stationary_law(cfg: SimConfig):
-    """All states of the chosen mode, one per row, with their exact
-    stationary probabilities."""
-    if cfg.mode == "sip":
-        space = enumerate_configs(cfg.graph.n, cfg.k)
-        return space.occupations, sip_measure(cfg.graph, space).probabilities
-    return labeled_states(cfg.graph.n, cfg.k), labeled_stationary_measure(cfg.graph, cfg.k)
-
-
-def _initial_batch(cfg: SimConfig, initial, rng, P: int) -> np.ndarray:
+def _initial_ranks(cfg: SimConfig, initial, rng, P: int, rank) -> np.ndarray:
     n = cfg.graph.n
-    if callable(initial):
-        batch = np.asarray(initial(rng, P), dtype=np.int64)
-    else:
-        batch = np.tile(np.asarray(initial, dtype=np.int64), (P, 1))
+    batch = np.asarray(initial(rng, P) if callable(initial) else np.tile(initial, (P, 1)),
+                       dtype=np.int64)
     if batch.shape != (P, cfg.width):
         raise InputError(f"initial states have shape {batch.shape}, "
                          f"expected {(P, cfg.width)}")
@@ -151,23 +152,21 @@ def _initial_batch(cfg: SimConfig, initial, rng, P: int) -> np.ndarray:
         raise InputError(f"initial states must put {cfg.k} particles on {n} sites")
     if cfg.mode == "lookdown" and np.any((batch < 0) | (batch >= n)):
         raise InputError(f"initial positions must be sites 0..{n - 1}")
-    return np.array(batch)
+    return rank(batch)
 
 
-def _advance(cfg: SimConfig, rates, move, state: np.ndarray, rng):
+def _advance(table: JumpTable, times: np.ndarray, ranks: np.ndarray, rng):
     """Advance one batch of paths past the last sampling time; returns the
-    (P, T, width) sampled states and the number of absorbed paths."""
-    times = np.asarray(cfg.times)
-    P, T = state.shape[0], times.size
-    samples = np.empty((P, T, cfg.width), dtype=np.int64)
+    (P, T) sampled ranks and the number of absorbed paths."""
+    P, T = ranks.size, times.size
+    samples = np.empty((P, T), dtype=np.int64)
     clock = np.zeros(P)
     taken = np.zeros(P, dtype=np.int64)  # sampling times recorded per path
     n_absorbed = 0
     live = np.arange(P)
     while live.size:
-        r = rates(state[live])
-        cum = np.cumsum(r, axis=1)
-        total = cum[:, -1] if r.shape[1] else np.zeros(live.size)
+        s = ranks[live]
+        total = table.exits[s]
         hold = rng.standard_exponential(live.size)
         u = rng.random(live.size)
         stuck = total <= 0.0
@@ -179,17 +178,17 @@ def _advance(cfg: SimConfig, rates, move, state: np.ndarray, rng):
         fresh = reached - taken[live]
         rows = np.repeat(live, fresh)
         cols = np.repeat(reached - np.cumsum(fresh), fresh) + np.arange(rows.size)
-        samples[rows, cols] = state[rows]
+        samples[rows, cols] = ranks[rows]
         taken[live] = reached
         go = reached < T
-        live = live[go]
-        move(state, live, _pick(r[go], cum[go], (u * total)[go]))
+        live, s = live[go], s[go]
+        ranks[live] = table.targets[s, table.pick(s, (u * total)[go])]
         clock[live] = jump_at[go]
     return samples, n_absorbed
 
 
 def simulate(cfg: SimConfig, initial=None, observable=None) -> TrajectorySummary:
-    """Run all paths and histogram the sampled states per sampling time.
+    """Run all paths and count the sampled state ranks per sampling time.
 
     initial: a fixed state, a callable (rng, P) -> (P, width) int array of
     states, or None for draws from the exact stationary law of the mode.
@@ -198,37 +197,43 @@ def simulate(cfg: SimConfig, initial=None, observable=None) -> TrajectorySummary
     (n_paths, T) array.
     """
     rng = np.random.default_rng(cfg.seed)
-    rates, move, n_channels = _channels(cfg)
-    if initial is None:
-        states, probs = _stationary_law(cfg)
-        initial = lambda rng, P: states[rng.choice(states.shape[0], size=P, p=probs)]
-    T = len(cfg.times)
-    per_batch = max(1, BATCH_ENTRIES // max(n_channels, T * cfg.width))
-    histograms = {t: {} for t in cfg.times}
+    states, rank, law, table = _level(cfg)
+    size, times, T = states.shape[0], np.asarray(cfg.times), len(cfg.times)
+    start_law = law() if initial is None else None
+    # a state has at most one move per edge (sip) or per label and site
+    # (lookdown), so a round gathers at most BATCH_ENTRIES rates; the bound
+    # also keeps the batch split, and so the draw order, of the earlier
+    # stepper that evaluated every one of those channels
+    channels = np.count_nonzero(cfg.graph.edge_weights) if cfg.mode == "sip" else cfg.k * cfg.graph.n
+    per_batch = max(1, BATCH_ENTRIES // max(channels, T * cfg.width))
+    counts = np.zeros(T * size, dtype=np.int64)
     obs = np.empty((cfg.n_paths, T)) if observable is not None else None
     n_absorbed = 0
     for first in range(0, cfg.n_paths, per_batch):
-        state = _initial_batch(cfg, initial, rng, min(per_batch, cfg.n_paths - first))
-        samples, absorbed = _advance(cfg, rates, move, state, rng)
+        P = min(per_batch, cfg.n_paths - first)
+        ranks = (rng.choice(size, size=P, p=start_law) if start_law is not None
+                 else _initial_ranks(cfg, initial, rng, P, rank))
+        samples, absorbed = _advance(table, times, ranks, rng)
         n_absorbed += absorbed
-        for j, t in enumerate(cfg.times):
-            seen, counts = np.unique(samples[:, j], axis=0, return_counts=True)
-            for key, count in zip(map(tuple, seen.tolist()), counts.tolist()):
-                histograms[t][key] = histograms[t].get(key, 0) + count
+        counts += np.bincount((samples + np.arange(T) * size).ravel(), minlength=T * size)
         if obs is not None:
-            values = observable(samples.reshape(-1, cfg.width))
-            obs[first:first + state.shape[0]] = np.asarray(values, dtype=float).reshape(-1, T)
-    return TrajectorySummary(cfg, histograms, obs, n_absorbed)
+            values = observable(states[samples.ravel()])
+            obs[first:first + P] = np.asarray(values, dtype=float).reshape(-1, T)
+    return TrajectorySummary(cfg, states, counts.reshape(T, size), obs, n_absorbed, start_law)
 
 
 def chi_square_pvalue(counts: dict, states, probs, min_expected: float = 5.0) -> float:
-    """Goodness-of-fit p-value of observed counts against exact cell
-    probabilities, pooling low-expectation cells."""
-    n_total = sum(counts.values())
+    """Goodness-of-fit p-value of observed counts {state: count} against
+    exact cell probabilities of `states`, pooling low-expectation cells."""
     observed = np.array([counts.get(s, 0) for s in states], dtype=float)
-    expected = np.asarray(probs, dtype=float) * n_total
-    if n_total - observed.sum() > 0:
+    if sum(counts.values()) - observed.sum() > 0:
         raise InputError("observed states outside the reference support")
+    return _chi_square(observed, probs, min_expected)
+
+
+def _chi_square(observed: np.ndarray, probs, min_expected: float = 5.0) -> float:
+    """`chi_square_pvalue` on counts aligned with the cell probabilities."""
+    expected = np.asarray(probs, dtype=float) * observed.sum()
     if float(observed[expected == 0.0].sum()) > 0:
         return 0.0
     observed = observed[expected > 0.0]
@@ -257,10 +262,8 @@ def stationary_chi_square(cfg: SimConfig, level: float = 0.01) -> StationaryTest
     sampled states still follow it at every sampling time (Bonferroni
     across times)."""
     summary = simulate(cfg)
-    states, probs = _stationary_law(cfg)
-    states = list(map(tuple, states.tolist()))
-    p_values = {t: chi_square_pvalue(summary.histograms[t], states, probs)
-                for t in cfg.times}
+    p_values = {t: _chi_square(row.astype(float), summary.start_law)
+                for t, row in zip(cfg.times, summary.counts)}
     threshold = level / len(cfg.times)
     return StationaryTest(p_values, level, all(p > threshold for p in p_values.values()))
 
@@ -299,18 +302,15 @@ def projection_test(cfg: SimConfig, initial_config=None,
 
     summary = simulate(cfg, initial=labeled_start)
     spec = sip_spectrum(gen)
-    states = list(map(tuple, space.occupations.tolist()))
     row = space.rank(eta0)
+    unlabeled = unlabel_pullback(space).indices  # occupation rank of each labeled rank
     p_values = {}
-    for t in cfg.times:
+    for t, counts in zip(cfg.times, summary.counts):
         law = transition_matrix(gen, t, spec)[row]
         law = np.clip(law, 0.0, None)
         law /= law.sum()
-        projected = {}
-        for state, count in summary.histograms[t].items():
-            occ = tuple(int(v) for v in np.bincount(state, minlength=cfg.graph.n))
-            projected[occ] = projected.get(occ, 0) + count
-        p_values[t] = chi_square_pvalue(projected, states, law)
+        projected = np.bincount(unlabeled, weights=counts, minlength=space.size)
+        p_values[t] = _chi_square(projected, law)
     min_p = min(p_values.values())
     return ProjectionTest(p_values, min_p, min_p > fail_below, eta0)
 

@@ -6,6 +6,7 @@ library code is always checked against an independent computation.
 """
 
 import functools
+import importlib
 import itertools
 import math
 import multiprocessing
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from siplab.configs import (ConfigSpace, rank_composition, space_size, unrank_composition,
-                            variance)
+from siplab.configs import (ConfigSpace, enumerate_configs, rank_composition, sip_measure,
+                            space_size, unrank_composition, variance)
 from siplab.errors import InputError
 from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
                            rw_dirichlet_form, rw_spectrum)
@@ -517,3 +518,121 @@ def loop_minmax_comparison(level: Level, n_phi: int = 50, rng=None, rtol: float 
         make_check(f"eigenvalue-comparison[k={k}]", max(0.0, worst_eig), rtol * scale),
         make_check(f"scalar-bound[k={k}]", max(0.0, scalar_gap), 1e-15),
     )
+
+
+def _rate_channels(cfg):
+    """(rates, move, number of channels) of the rate-by-rate stepper:
+    `rates(states)` gives every channel rate of every row, `move(states,
+    rows, channel)` applies one chosen channel per listed row in place and
+    asserts conservation over the whole batch."""
+    c, alpha, n, k = cfg.graph.edge_weights, cfg.graph.site_weights, cfg.graph.n, cfg.k
+    if cfg.mode == "sip":
+        # channel j moves one particle from src[j] to dst[j]
+        src, dst = np.nonzero(c)
+        weight = c[src, dst]
+
+        def rates(eta):
+            return eta[:, src] * weight * (alpha[dst] + eta[:, dst])
+
+        def move(eta, rows, channel):
+            eta[rows, src[channel]] -= 1
+            eta[rows, dst[channel]] += 1
+            assert np.all(eta >= 0) and np.all(eta.sum(axis=1) == k), \
+                "particle number not conserved"
+        return rates, move, src.size
+
+    # channel i * n + y moves particle i to site y; c has a zero diagonal
+    def rates(pos):
+        rows = np.arange(pos.shape[0])
+        out = c[pos]
+        weight = np.tile(alpha, (rows.size, 1))  # alpha_y + 2 #{j < i : x_j = y}
+        for i in range(k):
+            out[:, i] *= weight
+            weight[rows, pos[:, i]] += 2
+        return out.reshape(rows.size, k * n)
+
+    def move(pos, rows, channel):
+        pos[rows, channel // n] = channel % n
+        assert np.all((pos >= 0) & (pos < n)), "particle left the graph"
+    return rates, move, k * n
+
+
+def rate_pick(rates: np.ndarray, cum: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per row, the channel j with cum[j-1] <= target < cum[j], which has a
+    positive rate; when target = u * total rounds up to the total, the last
+    channel with a positive rate."""
+    channel = np.sum(cum <= target[:, None], axis=1)
+    over = channel == cum.shape[1]
+    if over.any():
+        channel[over] = cum.shape[1] - 1 - np.argmax(rates[over, ::-1] > 0.0, axis=1)
+    return channel
+
+
+def _rate_advance(cfg, rates, move, state: np.ndarray, rng):
+    """Advance one batch of (P, width) states past the last sampling time;
+    returns the (P, T, width) sampled states and the number of absorbed paths."""
+    times = np.asarray(cfg.times)
+    P, T = state.shape[0], times.size
+    samples = np.empty((P, T, cfg.width), dtype=np.int64)
+    clock = np.zeros(P)
+    taken = np.zeros(P, dtype=np.int64)
+    n_absorbed = 0
+    live = np.arange(P)
+    while live.size:
+        r = rates(state[live])
+        cum = np.cumsum(r, axis=1)
+        total = cum[:, -1] if r.shape[1] else np.zeros(live.size)
+        hold = rng.standard_exponential(live.size)
+        u = rng.random(live.size)
+        stuck = total <= 0.0
+        n_absorbed += int(stuck.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump_at = np.where(stuck, np.inf, clock[live] + hold / total)
+        reached = np.searchsorted(times, jump_at)
+        fresh = reached - taken[live]
+        rows = np.repeat(live, fresh)
+        cols = np.repeat(reached - np.cumsum(fresh), fresh) + np.arange(rows.size)
+        samples[rows, cols] = state[rows]
+        taken[live] = reached
+        go = reached < T
+        live = live[go]
+        move(state, live, rate_pick(r[go], cum[go], (u * total)[go]))
+        clock[live] = jump_at[go]
+    return samples, n_absorbed
+
+
+def rate_simulate(cfg, initial=None, observable=None) -> tuple:
+    """Oracle for `simulate`: paths as (P, width) state arrays, every channel
+    rate evaluated from the dynamics' formula at every round, the same draws
+    from the same stream and the same batch split.  Returns the histograms,
+    the absorbed count and the observable samples."""
+    rng = np.random.default_rng(cfg.seed)
+    rates, move, n_channels = _rate_channels(cfg)
+    if initial is None:
+        if cfg.mode == "sip":
+            space = enumerate_configs(cfg.graph.n, cfg.k)
+            states, probs = space.occupations, sip_measure(cfg.graph, space).probabilities
+        else:
+            states = labeled_states(cfg.graph.n, cfg.k)
+            probs = labeled_stationary_measure(cfg.graph, cfg.k)
+        initial = lambda rng, P: states[rng.choice(states.shape[0], size=P, p=probs)]
+    T = len(cfg.times)
+    entries = importlib.import_module("siplab.simulate").BATCH_ENTRIES  # the package rebinds the name
+    per_batch = max(1, entries // max(n_channels, T * cfg.width))
+    histograms = {t: {} for t in cfg.times}
+    obs = np.empty((cfg.n_paths, T)) if observable is not None else None
+    n_absorbed = 0
+    for first in range(0, cfg.n_paths, per_batch):
+        P = min(per_batch, cfg.n_paths - first)
+        batch = initial(rng, P) if callable(initial) else np.tile(initial, (P, 1))
+        state = np.array(batch, dtype=np.int64)
+        samples, absorbed = _rate_advance(cfg, rates, move, state, rng)
+        n_absorbed += absorbed
+        for j, t in enumerate(cfg.times):
+            seen, counts = np.unique(samples[:, j], axis=0, return_counts=True)
+            for key, count in zip(map(tuple, seen.tolist()), counts.tolist()):
+                histograms[t][key] = histograms[t].get(key, 0) + count
+        if obs is not None:
+            values = observable(samples.reshape(-1, cfg.width))
+            obs[first:first + P] = np.asarray(values, dtype=float).reshape(-1, T)
+    return histograms, n_absorbed, obs

@@ -2,6 +2,7 @@ import collections
 import concurrent.futures
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -552,6 +553,33 @@ def test_simulate_outputs(tmp_path, capsys):
     summary = json.loads(json_path.read_text())
     assert summary["n_paths"] == 500
     assert summary["manifest"]["master_seed"] == 9
+
+
+@pytest.mark.parametrize("horizon, times", [("1", "0.5,nan"), ("inf", "inf"), ("1", "1,1")])
+def test_simulate_refuses_unfinishable_or_repeated_times(capsys, horizon, times):
+    # a NaN or infinite time is never passed, and a repeated time would
+    # count every path twice
+    code, out, err = run(["simulate", "path(3)", "--k", "2", "--horizon", horizon,
+                          "--paths", "10", "--times", times], capsys)
+    assert code == 2 and out == "" and "input error" in err
+
+
+def test_parser_is_built_once_and_not_at_import():
+    script = ("import siplab.cli as cli; built = cli.build_parser.cache_info().currsize; "
+              "cli.main(['spectrum', 'path(2)', '--k', '1']); cli.main(['spectrum', 'path(2)', '--k', '1']); "
+              "info = cli.build_parser.cache_info(); print(built, info.misses, info.hits)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1 1"
+
+
+def test_cached_parser_runs_the_command_bound_at_call_time(capsys, monkeypatch):
+    # a tracer or a test may rebind a command after the parser was built
+    assert run(["spectrum", "path(2)", "--k", "1"], capsys)[0] == 0
+    monkeypatch.setattr(siplab.cli, "cmd_tv_curve", lambda args: 7)
+    assert run(["tv-curve", "path(2)", "--k", "1", "--times", "1"], capsys)[0] == 7
 
 
 def test_tv_curve(tmp_path, capsys):

@@ -1,15 +1,15 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import rate_pick, rate_simulate
 
-from siplab.configs import enumerate_configs
-from siplab.errors import InputError
+from siplab.errors import InputError, VerificationError
 from siplab.graphs import (Graph, complete_graph, graph_from_edges, path_graph,
                            random_connected_graph)
-from siplab.lookdown import labeled_states
-from siplab.simulate import (SimConfig, _channels, _pick, chi_square_pvalue, projection_test,
+from siplab.simulate import (JumpTable, SimConfig, _level, chi_square_pvalue, projection_test,
                              relaxation_estimate, simulate, stationary_chi_square)
 from siplab.sip import build_sip_generator, transition_matrix
 
@@ -28,6 +28,12 @@ def test_config_validation():
         SimConfig(g, 2, "sip", 1.0, 10, 0, (2.0,))  # beyond horizon
     with pytest.raises(InputError):
         SimConfig(g, 2, "sip", 1.0, 10, 0, ())
+    # non-finite horizons and times would never be passed; a repeated time
+    # would count its paths twice
+    for horizon, times in [(1.0, (0.5, math.nan)), (math.nan, (0.5,)), (math.inf, (math.inf,)),
+                           (math.inf, (1.0,)), (1.0, (-math.inf,)), (1.0, (1.0, 1.0))]:
+        with pytest.raises(InputError):
+            SimConfig(g, 2, "sip", horizon, 10, 0, times)
 
 
 def test_histograms_conserve_particles_and_mass():
@@ -81,33 +87,88 @@ def _loop_channels(graph, mode, state):
 def test_batch_channels_match_state_by_state_loop(mode):
     rng = np.random.default_rng(5)
     g = random_connected_graph(4, rng)
-    cfg = SimConfig(g, 3, mode, 1.0, 1, 0, (1.0,))
-    states = (enumerate_configs(4, 3).occupations if mode == "sip"
-              else labeled_states(4, 3)).copy()
-    rates, move, n_channels = _channels(cfg)
-    r = rates(states)
-    assert r.shape == (states.shape[0], n_channels)
-    for channel in range(r.shape[1]):
-        rows = np.flatnonzero(r[:, channel] > 0)
-        moved = states.copy()
-        move(moved, rows, np.full(rows.size, channel))
-        for row in rows:
-            loop = _loop_channels(g, mode, tuple(states[row]))
-            assert loop[tuple(moved[row])] == pytest.approx(r[row, channel], rel=1e-12)
-    for row, state in enumerate(states):
-        assert r[row].sum() == pytest.approx(sum(_loop_channels(g, mode, tuple(state)).values()),
-                                             rel=1e-12)
+    states, rank, _, table = _level(SimConfig(g, 3, mode, 1.0, 1, 0, (1.0,)))
+    assert np.array_equal(rank(states), np.arange(states.shape[0]))
+    assert table.cum.shape == (states.shape[0], table.degrees.max())
+    for s, state in enumerate(states):
+        deg = table.degrees[s]
+        rates = np.diff(table.cum[s, :deg], prepend=0.0)
+        moves = {tuple(states[t]): r for t, r in zip(table.targets[s, :deg].tolist(), rates)}
+        loop = _loop_channels(g, mode, tuple(state))
+        assert moves.keys() == loop.keys() and len(moves) == deg
+        for target, rate in loop.items():
+            assert moves[target] == pytest.approx(rate, rel=1e-12)
+        assert table.exits[s] == pytest.approx(sum(loop.values()), rel=1e-12)
+        assert np.all(table.cum[s, deg:] == np.inf)
 
 
 def test_pick_skips_zero_rate_channels_at_both_ends():
+    # three states whose channel rates, as the rate-by-rate stepper saw them,
+    # include zero-rate channels; the table holds only the positive ones
     rates = np.array([[0.0, 1.0, 2.0, 0.0, 0.0],
                       [0.0, 0.0, 3.0, 0.0, 0.0],
                       [0.5, 0.0, 0.5, 0.0, 0.0]])
+    sources, channels = np.nonzero(rates)
+    table = JumpTable.from_triplets(3, sources, channels % 3, rates[sources, channels])
     cum = np.cumsum(rates, axis=1)
-    # u * total rounding up to the total must not land on a trailing zero channel
-    assert list(_pick(rates, cum, cum[:, -1])) == [2, 2, 2]
-    assert list(_pick(rates, cum, np.zeros(3))) == [1, 2, 0]
-    assert list(_pick(rates, cum, np.array([1.0, 1.5, 0.5]))) == [2, 2, 2]
+    s = np.arange(3)
+    # the table picks the channel the rate-by-rate stepper picked: u * total
+    # rounding up to the total gives the last move, and a target on a
+    # boundary of the cumulative rates gives the move after it
+    for target in (cum[:, -1], np.zeros(3), np.array([1.0, 1.5, 0.5]), np.array([2.9, 2.9, 0.9])):
+        picked = table.pick(s, target)
+        assert [channels[sources == row][picked[row]] for row in s] == list(rate_pick(rates, cum, target))
+    assert list(table.pick(s, cum[:, -1])) == [1, 0, 1]
+    assert list(table.pick(s, np.zeros(3))) == [0, 0, 0]
+    assert list(table.pick(s, np.array([1.0, 0.0, 0.5]))) == [1, 0, 1]
+    with pytest.raises(VerificationError):
+        JumpTable.from_triplets(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 0.0]))
+    with pytest.raises(VerificationError):
+        JumpTable.from_triplets(3, np.array([0, 1]), np.array([1, 3]), np.array([1.0, 1.0]))
+
+
+def _random_cases():
+    rng = np.random.default_rng(2024)
+    for case in range(24):
+        n, k, mode = int(rng.integers(2, 6)), int(rng.integers(1, 5)), ("sip", "lookdown")[case % 2]
+        g = random_connected_graph(n, rng, alpha_range=(float(rng.choice([0.05, 0.5])), 2.0))
+        if case % 6 < 2:  # the last site isolated: its particles are absorbed
+            c = g.edge_weights.copy()
+            c[-1], c[:, -1] = 0.0, 0.0
+            g = Graph(n, c, g.site_weights)
+        times = tuple(sorted(set(np.round(rng.uniform(0, 1.5, size=int(rng.integers(1, 4))), 2))))
+        cfg = SimConfig(g, k, mode, 1.5, int(rng.integers(50, 300)), int(rng.integers(1000)), times)
+        yield case, cfg
+
+
+@pytest.mark.parametrize("entries", [None, 40])
+def test_ranked_stepper_matches_rate_by_rate_oracle(monkeypatch, entries):
+    # the same draws, picks and batch split as evaluating every channel rate of
+    # every path each round: equal histograms, absorbed counts and observables
+    if entries is not None:
+        monkeypatch.setattr(simulate_module, "BATCH_ENTRIES", entries)
+    absorbed = 0
+    for case, cfg in _random_cases():
+        n, k, width = cfg.graph.n, cfg.k, cfg.width
+        if case % 3 == 0:
+            initial = None
+        elif case % 3 == 1:
+            initial = [k] + [0] * (n - 1) if cfg.mode == "sip" else [n - 1] * k
+        elif cfg.mode == "sip":
+            initial = lambda rng, P: np.stack([np.bincount(row, minlength=n)
+                                               for row in rng.integers(0, n, size=(P, k))])
+        else:
+            initial = lambda rng, P: rng.integers(0, n, size=(P, k))
+        observable = lambda states: states[:, 0] * 1.5 - states[:, -1]
+        summary = simulate(cfg, initial=initial, observable=observable)
+        histograms, n_absorbed, obs = rate_simulate(cfg, initial, observable)
+        assert summary.histograms == histograms, case
+        assert summary.n_absorbed == n_absorbed, case
+        assert np.array_equal(summary.observable_samples, obs), case
+        assert np.all(summary.counts.sum(axis=1) == cfg.n_paths)
+        assert summary.counts.shape[1] == summary.states.shape[0] and width == summary.states.shape[1]
+        absorbed += n_absorbed
+    assert absorbed > 0
 
 
 @pytest.mark.parametrize("entries", [None, 60])
