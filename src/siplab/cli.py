@@ -309,14 +309,13 @@ def _sweep_gaps(samples: dict, jobs: int | None) -> dict:
     """{(sample, k): gap or SiplabError} for the `samples` {sample: (graph,
     levels)}, one task per level on worker processes, largest level first.
 
-    Processes, not threads: of a sweep's work only SuperLU's factorization
-    releases the GIL. On a 1716-state level (2 cores, BLAS on one thread),
-    20 factors took 1040 ms in series and 590 ms on two threads, but 600
-    solves 373 and 256 ms, and the level builds, ARPACK's
-    reverse-communication loop and the small dense solves did not overlap
-    at all. Forked on Linux: a spawned worker would import numpy, scipy and
-    siplab again, about 0.5 s, five times a whole sweep of path(7) and
-    cycle(7) to k=7. Elsewhere the platform's default method stands, since
+    Processes, not threads: the level builds, ARPACK's
+    reverse-communication loop and the small dense solves hold the GIL,
+    and did not overlap at all on two threads (a 1716-state level, 2 cores,
+    BLAS on one thread, measured when the factor was still SuperLU's, whose
+    factorization alone overlapped). Forked on Linux: a spawned worker would
+    import numpy, scipy and siplab again, about 0.5 s, five times a whole
+    sweep of path(7) and cycle(7) to k=7. Elsewhere the platform's default method stands, since
     macOS system libraries are not safe to fork. The fork pool starts every
     worker up front, before its own manager thread, so it asks for no more
     than the cores or the tasks."""

@@ -12,8 +12,11 @@ configuration keys.
 it once per level for the gap report and the diffusion report.  It
 symmetrises a `SipGenerator` on the same sparse structure and finds its
 two lowest eigenpairs by shift-invert Lanczos, with the eigenpair-residual
-checks of the dense path.  Full spectra, the semigroup and the
-total-variation table solve a dense copy of the generator.
+checks of the dense path.  The shifted operator is positive definite; its
+inverse steps solve with a banded Cholesky factor, the states put in
+reverse Cuthill-McKee order to narrow the band.  Full spectra, the
+semigroup and the total-variation table solve a dense copy of the
+generator.
 
 The gap report machine-checks the sandwich
 
@@ -29,12 +32,14 @@ checks the classical semigroup bounds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .configs import ConfigSpace, SipMeasure, enumerate_configs, sip_measure
@@ -101,17 +106,53 @@ def sip_spectrum(gen: SipGenerator, want_vectors: bool = True) -> Spectrum:
 
 # Levels with fewer states than this take the gap from a dense symmetric
 # solve; shift-invert ARPACK needs a few states beyond the two wanted
-# eigenpairs, and below this size the dense solve is also the faster one.
+# eigenpairs.  The measured crossover with the banded Cholesky route lies
+# lower, between 84 states (dense 0.7-0.8 ms, banded 1.3-1.8 ms) and 210
+# states (dense 2.7-3.1 ms, banded 1.7-1.9 ms), best of 30 on path(7) and
+# cycle(7) levels with one BLAS thread.  The bound stays at 300: lowering
+# it saves about a millisecond a level and moves small-level gaps by ulps.
 SPARSE_GAP_MIN_STATES = 300
 # The shift sits this fraction of the largest exit rate below zero, the
 # bottom of the spectrum, so the two lowest eigenvalues dominate the
 # inverted operator.  It follows the operator's own scale with no floor,
 # so rescaling every edge weight rescales the whole solve.  Nearer zero,
-# ARPACK needs fewer LU solves: 606 against 882 at 1e-2 on 24 levels of
+# ARPACK needs fewer inverse solves: 606 against 882 at 1e-2 on 24 levels of
 # 462-1716 states of path(7) and cycle(7) with random site weights, every
 # gap within 1e-13 relative of the 1e-2 one.  sym - sigma I stays positive
 # definite, with a condition number near 2e3.
 GAP_SHIFT_FRACTION = 1e-3
+
+
+def _banded_cholesky_solver(sym, sigma: float):
+    """x -> (sym - sigma I)^(-1) x, through a banded Cholesky factor of the
+    states in reverse Cuthill-McKee order, which narrows the band.  A matrix
+    that is not positive definite raises `LinAlgError`.
+
+    The lower band of the permuted matrix goes into LAPACK's layout, a
+    (bw + 1, S) array whose row i - j holds entry (i, j).  It is Fortran
+    ordered so that LAPACK factors it in place, without a copy of the band.
+    """
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(sym, symmetric_mode=True)
+    place = np.empty_like(perm)
+    place[perm] = np.arange(perm.size, dtype=perm.dtype)
+    coo = sym.tocoo()
+    rows, cols = place[coo.row], place[coo.col]
+    lower = rows >= cols
+    offsets, cols, values = rows[lower] - cols[lower], cols[lower], coo.data[lower]
+    del coo, rows, lower  # the band is the largest array: drop the rest first
+    band = np.zeros((int(offsets.max()) + 1, perm.size), order="F")
+    band[offsets, cols] = values
+    band[0] -= sigma
+    factor = scipy.linalg.cholesky_banded(band, lower=True, overwrite_ab=True,
+                                          check_finite=False)
+
+    def solve(x):
+        out = np.empty_like(x)
+        out[perm] = scipy.linalg.cho_solve_banded((factor, True), x[perm],
+                                                  check_finite=False)
+        return out
+
+    return solve
 
 
 def sip_gap(gen: SipGenerator) -> float:
@@ -120,7 +161,10 @@ def sip_gap(gen: SipGenerator) -> float:
     as `reversible_spectrum` does.  Its two lowest eigenpairs come from
     shift-invert Lanczos (`eigsh` with a fixed start vector, so results repeat
     exactly), or from a dense solve on small levels; either way both eigenpair
-    residuals must pass `residual_tol(scale, 1e-8)`."""
+    residuals must pass `residual_tol(scale, 1e-8)`.  The shifted operator
+    sym - sigma I is solved through a banded Cholesky factor in reverse
+    Cuthill-McKee order; if it is not positive definite, the factor fails
+    and so does the solve, with `EigensolverError`."""
     k, m, size = gen.space.k, gen.matrix, gen.space.size
     rate_scale = float(-m.diagonal().min())
     if rate_scale == 0.0:
@@ -131,19 +175,14 @@ def sip_gap(gen: SipGenerator) -> float:
     sym = m.copy()
     sym.data = -m.data * (d[rows] / d[m.indices])
     require_reversible(max_abs(sym - sym.T), scale)
-    sym = (0.5 * (sym + sym.T)).tocsc()
+    sym = 0.5 * (sym + sym.T)
     try:
         if size < SPARSE_GAP_MIN_STATES:
             vals, vecs = scipy.linalg.eigh(sym.toarray(), subset_by_index=(0, 1))
         else:
             sigma = -GAP_SHIFT_FRACTION * rate_scale
-            # sym - sigma I is positive definite: a symmetric fill-reducing
-            # order and no pivoting keep its LU factor small
-            lu = scipy.sparse.linalg.splu(
-                sym - sigma * scipy.sparse.eye_array(size, format="csc"),
-                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
-            inverse = scipy.sparse.linalg.LinearOperator(sym.shape, matvec=lu.solve,
+            solve = _banded_cholesky_solver(sym, sigma)
+            inverse = scipy.sparse.linalg.LinearOperator(sym.shape, matvec=solve,
                                                          dtype=float)
             vals, vecs = scipy.sparse.linalg.eigsh(
                 sym, k=2, sigma=sigma, which="LM", OPinv=inverse,
@@ -305,12 +344,18 @@ def tv_sandwich(gen: SipGenerator, times, slack: float = 1e-8,
     value(t) = sup over starting states of the L1 distance between the
     time-t law and the reversible law (that is twice the TV distance).
     """
+    times = sorted(float(t) for t in times)
+    # NaN fails every comparison, so it is refused here too
+    if not all(0 <= t < math.inf for t in times):
+        raise InputError("times must be finite and nonnegative")
+    if len(set(times)) < len(times):
+        raise InputError("times must be distinct")
     spec = sip_spectrum(gen)
     mu = gen.measure.probabilities
     gap = spec.gap
     min_mass = float(mu.min())
     rows = []
-    for t in sorted(float(t) for t in times):
+    for t in times:
         p = transition_matrix(gen, t, spec)
         value = float(np.abs(p - mu[None, :]).sum(axis=1).max())
         lower = float(np.exp(-gap * t))

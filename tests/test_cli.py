@@ -564,6 +564,17 @@ def test_simulate_refuses_unfinishable_or_repeated_times(capsys, horizon, times)
     assert code == 2 and out == "" and "input error" in err
 
 
+@pytest.mark.parametrize("times", ["inf", "0.5,nan", "1,1", "-1,1"])
+def test_tv_curve_refuses_bad_times_before_any_solve(capsys, monkeypatch, times):
+    # each once wrote an inf or nan row, or the t=1 row twice, and exited 1
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the spectrum was solved")
+
+    monkeypatch.setattr(siplab.sip, "sip_spectrum", unreachable)
+    code, out, err = run(["tv-curve", "path(3)", "--k", "2", f"--times={times}"], capsys)
+    assert code == 2 and out == "" and "input error" in err
+
+
 def test_parser_is_built_once_and_not_at_import():
     script = ("import siplab.cli as cli; built = cli.build_parser.cache_info().currsize; "
               "cli.main(['spectrum', 'path(2)', '--k', '1']); cli.main(['spectrum', 'path(2)', '--k', '1']); "

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -303,6 +305,62 @@ def test_sparse_gap_when_keys_overflow_int64():
     g = path_graph(40)
     assert space_size(40, 2) >= SPARSE_GAP_MIN_STATES
     assert sip_gap(build_sip_generator(g, 2)) == pytest.approx(rw_gap(g), rel=1e-10)
+
+
+def test_sparse_gap_disconnected_graph_is_zero():
+    # two triangles: 462 states at k=6, past the dense fallback; every
+    # split of the particles between the components is its own class
+    tri = np.ones((3, 3)) - np.eye(3)
+    g = Graph(6, scipy.linalg.block_diag(tri, tri), np.linspace(0.5, 2.0, 6))
+    gen = build_sip_generator(g, 6)
+    assert gen.space.size >= SPARSE_GAP_MIN_STATES
+    gap = sip_gap(gen)
+    assert gap == pytest.approx(0.0, abs=1e-10)
+    assert gap == pytest.approx(dense_gap(g, 6), abs=1e-10)
+
+
+def test_sparse_gap_indefinite_shift_is_an_eigensolver_error(monkeypatch):
+    # a shift above the gap leaves sym - sigma I indefinite, so its
+    # Cholesky factor fails; that must surface as a failed solve
+    monkeypatch.setattr(siplab.sip, "GAP_SHIFT_FRACTION", -0.5)
+    gen = build_sip_generator(path_graph(4), 12)
+    assert gen.space.size >= SPARSE_GAP_MIN_STATES
+    with pytest.raises(EigensolverError, match="not positive definite"):
+        sip_gap(gen)
+
+
+def test_sparse_gap_equals_walk_gap_on_a_long_path():
+    # 3876 states, too many for the dense oracle; unit site weights put the
+    # level in the equality regime, so the walk gap is the oracle
+    g = path_graph(16)
+    gen = build_sip_generator(g, 4)
+    assert gen.space.size == 3876
+    assert sip_gap(gen) == pytest.approx(rw_gap(g), rel=1e-10)
+
+
+def test_sparse_gap_factors_the_band_in_place(monkeypatch):
+    # the band is the largest array; a copy of it (as LAPACK makes of a
+    # C-ordered band) would push the peak past twice its size
+    g = complete_graph(7)
+    gen = build_sip_generator(g, 6)
+    bands = []
+    real = scipy.linalg.cholesky_banded
+
+    def recorded(ab, **kwargs):
+        bands.append(ab.shape)
+        return real(ab, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recorded)
+    tracemalloc.start()
+    try:
+        gap = sip_gap(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap == pytest.approx(g.alpha_total / 7, rel=1e-10)
+    (rows, size), = bands
+    assert size == gen.space.size == 924 and rows > size // 4
+    assert peak < 1.5 * rows * size * 8
 
 
 @pytest.mark.parametrize("alpha_range", [(0.3, 3.0), (1.0, 3.0)])
