@@ -22,6 +22,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -35,8 +36,8 @@ from . import __version__
 from .bep import bep_gap_report
 from .configs import capped_size, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
-from .graphs import (Graph, build_rw_generator, graph_from_preset, load_graph, rw_gap,
-                     rw_spectrum)
+from .graphs import (Graph, as_integer, as_number, build_rw_generator, graph_from_preset,
+                     load_graph, rw_gap, rw_spectrum)
 from .intertwiners import (Ladder, check_adjoint, check_intertwinings,
                            dirichlet_decomposition_check, eigen_dichotomy,
                            minmax_comparison_check)
@@ -354,18 +355,24 @@ def cmd_sweep(args) -> int:
         raise InputError(f"cannot read sweep spec {args.spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed sweep spec: {exc}") from exc
+    if not isinstance(spec_data, dict) or not isinstance(spec_data.get("alpha", {}), dict):
+        raise InputError("sweep spec must be a JSON object, and its 'alpha' an object")
     graphs = spec_data.get("graphs", [])
     alpha_spec = spec_data.get("alpha", {})
-    n_samples = int(alpha_spec.get("n_samples", 0))
+    n_samples = as_integer(alpha_spec.get("n_samples", 0), "alpha.n_samples")
     rng_range = alpha_spec.get("range", [])
-    k_max = int(spec_data.get("k_max", 0))
-    seed = int(spec_data.get("seed", 0))
-    if not graphs or n_samples < 1 or k_max < 2 or len(rng_range) != 2:
-        raise InputError("sweep spec needs nonempty 'graphs', alpha.n_samples >= 1, "
-                         "alpha.range [lo, hi], and k_max >= 2")
-    lo, hi = float(rng_range[0]), float(rng_range[1])
-    if not 0 < lo <= hi:
-        raise InputError("alpha.range must satisfy 0 < lo <= hi")
+    k_max = as_integer(spec_data.get("k_max", 0), "k_max")
+    seed = as_integer(spec_data.get("seed", 0), "seed")
+    if (not isinstance(graphs, list) or not graphs
+            or not all(isinstance(spec, str) for spec in graphs)
+            or n_samples < 1 or k_max < 2 or not isinstance(rng_range, list)
+            or len(rng_range) != 2 or seed < 0):
+        raise InputError("sweep spec needs a nonempty list of graph strings 'graphs', "
+                         "alpha.n_samples >= 1, alpha.range [lo, hi], k_max >= 2 "
+                         "and seed >= 0")
+    lo, hi = (as_number(v, "alpha.range entry") for v in rng_range)
+    if not 0 < lo <= hi < math.inf:
+        raise InputError("alpha.range must satisfy 0 < lo <= hi < inf")
     samples = []
     for gi, spec in enumerate(graphs):
         base = graph_from_preset(spec) if not os.path.exists(spec) else load_graph(spec)

@@ -18,12 +18,15 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import InputError, StateCapError
-from .graphs import Graph
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 DEFAULT_STATE_CAP = 20_000
 

@@ -7,20 +7,20 @@ reversible with respect to the probability vector alpha / sum(alpha).
 
 Spectra are computed by symmetrizing the negative generator with the
 square root of the reversible measure and running a dense symmetric
-eigensolve, so eigenvalues are real by construction and eigenfunctions
-come back orthonormal in the weighted L2 inner product.  The transform
-and its reversibility check (`symmetrize_reversible`) take a stack of
-walks as well as one, and so does the walk energy `rw_dirichlet_forms`.
-Every full spectrum takes that dense solve; the gaps of `sweep` and the
-gap report come from `sip.sip_gap` on the sparse generator, under the same
-`require_reversible` policy.  Gap statements are checked at a tolerance
-relative to the walk gap (`gap_tolerance`), and matrix sizes are read by
-`max_abs`, dense or sparse.
+eigensolve (`symmetric_spectrum`), so eigenvalues are real by construction
+and eigenfunctions come back orthonormal in the weighted L2 inner product.
+A walk's transform and its reversibility check (`symmetrize_reversible`)
+take a stack of walks as well as one, and so does `rw_dirichlet_forms`.
+A level of the inclusion process is symmetrized and checked once, sparse,
+by `sip.build_sip_generator`, under the same `require_reversible` policy.
+Gap statements are checked at a tolerance relative to the walk gap
+(`gap_tolerance`), and matrix sizes are read by `max_abs`, dense or sparse.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -30,6 +30,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
+from .configs import capped_size
 from .errors import EigensolverError, InputError
 
 # Identity residuals are checked at 1e-10, scaled by the size of the
@@ -111,17 +112,48 @@ class Graph:
         return replace(self, site_weights=np.asarray(alpha, dtype=float))
 
 
+def as_integer(raw, what: str) -> int:
+    """`raw` as an int: a JSON integer, or an integral float such as 1e9.  A
+    fraction, a string or anything else is refused, not truncated."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    try:
+        return operator.index(raw)
+    except TypeError as exc:
+        raise InputError(f"{what} must be an integer, got {raw!r}") from exc
+
+
+def as_number(raw, what: str) -> float:
+    """`raw` as a float; what float() cannot read is refused."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a number, got {raw!r}") from exc
+
+
+def _zero_weights(n: int) -> np.ndarray:
+    """The n x n zero edge weights of a new graph.  Its level 1 has n states,
+    so a graph over the state cap is refused before they are allocated."""
+    if n < 2:
+        raise InputError(f"graph needs at least 2 vertices, got n={n}")
+    capped_size(n, 1)
+    return np.zeros((n, n))
+
+
 def graph_from_edges(n: int, edges, alpha) -> Graph:
     """Build a graph from an undirected edge list [(x, y, c), ...].
 
     Listing the same unordered pair twice is an error, as is a self loop.
     """
-    w = np.zeros((n, n))
+    w = _zero_weights(n)
     seen = set()
     for item in edges:
-        if len(item) != 3:
-            raise InputError(f"edge entry must be [x, y, c], got {item!r}")
-        x, y, c = int(item[0]), int(item[1]), float(item[2])
+        try:
+            x, y, c = item
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"edge entry must be [x, y, c], got {item!r}") from exc
+        x, y = as_integer(x, "vertex index"), as_integer(y, "vertex index")
+        c = as_number(c, "edge weight")
         if not (0 <= x < n and 0 <= y < n):
             raise InputError(f"edge ({x},{y}) out of range for n={n}")
         if x == y:
@@ -132,17 +164,21 @@ def graph_from_edges(n: int, edges, alpha) -> Graph:
         seen.add(key)
         w[x, y] = c
         w[y, x] = c
-    return Graph(n, w, np.asarray(alpha, dtype=float))
+    try:
+        alpha = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"site weights must be numbers, got {alpha!r}") from exc
+    return Graph(n, w, alpha)
 
 
 def graph_from_dict(data: dict) -> Graph:
     try:
-        n = int(data["n"])
-        edges = data["edges"]
-        alpha = data["alpha"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, edges, alpha = data["n"], data["edges"], data["alpha"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"graph object needs 'n', 'edges', 'alpha': {exc}") from exc
-    return graph_from_edges(n, edges, alpha)
+    if not isinstance(edges, list):
+        raise InputError(f"'edges' must be a list, got {edges!r}")
+    return graph_from_edges(as_integer(n, "n"), edges, alpha)
 
 
 def load_graph(path) -> Graph:
@@ -160,14 +196,15 @@ def load_graph(path) -> Graph:
 
 def complete_graph(n: int, alpha=None) -> Graph:
     """Complete graph with the mean-field normalization c = 1/n."""
-    w = np.full((n, n), 1.0 / n)
+    w = _zero_weights(n)
+    w += 1.0 / n
     np.fill_diagonal(w, 0.0)
     a = np.ones(n) if alpha is None else alpha
     return Graph(n, w, np.asarray(a, dtype=float))
 
 
 def path_graph(n: int, alpha=None) -> Graph:
-    w = np.zeros((n, n))
+    w = _zero_weights(n)
     for x in range(n - 1):
         w[x, x + 1] = w[x + 1, x] = 1.0
     a = np.ones(n) if alpha is None else alpha
@@ -177,7 +214,7 @@ def path_graph(n: int, alpha=None) -> Graph:
 def cycle_graph(n: int, alpha=None) -> Graph:
     if n < 3:
         raise InputError("cycle preset needs n >= 3")
-    w = np.zeros((n, n))
+    w = _zero_weights(n)
     for x in range(n):
         y = (x + 1) % n
         w[x, y] = w[y, x] = 1.0
@@ -202,7 +239,7 @@ def graph_from_preset(spec: str, alpha=None) -> Graph:
 def random_connected_graph(n: int, rng: np.random.Generator, extra_edge_prob: float = 0.5,
                            weight_range=(0.2, 2.0), alpha_range=(0.5, 2.0)) -> Graph:
     """Random spanning tree plus extra edges; weights uniform in the ranges."""
-    w = np.zeros((n, n))
+    w = _zero_weights(n)
     order = rng.permutation(n)
     for i in range(1, n):
         x = order[i]
@@ -258,26 +295,21 @@ def detailed_balance_residual(matrix, measure: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues of a negative reversible generator.
-
-    eigenfunctions, when requested, are columns orthonormal in the L2
-    inner product of `measure`; residual records the worst eigenpair
-    defect of the symmetrized solve.
-    """
+    """Ascending eigenvalues of a negative reversible generator, and
+    optionally its eigenfunctions, columns orthonormal in the L2 inner
+    product of the reversible law."""
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray | None
-    measure: np.ndarray
-    residual: float
 
     @property
     def gap(self) -> float:
         return float(self.eigenvalues[1])
 
 
-def symmetrize_reversible(rate_matrix, measure) -> tuple:
-    """(sym, scale, defect) for a rate matrix Q reversible w.r.t. `measure`,
-    or for a stack of them with one measure per row.
+def symmetrize_reversible(rate_matrix, measure) -> np.ndarray:
+    """The symmetric form of a dense rate matrix Q reversible w.r.t. `measure`,
+    or of a stack of them with one measure per row.
 
     The similarity transform D^(1/2) (-Q) D^(-1/2) with D = diag(measure)
     is symmetric exactly when detailed balance holds; that is checked for
@@ -288,9 +320,8 @@ def symmetrize_reversible(rate_matrix, measure) -> tuple:
     scale = np.maximum(1.0, np.abs(neg).max(axis=(-2, -1)))
     d = np.sqrt(measure)
     sym = neg * (d[..., :, None] / d[..., None, :])
-    asym = np.abs(sym - np.swapaxes(sym, -1, -2)).max(axis=(-2, -1))
-    require_reversible(asym, scale)
-    return 0.5 * (sym + np.swapaxes(sym, -1, -2)), scale, asym
+    require_reversible(np.abs(sym - np.swapaxes(sym, -1, -2)).max(axis=(-2, -1)), scale)
+    return 0.5 * (sym + np.swapaxes(sym, -1, -2))
 
 
 def require_reversible(asym, scale) -> None:
@@ -301,11 +332,12 @@ def require_reversible(asym, scale) -> None:
                          f"(symmetrization defect {float(np.max(asym * bad)):.3e})")
 
 
-def reversible_spectrum(rate_matrix: np.ndarray, measure: np.ndarray,
-                        want_vectors: bool = True) -> Spectrum:
-    """Eigendecompose -Q for a rate matrix Q reversible w.r.t. `measure`,
-    by a dense symmetric solve of `symmetrize_reversible`'s transform."""
-    sym, scale, asym = symmetrize_reversible(rate_matrix, measure)
+def symmetric_spectrum(sym: np.ndarray, measure: np.ndarray,
+                       want_vectors: bool = True) -> Spectrum:
+    """Dense eigensolve of sym = D^(1/2) (-Q) D^(-1/2), D = diag(measure), for walks
+    and levels alike; each eigenpair must pass `residual_tol(scale, 1e-8)`, scale
+    the largest exit rate, which is the largest entry of sym, on its diagonal."""
+    scale = float(np.diagonal(sym).max())
     try:
         if want_vectors:
             vals, vecs = scipy.linalg.eigh(sym)
@@ -313,7 +345,7 @@ def reversible_spectrum(rate_matrix: np.ndarray, measure: np.ndarray,
             vals = scipy.linalg.eigvalsh(sym)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolve failed: {exc}") from exc
-    funcs, defect = None, float(asym)
+    funcs = None
     if want_vectors:
         defect = float(np.abs(sym @ vecs - vecs * vals[None, :]).max())
         if defect > residual_tol(scale, 1e-8):
@@ -322,7 +354,13 @@ def reversible_spectrum(rate_matrix: np.ndarray, measure: np.ndarray,
         funcs = vecs / np.sqrt(measure)[:, None]
         funcs.setflags(write=False)
     vals.setflags(write=False)
-    return Spectrum(vals, funcs, np.asarray(measure, dtype=float), defect)
+    return Spectrum(vals, funcs)
+
+
+def reversible_spectrum(rate_matrix: np.ndarray, measure: np.ndarray,
+                        want_vectors: bool = True) -> Spectrum:
+    """Eigendecompose -Q for a dense rate matrix Q reversible w.r.t. `measure`."""
+    return symmetric_spectrum(symmetrize_reversible(rate_matrix, measure), measure, want_vectors)
 
 
 def rw_spectrum(gen: RwGenerator, want_vectors: bool = True) -> Spectrum:

@@ -103,8 +103,7 @@ def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple[np.ndarray, n
     rates = graph.edge_weights * beta[:, None, :]
     sites = np.arange(graph.n)
     rates[:, sites, sites] = -rates.sum(axis=2)
-    sym, _, _ = symmetrize_reversible(rates, beta / beta.sum(axis=1, keepdims=True))
-    vals = np.linalg.eigvalsh(sym)
+    vals = np.linalg.eigvalsh(symmetrize_reversible(rates, beta / beta.sum(axis=1, keepdims=True)))
     beta.setflags(write=False)
     vals.setflags(write=False)
     return beta, vals
@@ -124,7 +123,7 @@ class Level:
     weights alpha + xi, a row per level-(k-1) configuration xi, and
     `labeled`, the sparse labeled operators and law.  `lower` is level
     k-1: the one given, else one made on first use.  Level 0 has one state
-    and a 1x1 CSR zero generator.
+    and a 1x1 CSR zero generator, which is its own symmetric form.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -146,8 +145,8 @@ class Level:
     def generator(self) -> SipGenerator:
         if self.k == 0:
             space = enumerate_configs(self.graph.n, 0)
-            return SipGenerator(self.graph, space, scipy.sparse.csr_array((1, 1)),
-                                sip_measure(self.graph, space))
+            zero = scipy.sparse.csr_array((1, 1))
+            return SipGenerator(self.graph, space, zero, sip_measure(self.graph, space), zero)
         return build_sip_generator(self.graph, self.k)
 
     @property

@@ -3,20 +3,19 @@
 A particle at x jumps to y at rate c[x, y] * (alpha[y] + eta[y]), so the
 total jump rate out of eta along (x, y) is eta[x] * c[x, y] *
 (alpha[y] + eta[y]).  The chain is reversible for the gamma-product law
-from `configs.sip_measure`; reversibility is verified at assembly time,
-on the sparse flux.  The generator is a CSR array assembled once from
-COO triplets, one block of jumps per ordered edge, ranked through the
-configuration keys.
+from `configs.sip_measure`.  The generator is a CSR array assembled once
+from COO triplets, one block of jumps per ordered edge, ranked through the
+configuration keys.  Its symmetric form D^(1/2) (-L) D^(-1/2), D = diag(mu),
+is built with it, and its symmetry is the level's one reversibility check.
 
 `sip_gap` is the gap-only path: `sweep` calls it, and `Level.gap` caches
-it once per level for the gap report and the diffusion report.  It
-symmetrises a `SipGenerator` on the same sparse structure and finds its
-two lowest eigenpairs by shift-invert Lanczos, with the eigenpair-residual
-checks of the dense path.  The shifted operator is positive definite; its
-inverse steps solve with a banded Cholesky factor, the states put in
-reverse Cuthill-McKee order to narrow the band.  Full spectra, the
-semigroup and the total-variation table solve a dense copy of the
-generator.
+it once per level for the gap report and the diffusion report.  It finds
+the two lowest eigenpairs of the symmetric form by shift-invert Lanczos,
+with the eigenpair-residual checks of the dense path.  The shifted
+operator is positive definite; its inverse steps solve with a banded
+Cholesky factor, the states put in reverse Cuthill-McKee order to narrow
+the band.  Full spectra, the semigroup and the total-variation table solve
+a dense copy of the symmetric form.
 
 The gap report machine-checks the sandwich
 
@@ -44,9 +43,8 @@ import scipy.sparse.linalg
 
 from .configs import ConfigSpace, SipMeasure, enumerate_configs, sip_measure
 from .errors import EigensolverError, InputError, VerificationError
-from .graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
-                     gap_tolerance, max_abs, require_reversible, residual_tol,
-                     reversible_spectrum, rw_spectrum)
+from .graphs import (Graph, Spectrum, build_rw_generator, gap_tolerance, max_abs,
+                     require_reversible, residual_tol, rw_spectrum, symmetric_spectrum)
 
 if TYPE_CHECKING:
     from .intertwiners import Level
@@ -55,12 +53,14 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class SipGenerator:
     """Level k: its `space`, reversible law `measure` and generator `matrix`,
-    CSR with at most n(n-1)+1 entries a row, minus the exit rates on the diagonal."""
+    CSR with at most n(n-1)+1 entries a row, minus the exit rates on the diagonal,
+    and `symmetric`, D^(1/2) (-matrix) D^(-1/2), checked symmetric as it was built."""
 
     graph: Graph
     space: ConfigSpace
     matrix: scipy.sparse.csr_array
     measure: SipMeasure
+    symmetric: scipy.sparse.csr_array
 
 
 def _jumps(graph: Graph, space: ConfigSpace):
@@ -93,15 +93,19 @@ def build_sip_generator(graph: Graph, k: int) -> SipGenerator:
     exits = np.bincount(sources, weights=rates, minlength=size)
     m = (scipy.sparse.csr_array((rates, (sources, targets)), shape=(size, size))
          - scipy.sparse.diags_array(exits, dtype=float))
-    defect, scale = detailed_balance_residual(m, mu.probabilities), float(exits.max())
-    if defect > residual_tol(scale):
-        raise VerificationError(f"assembled rate matrix breaks detailed balance "
-                                f"(residual {defect:.3e} at scale {scale:.3e})")
-    return SipGenerator(graph, space, m, mu)
+    d = np.sqrt(mu.probabilities)
+    rows = np.repeat(np.arange(size), np.diff(m.indptr))
+    sym = scipy.sparse.csr_array((-m.data * (d[rows] / d[m.indices]), m.indices, m.indptr),
+                                 shape=m.shape)
+    try:
+        require_reversible(max_abs(sym - sym.T), float(exits.max()))
+    except InputError as exc:
+        raise VerificationError(f"assembled rate matrix: {exc}") from exc
+    return SipGenerator(graph, space, m, mu, 0.5 * (sym + sym.T))
 
 
 def sip_spectrum(gen: SipGenerator, want_vectors: bool = True) -> Spectrum:
-    return reversible_spectrum(gen.matrix.toarray(), gen.measure.probabilities, want_vectors)
+    return symmetric_spectrum(gen.symmetric.toarray(), gen.measure.probabilities, want_vectors)
 
 
 # Levels with fewer states than this take the gap from a dense symmetric
@@ -156,26 +160,19 @@ def _banded_cholesky_solver(sym, sigma: float):
 
 
 def sip_gap(gen: SipGenerator) -> float:
-    """Spectral gap of a level from D^(1/2) (-L) D^(-1/2), D = diag(mu), built
-    on the CSR structure of `gen.matrix` and checked by `require_reversible`
-    as `reversible_spectrum` does.  Its two lowest eigenpairs come from
-    shift-invert Lanczos (`eigsh` with a fixed start vector, so results repeat
-    exactly), or from a dense solve on small levels; either way both eigenpair
-    residuals must pass `residual_tol(scale, 1e-8)`.  The shifted operator
-    sym - sigma I is solved through a banded Cholesky factor in reverse
-    Cuthill-McKee order; if it is not positive definite, the factor fails
-    and so does the solve, with `EigensolverError`."""
-    k, m, size = gen.space.k, gen.matrix, gen.space.size
-    rate_scale = float(-m.diagonal().min())
+    """Spectral gap of a level, the second eigenvalue of `gen.symmetric`.  Its
+    two lowest eigenpairs come from shift-invert Lanczos (`eigsh` with a fixed
+    start vector, so results repeat exactly), or from a dense solve on small
+    levels; either way both eigenpair residuals must pass
+    `residual_tol(scale, 1e-8)`.  The shifted operator sym - sigma I is solved
+    through a banded Cholesky factor in reverse Cuthill-McKee order; if it is
+    not positive definite, the factor fails and so does the solve, with
+    `EigensolverError`."""
+    k, sym, size = gen.space.k, gen.symmetric, gen.space.size
+    rate_scale = float(sym.diagonal().max())
     if rate_scale == 0.0:
         return 0.0  # no edges: the generator is zero and so is every eigenvalue
     scale = max(1.0, rate_scale)
-    d = np.sqrt(gen.measure.probabilities)
-    rows = np.repeat(np.arange(size), np.diff(m.indptr))
-    sym = m.copy()
-    sym.data = -m.data * (d[rows] / d[m.indices])
-    require_reversible(max_abs(sym - sym.T), scale)
-    sym = 0.5 * (sym + sym.T)
     try:
         if size < SPARSE_GAP_MIN_STATES:
             vals, vecs = scipy.linalg.eigh(sym.toarray(), subset_by_index=(0, 1))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import siplab.cli
+import siplab.graphs
 import siplab.intertwiners
 import siplab.lookdown
 import siplab.sip
@@ -68,6 +69,30 @@ def test_verify_refuses_a_non_finite_edge_weight(weight, tmp_path, capsys):
     code, _, err = run(["verify", str(graph), "--K", "2", "--suite", "sip"], capsys)
     assert code == 2
     assert "edge_weights must be nonnegative and finite" in err
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 3, "edges": [[0, 1, "x"], [1, 2, 1]], "alpha": [1, 1, 1]},
+    {"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "alpha": [1, "a", 1]},
+    {"n": 3, "edges": [[0, 1, 1], 5], "alpha": [1, 1, 1]},
+    {"n": 3, "edges": [[0, 1.5, 1], [1, 2, 1]], "alpha": [1, 1, 1]},
+], ids=["edge-weight", "site-weight", "edge-entry", "vertex-index"])
+def test_graph_file_refuses_a_bad_field(graph, tmp_path, capsys):
+    # each once ended in a traceback, or read vertex 1.5 as vertex 1
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(["spectrum", str(path), "--k", "1"], capsys)
+    assert code == 2 and out == "" and err.startswith("siplab: input error")
+
+
+@pytest.mark.parametrize("graph", ["path(1000000000)", "complete(1000000000)", "file"])
+def test_a_graph_over_the_state_cap_is_refused_before_its_weights(graph, tmp_path, capsys):
+    # level 1 has n states, so the cap refuses the graph before its n x n weights exist
+    if graph == "file":
+        graph = str(tmp_path / "graph.json")
+        Path(graph).write_text(json.dumps({"n": 1e9, "edges": [[0, 1, 1]], "alpha": [1, 1]}))
+    code, out, err = run(["spectrum", graph, "--k", "2"], capsys)
+    assert code == 3 and out == "" and err.startswith("siplab: state cap")
 
 
 def test_spectrum_state_cap_exit(tmp_path, capsys, monkeypatch):
@@ -221,10 +246,15 @@ def _count_level_builds(monkeypatch):
             counts[_name][_level_of(*args, **kwargs)] += 1
             return _original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("siplab") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        _rebind(monkeypatch, name, original, counted)
     return counts
+
+
+def _rebind(monkeypatch, name, original, wrapper):
+    """Bind `wrapper` in place of `original` in every siplab module that holds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("siplab") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.mark.parametrize("argv", [["verify", "path(3)", "--K", "4", "--suite", "all"],
@@ -248,6 +278,46 @@ def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypa
     assert code == 0
     assert counts["sip_spectrum"] == {1: 1}
     assert counts["sip_gap"] == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_each_level_is_symmetrized_and_checked_once(capsys, monkeypatch):
+    """The reversibility check runs once per level, inside the assembly that
+    builds the symmetric form; sip_gap and sip_spectrum read that form and
+    neither symmetrize nor check it again."""
+    stack, entered, checks = [], collections.Counter(), []
+    for name, level_of in (("build_sip_generator", lambda graph, k: k),
+                           ("sip_gap", lambda gen: gen.space.k),
+                           ("sip_spectrum", lambda gen, want_vectors=True: gen.space.k)):
+        original = getattr(siplab.sip, name)
+
+        def inside(*args, _name=name, _level_of=level_of, _original=original, **kwargs):
+            stack.append((_name, _level_of(*args, **kwargs)))
+            entered[stack[-1]] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        _rebind(monkeypatch, name, original, inside)
+    for name in ("symmetrize_reversible", "require_reversible"):
+        original = getattr(siplab.graphs, name)
+
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            checks.append((_name, stack[-1] if stack else None))
+            return _original(*args, **kwargs)
+
+        _rebind(monkeypatch, name, original, recorded)
+    code, _, _ = run(["verify", "path(3)", "--K", "5", "--suite", "all"], capsys)
+    assert code == 0
+    levels = range(1, 6)
+    assert {k for name, k in entered if name == "build_sip_generator"} == set(levels)
+    assert {k for name, k in entered if name == "sip_gap"} == set(levels)
+    assert {k for name, k in entered if name == "sip_spectrum"} == set(range(1, 5))
+    assert set(entered.values()) == {1}
+    # the walks' own checks run outside every level function
+    assert sorted(where for _, where in checks if where is not None) == [
+        ("build_sip_generator", k) for k in levels]
+    assert {name for name, where in checks if where is not None} == {"require_reversible"}
 
 
 def _write_graph(path, weights, alpha):
@@ -363,6 +433,30 @@ def test_sweep_refuses_jobs_below_one(jobs, tmp_path, capsys):
     code, out, err = run(["sweep", str(spec), "--jobs", jobs], capsys)
     assert code == 2 and out == ""
     assert f"--jobs: must be an integer of at least 1, got {jobs!r}" in err
+
+
+_GOOD_SWEEP = {"graphs": ["path(3)"], "alpha": {"n_samples": 1, "range": [0.5, 2.0]},
+               "k_max": 3, "seed": 1}
+
+
+@pytest.mark.parametrize("spec", [
+    [_GOOD_SWEEP],
+    {**_GOOD_SWEEP, "alpha": [1]},
+    {**_GOOD_SWEEP, "alpha": {"n_samples": "x", "range": [0.5, 2.0]}},
+    {**_GOOD_SWEEP, "alpha": {"n_samples": 2.7, "range": [0.5, 2.0]}},
+    {**_GOOD_SWEEP, "alpha": {"n_samples": 1, "range": [1, "a"]}},
+    {**_GOOD_SWEEP, "alpha": {"n_samples": 1, "range": [1, "inf"]}},
+    {**_GOOD_SWEEP, "graphs": [3]},
+    {**_GOOD_SWEEP, "seed": -1},
+    {**_GOOD_SWEEP, "seed": 1.5},
+], ids=["list", "alpha-list", "n-samples-text", "n-samples-fraction", "range-text",
+        "range-inf", "graph-number", "seed-negative", "seed-fraction"])
+def test_sweep_refuses_a_malformed_spec(spec, tmp_path, capsys):
+    # each once ended in a traceback, or truncated a fraction to an integer
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["sweep", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("siplab: input error")
 
 
 def _sweep_spec(path, graphs, k_max, seed, n_samples=1):

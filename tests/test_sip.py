@@ -363,6 +363,23 @@ def test_sparse_gap_factors_the_band_in_place(monkeypatch):
     assert peak < 1.5 * rows * size * 8
 
 
+def test_dense_spectrum_peaks_near_two_copies_of_the_level():
+    # a dense copy of the symmetric form and the solver's own: no dense
+    # generator and no dense re-symmetrization beside them
+    g = complete_graph(7)
+    gen = build_sip_generator(g, 6)
+    size = gen.space.size
+    assert size == 924
+    tracemalloc.start()
+    try:
+        spec = sip_spectrum(gen, want_vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.gap == pytest.approx(g.alpha_total / 7, rel=1e-10)
+    assert peak < 3 * size * size * 8
+
+
 @pytest.mark.parametrize("alpha_range", [(0.3, 3.0), (1.0, 3.0)])
 def test_gap_verdicts_invariant_under_time_rescaling(alpha_range):
     """c -> lam c multiplies every gap by lam; verdicts and ratios must not move.
