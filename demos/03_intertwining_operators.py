@@ -8,31 +8,34 @@ ones annihilated by the addition operator.
 """
 import numpy as np
 
-from siplab import (Level, build_annihilation, build_creation, check_adjoint,
-                    check_intertwinings, eigen_dichotomy, invert_annihilation,
-                    lift_eigenfunction, random_connected_graph,
-                    build_rw_generator, rw_spectrum, build_sip_generator)
+from siplab import (Level, check_adjoint, check_intertwinings, eigen_dichotomy,
+                    invert_annihilation, lift_eigenfunction, peeling_block,
+                    random_connected_graph, build_rw_generator, rw_spectrum,
+                    build_sip_generator)
 
 rng = np.random.default_rng(7)
 g = random_connected_graph(3, rng, alpha_range=(0.5, 2.0))
 k = 3
 
-ann = build_annihilation(g, k)
-cre = build_creation(g, k)
-print(f"removal matrix: {ann.matrix.shape}, addition matrix: {cre.matrix.shape}")
-print("removal applied to constants counts particles:",
-      np.unique(ann.matrix @ np.ones(ann.space_low.size)))
-
 level = Level(g, k)
+ann, cre = level.annihilation, level.creation
+print(f"removal matrix: {ann.shape}, addition matrix: {cre.shape}")
+print("removal applied to constants counts particles:",
+      np.unique(ann @ np.ones(ann.shape[1])))
+
 print("\nadjoint identity:", check_adjoint(level))
 for check in check_intertwinings(level):
     print("intertwining:", check)
 
-# The constructive inverse: the removal operator is injective, and a
-# function at level k-1 can be peeled back exactly from its lift.
-gvec = rng.standard_normal(ann.space_low.size)
-recovered = invert_annihilation(ann.matrix @ gvec, ann.space_high, ann.space_low)
-print("\nexact recovery of the pre-image, max error:",
+# The constructive inverse: one row per level-(k-1) state, taken by
+# decreasing largest occupancy, makes a lower triangular block of the
+# removal operator with integer diagonal, so it is injective with no
+# tolerance, and a function at level k-1 is peeled back from its lift by
+# one triangular solve.
+print("\npeeling margin (exactly 1 when the block is triangular):", peeling_block(level)[3])
+gvec = rng.standard_normal(ann.shape[1])
+recovered = invert_annihilation(level, ann @ gvec)
+print("exact recovery of the pre-image, max error:",
       np.abs(recovered - gvec).max())
 
 # Lifting the slow walk mode gives a slow mode at every particle number.
@@ -54,4 +57,4 @@ for group in result.groups:
 basis = level.kernel
 print("\nkernel dimension:", basis.shape[1],
       "= level-k size minus level-(k-1) size:",
-      ann.space_high.size - ann.space_low.size)
+      level.space.size - level.lower.space.size)

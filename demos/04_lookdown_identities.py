@@ -30,8 +30,11 @@ print()
 report = check_stationary_law(Level(g, 2))
 for check in report.checks:
     print(f"  {check.identity:45s} residual {check.residual:.2e}  pass={check.passed}")
-src, dst, asym = report.nonreversibility_witness
-print(f"  lookdown flux asymmetry witness: states ({src}, {dst}), size {asym:.4f}")
+# the witness pair a, b maximizes |F_ab - F_ba| / max(F_ab, F_ba), with
+# F_ab = omega(a) L(a, b) the stationary flux: a ratio with no unit
+src, dst, ratio = report.nonreversibility_witness
+print(f"  lookdown flux asymmetry witness: states ({src}, {dst}), "
+      f"relative asymmetry {ratio:.4f}")
 print()
 
 # The full identity suite on a random weighted triangle with three particles:

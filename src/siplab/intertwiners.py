@@ -12,10 +12,13 @@ and the creation operator is its weighted-addition adjoint:
 Both intertwine consecutive inclusion generators, A L_{k-1} = L_k A and
 C L_k = L_{k-1} C, which pins the whole eigenstructure: eigenfunctions
 at level k either come from level k-1 through A or live in Ker C, and
-the two parts are orthogonal in the reversible inner product; one QR of
-D^(1/2) A, D = diag(mu_k), gives a basis of both (`removal_qr`).  This
-module builds A_k (at most n entries a row) and C_k (exactly n) as CSR,
-checks every one of those identities, and adds the Dirichlet-form
+the two parts are orthogonal in the reversible inner product (the
+recursion of Caputo, Liggett and Richthammer).  One QR of the balanced
+W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the scale
+of mu, gives a basis of both (`removal_qr`); A_k is injective by an
+integer peeling argument read off A_k itself (`peeling_block`).  This
+module builds A_k (at most n entries a row), C_k (exactly n) and W_k as
+CSR, checks every one of those identities, and adds the Dirichlet-form
 decomposition and the single-walk comparison bounds used to sandwich
 the spectral gap.  Those two run over the shifted walks, site weights
 alpha + xi for each (k-1)-configuration xi, as arrays with one row per xi.
@@ -34,6 +37,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
@@ -45,53 +49,29 @@ from .reporting import CheckResult, identity_check, make_check
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_gap, sip_spectrum
 
 
-@dataclass(frozen=True)
-class AnnihilationOp:
-    """CSR matrix of uniform particle removal, functions on level k-1 to level k."""
-
-    k: int
-    matrix: scipy.sparse.csr_array
-    space_low: ConfigSpace
-    space_high: ConfigSpace
-
-
-@dataclass(frozen=True)
-class CreationOp:
-    """CSR matrix of weighted particle addition, functions on level k to level k-1."""
-
-    k: int
-    matrix: scipy.sparse.csr_array
-    space_low: ConfigSpace
-    space_high: ConfigSpace
-
-
-def build_annihilation(graph: Graph, k: int) -> AnnihilationOp:
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
-    low = enumerate_configs(graph.n, k - 1)
-    high = enumerate_configs(graph.n, k)
+def build_annihilation(low: ConfigSpace, high: ConfigSpace) -> scipy.sparse.csr_array:
+    """A_k as CSR, functions on `low` (level k-1) to functions on `high` (level k)."""
+    if (high.n, high.k) != (low.n, low.k + 1):
+        raise InputError("need the spaces of levels k-1 and k on the same sites")
     occ = high.occupations
     # keys are linear in the occupations: a level-k state read in the level-(k-1)
     # base, less place[x], is the key of eta - delta_x; one entry per occupied x
     s, x = np.nonzero(occ)
     cols = low.rank_keys((occ @ low.place)[s] - low.place[x])
-    m = scipy.sparse.csr_array((occ[s, x].astype(float), (s, cols)),
-                               shape=(high.size, low.size))
-    return AnnihilationOp(k, m, low, high)
+    return scipy.sparse.csr_array((occ[s, x].astype(float), (s, cols)),
+                                  shape=(high.size, low.size))
 
 
-def build_creation(graph: Graph, k: int) -> CreationOp:
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
-    low = enumerate_configs(graph.n, k - 1)
-    high = enumerate_configs(graph.n, k)
+def build_creation(graph: Graph, low: ConfigSpace, high: ConfigSpace) -> scipy.sparse.csr_array:
+    """C_k as CSR, functions on `high` (level k) to functions on `low` (level k-1)."""
+    if (high.n, high.k) != (low.n, low.k + 1):
+        raise InputError("need the spaces of levels k-1 and k on the same sites")
     occ = low.occupations
     # one entry per (state, site x): every state gains a particle at each site
     cols = high.rank_keys(((occ @ high.place)[:, None] + high.place).ravel())
     rows = np.repeat(np.arange(low.size), graph.n)
-    m = scipy.sparse.csr_array(((occ + graph.site_weights).ravel(), (rows, cols)),
-                               shape=(low.size, high.size))
-    return CreationOp(k, m, low, high)
+    return scipy.sparse.csr_array(((occ + graph.site_weights).ravel(), (rows, cols)),
+                                  shape=(low.size, high.size))
 
 
 def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -115,10 +95,11 @@ class Level:
 
     Each piece is built on first use and then kept: `generator` (which
     carries `space` and `measure`), the removal and addition operators
-    `annihilation` (A_k) and `creation` (C_k), all three CSR, the dense
-    `spectrum` (eigenvalues only), the `gap` from `sip_gap`, `qr`, the
-    basis of `removal_qr` and the |diagonal| of its R, whose trailing
-    basis columns are `kernel`, a mu-orthonormal basis of Ker C_k,
+    `annihilation` (A_k) and `creation` (C_k), built from the two levels'
+    spaces, and `balanced_removal`, W_k = D_k^(1/2) A_k D_{k-1}^(-1/2) with
+    D_j = diag(mu_j), all CSR; the dense `spectrum` (eigenvalues only), the
+    `gap` from `sip_gap`, `qr`, the mu-orthonormal basis of `removal_qr`,
+    whose trailing columns are `kernel`, a mu-orthonormal basis of Ker C_k,
     `shifted_walks`, the arrays (beta, eigenvalues) of the walks with site
     weights alpha + xi, a row per level-(k-1) configuration xi, and
     `labeled`, the sparse labeled operators and law.  `lower` is level
@@ -158,12 +139,21 @@ class Level:
         return self.generator.measure
 
     @cached_property
-    def annihilation(self) -> AnnihilationOp:
-        return build_annihilation(self.graph, self.k)
+    def annihilation(self) -> scipy.sparse.csr_array:
+        return build_annihilation(self.lower.space, self.space)
 
     @cached_property
-    def creation(self) -> CreationOp:
-        return build_creation(self.graph, self.k)
+    def creation(self) -> scipy.sparse.csr_array:
+        return build_creation(self.graph, self.lower.space, self.space)
+
+    @cached_property
+    def balanced_removal(self) -> scipy.sparse.csr_array:
+        # written onto A_k's pattern, as the generator's symmetric form is onto L_k's
+        a = self.annihilation
+        d, d_low = np.sqrt(self.measure.probabilities), np.sqrt(self.lower.measure.probabilities)
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        return scipy.sparse.csr_array((a.data * (d[rows] / d_low[a.indices]), a.indices,
+                                       a.indptr), shape=a.shape)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -174,13 +164,12 @@ class Level:
         return sip_gap(self.generator)
 
     @cached_property
-    def qr(self) -> tuple:
-        basis, r = removal_qr(self)
-        return basis, np.abs(np.diag(r))
+    def qr(self) -> np.ndarray:
+        return removal_qr(self)[0]
 
     @property
     def kernel(self) -> np.ndarray:
-        return self.qr[0][:, self.qr[1].size:]
+        return self.qr[:, self.lower.space.size:]
 
     @cached_property
     def shifted_walks(self) -> tuple:
@@ -207,38 +196,39 @@ class Ladder:
         return self._levels[k]
 
 
-def invert_annihilation(h, space_high: ConfigSpace, space_low: ConfigSpace) -> np.ndarray:
-    """Recover g from h = A g by peeling occupancy levels.
+def peeling_block(level: Level) -> tuple:
+    """(rows, cols, block, margin) of the peeling argument that A_k is injective.
 
-    Configurations of level k-1 are processed by decreasing maximum
-    occupancy; evaluating h at xi + delta_y for a maximizing site y
-    leaves g(xi) as the only unknown because every other term touches a
-    configuration with a strictly larger maximum, already solved.
-    """
+    `cols` takes the level-(k-1) states xi by decreasing largest occupancy,
+    stable, and `rows` the states xi + delta_y, y the first site of largest
+    occupancy of xi.  The other states xi + delta_y - delta_x a row reaches
+    have a larger largest occupancy, so `block` = A_k[rows][:, cols] is lower
+    triangular with diagonal xi_y + 1.  `margin` is 0 if the level's own A_k
+    puts an entry above that diagonal, else the least min/max ratio of a
+    diagonal entry to its xi_y + 1: exactly 1.0 when the argument holds."""
+    occ = level.lower.space.occupations
+    cols = np.argsort(-occ.max(axis=1), kind="stable")
+    y = occ[cols].argmax(axis=1)
+    place = level.space.place
+    rows = level.space.rank_keys(occ[cols] @ place + place[y])
+    block = level.annihilation[rows][:, cols]
+    coo, pivots, diag = block.tocoo(), occ[cols, y] + 1.0, block.diagonal()
+    margin = (0.0 if np.any(coo.col > coo.row)
+              else float((np.minimum(diag, pivots) / np.maximum(diag, pivots)).min()))
+    return rows, cols, block, margin
+
+
+def invert_annihilation(level: Level, h) -> np.ndarray:
+    """The g with A_k g = h, for h in Range A_k: one triangular solve on
+    the rows of `peeling_block`."""
     h = np.asarray(h, dtype=float)
-    if h.shape != (space_high.size,):
-        raise InputError(f"h must have length {space_high.size}")
-    g = np.zeros(space_low.size)
-    order = np.argsort(-space_low.occupations.max(axis=1), kind="stable")
-    solved = np.zeros(space_low.size, dtype=bool)
-    for t in order:
-        xi = space_low.occupations[t]
-        y = int(np.argmax(xi))
-        eta = list(xi)
-        eta[y] += 1
-        acc = h[space_high.rank(eta)]
-        for x in range(space_low.n):
-            if x == y or xi[x] == 0:
-                continue
-            other = list(xi)
-            other[x] -= 1
-            other[y] += 1
-            r = space_low.rank(other)
-            if not solved[r]:
-                raise InputError("peeling order violated; space inconsistent")
-            acc -= xi[x] * g[r]
-        g[t] = acc / (xi[y] + 1)
-        solved[t] = True
+    if h.shape != (level.space.size,):
+        raise InputError(f"h must have length {level.space.size}")
+    rows, cols, block, margin = peeling_block(level)
+    if margin != 1.0:
+        raise InputError("the removal matrix fails the peeling check")
+    g = np.empty(cols.size)
+    g[cols] = scipy.sparse.linalg.spsolve_triangular(block, h[rows], lower=True)
     return g
 
 
@@ -251,8 +241,8 @@ def check_adjoint(level: Level, rtol: float = 1e-10) -> CheckResult:
     k = level.k
     factor = k / (level.graph.alpha_total + k - 1)
     mu, mu_low = level.measure.probabilities, factor * level.lower.measure.probabilities
-    ann_t = level.annihilation.matrix.T.tocsr()
-    cre = level.creation.matrix.sorted_indices()
+    ann_t = level.annihilation.T.tocsr()
+    cre = level.creation.sorted_indices()
     if not (np.array_equal(ann_t.indptr, cre.indptr)
             and np.array_equal(ann_t.indices, cre.indices)):
         return identity_check(f"adjoint[k={k}]", ann_t * mu[None, :], mu_low[:, None] * cre,
@@ -265,7 +255,7 @@ def check_adjoint(level: Level, rtol: float = 1e-10) -> CheckResult:
 def check_intertwinings(level: Level, rtol: float = 1e-10) -> tuple[CheckResult, CheckResult]:
     """Residuals of A L_{k-1} - L_k A and C L_k - L_{k-1} C."""
     k = level.k
-    ann, cre = level.annihilation.matrix, level.creation.matrix
+    ann, cre = level.annihilation, level.creation
     high, low = level.generator.matrix, level.lower.generator.matrix
     return (identity_check(f"removal-intertwining[k={k}]", ann @ low, high @ ann, rtol),
             identity_check(f"addition-intertwining[k={k}]", cre @ high, low @ cre, rtol))
@@ -295,13 +285,12 @@ def lift_eigenfunction(graph: Graph, psi, k: int):
 
 
 def removal_qr(level: Level) -> tuple[np.ndarray, np.ndarray]:
-    """(D^(-1/2) Q, R) of the full QR D^(1/2) A_k = Q R, D = diag(mu_k): mu-orthonormal
-    columns, the first S_{k-1} spanning Range A_k and the rest its mu-orthogonal
-    complement Ker C_k (by the adjoint identity)."""
-    d = np.sqrt(level.measure.probabilities)
-    q, r = scipy.linalg.qr((level.annihilation.matrix * d[:, None]).toarray(),
-                           overwrite_a=True)
-    q /= d[:, None]
+    """(D_k^(-1/2) Q, R) of the full QR W_k = Q R, W_k = `Level.balanced_removal`:
+    mu-orthonormal columns, the first S_{k-1} spanning Range A_k and the rest its
+    mu-orthogonal complement Ker C_k, as W_k^T = c D_{k-1}^(1/2) C_k D_k^(-1/2),
+    c = k / (|alpha| + k - 1), by the adjoint identity."""
+    q, r = scipy.linalg.qr(level.balanced_removal.toarray(), overwrite_a=True)
+    q /= np.sqrt(level.measure.probabilities)[:, None]
     q.setflags(write=False)
     return q, r
 
@@ -316,7 +305,7 @@ class EigenGroup:
 
 @dataclass(frozen=True)
 class EigenDichotomy:
-    """Eigenvalue groups of level k and the four residuals of `eigen_dichotomy`."""
+    """Eigenvalue groups, the peeling margin and three residuals of `eigen_dichotomy`."""
 
     groups: tuple
     size_low: int
@@ -331,22 +320,24 @@ class EigenDichotomy:
 def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
     """Split the spectrum of L_k between lifted eigenfunctions (Range A_k)
     and fresh ones (Ker C_k), in the basis B of `removal_qr`.  It passes
-    when min |diag R| > tol max |diag R| (A_k is injective); when
+    when A_k passes the exact check of `peeling_block`; when
     M = B^T D (-L_k) B is block diagonal and its image block has the
     spectrum of level k-1, to tol times the largest rate of L_k; and when
-    C_k B_ker = 0 to tol times the largest entry of C_k, which has no time
-    scale.  Groups cluster the lower spectrum and M's fresh eigenvalues."""
-    low_vals, (basis, diag) = level.lower.spectrum.eigenvalues, level.qr
-    gen, cre, s = level.generator.matrix, level.creation.matrix, low_vals.size
+    the balanced C_k kills the kernel, c D_{k-1}^(1/2) C_k B_ker = 0, to tol
+    times the largest entry of W_k, which has no time scale.  Groups
+    cluster the lower spectrum and M's fresh eigenvalues."""
+    low_vals, basis, k = level.lower.spectrum.eigenvalues, level.qr, level.k
+    gen, s = level.generator.matrix, low_vals.size
     # D (-L_k) is symmetric by detailed balance, so M is; eigvalsh reads its lower triangle
     m = basis.T @ (-level.measure.probabilities[:, None] * (gen @ basis))
-    injectivity = float(diag.min() / diag.max())
+    injectivity = peeling_block(level)[3]
     off_diagonal = float(np.abs(m[s:, :s]).max())
     image_spectrum = float(np.abs(scipy.linalg.eigvalsh(m[:s, :s]) - low_vals).max())
-    kernel_residual = float(np.abs(cre @ level.kernel).max())
+    balance = np.sqrt(level.lower.measure.probabilities) * k / (level.graph.alpha_total + k - 1)
+    kernel_residual = float(np.abs(balance[:, None] * (level.creation @ level.kernel)).max())
     bound = residual_tol(max_abs(gen), tol)
-    passed = (injectivity > tol and off_diagonal <= bound and image_spectrum <= bound
-              and kernel_residual <= residual_tol(max_abs(cre), tol))
+    passed = (injectivity == 1.0 and off_diagonal <= bound and image_spectrum <= bound
+              and kernel_residual <= residual_tol(max_abs(level.balanced_removal), tol))
     vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
     order = np.argsort(vals, kind="stable")
     vals, is_image = vals[order], order < s

@@ -172,7 +172,7 @@ def check_labeled_identities(level: Level, rtol: float = 1e-10) -> list[CheckRes
         raise InputError("labeled identity suite needs k >= 2")
     hi, lo = level.labeled, level.lower.labeled
     gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix
-    ann = level.annihilation.matrix
+    ann = level.annihilation
     s_hi = hi.unlabel @ hi.average
     unlabeled_hi = hi.unlabel @ gen_hi
 
@@ -237,12 +237,13 @@ def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawRepo
     is reversible for it while the lookdown one must break detailed
     balance on at least one pair (for k >= 2 on any graph with an edge),
     and forgetting labels pushes the law onto the unlabeled reversible
-    measure of `level`.
+    measure of `level`.  The witness of that failure is the pair a, b with
+    the largest relative flux asymmetry |F_ab - F_ba| / max(F_ab, F_ba),
+    which has no unit and must exceed 1e-6.
     """
     graph, k = level.graph, level.k
     omega, sym, look = level.labeled.omega, level.labeled.symmetric, level.labeled.lookdown
-    rates = max(max_abs(sym), max_abs(look))
-    scale = max(1.0, rates)
+    scale = max(1.0, max_abs(sym), max_abs(look))
     checks = [
         # a probability, unitless at every rate scale: 4096 terms round within 9e-13
         make_check(f"stationary-mass[k={k}]", abs(float(omega.sum()) - 1.0), 1e-12),
@@ -257,20 +258,22 @@ def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawRepo
     if k >= 2 and float(graph.edge_weights.max()) > 0.0:
         flux = scipy.sparse.csr_array(look * omega[:, None])
         asym = abs(flux - flux.T).tocoo()
-        worst = float(asym.data.max(initial=0.0))
-        # the first largest entry in row-major order, the one a dense argmax
-        # over the zero-diagonal asymmetry picks
+        # off the diagonal the flux is nonnegative, so the larger flux of a
+        # pair with an asymmetry is positive
+        ratio = asym.data / flux.maximum(flux.T)[asym.row, asym.col]
+        worst = float(ratio.max(initial=0.0))
+        # the first largest ratio in row-major order, the one a dense argmax
+        # over the zero-diagonal ratios picks
         flat = asym.row.astype(np.int64) * asym.shape[1] + asym.col
-        first = int(flat[asym.data == worst].min()) if worst > 0.0 else 0
+        first = int(flat[ratio == worst].min()) if worst > 0.0 else 0
         pair = tuple(tuple(int(v) for v in np.unravel_index(i, (graph.n,) * k))
                      for i in divmod(first, asym.shape[1]))
         witness = (pair[0], pair[1], worst)
         # here the check asserts a FAILURE of detailed balance: some pair
-        # must carry a macroscopic flux asymmetry
-        floor = 1e-6 * rates  # omega is unitless, so the asymmetry scales as a rate
+        # must carry a flux asymmetry that is not rounding of its own flux
         checks.append(make_check(f"lookdown-breaks-detailed-balance[k={k}]",
-                                 max(0.0, floor - worst), 0.0,
-                                 detail=f"max flux asymmetry {worst:.6g} between "
+                                 max(0.0, 1e-6 - worst), 0.0,
+                                 detail=f"max relative flux asymmetry {worst:.6g} between "
                                         f"positions {list(pair[0])} and {list(pair[1])}"))
     push = omega @ level.labeled.unlabel
     checks.append(make_check(f"unlabel-pushforward[k={k}]",

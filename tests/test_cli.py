@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import siplab.cli
+import siplab.configs
 import siplab.graphs
 import siplab.intertwiners
 import siplab.lookdown
@@ -232,7 +233,8 @@ def test_levels_beyond_the_state_cap_are_refused(capsys, monkeypatch):
 def _count_level_builds(monkeypatch):
     """Wrap the level builders in every siplab module that binds them and
     count their calls by level k."""
-    levels = {"build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
+    levels = {"enumerate_configs": (siplab.configs, lambda n, k, cap=None: k),
+              "build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
               "_jumps": (siplab.sip, lambda graph, space: space.k),
               "removal_qr": (siplab.intertwiners, lambda level: level.k),
               "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1),
@@ -270,6 +272,38 @@ def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
     assert counts["build_shifted_walks"] == {2: 1, 3: 1, 4: 1}
     # the gap report and the diffusion report read each level's gap once
     assert counts["sip_gap"] == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_each_configuration_space_is_enumerated_once(capsys, monkeypatch):
+    """The removal and addition operators read the spaces of their two levels;
+    level 0 is never needed."""
+    counts = _count_level_builds(monkeypatch)
+    code, _, _ = run(["verify", "path(3)", "--K", "5", "--suite", "all"], capsys)
+    assert code == 0
+    assert counts["enumerate_configs"] == {k: 1 for k in range(1, 6)}
+
+
+# Two graphs at extreme weights where mu spans up to 17 decades: the
+# dichotomy and the lookdown witness must read no rounding as a failure.
+DEGENERATE_GRAPHS = {
+    "G1": {"n": 3, "edges": [[0, 1, 162754.791419], [1, 2, 5.2059]],
+           "alpha": [6.14421235e-06, 6.42363213e-05, 79.9795611]},
+    "G2": {"n": 4, "edges": [[0, 1, 162754.791419], [1, 2, 1e-9], [2, 3, 54.5693],
+                             [0, 3, 162754.791419]],
+           "alpha": [6.14421235e-06, 6.14421235e-06, 1.76079682e-04, 6.93692007]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
+def test_degenerate_weights_pass_every_check(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DEGENERATE_GRAPHS[name]))
+    code, out, _ = run(["verify", str(path), "--K", "5"], capsys)
+    payload = json.loads(out)
+    failed = [c["identity"] for suite in payload["suites"].values()
+              for c in suite["checks"] if not c["pass"]]
+    assert failed == [] and code == 0
+    assert payload["gap_report"]["pass"] and payload["bep_report"]["pass"]
 
 
 def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypatch):

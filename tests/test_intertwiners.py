@@ -12,15 +12,15 @@ from conftest import (assert_dichotomy_matches_dense, binomial_removal_matrix,
                       loop_sip_generator, removal_composition, svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
-from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, path_graph,
+from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph, path_graph,
                            random_connected_graph, rw_dirichlet_form, rw_gap, rw_spectrum,
                            symmetrize_reversible)
 from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creation, check_adjoint,
                                  check_intertwinings, comparison_tables,
                                  dirichlet_decomposition_check,
                                  eigen_dichotomy, invert_annihilation, lift_eigenfunction,
-                                 minmax_comparison_check, project_to_kernel, removal_qr,
-                                 shifted_walk_gap_infimum)
+                                 minmax_comparison_check, peeling_block, project_to_kernel,
+                                 removal_qr, shifted_walk_gap_infimum)
 from siplab.sip import build_sip_generator, sip_spectrum
 
 
@@ -45,9 +45,10 @@ def _assert_level_operators_match_loops(graph, k):
     diagonal of L_k to rounding), and hold at most n(n-1)+1, at most n and
     exactly n entries a row."""
     n = graph.n
+    low, high = enumerate_configs(n, k - 1), enumerate_configs(n, k)
     gen = build_sip_generator(graph, k).matrix
-    ann = build_annihilation(graph, k).matrix
-    cre = build_creation(graph, k).matrix
+    ann = build_annihilation(low, high)
+    cre = build_creation(graph, low, high)
     for op in (gen, ann, cre):
         assert isinstance(op, scipy.sparse.csr_array)
     oracle = loop_sip_generator(graph, k)
@@ -72,25 +73,25 @@ def test_level_operators_match_the_loop_oracles(alpha_range, n):
 def test_level_operators_match_the_loop_oracles_past_int64_keys():
     # 3^40 > 2^63: the level-2 keys are Python integers
     _assert_level_operators_match_loops(path_graph(40), 2)
+    assert peeling_block(Ladder(path_graph(40))[2])[3] == 1.0
 
 
 def test_annihilation_on_constants_counts_particles():
     rng = np.random.default_rng(0)
     g = random_connected_graph(3, rng)
     for k in (1, 2, 4):
-        ann = build_annihilation(g, k)
-        np.testing.assert_allclose(ann.matrix @ np.ones(ann.space_low.size),
+        level = Level(g, k)
+        np.testing.assert_allclose(level.annihilation @ np.ones(level.lower.space.size),
                                    float(k), atol=1e-14)
 
 
 def test_annihilation_two_sites_explicit_rows():
-    g = path_graph(2)
-    ann = build_annihilation(g, 2)
-    high, low = ann.space_high, ann.space_low
+    high, low = enumerate_configs(2, 2), enumerate_configs(2, 1)
+    ann = build_annihilation(low, high)
     # (A g)(1,1) = g(0,1) + g(1,0); (A g)(2,0) = 2 g(1,0)
-    row = ann.matrix[high.rank((1, 1))]
+    row = ann[high.rank((1, 1))]
     assert row[low.rank((0, 1))] == 1.0 and row[low.rank((1, 0))] == 1.0
-    row = ann.matrix[high.rank((2, 0))]
+    row = ann[high.rank((2, 0))]
     assert row[low.rank((1, 0))] == 2.0 and row[low.rank((0, 1))] == 0.0
 
 
@@ -109,11 +110,11 @@ def test_annihilation_injective_two_ways():
     for n in (2, 3):
         g = random_connected_graph(n, rng)
         for k in (1, 2, 3, 4):
-            ann = build_annihilation(g, k)
-            assert injectivity_margin(ann.matrix.toarray()) > 1e-8
-            gvec = rng.standard_normal(ann.space_low.size)
-            recovered = invert_annihilation(ann.matrix @ gvec,
-                                            ann.space_high, ann.space_low)
+            level = Level(g, k)
+            assert injectivity_margin(level.annihilation.toarray()) > 1e-8
+            assert peeling_block(level)[3] == 1.0
+            gvec = rng.standard_normal(level.lower.space.size)
+            recovered = invert_annihilation(level, level.annihilation @ gvec)
             np.testing.assert_allclose(recovered, gvec, atol=1e-12)
 
 
@@ -121,32 +122,32 @@ def test_creation_on_constants():
     rng = np.random.default_rng(3)
     g = random_connected_graph(3, rng)
     for k in (1, 2, 3):
-        cre = build_creation(g, k)
+        level = Level(g, k)
         expected = g.alpha_total + k - 1
-        np.testing.assert_allclose(cre.matrix @ np.ones(cre.space_high.size),
+        np.testing.assert_allclose(level.creation @ np.ones(level.space.size),
                                    expected, atol=1e-12)
 
 
 def test_creation_level_zero_scalar():
     g = path_graph(2)
-    cre = build_creation(g, 1)
-    assert cre.matrix.shape == (1, 2)
+    cre = build_creation(g, enumerate_configs(2, 0), enumerate_configs(2, 1))
+    assert cre.shape == (1, 2)
     f = np.array([4.0, 7.0])
     # states [(0,1), (1,0)]: alpha-weighted sum over single-particle states
-    assert (cre.matrix @ f)[0] == pytest.approx(11.0)
+    assert (cre @ f)[0] == pytest.approx(11.0)
 
 
 def test_kernel_dimension_and_mean_zero_condition():
     rng = np.random.default_rng(4)
     g = random_connected_graph(3, rng)
     for k in (1, 2, 3):
-        cre = build_creation(g, k)
-        basis = Level(g, k).kernel
-        assert basis.shape[1] == cre.space_high.size - cre.space_low.size
-        np.testing.assert_allclose(cre.matrix @ basis, 0.0, atol=1e-10)
+        level = Level(g, k)
+        basis = level.kernel
+        assert basis.shape[1] == level.space.size - level.lower.space.size
+        np.testing.assert_allclose(level.creation @ basis, 0.0, atol=1e-10)
         # kernel functions integrate to zero against the reversible law
-        mu = sip_measure(g, cre.space_high)
-        ones = np.ones(cre.space_high.size)
+        mu = level.measure
+        ones = np.ones(level.space.size)
         for j in range(basis.shape[1]):
             assert abs(inner_product(mu, basis[:, j], ones)) <= 1e-11
 
@@ -163,15 +164,13 @@ def test_variance_on_kernel_is_second_moment():
 def test_adjoint_identity_on_constants_and_random():
     g = path_graph(2, alpha=[1.5, 0.5])
     k = 2
-    ann = build_annihilation(g, k)
-    cre = build_creation(g, k)
-    mu_hi = sip_measure(g, ann.space_high)
-    mu_lo = sip_measure(g, ann.space_low)
-    ones_lo = np.ones(ann.space_low.size)
-    ones_hi = np.ones(ann.space_high.size)
-    lhs = inner_product(mu_hi, ann.matrix @ ones_lo, ones_hi)
+    level = Level(g, k)
+    mu_hi, mu_lo = level.measure, level.lower.measure
+    ones_lo = np.ones(level.lower.space.size)
+    ones_hi = np.ones(level.space.size)
+    lhs = inner_product(mu_hi, level.annihilation @ ones_lo, ones_hi)
     factor = k / (g.alpha_total + k - 1)
-    rhs = factor * inner_product(mu_lo, ones_lo, cre.matrix @ ones_hi)
+    rhs = factor * inner_product(mu_lo, ones_lo, level.creation @ ones_hi)
     assert lhs == pytest.approx(float(k)) and rhs == pytest.approx(float(k))
     rng = np.random.default_rng(6)
     g3 = random_connected_graph(3, rng)
@@ -181,14 +180,13 @@ def test_adjoint_identity_on_constants_and_random():
 def test_image_orthogonal_to_kernel():
     rng = np.random.default_rng(7)
     g = random_connected_graph(3, rng)
-    k = 3
-    ann = build_annihilation(g, k)
-    mu = sip_measure(g, ann.space_high)
-    basis = Level(g, k).kernel
+    level = Level(g, 3)
+    basis = level.kernel
     for _ in range(10):
-        h = rng.standard_normal(ann.space_low.size)
+        h = rng.standard_normal(level.lower.space.size)
         for j in range(basis.shape[1]):
-            assert abs(inner_product(mu, ann.matrix @ h, basis[:, j])) <= 1e-11
+            assert abs(inner_product(level.measure, level.annihilation @ h,
+                                     basis[:, j])) <= 1e-11
 
 
 def test_intertwinings_small_and_random():
@@ -346,8 +344,8 @@ def _failing_checks(result, level, tol=1e-8) -> set:
     """Which of the four dichotomy checks `result` fails, at the bounds
     of the intact level."""
     rate = tol * max(1.0, float(np.abs(level.generator.matrix).max()))
-    addition = tol * max(1.0, float(level.creation.matrix.max()))
-    return {name for name, bad in [("injectivity", result.injectivity <= tol),
+    addition = tol * max(1.0, float(level.balanced_removal.max()))
+    return {name for name, bad in [("injectivity", result.injectivity != 1.0),
                                    ("off_diagonal", result.off_diagonal > rate),
                                    ("image_spectrum", result.image_spectrum > rate),
                                    ("kernel_residual", result.kernel_residual > addition)]
@@ -379,12 +377,10 @@ def test_eigen_dichotomy_fails_a_wrong_generator():
 
 def test_eigen_dichotomy_fails_a_wrong_removal_entry():
     for level in _mutation_levels():
-        ann = level.annihilation
-        matrix = ann.matrix.toarray()
+        matrix = level.annihilation.toarray()
         s, t = np.argwhere(matrix > 0)[len(matrix) // 2]
         matrix[s, t] *= 1.01
-        wrong = type(ann)(ann.k, scipy.sparse.csr_array(matrix), ann.space_low, ann.space_high)
-        result = eigen_dichotomy(_mutated(level, annihilation=wrong))
+        result = eigen_dichotomy(_mutated(level, annihilation=scipy.sparse.csr_array(matrix)))
         assert not result.passed, level.k
         # the complement of the wrong range is no longer Ker C_k
         assert "kernel_residual" in _failing_checks(result, level)
@@ -392,25 +388,21 @@ def test_eigen_dichotomy_fails_a_wrong_removal_entry():
 
 def test_eigen_dichotomy_fails_a_wrong_addition_entry():
     for level in _mutation_levels():
-        cre = level.creation
-        matrix = cre.matrix.toarray()
+        matrix = level.creation.toarray()
         s, t = np.argwhere(matrix > 0)[len(matrix) // 2]
         matrix[s, t] *= 1.01
-        wrong = type(cre)(cre.k, scipy.sparse.csr_array(matrix), cre.space_low, cre.space_high)
-        result = eigen_dichotomy(_mutated(level, creation=wrong))
+        result = eigen_dichotomy(_mutated(level, creation=scipy.sparse.csr_array(matrix)))
         assert not result.passed, level.k
         assert _failing_checks(result, level) == {"kernel_residual"}
 
 
 def test_eigen_dichotomy_fails_a_nearly_singular_removal():
     # one column scaled by 1e-10 spans the same range, so only the
-    # injectivity margin sees it
+    # injectivity check sees it
     for level in _mutation_levels():
-        ann = level.annihilation
-        matrix = ann.matrix.toarray()
+        matrix = level.annihilation.toarray()
         matrix[:, -1] *= 1e-10
-        wrong = type(ann)(ann.k, scipy.sparse.csr_array(matrix), ann.space_low, ann.space_high)
-        result = eigen_dichotomy(_mutated(level, annihilation=wrong))
+        result = eigen_dichotomy(_mutated(level, annihilation=scipy.sparse.csr_array(matrix)))
         assert not result.passed, level.k
         assert _failing_checks(result, level) == {"injectivity"}
 
@@ -419,8 +411,8 @@ def test_eigen_dichotomy_fails_a_lifted_direction_coupled_to_a_fresh_one():
     # -L_k + eps (u v^T + v u^T) D, u lifted and v fresh, both of mu-norm 1:
     # still self-adjoint for mu with the same image block, but not block diagonal
     for level in _mutation_levels():
-        basis, diag = level.qr
-        u, v = basis[:, 0], basis[:, diag.size]
+        basis = level.qr
+        u, v = basis[:, 0], basis[:, level.lower.space.size]
         coupling = 1e-3 * (np.outer(u, v) + np.outer(v, u)) * level.measure.probabilities
         gen = replace(level.generator,
                       matrix=scipy.sparse.csr_array(level.generator.matrix - coupling))
@@ -442,14 +434,57 @@ def test_eigen_dichotomy_fails_a_wrong_lower_spectrum():
         assert _failing_checks(result, level) == {"image_spectrum"}
 
 
+def test_peeling_margin_is_exactly_one():
+    # cycle(7) at k=8 has 3003 states; the check needs no QR there
+    for level in DICHOTOMY_LEVELS + [Ladder(cycle_graph(7))[8]]:
+        rows, cols, block, margin = peeling_block(level)
+        assert margin == 1.0, (level.graph.n, level.k)
+        assert block.shape == (level.lower.space.size,) * 2
+        assert np.array_equal(np.sort(cols), np.arange(cols.size))
+        assert np.unique(rows).size == rows.size
+
+
+def test_an_entry_above_the_peeling_diagonal_fails_injectivity_only():
+    # the mutated A_k keeps the intact W_k, so only the peeling check reads it
+    for level in _mutation_levels():
+        rows, cols, block, _ = peeling_block(level)
+        # the first entry of the last row of the block goes to its first row
+        i = block.shape[0] - 1
+        j = block.indices[block.indptr[i]:block.indptr[i + 1]].min()
+        matrix = level.annihilation.toarray()
+        matrix[rows[0], cols[i]] = matrix[rows[i], cols[j]]
+        matrix[rows[i], cols[j]] = 0.0
+        mutated = _mutated(level, annihilation=scipy.sparse.csr_array(matrix),
+                           balanced_removal=level.balanced_removal)
+        result = eigen_dichotomy(mutated)
+        assert result.injectivity == 0.0 and not result.passed, level.k
+        assert _failing_checks(result, level) == {"injectivity"}
+        with pytest.raises(InputError, match="peeling"):
+            invert_annihilation(mutated, np.zeros(level.space.size))
+
+
+def test_invert_annihilation_matches_a_dense_least_squares_solve():
+    rng = np.random.default_rng(43)
+    level = Level(random_connected_graph(7, rng), 7)
+    ann = level.annihilation
+    h = ann @ rng.standard_normal(ann.shape[1])
+    want = scipy.linalg.lstsq(ann.toarray(), h)[0]
+    np.testing.assert_allclose(invert_annihilation(level, h), want, rtol=0, atol=1e-12)
+    with pytest.raises(InputError):
+        invert_annihilation(level, h[:-1])
+
+
 def test_removal_qr_factors_the_weighted_removal():
     for level in DICHOTOMY_LEVELS[:8]:
         basis, r = removal_qr(level)
-        d = np.sqrt(level.measure.probabilities)[:, None]
-        np.testing.assert_allclose((d * basis) @ r, d * level.annihilation.matrix.toarray(),
+        d = np.sqrt(level.measure.probabilities)
+        balanced = (d[:, None] * level.annihilation.toarray()
+                    / np.sqrt(level.lower.measure.probabilities)[None, :])
+        np.testing.assert_allclose(level.balanced_removal.toarray(), balanced, rtol=1e-14, atol=0)
+        np.testing.assert_allclose((d[:, None] * basis) @ r, balanced,
                                    rtol=0, atol=1e-12 * level.k)
         assert np.allclose(np.tril(r, -1), 0.0)
-        assert np.shares_memory(level.kernel, level.qr[0])
+        assert np.shares_memory(level.kernel, level.qr)
 
 
 def test_dirichlet_decomposition_zero_function():
@@ -604,8 +639,8 @@ def test_adjoint_by_broadcasting_equals_diagonal_products():
         for k in (2, 3, 4):
             level = Level(g, k)
             factor = k / (g.alpha_total + k - 1)
-            lhs = level.annihilation.matrix.T @ np.diag(level.measure.probabilities)
-            rhs = factor * np.diag(level.lower.measure.probabilities) @ level.creation.matrix
+            lhs = level.annihilation.T @ np.diag(level.measure.probabilities)
+            rhs = factor * np.diag(level.lower.measure.probabilities) @ level.creation
             assert check_adjoint(level).residual == float(np.abs(lhs - rhs).max())
 
 
@@ -616,16 +651,16 @@ def test_adjoint_fails_on_a_scaled_or_dropped_creation_entry():
     level = Level(g, 3)
     factor = 3 / (g.alpha_total + 2)
     assert check_adjoint(level).passed
-    scaled = level.creation.matrix.copy()
+    scaled = level.creation.copy()
     scaled.data[7] *= 1.01
-    coo = level.creation.matrix.tocoo()
+    coo = level.creation.tocoo()
     keep = np.arange(coo.nnz) != 7
     dropped = scipy.sparse.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
                                      shape=coo.shape)
     for matrix in (scaled, dropped):
         mutated = Level(g, 3, level.lower)
-        mutated.__dict__["creation"] = replace(level.creation, matrix=matrix)
+        mutated.__dict__["creation"] = matrix
         check = check_adjoint(mutated)
-        lhs = level.annihilation.matrix.T @ np.diag(level.measure.probabilities)
+        lhs = level.annihilation.T @ np.diag(level.measure.probabilities)
         rhs = factor * np.diag(level.lower.measure.probabilities) @ matrix.toarray()
         assert not check.passed and check.residual == float(np.abs(lhs - rhs).max())

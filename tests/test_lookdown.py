@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ def test_stationary_law_report():
         assert report.nonreversibility_witness is not None
         src, dst, asym = report.nonreversibility_witness
         assert asym > 1e-3  # macroscopic failure of detailed balance
+
+
+def test_lookdown_witness_is_relative_to_the_pair_flux():
+    # unitless: the same ratio at every time scale
+    for scale in (1.0, 1e-9, 1e9):
+        g = path_graph(3)
+        g = replace(g, edge_weights=scale * g.edge_weights)
+        report = check_stationary_law(Level(g, 2))
+        assert report.passed
+        src, dst, ratio = report.nonreversibility_witness
+        assert ratio == pytest.approx(0.5, rel=1e-12)
+        check = next(c for c in report.checks if c.identity.startswith("lookdown-breaks"))
+        assert check.detail.startswith("max relative flux asymmetry 0.5 between")
 
 
 def test_exchangeability_of_expectations():
