@@ -11,8 +11,8 @@ eigensolve (`symmetric_spectrum`), so eigenvalues are real by construction
 and eigenfunctions come back orthonormal in the weighted L2 inner product.
 A walk's transform and its reversibility check (`symmetrize_reversible`)
 take a stack of walks as well as one, and so does `rw_dirichlet_forms`.
-A level of the inclusion process is symmetrized and checked once, sparse,
-by `sip.build_sip_generator`, under the same `require_reversible` policy.
+A level is symmetrized and checked once, each entry against its reverse
+move's, by `sip.build_sip_generator`, under the same `require_reversible` policy.
 Gap statements are checked at a tolerance relative to the walk gap
 (`gap_tolerance`), and matrix sizes are read by `max_abs`, dense or sparse.
 """
@@ -262,12 +262,15 @@ class RwGenerator:
     stationary: np.ndarray
 
 
+@np.errstate(over="ignore")  # an overflow is refused by name below
 def build_rw_generator(graph: Graph) -> RwGenerator:
-    """Assemble the walk generator: off-diagonal (x, y) entry c[x,y] * alpha[y]."""
+    """The walk generator: off-diagonal (x, y) entry c[x,y] * alpha[y], refused if infinite."""
     a = graph.site_weights
     m = graph.edge_weights * a[None, :]
     np.fill_diagonal(m, 0.0)
     np.fill_diagonal(m, -m.sum(axis=1))
+    if not np.all(np.isfinite(m)):
+        raise InputError("walk rates c[x, y] * alpha[y] overflow to infinity")
     m.setflags(write=False)
     stationary = a / a.sum()
     stationary.setflags(write=False)
@@ -325,8 +328,8 @@ def symmetrize_reversible(rate_matrix, measure) -> np.ndarray:
 
 
 def require_reversible(asym, scale) -> None:
-    """Refuse symmetrization defects, dense or sparse, over `residual_tol(scale, 1e-8)`."""
-    bad = asym > residual_tol(scale, 1e-8)
+    """Refuse symmetrization defects, dense or sparse, over `residual_tol(scale, 1e-8)` or NaN."""
+    bad = ~(asym <= residual_tol(scale, 1e-8))
     if np.any(bad):
         raise InputError(f"generator is not reversible for the given measure "
                          f"(symmetrization defect {float(np.max(asym * bad)):.3e})")

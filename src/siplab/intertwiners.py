@@ -324,8 +324,8 @@ def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
     M = B^T D (-L_k) B is block diagonal and its image block has the
     spectrum of level k-1, to tol times the largest rate of L_k; and when
     the balanced C_k kills the kernel, c D_{k-1}^(1/2) C_k B_ker = 0, to tol
-    times the largest entry of W_k, which has no time scale.  Groups
-    cluster the lower spectrum and M's fresh eigenvalues."""
+    times the largest entry of W_k, which has no time scale.  Groups cluster
+    the lower spectrum and M's fresh eigenvalues, each within tol of its first."""
     low_vals, basis, k = level.lower.spectrum.eigenvalues, level.qr, level.k
     gen, s = level.generator.matrix, low_vals.size
     # D (-L_k) is symmetric by detailed balance, so M is; eigvalsh reads its lower triangle
@@ -341,12 +341,12 @@ def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
     vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
     order = np.argsort(vals, kind="stable")
     vals, is_image = vals[order], order < s
-    groups, i = [], 0
-    while i < len(vals):
-        j = int(np.searchsorted(vals, vals[i] + tol * (1.0 + abs(vals[i])), side="right"))
-        n_im = int(is_image[i:j].sum())
-        groups.append(EigenGroup(float(vals[i:j].mean()), j - i, n_im, j - i - n_im))
-        i = j
+    ends, starts = np.searchsorted(vals, vals + tol * (1.0 + np.abs(vals)), "right").tolist(), [0]
+    while ends[starts[-1]] < vals.size:
+        starts.append(ends[starts[-1]])
+    dims, n_im = np.diff(starts, append=vals.size), np.add.reduceat(is_image.astype(int), starts)
+    groups = map(EigenGroup, (np.add.reduceat(vals, starts) / dims).tolist(), dims.tolist(),
+                 n_im.tolist(), (dims - n_im).tolist())
     return EigenDichotomy(tuple(groups), s, vals.size, injectivity, off_diagonal,
                           image_spectrum, kernel_residual, passed)
 

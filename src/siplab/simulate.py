@@ -3,8 +3,8 @@
 Paths are exact-in-law jump chains (Gillespie's direct method) on the
 state ranks of the chosen mode: occupation ranks (`sip`) or mixed-radix
 indices of labeled positions (`lookdown`), so every start enumerates that
-space under its state cap.  The moves are the COO triplets that build the
-level generators (`sip._jumps`, `lookdown._labeled_jumps`), laid out once
+space under its state cap.  The moves are those of the level generators,
+as COO triplets (`sip._jumps`, `lookdown._labeled_jumps`), laid out once
 per call as a checked `JumpTable`.  All paths advance together: each round
 gathers every live path's exit rate, draws one exponential holding time
 and one uniform per path, records the sampling times the jump passes, and

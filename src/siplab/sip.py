@@ -3,10 +3,10 @@
 A particle at x jumps to y at rate c[x, y] * (alpha[y] + eta[y]), so the
 total jump rate out of eta along (x, y) is eta[x] * c[x, y] *
 (alpha[y] + eta[y]).  The chain is reversible for the gamma-product law
-from `configs.sip_measure`.  The generator is a CSR array assembled once
-from COO triplets, one block of jumps per ordered edge, ranked through the
-configuration keys.  Its symmetric form D^(1/2) (-L) D^(-1/2), D = diag(mu),
-is built with it, and its symmetry is the level's one reversibility check.
+from `configs.sip_measure`.  The generator is a CSR array written in one
+pass, with no scipy.sparse arithmetic, from a table of every state's moves
+by key offset.  Its symmetric form D^(1/2) (-L) D^(-1/2), D = diag(mu), has
+its pattern; each entry against its reverse's is the one reversibility check.
 
 `sip_gap` is the gap-only path: `sweep` calls it, and `Level.gap` caches
 it once per level for the gap report and the diffusion report.  It finds
@@ -43,8 +43,8 @@ import scipy.sparse.linalg
 
 from .configs import ConfigSpace, SipMeasure, enumerate_configs, sip_measure
 from .errors import EigensolverError, InputError, VerificationError
-from .graphs import (Graph, Spectrum, build_rw_generator, gap_tolerance, max_abs,
-                     require_reversible, residual_tol, rw_spectrum, symmetric_spectrum)
+from .graphs import (Graph, Spectrum, build_rw_generator, gap_tolerance, require_reversible,
+                     residual_tol, rw_spectrum, symmetric_spectrum)
 
 if TYPE_CHECKING:
     from .intertwiners import Level
@@ -54,7 +54,7 @@ if TYPE_CHECKING:
 class SipGenerator:
     """Level k: its `space`, reversible law `measure` and generator `matrix`,
     CSR with at most n(n-1)+1 entries a row, minus the exit rates on the diagonal,
-    and `symmetric`, D^(1/2) (-matrix) D^(-1/2), checked symmetric as it was built."""
+    and `symmetric`, D^(1/2) (-matrix) D^(-1/2) on the same indices, checked as built."""
 
     graph: Graph
     space: ConfigSpace
@@ -63,45 +63,62 @@ class SipGenerator:
     symmetric: scipy.sparse.csr_array
 
 
-def _jumps(graph: Graph, space: ConfigSpace):
-    """COO triplets (source, target, rate) of every jump of level k.
+@np.errstate(over="ignore")  # an overflow is refused by name below
+def _move_table(graph: Graph, space: ConfigSpace):
+    """The moves of level k: a (C, S) table, one row per ordered pair (x, y) with
+    c[x, y] > 0 and one for the diagonal, by key offset place[y] - place[x].  The offsets
+    of base-(k+1) keys are distinct and, as c is symmetric, row C-1-j reverses row j; the
+    diagonal, offset 0, is the middle row.  Returns the offsets, each pair's row in
+    np.nonzero(c) order, the rates with minus the exit rates (summed in pair order) on the
+    diagonal, and which cells are moves (a zero exit rate is none); inf is an InputError."""
+    occ, c, alpha = space.occupations.T, graph.edge_weights, graph.site_weights
+    xs, ys = np.nonzero(c)
+    rates = occ[xs] * c[xs, ys][:, None] * (alpha[ys][:, None] + occ[ys])
+    exits = np.add.reduce(rates, axis=0)
+    if not np.all(np.isfinite(exits)):
+        raise InputError(f"jump rates of level k={space.k} overflow to infinity")
+    offsets = np.append(space.place[ys] - space.place[xs], 0)
+    order = np.argsort(offsets)
+    return (offsets[order], np.argsort(order)[:-1], np.vstack([rates, -exits])[order],
+            np.vstack([occ[xs] > 0, exits != 0])[order])
 
-    One block per ordered pair (x, y) with c[x, y] > 0: every state with
-    a particle at x moves it to y, and its key shifts by
-    place[y] - place[x].  Each (source, target) pair occurs once.
-    """
-    occ = space.occupations
-    c = graph.edge_weights
-    alpha = graph.site_weights
-    empty = np.zeros(0, dtype=np.int64)
-    sources, targets, rates = [empty], [empty], [np.zeros(0)]
-    for x, y in zip(*np.nonzero(c)):
-        s = np.flatnonzero(occ[:, x])
-        sources.append(s)
-        targets.append(space.rank_keys(space.keys[s] - space.place[x] + space.place[y]))
-        rates.append(occ[s, x] * c[x, y] * (alpha[y] + occ[s, y]))
-    return np.concatenate(sources), np.concatenate(targets), np.concatenate(rates)
+
+def _jumps(graph: Graph, space: ConfigSpace):
+    """COO triplets (source, target, rate) of every jump of level k from
+    `_move_table`, pair by pair in np.nonzero(c) order, sources ascending."""
+    offsets, rows, rates, moves = _move_table(graph, space)
+    pairs, sources = np.nonzero(moves[rows])
+    return (sources, space.rank_keys(space.keys[sources] + offsets[rows[pairs]]),
+            rates[rows[pairs], sources])
 
 
 def build_sip_generator(graph: Graph, k: int) -> SipGenerator:
+    """Level k in one pass over `_move_table`: its moves by state, then by row, are in
+    CSR order, and a move to t has its reverse at indptr[t] + (t's moves up to its row) - 1."""
     if k < 1:
         raise InputError(f"need k >= 1 particles, got {k}")
     space = enumerate_configs(graph.n, k)
     mu = sip_measure(graph, space)
-    size = space.size
-    sources, targets, rates = _jumps(graph, space)
-    exits = np.bincount(sources, weights=rates, minlength=size)
-    m = (scipy.sparse.csr_array((rates, (sources, targets)), shape=(size, size))
-         - scipy.sparse.diags_array(exits, dtype=float))
-    d = np.sqrt(mu.probabilities)
-    rows = np.repeat(np.arange(size), np.diff(m.indptr))
-    sym = scipy.sparse.csr_array((-m.data * (d[rows] / d[m.indices]), m.indices, m.indptr),
-                                 shape=m.shape)
+    offsets, _, rates, moves = _move_table(graph, space)
+    seen = np.cumsum(moves, axis=0, dtype=np.min_scalar_type(len(moves)))
+    indptr = np.concatenate(([0], np.cumsum(seen[-1], dtype=np.int64)))
+    sources, cols = np.nonzero(moves.T)
+    targets = space.rank_keys(space.keys[sources] + offsets[cols])
+    data, d = rates[cols, sources], np.sqrt(mu.probabilities)
+    sym = -data * (d[sources] / d[targets])
+    back = (len(moves) - 1 - cols) * space.size + targets  # the reverse's flat cell
+    del sources, cols  # each array of one entry per move goes once read
+    if not np.all(np.take(moves, back)):
+        raise VerificationError("assembled rate matrix: a move has no reverse move")
+    reverse = indptr[targets] + np.take(seen, back) - 1
     try:
-        require_reversible(max_abs(sym - sym.T), float(exits.max()))
+        require_reversible(float(np.abs(sym - sym[reverse]).max(initial=0.0)),
+                           float(-rates[len(moves) // 2].min()))
     except InputError as exc:
         raise VerificationError(f"assembled rate matrix: {exc}") from exc
-    return SipGenerator(graph, space, m, mu, 0.5 * (sym + sym.T))
+    matrix, symmetric = (scipy.sparse.csr_array((values, targets, indptr), shape=(space.size,) * 2)
+                         for values in (data, 0.5 * (sym + sym[reverse])))
+    return SipGenerator(graph, space, matrix, mu, symmetric)
 
 
 def sip_spectrum(gen: SipGenerator, want_vectors: bool = True) -> Spectrum:

@@ -15,17 +15,18 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from siplab.configs import (ConfigSpace, enumerate_configs, rank_composition, sip_measure,
                             space_size, unrank_composition, variance)
-from siplab.errors import InputError
+from siplab.errors import InputError, VerificationError
 from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
-                           rw_dirichlet_form, rw_spectrum)
-from siplab.intertwiners import Level, build_annihilation, project_to_kernel
+                           max_abs, require_reversible, rw_dirichlet_form, rw_spectrum)
+from siplab.intertwiners import EigenGroup, Level, build_annihilation, project_to_kernel
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
                              labeled_stationary_measure, unlabel_pullback)
 from siplab.reporting import identity_check, make_check
-from siplab.sip import sip_spectrum
+from siplab.sip import SipGenerator, sip_spectrum
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +83,65 @@ def loop_sip_generator(graph: Graph, k: int) -> np.ndarray:
                 m[s, rank_composition(target)] = rate
         m[s, s] = -m[s].sum()
     return m
+
+
+def reference_jumps(graph: Graph, space: ConfigSpace):
+    """COO triplets (source, target, rate) of every jump of level k, one block
+    per ordered pair (x, y) with c[x, y] > 0 in np.nonzero(c) order, ranked
+    one pair at a time.  The oracle of `sip._jumps`."""
+    occ = space.occupations
+    c = graph.edge_weights
+    alpha = graph.site_weights
+    empty = np.zeros(0, dtype=np.int64)
+    sources, targets, rates = [empty], [empty], [np.zeros(0)]
+    for x, y in zip(*np.nonzero(c)):
+        s = np.flatnonzero(occ[:, x])
+        sources.append(s)
+        targets.append(space.rank_keys(space.keys[s] - space.place[x] + space.place[y]))
+        rates.append(occ[s, x] * c[x, y] * (alpha[y] + occ[s, y]))
+    return np.concatenate(sources), np.concatenate(targets), np.concatenate(rates)
+
+
+def reference_sip_generator(graph: Graph, k: int) -> SipGenerator:
+    """Level k assembled by scipy.sparse arithmetic on the COO triplets of
+    `reference_jumps`: a CSR conversion, the exit rates subtracted as a
+    diagonal, and the symmetric form checked as sym - sym.T and averaged
+    with its transpose.  The oracle of `build_sip_generator`."""
+    if k < 1:
+        raise InputError(f"need k >= 1 particles, got {k}")
+    space = enumerate_configs(graph.n, k)
+    mu = sip_measure(graph, space)
+    size = space.size
+    sources, targets, rates = reference_jumps(graph, space)
+    exits = np.bincount(sources, weights=rates, minlength=size)
+    m = (scipy.sparse.csr_array((rates, (sources, targets)), shape=(size, size))
+         - scipy.sparse.diags_array(exits, dtype=float))
+    d = np.sqrt(mu.probabilities)
+    rows = np.repeat(np.arange(size), np.diff(m.indptr))
+    sym = scipy.sparse.csr_array((-m.data * (d[rows] / d[m.indices]), m.indices, m.indptr),
+                                 shape=m.shape)
+    try:
+        require_reversible(max_abs(sym - sym.T), float(exits.max()))
+    except InputError as exc:
+        raise VerificationError(f"assembled rate matrix: {exc}") from exc
+    return SipGenerator(graph, space, m, mu, 0.5 * (sym + sym.T))
+
+
+def loop_eigen_groups(level: Level, tol: float = 1e-8) -> tuple:
+    """`eigen_dichotomy`'s groups, one searchsorted and one mean per group:
+    each group is anchored at its first value.  The oracle of its grouping."""
+    low_vals, basis, s = level.lower.spectrum.eigenvalues, level.qr, level.lower.space.size
+    m = basis.T @ (-level.measure.probabilities[:, None] * (level.generator.matrix @ basis))
+    vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
+    order = np.argsort(vals, kind="stable")
+    vals, is_image = vals[order], order < s
+    groups, i = [], 0
+    while i < len(vals):
+        j = int(np.searchsorted(vals, vals[i] + tol * (1.0 + abs(vals[i])), side="right"))
+        n_im = int(is_image[i:j].sum())
+        groups.append(EigenGroup(float(vals[i:j].mean()), j - i, n_im, j - i - n_im))
+        i = j
+    return tuple(groups)
 
 
 def loop_annihilation(graph: Graph, k: int) -> np.ndarray:

@@ -235,7 +235,7 @@ def _count_level_builds(monkeypatch):
     count their calls by level k."""
     levels = {"enumerate_configs": (siplab.configs, lambda n, k, cap=None: k),
               "build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
-              "_jumps": (siplab.sip, lambda graph, space: space.k),
+              "_move_table": (siplab.sip, lambda graph, space: space.k),
               "removal_qr": (siplab.intertwiners, lambda level: level.k),
               "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1),
               "sip_gap": (siplab.sip, lambda gen: gen.space.k),
@@ -266,8 +266,8 @@ def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert counts["build_sip_generator"] == {1: 1, 2: 1, 3: 1, 4: 1}
-    # the gap report reads the shared generators: no level is assembled twice
-    assert counts["_jumps"] == {1: 1, 2: 1, 3: 1, 4: 1}
+    # the gap report reads the shared generators: no level's moves are tabled twice
+    assert counts["_move_table"] == {1: 1, 2: 1, 3: 1, 4: 1}
     assert counts["removal_qr"] == {2: 1, 3: 1, 4: 1}
     assert counts["build_shifted_walks"] == {2: 1, 3: 1, 4: 1}
     # the gap report and the diffusion report read each level's gap once
@@ -497,6 +497,35 @@ def _sweep_spec(path, graphs, k_max, seed, n_samples=1):
     path.write_text(json.dumps({"graphs": graphs, "k_max": k_max, "seed": seed,
                                 "alpha": {"n_samples": n_samples, "range": [0.5, 2.0]}}))
     return str(path)
+
+
+# 1e300 * alpha 1e10 overflows the walk's rates, and 1e308 * alpha in [1, 2]
+# does on most draws; the sweep's single draw here does
+OVERFLOWING_GRAPH = {"n": 3, "edges": [[0, 1, 1e300], [1, 2, 1.0]], "alpha": [1e10, 1.0, 2.0]}
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "G", "--k", "2"],
+                                  ["verify", "G", "--K", "2", "--suite", "sip"]],
+                         ids=["spectrum", "verify"])
+def test_overflowing_rates_are_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps(OVERFLOWING_GRAPH))
+    code, out, err = run([str(path) if a == "G" else a for a in argv], capsys)
+    assert code == 2 and out == "" and err.startswith("siplab: input error")
+    assert "overflow" in err
+
+
+def test_sweep_reports_overflowing_rates_in_a_row(tmp_path, capsys):
+    graph = tmp_path / "G.json"
+    graph.write_text(json.dumps({**OVERFLOWING_GRAPH, "edges": [[0, 1, 1e308], [1, 2, 1.0]]}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"graphs": [str(graph)], "k_max": 3, "seed": 0,
+                                "alpha": {"n_samples": 1, "range": [1, 2]}}))
+    code, out, _ = run(["sweep", str(spec)], capsys)
+    _, rows = read_csv(out)
+    assert code == 1
+    assert [row[2:6] for row in rows] == [["-1", "nan", "nan", "nan"]]
+    assert "overflow" in rows[0][-1]
 
 
 def test_sweep_row_error_sets_exit_one(tmp_path, capsys, monkeypatch):

@@ -59,6 +59,8 @@ def test_one_reversibility_policy_for_dense_and_sparse(monkeypatch):
     require_reversible(np.array([1e-9, 5e-7]), np.array([1.0, 100.0]))
     with pytest.raises(InputError, match=r"symmetrization defect 2\.000e-07"):
         require_reversible(np.array([1e-9, 2e-7]), np.array([1.0, 1.0]))
+    with pytest.raises(InputError, match="symmetrization defect nan"):
+        require_reversible(np.array([1e-9, np.nan]), np.array([1.0, 1.0]))
     seen = []
 
     def recording(asym, scale):

@@ -8,8 +8,9 @@ import scipy.sparse
 
 from conftest import (assert_dichotomy_matches_dense, binomial_removal_matrix,
                       injectivity_margin, kernel_gap, loop_annihilation, loop_creation,
-                      loop_dirichlet_decomposition, loop_minmax_comparison, loop_shifted_walks,
-                      loop_sip_generator, removal_composition, svd_kernel_basis)
+                      loop_dirichlet_decomposition, loop_eigen_groups, loop_minmax_comparison,
+                      loop_shifted_walks, loop_sip_generator, removal_composition,
+                      svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
 from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph, path_graph,
@@ -302,6 +303,21 @@ def test_eigen_dichotomy_matches_dense_oracle():
         result = eigen_dichotomy(level)
         assert result.passed, (level.graph.n, level.k)
         assert_dichotomy_matches_dense(level, result)
+
+
+def test_eigen_groups_match_the_loop_oracle():
+    """Same groups and dimensions; a group's mean eigenvalue agrees to a few
+    ulps, as a sum over one segment of `np.add.reduceat` runs in order where
+    `np.mean` adds the tail of the group first.  complete(5) at k=4 has
+    eigenvalues of multiplicity up to 35."""
+    levels = DICHOTOMY_LEVELS + [Ladder(complete_graph(5))[4]]
+    assert max(g.dim for g in eigen_dichotomy(levels[-1]).groups) == 35
+    for level in levels:
+        got, want = eigen_dichotomy(level).groups, loop_eigen_groups(level)
+        assert [(g.dim, g.dim_image, g.dim_kernel) for g in got] == [
+            (g.dim, g.dim_image, g.dim_kernel) for g in want], (level.graph.n, level.k)
+        for a, b in zip(got, want):
+            assert abs(a.eigenvalue - b.eigenvalue) <= 4 * np.spacing(max(1.0, abs(b.eigenvalue)))
 
 
 def test_kernel_basis_matches_svd_oracle():

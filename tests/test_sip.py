@@ -5,17 +5,20 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+import conftest
 import siplab.sip
-from conftest import hausdorff_gap, sip_dirichlet_oracle, spectrum_included
+from conftest import (hausdorff_gap, reference_jumps, reference_sip_generator,
+                      sip_dirichlet_oracle, spectrum_included)
 from siplab.bep import bep_gap_report
 from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
-from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
-                           random_connected_graph, rw_gap, rw_spectrum)
+from siplab.graphs import (Graph, build_rw_generator, complete_graph, graph_from_dict, path_graph,
+                           random_connected_graph, require_reversible, rw_gap, rw_spectrum)
 from siplab.intertwiners import Level
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
                         sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix,
                         tv_sandwich)
+from test_cli import DEGENERATE_GRAPHS
 
 # assembled by hand from the jump rates eta_x c (alpha_y + eta_y) on
 # states [(0,2), (1,1), (2,0)] with c = 1, alpha = (1, 1)
@@ -273,18 +276,99 @@ def test_sparse_gap_either_side_of_dense_fallback(monkeypatch):
     assert calls == [SPARSE_GAP_MIN_STATES, 3, 4]
 
 
+def _mutate_first_move(monkeypatch, mutate):
+    """Make `_move_table` hand `mutate(rates, moves, row, state)` the first
+    move of the first pair, (row, state), before the assembly reads it."""
+    real = siplab.sip._move_table
+
+    def mutated(graph, space):
+        offsets, rows, rates, moves = real(graph, space)
+        mutate(rates, moves, rows[0], int(np.flatnonzero(moves[rows[0]])[0]))
+        return offsets, rows, rates, moves
+
+    monkeypatch.setattr(siplab.sip, "_move_table", mutated)
+
+
 def test_sparse_gap_checks_detailed_balance(monkeypatch):
-    real = siplab.sip._jumps
+    def skew(rates, moves, row, state):
+        rates[row, state] *= 1.5
 
-    def skewed(graph, space):
-        sources, targets, rates = real(graph, space)
-        rates = rates.copy()
-        rates[0] *= 1.5
-        return sources, targets, rates
+    _mutate_first_move(monkeypatch, skew)
+    with pytest.raises(VerificationError, match="not reversible"):
+        build_sip_generator(path_graph(4), 12)
 
-    monkeypatch.setattr(siplab.sip, "_jumps", skewed)
-    with pytest.raises(VerificationError):
-        sip_gap(build_sip_generator(path_graph(4), 12))
+
+def test_a_move_with_no_reverse_is_a_verification_error(monkeypatch):
+    # the dropped move's reverse is still there, and finds nothing to pair with
+    def drop(rates, moves, row, state):
+        moves[row, state] = False
+
+    _mutate_first_move(monkeypatch, drop)
+    with pytest.raises(VerificationError, match="no reverse move"):
+        build_sip_generator(path_graph(4), 12)
+
+
+def _assembly_levels():
+    """Levels 1..4 of random graphs with n = 3..7 in both regimes, complete(6),
+    a disconnected graph with an isolated vertex (its states with every
+    particle there have no move at all) and the two degenerate graphs of
+    the CLI tests; then path(40) at k=2, whose keys are Python integers."""
+    rng = np.random.default_rng(17)
+    graphs = [random_connected_graph(n, rng, alpha_range=alpha_range)
+              for n in range(3, 8) for alpha_range in [(0.3, 0.9), (1.0, 2.5)]]
+    split = np.zeros((5, 5))
+    split[:3, :3] = 1.0 - np.eye(3)
+    split[2, 3] = split[3, 2] = 0.7
+    graphs += [complete_graph(6), Graph(5, split, np.linspace(0.4, 1.6, 5))]
+    graphs += [graph_from_dict(data) for data in DEGENERATE_GRAPHS.values()]
+    for g in graphs:
+        for k in range(1, 5):
+            yield g, k
+    yield path_graph(40), 2
+
+
+def test_assembly_matches_the_scipy_reference(monkeypatch):
+    """The move-table assembly gives the scipy.sparse arithmetic's generator and
+    symmetric form bit for bit, passes the same defect and scale to
+    `require_reversible`, and `_jumps` gives the same triplets in the same order."""
+    passed = []
+
+    def recorded(asym, scale):
+        passed.append((float(asym), float(scale)))
+        return require_reversible(asym, scale)
+
+    for module in (siplab.sip, conftest):
+        monkeypatch.setattr(module, "require_reversible", recorded)
+    levels, moveless = list(_assembly_levels()), 0
+    assert len(levels) >= 40
+    for g, k in levels:
+        want, got = reference_sip_generator(g, k), build_sip_generator(g, k)
+        moveless += int(np.any(np.diff(got.matrix.indptr) == 0))
+        for name in ("matrix", "symmetric"):
+            a, b = getattr(want, name), getattr(got, name)
+            for part in ("indptr", "indices", "data"):
+                x, y = getattr(a, part), getattr(b, part)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (g.n, k, name, part)
+        assert passed[-2] == passed[-1], (g.n, k)
+        for x, y in zip(reference_jumps(g, want.space), siplab.sip._jumps(g, got.space)):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (g.n, k)
+    # the isolated vertex holds every particle in one state, which has no move
+    assert moveless > 0
+
+
+def test_assembly_peak_memory_per_stored_entry():
+    # the move table, its running counts and a few arrays of one entry per
+    # move, with no int64 table over every (state, move) cell: about 88 bytes
+    # a stored entry, where the scipy.sparse assembly peaks at about 122
+    g = complete_graph(7, np.linspace(0.3, 2.0, 7))
+    tracemalloc.start()
+    try:
+        gen = build_sip_generator(g, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gen.space.size == 924
+    assert peak < 100 * gen.matrix.nnz
 
 
 def test_sparse_gap_checks_eigenpair_residual(monkeypatch):
