@@ -345,8 +345,10 @@ def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
     while ends[starts[-1]] < vals.size:
         starts.append(ends[starts[-1]])
     dims, n_im = np.diff(starts, append=vals.size), np.add.reduceat(is_image.astype(int), starts)
-    groups = map(EigenGroup, (np.add.reduceat(vals, starts) / dims).tolist(), dims.tolist(),
-                 n_im.tolist(), (dims - n_im).tolist())
+    means = np.add.reduceat(vals, starts) / dims  # np.mean's own sum for one or two values;
+    for i in np.flatnonzero(dims > 2):  # for more, it adds the group's tail first
+        means[i] = vals[starts[i]:starts[i] + dims[i]].mean()
+    groups = map(EigenGroup, means.tolist(), dims.tolist(), n_im.tolist(), (dims - n_im).tolist())
     return EigenDichotomy(tuple(groups), s, vals.size, injectivity, off_diagonal,
                           image_spectrum, kernel_residual, passed)
 

@@ -4,8 +4,8 @@ A particle at x jumps to y at rate c[x, y] * (alpha[y] + eta[y]), so the
 total jump rate out of eta along (x, y) is eta[x] * c[x, y] *
 (alpha[y] + eta[y]).  The chain is reversible for the gamma-product law
 from `configs.sip_measure`.  The generator is a CSR array written in one
-pass, with no scipy.sparse arithmetic, from a table of every state's moves
-by key offset.  Its symmetric form D^(1/2) (-L) D^(-1/2), D = diag(mu), has
+pass, with no scipy.sparse arithmetic, from tables of each pair's moves by
+key offset.  Its symmetric form D^(1/2) (-L) D^(-1/2), D = diag(mu), has
 its pattern; each entry against its reverse's is the one reversibility check.
 
 `sip_gap` is the gap-only path: `sweep` calls it, and `Level.gap` caches
@@ -65,59 +65,57 @@ class SipGenerator:
 
 @np.errstate(over="ignore")  # an overflow is refused by name below
 def _move_table(graph: Graph, space: ConfigSpace):
-    """The moves of level k: a (C, S) table, one row per ordered pair (x, y) with
-    c[x, y] > 0 and one for the diagonal, by key offset place[y] - place[x].  The offsets
-    of base-(k+1) keys are distinct and, as c is symmetric, row C-1-j reverses row j; the
-    diagonal, offset 0, is the middle row.  Returns the offsets, each pair's row in
-    np.nonzero(c) order, the rates with minus the exit rates (summed in pair order) on the
-    diagonal, and which cells are moves (a zero exit rate is none); inf is an InputError."""
-    occ, c, alpha = space.occupations.T, graph.edge_weights, graph.site_weights
+    """Level k's moves as (P, B) tables of sources, targets and rates: a row per pair (x, y) of
+    np.nonzero(c), a column per state with a particle at x (B for every x), ascending.  Also the
+    exit rates, summed row by row, and the offsets place[y] - place[x]; inf is an InputError."""
+    occ, c, alpha = space.occupations, graph.edge_weights, graph.site_weights
     xs, ys = np.nonzero(c)
-    rates = occ[xs] * c[xs, ys][:, None] * (alpha[ys][:, None] + occ[ys])
-    exits = np.add.reduce(rates, axis=0)
+    sources = np.nonzero(occ.T)[1].reshape(graph.n, -1)[xs]
+    rates = occ[sources, xs[:, None]] * c[xs, ys][:, None]
+    rates *= alpha[ys][:, None] + occ[sources, ys[:, None]]
+    exits = np.bincount(sources.ravel(), rates.ravel(), minlength=space.size)
     if not np.all(np.isfinite(exits)):
         raise InputError(f"jump rates of level k={space.k} overflow to infinity")
-    offsets = np.append(space.place[ys] - space.place[xs], 0)
-    order = np.argsort(offsets)
-    return (offsets[order], np.argsort(order)[:-1], np.vstack([rates, -exits])[order],
-            np.vstack([occ[xs] > 0, exits != 0])[order])
+    offsets = space.place[ys] - space.place[xs]
+    targets = space.rank_keys((space.keys[sources] + offsets[:, None]).ravel())
+    return sources, targets.reshape(sources.shape), rates, exits, offsets
 
 
 def _jumps(graph: Graph, space: ConfigSpace):
     """COO triplets (source, target, rate) of every jump of level k from
     `_move_table`, pair by pair in np.nonzero(c) order, sources ascending."""
-    offsets, rows, rates, moves = _move_table(graph, space)
-    pairs, sources = np.nonzero(moves[rows])
-    return (sources, space.rank_keys(space.keys[sources] + offsets[rows[pairs]]),
-            rates[rows[pairs], sources])
+    return tuple(table.ravel() for table in _move_table(graph, space)[:3])
 
 
 def build_sip_generator(graph: Graph, k: int) -> SipGenerator:
-    """Level k in one pass over `_move_table`: its moves by state, then by row, are in
-    CSR order, and a move to t has its reverse at indptr[t] + (t's moves up to its row) - 1."""
+    """Level k in one pass over `_move_table`, rows in key-offset order: keys are base-(k+1)
+    numerals, so offsets are distinct, targets ascend with the row, and the moves read row by row
+    (the diagonal, offset 0, mid-way) then stably by state are CSR.  Row P-1-j reverses row j."""
     if k < 1:
         raise InputError(f"need k >= 1 particles, got {k}")
     space = enumerate_configs(graph.n, k)
     mu = sip_measure(graph, space)
-    offsets, _, rates, moves = _move_table(graph, space)
-    seen = np.cumsum(moves, axis=0, dtype=np.min_scalar_type(len(moves)))
-    indptr = np.concatenate(([0], np.cumsum(seen[-1], dtype=np.int64)))
-    sources, cols = np.nonzero(moves.T)
-    targets = space.rank_keys(space.keys[sources] + offsets[cols])
-    data, d = rates[cols, sources], np.sqrt(mu.probabilities)
-    sym = -data * (d[sources] / d[targets])
-    back = (len(moves) - 1 - cols) * space.size + targets  # the reverse's flat cell
-    del sources, cols  # each array of one entry per move goes once read
-    if not np.all(np.take(moves, back)):
+    sources, targets, rates, exits, offsets = _move_table(graph, space)
+    order = np.argsort(offsets)
+    sources, targets, rates = sources[order], targets[order], rates[order]
+    if not np.array_equal(targets, sources[::-1]):
         raise VerificationError("assembled rate matrix: a move has no reverse move")
-    reverse = indptr[targets] + np.take(seen, back) - 1
+    d = np.sqrt(mu.probabilities)
+    sym = -rates * (d[sources] / d[targets])
     try:
-        require_reversible(float(np.abs(sym - sym[reverse]).max(initial=0.0)),
-                           float(-rates[len(moves) // 2].min()))
+        require_reversible(float(np.abs(sym - sym[::-1]).max(initial=0.0)), float(exits.max()))
     except InputError as exc:
         raise VerificationError(f"assembled rate matrix: {exc}") from exc
-    matrix, symmetric = (scipy.sparse.csr_array((values, targets, indptr), shape=(space.size,) * 2)
-                         for values in (data, 0.5 * (sym + sym[reverse])))
+    half, moving = len(order) // 2, np.flatnonzero(exits)  # a zero exit rate stores no entry
+    def listed(table, diagonal):  # the rows in order, the diagonal mid-way
+        return np.concatenate([table[:half].ravel(), diagonal, table[half:].ravel()])
+    sources, exits = listed(sources, moving), exits[moving]  # rebinding frees each table
+    at = np.argsort(sources, kind="stable")
+    targets, counts = listed(targets, moving)[at], np.bincount(sources, minlength=space.size)
+    matrix, symmetric = (
+        scipy.sparse.csr_array((listed(*cells)[at], targets, np.append(0, np.cumsum(counts))),
+                               shape=(space.size,) * 2)
+        for cells in ((rates, -exits), (0.5 * (sym + sym[::-1]), 0.5 * (exits + exits))))
     return SipGenerator(graph, space, matrix, mu, symmetric)
 
 

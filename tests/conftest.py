@@ -29,6 +29,17 @@ from siplab.reporting import identity_check, make_check
 from siplab.sip import SipGenerator, sip_spectrum
 
 
+# Two graphs at extreme weights where mu spans up to 17 decades: the
+# dichotomy and the lookdown witness must read no rounding as a failure.
+DEGENERATE_GRAPHS = {
+    "G1": {"n": 3, "edges": [[0, 1, 162754.791419], [1, 2, 5.2059]],
+           "alpha": [6.14421235e-06, 6.42363213e-05, 79.9795611]},
+    "G2": {"n": 4, "edges": [[0, 1, 162754.791419], [1, 2, 1e-9], [2, 3, 54.5693],
+                             [0, 3, 162754.791419]],
+           "alpha": [6.14421235e-06, 6.14421235e-06, 1.76079682e-04, 6.93692007]},
+}
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Every test joins the processes it starts, as the benchmark requires of a run."""

@@ -15,6 +15,7 @@ import siplab.graphs
 import siplab.intertwiners
 import siplab.lookdown
 import siplab.sip
+from conftest import DEGENERATE_GRAPHS
 from siplab.cli import main
 from siplab.configs import space_size
 from siplab.errors import EigensolverError
@@ -281,17 +282,6 @@ def test_each_configuration_space_is_enumerated_once(capsys, monkeypatch):
     code, _, _ = run(["verify", "path(3)", "--K", "5", "--suite", "all"], capsys)
     assert code == 0
     assert counts["enumerate_configs"] == {k: 1 for k in range(1, 6)}
-
-
-# Two graphs at extreme weights where mu spans up to 17 decades: the
-# dichotomy and the lookdown witness must read no rounding as a failure.
-DEGENERATE_GRAPHS = {
-    "G1": {"n": 3, "edges": [[0, 1, 162754.791419], [1, 2, 5.2059]],
-           "alpha": [6.14421235e-06, 6.42363213e-05, 79.9795611]},
-    "G2": {"n": 4, "edges": [[0, 1, 162754.791419], [1, 2, 1e-9], [2, 3, 54.5693],
-                             [0, 3, 162754.791419]],
-           "alpha": [6.14421235e-06, 6.14421235e-06, 1.76079682e-04, 6.93692007]},
-}
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))

@@ -7,8 +7,8 @@ import scipy.sparse.linalg
 
 import conftest
 import siplab.sip
-from conftest import (hausdorff_gap, reference_jumps, reference_sip_generator,
-                      sip_dirichlet_oracle, spectrum_included)
+from conftest import (DEGENERATE_GRAPHS, hausdorff_gap, reference_jumps,
+                      reference_sip_generator, sip_dirichlet_oracle, spectrum_included)
 from siplab.bep import bep_gap_report
 from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
@@ -18,7 +18,6 @@ from siplab.intertwiners import Level
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
                         sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix,
                         tv_sandwich)
-from test_cli import DEGENERATE_GRAPHS
 
 # assembled by hand from the jump rates eta_x c (alpha_y + eta_y) on
 # states [(0,2), (1,1), (2,0)] with c = 1, alpha = (1, 1)
@@ -276,36 +275,33 @@ def test_sparse_gap_either_side_of_dense_fallback(monkeypatch):
     assert calls == [SPARSE_GAP_MIN_STATES, 3, 4]
 
 
-def _mutate_first_move(monkeypatch, mutate):
-    """Make `_move_table` hand `mutate(rates, moves, row, state)` the first
-    move of the first pair, (row, state), before the assembly reads it."""
+def _mutate_move_table(monkeypatch, mutate):
+    """Make `_move_table` hand its tables (sources, targets, rates, exits,
+    offsets) to `mutate` and the assembly what `mutate` returns."""
     real = siplab.sip._move_table
-
-    def mutated(graph, space):
-        offsets, rows, rates, moves = real(graph, space)
-        mutate(rates, moves, rows[0], int(np.flatnonzero(moves[rows[0]])[0]))
-        return offsets, rows, rates, moves
-
-    monkeypatch.setattr(siplab.sip, "_move_table", mutated)
+    monkeypatch.setattr(siplab.sip, "_move_table", lambda graph, space: mutate(*real(graph, space)))
 
 
 def test_sparse_gap_checks_detailed_balance(monkeypatch):
-    def skew(rates, moves, row, state):
-        rates[row, state] *= 1.5
+    def skew(sources, targets, rates, exits, offsets):
+        rates[0, 0] *= 1.5
+        return sources, targets, rates, exits, offsets
 
-    _mutate_first_move(monkeypatch, skew)
+    _mutate_move_table(monkeypatch, skew)
     with pytest.raises(VerificationError, match="not reversible"):
         build_sip_generator(path_graph(4), 12)
 
 
 def test_a_move_with_no_reverse_is_a_verification_error(monkeypatch):
-    # the dropped move's reverse is still there, and finds nothing to pair with
-    def drop(rates, moves, row, state):
-        moves[row, state] = False
+    # the moves along the first pair are dropped; those along its reverse
+    # pair are still there, and find nothing to pair with
+    def drop(sources, targets, rates, exits, offsets):
+        return sources[1:], targets[1:], rates[1:], exits, offsets[1:]
 
-    _mutate_first_move(monkeypatch, drop)
-    with pytest.raises(VerificationError, match="no reverse move"):
-        build_sip_generator(path_graph(4), 12)
+    _mutate_move_table(monkeypatch, drop)
+    for g in (path_graph(4), complete_graph(5)):
+        with pytest.raises(VerificationError, match="no reverse move"):
+            build_sip_generator(g, 3)
 
 
 def _assembly_levels():
@@ -357,9 +353,9 @@ def test_assembly_matches_the_scipy_reference(monkeypatch):
 
 
 def test_assembly_peak_memory_per_stored_entry():
-    # the move table, its running counts and a few arrays of one entry per
-    # move, with no int64 table over every (state, move) cell: about 88 bytes
-    # a stored entry, where the scipy.sparse assembly peaks at about 122
+    # tables of one cell per move and arrays of one entry per stored entry,
+    # none over every (state, pair) cell: about 77 bytes a stored entry,
+    # where the scipy.sparse assembly peaks at about 122
     g = complete_graph(7, np.linspace(0.3, 2.0, 7))
     tracemalloc.start()
     try:
@@ -369,6 +365,30 @@ def test_assembly_peak_memory_per_stored_entry():
         tracemalloc.stop()
     assert gen.space.size == 924
     assert peak < 100 * gen.matrix.nnz
+
+
+def test_assembly_peak_memory_with_many_more_sites_than_particles(monkeypatch):
+    """path(40) at k=2: 39 pairs of moves a state but about 5 moves, so a table
+    over every (state, pair) cell would be mostly empty.  The peak is read from
+    the level's law on, as the enumeration and the law peak first here.  About
+    159 bytes a stored entry; the scipy.sparse assembly peaks at about 193, and
+    dense (pair, state) tables of one to eight bytes a cell at about 499."""
+    real = siplab.sip.sip_measure
+
+    def measured(graph, space):
+        mu = real(graph, space)
+        tracemalloc.reset_peak()
+        return mu
+
+    monkeypatch.setattr(siplab.sip, "sip_measure", measured)
+    tracemalloc.start()
+    try:
+        gen = build_sip_generator(path_graph(40), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gen.space.size == 820 and gen.matrix.nnz == 3940
+    assert peak < 175 * gen.matrix.nnz
 
 
 def test_sparse_gap_checks_eigenpair_residual(monkeypatch):
