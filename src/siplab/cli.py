@@ -41,7 +41,7 @@ from .graphs import (Graph, as_integer, as_number, build_rw_generator, graph_fro
 from .intertwiners import (Ladder, check_adjoint, check_intertwinings,
                            dirichlet_decomposition_check, eigen_dichotomy,
                            minmax_comparison_check)
-from .lookdown import DEFAULT_LABELED_CAP, check_labeled_identities, check_stationary_law
+from .lookdown import LABELED_CAP, check_labeled_identities, check_stationary_law
 from .reporting import CheckSuite, make_check
 from .sip import build_sip_generator, gap_sandwich_report, sip_gap, sip_spectrum, tv_sandwich
 from .simulate import SimConfig, simulate
@@ -122,9 +122,9 @@ def _resolve_graph(spec: str, alpha_raw: str | None) -> tuple[Graph, str]:
     return graph, f"{spec}|alpha={alpha}"
 
 
-def _positive_int(raw: str) -> int:
-    if not raw.isdecimal() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
+def _int_at_least(least: int, raw: str) -> int:
+    if not raw.isdecimal() or int(raw) < least:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least {least}, got {raw!r}")
     return int(raw)
 
 
@@ -184,7 +184,7 @@ def _suite_lookdown(ladder: Ladder, k_max: int) -> CheckSuite:
     n = ladder.graph.n
     checks = []
     k = 2
-    while k <= k_max and n ** k <= DEFAULT_LABELED_CAP:
+    while k <= k_max and n ** k <= LABELED_CAP:
         checks.extend(check_labeled_identities(ladder[k]))
         checks.extend(check_stationary_law(ladder[k]).checks)
         k += 1
@@ -195,7 +195,7 @@ def _suite_lookdown(ladder: Ladder, k_max: int) -> CheckSuite:
     if k <= k_max:
         levels = f"level k={k}" if k == k_max else f"levels k={k}..{k_max}"
         note += (f"; {levels} skipped: {n}^{k} = {n ** k} labeled states"
-                 f"{' and more' if k < k_max else ''} exceed the cap {DEFAULT_LABELED_CAP}")
+                 f"{' and more' if k < k_max else ''} exceed the cap {LABELED_CAP}")
     return CheckSuite("lookdown", tuple(checks), note=note)
 
 
@@ -460,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_arg(p)
     p.add_argument("--K", type=int, required=True, help="largest particle number")
     p.add_argument("--suite", choices=("all", "sip", "lookdown", "bep"), default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=functools.partial(_int_at_least, 0), default=0)
     p.add_argument("--json", help="JSON output path (default stdout)")
 
     p = sub.add_parser("sweep", help="gap ratios over graphs and random site weights")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--csv", help="CSV output path (default stdout)")
-    p.add_argument("--jobs", type=_positive_int,
+    p.add_argument("--jobs", type=functools.partial(_int_at_least, 1),
                    help="worker processes, at most the cores and the levels to solve "
                         "(default: cores)")
 
@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=functools.partial(_int_at_least, 0), default=0)
     p.add_argument("--times", required=True, help="comma separated sampling times")
     p.add_argument("--csv", help="CSV output path (default stdout)")
     p.add_argument("--json", help="optional JSON summary path")
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate verification report")
     add_graph_arg(p)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=functools.partial(_int_at_least, 0), default=0)
     p.add_argument("--json", help="JSON output path (default stdout)")
     return parser
 

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import InputError, StateCapError
+from .reporting import IDENTITY_RTOL
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -151,24 +152,27 @@ def _compositions(n: int, k: int, size: int) -> np.ndarray:
     prefix_sums = itertools.combinations_with_replacement(range(k + 1), n - 1)
     bars = np.fromiter(itertools.chain.from_iterable(prefix_sums), dtype=np.int64,
                        count=size * (n - 1)).reshape(size, n - 1)
-    return np.diff(bars, prepend=0, append=k, axis=1)
+    occ = np.full((size, n), k, dtype=np.int64)
+    occ[:, :-1] = bars
+    occ[:, 1:] -= bars
+    return occ
 
 
-def capped_size(n: int, k: int, cap: int | None = None) -> int:
+def capped_size(n: int, k: int) -> int:
     """Number of configurations with n sites and k particles, refused with
-    StateCapError above the cap (default: the active `state_cap()`)."""
+    StateCapError above the active `state_cap()`."""
     if n < 1 or k < 0:
         raise InputError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     size = space_size(n, k)
-    limit = state_cap() if cap is None else cap
+    limit = state_cap()
     if size > limit:
         raise StateCapError(f"configuration space with n={n}, k={k} has {size} "
                             f"states, exceeding the cap of {limit}")
     return size
 
 
-def enumerate_configs(n: int, k: int, cap: int | None = None) -> ConfigSpace:
-    size = capped_size(n, k, cap)
+def enumerate_configs(n: int, k: int) -> ConfigSpace:
+    size = capped_size(n, k)
     occ = _compositions(n, k, size)
     occ.setflags(write=False)
     return ConfigSpace(n, k, occ)
@@ -196,14 +200,13 @@ def sip_measure(graph: Graph, space: ConfigSpace) -> SipMeasure:
     k = space.k
     # rising-factorial table: table[x, m] = log alpha_x (alpha_x+1)...(alpha_x+m-1)
     table = np.zeros((space.n, k + 1))
-    for x in range(space.n):
-        table[x, 1:] = np.cumsum(np.log(alpha[x] + np.arange(k)))
+    table[:, 1:] = np.cumsum(np.log(alpha[:, None] + np.arange(k)), axis=1)
     occ = space.occupations
     logw = table[np.arange(space.n)[None, :], occ].sum(axis=1)
-    logw -= gammaln(occ + 1.0).sum(axis=1)
+    logw -= gammaln(np.arange(k + 1) + 1.0)[occ].sum(axis=1)
     log_z = float(logsumexp(logw))
     closed = log_rising(graph.alpha_total, k) - gammaln(k + 1.0)
-    if abs(log_z - closed) > 1e-10 * max(1.0, abs(closed)):
+    if abs(log_z - closed) > IDENTITY_RTOL * max(1.0, abs(closed)):
         raise InputError(f"normalization mismatch: summed {log_z:.15g}, "
                          f"closed form {closed:.15g}")
     probs = np.exp(logw - log_z)

@@ -12,9 +12,8 @@ and eigenfunctions come back orthonormal in the weighted L2 inner product.
 A walk's transform and its reversibility check (`symmetrize_reversible`)
 take a stack of walks as well as one, and so does `rw_dirichlet_forms`.
 A level is symmetrized and checked once, each entry against its reverse
-move's, by `sip.build_sip_generator`, under the same `require_reversible` policy.
-Gap statements are checked at a tolerance relative to the walk gap
-(`gap_tolerance`), and matrix sizes are read by `max_abs`, dense or sparse.
+move's, by `sip.build_sip_generator`, under the same policy,
+`reporting.require_reversible`.
 """
 
 from __future__ import annotations
@@ -32,26 +31,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .configs import capped_size
 from .errors import EigensolverError, InputError
-
-# Identity residuals are checked at 1e-10, scaled by the size of the
-# matrix entries involved.
-RESIDUAL_RTOL = 1e-10
-
-
-def residual_tol(scale, rtol: float = RESIDUAL_RTOL):
-    """rtol * max(1, scale), elementwise for an array of scales."""
-    return rtol * np.maximum(1.0, scale)
-
-
-def max_abs(m) -> float:
-    """Largest |entry| of a dense or scipy.sparse matrix, a sparse one read from
-    its stored values with no index sort: scipy's products, sums and broadcast
-    multiplies store each coordinate once; a COO one has its duplicates summed."""
-    if not scipy.sparse.issparse(m):
-        return float(np.abs(m).max())
-    if m.format == "coo" and not m.has_canonical_format:
-        m = m.tocsr()
-    return float(np.abs(m.data).max(initial=0.0))
+from .reporting import max_abs, require_reversible, residual_tol
 
 
 @dataclass(frozen=True)
@@ -277,19 +257,6 @@ def build_rw_generator(graph: Graph) -> RwGenerator:
     return RwGenerator(graph, m, stationary)
 
 
-def gap_tolerance(walk: RwGenerator, gap_rw: float, rtol: float) -> float:
-    """Absolute tolerance for statements about spectral gaps: rtol * gap_rw.
-
-    Multiplying every edge weight by a constant is a change of time scale
-    that multiplies every gap by it, so the tolerance follows gap_rw.  On
-    a disconnected graph every gap is zero, and the walk's largest rate
-    sets the rounding scale instead.
-    """
-    if walk.graph.connected:
-        return rtol * gap_rw
-    return rtol * float(np.abs(walk.matrix).max())
-
-
 def detailed_balance_residual(matrix, measure: np.ndarray) -> float:
     """max |m(x) Q(x,y) - m(y) Q(y,x)| over all pairs, Q dense or sparse."""
     flux = measure[:, None] * matrix
@@ -327,18 +294,10 @@ def symmetrize_reversible(rate_matrix, measure) -> np.ndarray:
     return 0.5 * (sym + np.swapaxes(sym, -1, -2))
 
 
-def require_reversible(asym, scale) -> None:
-    """Refuse symmetrization defects, dense or sparse, over `residual_tol(scale, 1e-8)` or NaN."""
-    bad = ~(asym <= residual_tol(scale, 1e-8))
-    if np.any(bad):
-        raise InputError(f"generator is not reversible for the given measure "
-                         f"(symmetrization defect {float(np.max(asym * bad)):.3e})")
-
-
 def symmetric_spectrum(sym: np.ndarray, measure: np.ndarray,
                        want_vectors: bool = True) -> Spectrum:
     """Dense eigensolve of sym = D^(1/2) (-Q) D^(-1/2), D = diag(measure), for walks
-    and levels alike; each eigenpair must pass `residual_tol(scale, 1e-8)`, scale
+    and levels alike; each eigenpair must pass `residual_tol(scale)`, scale
     the largest exit rate, which is the largest entry of sym, on its diagonal."""
     scale = float(np.diagonal(sym).max())
     try:
@@ -351,7 +310,7 @@ def symmetric_spectrum(sym: np.ndarray, measure: np.ndarray,
     funcs = None
     if want_vectors:
         defect = float(np.abs(sym @ vecs - vecs * vals[None, :]).max())
-        if defect > residual_tol(scale, 1e-8):
+        if defect > residual_tol(scale):
             raise EigensolverError(f"eigensolve residual {defect:.3e} exceeds "
                                    f"tolerance at scale {scale:.3e}")
         funcs = vecs / np.sqrt(measure)[:, None]

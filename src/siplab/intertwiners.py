@@ -42,10 +42,11 @@ import scipy.sparse.linalg
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
 from .errors import InputError
-from .graphs import (Graph, Spectrum, build_rw_generator, max_abs, residual_tol,
-                     rw_dirichlet_forms, rw_spectrum, symmetrize_reversible)
+from .graphs import (Graph, Spectrum, build_rw_generator, rw_dirichlet_forms, rw_spectrum,
+                     symmetrize_reversible)
 from .lookdown import LabeledLevel
-from .reporting import CheckResult, identity_check, make_check
+from .reporting import (ENERGY_RTOL, SPECTRAL_RTOL, CheckResult, identity_check, make_check,
+                        max_abs, residual_tol)
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_gap, sip_spectrum
 
 
@@ -232,7 +233,7 @@ def invert_annihilation(level: Level, h) -> np.ndarray:
     return g
 
 
-def check_adjoint(level: Level, rtol: float = 1e-10) -> CheckResult:
+def check_adjoint(level: Level) -> CheckResult:
     """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity.
 
     A_k^T and C_k share the pattern {(xi, xi + delta_x)}, so once their
@@ -245,20 +246,19 @@ def check_adjoint(level: Level, rtol: float = 1e-10) -> CheckResult:
     cre = level.creation.sorted_indices()
     if not (np.array_equal(ann_t.indptr, cre.indptr)
             and np.array_equal(ann_t.indices, cre.indices)):
-        return identity_check(f"adjoint[k={k}]", ann_t * mu[None, :], mu_low[:, None] * cre,
-                              rtol)
+        return identity_check(f"adjoint[k={k}]", ann_t * mu[None, :], mu_low[:, None] * cre)
     lhs = ann_t.data * mu[ann_t.indices]
     rhs = mu_low[np.repeat(np.arange(cre.shape[0]), np.diff(cre.indptr))] * cre.data
-    return identity_check(f"adjoint[k={k}]", lhs, rhs, rtol)
+    return identity_check(f"adjoint[k={k}]", lhs, rhs)
 
 
-def check_intertwinings(level: Level, rtol: float = 1e-10) -> tuple[CheckResult, CheckResult]:
+def check_intertwinings(level: Level) -> tuple[CheckResult, CheckResult]:
     """Residuals of A L_{k-1} - L_k A and C L_k - L_{k-1} C."""
     k = level.k
     ann, cre = level.annihilation, level.creation
     high, low = level.generator.matrix, level.lower.generator.matrix
-    return (identity_check(f"removal-intertwining[k={k}]", ann @ low, high @ ann, rtol),
-            identity_check(f"addition-intertwining[k={k}]", cre @ high, low @ cre, rtol))
+    return (identity_check(f"removal-intertwining[k={k}]", ann @ low, high @ ann),
+            identity_check(f"addition-intertwining[k={k}]", cre @ high, low @ cre))
 
 
 def lift_eigenfunction(graph: Graph, psi, k: int):
@@ -278,7 +278,7 @@ def lift_eigenfunction(graph: Graph, psi, k: int):
     lam = float(pi @ (psi * (-gen.matrix @ psi))) / float(pi @ (psi * psi))
     defect = float(np.abs(-gen.matrix @ psi - lam * psi).max())
     scale = max(1.0, float(np.abs(gen.matrix).max())) * norm
-    if defect > 1e-8 * scale:
+    if defect > SPECTRAL_RTOL * scale:
         raise InputError(f"psi is not an eigenfunction (defect {defect:.3e})")
     space = enumerate_configs(graph.n, k)
     return space.occupations @ psi, lam
@@ -317,15 +317,15 @@ class EigenDichotomy:
     passed: bool
 
 
-def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
+def eigen_dichotomy(level: Level) -> EigenDichotomy:
     """Split the spectrum of L_k between lifted eigenfunctions (Range A_k)
-    and fresh ones (Ker C_k), in the basis B of `removal_qr`.  It passes
-    when A_k passes the exact check of `peeling_block`; when
-    M = B^T D (-L_k) B is block diagonal and its image block has the
-    spectrum of level k-1, to tol times the largest rate of L_k; and when
-    the balanced C_k kills the kernel, c D_{k-1}^(1/2) C_k B_ker = 0, to tol
-    times the largest entry of W_k, which has no time scale.  Groups cluster
-    the lower spectrum and M's fresh eigenvalues, each within tol of its first."""
+    and fresh ones (Ker C_k), in the basis B of `removal_qr`.  It passes when
+    A_k passes the exact check of `peeling_block`; when M = B^T D (-L_k) B is
+    block diagonal and its image block has the spectrum of level k-1, within
+    `residual_tol` of L_k's largest rate; and when the balanced C_k kills the
+    kernel, c D_{k-1}^(1/2) C_k B_ker = 0, within `residual_tol` of W_k's
+    largest entry, which has no time scale.  Groups cluster the lower spectrum
+    and M's fresh eigenvalues, each within SPECTRAL_RTOL (1 + |value|) of its first."""
     low_vals, basis, k = level.lower.spectrum.eigenvalues, level.qr, level.k
     gen, s = level.generator.matrix, low_vals.size
     # D (-L_k) is symmetric by detailed balance, so M is; eigvalsh reads its lower triangle
@@ -335,13 +335,14 @@ def eigen_dichotomy(level: Level, tol: float = 1e-8) -> EigenDichotomy:
     image_spectrum = float(np.abs(scipy.linalg.eigvalsh(m[:s, :s]) - low_vals).max())
     balance = np.sqrt(level.lower.measure.probabilities) * k / (level.graph.alpha_total + k - 1)
     kernel_residual = float(np.abs(balance[:, None] * (level.creation @ level.kernel)).max())
-    bound = residual_tol(max_abs(gen), tol)
+    bound = residual_tol(max_abs(gen))
     passed = (injectivity == 1.0 and off_diagonal <= bound and image_spectrum <= bound
-              and kernel_residual <= residual_tol(max_abs(level.balanced_removal), tol))
+              and kernel_residual <= residual_tol(max_abs(level.balanced_removal)))
     vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
     order = np.argsort(vals, kind="stable")
     vals, is_image = vals[order], order < s
-    ends, starts = np.searchsorted(vals, vals + tol * (1.0 + np.abs(vals)), "right").tolist(), [0]
+    ends = np.searchsorted(vals, vals + SPECTRAL_RTOL * (1.0 + np.abs(vals)), "right").tolist()
+    starts = [0]
     while ends[starts[-1]] < vals.size:
         starts.append(ends[starts[-1]])
     dims, n_im = np.diff(starts, append=vals.size), np.add.reduceat(is_image.astype(int), starts)
@@ -370,7 +371,7 @@ class DirichletDecomposition:
         return all(c.passed for c in self.checks)
 
 
-def dirichlet_decomposition_check(level: Level, f, rtol: float = 1e-9) -> DirichletDecomposition:
+def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
     """For f in Ker C, rewrite the level-k energy as a weighted sum of
     single-walk energies with shifted site weights and verify it.
 
@@ -405,10 +406,10 @@ def dirichlet_decomposition_check(level: Level, f, rtol: float = 1e-9) -> Dirich
     bound = k * inf_gap * variance(gen.measure, f)
     checks = (
         make_check(f"dirichlet-decomposition[k={k}]",
-                   abs(energy - decomposed), rtol * scale_e),
-        make_check(f"section-variance-reduction[k={k}]", var_residual, rtol * scale_f),
+                   abs(energy - decomposed), ENERGY_RTOL * scale_e),
+        make_check(f"section-variance-reduction[k={k}]", var_residual, ENERGY_RTOL * scale_f),
         make_check(f"kernel-energy-lower-bound[k={k}]",
-                   max(0.0, bound - energy), rtol * max(1.0, abs(bound))),
+                   max(0.0, bound - energy), ENERGY_RTOL * max(1.0, abs(bound))),
     )
     return DirichletDecomposition(checks, energy, decomposed, inf_gap)
 
@@ -422,14 +423,13 @@ class ComparisonReport:
         return all(c.passed for c in self.checks)
 
 
-def minmax_comparison_check(level: Level, n_phi: int = 50,
-                            rng: np.random.Generator | None = None,
-                            rtol: float = 1e-9) -> ComparisonReport:
+def minmax_comparison_check(level: Level,
+                            rng: np.random.Generator | None = None) -> ComparisonReport:
     """Compare the walk with site weights alpha to every shifted walk
     alpha + xi, xi a configuration of k-1 particles.
 
     Checked for each xi: the Dirichlet form bound with factor
-    |alpha| / (|alpha|+k-1) on random test functions, the norm bound
+    |alpha| / (|alpha|+k-1) on 50 random test functions, the norm bound
     with factor alpha_min (|alpha|+k-1) / (|alpha| (alpha_min+k-1)),
     the resulting eigenvalue-by-eigenvalue bound with factor
     alpha_min / (alpha_min+k-1), and the closing scalar inequality
@@ -442,7 +442,7 @@ def minmax_comparison_check(level: Level, n_phi: int = 50,
     a_total = graph.alpha_total
     a_min = graph.alpha_min
     base_vals = rw_spectrum(build_rw_generator(graph), want_vectors=False).eigenvalues
-    phis = rng.standard_normal((n_phi, graph.n))
+    phis = rng.standard_normal((50, graph.n))
     dirichlet_factor = a_total / (a_total + k - 1)
     norm_factor = a_min * (a_total + k - 1) / (a_total * (a_min + k - 1))
     eig_factor = a_min / (a_min + k - 1)
@@ -455,9 +455,9 @@ def minmax_comparison_check(level: Level, n_phi: int = 50,
     scale = max(1.0, float(np.abs(base_vals).max()))
     scalar_gap = min(1.0, a_min) - a_min * k / (a_min + k - 1) if k >= 2 else 0.0
     checks = (
-        make_check(f"dirichlet-comparison[k={k}]", max(0.0, worst_dir), rtol * scale),
-        make_check(f"norm-comparison[k={k}]", max(0.0, worst_norm), rtol),
-        make_check(f"eigenvalue-comparison[k={k}]", max(0.0, worst_eig), rtol * scale),
+        make_check(f"dirichlet-comparison[k={k}]", max(0.0, worst_dir), ENERGY_RTOL * scale),
+        make_check(f"norm-comparison[k={k}]", max(0.0, worst_norm), ENERGY_RTOL),
+        make_check(f"eigenvalue-comparison[k={k}]", max(0.0, worst_eig), ENERGY_RTOL * scale),
         # both terms lie in (0, 1] and carry no time scale, so an absolute
         # bound of a few ulp of 1 fits their difference
         make_check(f"scalar-bound[k={k}]", max(0.0, scalar_gap), 1e-15),

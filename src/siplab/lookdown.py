@@ -36,20 +36,21 @@ import scipy.sparse
 
 from .configs import ConfigSpace
 from .errors import InputError, StateCapError
-from .graphs import Graph, build_rw_generator, detailed_balance_residual, max_abs
-from .reporting import CheckResult, identity_check, make_check
+from .graphs import Graph, build_rw_generator, detailed_balance_residual
+from .reporting import IDENTITY_RTOL, CheckResult, identity_check, make_check, max_abs
 
 if TYPE_CHECKING:
     from .intertwiners import Level
 
-DEFAULT_LABELED_CAP = 4096
+LABELED_CAP = 4096
 
 
-def labeled_states(n: int, k: int, cap: int = DEFAULT_LABELED_CAP) -> np.ndarray:
-    """All position tuples, ordered by mixed-radix index (bottom digit first)."""
+def labeled_states(n: int, k: int) -> np.ndarray:
+    """All position tuples, ordered by mixed-radix index (bottom digit first),
+    refused with StateCapError over LABELED_CAP."""
     size = n ** k
-    if size > cap:
-        raise StateCapError(f"labeled space n^k = {size} exceeds cap {cap}")
+    if size > LABELED_CAP:
+        raise StateCapError(f"labeled space n^k = {size} exceeds cap {LABELED_CAP}")
     return np.arange(size)[:, None] // n ** np.arange(k - 1, -1, -1) % n
 
 
@@ -64,7 +65,7 @@ def _sparse(values, rows, cols, shape) -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array((values, (rows, cols)), shape=shape)
 
 
-def _labeled_jumps(graph: Graph, k: int, lookdown: bool, cap: int = DEFAULT_LABELED_CAP):
+def _labeled_jumps(graph: Graph, k: int, lookdown: bool):
     """COO triplets (source, target, rate) of every jump of a labeled model.
 
     One block per (label i, target site y): every state whose particle i
@@ -73,7 +74,7 @@ def _labeled_jumps(graph: Graph, k: int, lookdown: bool, cap: int = DEFAULT_LABE
     blocks come label-major, site-minor.
     """
     n, c, alpha = graph.n, graph.edge_weights, graph.site_weights
-    states = labeled_states(n, k, cap)
+    states = labeled_states(n, k)
     blocks = []
     for i in range(k):
         x = states[:, i]
@@ -86,8 +87,8 @@ def _labeled_jumps(graph: Graph, k: int, lookdown: bool, cap: int = DEFAULT_LABE
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _labeled_generator(graph: Graph, k: int, lookdown: bool, cap: int) -> scipy.sparse.csr_array:
-    sources, targets, rates = _labeled_jumps(graph, k, lookdown, cap)
+def _labeled_generator(graph: Graph, k: int, lookdown: bool) -> scipy.sparse.csr_array:
+    sources, targets, rates = _labeled_jumps(graph, k, lookdown)
     rows = np.arange(graph.n ** k)
     # each row's exit rate sums its jumps in block order
     exits = np.bincount(sources, weights=rates, minlength=rows.size)
@@ -95,12 +96,12 @@ def _labeled_generator(graph: Graph, k: int, lookdown: bool, cap: int) -> scipy.
                    np.concatenate([targets, rows]), (rows.size, rows.size))
 
 
-def build_labeled_generators(graph: Graph, k: int, cap: int = DEFAULT_LABELED_CAP) -> tuple:
+def build_labeled_generators(graph: Graph, k: int) -> tuple:
     """(symmetric, lookdown) generator pair on the labeled state space."""
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    return (_labeled_generator(graph, k, lookdown=False, cap=cap),
-            _labeled_generator(graph, k, lookdown=True, cap=cap))
+    return (_labeled_generator(graph, k, lookdown=False),
+            _labeled_generator(graph, k, lookdown=True))
 
 
 def drop_top_pullback(n: int, k: int) -> scipy.sparse.csr_array:
@@ -157,7 +158,7 @@ class LabeledLevel:
         return self.unlabel @ (self.average @ x)
 
 
-def check_labeled_identities(level: Level, rtol: float = 1e-10) -> list[CheckResult]:
+def check_labeled_identities(level: Level) -> list[CheckResult]:
     """All matrix identities tying the labeled models to the unlabeled one.
 
     Includes the top-drop intertwining, the exchange of symmetrization
@@ -175,22 +176,19 @@ def check_labeled_identities(level: Level, rtol: float = 1e-10) -> list[CheckRes
     ann = level.annihilation
     s_hi = hi.unlabel @ hi.average
     unlabeled_hi = hi.unlabel @ gen_hi
-
-    def check(name, lhs, rhs):
-        return identity_check(name, lhs, rhs, rtol)
-
     checks = [
-        check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
-        check(f"removal-as-labeled[k={k}]", hi.unlabel @ ann,
-              k * hi.symmetrize(hi.drop @ lo.unlabel)),
-        check(f"top-drop-intertwining[k={k}]", hi.drop @ lo.lookdown, hi.lookdown @ hi.drop),
-        check(f"symmetrize-lookdown[k={k}]", hi.symmetrize(hi.lookdown),
-              hi.symmetric @ hi.unlabel @ hi.average),
-        check(f"unlabel-symmetric[k={k}]", hi.symmetric @ hi.unlabel, unlabeled_hi),
-        check(f"unlabel-symmetric-averaged[k={k}]",
-              hi.symmetrize(hi.symmetric @ hi.unlabel), unlabeled_hi),
-        check(f"unlabel-lookdown-averaged[k={k}]",
-              hi.symmetrize(hi.lookdown @ hi.unlabel), unlabeled_hi),
+        identity_check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
+        identity_check(f"removal-as-labeled[k={k}]", hi.unlabel @ ann,
+                       k * hi.symmetrize(hi.drop @ lo.unlabel)),
+        identity_check(f"top-drop-intertwining[k={k}]", hi.drop @ lo.lookdown,
+                       hi.lookdown @ hi.drop),
+        identity_check(f"symmetrize-lookdown[k={k}]", hi.symmetrize(hi.lookdown),
+                       hi.symmetric @ hi.unlabel @ hi.average),
+        identity_check(f"unlabel-symmetric[k={k}]", hi.symmetric @ hi.unlabel, unlabeled_hi),
+        identity_check(f"unlabel-symmetric-averaged[k={k}]",
+                       hi.symmetrize(hi.symmetric @ hi.unlabel), unlabeled_hi),
+        identity_check(f"unlabel-lookdown-averaged[k={k}]",
+                       hi.symmetrize(hi.lookdown @ hi.unlabel), unlabeled_hi),
     ]
     # labeled replay of the removal intertwining, step by step, each
     # product applied right to left; J_k P_{k-1} drops the top particle
@@ -208,15 +206,15 @@ def check_labeled_identities(level: Level, rtol: float = 1e-10) -> list[CheckRes
         hi.unlabel @ (gen_hi @ ann) / k,
     ]
     for step, (lhs, rhs) in enumerate(zip(t[:-1], t[1:])):
-        checks.append(check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
-    checks.append(check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
-    checks.append(check(f"flatten-then-drop[k={k}]", hi.symmetrize(hi.drop),
-                        hi.symmetrize(drop) @ lo.average))
+        checks.append(identity_check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
+    checks.append(identity_check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
+    checks.append(identity_check(f"flatten-then-drop[k={k}]", hi.symmetrize(hi.drop),
+                                 hi.symmetrize(drop) @ lo.average))
     # bottom particle of the lookdown model moves as the plain walk
     rows = np.arange(graph.n ** k)
     bottom = _sparse(np.ones(rows.size), rows, rows // graph.n ** (k - 1), (rows.size, graph.n))
-    checks.append(check(f"bottom-particle-walk[k={k}]", hi.lookdown @ bottom,
-                        bottom @ build_rw_generator(graph).matrix))
+    checks.append(identity_check(f"bottom-particle-walk[k={k}]", hi.lookdown @ bottom,
+                                 bottom @ build_rw_generator(graph).matrix))
     return checks
 
 
@@ -230,7 +228,7 @@ class StationaryLawReport:
         return all(c.passed for c in self.checks)
 
 
-def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawReport:
+def check_stationary_law(level: Level) -> StationaryLawReport:
     """Stationarity and reversibility structure of the shared labeled law.
 
     The law is stationary for both labeled generators; the symmetric one
@@ -243,16 +241,14 @@ def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawRepo
     """
     graph, k = level.graph, level.k
     omega, sym, look = level.labeled.omega, level.labeled.symmetric, level.labeled.lookdown
-    scale = max(1.0, max_abs(sym), max_abs(look))
+    tol = IDENTITY_RTOL * max(1.0, max_abs(sym), max_abs(look))
     checks = [
         # a probability, unitless at every rate scale: 4096 terms round within 9e-13
         make_check(f"stationary-mass[k={k}]", abs(float(omega.sum()) - 1.0), 1e-12),
-        make_check(f"stationary-symmetric[k={k}]",
-                   float(np.abs(omega @ sym).max()), rtol * scale),
-        make_check(f"stationary-lookdown[k={k}]",
-                   float(np.abs(omega @ look).max()), rtol * scale),
+        make_check(f"stationary-symmetric[k={k}]", float(np.abs(omega @ sym).max()), tol),
+        make_check(f"stationary-lookdown[k={k}]", float(np.abs(omega @ look).max()), tol),
         make_check(f"detailed-balance-symmetric[k={k}]",
-                   detailed_balance_residual(sym, omega), rtol * scale),
+                   detailed_balance_residual(sym, omega), tol),
     ]
     witness = None
     if k >= 2 and float(graph.edge_weights.max()) > 0.0:
@@ -277,7 +273,8 @@ def check_stationary_law(level: Level, rtol: float = 1e-10) -> StationaryLawRepo
                                         f"positions {list(pair[0])} and {list(pair[1])}"))
     push = omega @ level.labeled.unlabel
     checks.append(make_check(f"unlabel-pushforward[k={k}]",
-                             float(np.abs(push - level.measure.probabilities).max()), rtol))
+                             float(np.abs(push - level.measure.probabilities).max()),
+                             IDENTITY_RTOL))
     if k >= 2:
         marginal = omega.reshape(-1, graph.n).sum(axis=1)
         # unitless probabilities: n-term sums of k-factor products round below 1e-14

@@ -3,13 +3,61 @@
 Every verification routine in the package returns one or more CheckResult
 records; a check passes when its residual is within tolerance (for
 inequalities the residual is the amount of violation, clipped at zero).
+Tolerances shared by several checks are the relative bounds named here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import max_abs
+import numpy as np
+import scipy.sparse
+
+from .errors import InputError
+
+# identities hold up to the rounding of sums of products: x max(1, largest entry)
+IDENTITY_RTOL = 1e-10
+# eigenpairs and reversibility carry a solve's or a transform's rounding: x max(1, largest rate)
+SPECTRAL_RTOL = 1e-8
+# energy comparisons sum over shifted walks and test functions: x max(1, largest term)
+ENERGY_RTOL = 1e-9
+# gap statements: x gap_rw, which a change of time scale multiplies with every gap
+GAP_RTOL = 1e-8
+# twice a total-variation distance lies in [0, 2], with no time scale: absolute
+TV_SLACK = 1e-8
+
+
+def residual_tol(scale):
+    """SPECTRAL_RTOL * max(1, scale), elementwise for an array of scales."""
+    return SPECTRAL_RTOL * np.maximum(1.0, scale)
+
+
+def max_abs(m) -> float:
+    """Largest |entry| of a dense or scipy.sparse matrix, a sparse one read from
+    its stored values with no index sort: scipy's products, sums and broadcast
+    multiplies store each coordinate once; a COO one has its duplicates summed."""
+    if not scipy.sparse.issparse(m):
+        return float(np.abs(m).max())
+    if m.format == "coo" and not m.has_canonical_format:
+        m = m.tocsr()
+    return float(np.abs(m.data).max(initial=0.0))
+
+
+def require_reversible(asym, scale) -> None:
+    """Refuse symmetrization defects, dense or sparse, over `residual_tol(scale)` or NaN."""
+    bad = ~(asym <= residual_tol(scale))
+    if np.any(bad):
+        raise InputError(f"generator is not reversible for the given measure "
+                         f"(symmetrization defect {float(np.max(asym * bad)):.3e})")
+
+
+def gap_tolerance(walk, gap_rw: float) -> float:
+    """GAP_RTOL * gap_rw, for gap statements about the graph of `walk`, a
+    `graphs.RwGenerator` of gap `gap_rw`.  On a disconnected graph every gap
+    is zero, and the walk's largest rate sets the rounding scale instead."""
+    if walk.graph.connected:
+        return GAP_RTOL * gap_rw
+    return GAP_RTOL * float(np.abs(walk.matrix).max())
 
 
 @dataclass(frozen=True)
@@ -37,12 +85,12 @@ def make_check(identity: str, residual: float, tolerance: float, detail: str = "
                        bool(residual <= tolerance), detail)
 
 
-def identity_check(identity: str, lhs, rhs, rtol: float) -> CheckResult:
+def identity_check(identity: str, lhs, rhs) -> CheckResult:
     """Matrix identity lhs = rhs: the largest entrywise residual against
-    rtol times the largest entry of either side (at least 1).  Sides may
-    be scipy.sparse; a difference of two sparse sides stays sparse."""
+    IDENTITY_RTOL times the largest entry of either side (at least 1).  Sides
+    may be scipy.sparse; a difference of two sparse sides stays sparse."""
     scale = max(1.0, max_abs(lhs), max_abs(rhs))
-    return make_check(identity, max_abs(lhs - rhs), rtol * scale)
+    return make_check(identity, max_abs(lhs - rhs), IDENTITY_RTOL * scale)
 
 
 @dataclass(frozen=True)

@@ -222,23 +222,23 @@ def simulate(cfg: SimConfig, initial=None, observable=None) -> TrajectorySummary
     return TrajectorySummary(cfg, states, counts.reshape(T, size), obs, n_absorbed, start_law)
 
 
-def chi_square_pvalue(counts: dict, states, probs, min_expected: float = 5.0) -> float:
+def chi_square_pvalue(counts: dict, states, probs) -> float:
     """Goodness-of-fit p-value of observed counts {state: count} against
-    exact cell probabilities of `states`, pooling low-expectation cells."""
+    exact cell probabilities of `states`, pooling cells expected fewer than 5 times."""
     observed = np.array([counts.get(s, 0) for s in states], dtype=float)
     if sum(counts.values()) - observed.sum() > 0:
         raise InputError("observed states outside the reference support")
-    return _chi_square(observed, probs, min_expected)
+    return _chi_square(observed, probs)
 
 
-def _chi_square(observed: np.ndarray, probs, min_expected: float = 5.0) -> float:
+def _chi_square(observed: np.ndarray, probs) -> float:
     """`chi_square_pvalue` on counts aligned with the cell probabilities."""
     expected = np.asarray(probs, dtype=float) * observed.sum()
     if float(observed[expected == 0.0].sum()) > 0:
         return 0.0
     observed = observed[expected > 0.0]
     expected = expected[expected > 0.0]
-    pool = expected < min_expected
+    pool = expected < 5.0
     if np.sum(pool):
         observed = np.concatenate([observed[~pool], [observed[pool].sum()]])
         expected = np.concatenate([expected[~pool], [expected[pool].sum()]])
@@ -253,19 +253,18 @@ def _chi_square(observed: np.ndarray, probs, min_expected: float = 5.0) -> float
 @dataclass(frozen=True)
 class StationaryTest:
     p_values: dict
-    level: float
     passed: bool
 
 
-def stationary_chi_square(cfg: SimConfig, level: float = 0.01) -> StationaryTest:
-    """Start from the exact stationary law, evolve, and test that the
-    sampled states still follow it at every sampling time (Bonferroni
-    across times)."""
+def stationary_chi_square(cfg: SimConfig) -> StationaryTest:
+    """Start from the exact stationary law, evolve, and test at level 0.01
+    that the sampled states still follow it at every sampling time
+    (Bonferroni across times)."""
     summary = simulate(cfg)
     p_values = {t: _chi_square(row.astype(float), summary.start_law)
                 for t, row in zip(cfg.times, summary.counts)}
-    threshold = level / len(cfg.times)
-    return StationaryTest(p_values, level, all(p > threshold for p in p_values.values()))
+    threshold = 0.01 / len(cfg.times)
+    return StationaryTest(p_values, all(p > threshold for p in p_values.values()))
 
 
 @dataclass(frozen=True)
@@ -276,14 +275,13 @@ class ProjectionTest:
     initial: tuple
 
 
-def projection_test(cfg: SimConfig, initial_config=None,
-                    fail_below: float = 1e-4) -> ProjectionTest:
+def projection_test(cfg: SimConfig, initial_config=None) -> ProjectionTest:
     """Forget the labels of the lookdown process and compare, at every
     sampling time, against the exact law of the unlabeled dynamics.
 
     The labeled start is a uniformly random labeling of one fixed
     occupation configuration; the reference law is the corresponding
-    row of the exact semigroup.
+    row of the exact semigroup.  It passes when every p-value exceeds 1e-4.
     """
     if cfg.mode != "lookdown":
         raise InputError("projection test needs mode='lookdown'")
@@ -312,7 +310,7 @@ def projection_test(cfg: SimConfig, initial_config=None,
         projected = np.bincount(unlabeled, weights=counts, minlength=space.size)
         p_values[t] = _chi_square(projected, law)
     min_p = min(p_values.values())
-    return ProjectionTest(p_values, min_p, min_p > fail_below, eta0)
+    return ProjectionTest(p_values, min_p, min_p > 1e-4, eta0)
 
 
 @dataclass(frozen=True)

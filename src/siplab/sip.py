@@ -43,8 +43,8 @@ import scipy.sparse.linalg
 
 from .configs import ConfigSpace, SipMeasure, enumerate_configs, sip_measure
 from .errors import EigensolverError, InputError, VerificationError
-from .graphs import (Graph, Spectrum, build_rw_generator, gap_tolerance, require_reversible,
-                     residual_tol, rw_spectrum, symmetric_spectrum)
+from .graphs import Graph, Spectrum, build_rw_generator, rw_spectrum, symmetric_spectrum
+from .reporting import GAP_RTOL, TV_SLACK, gap_tolerance, require_reversible, residual_tol
 
 if TYPE_CHECKING:
     from .intertwiners import Level
@@ -179,7 +179,7 @@ def sip_gap(gen: SipGenerator) -> float:
     two lowest eigenpairs come from shift-invert Lanczos (`eigsh` with a fixed
     start vector, so results repeat exactly), or from a dense solve on small
     levels; either way both eigenpair residuals must pass
-    `residual_tol(scale, 1e-8)`.  The shifted operator sym - sigma I is solved
+    `residual_tol(scale)`.  The shifted operator sym - sigma I is solved
     through a banded Cholesky factor in reverse Cuthill-McKee order; if it is
     not positive definite, the factor fails and so does the solve, with
     `EigensolverError`."""
@@ -206,7 +206,7 @@ def sip_gap(gen: SipGenerator) -> float:
     # both pairs must solve the eigenproblem, and the lower one is the
     # zero eigenvalue every generator has
     defect = float(np.abs(sym @ vecs - vecs * vals[None, :]).max())
-    if defect > residual_tol(scale, 1e-8) or abs(vals[0]) > residual_tol(scale, 1e-8):
+    if defect > residual_tol(scale) or abs(vals[0]) > residual_tol(scale):
         raise EigensolverError(f"gap eigensolve at k={k}: residual {defect:.3e}, "
                                f"lowest eigenvalue {vals[0]:.3e} at scale {scale:.3e}")
     return float(vals[1])
@@ -233,7 +233,6 @@ class GapReport:
     equality_expected: bool
     failures: tuple
     tolerance: float
-    relative_tolerance: float
 
     @property
     def passed(self) -> bool:
@@ -251,19 +250,19 @@ class GapReport:
             "pass": self.passed,
             "failures": list(self.failures),
             "tolerance": self.tolerance,
-            "relative_tolerance": self.relative_tolerance,
+            "relative_tolerance": GAP_RTOL,
             "note": "gap_sip is the minimum over the computed particle numbers only; "
                     "the sandwich bounds hold for every k",
         }
 
 
-def gap_sandwich_report(top: Level, tol: float = 1e-8, strict: bool = True) -> GapReport:
+def gap_sandwich_report(top: Level, strict: bool = True) -> GapReport:
     """Read gap_k for 2 <= k <= top.k from `Level.gap` of `top` and of each
     level below it, and check the two-sided bounds.
 
-    `tol` is relative: the checks allow `gap_tolerance(walk, gap_rw, tol)`,
-    which the report records as `tolerance`.  A disconnected graph is a
-    failure: every gap vanishes there, and the ratios are None.
+    The checks allow `reporting.gap_tolerance`, which the report records as
+    `tolerance`.  A disconnected graph is a failure: every gap vanishes
+    there, and the ratios are None.
     """
     graph, gaps, level = top.graph, {}, top
     if top.k < 2:
@@ -274,7 +273,7 @@ def gap_sandwich_report(top: Level, tol: float = 1e-8, strict: bool = True) -> G
     gaps = dict(sorted(gaps.items()))
     walk = build_rw_generator(graph)
     gap_rw = rw_spectrum(walk, want_vectors=False).gap
-    atol = gap_tolerance(walk, gap_rw, tol)
+    atol = gap_tolerance(walk, gap_rw)
     a_min = graph.alpha_min
     lower = min(1.0, a_min) * gap_rw
     failures = []
@@ -303,7 +302,6 @@ def gap_sandwich_report(top: Level, tol: float = 1e-8, strict: bool = True) -> G
         equality_expected=a_min >= 1.0,
         failures=tuple(failures),
         tolerance=atol,
-        relative_tolerance=tol,
     )
     if strict and not report.passed:
         raise VerificationError("gap sandwich violated: " + "; ".join(failures))
@@ -349,8 +347,7 @@ class TvTable:
         return all(r.passed for r in self.rows)
 
 
-def tv_sandwich(gen: SipGenerator, times, slack: float = 1e-8,
-                strict: bool = True) -> TvTable:
+def tv_sandwich(gen: SipGenerator, times, strict: bool = True) -> TvTable:
     """Exact worst-start total variation distance against its two bounds.
 
     value(t) = sup over starting states of the L1 distance between the
@@ -372,8 +369,7 @@ def tv_sandwich(gen: SipGenerator, times, slack: float = 1e-8,
         value = float(np.abs(p - mu[None, :]).sum(axis=1).max())
         lower = float(np.exp(-gap * t))
         upper = float(min_mass ** -0.5 * np.exp(-gap * t))
-        # twice the TV distance lies in [0, 2] with no time scale: absolute slack
-        ok = (value >= lower - slack) and (value <= upper + slack)
+        ok = (value >= lower - TV_SLACK) and (value <= upper + TV_SLACK)
         rows.append(TvRow(t, value, lower, upper, ok))
     table = TvTable(tuple(rows), gap, min_mass)
     if strict and not table.passed:

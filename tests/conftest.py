@@ -21,11 +21,11 @@ from siplab.configs import (ConfigSpace, enumerate_configs, rank_composition, si
                             space_size, unrank_composition, variance)
 from siplab.errors import InputError, VerificationError
 from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
-                           max_abs, require_reversible, rw_dirichlet_form, rw_spectrum)
+                           rw_dirichlet_form, rw_spectrum)
 from siplab.intertwiners import EigenGroup, Level, build_annihilation, project_to_kernel
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
                              labeled_stationary_measure, unlabel_pullback)
-from siplab.reporting import identity_check, make_check
+from siplab.reporting import identity_check, make_check, max_abs, require_reversible
 from siplab.sip import SipGenerator, sip_spectrum
 
 
@@ -323,7 +323,7 @@ def _dense_labeled(graph: Graph, k: int) -> tuple:
     return sym, look, dense_symmetrizer(graph.n, k), drop_top_pullback(graph.n, k).toarray()
 
 
-def dense_labeled_identities(level: Level, rtol: float = 1e-10) -> list:
+def dense_labeled_identities(level: Level) -> list:
     """The labeled identity suite replayed with dense n^k x n^k products
     and the dense symmetrizer, in the suite's order."""
     graph, k, n = level.graph, level.k, level.graph.n
@@ -333,18 +333,16 @@ def dense_labeled_identities(level: Level, rtol: float = 1e-10) -> list:
     p_hi = unlabel_pullback(level.space).toarray()
     p_lo = unlabel_pullback(level.lower.space).toarray()
     ann = level.annihilation.toarray()
-
-    def check(name, lhs, rhs):
-        return identity_check(name, lhs, rhs, rtol)
-
     checks = [
-        check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
-        check(f"removal-as-labeled[k={k}]", p_hi @ ann, k * s_hi @ j_hi @ p_lo),
-        check(f"top-drop-intertwining[k={k}]", j_hi @ lab_look_lo, lab_look_hi @ j_hi),
-        check(f"symmetrize-lookdown[k={k}]", s_hi @ lab_look_hi, lab_sym_hi @ s_hi),
-        check(f"unlabel-symmetric[k={k}]", lab_sym_hi @ p_hi, p_hi @ gen_hi),
-        check(f"unlabel-symmetric-averaged[k={k}]", s_hi @ lab_sym_hi @ p_hi, p_hi @ gen_hi),
-        check(f"unlabel-lookdown-averaged[k={k}]", s_hi @ lab_look_hi @ p_hi, p_hi @ gen_hi),
+        identity_check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
+        identity_check(f"removal-as-labeled[k={k}]", p_hi @ ann, k * s_hi @ j_hi @ p_lo),
+        identity_check(f"top-drop-intertwining[k={k}]", j_hi @ lab_look_lo, lab_look_hi @ j_hi),
+        identity_check(f"symmetrize-lookdown[k={k}]", s_hi @ lab_look_hi, lab_sym_hi @ s_hi),
+        identity_check(f"unlabel-symmetric[k={k}]", lab_sym_hi @ p_hi, p_hi @ gen_hi),
+        identity_check(f"unlabel-symmetric-averaged[k={k}]", s_hi @ lab_sym_hi @ p_hi,
+                       p_hi @ gen_hi),
+        identity_check(f"unlabel-lookdown-averaged[k={k}]", s_hi @ lab_look_hi @ p_hi,
+                       p_hi @ gen_hi),
     ]
     t = [
         p_hi @ ann @ gen_lo / k,
@@ -358,13 +356,13 @@ def dense_labeled_identities(level: Level, rtol: float = 1e-10) -> list:
         p_hi @ gen_hi @ ann / k,
     ]
     for step, (lhs, rhs) in enumerate(zip(t[:-1], t[1:])):
-        checks.append(check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
-    checks.append(check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
-    checks.append(check(f"flatten-then-drop[k={k}]", s_hi @ j_hi, s_hi @ j_hi @ s_lo))
+        checks.append(identity_check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
+    checks.append(identity_check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
+    checks.append(identity_check(f"flatten-then-drop[k={k}]", s_hi @ j_hi, s_hi @ j_hi @ s_lo))
     bottom = np.zeros((n ** k, n))
     bottom[np.arange(n ** k), labeled_states(n, k)[:, 0]] = 1.0
-    checks.append(check(f"bottom-particle-walk[k={k}]", lab_look_hi @ bottom,
-                        bottom @ build_rw_generator(graph).matrix))
+    checks.append(identity_check(f"bottom-particle-walk[k={k}]", lab_look_hi @ bottom,
+                                 bottom @ build_rw_generator(graph).matrix))
     return checks
 
 

@@ -145,8 +145,7 @@ def test_criterion_7_tv_sandwich():
     try:
         g = path_graph(2)
         for k in (1, 2, 3):
-            table = tv_sandwich(build_sip_generator(g, k),
-                                [0.1, 0.5, 1.0, 2.0], slack=1e-8)
+            table = tv_sandwich(build_sip_generator(g, k), [0.1, 0.5, 1.0, 2.0])
             assert table.passed
         ok = True
     finally:

@@ -8,9 +8,10 @@ from siplab.bep import (HomogPolynomial, Terms, apply_bep_generator, bep_gap_rep
                         bep_matrix, poly_lift, simplex_measure)
 from siplab.configs import enumerate_configs
 from siplab.errors import InputError, VerificationError
-from siplab.graphs import (Graph, build_rw_generator, complete_graph, gap_tolerance, path_graph,
+from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
                            random_connected_graph, reversible_spectrum, rw_spectrum)
 from siplab.intertwiners import Level
+from siplab.reporting import gap_tolerance
 from siplab.sip import build_sip_generator
 
 
@@ -244,7 +245,7 @@ def test_dense_diffusion_spectra_match_the_level_gaps(alpha_range):
         g = random_connected_graph(n, rng, alpha_range=alpha_range)
         report = bep_gap_report(Level(g, 4))
         walk = build_rw_generator(g)
-        atol = gap_tolerance(walk, rw_spectrum(walk, want_vectors=False).gap, 1e-8)
+        atol = gap_tolerance(walk, rw_spectrum(walk, want_vectors=False).gap)
         level = Level(g, 4)
         while level.k >= 1:
             dense = reversible_spectrum(bep_matrix(level).matrix.toarray(),

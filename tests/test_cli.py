@@ -234,7 +234,7 @@ def test_levels_beyond_the_state_cap_are_refused(capsys, monkeypatch):
 def _count_level_builds(monkeypatch):
     """Wrap the level builders in every siplab module that binds them and
     count their calls by level k."""
-    levels = {"enumerate_configs": (siplab.configs, lambda n, k, cap=None: k),
+    levels = {"enumerate_configs": (siplab.configs, lambda n, k: k),
               "build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
               "_move_table": (siplab.sip, lambda graph, space: space.k),
               "removal_qr": (siplab.intertwiners, lambda level: level.k),
@@ -457,6 +457,17 @@ def test_sweep_refuses_jobs_below_one(jobs, tmp_path, capsys):
     code, out, err = run(["sweep", str(spec), "--jobs", jobs], capsys)
     assert code == 2 and out == ""
     assert f"--jobs: must be an integer of at least 1, got {jobs!r}" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "path(3)", "--K", "2"],
+                                  ["report", "path(3)", "--K", "2"],
+                                  ["simulate", "path(3)", "--k", "2", "--horizon", "1",
+                                   "--paths", "10", "--times", "0,1"]],
+                         ids=["verify", "report", "simulate"])
+def test_a_negative_seed_is_refused(argv, capsys):
+    code, out, err = run(argv + ["--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "--seed: must be an integer of at least 0, got '-1'" in err
 
 
 _GOOD_SWEEP = {"graphs": ["path(3)"], "alpha": {"n_samples": 1, "range": [0.5, 2.0]},

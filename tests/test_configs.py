@@ -1,13 +1,16 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from siplab.configs import (enumerate_configs, inner_product, rank_composition,
                             sip_measure, space_size, state_cap, unrank_composition,
                             variance)
 from siplab.errors import InputError, StateCapError
-from siplab.graphs import Graph, path_graph
+from siplab.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 
 def test_enumeration_two_sites():
@@ -19,6 +22,54 @@ def test_sizes_match_binomials():
     assert enumerate_configs(3, 2).size == 6
     assert enumerate_configs(4, 5).size == math.comb(8, 3) == 56
     assert space_size(5, 7) == math.comb(11, 4)
+
+
+def _diff_of_prefix_sums(n: int, k: int) -> np.ndarray:
+    """The compositions as `np.diff` of their prefix sums, padded with 0 and k."""
+    size = space_size(n, k)
+    prefix_sums = itertools.combinations_with_replacement(range(k + 1), n - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(prefix_sums), dtype=np.int64,
+                       count=size * (n - 1)).reshape(size, n - 1)
+    return np.diff(bars, prepend=0, append=k, axis=1)
+
+
+def test_compositions_match_the_diff_of_prefix_sums():
+    for n, k in ((1, 0), (1, 5), (2, 0), (2, 3), (4, 1), (5, 4), (7, 6), (40, 2)):
+        occ, want = enumerate_configs(n, k).occupations, _diff_of_prefix_sums(n, k)
+        assert occ.dtype == want.dtype and np.array_equal(occ, want), (n, k)
+
+
+def test_enumeration_peak_memory():
+    """The parts are written into the one result beside the prefix sums: the
+    peak stays within 2.1 times the occupations, where a padded copy and
+    its difference took 3 times."""
+    tracemalloc.start()
+    try:
+        occ = enumerate_configs(100, 2).occupations
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ.nbytes == 5050 * 100 * 8
+    assert peak <= 2.1 * occ.nbytes, peak / occ.nbytes
+
+
+def test_log_factorials_from_a_table_match_gammaln_of_each_occupation():
+    levels = ((path_graph(2), 6), (path_graph(4, alpha=[0.3, 1.0, 2.5, 0.7]), 5),
+              (cycle_graph(5, alpha=np.linspace(0.05, 3.0, 5)), 4), (complete_graph(7), 3),
+              (path_graph(40), 2))
+    for g, k in levels:
+        space = enumerate_configs(g.n, k)
+        mu = sip_measure(g, space)
+        # the law with a gammaln call per occupation, as sip_measure formed it before
+        occ, alpha = space.occupations, g.site_weights
+        table = np.zeros((g.n, k + 1))
+        for x in range(g.n):
+            table[x, 1:] = np.cumsum(np.log(alpha[x] + np.arange(k)))
+        logw = table[np.arange(g.n)[None, :], occ].sum(axis=1) - gammaln(occ + 1.0).sum(axis=1)
+        log_z = float(logsumexp(logw))
+        probs = np.exp(logw - log_z)
+        probs /= probs.sum()
+        assert np.array_equal(mu.probabilities, probs) and mu.log_normalization == log_z, (g, k)
 
 
 def test_rank_unrank_roundtrip_and_list_order():
@@ -33,8 +84,9 @@ def test_rank_unrank_roundtrip_and_list_order():
 
 
 def test_state_cap_enforced(monkeypatch):
+    monkeypatch.setenv("SIPLAB_STATE_CAP", "100")
     with pytest.raises(StateCapError):
-        enumerate_configs(10, 10, cap=100)
+        enumerate_configs(10, 10)
     monkeypatch.setenv("SIPLAB_STATE_CAP", "5")
     assert state_cap() == 5
     with pytest.raises(StateCapError):

@@ -7,9 +7,10 @@ from conftest import symmetric_dirichlet_oracle, zero_multiplicity
 from siplab.errors import InputError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, cycle_graph,
                            detailed_balance_residual, graph_from_edges, graph_from_preset,
-                           load_graph, path_graph, random_connected_graph, require_reversible,
+                           load_graph, path_graph, random_connected_graph,
                            reversible_spectrum, rw_dirichlet_form, rw_gap, rw_spectrum,
                            rw_variance)
+from siplab.reporting import require_reversible
 from siplab.sip import build_sip_generator
 
 

@@ -22,6 +22,7 @@ from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creati
                                  eigen_dichotomy, invert_annihilation, lift_eigenfunction,
                                  minmax_comparison_check, peeling_block, project_to_kernel,
                                  removal_qr, shifted_walk_gap_infimum)
+from siplab.reporting import ENERGY_RTOL
 from siplab.sip import build_sip_generator, sip_spectrum
 
 
@@ -508,9 +509,9 @@ def test_dirichlet_decomposition_zero_function():
 
 
 def test_dirichlet_decomposition_two_sites_hand_case():
-    result = dirichlet_decomposition_check(Level(path_graph(2), 2),
-                                           np.array([1.0, -1.0, 1.0]), rtol=1e-12)
-    assert result.passed
+    result = dirichlet_decomposition_check(Level(path_graph(2), 2), np.array([1.0, -1.0, 1.0]))
+    # each residual within 1e-12 of its scale, a thousandth of the ENERGY_RTOL tolerance
+    assert all(c.residual <= 1e-12 / ENERGY_RTOL * c.tolerance for c in result.checks), result
     assert result.energy == pytest.approx(result.decomposed, abs=1e-12)
 
 

@@ -91,9 +91,9 @@ def test_two_particle_rates_two_sites():
 
 
 def test_labeled_cap():
-    g = path_graph(2)
-    with pytest.raises(StateCapError):
-        build_labeled_generators(g, 3, cap=4)
+    # 2^13 = 8192 labeled states, over the cap of 4096: refused before any allocation
+    with pytest.raises(StateCapError, match="8192 exceeds cap 4096"):
+        build_labeled_generators(path_graph(2), 13)
 
 
 def test_labeled_generators_zero_row_sums():

@@ -1,14 +1,22 @@
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse
 
-from siplab.graphs import detailed_balance_residual, max_abs
-from siplab.reporting import identity_check
+import siplab
+from siplab.graphs import detailed_balance_residual
+from siplab.reporting import (ENERGY_RTOL, GAP_RTOL, IDENTITY_RTOL, SPECTRAL_RTOL, TV_SLACK,
+                              identity_check, max_abs)
 
 
 def _assert_same_as_dense(lhs, rhs):
     """identity_check and max_abs read the sparse sides as their dense copies."""
-    sparse = identity_check("x", lhs, rhs, 1e-10)
-    dense = identity_check("x", lhs.toarray(), rhs.toarray(), 1e-10)
+    sparse = identity_check("x", lhs, rhs)
+    dense = identity_check("x", lhs.toarray(), rhs.toarray())
     assert (sparse.residual, sparse.tolerance) == (dense.residual, dense.tolerance)
     for side in (lhs, rhs):
         assert max_abs(side) == float(np.abs(side.toarray()).max())
@@ -44,4 +52,43 @@ def test_coo_with_duplicate_coordinates():
                                   (np.array([0, 0, 1]), np.array([1, 1, 2]))), shape=(3, 3))
     _assert_same_as_dense(lhs, rhs)
     assert max_abs(lhs) == 2.0
-    assert identity_check("x", lhs, rhs, 1e-10).residual == 0.0
+    assert identity_check("x", lhs, rhs).residual == 0.0
+
+
+_SELECTORS = {"rtol", "tol", "slack", "cap", "n_phi", "fail_below", "min_expected"}
+
+
+def _siplab_functions():
+    """(qualified name, function) of every function and method defined in siplab."""
+    for info in pkgutil.iter_modules(siplab.__path__):
+        module = importlib.import_module(f"siplab.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", getattr(member, "fget",
+                                                                 getattr(member, "func", member)))
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_function_selects_its_own_tolerance_cap_or_threshold():
+    functions = dict(_siplab_functions())
+    assert "siplab.intertwiners.Level.gap" in functions and len(functions) > 150
+    selecting = {name: sorted(_SELECTORS & set(inspect.signature(fn).parameters))
+                 for name, fn in functions.items()}
+    assert {name: params for name, params in selecting.items() if params} == {}
+    stationary_test = functions["siplab.simulate.stationary_chi_square"]
+    assert "level" not in inspect.signature(stationary_test).parameters
+
+
+def test_the_shared_bounds_are_written_only_in_reporting():
+    shared = {IDENTITY_RTOL, SPECTRAL_RTOL, ENERGY_RTOL, GAP_RTOL, TV_SLACK}
+    assert shared == {1e-10, 1e-9, 1e-8}
+    for path in Path(siplab.__file__).parent.glob("*.py"):
+        literals = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Constant) and type(node.value) is float}
+        assert path.name == "reporting.py" or not literals & shared, path.name

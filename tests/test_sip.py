@@ -13,8 +13,9 @@ from siplab.bep import bep_gap_report
 from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, graph_from_dict, path_graph,
-                           random_connected_graph, require_reversible, rw_gap, rw_spectrum)
+                           random_connected_graph, rw_gap, rw_spectrum)
 from siplab.intertwiners import Level
+from siplab.reporting import require_reversible
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
                         sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix,
                         tv_sandwich)
@@ -126,11 +127,15 @@ def test_gap_report_small_alpha_sandwich():
         assert 0.2 - 1e-9 <= ratio <= 1.0 + 1e-9
 
 
-def test_gap_report_strict_raises_on_bogus_tolerance():
+def test_gap_report_strict_raises_on_a_gap_above_gap_rw():
     g = path_graph(2, alpha=[0.2, 0.2])
-    # the sandwich cannot hold with an absurd negative tolerance
-    with pytest.raises(VerificationError):
-        gap_sandwich_report(Level(g, 3), tol=-1.0)
+    top = Level(g, 3)
+    # a mutated level: gap_rw is 0.4, and a level gap above it breaks the sandwich
+    top.gap = 0.5
+    with pytest.raises(VerificationError, match="k=3: gap_k=0.5 above gap_rw"):
+        gap_sandwich_report(top)
+    report = gap_sandwich_report(top, strict=False)
+    assert not report.passed and report.gaps[2] == top.lower.gap
 
 
 def test_spectrum_inclusion_across_levels():
@@ -205,7 +210,7 @@ def test_tv_sandwich_half_time_window():
 def test_tv_sandwich_all_levels_small_graph():
     for k in (1, 2, 3):
         gen = build_sip_generator(path_graph(2), k)
-        table = tv_sandwich(gen, [0.1, 0.5, 1.0, 2.0], slack=1e-8)
+        table = tv_sandwich(gen, [0.1, 0.5, 1.0, 2.0])
         assert table.passed
 
 
