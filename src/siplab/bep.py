@@ -34,7 +34,7 @@ from scipy.special import gammaln
 
 from .configs import ConfigSpace
 from .errors import InputError, VerificationError
-from .graphs import Graph, build_rw_generator, rw_spectrum
+from .graphs import Graph
 from .intertwiners import Level
 from .reporting import CheckResult, gap_tolerance, identity_check, make_check
 
@@ -257,9 +257,8 @@ def bep_gap_report(top: Level) -> BepGapReport:
     graph, degree_max = top.graph, top.k
     if degree_max < 1:
         raise InputError(f"need degree_max >= 1, got {degree_max}")
-    walk = build_rw_generator(graph)
-    gap_rw = rw_spectrum(walk, want_vectors=False).gap
-    atol = gap_tolerance(walk, gap_rw)
+    gap_rw = top.walk_spectrum.gap
+    atol = gap_tolerance(top.walk, gap_rw)
     levels = [top]
     while levels[-1].k > 1:
         levels.append(levels[-1].lower)

@@ -74,24 +74,33 @@ def _manifest(subcommand: str, params: dict, digest_source: str | bytes,
     }
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path is None:
         print(text)
     else:
-        Path(path).write_text(text + "\n")
+        _write_text(path, text + "\n")
 
 
-def _write_csv(path: str | None, header, rows, manifest: dict) -> None:
-    lines = ["# manifest " + json.dumps(manifest, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _csv_lines(rows) -> list:
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _write_csv(path: str | None, header, lines, manifest: dict) -> None:
+    """The manifest comment, the header and the formatted data `lines`."""
+    text = "\n".join(["# manifest " + json.dumps(manifest, sort_keys=True),
+                      ",".join(header), *lines]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_text(path, text)
 
 
 def _parse_alpha(raw: str | None):
@@ -110,8 +119,8 @@ def _resolve_graph(spec: str, alpha_raw: str | None) -> tuple[Graph, str]:
     if os.path.exists(spec):
         if alpha is not None:
             raise InputError("--alpha applies to presets only; graph files carry alpha")
-        data = Path(spec).read_bytes()
-        return load_graph(spec), data.decode(errors="replace")
+        graph = load_graph(spec)  # refuses a file it cannot read, a directory too
+        return graph, Path(spec).read_bytes().decode(errors="replace")
     graph = graph_from_preset(spec, None)
     if alpha is not None:
         if len(alpha) == 1:
@@ -156,7 +165,7 @@ def cmd_spectrum(args) -> int:
     manifest = _manifest("spectrum", {"graph": args.graph, "k": args.k,
                                       "alpha": args.alpha}, digest)
     payload["manifest"] = manifest
-    _write_csv(args.csv, ("k", "index", "eigenvalue"), rows, manifest)
+    _write_csv(args.csv, ("k", "index", "eigenvalue"), _csv_lines(rows), manifest)
     if args.json:
         _write_json(args.json, payload)
     return 0
@@ -390,7 +399,7 @@ def cmd_sweep(args) -> int:
     manifest = _manifest("sweep", {"spec": args.spec, "k_max": k_max,
                                    "n_samples": n_samples}, Path(args.spec).read_text(), seed)
     _write_csv(args.csv, ("graph_id", "alpha_id", "k", "gap_k", "gap_rw", "ratio", "error"),
-               ordered, manifest)
+               _csv_lines(ordered), manifest)
     return 1 if any(r[-1] for r in ordered) else 0
 
 
@@ -399,13 +408,17 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(graph, args.k, args.mode, args.horizon, args.paths,
                     args.seed, _parse_times(args.times))
     summary = simulate(cfg)
-    rows = [(t, int(rank), int(row[rank]))
-            for t, row in zip(cfg.times, summary.counts) for rank in np.flatnonzero(row)]
+    # a line per rank seen at each time: the time formatted once, ranks and counts as ints
+    lines = []
+    for stamp, row in zip(map(_fmt, cfg.times), summary.counts):
+        ranks = np.flatnonzero(row)
+        lines += [f"{stamp},{rank},{count}" for rank, count in zip(ranks.tolist(),
+                                                                  row[ranks].tolist())]
     manifest = _manifest("simulate", {"graph": args.graph, "mode": args.mode,
                                       "k": args.k, "horizon": args.horizon,
                                       "paths": args.paths, "times": args.times},
                          digest, args.seed)
-    _write_csv(args.csv, ("time", "state_rank", "count"), rows, manifest)
+    _write_csv(args.csv, ("time", "state_rank", "count"), lines, manifest)
     if args.json:
         _write_json(args.json, {
             "manifest": manifest,
@@ -424,7 +437,7 @@ def cmd_tv_curve(args) -> int:
     manifest = _manifest("tv-curve", {"graph": args.graph, "k": args.k,
                                       "times": args.times}, digest)
     rows = [(r.t, r.value, r.lower, r.upper, int(r.passed)) for r in table.rows]
-    _write_csv(args.csv, ("time", "tv_sup", "lower", "upper", "pass"), rows, manifest)
+    _write_csv(args.csv, ("time", "tv_sup", "lower", "upper", "pass"), _csv_lines(rows), manifest)
     return 0 if table.passed else 1
 
 

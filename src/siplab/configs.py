@@ -14,7 +14,6 @@ gamma ratios evaluated as rising factorials in log space.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -141,21 +140,51 @@ class ConfigSpace:
         return unrank_composition(r, self.n, self.k)
 
 
-def _compositions(n: int, k: int, size: int) -> np.ndarray:
-    """Weak compositions of k into n parts, one per row, in ascending lex order.
+def _nondecreasing(length: int, top: int, size: int) -> np.ndarray:
+    """The `size` nondecreasing sequences of `length` values in [0, top], one
+    per row, in ascending lex order.
 
-    The prefix sums of a composition are a nondecreasing sequence of n-1
-    values in [0, k], and lex order of the compositions is lex order of
-    those sequences, which is the order in which
-    combinations_with_replacement yields them.
+    The sequences of length j in lex order, T_j, are, for v = 0..top, the v
+    followed by each sequence of T_{j-1} that starts at v or above, and
+    those are the last c_j(v) = C(top - v + j - 1, j - 1) rows of T_{j-1}.
+    So the row that holds a sequence's tail in T_{j-1} follows from its row
+    in T_j, one column at a time.
     """
-    prefix_sums = itertools.combinations_with_replacement(range(k + 1), n - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(prefix_sums), dtype=np.int64,
-                       count=size * (n - 1)).reshape(size, n - 1)
-    occ = np.full((size, n), k, dtype=np.int64)
-    occ[:, :-1] = bars
-    occ[:, 1:] -= bars
-    return occ
+    table = np.empty((size, length), dtype=np.int64)
+    row = np.arange(size)  # each sequence's row in T_j, for the current j
+    # counts[j - 1][v] = c_j(v), from c_1 = 1 by the hockey-stick sums over v
+    counts = [np.ones(top + 1, dtype=np.int64)]
+    for _ in range(length - 1):
+        counts.append(np.cumsum(counts[-1][::-1])[::-1])
+    for col in range(length):
+        c = counts[length - 1 - col]  # c_j for the tail length j = length - col
+        heads = np.repeat(np.arange(top + 1), c)  # the first value of each row of T_j
+        table[:, col] = heads[row]
+        # the tail of a row that starts with v sits in the last c_j(v) rows of
+        # T_{j-1}, which has c_j(0) rows
+        row = (np.arange(heads.size) + np.repeat(c[0] - np.cumsum(c), c))[row]
+    return table
+
+
+def _compositions(n: int, k: int, size: int) -> np.ndarray:
+    """Weak compositions of k into n parts, one per row, in ascending lex order,
+    from the narrower of two tables of `_nondecreasing` sequences.
+
+    The prefix sums of a composition are n-1 nondecreasing values in
+    [0, k], in the same lex order.  Its particles' sites, ascending, are k
+    nondecreasing values in [0, n-1], in the reverse lex order: the larger
+    composition has more particles at the first site where two differ.
+    """
+    if n - 1 <= k:
+        bars = _nondecreasing(n - 1, k, size)
+        occ = np.empty((size, n), dtype=np.int64)
+        occ[:, :-1] = bars
+        occ[:, -1] = k
+        occ[:, 1:] -= bars
+        return occ
+    sites = _nondecreasing(k, n - 1, size)[::-1]
+    sites += np.arange(size)[:, None] * n
+    return np.bincount(sites.ravel(), minlength=size * n).reshape(size, n)
 
 
 def capped_size(n: int, k: int) -> int:

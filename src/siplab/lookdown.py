@@ -14,29 +14,33 @@ to y at rate c[x, y] * alpha[y]) and differ in the interaction:
 Forgetting labels in either model reproduces the unlabeled inclusion
 dynamics, and the whole removal intertwining can be replayed through
 the labeled operators (symmetrization, top-particle drop, label
-forgetting).  This module builds all of those as sparse matrices and
-checks each identity, plus the shared stationary law and its failure of
-detailed balance for the lookdown (but not the symmetric) model.
+forgetting).  This module builds the two generators as sparse matrices
+and checks each identity, plus the shared stationary law and its failure
+of detailed balance for the lookdown (but not the symmetric) model.
 
-The symmetrizer S_k, the average over all k! label permutations, is
-never formed densely: S_k = P_k Q_k through the unlabeled space, with
-P_k = `unlabel_pullback` and Q_k[eta, b] = 1[occ(b) = eta] prod_x eta_x! / k!
-(both from `symmetrizer`), so S_k X is P_k (Q_k X).  Each `intertwiners.Level`
-builds its `LabeledLevel` once; the dense symmetrizer is a test oracle.
+The symmetrizer S_k, the average over all k! label permutations, factors
+through the unlabeled space as S_k = P_k Q_k, with P_k = `unlabel_pullback`
+and Q_k[eta, b] = 1[occ(b) = eta] prod_x eta_x! / k! (both from
+`symmetrizer`).  The identity suite applies P_k, Q_k and the top drop J_k
+as maps between state spaces, by gathers and scatter-adds on index
+arrays, and forms neither S_k nor any label map as a matrix.  Each
+`intertwiners.Level` builds its `LabeledLevel` once; the matrices P_k,
+Q_k and J_k and the dense symmetrizer are test references.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.sparse
 
 from .configs import ConfigSpace
 from .errors import InputError, StateCapError
-from .graphs import Graph, build_rw_generator, detailed_balance_residual
+from .graphs import Graph, detailed_balance_residual
 from .reporting import IDENTITY_RTOL, CheckResult, identity_check, make_check, max_abs
 
 if TYPE_CHECKING:
@@ -111,13 +115,18 @@ def drop_top_pullback(n: int, k: int) -> scipy.sparse.csr_array:
     return _sparse(np.ones(rows.size), rows, rows // n, (rows.size, n ** (k - 1)))
 
 
+def unlabel_map(space: ConfigSpace) -> np.ndarray:
+    """Label forgetting as a map: the occupation rank of each labeled state."""
+    states = labeled_states(space.n, space.k)
+    # the key of a state's occupation sums the place value of each particle's site
+    return space.rank_keys(space.place[states].sum(axis=1))
+
+
 def unlabel_pullback(space: ConfigSpace) -> scipy.sparse.csr_array:
     """P_k: f -> f(label-forgetting(.)), labeled states to occupation ranks."""
-    states = labeled_states(space.n, space.k)
-    occ = np.sum(states[:, :, None] == np.arange(space.n), axis=1)
-    rows = np.arange(states.shape[0])
-    return _sparse(np.ones(rows.size), rows, space.rank_keys(occ @ space.place),
-                   (rows.size, space.size))
+    ranks = unlabel_map(space)
+    rows = np.arange(ranks.size)
+    return _sparse(np.ones(rows.size), rows, ranks, (rows.size, space.size))
 
 
 def symmetrizer(space: ConfigSpace) -> tuple:
@@ -144,18 +153,117 @@ def labeled_stationary_measure(graph: Graph, k: int) -> np.ndarray:
 
 class LabeledLevel:
     """The labeled pieces of one `Level`: the `symmetric` and `lookdown`
-    generators, `unlabel` (P_k), `average` (Q_k), `drop` (J_k) and `omega`."""
+    generators as CSR, the shared law `omega`, and the label maps as
+    arrays.  `unlabel` is P_k as a map, the occupation rank of each labeled
+    state; `average` holds Q_k's value on each rank's row, prod eta_x! / k!,
+    one over the rank's labelings.  The top drop J_k sends labeled state a
+    to a // n, and the bottom particle of a sits at a // n^(k-1)."""
 
     def __init__(self, level: Level):
         graph, k = level.graph, level.k
         self.symmetric, self.lookdown = build_labeled_generators(graph, k)
-        self.unlabel, self.average = symmetrizer(level.space)
-        self.drop = drop_top_pullback(graph.n, k)
+        self.unlabel = unlabel_map(level.space)
+        # each rank's labelings, k! / prod eta_x!, are the states it holds
+        self.average = 1.0 / np.bincount(self.unlabel, minlength=level.space.size)
         self.omega = labeled_stationary_measure(graph, k)
 
-    def symmetrize(self, x):
-        """S_k x, applied as P_k (Q_k x)."""
-        return self.unlabel @ (self.average @ x)
+
+class _Sparse(NamedTuple):
+    """A sparse matrix by its stored entries: the row, column and value of
+    each, in row order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    ncols: int
+
+    @classmethod
+    def of(cls, m: scipy.sparse.csr_array) -> _Sparse:
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        return cls(rows, m.indices, m.data, m.shape[1])
+
+
+def _gather(m: scipy.sparse.csr_array, index: np.ndarray) -> _Sparse:
+    """Rows index[0], index[1], .. of m: the product of m with a label map
+    on its left, P X = X[u] or J X = X[a // n]."""
+    starts = m.indptr[index]
+    counts = m.indptr[index + 1] - starts
+    ends = np.cumsum(counts)
+    at = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+    return _Sparse(np.repeat(np.arange(index.size), counts), m.indices[at], m.data[at],
+                   m.shape[1])
+
+
+def _sums(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """(the distinct keys ascending, the sum of the values of each, added in
+    the order given), as scipy's csr_matmat adds the terms of one entry of a
+    product: a stable sort keeps that order among equal keys, and
+    np.bincount adds in it."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first], np.bincount(np.cumsum(first) - 1, weights=vals[order])
+
+
+def _collect(rows, cols, vals, ncols: int) -> _Sparse:
+    """The sparse matrix holding at each (row, col) the `_sums` of its values."""
+    keys, sums = _sums(rows * ncols + cols, vals)
+    return _Sparse(*np.divmod(keys, ncols), sums, ncols)
+
+
+def _tally(rows, cols, vals, shape) -> np.ndarray:
+    """`_collect` into a dense array of the given shape: the sum at each
+    (row, col), added in the order given; rows, cols and vals broadcast."""
+    keys = np.broadcast_to(rows * shape[1] + cols, np.shape(vals))
+    return np.bincount(keys.ravel(), weights=np.ravel(vals),
+                       minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _repeated_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """counts[i] copies of values[i], added one at a time: an entry of a
+    product whose terms are all equal."""
+    terms = np.where(np.arange(counts.max()) < counts[:, None], values[:, None], 0.0)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _residual_check(identity: str, lhs: _Sparse, rhs: _Sparse) -> CheckResult:
+    """`identity_check` of two sparse sides of one shape, each holding every
+    (row, col) at most once: at each, the lhs value, then the negated rhs value."""
+    keys = np.concatenate([lhs.rows * lhs.ncols + lhs.cols, rhs.rows * rhs.ncols + rhs.cols])
+    vals = np.concatenate([lhs.vals, -rhs.vals])
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    return make_check(identity, float(np.abs(_sums(keys, vals)[1]).max(initial=0.0)),
+                      IDENTITY_RTOL * scale)
+
+
+def _block_check(identity: str, y: _Sparse, x: _Sparse, ranks, fibers) -> CheckResult:
+    """`identity_check` of P Y against X Q, both n^k x n^k, from Y (ranks x
+    states) and X (states x ranks) alone, where X's column s already carries
+    Q's value on row s.  On the block of rows F_r and columns F_s, F_r the
+    states of rank r, the sides read y = Y[r, c] and x = X[a, s], so the
+    block's largest |y - x| is max(max y - min x, max x - min y), and it stays
+    exact under rounding: a rounded subtraction is monotone in each operand."""
+    size = fibers.size
+    y_keys = y.rows * size + ranks[y.cols]
+    x_keys = ranks[x.rows] * size + x.cols
+    blocks, where = np.unique(np.concatenate([y_keys, x_keys]), return_inverse=True)
+    highs, lows = [], []
+    for at, vals, width in ((where[:y_keys.size], y.vals, fibers[blocks % size]),
+                            (where[y_keys.size:], x.vals, fibers[blocks // size])):
+        high, low = np.full(blocks.size, -np.inf), np.full(blocks.size, np.inf)
+        np.maximum.at(high, at, vals)
+        np.minimum.at(low, at, vals)
+        # a block with fewer stored entries than its width holds a zero too
+        sparse = np.bincount(at, minlength=blocks.size) < width
+        high[sparse], low[sparse] = np.maximum(high[sparse], 0.0), np.minimum(low[sparse], 0.0)
+        highs.append(high)
+        lows.append(low)
+    residual = np.maximum(highs[0] - lows[1], highs[1] - lows[0]).max(initial=0.0)
+    scale = max(1.0, float(np.abs(y.vals).max(initial=0.0)),
+                float(np.abs(x.vals).max(initial=0.0)))
+    return make_check(identity, float(residual), IDENTITY_RTOL * scale)
 
 
 def check_labeled_identities(level: Level) -> list[CheckResult]:
@@ -167,54 +275,99 @@ def check_labeled_identities(level: Level) -> list[CheckResult]:
     the labeled route, with the endpoints compared against the directly
     assembled removal matrices.  The unlabeled and labeled pieces come
     from `level` and its `lower`.
+
+    No label map is a matrix: P X = X[u] and J X = X[a // n] gather rows,
+    X Q = X[:, u] * average[u] gathers columns, and X P, X J and Q X add
+    each entry's terms in stored order, as scipy's sparse products do, so
+    every residual has the bits of those products of the same factors.
+    Every map reaches every row, so sides P X and P Y are compared as X
+    and Y, and S = P Q is never formed.  Sides of n^k x S_{k-1},
+    S_k x S_{k-1}, S_k x n^(k-1) or n^k x n entries are dense arrays: under
+    LABELED_CAP none holds more than 560k entries.  Sides of n^k x n^(k-1),
+    n^k x S_k, S_k x n^k or S_k x S_k entries stay sparse.
     """
-    graph, k = level.graph, level.k
+    k, n = level.k, level.graph.n
     if k < 2:
         raise InputError("labeled identity suite needs k >= 2")
     hi, lo = level.labeled, level.lower.labeled
-    gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix
-    ann = level.annihilation
-    s_hi = hi.unlabel @ hi.average
-    unlabeled_hi = hi.unlabel @ gen_hi
-    checks = [
-        identity_check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
-        identity_check(f"removal-as-labeled[k={k}]", hi.unlabel @ ann,
-                       k * hi.symmetrize(hi.drop @ lo.unlabel)),
-        identity_check(f"top-drop-intertwining[k={k}]", hi.drop @ lo.lookdown,
-                       hi.lookdown @ hi.drop),
-        identity_check(f"symmetrize-lookdown[k={k}]", hi.symmetrize(hi.lookdown),
-                       hi.symmetric @ hi.unlabel @ hi.average),
-        identity_check(f"unlabel-symmetric[k={k}]", hi.symmetric @ hi.unlabel, unlabeled_hi),
-        identity_check(f"unlabel-symmetric-averaged[k={k}]",
-                       hi.symmetrize(hi.symmetric @ hi.unlabel), unlabeled_hi),
-        identity_check(f"unlabel-lookdown-averaged[k={k}]",
-                       hi.symmetrize(hi.lookdown @ hi.unlabel), unlabeled_hi),
+    ranks, ranks_lo, average, average_lo = hi.unlabel, lo.unlabel, hi.average, lo.average
+    size, size_lo, states_lo = level.space.size, level.lower.space.size, n ** (k - 1)
+    fibers, fibers_lo = np.bincount(ranks, minlength=size), np.bincount(ranks_lo, minlength=size_lo)
+    states = np.arange(n * states_lo)
+    drop, bottom = states // n, states // states_lo
+    drop_rank = ranks_lo[drop]  # J_k P_{k-1} as a map
+    sym, look = _Sparse.of(hi.symmetric), _Sparse.of(hi.lookdown)
+    sym_lo, look_lo = _Sparse.of(lo.symmetric), _Sparse.of(lo.lookdown)
+    gen_hi, gen_lo, ann = level.generator.matrix, level.lower.generator.matrix, level.annihilation
+    ann_gen, gen_ann = ann @ gen_lo, gen_hi @ ann
+
+    def averaged(x: _Sparse) -> _Sparse:
+        """Q X: row r adds Q's value times each row of X at a state of rank
+        r, in increasing state order."""
+        r = ranks[x.rows]
+        return _collect(r, x.cols, average[r] * x.vals, x.ncols)
+
+    def averaged_dense(x: np.ndarray, maps=ranks, weights=average, rows=size) -> np.ndarray:
+        """`averaged` for a dense X, by default at level k."""
+        return _tally(maps[:, None], np.arange(x.shape[1]), weights[maps][:, None] * x,
+                      (rows, x.shape[1]))
+
+    # S S and S on the block of rank r: fibers[r] equal terms average^2, and average
+    square = _repeated_sums(fibers, average * average)
+    checks = [make_check(f"symmetrizer-projection[k={k}]", float(np.abs(square - average).max()),
+                         IDENTITY_RTOL * max(1.0, float(square.max()), float(average.max())))]
+    # Q J P_{k-1}: the share of rank r's states whose lower k-1 particles have rank j
+    lowered = _tally(ranks, drop_rank, average[ranks], (size, size_lo))
+    sym_unlabel = _collect(sym.rows, ranks[sym.cols], sym.vals, size)
+    gen = _Sparse.of(gen_hi)
+    removal = ann.toarray()
+    checks += [
+        identity_check(f"removal-as-labeled[k={k}]", removal, k * lowered),
+        _residual_check(f"top-drop-intertwining[k={k}]", _gather(lo.lookdown, drop),
+                        _collect(look.rows, drop[look.cols], look.vals, states_lo)),
+        _block_check(f"symmetrize-lookdown[k={k}]", averaged(look),
+                     sym_unlabel._replace(vals=sym_unlabel.vals * average[sym_unlabel.cols]),
+                     ranks, fibers),
+        _residual_check(f"unlabel-symmetric[k={k}]", sym_unlabel, _gather(gen_hi, ranks)),
+        _residual_check(f"unlabel-symmetric-averaged[k={k}]", averaged(sym_unlabel), gen),
+        _residual_check(f"unlabel-lookdown-averaged[k={k}]",
+                        averaged(_collect(look.rows, ranks[look.cols], look.vals, size)), gen),
     ]
-    # labeled replay of the removal intertwining, step by step, each
-    # product applied right to left; J_k P_{k-1} drops the top particle
-    # of an unlabeled function
-    drop = hi.drop @ lo.unlabel
-    t = [
-        hi.unlabel @ (ann @ gen_lo) / k,
-        hi.symmetrize(hi.drop @ (lo.unlabel @ gen_lo)),
-        hi.symmetrize(hi.drop @ (lo.symmetric @ lo.symmetrize(lo.unlabel))),
-        hi.symmetrize(hi.drop @ lo.symmetrize(lo.lookdown @ lo.unlabel)),
-        hi.symmetrize(hi.drop @ (lo.lookdown @ lo.unlabel)),
-        hi.symmetrize(hi.lookdown @ drop),
-        hi.symmetric @ hi.symmetrize(drop),
-        hi.symmetric @ hi.symmetrize(hi.unlabel @ ann) / k,
-        hi.unlabel @ (gen_hi @ ann) / k,
-    ]
-    for step, (lhs, rhs) in enumerate(zip(t[:-1], t[1:])):
-        checks.append(identity_check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
-    checks.append(identity_check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
-    checks.append(identity_check(f"flatten-then-drop[k={k}]", hi.symmetrize(hi.drop),
-                                 hi.symmetrize(drop) @ lo.average))
+    # labeled replay of the removal intertwining, step by step, each product
+    # applied right to left: the first six sides, P a, are compared as a
+    look_lo_unlabel = _tally(look_lo.rows, ranks_lo[look_lo.cols], look_lo.vals,
+                             (states_lo, size_lo))
+    # S_{k-1} P_{k-1} = P_{k-1} diag(Q_{k-1} P_{k-1}): each rank's fiber of equal terms
+    flat_lo = _repeated_sums(fibers_lo, average_lo)[ranks_lo]
+    steps = itertools.count(1)
+
+    def step(lhs, rhs):
+        checks.append(identity_check(f"labeled-chain-step-{next(steps)}[k={k}]", lhs, rhs))
+        return rhs
+
+    side = step((ann_gen / k).toarray(), averaged_dense(gen_lo.toarray()[drop_rank]))
+    side = step(side, averaged_dense(_tally(sym_lo.rows, ranks_lo[sym_lo.cols],
+                                            sym_lo.vals * flat_lo[sym_lo.cols],
+                                            (states_lo, size_lo))[drop]))
+    side = step(side, averaged_dense(averaged_dense(look_lo_unlabel, ranks_lo, average_lo,
+                                                    size_lo)[drop_rank]))
+    side = step(side, averaged_dense(look_lo_unlabel[drop]))
+    side = step(side, averaged_dense(_tally(look.rows, drop_rank[look.cols], look.vals,
+                                            (states.size, size_lo))))
+    # a generator times a gathered dense side adds its terms as the sparse
+    # product does, and scipy divides a sparse matrix by k as a product with 1 / k
+    side = step(side[ranks], hi.symmetric @ lowered[ranks])
+    side = step(side, (hi.symmetric @ averaged_dense(removal[ranks])[ranks]) * (1.0 / k))
+    step(side, (gen_ann / k).toarray()[ranks])
+    checks.append(identity_check(f"labeled-chain-endpoints[k={k}]", ann_gen, gen_ann))
+    # S J against S (J P_{k-1}) Q_{k-1}, compared as Q J against (Q J P_{k-1}) Q_{k-1}
+    checks.append(identity_check(f"flatten-then-drop[k={k}]",
+                                 _tally(ranks, drop, average[ranks], (size, states_lo)),
+                                 lowered[:, ranks_lo] * average_lo[ranks_lo]))
     # bottom particle of the lookdown model moves as the plain walk
-    rows = np.arange(graph.n ** k)
-    bottom = _sparse(np.ones(rows.size), rows, rows // graph.n ** (k - 1), (rows.size, graph.n))
-    checks.append(identity_check(f"bottom-particle-walk[k={k}]", hi.lookdown @ bottom,
-                                 bottom @ build_rw_generator(graph).matrix))
+    checks.append(identity_check(f"bottom-particle-walk[k={k}]",
+                                 _tally(look.rows, bottom[look.cols], look.vals, (states.size, n)),
+                                 level.walk.matrix[bottom]))
     return checks
 
 
@@ -271,7 +424,7 @@ def check_stationary_law(level: Level) -> StationaryLawReport:
                                  max(0.0, 1e-6 - worst), 0.0,
                                  detail=f"max relative flux asymmetry {worst:.6g} between "
                                         f"positions {list(pair[0])} and {list(pair[1])}"))
-    push = omega @ level.labeled.unlabel
+    push = np.bincount(level.labeled.unlabel, weights=omega, minlength=level.space.size)
     checks.append(make_check(f"unlabel-pushforward[k={k}]",
                              float(np.abs(push - level.measure.probabilities).max()),
                              IDENTITY_RTOL))

@@ -28,7 +28,7 @@ from .configs import enumerate_configs, sip_measure
 from .errors import InputError, VerificationError
 from .graphs import Graph, build_rw_generator, rw_spectrum
 from .intertwiners import lift_eigenfunction
-from .lookdown import _labeled_jumps, labeled_states, labeled_stationary_measure, unlabel_pullback
+from .lookdown import _labeled_jumps, labeled_states, labeled_stationary_measure, unlabel_map
 from .sip import _jumps, build_sip_generator, sip_spectrum, transition_matrix
 
 MODES = ("sip", "lookdown")
@@ -301,7 +301,7 @@ def projection_test(cfg: SimConfig, initial_config=None) -> ProjectionTest:
     summary = simulate(cfg, initial=labeled_start)
     spec = sip_spectrum(gen)
     row = space.rank(eta0)
-    unlabeled = unlabel_pullback(space).indices  # occupation rank of each labeled rank
+    unlabeled = unlabel_map(space)  # occupation rank of each labeled rank
     p_values = {}
     for t, counts in zip(cfg.times, summary.counts):
         law = transition_matrix(gen, t, spec)[row]

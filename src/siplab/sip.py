@@ -43,7 +43,7 @@ import scipy.sparse.linalg
 
 from .configs import ConfigSpace, SipMeasure, enumerate_configs, sip_measure
 from .errors import EigensolverError, InputError, VerificationError
-from .graphs import Graph, Spectrum, build_rw_generator, rw_spectrum, symmetric_spectrum
+from .graphs import Graph, Spectrum, symmetric_spectrum
 from .reporting import GAP_RTOL, TV_SLACK, gap_tolerance, require_reversible, residual_tol
 
 if TYPE_CHECKING:
@@ -271,9 +271,8 @@ def gap_sandwich_report(top: Level, strict: bool = True) -> GapReport:
         gaps[level.k] = level.gap
         level = level.lower
     gaps = dict(sorted(gaps.items()))
-    walk = build_rw_generator(graph)
-    gap_rw = rw_spectrum(walk, want_vectors=False).gap
-    atol = gap_tolerance(walk, gap_rw)
+    gap_rw = top.walk_spectrum.gap
+    atol = gap_tolerance(top.walk, gap_rw)
     a_min = graph.alpha_min
     lower = min(1.0, a_min) * gap_rw
     failures = []

@@ -24,7 +24,7 @@ from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance
                            rw_dirichlet_form, rw_spectrum)
 from siplab.intertwiners import EigenGroup, Level, build_annihilation, project_to_kernel
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
-                             labeled_stationary_measure, unlabel_pullback)
+                             labeled_stationary_measure, symmetrizer, unlabel_pullback)
 from siplab.reporting import identity_check, make_check, max_abs, require_reversible
 from siplab.sip import SipGenerator, sip_spectrum
 
@@ -321,6 +321,75 @@ def _dense_labeled(graph: Graph, k: int) -> tuple:
     """(symmetric, lookdown, symmetrizer, top drop) as dense matrices."""
     sym, look = (m.toarray() for m in build_labeled_generators(graph, k))
     return sym, look, dense_symmetrizer(graph.n, k), drop_top_pullback(graph.n, k).toarray()
+
+
+class SparseLabeled:
+    """The labeled pieces of one level as scipy.sparse matrices, as
+    `reference_labeled_identities` multiplies them: the level's `symmetric`
+    and `lookdown` generators, `unlabel` (P_k) and `average` (Q_k) from
+    `symmetrizer`, and `drop` (J_k)."""
+
+    def __init__(self, level: Level):
+        self.symmetric, self.lookdown = level.labeled.symmetric, level.labeled.lookdown
+        self.unlabel, self.average = symmetrizer(level.space)
+        self.drop = drop_top_pullback(level.graph.n, level.k)
+
+    def symmetrize(self, x):
+        """S_k x, applied as P_k (Q_k x)."""
+        return self.unlabel @ (self.average @ x)
+
+
+def reference_labeled_identities(level: Level) -> list:
+    """The labeled identity suite with every label map a scipy.sparse matrix
+    and every step a sparse product, in the suite's order: the reference for
+    `check_labeled_identities`, which applies the maps by index arithmetic."""
+    graph, k = level.graph, level.k
+    hi, lo = SparseLabeled(level), SparseLabeled(level.lower)
+    gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix
+    ann = level.annihilation
+    s_hi = hi.unlabel @ hi.average
+    unlabeled_hi = hi.unlabel @ gen_hi
+    checks = [
+        identity_check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
+        identity_check(f"removal-as-labeled[k={k}]", hi.unlabel @ ann,
+                       k * hi.symmetrize(hi.drop @ lo.unlabel)),
+        identity_check(f"top-drop-intertwining[k={k}]", hi.drop @ lo.lookdown,
+                       hi.lookdown @ hi.drop),
+        identity_check(f"symmetrize-lookdown[k={k}]", hi.symmetrize(hi.lookdown),
+                       hi.symmetric @ hi.unlabel @ hi.average),
+        identity_check(f"unlabel-symmetric[k={k}]", hi.symmetric @ hi.unlabel, unlabeled_hi),
+        identity_check(f"unlabel-symmetric-averaged[k={k}]",
+                       hi.symmetrize(hi.symmetric @ hi.unlabel), unlabeled_hi),
+        identity_check(f"unlabel-lookdown-averaged[k={k}]",
+                       hi.symmetrize(hi.lookdown @ hi.unlabel), unlabeled_hi),
+    ]
+    # labeled replay of the removal intertwining, step by step, each
+    # product applied right to left; J_k P_{k-1} drops the top particle
+    # of an unlabeled function
+    drop = hi.drop @ lo.unlabel
+    t = [
+        hi.unlabel @ (ann @ gen_lo) / k,
+        hi.symmetrize(hi.drop @ (lo.unlabel @ gen_lo)),
+        hi.symmetrize(hi.drop @ (lo.symmetric @ lo.symmetrize(lo.unlabel))),
+        hi.symmetrize(hi.drop @ lo.symmetrize(lo.lookdown @ lo.unlabel)),
+        hi.symmetrize(hi.drop @ (lo.lookdown @ lo.unlabel)),
+        hi.symmetrize(hi.lookdown @ drop),
+        hi.symmetric @ hi.symmetrize(drop),
+        hi.symmetric @ hi.symmetrize(hi.unlabel @ ann) / k,
+        hi.unlabel @ (gen_hi @ ann) / k,
+    ]
+    for step, (lhs, rhs) in enumerate(zip(t[:-1], t[1:])):
+        checks.append(identity_check(f"labeled-chain-step-{step + 1}[k={k}]", lhs, rhs))
+    checks.append(identity_check(f"labeled-chain-endpoints[k={k}]", ann @ gen_lo, gen_hi @ ann))
+    checks.append(identity_check(f"flatten-then-drop[k={k}]", hi.symmetrize(hi.drop),
+                                 hi.symmetrize(drop) @ lo.average))
+    # bottom particle of the lookdown model moves as the plain walk
+    rows = np.arange(graph.n ** k)
+    bottom = scipy.sparse.csr_array((np.ones(rows.size), (rows, rows // graph.n ** (k - 1))),
+                                    shape=(rows.size, graph.n))
+    checks.append(identity_check(f"bottom-particle-walk[k={k}]", hi.lookdown @ bottom,
+                                 bottom @ build_rw_generator(graph).matrix))
+    return checks
 
 
 def dense_labeled_identities(level: Level) -> list:

@@ -19,7 +19,8 @@ from conftest import DEGENERATE_GRAPHS
 from siplab.cli import main
 from siplab.configs import space_size
 from siplab.errors import EigensolverError
-from siplab.graphs import random_connected_graph
+from siplab.graphs import graph_from_preset, random_connected_graph
+from siplab.simulate import SimConfig, simulate
 
 EXPECTED_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "expected_checks.json"
 
@@ -62,6 +63,22 @@ def test_spectrum_malformed_graph_file(tmp_path, capsys):
     code, _, err = run(["spectrum", str(bad), "--k", "1"], capsys)
     assert code == 2
     assert "malformed" in err or "input error" in err
+
+
+def test_a_graph_argument_naming_a_directory_is_an_input_error(tmp_path, capsys):
+    code, _, err = run(["verify", str(tmp_path), "--K", "2"], capsys)
+    assert code == 2
+    assert f"cannot read graph file {tmp_path}" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "path(3)", "--K", "2", "--suite", "sip", "--json"],
+                                  ["spectrum", "path(3)", "--k", "2", "--csv"],
+                                  ["spectrum", "path(3)", "--k", "2", "--json"]])
+def test_an_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(argv + [str(target)], capsys)
+    assert code == 2
+    assert f"cannot write {target}" in err
 
 
 @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
@@ -294,6 +311,24 @@ def test_degenerate_weights_pass_every_check(name, tmp_path, capsys):
               for c in suite["checks"] if not c["pass"]]
     assert failed == [] and code == 0
     assert payload["gap_report"]["pass"] and payload["bep_report"]["pass"]
+
+
+def test_the_walk_is_built_and_solved_once_per_run(capsys, monkeypatch):
+    """The gap report, the comparison check at each level, the diffusion
+    report and the bottom-particle check at each labeled level read the walk
+    and its spectrum from level 0."""
+    counts = collections.Counter()
+    for name in ("build_rw_generator", "rw_spectrum"):
+        original = getattr(siplab.graphs, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        _rebind(monkeypatch, name, original, counted)
+    code, _, _ = run(["verify", "cycle(6)", "--K", "5"], capsys)
+    assert code == 0
+    assert counts == {"build_rw_generator": 1, "rw_spectrum": 1}
 
 
 def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypatch):
@@ -711,6 +746,22 @@ def test_simulate_outputs(tmp_path, capsys):
     summary = json.loads(json_path.read_text())
     assert summary["n_paths"] == 500
     assert summary["manifest"]["master_seed"] == 9
+
+
+@pytest.mark.parametrize("mode", ["sip", "lookdown"])
+def test_simulate_csv_bytes_match_a_formatter_call_per_value(mode, capsys):
+    argv = ["simulate", "cycle(4)", "--mode", mode, "--k", "3", "--horizon", "2",
+            "--paths", "300", "--seed", "5", "--times", "0,0.25,1,2"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    cfg = SimConfig(graph_from_preset("cycle(4)"), 3, mode, 2.0, 300, 5, (0.0, 0.25, 1.0, 2.0))
+    counts = simulate(cfg).counts
+    # every value of every row through the formatter, as the CSV writer did before
+    rows = [(t, int(rank), int(row[rank]))
+            for t, row in zip(cfg.times, counts) for rank in np.flatnonzero(row)]
+    lines = out.splitlines()
+    assert lines[1:] == ["time,state_rank,count"] + [",".join(siplab.cli._fmt(v) for v in row)
+                                                       for row in rows]
 
 
 @pytest.mark.parametrize("horizon, times", [("1", "0.5,nan"), ("inf", "inf"), ("1", "1,1")])

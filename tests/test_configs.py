@@ -34,7 +34,8 @@ def _diff_of_prefix_sums(n: int, k: int) -> np.ndarray:
 
 
 def test_compositions_match_the_diff_of_prefix_sums():
-    for n, k in ((1, 0), (1, 5), (2, 0), (2, 3), (4, 1), (5, 4), (7, 6), (40, 2)):
+    for n, k in ((1, 0), (1, 5), (2, 0), (2, 3), (4, 1), (5, 4), (7, 6), (40, 2), (3, 10),
+                 (10, 3)):
         occ, want = enumerate_configs(n, k).occupations, _diff_of_prefix_sums(n, k)
         assert occ.dtype == want.dtype and np.array_equal(occ, want), (n, k)
 

@@ -1,15 +1,18 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import dense_labeled_identities, dense_stationary_law, dense_symmetrizer
+from conftest import (DEGENERATE_GRAPHS, dense_labeled_identities, dense_stationary_law,
+                      dense_symmetrizer, reference_labeled_identities)
 from siplab.configs import enumerate_configs, sip_measure
 from siplab.errors import StateCapError
-from siplab.graphs import build_rw_generator, path_graph, random_connected_graph
-from siplab.intertwiners import Level
+from siplab.graphs import (build_rw_generator, graph_from_dict, path_graph,
+                           random_connected_graph)
+from siplab.intertwiners import Ladder, Level
 from siplab.lookdown import (build_labeled_generators, check_labeled_identities,
                              check_stationary_law, drop_top_pullback, labeled_index,
                              labeled_states, labeled_stationary_measure, symmetrizer,
@@ -285,6 +288,87 @@ def test_sparse_suite_fails_on_a_perturbed_lookdown_rate():
 def test_sparse_suite_fails_on_a_perturbed_label_average():
     level = Level(random_connected_graph(3, np.random.default_rng(13)), 3)
     average = level.labeled.average.copy()
-    average.data[0] *= 1.01
+    average[0] *= 1.01
     level.labeled.average = average
     assert "symmetrizer-projection" in _failed(level)
+
+
+def test_suite_fails_on_a_label_map_that_is_not_label_forgetting():
+    level = Level(random_connected_graph(3, np.random.default_rng(13)), 3)
+    ranks = level.labeled.unlabel
+    a = 1
+    b = int(np.flatnonzero(ranks != ranks[a])[0])
+    swapped = ranks.copy()
+    swapped[[a, b]] = ranks[[b, a]]
+    level.labeled.unlabel = swapped
+    failed = _failed(level)
+    assert {"unlabel-symmetric", "unlabel-symmetric-averaged",
+            "unlabel-lookdown-averaged"} <= failed
+    # a swap conjugates S = P Q by a transposition, which leaves it a
+    # projection; sending one state to another rank changes two fibers' sizes
+    assert "symmetrizer-projection" not in failed
+    moved = ranks.copy()
+    moved[a] = ranks[b]
+    level.labeled.unlabel = moved
+    assert {"symmetrizer-projection", "unlabel-symmetric"} <= _failed(level)
+
+
+def _five_vertex_levels():
+    """Levels 2..4 of 8 graphs drawn as the labeled_mc benchmark draws its
+    inputs: a 5-cycle with one chord, edge weights in [0.5, 2] and site
+    weights log-uniform in [0.3, 3] or, every other graph, [1, 3]."""
+    rng = np.random.default_rng(19)
+    edges = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))
+    for i in range(8):
+        low = 1.0 if i % 2 else 0.3
+        weights = [[x, y, rng.uniform(0.5, 2.0)] for x, y in edges]
+        alpha = np.exp(rng.uniform(np.log(low), np.log(3.0), 5)).tolist()
+        graph = graph_from_dict({"n": 5, "edges": weights, "alpha": alpha})
+        ladder = Ladder(graph)
+        yield from (ladder[k] for k in (2, 3, 4))
+
+
+def _suite_levels(name):
+    if name == "replay-grid":
+        rng = np.random.default_rng(31)
+        for alpha_range in ((0.05, 0.9), (1.0, 3.0)):
+            for n, k in _replay_levels():
+                yield Level(random_connected_graph(n, rng, extra_edge_prob=0.3,
+                                                   alpha_range=alpha_range), k)
+    elif name == "degenerate":
+        for data in DEGENERATE_GRAPHS.values():
+            ladder = Ladder(graph_from_dict(data))
+            yield from (ladder[k] for k in range(2, 6) if data["n"] ** k <= 256)
+    elif name == "path2":
+        ladder = Ladder(path_graph(2))
+        yield from (ladder[k] for k in range(2, 9))
+    else:
+        yield from _five_vertex_levels()
+
+
+@pytest.mark.parametrize("levels", ["replay-grid", "degenerate", "path2", "five-vertex"])
+def test_label_maps_match_the_sparse_products(levels):
+    for level in _suite_levels(levels):
+        got, want = check_labeled_identities(level), reference_labeled_identities(level)
+        assert [c.identity for c in got] == [c.identity for c in want]
+        assert [(c.passed, c.detail) for c in got] == [(c.passed, c.detail) for c in want]
+        np.testing.assert_allclose([c.tolerance for c in got], [c.tolerance for c in want],
+                                   rtol=1e-12, atol=0.0)
+        for g, w in zip(got, want):
+            assert abs(g.residual - w.residual) <= 1e-4 * w.tolerance, (g, w)
+
+
+def test_the_suite_forms_no_symmetrizer():
+    """At k = 10 on two sites S = P Q has sum_j C(10, j)^2 = 184756 entries, and
+    forming S and S S as sparse matrices peaks near 40 MB; the suite stays under 8 MB."""
+    level = Ladder(path_graph(2))[10]
+    # the pieces the level keeps are built first: the peak is the suite's own
+    _ = level.labeled, level.lower.labeled, level.lower.generator, level.annihilation
+    tracemalloc.start()
+    try:
+        checks = check_labeled_identities(level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < 8e6, peak
