@@ -16,17 +16,18 @@ SOURCE_DATE_EPOCH pins the manifest timestamp.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import ctypes
 import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -239,8 +240,7 @@ def cmd_verify(args) -> int:
 
 
 def _level_gap(graph: Graph, k: int):
-    """One sweep task, run in a worker process: the gap of level k, or the
-    SiplabError that stopped it."""
+    """One sweep task: the gap of level k, or the SiplabError that stopped it."""
     try:
         return sip_gap(build_sip_generator(graph, k))
     except SiplabError as exc:
@@ -268,13 +268,14 @@ def _sweep_plan(graph: Graph, k_max: int) -> tuple:
     return gap_walk, range(2, k), None
 
 
-def _openblas_thread_controls() -> list:
+@functools.cache  # siplab's imports load every BLAS it computes with
+def _openblas_thread_controls() -> tuple:
     """(get, set) of the thread count of each OpenBLAS loaded in this
-    process, found in /proc/self/maps: numpy's and scipy's bundled copies
-    (prefixed scipy_openblas, ILP64 symbols suffixed 64_) or a system one.
-    Empty off Linux or under another BLAS."""
+    process, found once in /proc/self/maps: numpy's and scipy's bundled
+    copies (prefixed scipy_openblas, ILP64 symbols suffixed 64_) or a
+    system one. Empty off Linux or under another BLAS."""
     if sys.platform != "linux":
-        return []
+        return ()
     with open("/proc/self/maps") as maps:
         paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
     controls = []
@@ -291,19 +292,16 @@ def _openblas_thread_controls() -> list:
                 set_count.argtypes, set_count.restype = [ctypes.c_int], None
                 controls.append((get, set_count))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Every OpenBLAS of this process on one thread inside the block, then
-    back to its count. Workers forked inside inherit the one thread: each
-    worker is one core, and a second BLAS thread per worker spins on the
-    cores the other workers need. With BLAS left at its default of one
-    thread per core, an op of the gap_sweep benchmark's inputs on 2 cores
-    and 2 workers took about 250 ms without this, 87 ms with it, and 132 ms
-    on two threads of one process. Setting the count inside each worker
-    instead started BLAS threads there and took 175 ms."""
+    back to its count. Children forked inside inherit the one thread: each
+    computing process is one core, and a second BLAS thread per process
+    spins on the cores the others need. It also keeps a level's gap to the
+    bit whichever process solves it."""
     controls = _openblas_thread_controls()
     counts = [get() for get, _ in controls]
     for _, set_count in controls:
@@ -315,30 +313,92 @@ def _one_blas_thread():
             set_count(count)
 
 
+def _solve_share(samples: dict, share: list) -> dict:
+    return {(i, k): _level_gap(samples[i][0], k) for i, k in share}
+
+
+def _fork_share(samples: dict, share: list) -> tuple:
+    """(pid, read end of its pipe) of a child that solves `share` and sends
+    back the pickled {(sample, k): gap or SiplabError}, or the exception
+    that stopped it with its traceback, then leaves by os._exit, running
+    none of this process's exit handlers or buffered output."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = _solve_share(samples, share)
+            except Exception as exc:
+                result = exc, traceback.format_exc()
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
 def _sweep_gaps(samples: dict, jobs: int | None) -> dict:
     """{(sample, k): gap or SiplabError} for the `samples` {sample: (graph,
-    levels)}, one task per level on worker processes, largest level first.
+    levels)}. The levels, largest first, each go to the least loaded by
+    state count of min(jobs or cores, cores, levels) shares. This process
+    solves share 0 and forks a child per other share, which pipes its gaps
+    back.
 
     Processes, not threads: the level builds, ARPACK's
-    reverse-communication loop and the small dense solves hold the GIL,
-    and did not overlap at all on two threads (a 1716-state level, 2 cores,
-    BLAS on one thread, measured when the factor was still SuperLU's, whose
-    factorization alone overlapped). Forked on Linux: a spawned worker would
-    import numpy, scipy and siplab again, about 0.5 s, five times a whole
-    sweep of path(7) and cycle(7) to k=7. Elsewhere the platform's default method stands, since
-    macOS system libraries are not safe to fork. The fork pool starts every
-    worker up front, before its own manager thread, so it asks for no more
-    than the cores or the tasks."""
-    tasks = sorted(((i, k) for i, (_, levels) in samples.items() for k in levels),
-                   key=lambda task: -space_size(samples[task[0]][0].n, task[1]))
-    if not tasks:
+    reverse-communication loop and the small dense solves hold the GIL.
+    Plain forks, not a pool: on 2 cores the gap_sweep benchmark's 12
+    levels take 55-90 ms in one process, a fork pool of 2 workers costs
+    12 ms to start and stop, and a fork with its pipe round trip 5 ms. A
+    child that ends without its gaps, or stops on an exception that is no
+    SiplabError, raises here, and a child still running when this process
+    raises is killed and reaped. Off Linux this process solves every level:
+    macOS system libraries are not safe to fork, and a spawned worker would
+    import numpy and scipy again, about 0.5 s."""
+    sizes = {(i, k): space_size(graph.n, k) for i, (graph, levels) in samples.items()
+             for k in levels}
+    if not sizes:
         return {}
-    cores = os.cpu_count() or 1
-    start = "fork" if sys.platform == "linux" else None
-    with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
-            min(jobs or cores, cores, len(tasks)), multiprocessing.get_context(start)) as pool:
-        futures = {(i, k): pool.submit(_level_gap, samples[i][0], k) for i, k in tasks}
-        return {task: future.result() for task, future in futures.items()}
+    cores = (os.cpu_count() or 1) if sys.platform == "linux" else 1
+    shares = [[] for _ in range(min(jobs or cores, cores, len(sizes)))]
+    loads = [0] * len(shares)
+    for task in sorted(sizes, key=lambda task: -sizes[task]):
+        least = loads.index(min(loads))
+        shares[least].append(task)
+        loads[least] += sizes[task]
+    children = {}  # pid: read end of the pipe its gaps come back on
+    try:
+        with _one_blas_thread():
+            for share in shares[1:]:
+                pid, pipe = _fork_share(samples, share)
+                children[pid] = pipe
+            gaps = _solve_share(samples, shares[0])
+        for pid, pipe in list(children.items()):
+            with pipe:
+                sent = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                raise RuntimeError(f"sweep child {pid} ended with status {status} "
+                                   f"before sending its gaps")
+            result = pickle.loads(sent)
+            if isinstance(result, tuple):  # the exception that stopped the child
+                raise result[0] from RuntimeError(f"in sweep child {pid}:\n{result[1]}")
+            gaps.update(result)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return gaps
 
 
 def _sweep_rows(spec, ai, plan, gaps: dict) -> list:
@@ -359,7 +419,8 @@ def _sweep_rows(spec, ai, plan, gaps: dict) -> list:
 
 def cmd_sweep(args) -> int:
     try:
-        spec_data = json.loads(Path(args.spec).read_text())
+        spec_text = Path(args.spec).read_text()
+        spec_data = json.loads(spec_text)
     except OSError as exc:
         raise InputError(f"cannot read sweep spec {args.spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -368,6 +429,11 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep spec must be a JSON object, and its 'alpha' an object")
     graphs = spec_data.get("graphs", [])
     alpha_spec = spec_data.get("alpha", {})
+    for where, keys, known in (("", spec_data, ("graphs", "alpha", "k_max", "seed")),
+                               ("alpha.", alpha_spec, ("n_samples", "range"))):
+        for key in keys:
+            if key not in known:
+                raise InputError(f"sweep spec has unknown key {where + key!r}")
     n_samples = as_integer(alpha_spec.get("n_samples", 0), "alpha.n_samples")
     rng_range = alpha_spec.get("range", [])
     k_max = as_integer(spec_data.get("k_max", 0), "k_max")
@@ -397,7 +463,7 @@ def cmd_sweep(args) -> int:
                for row in _sweep_rows(spec, ai, plans[i],
                                       {k: gaps[i, k] for k in plans[i][1]})]
     manifest = _manifest("sweep", {"spec": args.spec, "k_max": k_max,
-                                   "n_samples": n_samples}, Path(args.spec).read_text(), seed)
+                                   "n_samples": n_samples}, spec_text, seed)
     _write_csv(args.csv, ("graph_id", "alpha_id", "k", "gap_k", "gap_rw", "ratio", "error"),
                _csv_lines(ordered), manifest)
     return 1 if any(r[-1] for r in ordered) else 0
@@ -480,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--csv", help="CSV output path (default stdout)")
     p.add_argument("--jobs", type=functools.partial(_int_at_least, 1),
-                   help="worker processes, at most the cores and the levels to solve "
-                        "(default: cores)")
+                   help="processes that solve levels, this one included: at most the "
+                        "cores and the levels to solve (default: cores)")
 
     p = sub.add_parser("simulate", help="Monte Carlo state histograms")
     add_graph_arg(p)

@@ -1,9 +1,11 @@
 import collections
-import concurrent.futures
+import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -519,14 +521,49 @@ _GOOD_SWEEP = {"graphs": ["path(3)"], "alpha": {"n_samples": 1, "range": [0.5, 2
     {**_GOOD_SWEEP, "graphs": [3]},
     {**_GOOD_SWEEP, "seed": -1},
     {**_GOOD_SWEEP, "seed": 1.5},
+    {**_GOOD_SWEEP, "Seed": 5},
+    {**_GOOD_SWEEP, "alpha": {"n_samples": 1, "range": [0.5, 2.0], "rnage": [1, 2]}},
 ], ids=["list", "alpha-list", "n-samples-text", "n-samples-fraction", "range-text",
-        "range-inf", "graph-number", "seed-negative", "seed-fraction"])
+        "range-inf", "graph-number", "seed-negative", "seed-fraction", "unknown-key",
+        "unknown-alpha-key"])
 def test_sweep_refuses_a_malformed_spec(spec, tmp_path, capsys):
     # each once ended in a traceback, or truncated a fraction to an integer
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(["sweep", str(path)], capsys)
     assert code == 2 and out == "" and err.startswith("siplab: input error")
+
+
+@pytest.mark.parametrize("key, extra", [("'Seed'", {"Seed": 5}),
+                                        ("'alpha.rnage'", {"alpha": {**_GOOD_SWEEP["alpha"],
+                                                                     "rnage": [1, 2]}})])
+def test_sweep_names_an_unknown_spec_key(key, extra, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**_GOOD_SWEEP, **extra}))
+    code, _, err = run(["sweep", str(path)], capsys)
+    assert code == 2 and f"unknown key {key}" in err
+
+
+def test_sweep_digests_the_spec_text_it_parsed(tmp_path, capsys, monkeypatch):
+    """A spec rewritten after it was read does not reach the manifest: the
+    digest is of the text swept."""
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_GOOD_SWEEP))
+    real_read = Path.read_text
+    reads = []
+
+    def read_text(self, *args, **kwargs):
+        if self != path:
+            return real_read(self, *args, **kwargs)
+        reads.append(self)
+        return real_read(self) if len(reads) == 1 else json.dumps({**_GOOD_SWEEP, "seed": 2})
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    code, out, _ = run(["sweep", str(path)], capsys)
+    assert code == 0
+    manifest = json.loads(out.splitlines()[0].removeprefix("# manifest "))
+    assert manifest["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert manifest["master_seed"] == 1
 
 
 def _sweep_spec(path, graphs, k_max, seed, n_samples=1):
@@ -583,20 +620,53 @@ def test_sweep_row_error_sets_exit_one(tmp_path, capsys, monkeypatch):
             [float(v) for v in want[3:6]], rel=1e-12, nan_ok=True)
 
 
+def _log_solves(monkeypatch, log: Path) -> None:
+    """sip_gap logs "pid,n,k,states" to `log` before each solve, in
+    whichever process solves the level: forked children inherit the patch,
+    and each appended line is one write."""
+    real = siplab.cli.sip_gap
+
+    def logged(gen):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()},{gen.graph.n},{gen.space.k},{gen.space.size}\n")
+        return real(gen)
+
+    monkeypatch.setattr(siplab.cli, "sip_gap", logged)
+
+
+def _solves(log: Path) -> list:
+    return [tuple(int(v) for v in line.split(",")) for line in log.read_text().splitlines()]
+
+
+def _record_forks(monkeypatch) -> list:
+    """The pids of the children forked from here on."""
+    forked, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def _assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys,
                                                                 monkeypatch):
     """k_max 10**9 gives the rows and exit code of k_max 4: the levels stop
-    at the first one over the cap, before any task is listed, so one level
-    per sample reaches a worker."""
+    at the first one over the cap, before any level is solved, so one level
+    per sample reaches a solver."""
     monkeypatch.setenv("SIPLAB_STATE_CAP", "20")
-    levels = []
-
-    class Recorder(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, graph, k):
-            levels.append(k)
-            return super().submit(fn, graph, k)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    log = tmp_path / "solves.log"
+    _log_solves(monkeypatch, log)
+    forked = _record_forks(monkeypatch)
     outputs = []
     for k_max in (4, 10 ** 9):
         spec = _sweep_spec(tmp_path / f"sweep{k_max}.json", ["path(5)", "cycle(4)"], k_max, 1, 2)
@@ -605,7 +675,8 @@ def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys
         outputs.append(read_csv(out)[1])
     assert outputs[0] == outputs[1]
     assert [row[2] for row in outputs[0]] == ["2", "-1"] * 2 + ["2", "3", "-1"] * 2
-    assert sorted(levels) == [2] * 8 + [3] * 4
+    assert sorted(k for _, _, k, _ in _solves(log)) == [2] * 8 + [3] * 4
+    _assert_reaped(forked)
 
 
 @pytest.mark.skipif(sys.platform != "linux",
@@ -634,29 +705,112 @@ def test_sweep_rows_stop_at_a_failing_level(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_asks_for_no_more_workers_than_cores_or_levels(tmp_path, capsys, monkeypatch):
-    """--jobs 1000000 is capped before any process starts: the recorder
-    refuses to start a pool past the cap. Levels go largest first."""
+    """--jobs 1000000 forks no more children than the cores or the levels
+    leave besides this process, and --jobs 1 forks none. Each process
+    solves its levels largest first."""
     cores = os.cpu_count() or 1
-    asked, sizes = [], []
-
-    class Recorder(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context=None):
-            asked.append(max_workers)
-            assert max_workers <= cores
-            super().__init__(max_workers, mp_context)
-
-        def submit(self, fn, graph, k):
-            sizes.append(space_size(graph.n, k))
-            return super().submit(fn, graph, k)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    forked = _record_forks(monkeypatch)
     eight_levels = _sweep_spec(tmp_path / "eight.json", ["path(3)", "cycle(4)"], 3, 0, 2)
     one_level = _sweep_spec(tmp_path / "one.json", ["path(3)"], 2, 0)
+    counts = []
     for spec, jobs in ((eight_levels, "1000000"), (one_level, "1000000"), (eight_levels, "1")):
+        log = tmp_path / f"solves{len(counts)}.log"
+        _log_solves(monkeypatch, log)
+        before = len(forked)
         code, _, _ = run(["sweep", spec, "--jobs", jobs], capsys)
         assert code == 0
-    assert asked == [min(cores, 8), 1, 1]
-    assert sizes[:8] == [20, 20, 10, 10, 10, 10, 6, 6]
+        counts.append(len(forked) - before)
+        solves = _solves(log)
+        assert sorted(size for *_, size in solves) == ([6, 6, 10, 10, 10, 10, 20, 20]
+                                                     if spec == eight_levels else [6])
+        for pid in {pid for pid, *_ in solves}:
+            sizes = [size for solver, *_, size in solves if solver == pid]
+            assert sizes == sorted(sizes, reverse=True)
+    assert counts == [min(cores, 8) - 1 if sys.platform == "linux" else 0, 0, 0]
+    assert [size for *_, size in solves] == [20, 20, 10, 10, 10, 10, 6, 6]
+    assert {pid for pid, *_ in solves} == {os.getpid()}
+    _assert_reaped(forked)
+
+
+needs_two_processes = pytest.mark.skipif(
+    sys.platform != "linux" or (os.cpu_count() or 1) < 2,
+    reason="the sweep forks a child only on Linux with two cores or more")
+
+
+@pytest.fixture
+def deadline():
+    """A TimeoutError in place of a sweep that hangs past 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep still runs after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _sweep_with_a_child(tmp_path, monkeypatch, in_parent, in_child) -> list:
+    """Runs `sweep --jobs 2` on eight levels, where each process solves
+    20, 10, 10 and 6 states, with sip_gap calling `in_parent(gen)` or
+    `in_child(gen)` first; returns the pids forked. The sweep must raise."""
+    parent, real = os.getpid(), siplab.cli.sip_gap
+
+    def patched(gen):
+        (in_parent if os.getpid() == parent else in_child)(gen)
+        return real(gen)
+
+    monkeypatch.setattr(siplab.cli, "sip_gap", patched)
+    forked = _record_forks(monkeypatch)
+    spec = _sweep_spec(tmp_path / "eight.json", ["path(3)", "cycle(4)"], 3, 0, 2)
+    with pytest.raises(RuntimeError) as raised:
+        main(["sweep", spec, "--jobs", "2"])
+    assert len(forked) == 1
+    _assert_reaped(forked)
+    return raised.value
+
+
+def _at_ten_states(action):
+    def at(gen):
+        if gen.space.size == 10:
+            action()
+    return at
+
+
+def _never(gen):
+    pass
+
+
+def _injected():
+    raise RuntimeError("injected")
+
+
+@needs_two_processes
+def test_sweep_raises_a_childs_exception(tmp_path, capsys, monkeypatch, deadline):
+    error = _sweep_with_a_child(tmp_path, monkeypatch, _never, _at_ten_states(_injected))
+    assert str(error) == "injected"
+    assert "in _level_gap" in str(error.__cause__)  # the child's traceback
+    assert capsys.readouterr().out == ""
+
+
+@needs_two_processes
+def test_sweep_raises_when_a_child_dies(tmp_path, capsys, monkeypatch, deadline):
+    error = _sweep_with_a_child(tmp_path, monkeypatch, _never,
+                                _at_ten_states(lambda: os._exit(7)))
+    assert "ended with status 7 before sending its gaps" in str(error)
+    assert capsys.readouterr().out == ""
+
+
+@needs_two_processes
+def test_sweep_kills_its_children_when_it_raises(tmp_path, capsys, monkeypatch, deadline):
+    """The child would solve for a minute; the parent's failure ends it
+    within the deadline, and BLAS gets its thread count back."""
+    before = _blas_thread_counts()
+    error = _sweep_with_a_child(tmp_path, monkeypatch, _at_ten_states(_injected),
+                                lambda gen: time.sleep(60))
+    assert str(error) == "injected"
+    assert capsys.readouterr().out == ""
+    assert _blas_thread_counts() == before
 
 
 def _blas_thread_counts() -> list:
