@@ -24,7 +24,7 @@ from .intertwiners import (Ladder, Level, build_annihilation, build_creation,
 from .lookdown import (LabeledLevel, build_labeled_generators, check_labeled_identities,
                        check_stationary_law, drop_top_pullback, labeled_index,
                        labeled_states, labeled_stationary_measure, symmetrizer,
-                       unlabel_pullback)
+                       unlabel_map)
 from .bep import (BepGapReport, HomogPolynomial, SimplexMeasure, apply_bep_generator,
                   bep_gap_report, bep_matrix, poly_lift, simplex_measure)
 from .simulate import (SimConfig, TrajectorySummary, projection_test, relaxation_estimate,

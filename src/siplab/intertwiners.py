@@ -358,9 +358,7 @@ def eigen_dichotomy(level: Level) -> EigenDichotomy:
     while ends[starts[-1]] < vals.size:
         starts.append(ends[starts[-1]])
     dims, n_im = np.diff(starts, append=vals.size), np.add.reduceat(is_image.astype(int), starts)
-    means = np.add.reduceat(vals, starts) / dims  # np.mean's own sum for one or two values;
-    for i in np.flatnonzero(dims > 2):  # for more, it adds the group's tail first
-        means[i] = vals[starts[i]:starts[i] + dims[i]].mean()
+    means = np.add.reduceat(vals, starts) / dims
     groups = map(EigenGroup, means.tolist(), dims.tolist(), n_im.tolist(), (dims - n_im).tolist())
     return EigenDichotomy(tuple(groups), s, vals.size, injectivity, off_diagonal,
                           image_spectrum, kernel_residual, passed)

@@ -8,8 +8,9 @@ library code is always checked against an independent computation.
 import functools
 import importlib
 import itertools
+import json
 import math
-import multiprocessing
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,7 @@ from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance
                            rw_dirichlet_form, rw_spectrum)
 from siplab.intertwiners import EigenGroup, Level, build_annihilation, project_to_kernel
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
-                             labeled_stationary_measure, symmetrizer, unlabel_pullback)
+                             labeled_stationary_measure, symmetrizer, unlabel_map)
 from siplab.reporting import identity_check, make_check, max_abs, require_reversible
 from siplab.sip import SipGenerator, sip_spectrum
 
@@ -40,11 +41,100 @@ DEGENERATE_GRAPHS = {
 }
 
 
+def unreaped(pids) -> list:
+    """The pids of `pids` not reaped yet: os.waitpid raises ChildProcessError
+    for a reaped one.  A child that has exited unreaped is reaped here."""
+    left = []
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        left.append(pid)
+    return left
+
+
 @pytest.fixture(autouse=True)
-def no_child_process_left():
-    """Every test joins the processes it starts, as the benchmark requires of a run."""
-    yield
-    assert multiprocessing.active_children() == []
+def forked(monkeypatch):
+    """The pids of the children the test forks, each of which must be reaped
+    by the end of the test, as the sweep reaps every child it forks."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    assert unreaped(pids) == []
+
+
+# The contract between the outputs of two builds: the same keys, strings,
+# integers, booleans and verdicts; every other float within CONTRACT_RTOL
+# relative; and each check's residual within CONTRACT_RESIDUAL of its own
+# tolerance of the old residual.
+CONTRACT_RTOL = 1e-12
+CONTRACT_RESIDUAL = 1e-3
+
+
+def output_mismatch(old, new, where: str = "output") -> str | None:
+    """Where `new` first breaks the contract with `old`, or None.  A dict
+    with an identity, a residual and a tolerance is a check."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return f"{where}: keys {sorted(old)} became {sorted(new)}"
+        keys = sorted(old)
+        if {"identity", "residual", "tolerance"} <= old.keys():
+            bound = CONTRACT_RESIDUAL * old["tolerance"]
+            if not abs(new["residual"] - old["residual"]) <= bound:
+                return f"{where}: residual {old['residual']!r} became {new['residual']!r}"
+            keys.remove("residual")
+        pairs = ((f"{where}.{key}", old[key], new[key]) for key in keys)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return f"{where}: {len(old)} entries became {len(new)}"
+        pairs = ((f"{where}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new)))
+    elif type(old) is not type(new):
+        return f"{where}: {old!r} became {new!r}"
+    elif isinstance(old, float):
+        close = (old == new or (math.isnan(old) and math.isnan(new))
+                 or abs(new - old) <= CONTRACT_RTOL * max(abs(old), abs(new)))
+        return None if close else f"{where}: {old!r} became {new!r}"
+    else:
+        return None if old == new else f"{where}: {old!r} became {new!r}"
+    return next(filter(None, (output_mismatch(a, b, at) for at, a, b in pairs)), None)
+
+
+def outputs_equivalent(old, new) -> bool:
+    """Whether `new` keeps the contract with `old`, both as `read_output` gives them."""
+    return output_mismatch(old, new) is None
+
+
+def _csv_cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_output(path) -> dict | list:
+    """A CLI output file: JSON as parsed, or a CSV as its manifest, header
+    and rows, each cell a float where it reads as one."""
+    text = open(path).read()
+    if str(path).endswith(".json"):
+        return json.loads(text)
+    manifest, header, *rows = text.splitlines()
+    return {"manifest": json.loads(manifest.removeprefix("# manifest ")),
+            "header": header.split(","),
+            "rows": [[_csv_cell(cell) for cell in row.split(",")] for row in rows]}
+
+
+def label_maps(space: ConfigSpace) -> tuple:
+    """(P_k, Q_k) from `symmetrizer` for the labeled states of `space`."""
+    unlabel = unlabel_map(space)
+    return symmetrizer(unlabel, 1.0 / np.bincount(unlabel, minlength=space.size))
 
 
 def zero_multiplicity(spec: Spectrum, rtol: float = 1e-9) -> int:
@@ -327,11 +417,11 @@ class SparseLabeled:
     """The labeled pieces of one level as scipy.sparse matrices, as
     `reference_labeled_identities` multiplies them: the level's `symmetric`
     and `lookdown` generators, `unlabel` (P_k) and `average` (Q_k) from
-    `symmetrizer`, and `drop` (J_k)."""
+    `label_maps`, and `drop` (J_k)."""
 
     def __init__(self, level: Level):
         self.symmetric, self.lookdown = level.labeled.symmetric, level.labeled.lookdown
-        self.unlabel, self.average = symmetrizer(level.space)
+        self.unlabel, self.average = label_maps(level.space)
         self.drop = drop_top_pullback(level.graph.n, level.k)
 
     def symmetrize(self, x):
@@ -399,8 +489,8 @@ def dense_labeled_identities(level: Level) -> list:
     lab_sym_hi, lab_look_hi, s_hi, j_hi = _dense_labeled(graph, k)
     lab_sym_lo, lab_look_lo, s_lo, _ = _dense_labeled(graph, k - 1)
     gen_hi, gen_lo = level.generator.matrix.toarray(), level.lower.generator.matrix.toarray()
-    p_hi = unlabel_pullback(level.space).toarray()
-    p_lo = unlabel_pullback(level.lower.space).toarray()
+    p_hi = label_maps(level.space)[0].toarray()
+    p_lo = label_maps(level.lower.space)[0].toarray()
     ann = level.annihilation.toarray()
     checks = [
         identity_check(f"symmetrizer-projection[k={k}]", s_hi @ s_hi, s_hi),
@@ -466,7 +556,7 @@ def dense_stationary_law(level: Level, rtol: float = 1e-10) -> tuple:
                                  max(0.0, 1e-6 - worst), 0.0,
                                  detail=f"max relative flux asymmetry {worst:.6g} between "
                                         f"positions {list(pair[0])} and {list(pair[1])}"))
-    push = omega @ unlabel_pullback(level.space).toarray()
+    push = omega @ label_maps(level.space)[0].toarray()
     checks.append(make_check(f"unlabel-pushforward[k={k}]",
                              float(np.abs(push - level.measure.probabilities).max()), rtol))
     if k >= 2:

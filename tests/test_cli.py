@@ -17,7 +17,7 @@ import siplab.graphs
 import siplab.intertwiners
 import siplab.lookdown
 import siplab.sip
-from conftest import DEGENERATE_GRAPHS
+from conftest import DEGENERATE_GRAPHS, unreaped
 from siplab.cli import main
 from siplab.configs import space_size
 from siplab.errors import EigensolverError
@@ -638,26 +638,6 @@ def _solves(log: Path) -> list:
     return [tuple(int(v) for v in line.split(",")) for line in log.read_text().splitlines()]
 
 
-def _record_forks(monkeypatch) -> list:
-    """The pids of the children forked from here on."""
-    forked, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forked
-
-
-def _assert_reaped(pids) -> None:
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys,
                                                                 monkeypatch):
     """k_max 10**9 gives the rows and exit code of k_max 4: the levels stop
@@ -666,7 +646,6 @@ def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys
     monkeypatch.setenv("SIPLAB_STATE_CAP", "20")
     log = tmp_path / "solves.log"
     _log_solves(monkeypatch, log)
-    forked = _record_forks(monkeypatch)
     outputs = []
     for k_max in (4, 10 ** 9):
         spec = _sweep_spec(tmp_path / f"sweep{k_max}.json", ["path(5)", "cycle(4)"], k_max, 1, 2)
@@ -676,7 +655,6 @@ def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys
     assert outputs[0] == outputs[1]
     assert [row[2] for row in outputs[0]] == ["2", "-1"] * 2 + ["2", "3", "-1"] * 2
     assert sorted(k for _, _, k, _ in _solves(log)) == [2] * 8 + [3] * 4
-    _assert_reaped(forked)
 
 
 @pytest.mark.skipif(sys.platform != "linux",
@@ -704,12 +682,12 @@ def test_sweep_rows_stop_at_a_failing_level(tmp_path, capsys, monkeypatch):
                     + clean[4:6] + [["path(5)", "1", "-1", *error]] + clean[8:])
 
 
-def test_sweep_asks_for_no_more_workers_than_cores_or_levels(tmp_path, capsys, monkeypatch):
+def test_sweep_asks_for_no_more_workers_than_cores_or_levels(tmp_path, capsys, monkeypatch,
+                                                              forked):
     """--jobs 1000000 forks no more children than the cores or the levels
     leave besides this process, and --jobs 1 forks none. Each process
     solves its levels largest first."""
     cores = os.cpu_count() or 1
-    forked = _record_forks(monkeypatch)
     eight_levels = _sweep_spec(tmp_path / "eight.json", ["path(3)", "cycle(4)"], 3, 0, 2)
     one_level = _sweep_spec(tmp_path / "one.json", ["path(3)"], 2, 0)
     counts = []
@@ -729,7 +707,6 @@ def test_sweep_asks_for_no_more_workers_than_cores_or_levels(tmp_path, capsys, m
     assert counts == [min(cores, 8) - 1 if sys.platform == "linux" else 0, 0, 0]
     assert [size for *_, size in solves] == [20, 20, 10, 10, 10, 10, 6, 6]
     assert {pid for pid, *_ in solves} == {os.getpid()}
-    _assert_reaped(forked)
 
 
 needs_two_processes = pytest.mark.skipif(
@@ -750,10 +727,11 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-def _sweep_with_a_child(tmp_path, monkeypatch, in_parent, in_child) -> list:
+def _sweep_with_a_child(tmp_path, monkeypatch, forked, in_parent, in_child):
     """Runs `sweep --jobs 2` on eight levels, where each process solves
     20, 10, 10 and 6 states, with sip_gap calling `in_parent(gen)` or
-    `in_child(gen)` first; returns the pids forked. The sweep must raise."""
+    `in_child(gen)` first, and `forked` recording the pids forked; returns
+    the exception the sweep must raise."""
     parent, real = os.getpid(), siplab.cli.sip_gap
 
     def patched(gen):
@@ -761,13 +739,33 @@ def _sweep_with_a_child(tmp_path, monkeypatch, in_parent, in_child) -> list:
         return real(gen)
 
     monkeypatch.setattr(siplab.cli, "sip_gap", patched)
-    forked = _record_forks(monkeypatch)
     spec = _sweep_spec(tmp_path / "eight.json", ["path(3)", "cycle(4)"], 3, 0, 2)
     with pytest.raises(RuntimeError) as raised:
         main(["sweep", spec, "--jobs", "2"])
     assert len(forked) == 1
-    _assert_reaped(forked)
+    assert unreaped(forked) == []
     return raised.value
+
+
+def test_the_fork_check_names_a_child_left_unreaped(forked):
+    """The autouse fixture `forked` records a child forked here, and its
+    check names the child until the test reaps it."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child waits for the parent to close the pipe
+        try:
+            os.close(write_fd)
+            os.read(read_fd, 1)
+        finally:
+            os._exit(0)
+    os.close(read_fd)
+    try:
+        assert forked == [pid]
+        assert unreaped(forked) == [pid]
+    finally:
+        os.close(write_fd)
+        os.waitpid(pid, 0)
+    assert unreaped(forked) == []
 
 
 def _at_ten_states(action):
@@ -786,27 +784,29 @@ def _injected():
 
 
 @needs_two_processes
-def test_sweep_raises_a_childs_exception(tmp_path, capsys, monkeypatch, deadline):
-    error = _sweep_with_a_child(tmp_path, monkeypatch, _never, _at_ten_states(_injected))
+def test_sweep_raises_a_childs_exception(tmp_path, capsys, monkeypatch, forked, deadline):
+    error = _sweep_with_a_child(tmp_path, monkeypatch, forked, _never,
+                                _at_ten_states(_injected))
     assert str(error) == "injected"
     assert "in _level_gap" in str(error.__cause__)  # the child's traceback
     assert capsys.readouterr().out == ""
 
 
 @needs_two_processes
-def test_sweep_raises_when_a_child_dies(tmp_path, capsys, monkeypatch, deadline):
-    error = _sweep_with_a_child(tmp_path, monkeypatch, _never,
+def test_sweep_raises_when_a_child_dies(tmp_path, capsys, monkeypatch, forked, deadline):
+    error = _sweep_with_a_child(tmp_path, monkeypatch, forked, _never,
                                 _at_ten_states(lambda: os._exit(7)))
     assert "ended with status 7 before sending its gaps" in str(error)
     assert capsys.readouterr().out == ""
 
 
 @needs_two_processes
-def test_sweep_kills_its_children_when_it_raises(tmp_path, capsys, monkeypatch, deadline):
+def test_sweep_kills_its_children_when_it_raises(tmp_path, capsys, monkeypatch, forked,
+                                                 deadline):
     """The child would solve for a minute; the parent's failure ends it
     within the deadline, and BLAS gets its thread count back."""
     before = _blas_thread_counts()
-    error = _sweep_with_a_child(tmp_path, monkeypatch, _at_ten_states(_injected),
+    error = _sweep_with_a_child(tmp_path, monkeypatch, forked, _at_ten_states(_injected),
                                 lambda gen: time.sleep(60))
     assert str(error) == "injected"
     assert capsys.readouterr().out == ""

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import (DEGENERATE_GRAPHS, dense_labeled_identities, dense_stationary_law,
-                      dense_symmetrizer, reference_labeled_identities)
+                      dense_symmetrizer, label_maps, reference_labeled_identities)
 from siplab.configs import enumerate_configs, sip_measure
-from siplab.errors import StateCapError
+from siplab.errors import StateCapError, VerificationError
 from siplab.graphs import (build_rw_generator, graph_from_dict, path_graph,
                            random_connected_graph)
 from siplab.intertwiners import Ladder, Level
 from siplab.lookdown import (build_labeled_generators, check_labeled_identities,
                              check_stationary_law, drop_top_pullback, labeled_index,
-                             labeled_states, labeled_stationary_measure, symmetrizer,
-                             unlabel_pullback)
+                             labeled_states, labeled_stationary_measure)
 
 
 def _loop_operators(graph, k):
@@ -65,7 +64,7 @@ def test_array_assembly_equals_state_by_state_loops():
             sym, look = build_labeled_generators(g, k)
             built = (sym.toarray(), look.toarray(), dense_symmetrizer(n, k),
                      drop_top_pullback(n, k).toarray(),
-                     unlabel_pullback(enumerate_configs(n, k)).toarray(),
+                     label_maps(enumerate_configs(n, k))[0].toarray(),
                      labeled_stationary_measure(g, k))
             for got, want in zip(built, _loop_operators(g, k)):
                 np.testing.assert_array_equal(got, want)
@@ -123,7 +122,7 @@ def test_symmetrizer_is_stochastic_projection():
     np.testing.assert_allclose(s @ s, s, atol=1e-13)
     # symmetric functions are fixed points
     space = enumerate_configs(3, 3)
-    pullback = unlabel_pullback(space)
+    pullback = label_maps(space)[0]
     rng = np.random.default_rng(1)
     f = rng.standard_normal(space.size)
     np.testing.assert_allclose(s @ (pullback @ f), pullback @ f, atol=1e-13)
@@ -170,7 +169,7 @@ def test_pushforward_matches_unlabeled_measure():
     g = path_graph(2)
     om = labeled_stationary_measure(g, 2)
     space = enumerate_configs(2, 2)
-    push = om @ unlabel_pullback(space)
+    push = om @ label_maps(space)[0]
     np.testing.assert_allclose(push, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
     mu = sip_measure(g, space)
     np.testing.assert_allclose(push, mu.probabilities, atol=1e-14)
@@ -199,6 +198,17 @@ def test_lookdown_witness_is_relative_to_the_pair_flux():
         assert check.detail.startswith("max relative flux asymmetry 0.5 between")
 
 
+def test_a_lookdown_move_without_its_reverse_is_a_verification_error():
+    level = Level(random_connected_graph(3, np.random.default_rng(14)), 2)
+    look = level.labeled.lookdown.copy()
+    rows = np.repeat(np.arange(look.shape[0]), np.diff(look.indptr))
+    look.data[np.flatnonzero(look.indices != rows)[0]] = 0.0
+    look.eliminate_zeros()
+    level.labeled.lookdown = look
+    with pytest.raises(VerificationError, match="no reverse move"):
+        check_stationary_law(level)
+
+
 def test_exchangeability_of_expectations():
     rng = np.random.default_rng(4)
     g = random_connected_graph(3, rng)
@@ -206,7 +216,7 @@ def test_exchangeability_of_expectations():
     om = labeled_stationary_measure(g, k)
     space = enumerate_configs(3, k)
     mu = sip_measure(g, space)
-    pullback = unlabel_pullback(space)
+    pullback = label_maps(space)[0]
     for _ in range(10):
         f = rng.standard_normal(space.size)
         labeled_mean = float(om @ (pullback @ f))
@@ -241,7 +251,7 @@ def test_factored_symmetrizer_matches_the_dense_one():
     # the dense oracle adds 1/k! once per permutation, so its own rounding
     # grows with k! (29 ulp at k = 6); up to k = 4 it stays within 4 ulp
     for n, k in [(2, 1), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]:
-        unlabel, average = symmetrizer(enumerate_configs(n, k))
+        unlabel, average = label_maps(enumerate_configs(n, k))
         np.testing.assert_array_max_ulp((unlabel @ average).toarray(), dense_symmetrizer(n, k),
                                         maxulp=4)
 
