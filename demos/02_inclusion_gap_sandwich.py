@@ -21,6 +21,7 @@ print()
 
 # Unit site weights on a path: the gap is the same at every particle number.
 report = gap_sandwich_report(Level(path_graph(4), 6))
+assert report.passed, report.failures
 print("path(4), alpha = 1, gap_rw =", f"{report.gap_rw:.12f}")
 for k, gap_k in sorted(report.gaps.items()):
     print(f"  k={k}: gap = {gap_k:.12f}  ratio = {report.ratios[k]:.12f}")
@@ -30,6 +31,7 @@ print()
 # below alpha_min * gap_rw.
 g = path_graph(2, alpha=[0.2, 0.2])
 report = gap_sandwich_report(Level(g, 6))
+assert report.passed, report.failures
 print("path(2), alpha = 0.2:")
 print(f"  lower bound {report.lower_bound:.6f} <= gap_sip {report.gap_sip:.6f}"
       f" <= gap_rw {report.gap_rw:.6f}")
@@ -43,6 +45,7 @@ rng = np.random.default_rng(1)
 alpha = rng.uniform(0.2, 2.0, size=4)
 g = complete_graph(4, alpha)
 report = gap_sandwich_report(Level(g, 5))
+assert report.passed, report.failures
 print("complete(4), random alpha (alpha_min = %.3f):" % g.alpha_min)
 print("  |alpha| / n =", f"{g.alpha_total / 4:.12f}")
 print("  gaps:", {k: round(v, 12) for k, v in sorted(report.gaps.items())})
@@ -52,4 +55,5 @@ print()
 # sandwich, monotonicity in k, and equality when it applies.
 g = random_connected_graph(5, rng, alpha_range=(1.0, 2.5))
 report = gap_sandwich_report(Level(g, 4))
+assert report.passed, report.failures
 print("random graph n=5, alpha_min >= 1: all checks pass ->", report.passed)

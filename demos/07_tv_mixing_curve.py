@@ -18,4 +18,5 @@ for k in (1, 2, 3):
     for row in table.rows:
         print(f"  {row.t:6.2f} {row.lower:12.6f} {row.value:12.6f} {row.upper:12.6f}")
     print("  sandwich holds at all times:", table.passed)
+    assert table.passed
     print()

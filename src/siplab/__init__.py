@@ -9,7 +9,7 @@ from .errors import (EigensolverError, InputError, SiplabError, StateCapError,
 from .graphs import (Graph, RwGenerator, Spectrum, build_rw_generator, complete_graph,
                      cycle_graph, graph_from_dict, graph_from_edges, graph_from_preset,
                      load_graph, path_graph, random_connected_graph, rw_dirichlet_form,
-                     rw_gap, rw_spectrum, rw_variance)
+                     rw_spectrum, rw_variance)
 from .configs import (ConfigSpace, SipMeasure, enumerate_configs, inner_product,
                       rank_composition, sip_measure, space_size, unrank_composition,
                       variance)

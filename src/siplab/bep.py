@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse
 from scipy.special import gammaln
 
-from .configs import ConfigSpace
+from .configs import ConfigSpace, capped_size
 from .errors import InputError, VerificationError
 from .graphs import Graph
 from .intertwiners import Level
@@ -183,12 +183,14 @@ def bep_matrix(level: Level) -> BepMatrix:
     """
     gen = level.generator
     space = gen.space
-    scale = _factorials(space)
-    image = _apply(Terms(np.arange(space.size), space.occupations, 1.0 / scale),
+    # the image of z^col / col! in row / row! carries row! / col!, taken in
+    # log space: prod(eta!) as a float is infinite from degree 171 on
+    log_scale = gammaln(np.arange(1.0, space.k + 2.0))[space.occupations].sum(axis=1)
+    image = _apply(Terms(np.arange(space.size), space.occupations, np.ones(space.size)),
                    level.graph, space.k)
     rows = space.rank_keys(image.expo @ space.place)
-    m = scipy.sparse.csr_array((image.coeff * scale[rows], (rows, image.col)),
-                               shape=(space.size, space.size))
+    m = scipy.sparse.csr_array((image.coeff * np.exp(log_scale[rows] - log_scale[image.col]),
+                                (rows, image.col)), shape=(space.size, space.size))
     check = identity_check(f"diffusion-matches-particles[k={level.k}]", m, gen.matrix)
     return BepMatrix(space, m, gen.matrix, check)
 
@@ -257,12 +259,12 @@ def bep_gap_report(top: Level) -> BepGapReport:
     graph, degree_max = top.graph, top.k
     if degree_max < 1:
         raise InputError(f"need degree_max >= 1, got {degree_max}")
-    gap_rw = top.walk_spectrum.gap
-    atol = gap_tolerance(top.walk, gap_rw)
+    capped_size(graph.n, degree_max)  # refused over the cap before any level below is made
+    gap_rw = graph.walk_spectrum.gap
+    atol = gap_tolerance(graph)
     levels = [top]
     while levels[-1].k > 1:
         levels.append(levels[-1].lower)
-    # top level first, so one over the state cap is refused before any work
     checks = [bep_matrix(level).check for level in levels][::-1]
     levels.reverse()
     level_gaps = {level.k: level.gap for level in levels}

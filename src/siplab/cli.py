@@ -37,8 +37,7 @@ from . import __version__
 from .bep import bep_gap_report
 from .configs import capped_size, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
-from .graphs import (Graph, as_integer, as_number, build_rw_generator, graph_from_preset,
-                     load_graph, rw_gap, rw_spectrum)
+from .graphs import Graph, as_integer, as_number, graph_from_preset, load_graph
 from .intertwiners import (Ladder, check_adjoint, check_intertwinings,
                            dirichlet_decomposition_check, eigen_dichotomy,
                            minmax_comparison_check)
@@ -150,7 +149,7 @@ def _parse_times(raw: str) -> tuple:
 
 def cmd_spectrum(args) -> int:
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    rw = rw_spectrum(build_rw_generator(graph), want_vectors=False)
+    rw = graph.walk_spectrum
     rows = [(1, i, float(v)) for i, v in enumerate(rw.eigenvalues)]
     payload = {
         "n": graph.n,
@@ -173,7 +172,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _suite_sip(ladder: Ladder, k_max: int, rng: np.random.Generator) -> tuple[CheckSuite, dict]:
-    report = gap_sandwich_report(ladder[k_max], strict=False)
+    report = gap_sandwich_report(ladder[k_max])
     checks = []
     for k in range(2, k_max + 1):
         level = ladder[k]
@@ -259,7 +258,7 @@ def _sweep_plan(graph: Graph, k_max: int) -> tuple:
         if not graph.connected:
             raise InputError(f"graph is disconnected ({graph.components} components) "
                              f"so gap ratios are undefined")
-        gap_walk = rw_gap(graph)
+        gap_walk = graph.walk_spectrum.gap
         while k <= k_max:
             capped_size(graph.n, k)
             k += 1
@@ -499,7 +498,7 @@ def cmd_simulate(args) -> int:
 def cmd_tv_curve(args) -> int:
     graph, digest = _resolve_graph(args.graph, args.alpha)
     gen = build_sip_generator(graph, args.k)
-    table = tv_sandwich(gen, _parse_times(args.times), strict=False)
+    table = tv_sandwich(gen, _parse_times(args.times))
     manifest = _manifest("tv-curve", {"graph": args.graph, "k": args.k,
                                       "times": args.times}, digest)
     rows = [(r.t, r.value, r.lower, r.upper, int(r.passed)) for r in table.rows]

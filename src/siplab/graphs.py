@@ -40,7 +40,9 @@ class Graph:
 
     edge_weights must be symmetric with zero diagonal and finite
     nonnegative entries; site_weights must be strictly positive.  Connectivity of
-    the positive-weight edge set is computed on first use and kept.
+    the positive-weight edge set, the single-particle `walk` and its
+    `walk_spectrum` (eigenvalues only) are built on first use and kept, so
+    every reader of the walk gap shares one solve.
     """
 
     n: int
@@ -74,6 +76,14 @@ class Graph:
         """Number of connected components of the positive-weight edges."""
         return int(connected_components(scipy.sparse.csr_array(self.edge_weights),
                                         directed=False, return_labels=False))
+
+    @cached_property
+    def walk(self) -> RwGenerator:
+        return build_rw_generator(self)
+
+    @cached_property
+    def walk_spectrum(self) -> Spectrum:
+        return rw_spectrum(self.walk, want_vectors=False)
 
     @property
     def connected(self) -> bool:
@@ -327,10 +337,6 @@ def reversible_spectrum(rate_matrix: np.ndarray, measure: np.ndarray,
 
 def rw_spectrum(gen: RwGenerator, want_vectors: bool = True) -> Spectrum:
     return reversible_spectrum(gen.matrix, gen.stationary, want_vectors)
-
-
-def rw_gap(graph: Graph) -> float:
-    return rw_spectrum(build_rw_generator(graph), want_vectors=False).gap
 
 
 def rw_dirichlet_forms(graph: Graph, beta, phi) -> np.ndarray:

@@ -42,8 +42,7 @@ import scipy.sparse.linalg
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
 from .errors import InputError
-from .graphs import (Graph, RwGenerator, Spectrum, build_rw_generator, rw_dirichlet_forms,
-                     rw_spectrum, symmetrize_reversible)
+from .graphs import Graph, Spectrum, rw_dirichlet_forms, symmetrize_reversible
 from .lookdown import LabeledLevel
 from .reporting import (ENERGY_RTOL, SPECTRAL_RTOL, CheckResult, identity_check, make_check,
                         max_abs, residual_tol)
@@ -106,8 +105,8 @@ class Level:
     `labeled`, the labeled generators, label maps and law.  `lower` is level
     k-1: the one given, else one made on first use.  Level 0 has one state
     and a 1x1 CSR zero generator, which is its own symmetric form.  The
-    single-particle `walk` and its `walk_spectrum` (eigenvalues only) are
-    built at level 0, and every level above reads level 0's.
+    single-particle walk belongs to the graph: every level reads
+    `graph.walk` and `graph.walk_spectrum`.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -161,16 +160,6 @@ class Level:
     @cached_property
     def spectrum(self) -> Spectrum:
         return sip_spectrum(self.generator, want_vectors=False)
-
-    @cached_property
-    def walk(self) -> RwGenerator:
-        return build_rw_generator(self.graph) if self.k == 0 else self.lower.walk
-
-    @cached_property
-    def walk_spectrum(self) -> Spectrum:
-        if self.k == 0:
-            return rw_spectrum(self.walk, want_vectors=False)
-        return self.lower.walk_spectrum
 
     @cached_property
     def gap(self) -> float:
@@ -280,7 +269,7 @@ def lift_eigenfunction(graph: Graph, psi, k: int):
     eigenfunction of the negative walk generator.
     """
     psi = np.asarray(psi, dtype=float)
-    gen = build_rw_generator(graph)
+    gen = graph.walk
     if psi.shape != (graph.n,):
         raise InputError(f"psi must have length {graph.n}")
     norm = float(np.abs(psi).max())
@@ -451,7 +440,7 @@ def minmax_comparison_check(level: Level,
     graph, k = level.graph, level.k
     a_total = graph.alpha_total
     a_min = graph.alpha_min
-    base_vals = level.walk_spectrum.eigenvalues
+    base_vals = graph.walk_spectrum.eigenvalues
     phis = rng.standard_normal((50, graph.n))
     dirichlet_factor = a_total / (a_total + k - 1)
     norm_factor = a_min * (a_total + k - 1) / (a_total * (a_min + k - 1))

@@ -264,7 +264,7 @@ def check_labeled_identities(level: Level) -> list[CheckResult]:
     # bottom particle of the lookdown model moves as the plain walk
     bottom = np.arange(n ** k) // n ** (k - 1)
     checks.append(identity_check(f"bottom-particle-walk[k={k}]", look @ _pullback(bottom, n),
-                                 level.walk.matrix[bottom]))
+                                 level.graph.walk.matrix[bottom]))
     return checks
 
 

@@ -51,13 +51,13 @@ def require_reversible(asym, scale) -> None:
                          f"(symmetrization defect {float(np.max(asym * bad)):.3e})")
 
 
-def gap_tolerance(walk, gap_rw: float) -> float:
-    """GAP_RTOL * gap_rw, for gap statements about the graph of `walk`, a
-    `graphs.RwGenerator` of gap `gap_rw`.  On a disconnected graph every gap
+def gap_tolerance(graph) -> float:
+    """GAP_RTOL * gap_rw, for gap statements about `graph`, a `graphs.Graph`
+    whose `walk_spectrum` holds gap_rw.  On a disconnected graph every gap
     is zero, and the walk's largest rate sets the rounding scale instead."""
-    if walk.graph.connected:
-        return GAP_RTOL * gap_rw
-    return GAP_RTOL * float(np.abs(walk.matrix).max())
+    if graph.connected:
+        return GAP_RTOL * graph.walk_spectrum.gap
+    return GAP_RTOL * max_abs(graph.walk.matrix)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .configs import enumerate_configs, sip_measure
 from .errors import InputError, VerificationError
-from .graphs import Graph, build_rw_generator, rw_spectrum
+from .graphs import Graph, rw_spectrum
 from .intertwiners import lift_eigenfunction
 from .lookdown import _labeled_jumps, labeled_states, labeled_stationary_measure, unlabel_map
 from .sip import _jumps, build_sip_generator, sip_spectrum, transition_matrix
@@ -333,7 +333,7 @@ def relaxation_estimate(cfg: SimConfig, observable=None) -> RelaxationFit:
     """
     if cfg.mode != "sip":
         raise InputError("relaxation estimate runs on mode='sip'")
-    spec = rw_spectrum(build_rw_generator(cfg.graph))
+    spec = rw_spectrum(cfg.graph.walk)
     if observable is None:
         psi = spec.eigenfunctions[:, 1]
         f, lam = lift_eigenfunction(cfg.graph, psi, cfg.k)

@@ -256,13 +256,13 @@ class GapReport:
         }
 
 
-def gap_sandwich_report(top: Level, strict: bool = True) -> GapReport:
+def gap_sandwich_report(top: Level) -> GapReport:
     """Read gap_k for 2 <= k <= top.k from `Level.gap` of `top` and of each
     level below it, and check the two-sided bounds.
 
     The checks allow `reporting.gap_tolerance`, which the report records as
     `tolerance`.  A disconnected graph is a failure: every gap vanishes
-    there, and the ratios are None.
+    there, and the ratios are None.  A failure is reported, not raised.
     """
     graph, gaps, level = top.graph, {}, top
     if top.k < 2:
@@ -271,8 +271,8 @@ def gap_sandwich_report(top: Level, strict: bool = True) -> GapReport:
         gaps[level.k] = level.gap
         level = level.lower
     gaps = dict(sorted(gaps.items()))
-    gap_rw = top.walk_spectrum.gap
-    atol = gap_tolerance(top.walk, gap_rw)
+    gap_rw = graph.walk_spectrum.gap
+    atol = gap_tolerance(graph)
     a_min = graph.alpha_min
     lower = min(1.0, a_min) * gap_rw
     failures = []
@@ -291,7 +291,7 @@ def gap_sandwich_report(top: Level, strict: bool = True) -> GapReport:
         if gap_k > previous + atol:
             failures.append(f"k={k}: gap_k={gap_k:.12g} exceeds gap at k-1={previous:.12g}")
         previous = gap_k
-    report = GapReport(
+    return GapReport(
         gap_rw=gap_rw,
         gaps=gaps,
         gap_sip=min(gaps.values()),
@@ -302,9 +302,6 @@ def gap_sandwich_report(top: Level, strict: bool = True) -> GapReport:
         failures=tuple(failures),
         tolerance=atol,
     )
-    if strict and not report.passed:
-        raise VerificationError("gap sandwich violated: " + "; ".join(failures))
-    return report
 
 
 def transition_matrix(gen: SipGenerator, t: float, spec: Spectrum | None = None) -> np.ndarray:
@@ -346,11 +343,12 @@ class TvTable:
         return all(r.passed for r in self.rows)
 
 
-def tv_sandwich(gen: SipGenerator, times, strict: bool = True) -> TvTable:
+def tv_sandwich(gen: SipGenerator, times) -> TvTable:
     """Exact worst-start total variation distance against its two bounds.
 
     value(t) = sup over starting states of the L1 distance between the
     time-t law and the reversible law (that is twice the TV distance).
+    Each row records its own verdict; a failure is reported, not raised.
     """
     times = sorted(float(t) for t in times)
     # NaN fails every comparison, so it is refused here too
@@ -370,9 +368,4 @@ def tv_sandwich(gen: SipGenerator, times, strict: bool = True) -> TvTable:
         upper = float(min_mass ** -0.5 * np.exp(-gap * t))
         ok = (value >= lower - TV_SLACK) and (value <= upper + TV_SLACK)
         rows.append(TvRow(t, value, lower, upper, ok))
-    table = TvTable(tuple(rows), gap, min_mass)
-    if strict and not table.passed:
-        bad = [r for r in rows if not r.passed]
-        raise VerificationError("total-variation sandwich violated at t="
-                                + ", ".join(f"{r.t:g}" for r in bad))
-    return table
+    return TvTable(tuple(rows), gap, min_mass)

@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import assert_dichotomy_matches_dense, hausdorff_gap
 from siplab.bep import bep_gap_report, bep_matrix
-from siplab.graphs import complete_graph, path_graph, random_connected_graph, rw_gap
+from siplab.graphs import complete_graph, path_graph, random_connected_graph
 from siplab.intertwiners import (Level, check_adjoint, check_intertwinings,
                                  dirichlet_decomposition_check, eigen_dichotomy,
                                  minmax_comparison_check)
@@ -53,7 +53,7 @@ def test_criterion_2_gap_sandwich_random_graphs():
         for _ in range(50):
             n = int(rng.integers(2, 6))
             g = random_connected_graph(n, rng, alpha_range=(0.1, 3.0))
-            gap_walk = rw_gap(g)
+            gap_walk = g.walk_spectrum.gap
             floor = min(1.0, g.alpha_min) * gap_walk
             for k in range(2, 6):
                 gap_k = sip_gap(build_sip_generator(g, k))
@@ -72,7 +72,7 @@ def test_criterion_3_gap_equality_log_concave_regime():
         for _ in range(50):
             n = int(rng.integers(2, 6))
             g = random_connected_graph(n, rng, alpha_range=(1.0, 3.0))
-            gap_walk = rw_gap(g)
+            gap_walk = g.walk_spectrum.gap
             for k in range(2, 6):
                 assert abs(sip_gap(build_sip_generator(g, k)) - gap_walk) <= 1e-8, (n, k)
             report = bep_gap_report(Level(g, 4))

@@ -7,7 +7,7 @@ from conftest import dict_bep_generator, dict_bep_matrix, hausdorff_gap
 from siplab.bep import (HomogPolynomial, Terms, apply_bep_generator, bep_gap_report,
                         bep_matrix, poly_lift, simplex_measure)
 from siplab.configs import enumerate_configs
-from siplab.errors import InputError, VerificationError
+from siplab.errors import InputError, StateCapError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
                            random_connected_graph, reversible_spectrum, rw_spectrum)
 from siplab.intertwiners import Level
@@ -212,6 +212,27 @@ def test_batched_matrix_matches_the_dict_oracle_past_int64_keys():
     _assert_matches_dict_oracle(path_graph(40), 2)
 
 
+def test_the_diffusion_matrix_matches_the_particles_past_degree_170():
+    # 171! is infinite as a float, so the monomial scale is taken in log space
+    check = bep_matrix(Level(path_graph(2), 171)).check
+    assert check.passed and np.isfinite(check.residual), check
+
+
+def test_the_diffusion_report_refuses_an_over_cap_top_before_it_walks_down(monkeypatch):
+    top = Level(path_graph(3), 10 ** 5)
+    made = []
+    original = Level.__init__
+
+    def counted(self, graph, k, lower=None):
+        made.append(k)
+        original(self, graph, k, lower)
+
+    monkeypatch.setattr(Level, "__init__", counted)
+    with pytest.raises(StateCapError):
+        bep_gap_report(top)
+    assert made == []
+
+
 def test_generator_matches_the_dict_oracle_on_random_polynomials():
     rng = np.random.default_rng(8)
     for _ in range(60):
@@ -244,8 +265,7 @@ def test_dense_diffusion_spectra_match_the_level_gaps(alpha_range):
     for n in (3, 4, 5):
         g = random_connected_graph(n, rng, alpha_range=alpha_range)
         report = bep_gap_report(Level(g, 4))
-        walk = build_rw_generator(g)
-        atol = gap_tolerance(walk, rw_spectrum(walk, want_vectors=False).gap)
+        atol = gap_tolerance(g)
         level = Level(g, 4)
         while level.k >= 1:
             dense = reversible_spectrum(bep_matrix(level).matrix.toarray(),

@@ -318,7 +318,7 @@ def test_degenerate_weights_pass_every_check(name, tmp_path, capsys):
 def test_the_walk_is_built_and_solved_once_per_run(capsys, monkeypatch):
     """The gap report, the comparison check at each level, the diffusion
     report and the bottom-particle check at each labeled level read the walk
-    and its spectrum from level 0."""
+    and its spectrum from the graph."""
     counts = collections.Counter()
     for name in ("build_rw_generator", "rw_spectrum"):
         original = getattr(siplab.graphs, name)
@@ -331,6 +331,35 @@ def test_the_walk_is_built_and_solved_once_per_run(capsys, monkeypatch):
     code, _, _ = run(["verify", "cycle(6)", "--K", "5"], capsys)
     assert code == 0
     assert counts == {"build_rw_generator": 1, "rw_spectrum": 1}
+
+
+@pytest.mark.parametrize("argv", [["report", "cycle(6)", "--K", "5"],
+                                  ["spectrum", "cycle(5)", "--k", "3"],
+                                  ["sweep", "SPEC", "--jobs", "1"]],
+                         ids=["report", "spectrum", "sweep"])
+def test_each_graph_builds_and_solves_its_walk_once(argv, tmp_path, capsys, monkeypatch):
+    """One walk build and one walk solve per graph, both kept on the graph: a
+    sweep of two samples makes two of each, in the same order."""
+    spec = _sweep_spec(tmp_path / "sweep.json", ["path(4)"], 3, 1, n_samples=2)
+    calls = {"build_rw_generator": [], "rw_spectrum": []}
+    for name, graph_of in (("build_rw_generator", lambda graph: graph),
+                           ("rw_spectrum", lambda walk: walk.graph)):
+        original = getattr(siplab.graphs, name)
+
+        def counted(arg, *args, _name=name, _original=original, _graph_of=graph_of, **kwargs):
+            result = _original(arg, *args, **kwargs)
+            calls[_name].append((_graph_of(arg), result))
+            return result
+
+        _rebind(monkeypatch, name, original, counted)
+    code, _, _ = run([spec if a == "SPEC" else a for a in argv], capsys)
+    assert code == 0
+    builds, solves = calls["build_rw_generator"], calls["rw_spectrum"]
+    graphs = 2 if argv[0] == "sweep" else 1
+    assert len({id(graph) for graph, _ in builds}) == len(builds) == graphs
+    assert [id(graph) for graph, _ in solves] == [id(graph) for graph, _ in builds]
+    assert all(graph.walk is walk for graph, walk in builds)
+    assert all(graph.walk_spectrum is spectrum for graph, spectrum in solves)
 
 
 def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from siplab.errors import InputError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, cycle_graph,
                            detailed_balance_residual, graph_from_edges, graph_from_preset,
                            load_graph, path_graph, random_connected_graph,
-                           reversible_spectrum, rw_dirichlet_form, rw_gap, rw_spectrum,
+                           reversible_spectrum, rw_dirichlet_form, rw_spectrum,
                            rw_variance)
 from siplab.reporting import require_reversible
 from siplab.sip import build_sip_generator
@@ -115,7 +115,7 @@ def test_two_site_spectrum_closed_form():
 
 def test_complete_graph_gap_is_one():
     # mean-field normalization keeps the gap at |alpha| / n = 1 for unit weights
-    assert abs(rw_gap(complete_graph(3)) - 1.0) < 1e-12
+    assert abs(complete_graph(3).walk_spectrum.gap - 1.0) < 1e-12
 
 
 def test_connected_zero_multiplicity_is_one():

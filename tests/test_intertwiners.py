@@ -14,7 +14,7 @@ from conftest import (CONTRACT_RTOL, assert_dichotomy_matches_dense, binomial_re
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
 from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph, path_graph,
-                           random_connected_graph, rw_dirichlet_form, rw_gap, rw_spectrum,
+                           random_connected_graph, rw_dirichlet_form, rw_spectrum,
                            symmetrize_reversible)
 from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creation, check_adjoint,
                                  check_intertwinings, comparison_tables,
@@ -543,11 +543,17 @@ def test_minmax_comparisons():
     assert np.all(vals_shifted >= 0.5 * vals - 1e-12)
 
 
+def test_the_comparison_check_finishes_on_a_2000_deep_level():
+    # the walk spectrum is the graph's, not read through 2000 lower levels
+    report = minmax_comparison_check(Level(path_graph(2), 2000))
+    assert report.passed, [c for c in report.checks if not c.passed]
+
+
 def test_lower_bound_induction_chain():
     rng = np.random.default_rng(14)
     for alpha_range in [(0.3, 0.9), (1.0, 2.5)]:
         g = random_connected_graph(3, rng, alpha_range=alpha_range)
-        walk_gap = rw_gap(g)
+        walk_gap = g.walk_spectrum.gap
         a_min = g.alpha_min
         for k in (2, 3):
             level = Level(g, k)

@@ -13,8 +13,8 @@ from siplab.bep import bep_gap_report
 from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, graph_from_dict, path_graph,
-                           random_connected_graph, rw_gap, rw_spectrum)
-from siplab.intertwiners import Level
+                           random_connected_graph, rw_spectrum)
+from siplab.intertwiners import Ladder, Level
 from siplab.reporting import require_reversible
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
                         sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix,
@@ -127,15 +127,25 @@ def test_gap_report_small_alpha_sandwich():
         assert 0.2 - 1e-9 <= ratio <= 1.0 + 1e-9
 
 
-def test_gap_report_strict_raises_on_a_gap_above_gap_rw():
+def test_gap_report_fails_on_a_gap_above_gap_rw():
     g = path_graph(2, alpha=[0.2, 0.2])
     top = Level(g, 3)
     # a mutated level: gap_rw is 0.4, and a level gap above it breaks the sandwich
     top.gap = 0.5
-    with pytest.raises(VerificationError, match="k=3: gap_k=0.5 above gap_rw"):
-        gap_sandwich_report(top)
-    report = gap_sandwich_report(top, strict=False)
+    report = gap_sandwich_report(top)
     assert not report.passed and report.gaps[2] == top.lower.gap
+    assert any(f.startswith("k=3: gap_k=0.5 above gap_rw") for f in report.failures)
+
+
+def test_gap_report_finishes_on_a_2000_deep_ladder():
+    # levels up to 2000 of path(2) hold at most 2001 states each; their gaps
+    # are stubbed at the walk gap 2.0, and the walk gap is read from the graph
+    ladder = Ladder(path_graph(2))
+    for k in range(2, 2001):
+        ladder[k].gap = 2.0
+    report = gap_sandwich_report(ladder[2000])
+    assert report.passed, report.failures
+    assert report.gap_rw == pytest.approx(2.0) and len(report.gaps) == 1999
 
 
 def test_spectrum_inclusion_across_levels():
@@ -413,7 +423,7 @@ def test_sparse_gap_when_keys_overflow_int64():
     # unit site weights put the gap in the equality regime
     g = path_graph(40)
     assert space_size(40, 2) >= SPARSE_GAP_MIN_STATES
-    assert sip_gap(build_sip_generator(g, 2)) == pytest.approx(rw_gap(g), rel=1e-10)
+    assert sip_gap(build_sip_generator(g, 2)) == pytest.approx(g.walk_spectrum.gap, rel=1e-10)
 
 
 def test_sparse_gap_disconnected_graph_is_zero():
@@ -444,7 +454,7 @@ def test_sparse_gap_equals_walk_gap_on_a_long_path():
     g = path_graph(16)
     gen = build_sip_generator(g, 4)
     assert gen.space.size == 3876
-    assert sip_gap(gen) == pytest.approx(rw_gap(g), rel=1e-10)
+    assert sip_gap(gen) == pytest.approx(g.walk_spectrum.gap, rel=1e-10)
 
 
 def test_sparse_gap_factors_the_band_in_place(monkeypatch):
@@ -497,12 +507,12 @@ def test_gap_verdicts_invariant_under_time_rescaling(alpha_range):
     rng = np.random.default_rng(33)
     for _ in range(3):
         g = random_connected_graph(6, rng, alpha_range=alpha_range)
-        base = gap_sandwich_report(Level(g, 6), strict=False)
+        base = gap_sandwich_report(Level(g, 6))
         base_bep = bep_gap_report(Level(g, 3))
         assert base.passed and base_bep.passed
         for lam in (1e-6, 1.0, 1e3, 1e5, 1e7):
             scaled = Graph(g.n, g.edge_weights * lam, g.site_weights)
-            report = gap_sandwich_report(Level(scaled, 6), strict=False)
+            report = gap_sandwich_report(Level(scaled, 6))
             assert report.passed, report.failures
             assert report.tolerance == pytest.approx(lam * base.tolerance, rel=1e-9)
             for k, ratio in base.ratios.items():
