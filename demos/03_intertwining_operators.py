@@ -8,7 +8,7 @@ ones annihilated by the addition operator.
 """
 import numpy as np
 
-from siplab import (Level, check_adjoint, check_intertwinings, eigen_dichotomy,
+from siplab import (Level, check_adjoint, check_intertwinings, eigen_dichotomy, eigen_groups,
                     invert_annihilation, lift_eigenfunction, peeling_block,
                     random_connected_graph, build_rw_generator, rw_spectrum,
                     build_sip_generator)
@@ -46,15 +46,17 @@ print(f"\nlifted slow mode: eigenvalue {lam:.9f}, residual "
       f"{np.abs(-gen.matrix @ f - lam * f).max():.2e}")
 
 # Every eigenvalue at level k is either inherited through the lift or
-# newly created inside the kernel of the addition operator.
+# newly created inside the kernel of the addition operator.  The split is
+# checked with no eigensolve; the spectrum is then level k-1's joined with
+# the fresh block's.
 result = eigen_dichotomy(level)
-print(f"\neigenspace split at k={k} "
-      f"(image total {result.size_low}, kernel total {result.size_high - result.size_low}):")
-for group in result.groups:
+size_low, size_high = level.lower.space.size, level.space.size
+print(f"\neigenspace split at k={k} passes: {result.passed} "
+      f"(image total {size_low}, kernel total {size_high - size_low}):")
+for group in eigen_groups(level):
     origin = "lifted" if group.dim_image else "new"
     print(f"  eigenvalue {group.eigenvalue:10.6f}  dim {group.dim}  -> {origin}")
 
 basis = level.kernel
 print("\nkernel dimension:", basis.shape[1],
-      "= level-k size minus level-(k-1) size:",
-      level.space.size - level.lower.space.size)
+      "= level-k size minus level-(k-1) size:", size_high - size_low)

@@ -10,17 +10,15 @@ G maps a homogeneous polynomial of degree k to another one of degree k,
 so its restriction to the degree-k carrier is a finite matrix.  In the
 scaled monomial basis z^eta / prod(eta!) that matrix coincides entry by
 entry with the k-particle inclusion generator; `bep_matrix` constructs
-it purely by symbolic differentiation and checks the coincidence, which
-is the algebraic form of the duality between the two processes.  All
-spectral statements about the diffusion are then read off from the
-particle side: each degree's gap is its level's `Level.gap`.
+it purely by symbolic differentiation and checks the coincidence, the
+algebraic form of the duality between the two processes.  Each degree's
+diffusion gap is then its level's `Level.gap`.
 
 The calculus acts on `Terms`, batches of monomial terms held as three
 arrays (column, exponent rows, coefficient), and composes G from d_x and
 z_x edge by edge, for every basis monomial of a level at once.  The
 simplex constraint sum(z) = 1 is never substituted; every identity is
-checked coefficientwise on the homogeneous carrier, where the
-representation is unique.
+checked coefficientwise on the homogeneous carrier, where it is unique.
 """
 
 from __future__ import annotations
@@ -136,19 +134,27 @@ def _apply(terms: Terms, graph: Graph, degree: int) -> Terms:
     return image
 
 
-def _factorials(space: ConfigSpace) -> np.ndarray:
-    """prod_x eta_x! for each configuration eta of `space`, in rank order."""
-    return np.cumprod(np.arange(space.k + 1.0).clip(1.0))[space.occupations].prod(axis=1)
+def _factorial_ratio(row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """prod_x row_x! / col_x! for exponent rows one particle move apart, as every
+    image term of G is: the gainer's new exponent over the loser's old one."""
+    move = row - col
+    return np.where(move > 0, row, 1).prod(axis=1) / np.where(move < 0, col, 1).prod(axis=1)
 
 
 def poly_lift(f, space: ConfigSpace) -> HomogPolynomial:
-    """Carry a function on k-particle configurations to the degree-k
-    polynomial sum_eta f(eta) z^eta / prod_x eta_x!."""
+    """Carry a function on k-particle configurations to the degree-k polynomial
+    sum_eta f(eta) z^eta / prod_x eta_x!, refusing a nonzero value whose
+    coefficient is no normal float (prod_x eta_x! is infinite from 171! on)."""
     f = np.asarray(f, dtype=float)
     if f.shape != (space.size,):
         raise InputError(f"f must have length {space.size}")
     ranks = np.flatnonzero(f)
-    coeffs = f[ranks] / _factorials(space)[ranks]
+    with np.errstate(over="ignore"):  # an infinite prod_x eta_x! is refused below
+        factorials = np.cumprod(np.arange(space.k + 1.0).clip(1.0))[space.occupations[ranks]]
+        coeffs = f[ranks] / factorials.prod(axis=1)
+    if not np.all(np.abs(coeffs) >= np.finfo(float).tiny):
+        raise InputError(f"degree {space.k}: a coefficient f(eta) / prod_x eta_x! "
+                         "is no normal float")
     return HomogPolynomial(space.n, space.k,
                            dict(zip(map(tuple, space.occupations[ranks].tolist()), coeffs)))
 
@@ -183,14 +189,13 @@ def bep_matrix(level: Level) -> BepMatrix:
     """
     gen = level.generator
     space = gen.space
-    # the image of z^col / col! in row / row! carries row! / col!, taken in
-    # log space: prod(eta!) as a float is infinite from degree 171 on
-    log_scale = gammaln(np.arange(1.0, space.k + 2.0))[space.occupations].sum(axis=1)
+    # the image of z^col / col! in row / row! carries row! / col!, taken as an
+    # exact ratio: prod(eta!) as a float is infinite from degree 171 on
     image = _apply(Terms(np.arange(space.size), space.occupations, np.ones(space.size)),
                    level.graph, space.k)
     rows = space.rank_keys(image.expo @ space.place)
-    m = scipy.sparse.csr_array((image.coeff * np.exp(log_scale[rows] - log_scale[image.col]),
-                                (rows, image.col)), shape=(space.size, space.size))
+    scale = _factorial_ratio(image.expo, space.occupations[image.col])
+    m = scipy.sparse.csr_array((image.coeff * scale, (rows, image.col)), shape=(space.size,) * 2)
     check = identity_check(f"diffusion-matches-particles[k={level.k}]", m, gen.matrix)
     return BepMatrix(space, m, gen.matrix, check)
 

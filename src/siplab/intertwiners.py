@@ -1,31 +1,23 @@
 """Particle removal and addition operators between occupation levels.
 
 The annihilation operator averages a function of k-1 particles over the
-k ways of removing one particle:
-
-    (A g)(eta) = sum_x eta_x g(eta - delta_x),
-
-and the creation operator is its weighted-addition adjoint:
-
-    (C f)(xi) = sum_x (xi_x + alpha_x) f(xi + delta_x).
-
-Both intertwine consecutive inclusion generators, A L_{k-1} = L_k A and
-C L_k = L_{k-1} C, which pins the whole eigenstructure: eigenfunctions
-at level k either come from level k-1 through A or live in Ker C, and
-the two parts are orthogonal in the reversible inner product (the
-recursion of Caputo, Liggett and Richthammer).  One QR of the balanced
-W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the scale
-of mu, gives a basis of both (`removal_qr`); A_k is injective by an
-integer peeling argument read off A_k itself (`peeling_block`).  This
-module builds A_k (at most n entries a row), C_k (exactly n) and W_k as
-CSR, checks every one of those identities, and adds the Dirichlet-form
-decomposition and the single-walk comparison bounds used to sandwich
-the spectral gap.  Those two run over the shifted walks, site weights
-alpha + xi for each (k-1)-configuration xi, as arrays with one row per xi.
-
-Every statement is about one level k or two consecutive ones, so the
-checks take a `Level`, which builds each level-k piece once and keeps
-it; a `Ladder` shares each level with the one above it.
+k ways of removing one particle, (A g)(eta) = sum_x eta_x g(eta - delta_x),
+and the creation operator is its weighted-addition adjoint,
+(C f)(xi) = sum_x (xi_x + alpha_x) f(xi + delta_x).  Both intertwine
+consecutive inclusion generators, A L_{k-1} = L_k A and C L_k = L_{k-1} C,
+so eigenfunctions at level k either come from level k-1 through A or live
+in Ker C, and the two parts are orthogonal in the reversible inner product
+(the recursion of Caputo, Liggett and Richthammer).  A_k is injective by an
+integer peeling argument read off A_k itself (`peeling_block`), whose
+triangular block also gives a basis of the fresh part, Ker C_k, in the
+balanced W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the
+scale of mu (`fresh_basis`).  This module builds A_k, C_k and W_k as CSR,
+checks every one of those identities, the split with no eigensolve, and
+the Dirichlet-form decomposition and single-walk comparison bounds that
+sandwich the spectral gap, over the walks with site weights alpha + xi, a
+row per (k-1)-configuration xi.  The checks take a `Level`, which builds
+each level-k piece once and keeps it; a `Ladder` shares each level with
+the one above it.
 """
 
 from __future__ import annotations
@@ -75,10 +67,9 @@ def build_creation(graph: Graph, low: ConfigSpace, high: ConfigSpace) -> scipy.s
 
 
 def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, eigenvalues), both (space.size, n): row s of beta is alpha + xi
-    for the s-th configuration xi of `space` in rank order, and row s of
-    eigenvalues the ascending spectrum of the walk with site weights beta[s],
-    all built, checked for reversibility and solved as one stack."""
+    """(beta, eigenvalues), both (space.size, n): row s of beta is alpha + xi for
+    the s-th configuration xi of `space`, and row s of eigenvalues the ascending
+    spectrum of its walk, all built, checked and solved as one stack."""
     beta = graph.site_weights + space.occupations
     rates = graph.edge_weights * beta[:, None, :]
     sites = np.arange(graph.n)
@@ -93,20 +84,17 @@ class Level:
     """Level k of the inclusion process on a graph, with the operators
     that tie it to level k-1.
 
-    Each piece is built on first use and then kept: `generator` (which
-    carries `space` and `measure`), the removal and addition operators
-    `annihilation` (A_k) and `creation` (C_k), built from the two levels'
-    spaces, and `balanced_removal`, W_k = D_k^(1/2) A_k D_{k-1}^(-1/2) with
-    D_j = diag(mu_j), all CSR; the dense `spectrum` (eigenvalues only), the
-    `gap` from `sip_gap`, `qr`, the mu-orthonormal basis of `removal_qr`,
-    whose trailing columns are `kernel`, a mu-orthonormal basis of Ker C_k,
-    `shifted_walks`, the arrays (beta, eigenvalues) of the walks with site
-    weights alpha + xi, a row per level-(k-1) configuration xi, and
-    `labeled`, the labeled generators, label maps and law.  `lower` is level
-    k-1: the one given, else one made on first use.  Level 0 has one state
-    and a 1x1 CSR zero generator, which is its own symmetric form.  The
-    single-particle walk belongs to the graph: every level reads
-    `graph.walk` and `graph.walk_spectrum`.
+    Each piece is built on first use and kept: `generator` (with `space`
+    and `measure`); as CSR, `annihilation` (A_k), `creation` (C_k) and
+    `balanced_removal`, W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j);
+    the dense `spectrum` (eigenvalues only); `gap` from `sip_gap`; `peeling`
+    from `peeling_block`; `fresh`, the Q of `fresh_basis`, whose D_k^(-1/2) Q,
+    made on each read, is `kernel`, a mu-orthonormal basis of Ker C_k;
+    `shifted_walks` from `build_shifted_walks`; and `labeled`, the labeled
+    generators, label maps and law.  `lower` is level k-1, the one given or
+    one made on first use.  Level 0 has one state and a 1x1 CSR zero
+    generator, its own symmetric form.  Every level reads the single-particle
+    walk from the graph, `graph.walk` and `graph.walk_spectrum`.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -166,12 +154,16 @@ class Level:
         return sip_gap(self.generator)
 
     @cached_property
-    def qr(self) -> np.ndarray:
-        return removal_qr(self)[0]
+    def peeling(self) -> tuple:
+        return peeling_block(self)
+
+    @cached_property
+    def fresh(self) -> np.ndarray:
+        return fresh_basis(self)
 
     @property
     def kernel(self) -> np.ndarray:
-        return self.qr[:, self.lower.space.size:]
+        return self.fresh / np.sqrt(self.measure.probabilities)[:, None]
 
     @cached_property
     def shifted_walks(self) -> tuple:
@@ -200,14 +192,13 @@ class Ladder:
 
 def peeling_block(level: Level) -> tuple:
     """(rows, cols, block, margin) of the peeling argument that A_k is injective.
-
     `cols` takes the level-(k-1) states xi by decreasing largest occupancy,
     stable, and `rows` the states xi + delta_y, y the first site of largest
     occupancy of xi.  The other states xi + delta_y - delta_x a row reaches
     have a larger largest occupancy, so `block` = A_k[rows][:, cols] is lower
-    triangular with diagonal xi_y + 1.  `margin` is 0 if the level's own A_k
-    puts an entry above that diagonal, else the least min/max ratio of a
-    diagonal entry to its xi_y + 1: exactly 1.0 when the argument holds."""
+    triangular with diagonal xi_y + 1.  `margin` is 0 if A_k puts an entry
+    above that diagonal, else the least min/max ratio of a diagonal entry to
+    its xi_y + 1: exactly 1.0 when the argument holds."""
     occ = level.lower.space.occupations
     cols = np.argsort(-occ.max(axis=1), kind="stable")
     y = occ[cols].argmax(axis=1)
@@ -226,7 +217,7 @@ def invert_annihilation(level: Level, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != (level.space.size,):
         raise InputError(f"h must have length {level.space.size}")
-    rows, cols, block, margin = peeling_block(level)
+    rows, cols, block, margin = level.peeling
     if margin != 1.0:
         raise InputError("the removal matrix fails the peeling check")
     g = np.empty(cols.size)
@@ -234,12 +225,31 @@ def invert_annihilation(level: Level, h) -> np.ndarray:
     return g
 
 
+def fresh_basis(level: Level) -> np.ndarray:
+    """Q, S_k x (S_k - S_{k-1}), orthonormal columns spanning Ker W_k^T.  Each
+    state off the rows of `peeling_block` is free; 1 there, 0 at the other free
+    states and x on the rows, block^T x = -A_k[free][:, cols]^T, is a g in
+    Ker A_k^T, so D_k^(-1/2) g is in Ker W_k^T; an economic QR makes those
+    orthonormal.  The block must be triangular with a nonzero diagonal."""
+    rows, cols, block, margin = level.peeling
+    if not margin > 0.0:
+        raise InputError("the peeling block is not triangular with a nonzero diagonal")
+    free = np.setdiff1d(np.arange(level.space.size), rows, assume_unique=True)
+    g = np.zeros((level.space.size, free.size))
+    g[free, np.arange(free.size)] = 1.0
+    g[rows] = scipy.linalg.solve_triangular(  # dense: the sparse solve costs more to set up
+        block.toarray(), -level.annihilation[free].toarray()[:, cols].T, trans="T", lower=True)
+    g /= np.sqrt(level.measure.probabilities)[:, None]
+    q = scipy.linalg.qr(g, overwrite_a=True, mode="economic", check_finite=False)[0]
+    q.setflags(write=False)
+    return q
+
+
 def check_adjoint(level: Level) -> CheckResult:
     """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity.
-
-    A_k^T and C_k share the pattern {(xi, xi + delta_x)}, so once their
-    indices are sorted the two sides are compared on their CSR values; a
-    pattern that differs goes through `identity_check` as sparse sides."""
+    A_k^T and C_k share the pattern {(xi, xi + delta_x)}, so once their indices
+    are sorted the two sides are compared on their CSR values; a pattern that
+    differs goes through `identity_check` as sparse sides."""
     k = level.k
     factor = k / (level.graph.alpha_total + k - 1)
     mu, mu_low = level.measure.probabilities, factor * level.lower.measure.probabilities
@@ -263,11 +273,9 @@ def check_intertwinings(level: Level) -> tuple[CheckResult, CheckResult]:
 
 
 def lift_eigenfunction(graph: Graph, psi, k: int):
-    """Lift a walk eigenfunction to level k as f(eta) = sum_x psi(x) eta_x.
-
-    Returns (f, eigenvalue).  psi is rejected unless it is an actual
-    eigenfunction of the negative walk generator.
-    """
+    """(f, eigenvalue): a walk eigenfunction psi lifted to level k as
+    f(eta) = sum_x psi(x) eta_x.  psi is rejected unless it is an actual
+    eigenfunction of the negative walk generator."""
     psi = np.asarray(psi, dtype=float)
     gen = graph.walk
     if psi.shape != (graph.n,):
@@ -285,17 +293,6 @@ def lift_eigenfunction(graph: Graph, psi, k: int):
     return space.occupations @ psi, lam
 
 
-def removal_qr(level: Level) -> tuple[np.ndarray, np.ndarray]:
-    """(D_k^(-1/2) Q, R) of the full QR W_k = Q R, W_k = `Level.balanced_removal`:
-    mu-orthonormal columns, the first S_{k-1} spanning Range A_k and the rest its
-    mu-orthogonal complement Ker C_k, as W_k^T = c D_{k-1}^(1/2) C_k D_k^(-1/2),
-    c = k / (|alpha| + k - 1), by the adjoint identity."""
-    q, r = scipy.linalg.qr(level.balanced_removal.toarray(), overwrite_a=True)
-    q /= np.sqrt(level.measure.probabilities)[:, None]
-    q.setflags(write=False)
-    return q, r
-
-
 @dataclass(frozen=True)
 class EigenGroup:
     eigenvalue: float
@@ -306,11 +303,8 @@ class EigenGroup:
 
 @dataclass(frozen=True)
 class EigenDichotomy:
-    """Eigenvalue groups, the peeling margin and three residuals of `eigen_dichotomy`."""
+    """The peeling margin and three residuals of `eigen_dichotomy`."""
 
-    groups: tuple
-    size_low: int
-    size_high: int
     injectivity: float
     off_diagonal: float
     image_spectrum: float
@@ -319,43 +313,51 @@ class EigenDichotomy:
 
 
 def eigen_dichotomy(level: Level) -> EigenDichotomy:
-    """Split the spectrum of L_k between lifted eigenfunctions (Range A_k)
-    and fresh ones (Ker C_k), in the basis B of `removal_qr`.  It passes when
-    A_k passes the exact check of `peeling_block`; when M = B^T D (-L_k) B is
-    block diagonal and its image block has the spectrum of level k-1, within
-    `residual_tol` of L_k's largest rate; and when the balanced C_k kills the
-    kernel, c D_{k-1}^(1/2) C_k B_ker = 0, within `residual_tol` of W_k's
-    largest entry, which has no time scale.  Groups cluster the lower spectrum
-    and M's fresh eigenvalues, each within SPECTRAL_RTOL (1 + |value|) of its first."""
-    low_vals, basis, k = level.lower.spectrum.eigenvalues, level.qr, level.k
-    gen, s = level.generator.matrix, low_vals.size
-    # D (-L_k) is symmetric by detailed balance, so M is; eigvalsh reads its lower triangle
-    m = basis.T @ (-level.measure.probabilities[:, None] * (gen @ basis))
-    injectivity = peeling_block(level)[3]
-    off_diagonal = float(np.abs(m[s:, :s]).max())
-    image_spectrum = float(np.abs(scipy.linalg.eigvalsh(m[:s, :s]) - low_vals).max())
-    balance = np.sqrt(level.lower.measure.probabilities) * k / (level.graph.alpha_total + k - 1)
-    kernel_residual = float(np.abs(balance[:, None] * (level.creation @ level.kernel)).max())
-    bound = residual_tol(max_abs(gen))
+    """Check with no eigensolve that L_k splits into Range A_k, which carries
+    level k-1's spectrum, and Ker C_k.  With H_j = `generator.symmetric`,
+    W_k = `Level.balanced_removal` and Q = `Level.fresh`, it passes when A_k
+    passes the exact check of `peeling_block`; when H_k W_k = W_k H_{k-1}
+    (with injectivity, level k-1's spectrum on Range W_k) and W_k^T H_k Q = 0,
+    within `residual_tol` of L_k's largest rate times W_k's largest entry; and
+    when c D_{k-1}^(1/2) C_k D_k^(-1/2) Q = 0 within `residual_tol` of W_k's
+    largest entry.  With no Q (margin <= 0) its two residuals read NaN."""
+    k, w, h = level.k, level.balanced_removal, level.generator.symmetric
+    injectivity = level.peeling[3]
+    image_spectrum = max_abs(h @ w - w @ level.lower.generator.symmetric)
+    off_diagonal = kernel_residual = math.nan
+    if injectivity > 0.0:
+        off_diagonal = max_abs(w.T @ (h @ level.fresh))
+        balance = np.sqrt(level.lower.measure.probabilities) * k / (level.graph.alpha_total + k - 1)
+        kernel_residual = max_abs(balance[:, None] * (level.creation @ level.kernel))
+    bound = residual_tol(max_abs(level.generator.matrix) * max_abs(w))
     passed = (injectivity == 1.0 and off_diagonal <= bound and image_spectrum <= bound
-              and kernel_residual <= residual_tol(max_abs(level.balanced_removal)))
-    vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
+              and kernel_residual <= residual_tol(max_abs(w)))
+    return EigenDichotomy(injectivity, off_diagonal, image_spectrum, kernel_residual, passed)
+
+
+def eigen_groups(level: Level) -> tuple:
+    """L_k's spectrum as `EigenGroup`s: level k-1's, on the lifted part by
+    `eigen_dichotomy`, joined with eigvalsh of the lower triangle of Q^T H_k Q,
+    clustered up, each within SPECTRAL_RTOL (1 + |value|) of its first."""
+    low_vals, q = level.lower.spectrum.eigenvalues, level.fresh
+    vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(q.T @ (level.generator.symmetric @ q))])
     order = np.argsort(vals, kind="stable")
-    vals, is_image = vals[order], order < s
+    vals, is_image = vals[order], order < low_vals.size
     ends = np.searchsorted(vals, vals + SPECTRAL_RTOL * (1.0 + np.abs(vals)), "right").tolist()
     starts = [0]
     while ends[starts[-1]] < vals.size:
         starts.append(ends[starts[-1]])
     dims, n_im = np.diff(starts, append=vals.size), np.add.reduceat(is_image.astype(int), starts)
     means = np.add.reduceat(vals, starts) / dims
-    groups = map(EigenGroup, means.tolist(), dims.tolist(), n_im.tolist(), (dims - n_im).tolist())
-    return EigenDichotomy(tuple(groups), s, vals.size, injectivity, off_diagonal,
-                          image_spectrum, kernel_residual, passed)
+    return tuple(map(EigenGroup, means.tolist(), dims.tolist(), n_im.tolist(),
+                     (dims - n_im).tolist()))
 
 
 def project_to_kernel(level: Level, f) -> np.ndarray:
-    """Orthogonal projection (reversible inner product) onto Ker C."""
-    return level.kernel @ (level.kernel.T @ (level.measure.probabilities * np.asarray(f, float)))
+    """Orthogonal projection (reversible inner product) onto Ker C:
+    D_k^(-1/2) Q Q^T D_k^(1/2) f, Q = `Level.fresh`."""
+    d, q = np.sqrt(level.measure.probabilities), level.fresh
+    return q @ (q.T @ (d * np.asarray(f, float))) / d
 
 
 @dataclass(frozen=True)
@@ -371,17 +373,13 @@ class DirichletDecomposition:
 
 
 def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
-    """For f in Ker C, rewrite the level-k energy as a weighted sum of
-    single-walk energies with shifted site weights and verify it.
+    """For f projected to Ker C, check in order the rewriting of the level-k
+    energy as a weighted sum of single-walk energies with shifted site weights,
 
-    Checks, in order: the exact rewriting
-
-        E_k(f) = (|alpha|+k-1) (Z_{k-1}/Z_k)
-                 sum_xi mu_{k-1}(xi) D_{alpha+xi}(f_xi),
+        E_k(f) = (|alpha|+k-1) (Z_{k-1}/Z_k) sum_xi mu_{k-1}(xi) D_{alpha+xi}(f_xi),
 
     the mean-zero variance reduction of each section f_xi(x) = f(xi+delta_x),
-    and the lower bound E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f).
-    """
+    and the lower bound E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f)."""
     graph, k, gen = level.graph, level.k, level.generator
     f = project_to_kernel(level, f)
     space, low, mu_low = gen.space, level.lower.space, level.lower.measure
@@ -424,17 +422,14 @@ class ComparisonReport:
 
 def minmax_comparison_check(level: Level,
                             rng: np.random.Generator | None = None) -> ComparisonReport:
-    """Compare the walk with site weights alpha to every shifted walk
-    alpha + xi, xi a configuration of k-1 particles.
-
-    Checked for each xi: the Dirichlet form bound with factor
-    |alpha| / (|alpha|+k-1) on 50 random test functions, the norm bound
-    with factor alpha_min (|alpha|+k-1) / (|alpha| (alpha_min+k-1)),
-    the resulting eigenvalue-by-eigenvalue bound with factor
-    alpha_min / (alpha_min+k-1), and the closing scalar inequality
-    alpha_min k / (alpha_min+k-1) >= min(1, alpha_min).  Every walk meets
-    every test function at once, in the tables of `comparison_tables`.
-    """
+    """Compare the walk with site weights alpha to every shifted walk alpha + xi,
+    xi a configuration of k-1 particles.  Checked for each xi: the Dirichlet
+    form bound with factor |alpha| / (|alpha|+k-1) on 50 random test functions,
+    the norm bound with factor alpha_min (|alpha|+k-1) / (|alpha| (alpha_min+k-1)),
+    the resulting eigenvalue-by-eigenvalue bound with factor alpha_min /
+    (alpha_min+k-1), and the closing scalar inequality alpha_min k /
+    (alpha_min+k-1) >= min(1, alpha_min).  Every walk meets every test
+    function at once, in the tables of `comparison_tables`."""
     if rng is None:
         rng = np.random.default_rng(0)
     graph, k = level.graph, level.k

@@ -23,7 +23,8 @@ from siplab.configs import (ConfigSpace, enumerate_configs, rank_composition, si
 from siplab.errors import InputError, VerificationError
 from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
                            rw_dirichlet_form, rw_spectrum)
-from siplab.intertwiners import EigenGroup, Level, build_annihilation, project_to_kernel
+from siplab.intertwiners import (EigenGroup, Level, build_annihilation, eigen_dichotomy,
+                                 eigen_groups, project_to_kernel)
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
                              labeled_stationary_measure, symmetrizer, unlabel_map)
 from siplab.reporting import identity_check, make_check, max_abs, require_reversible
@@ -79,37 +80,36 @@ CONTRACT_RTOL = 1e-12
 CONTRACT_RESIDUAL = 1e-3
 
 
-def output_mismatch(old, new, where: str = "output") -> str | None:
-    """Where `new` first breaks the contract with `old`, or None.  A dict
-    with an identity, a residual and a tolerance is a check."""
+def output_mismatches(old, new, where: str = "output") -> list:
+    """Every place where `new` breaks the contract with `old`, in key order;
+    empty when it keeps it.  A dict with an identity, a residual and a
+    tolerance is a check."""
+    found = []
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
-            return f"{where}: keys {sorted(old)} became {sorted(new)}"
+            return [f"{where}: keys {sorted(old)} became {sorted(new)}"]
         keys = sorted(old)
         if {"identity", "residual", "tolerance"} <= old.keys():
             bound = CONTRACT_RESIDUAL * old["tolerance"]
             if not abs(new["residual"] - old["residual"]) <= bound:
-                return f"{where}: residual {old['residual']!r} became {new['residual']!r}"
+                found.append(f"{where}: residual {old['residual']!r} became {new['residual']!r}")
             keys.remove("residual")
         pairs = ((f"{where}.{key}", old[key], new[key]) for key in keys)
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            return f"{where}: {len(old)} entries became {len(new)}"
+            return [f"{where}: {len(old)} entries became {len(new)}"]
         pairs = ((f"{where}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new)))
-    elif type(old) is not type(new):
-        return f"{where}: {old!r} became {new!r}"
-    elif isinstance(old, float):
-        close = (old == new or (math.isnan(old) and math.isnan(new))
-                 or abs(new - old) <= CONTRACT_RTOL * max(abs(old), abs(new)))
-        return None if close else f"{where}: {old!r} became {new!r}"
     else:
-        return None if old == new else f"{where}: {old!r} became {new!r}"
-    return next(filter(None, (output_mismatch(a, b, at) for at, a, b in pairs)), None)
+        close = type(old) is type(new) and (old == new or isinstance(old, float) and (
+            (math.isnan(old) and math.isnan(new))
+            or abs(new - old) <= CONTRACT_RTOL * max(abs(old), abs(new))))
+        return [] if close else [f"{where}: {old!r} became {new!r}"]
+    return found + [m for at, a, b in pairs for m in output_mismatches(a, b, at)]
 
 
 def outputs_equivalent(old, new) -> bool:
     """Whether `new` keeps the contract with `old`, both as `read_output` gives them."""
-    return output_mismatch(old, new) is None
+    return not output_mismatches(old, new)
 
 
 def _csv_cell(text: str):
@@ -228,11 +228,34 @@ def reference_sip_generator(graph: Graph, k: int) -> SipGenerator:
     return SipGenerator(graph, space, m, mu, 0.5 * (sym + sym.T))
 
 
-def loop_eigen_groups(level: Level, tol: float = 1e-8) -> tuple:
-    """`eigen_dichotomy`'s groups, one searchsorted and one mean per group:
-    each group is anchored at its first value.  The oracle of its grouping."""
-    low_vals, basis, s = level.lower.spectrum.eigenvalues, level.qr, level.lower.space.size
-    m = basis.T @ (-level.measure.probabilities[:, None] * (level.generator.matrix @ basis))
+class QrDichotomy(NamedTuple):
+    groups: tuple
+    passed: bool
+
+
+def qr_eigen_dichotomy(level: Level, tol: float = 1e-8) -> QrDichotomy:
+    """The dichotomy through one full QR of the balanced W_k = Q R and dense
+    eigensolves.  The first S_{k-1} columns of B = D_k^(-1/2) Q span Range A_k
+    and the rest Ker C_k.  It passes when A_k passes the peeling check; when
+    M = B^T D (-L_k) B is block diagonal and its image block has level k-1's
+    dense spectrum, both within `tol` of L_k's largest rate; and when
+    c D_{k-1}^(1/2) C_k B_ker vanishes within `tol` of W_k's largest entry.
+    Groups join the lower spectrum with the eigenvalues of M's fresh block,
+    one searchsorted and one mean per group, each anchored at its first
+    value.  The oracle of `eigen_dichotomy`'s verdict and of `eigen_groups`."""
+    k, s = level.k, level.lower.space.size
+    low_vals = sip_spectrum(level.lower.generator, want_vectors=False).eigenvalues
+    q = scipy.linalg.qr(level.balanced_removal.toarray())[0]
+    basis = q / np.sqrt(level.measure.probabilities)[:, None]
+    gen = level.generator.matrix
+    m = basis.T @ (-level.measure.probabilities[:, None] * (gen @ basis))
+    off_diagonal = float(np.abs(m[s:, :s]).max())
+    image_spectrum = float(np.abs(scipy.linalg.eigvalsh(m[:s, :s]) - low_vals).max())
+    balance = np.sqrt(level.lower.measure.probabilities) * k / (level.graph.alpha_total + k - 1)
+    kernel_residual = float(np.abs(balance[:, None] * (level.creation @ basis[:, s:])).max())
+    bound = tol * max(1.0, float(np.abs(gen).max()))
+    passed = (level.peeling[3] == 1.0 and off_diagonal <= bound and image_spectrum <= bound
+              and kernel_residual <= tol * max(1.0, float(level.balanced_removal.max())))
     vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(m[s:, s:])])
     order = np.argsort(vals, kind="stable")
     vals, is_image = vals[order], order < s
@@ -242,7 +265,7 @@ def loop_eigen_groups(level: Level, tol: float = 1e-8) -> tuple:
         n_im = int(is_image[i:j].sum())
         groups.append(EigenGroup(float(vals[i:j].mean()), j - i, n_im, j - i - n_im))
         i = j
-    return tuple(groups)
+    return QrDichotomy(tuple(groups), passed)
 
 
 def loop_annihilation(graph: Graph, k: int) -> np.ndarray:
@@ -624,7 +647,8 @@ def dense_eigen_dichotomy(level: Level, tol: float = 1e-8) -> DenseDichotomy:
     values of its overlap with an orthonormal basis of D^(1/2) Range A_k,
     at least 1 - tol for a lifted vector and at most tol for a fresh one;
     a vector in between fails.  `carried` marks a cluster whose eigenvalue
-    the dense level-(k-1) spectrum holds.  The oracle of `eigen_dichotomy`."""
+    the dense level-(k-1) spectrum holds.  The oracle of `eigen_dichotomy`
+    and `eigen_groups`."""
     spec = sip_spectrum(level.generator)
     low_vals = sip_spectrum(level.lower.generator, want_vectors=False).eigenvalues
     d = np.sqrt(level.measure.probabilities)
@@ -651,17 +675,17 @@ def dense_eigen_dichotomy(level: Level, tol: float = 1e-8) -> DenseDichotomy:
     return DenseDichotomy(tuple(groups), dim_im, dim_ker, ok)
 
 
-def assert_dichotomy_matches_dense(level: Level, result) -> None:
-    """`eigen_dichotomy`'s verdict and groups equal the dense oracle's:
+def assert_dichotomy_matches_dense(level: Level) -> None:
+    """`eigen_dichotomy`'s verdict and `eigen_groups` equal the dense oracle's:
     eigenvalues to 1e-10 of the largest rate (at least 1), dimensions
     exactly, and the oracle's totals are the level sizes."""
-    dense = dense_eigen_dichotomy(level)
-    assert result.passed == dense.passed
-    assert dense.dim_image_total == result.size_low
-    assert dense.dim_kernel_total == result.size_high - result.size_low
+    dense, groups = dense_eigen_dichotomy(level), eigen_groups(level)
+    assert eigen_dichotomy(level).passed == dense.passed
+    assert dense.dim_image_total == level.lower.space.size
+    assert dense.dim_kernel_total == level.space.size - level.lower.space.size
     scale = max(1.0, float(np.abs(level.generator.matrix).max()))
-    assert len(result.groups) == len(dense.groups)
-    for group, (lam, dim, dim_image, dim_kernel, carried) in zip(result.groups, dense.groups):
+    assert len(groups) == len(dense.groups)
+    for group, (lam, dim, dim_image, dim_kernel, carried) in zip(groups, dense.groups):
         assert abs(group.eigenvalue - lam) <= 1e-10 * scale
         assert (group.dim, group.dim_image, group.dim_kernel) == (dim, dim_image, dim_kernel)
         assert carried == (group.dim_image > 0)

@@ -97,7 +97,7 @@ def test_criterion_4_identity_suite():
                 assert check.passed, check
             dichotomy = eigen_dichotomy(level)
             assert dichotomy.passed
-            assert_dichotomy_matches_dense(level, dichotomy)
+            assert_dichotomy_matches_dense(level)
             for _ in range(per_combo):
                 f = rng.standard_normal(level.space.size)
                 result = dirichlet_decomposition_check(level, f)

@@ -1,11 +1,13 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import dict_bep_generator, dict_bep_matrix, hausdorff_gap
-from siplab.bep import (HomogPolynomial, Terms, apply_bep_generator, bep_gap_report,
-                        bep_matrix, poly_lift, simplex_measure)
+from siplab.bep import (HomogPolynomial, Terms, _apply, _factorial_ratio, apply_bep_generator,
+                        bep_gap_report, bep_matrix, poly_lift, simplex_measure)
 from siplab.configs import enumerate_configs
 from siplab.errors import InputError, StateCapError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
@@ -51,6 +53,19 @@ def test_poly_lift_linear_and_injective():
     np.testing.assert_allclose(poly_lift(f, space).to_vector(space) *
                                [math.prod(math.factorial(int(e)) for e in occ)
                                 for occ in space.occupations], f, atol=1e-12)
+
+
+def test_poly_lift_refuses_a_coefficient_it_cannot_represent():
+    # 171! is infinite as a float, and 1/170! is normal; no overflow warning either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(poly_lift(np.ones(171), enumerate_configs(2, 170)).coeffs) == 171
+        with pytest.raises(InputError, match="degree 171"):
+            poly_lift(np.ones(172), enumerate_configs(2, 171))
+    f = np.zeros(3)
+    f[1] = 1e-308  # at (1, 1), a subnormal coefficient
+    with pytest.raises(InputError, match="degree 2"):
+        poly_lift(f, enumerate_configs(2, 2))
 
 
 def test_to_vector_places_coefficients_by_rank():
@@ -212,8 +227,20 @@ def test_batched_matrix_matches_the_dict_oracle_past_int64_keys():
     _assert_matches_dict_oracle(path_graph(40), 2)
 
 
+def test_the_monomial_scale_is_the_exact_factorial_ratio_at_degree_200():
+    space = enumerate_configs(2, 200)
+    image = _apply(Terms(np.arange(space.size), space.occupations, np.ones(space.size)),
+                   path_graph(2), 200)
+    picks = np.random.default_rng(71).choice(image.coeff.size, 60, replace=False)
+    rows, cols = image.expo[picks], space.occupations[image.col[picks]]
+    exact = [float(Fraction(math.prod(map(math.factorial, row)),
+                            math.prod(map(math.factorial, col))))
+             for row, col in zip(rows.tolist(), cols.tolist())]
+    np.testing.assert_array_equal(_factorial_ratio(rows, cols), exact)
+
+
 def test_the_diffusion_matrix_matches_the_particles_past_degree_170():
-    # 171! is infinite as a float, so the monomial scale is taken in log space
+    # 171! is infinite as a float, so the monomial scale is an exact ratio
     check = bep_matrix(Level(path_graph(2), 171)).check
     assert check.passed and np.isfinite(check.residual), check
 

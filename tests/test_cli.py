@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import siplab.cli
 import siplab.configs
@@ -256,7 +257,8 @@ def _count_level_builds(monkeypatch):
     levels = {"enumerate_configs": (siplab.configs, lambda n, k: k),
               "build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
               "_move_table": (siplab.sip, lambda graph, space: space.k),
-              "removal_qr": (siplab.intertwiners, lambda level: level.k),
+              "peeling_block": (siplab.intertwiners, lambda level: level.k),
+              "fresh_basis": (siplab.intertwiners, lambda level: level.k),
               "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1),
               "sip_gap": (siplab.sip, lambda gen: gen.space.k),
               "sip_spectrum": (siplab.sip, lambda gen, want_vectors=True: gen.space.k)}
@@ -288,7 +290,7 @@ def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
     assert counts["build_sip_generator"] == {1: 1, 2: 1, 3: 1, 4: 1}
     # the gap report reads the shared generators: no level's moves are tabled twice
     assert counts["_move_table"] == {1: 1, 2: 1, 3: 1, 4: 1}
-    assert counts["removal_qr"] == {2: 1, 3: 1, 4: 1}
+    assert counts["peeling_block"] == counts["fresh_basis"] == {2: 1, 3: 1, 4: 1}
     assert counts["build_shifted_walks"] == {2: 1, 3: 1, 4: 1}
     # the gap report and the diffusion report read each level's gap once
     assert counts["sip_gap"] == {1: 1, 2: 1, 3: 1, 4: 1}
@@ -370,6 +372,23 @@ def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypa
     assert counts["sip_gap"] == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
+def test_the_identity_suite_solves_no_level_spectrum_and_no_full_qr(capsys, monkeypatch):
+    """The dichotomy checks the split with no eigensolve, and builds the fresh
+    basis with an economic QR of its S_k - S_{k-1} columns."""
+    counts = _count_level_builds(monkeypatch)
+    modes, qr = [], scipy.linalg.qr
+
+    def recorded(*args, mode="full", **kwargs):
+        modes.append(mode)
+        return qr(*args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recorded)
+    code, out, _ = run(["verify", "cycle(5)", "--K", "5", "--suite", "sip"], capsys)
+    assert code == 0 and json.loads(out)["pass"]
+    assert counts["sip_spectrum"] == {}
+    assert modes == ["economic"] * 4
+
+
 def test_each_level_is_symmetrized_and_checked_once(capsys, monkeypatch):
     """The reversibility check runs once per level, inside the assembly that
     builds the symmetric form; sip_gap and sip_spectrum read that form and
@@ -402,7 +421,8 @@ def test_each_level_is_symmetrized_and_checked_once(capsys, monkeypatch):
     levels = range(1, 6)
     assert {k for name, k in entered if name == "build_sip_generator"} == set(levels)
     assert {k for name, k in entered if name == "sip_gap"} == set(levels)
-    assert {k for name, k in entered if name == "sip_spectrum"} == set(range(1, 5))
+    # the dichotomy solves no spectrum; the diffusion report's walk-gap check reads level 1's
+    assert {k for name, k in entered if name == "sip_spectrum"} == {1}
     assert set(entered.values()) == {1}
     # the walks' own checks run outside every level function
     assert sorted(where for _, where in checks if where is not None) == [

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DEGENERATE_GRAPHS, output_mismatch, outputs_equivalent, read_output
+from conftest import DEGENERATE_GRAPHS, output_mismatches, outputs_equivalent, read_output
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -18,17 +18,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_the_commands_keep_their_golden_outputs(tmp_path):
     """`write_golden.py` run afresh gives every command's exit code and an
-    output equivalent to the committed one."""
+    output equivalent to the committed one; a failure names every breach."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, str(GOLDEN / "write_golden.py"), str(tmp_path)],
                    env=env, check=True, timeout=120)
     index = json.loads((GOLDEN / "index.json").read_text())
     assert json.loads((tmp_path / "index.json").read_text()) == index
     assert json.loads((GOLDEN / "G1.json").read_text()) == DEGENERATE_GRAPHS["G1"]
+    mismatches = []
     for name, entry in index.items():
         file = name + (".json" if entry["argv"][0] in ("verify", "report") else ".csv")
-        old, new = read_output(GOLDEN / file), read_output(tmp_path / file)
-        assert outputs_equivalent(old, new), output_mismatch(old, new, file)
+        mismatches += output_mismatches(read_output(GOLDEN / file), read_output(tmp_path / file),
+                                        file)
+    assert not mismatches, "\n".join(mismatches)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,18 @@ def _change_detail(payload):
                                     _drop_key, _change_detail])
 def test_the_contract_fails_on_a_mutation(report, change):
     assert not outputs_equivalent(report, _mutated(report, change))
+
+
+def test_the_contract_names_every_breach(report):
+    def both(payload):
+        _move_residual(payload)
+        _move_gap(payload)
+
+    mismatches = output_mismatches(report, _mutated(report, both), "report.json")
+    assert len(mismatches) == 2
+    assert mismatches[0].startswith("report.json.gap_report.gap_k.3: ")
+    assert mismatches[1].startswith("report.json.suites.lookdown.checks[")
+    assert "residual" in mismatches[1]
 
 
 def test_the_contract_compares_csv_counts_exactly():

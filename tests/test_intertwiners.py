@@ -6,22 +6,22 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from conftest import (CONTRACT_RTOL, assert_dichotomy_matches_dense, binomial_removal_matrix,
-                      injectivity_margin, kernel_gap, loop_annihilation, loop_creation,
-                      loop_dirichlet_decomposition, loop_eigen_groups, loop_minmax_comparison,
-                      loop_shifted_walks, loop_sip_generator, removal_composition,
-                      svd_kernel_basis)
+from conftest import (CONTRACT_RTOL, DEGENERATE_GRAPHS, assert_dichotomy_matches_dense,
+                      binomial_removal_matrix, injectivity_margin, kernel_gap, loop_annihilation,
+                      loop_creation, loop_dirichlet_decomposition, loop_minmax_comparison,
+                      loop_shifted_walks, loop_sip_generator, qr_eigen_dichotomy,
+                      removal_composition, svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError
-from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph, path_graph,
-                           random_connected_graph, rw_dirichlet_form, rw_spectrum,
-                           symmetrize_reversible)
+from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph,
+                           graph_from_dict, path_graph, random_connected_graph, rw_dirichlet_form,
+                           rw_spectrum, symmetrize_reversible)
 from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creation, check_adjoint,
                                  check_intertwinings, comparison_tables,
                                  dirichlet_decomposition_check,
-                                 eigen_dichotomy, invert_annihilation, lift_eigenfunction,
-                                 minmax_comparison_check, peeling_block, project_to_kernel,
-                                 removal_qr, shifted_walk_gap_infimum)
+                                 eigen_dichotomy, eigen_groups, fresh_basis, invert_annihilation,
+                                 lift_eigenfunction, minmax_comparison_check, peeling_block,
+                                 project_to_kernel, shifted_walk_gap_infimum)
 from siplab.reporting import ENERGY_RTOL
 from siplab.sip import build_sip_generator, sip_spectrum
 
@@ -249,11 +249,10 @@ def test_eigen_dichotomy_dimensions_and_new_levels():
     g = random_connected_graph(3, rng)
     for k in (2, 3, 4):
         level = Level(g, k)
-        result = eigen_dichotomy(level)
-        assert result.passed
-        assert_dichotomy_matches_dense(level, result)
+        assert eigen_dichotomy(level).passed
+        assert_dichotomy_matches_dense(level)
         # the zero eigenvalue is the lifted constant
-        assert result.groups[0].dim_image == 1
+        assert eigen_groups(level)[0].dim_image == 1
 
 
 def test_eigen_dichotomy_degenerate_complete_graph():
@@ -262,12 +261,11 @@ def test_eigen_dichotomy_degenerate_complete_graph():
     g = complete_graph(4)
     for k in (2, 3, 4):
         level = Level(g, k)
-        result = eigen_dichotomy(level)
-        assert result.passed
-        assert_dichotomy_matches_dense(level, result)
-        fresh = [gr for gr in result.groups if gr.dim_kernel]
+        assert eigen_dichotomy(level).passed
+        assert_dichotomy_matches_dense(level)
+        fresh = [gr for gr in eigen_groups(level) if gr.dim_kernel]
         assert len(fresh) == 1
-        assert fresh[0].dim == result.size_high - result.size_low
+        assert fresh[0].dim == level.space.size - level.lower.space.size
         assert fresh[0].dim_kernel == fresh[0].dim
 
 
@@ -275,10 +273,10 @@ def test_eigen_dichotomy_image_multiplicities_match_lower_level():
     rng = np.random.default_rng(11)
     g = random_connected_graph(3, rng)
     k = 3
-    result = eigen_dichotomy(Level(g, k))
+    groups = eigen_groups(Level(g, k))
     low_vals = sip_spectrum(build_sip_generator(g, k - 1),
                             want_vectors=False).eigenvalues
-    for group in result.groups:
+    for group in groups:
         mult_low = int(np.sum(np.abs(low_vals - group.eigenvalue)
                               <= 1e-8 * (1.0 + abs(group.eigenvalue))))
         assert group.dim_image == mult_low
@@ -297,27 +295,32 @@ def _dichotomy_levels():
 
 
 DICHOTOMY_LEVELS = list(_dichotomy_levels())
+# levels 2..5 of G1 and G2, where mu spans up to 17 decades
+DEGENERATE_LEVELS = [Ladder(graph_from_dict(spec))[k] for spec in DEGENERATE_GRAPHS.values()
+                     for k in range(2, 6)]
 
 
 def test_eigen_dichotomy_matches_dense_oracle():
-    for level in DICHOTOMY_LEVELS:
-        result = eigen_dichotomy(level)
-        assert result.passed, (level.graph.n, level.k)
-        assert_dichotomy_matches_dense(level, result)
+    """complete(5) at k=4 has eigenvalues of multiplicity up to 35."""
+    for level in DICHOTOMY_LEVELS + DEGENERATE_LEVELS + [Ladder(complete_graph(5))[4]]:
+        assert eigen_dichotomy(level).passed, (level.graph.n, level.k)
+        assert_dichotomy_matches_dense(level)
 
 
 def test_eigen_groups_match_the_loop_oracle():
-    """Same groups and dimensions, and mean eigenvalues within the output
-    contract's 1e-12 relative: a group's sum may add its values in another
-    order than `np.mean`.  complete(5) at k=4 has eigenvalues of multiplicity
-    up to 35."""
+    """Same groups, dimensions and verdict as the full-QR dichotomy, and mean
+    eigenvalues within the output contract's 1e-12 relative: its fresh block
+    is solved in another basis, and a group's sum may add its values in
+    another order than `np.mean`."""
     levels = DICHOTOMY_LEVELS + [Ladder(complete_graph(5))[4]]
-    assert max(g.dim for g in eigen_dichotomy(levels[-1]).groups) == 35
+    assert max(g.dim for g in eigen_groups(levels[-1])) == 35
     for level in levels:
-        got, want = eigen_dichotomy(level).groups, loop_eigen_groups(level)
+        got, want = eigen_groups(level), qr_eigen_dichotomy(level)
+        assert want.passed and eigen_dichotomy(level).passed
         assert [(g.dim, g.dim_image, g.dim_kernel) for g in got] == [
-            (g.dim, g.dim_image, g.dim_kernel) for g in want], (level.graph.n, level.k)
-        np.testing.assert_allclose([g.eigenvalue for g in got], [g.eigenvalue for g in want],
+            (g.dim, g.dim_image, g.dim_kernel) for g in want.groups], (level.graph.n, level.k)
+        np.testing.assert_allclose([g.eigenvalue for g in got],
+                                   [g.eigenvalue for g in want.groups],
                                    rtol=CONTRACT_RTOL, atol=0.0,
                                    err_msg=str((level.graph.n, level.k)))
 
@@ -360,9 +363,10 @@ def _mutation_levels():
 
 def _failing_checks(result, level, tol=1e-8) -> set:
     """Which of the four dichotomy checks `result` fails, at the bounds
-    of the intact level."""
-    rate = tol * max(1.0, float(np.abs(level.generator.matrix).max()))
-    addition = tol * max(1.0, float(level.balanced_removal.max()))
+    of the intact level; a NaN residual was not computed."""
+    largest = float(level.balanced_removal.max())
+    addition = tol * max(1.0, largest)
+    rate = tol * max(1.0, float(np.abs(level.generator.matrix).max()) * largest)
     return {name for name, bad in [("injectivity", result.injectivity != 1.0),
                                    ("off_diagonal", result.off_diagonal > rate),
                                    ("image_spectrum", result.image_spectrum > rate),
@@ -373,19 +377,25 @@ def _failing_checks(result, level, tol=1e-8) -> set:
 def _mutated(level, **pieces) -> Level:
     mutated = Level(level.graph, level.k, pieces.pop("lower", level.lower))
     mutated.__dict__.update(pieces)
+    # the full-QR oracle fails every mutation too
+    assert not qr_eigen_dichotomy(mutated).passed
     return mutated
+
+
+def _heavier_edge(graph):
+    """`graph` with its first edge 0.1% heavier, in both directions."""
+    x, y = np.argwhere(graph.edge_weights > 0)[0]
+    c = graph.edge_weights.copy()
+    c[x, y] *= 1.001
+    c[y, x] = c[x, y]
+    return replace(graph, edge_weights=c)
 
 
 def test_eigen_dichotomy_fails_a_wrong_generator():
     # reversible for the same law and still intertwined with A_k, but
     # one edge is 0.1% heavier than at level k-1
     for level in _mutation_levels():
-        g = level.graph
-        x, y = np.argwhere(g.edge_weights > 0)[0]
-        c = g.edge_weights.copy()
-        c[x, y] *= 1.001
-        c[y, x] = c[x, y]
-        gen = build_sip_generator(replace(g, edge_weights=c), level.k)
+        gen = build_sip_generator(_heavier_edge(level.graph), level.k)
         assert eigen_dichotomy(level).passed
         result = eigen_dichotomy(_mutated(level, generator=gen))
         assert not result.passed, level.k
@@ -415,41 +425,64 @@ def test_eigen_dichotomy_fails_a_wrong_addition_entry():
 
 
 def test_eigen_dichotomy_fails_a_nearly_singular_removal():
-    # one column scaled by 1e-10 spans the same range, so only the
-    # injectivity check sees it
+    # one column scaled by 1e-10 spans the same range and leaves the same fresh
+    # basis, but its W_k no longer intertwines the symmetric forms
     for level in _mutation_levels():
         matrix = level.annihilation.toarray()
         matrix[:, -1] *= 1e-10
         result = eigen_dichotomy(_mutated(level, annihilation=scipy.sparse.csr_array(matrix)))
         assert not result.passed, level.k
-        assert _failing_checks(result, level) == {"injectivity"}
+        assert _failing_checks(result, level) == {"injectivity", "image_spectrum"}
 
 
 def test_eigen_dichotomy_fails_a_lifted_direction_coupled_to_a_fresh_one():
     # -L_k + eps (u v^T + v u^T) D, u lifted and v fresh, both of mu-norm 1:
-    # still self-adjoint for mu with the same image block, but not block diagonal
+    # still self-adjoint for mu, but neither part is invariant any more.  In
+    # the balanced frame H_k gains eps (u' v'^T + v' u'^T), u' = D^(1/2) u and
+    # v' = D^(1/2) v, so W_k^T H_k Q gains eps W_k^T u' in the column of v'.
     for level in _mutation_levels():
-        basis = level.qr
-        u, v = basis[:, 0], basis[:, level.lower.space.size]
-        coupling = 1e-3 * (np.outer(u, v) + np.outer(v, u)) * level.measure.probabilities
+        d, w = np.sqrt(level.measure.probabilities), level.balanced_removal
+        lifted = w[:, [0]].toarray().ravel()
+        lifted /= np.linalg.norm(lifted)
+        fresh = level.fresh[:, 0]
+        coupling = 1e-3 * (np.outer(lifted, fresh) + np.outer(fresh, lifted))
         gen = replace(level.generator,
-                      matrix=scipy.sparse.csr_array(level.generator.matrix - coupling))
+                      matrix=scipy.sparse.csr_array(
+                          level.generator.matrix - coupling * (d[None, :] / d[:, None])),
+                      symmetric=scipy.sparse.csr_array(level.generator.symmetric + coupling))
         result = eigen_dichotomy(_mutated(level, generator=gen))
         assert not result.passed, level.k
-        assert _failing_checks(result, level) == {"off_diagonal"}
-        assert result.off_diagonal == pytest.approx(1e-3, rel=1e-6)
+        # H_k W_k - W_k H_{k-1} reads eps v (W_k^T u)^T: the lifted part is not invariant either
+        assert _failing_checks(result, level) == {"off_diagonal", "image_spectrum"}
+        lifted_flux = np.abs(w.T @ lifted).max()
+        assert result.off_diagonal == pytest.approx(1e-3 * lifted_flux, rel=1e-6)
+        assert result.image_spectrum == pytest.approx(
+            1e-3 * lifted_flux * np.abs(fresh).max(), rel=1e-6)
 
 
 def test_eigen_dichotomy_fails_a_wrong_lower_spectrum():
+    # the level below has one edge 0.1% heavier, so its spectrum is wrong
+    # and W_k no longer carries it onto the lifted part
     for level in _mutation_levels():
-        spec = level.lower.spectrum
-        vals = spec.eigenvalues.copy()
-        vals[len(vals) // 2] *= 1.001
         lower = Level(level.graph, level.k - 1, level.lower.lower)
-        lower.__dict__["spectrum"] = Spectrum(vals, None)
+        lower.__dict__["generator"] = build_sip_generator(_heavier_edge(level.graph), level.k - 1)
         result = eigen_dichotomy(_mutated(level, lower=lower))
         assert not result.passed, level.k
         assert _failing_checks(result, level) == {"image_spectrum"}
+
+
+def test_eigen_groups_read_a_wrong_lower_spectrum():
+    # eigen_groups takes the lower spectrum as given, so it disagrees with
+    # the dense oracle, which solves the level itself
+    for level in _mutation_levels():
+        lower = Level(level.graph, level.k - 1, level.lower.lower)
+        vals = level.lower.spectrum.eigenvalues.copy()
+        vals[len(vals) // 2] *= 1.001
+        lower.__dict__["spectrum"] = Spectrum(vals, None)
+        mutated = Level(level.graph, level.k, lower)
+        assert eigen_dichotomy(mutated).passed
+        with pytest.raises(AssertionError):
+            assert_dichotomy_matches_dense(mutated)
 
 
 def test_peeling_margin_is_exactly_one():
@@ -477,8 +510,11 @@ def test_an_entry_above_the_peeling_diagonal_fails_injectivity_only():
         result = eigen_dichotomy(mutated)
         assert result.injectivity == 0.0 and not result.passed, level.k
         assert _failing_checks(result, level) == {"injectivity"}
+        assert math.isnan(result.off_diagonal) and math.isnan(result.kernel_residual)
         with pytest.raises(InputError, match="peeling"):
             invert_annihilation(mutated, np.zeros(level.space.size))
+        with pytest.raises(InputError, match="peeling"):
+            fresh_basis(mutated)
 
 
 def test_invert_annihilation_matches_a_dense_least_squares_solve():
@@ -492,17 +528,18 @@ def test_invert_annihilation_matches_a_dense_least_squares_solve():
         invert_annihilation(level, h[:-1])
 
 
-def test_removal_qr_factors_the_weighted_removal():
-    for level in DICHOTOMY_LEVELS[:8]:
-        basis, r = removal_qr(level)
-        d = np.sqrt(level.measure.probabilities)
+def test_fresh_basis_spans_the_kernel_of_the_balanced_removal():
+    for level in DICHOTOMY_LEVELS[:8] + DEGENERATE_LEVELS:
+        q, d = level.fresh, np.sqrt(level.measure.probabilities)
         balanced = (d[:, None] * level.annihilation.toarray()
                     / np.sqrt(level.lower.measure.probabilities)[None, :])
         np.testing.assert_allclose(level.balanced_removal.toarray(), balanced, rtol=1e-14, atol=0)
-        np.testing.assert_allclose((d[:, None] * basis) @ r, balanced,
-                                   rtol=0, atol=1e-12 * level.k)
-        assert np.allclose(np.tril(r, -1), 0.0)
-        assert np.shares_memory(level.kernel, level.qr)
+        assert q.shape == (level.space.size, level.space.size - level.lower.space.size)
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(balanced.T @ q, 0.0, rtol=0,
+                                   atol=1e-14 * level.k * np.abs(balanced).max())
+        np.testing.assert_array_equal(level.kernel, q / d[:, None])
+        assert level.fresh is q and not q.flags.writeable
 
 
 def test_dirichlet_decomposition_zero_function():
