@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: VerificationError -> 1,
-InputError -> 2, StateCapError -> 3.
+The CLI maps these onto process exit codes: VerificationError -> 1, and
+so EigensolverError too; InputError -> 2; StateCapError -> 3.
 """
 
 
@@ -21,5 +21,6 @@ class VerificationError(SiplabError):
     """A checked identity or inequality failed beyond tolerance."""
 
 
-class EigensolverError(SiplabError):
-    """The dense symmetric eigensolve failed or left a large residual."""
+class EigensolverError(VerificationError):
+    """An eigensolve failed or left an eigenpair residual over tolerance: a
+    check of the solve itself, reported as a verification failure."""

@@ -92,9 +92,9 @@ class Level:
     made on each read, is `kernel`, a mu-orthonormal basis of Ker C_k;
     `shifted_walks` from `build_shifted_walks`; and `labeled`, the labeled
     generators, label maps and law.  `lower` is level k-1, the one given or
-    one made on first use.  Level 0 has one state and a 1x1 CSR zero
-    generator, its own symmetric form.  Every level reads the single-particle
-    walk from the graph, `graph.walk` and `graph.walk_spectrum`.
+    one made on first use; `down_to` walks down those.  Level 0 has one state
+    and a 1x1 CSR zero generator, its own symmetric form.  Every level reads
+    the single-particle walk from the graph, `graph.walk` and `graph.walk_spectrum`.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -111,6 +111,15 @@ class Level:
         if self._lower is None:
             self._lower = Level(self.graph, self.k - 1)
         return self._lower
+
+    def down_to(self, lowest: int) -> list:
+        """Levels `lowest`..k, ascending: this level is refused over the state cap
+        first, so an over-cap top makes no level below it, then each `lower`."""
+        capped_size(self.graph.n, self.k)
+        levels = [self]
+        while levels[-1].k > lowest:
+            levels.append(levels[-1].lower)
+        return levels[::-1]
 
     @cached_property
     def generator(self) -> SipGenerator:

@@ -138,6 +138,7 @@ def symmetrizer(unlabel: np.ndarray, average: np.ndarray) -> tuple:
     return _pullback(unlabel, average.size), q
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a law out of float range is refused below
 def labeled_stationary_measure(graph: Graph, k: int) -> np.ndarray:
     """Shared stationary law: particle i carries weight alpha at its site
     plus the number of lower-labeled companions there."""
@@ -147,6 +148,8 @@ def labeled_stationary_measure(graph: Graph, k: int) -> np.ndarray:
         company = np.sum(states[:, :i] == states[:, i:i + 1], axis=1)
         omega *= graph.site_weights[states[:, i]] + company
     omega /= math.prod(graph.alpha_total + i for i in range(k))
+    if not np.all(np.isfinite(omega)):
+        raise InputError(f"the labeled law of level k={k} is out of float range")
     omega.setflags(write=False)
     return omega
 
@@ -315,9 +318,10 @@ def check_stationary_law(level: Level) -> StationaryLawReport:
         # off the diagonal the flux is positive, and the diagonal has no asymmetry
         ratio = np.divide(asym, np.maximum(flux.data, back.data), out=np.zeros_like(asym),
                           where=asym > 0.0)
-        # the first largest ratio in row-major order, the one a dense argmax picks
-        first = int(ratio.argmax())
-        worst = float(ratio[first])
+        # the first pair in row-major order within 1e-12 relative of the largest
+        # ratio, so that pairs tied up to rounding do not pick it by their last bits
+        worst = float(ratio.max())
+        first = int(np.argmax(ratio >= (1.0 - 1e-12) * worst))
         pair = tuple(tuple(int(v) for v in np.unravel_index(i, (graph.n,) * k))
                      for i in (rows[first], flux.indices[first]))
         witness = (pair[0], pair[1], worst)

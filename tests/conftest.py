@@ -74,16 +74,38 @@ def forked(monkeypatch):
 
 # The contract between the outputs of two builds: the same keys, strings,
 # integers, booleans and verdicts; every other float within CONTRACT_RTOL
-# relative; and each check's residual within CONTRACT_RESIDUAL of its own
-# tolerance of the old residual.
+# of the largest magnitude in its CSV column or JSON list of floats, or of its
+# own magnitude elsewhere; and each check's residual within CONTRACT_RESIDUAL
+# of its own tolerance of the old residual.  So a value at the rounding level
+# of its column, such as a zero eigenvalue, is held only to that rounding.
 CONTRACT_RTOL = 1e-12
 CONTRACT_RESIDUAL = 1e-3
 
 
-def output_mismatches(old, new, where: str = "output") -> list:
+def _largest(values) -> float:
+    """The largest magnitude among the finite floats of `values`, 0 if none."""
+    return max((abs(v) for v in values if isinstance(v, float) and math.isfinite(v)),
+               default=0.0)
+
+
+def _scales(old: list, new: list, scale) -> list:
+    """The scale each entry of two lists of one length is held to.  A table, a
+    list of equal-length lists such as a CSV's rows, gives each row its column
+    scales; a row reads its entries' scales from that list, `scale`; any other
+    list gives each entry its largest float."""
+    if isinstance(scale, list):
+        return scale
+    rows = old + new
+    if rows and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
+        return [[_largest(column) for column in zip(*rows)]] * len(old)
+    return [_largest(rows)] * len(old)
+
+
+def output_mismatches(old, new, where: str = "output", scale=0.0) -> list:
     """Every place where `new` breaks the contract with `old`, in key order;
     empty when it keeps it.  A dict with an identity, a residual and a
-    tolerance is a check."""
+    tolerance is a check.  A float is held to CONTRACT_RTOL times the larger
+    of its own magnitude and `scale`, the largest in its list or column."""
     found = []
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
@@ -94,17 +116,18 @@ def output_mismatches(old, new, where: str = "output") -> list:
             if not abs(new["residual"] - old["residual"]) <= bound:
                 found.append(f"{where}: residual {old['residual']!r} became {new['residual']!r}")
             keys.remove("residual")
-        pairs = ((f"{where}.{key}", old[key], new[key]) for key in keys)
+        pairs = ((f"{where}.{key}", old[key], new[key], 0.0) for key in keys)
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             return [f"{where}: {len(old)} entries became {len(new)}"]
-        pairs = ((f"{where}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new)))
+        pairs = ((f"{where}[{i}]", a, b, s)
+                 for i, (a, b, s) in enumerate(zip(old, new, _scales(old, new, scale))))
     else:
         close = type(old) is type(new) and (old == new or isinstance(old, float) and (
             (math.isnan(old) and math.isnan(new))
-            or abs(new - old) <= CONTRACT_RTOL * max(abs(old), abs(new))))
+            or abs(new - old) <= CONTRACT_RTOL * max(scale, abs(old), abs(new))))
         return [] if close else [f"{where}: {old!r} became {new!r}"]
-    return found + [m for at, a, b in pairs for m in output_mismatches(a, b, at)]
+    return found + [m for at, a, b, s in pairs for m in output_mismatches(a, b, at, s)]
 
 
 def outputs_equivalent(old, new) -> bool:
@@ -549,9 +572,9 @@ def dense_labeled_identities(level: Level) -> list:
 
 
 def dense_stationary_law(level: Level, rtol: float = 1e-10) -> tuple:
-    """(checks, witness) of the stationary-law suite on the dense flux,
-    the witness at the dense row-major argmax of the flux asymmetry
-    relative to the pair's larger flux."""
+    """(checks, witness) of the stationary-law suite on the dense flux, the
+    witness the first pair in dense row-major order whose flux asymmetry
+    relative to the pair's larger flux is within 1e-12 relative of the largest."""
     graph, k = level.graph, level.k
     omega = labeled_stationary_measure(graph, k)
     sym, look, _, _ = _dense_labeled(graph, k)
@@ -571,9 +594,10 @@ def dense_stationary_law(level: Level, rtol: float = 1e-10) -> tuple:
         ratio = np.divide(asym, np.maximum(flux, flux.T), out=np.zeros_like(asym),
                           where=asym > 0.0)
         worst = float(ratio.max())
+        first = int(np.argmax(ratio >= (1.0 - 1e-12) * worst))
         states = labeled_states(graph.n, k)
         pair = tuple(tuple(int(v) for v in states[i])
-                     for i in np.unravel_index(int(ratio.argmax()), ratio.shape))
+                     for i in np.unravel_index(first, ratio.shape))
         witness = (pair[0], pair[1], worst)
         checks.append(make_check(f"lookdown-breaks-detailed-balance[k={k}]",
                                  max(0.0, 1e-6 - worst), 0.0,

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,49 @@ def test_sweep_reports_overflowing_rates_in_a_row(tmp_path, capsys):
     assert code == 1
     assert [row[2:6] for row in rows] == [["-1", "nan", "nan", "nan"]]
     assert "overflow" in rows[0][-1]
+
+
+# alpha 1e160 takes the law of level 3 below the least float on some states,
+# and the labeled law of level 2 above the largest
+FAR_ALPHA = ["path(3)", "--alpha", "1e160,1,1"]
+SIMULATE = ["--horizon", "1", "--paths", "10", "--times", "0,1"]
+
+
+@pytest.mark.parametrize("argv", [["verify", *FAR_ALPHA, "--K", "3", "--suite", "sip"],
+                                  ["spectrum", *FAR_ALPHA, "--k", "3"],
+                                  ["verify", *FAR_ALPHA, "--K", "2", "--suite", "lookdown"],
+                                  ["simulate", *FAR_ALPHA, "--mode", "lookdown", "--k", "2",
+                                   *SIMULATE]],
+                         ids=["verify-sip", "spectrum", "verify-lookdown", "simulate-lookdown"])
+def test_a_law_outside_float_range_is_an_input_error(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused by name, before any float warning
+        code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("siplab: input error: the ")
+    assert "law of level k=" in err
+
+
+def test_the_particle_simulation_reads_only_the_rates_of_a_law_outside_float_range(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["simulate", *FAR_ALPHA, "--mode", "sip", "--k", "3", *SIMULATE],
+                           capsys)
+    assert code == 0 and read_csv(out)[1]
+
+
+@pytest.mark.parametrize("argv", [["verify", "path(3)", "--K", "3"],
+                                  ["report", "path(3)", "--K", "3"],
+                                  ["spectrum", "path(3)", "--k", "3"]],
+                         ids=["verify", "report", "spectrum"])
+def test_an_eigensolver_failure_is_a_verification_failure(argv, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise EigensolverError("gap eigensolve failed at k=3: injected")
+
+    monkeypatch.setattr(siplab.intertwiners, "sip_gap", failing)
+    monkeypatch.setattr(siplab.sip, "symmetric_spectrum", failing)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "siplab: verification failure: gap eigensolve failed at k=3: injected\n"
 
 
 def test_sweep_row_error_sets_exit_one(tmp_path, capsys, monkeypatch):

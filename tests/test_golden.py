@@ -111,3 +111,37 @@ def test_the_contract_compares_csv_counts_exactly():
     new = copy.deepcopy(old)
     new["rows"][0][2] += 1.0
     assert not outputs_equivalent(old, new)
+
+
+def _column(table, name):
+    return table["header"].index(name)
+
+
+def test_the_contract_holds_a_rounding_level_value_to_its_column():
+    old = read_output(GOLDEN / "spectrum.csv")
+    at = _column(old, "eigenvalue")
+    zero = min(range(len(old["rows"])), key=lambda i: abs(old["rows"][i][at]))
+    assert 0.0 < old["rows"][zero][at] < 1e-15
+    new = copy.deepcopy(old)
+    new["rows"][zero][at] = -3e-16
+    assert outputs_equivalent(old, new)
+
+
+@pytest.mark.parametrize("file, name", [("spectrum.csv", "eigenvalue"), ("sweep.csv", "gap_k")])
+def test_the_contract_fails_on_any_value_moved_by_a_share_of_its_column(file, name):
+    old = read_output(GOLDEN / file)
+    at = _column(old, name)
+    largest = max(abs(row[at]) for row in old["rows"])
+    for i in range(len(old["rows"])):
+        new = copy.deepcopy(old)
+        new["rows"][i][at] += 1e-10 * largest
+        assert output_mismatches(old, new, file) == [
+            f"{file}.rows[{i}][{at}]: {old['rows'][i][at]!r} became {new['rows'][i][at]!r}"]
+
+
+def test_the_contract_holds_a_json_list_of_floats_to_its_largest_entry():
+    old = {"eigenvalues": [6e-16, 0.75, 10.0], "gap": 6e-16}
+    assert outputs_equivalent(old, {"eigenvalues": [-3e-16, 0.75, 10.0], "gap": 6e-16})
+    assert not outputs_equivalent(old, {"eigenvalues": [1e-9, 0.75, 10.0], "gap": 6e-16})
+    # a float outside a list is held to its own magnitude
+    assert not outputs_equivalent(old, {"eigenvalues": [6e-16, 0.75, 10.0], "gap": -3e-16})

@@ -382,3 +382,18 @@ def test_the_suite_forms_no_symmetrizer():
         tracemalloc.stop()
     assert all(c.passed for c in checks)
     assert peak < 8e6, peak
+
+
+def test_the_witness_does_not_move_when_omega_moves_by_a_few_ulps():
+    """On path(3) at k = 2, 3 and 4, 8, 16 and 8 pairs tie for the largest
+    relative flux asymmetry up to rounding; the witness is the first of them
+    in row-major order, whatever the last bits of omega."""
+    rng = np.random.default_rng(0)
+    for k in (2, 3, 4):
+        level = Level(path_graph(3), k)
+        pair = check_stationary_law(level).nonreversibility_witness[:2]
+        omega = level.labeled.omega
+        for _ in range(20):
+            ulps = rng.integers(-4, 5, size=omega.size) * np.finfo(float).eps
+            level.labeled.omega = omega * (1.0 + ulps)
+            assert check_stationary_law(level).nonreversibility_witness[:2] == pair, k

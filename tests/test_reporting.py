@@ -5,12 +5,13 @@ import pkgutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse
 
 import siplab
-from siplab.graphs import detailed_balance_residual
+from siplab.graphs import detailed_balance_residual, path_graph
 from siplab.reporting import (ENERGY_RTOL, GAP_RTOL, IDENTITY_RTOL, SPECTRAL_RTOL, TV_SLACK,
-                              identity_check, max_abs)
+                              identity_check, max_abs, sandwich)
 
 
 def _assert_same_as_dense(lhs, rhs):
@@ -92,3 +93,16 @@ def test_the_shared_bounds_are_written_only_in_reporting():
         literals = {node.value for node in ast.walk(ast.parse(path.read_text()))
                     if isinstance(node, ast.Constant) and type(node.value) is float}
         assert path.name == "reporting.py" or not literals & shared, path.name
+
+
+def test_the_sandwich_states_equality_only_when_alpha_min_is_at_least_one():
+    for alpha, names in ((0.2, ["lower", "upper"]), (0.999, ["lower", "upper"]),
+                         (1.0, ["lower", "upper", "equality"]),
+                         (3.0, ["lower", "upper", "equality"])):
+        graph = path_graph(3, alpha=[alpha, 5.0, 5.0])
+        gap_rw = graph.walk_spectrum.gap
+        assert list(sandwich(graph, gap_rw)) == names
+        assert set(sandwich(graph, gap_rw).values()) == {0.0}
+    low = path_graph(2, alpha=[0.2, 0.2])  # gap_rw = 0.4, lower bound 0.08
+    assert sandwich(low, 0.05) == {"lower": pytest.approx(0.03), "upper": 0.0}
+    assert sandwich(low, 0.5) == {"lower": 0.0, "upper": pytest.approx(0.1)}

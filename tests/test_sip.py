@@ -15,7 +15,7 @@ from siplab.errors import EigensolverError, InputError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, graph_from_dict, path_graph,
                            random_connected_graph, rw_spectrum)
 from siplab.intertwiners import Ladder, Level
-from siplab.reporting import require_reversible
+from siplab.reporting import gap_tolerance, require_reversible
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
                         sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix,
                         tv_sandwich)
@@ -135,6 +135,47 @@ def test_gap_report_fails_on_a_gap_above_gap_rw():
     report = gap_sandwich_report(top)
     assert not report.passed and report.gaps[2] == top.lower.gap
     assert any(f.startswith("k=3: gap_k=0.5 above gap_rw") for f in report.failures)
+
+
+def _stubbed(graph, k_max, gap):
+    """Level k_max of `graph` with the gap of every level 1..k_max stubbed at
+    gap(gap_rw, tolerance), for both reports: the diffusion report reads the
+    least gap of levels 1..k_max, the particle report levels 2..k_max."""
+    ladder = Ladder(graph)
+    for k in range(1, k_max + 1):
+        ladder[k].gap = gap(graph.walk_spectrum.gap, gap_tolerance(graph))
+    return ladder[k_max]
+
+
+GAP_VERDICTS = {
+    # alpha_min = 0.2: the lower bound is 0.2 gap_rw
+    "below the lower bound": (
+        path_graph(2, alpha=[0.2, 0.2]), 3, lambda rw, tol: 0.1 * rw,
+        [(2, "below lower bound"), (3, "below lower bound")], ["bep-gap-lower[K=3]"]),
+    "3 tolerances below gap_rw, equality expected": (
+        path_graph(3), 2, lambda rw, tol: rw - 3 * tol,
+        [(2, "below lower bound"), (2, "expected equality")],
+        ["bep-gap-lower[K=2]", "bep-gap-equality[K=2]"]),
+    "3 tolerances above gap_rw, equality expected": (
+        path_graph(3), 2, lambda rw, tol: rw + 3 * tol,
+        [(2, "above gap_rw"), (2, "expected equality")],
+        ["bep-gap-upper[K=2]", "bep-gap-equality[K=2]"]),
+    # one fact, one line: at k=2 the gap below is gap_rw itself
+    "gap_2 above gap_rw": (
+        path_graph(2, alpha=[0.2, 0.2]), 2, lambda rw, tol: 1.25 * rw,
+        [(2, "above gap_rw")], ["bep-gap-upper[K=2]"]),
+}
+
+
+@pytest.mark.parametrize("case", list(GAP_VERDICTS))
+def test_both_gap_reports_give_each_sandwich_verdict(case):
+    graph, k_max, gap, lines, failing = GAP_VERDICTS[case]
+    report = gap_sandwich_report(_stubbed(graph, k_max, gap))
+    assert len(report.failures) == len(lines), report.failures
+    for failure, (k, phrase) in zip(report.failures, lines):
+        assert failure.startswith(f"k={k}: ") and phrase in failure, failure
+    bep = bep_gap_report(_stubbed(graph, k_max, gap))
+    assert [c.identity for c in bep.checks if not c.passed] == failing
 
 
 def test_gap_report_finishes_on_a_2000_deep_ladder():
