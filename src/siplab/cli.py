@@ -38,7 +38,7 @@ from .bep import bep_gap_report
 from .configs import capped_size, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import Graph, as_integer, as_number, graph_from_preset, load_graph
-from .intertwiners import (Ladder, check_adjoint, check_intertwinings,
+from .intertwiners import (Level, check_adjoint, check_intertwinings,
                            dirichlet_decomposition_check, eigen_dichotomy,
                            minmax_comparison_check)
 from .lookdown import LABELED_CAP, check_labeled_identities, check_stationary_law
@@ -171,15 +171,14 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _suite_sip(ladder: Ladder, k_max: int, rng: np.random.Generator) -> tuple[CheckSuite, dict]:
-    report = gap_sandwich_report(ladder[k_max])
+def _suite_sip(levels: list, rng: np.random.Generator) -> tuple[CheckSuite, dict]:
+    report = gap_sandwich_report(levels[-1])
     checks = []
-    for k in range(2, k_max + 1):
-        level = ladder[k]
+    for level in levels[2:]:
         checks.append(check_adjoint(level))
         checks.extend(check_intertwinings(level))
         dichotomy = eigen_dichotomy(level)
-        checks.append(make_check(f"orthogonal-decomposition-dims[k={k}]",
+        checks.append(make_check(f"orthogonal-decomposition-dims[k={level.k}]",
                                  0.0 if dichotomy.passed else 1.0, 0.5))
         for _ in range(3):
             checks.extend(dirichlet_decomposition_check(
@@ -188,38 +187,39 @@ def _suite_sip(ladder: Ladder, k_max: int, rng: np.random.Generator) -> tuple[Ch
     return CheckSuite("sip", tuple(checks)), report.to_dict()
 
 
-def _suite_lookdown(ladder: Ladder, k_max: int) -> CheckSuite:
-    """Levels 2..k_max up to the labeled cap; the note names the levels past it."""
-    n = ladder.graph.n
-    checks = []
-    k = 2
-    while k <= k_max and n ** k <= LABELED_CAP:
-        checks.extend(check_labeled_identities(ladder[k]))
-        checks.extend(check_stationary_law(ladder[k]).checks)
-        k += 1
+def _suite_lookdown(levels: list, k_max: int) -> CheckSuite:
+    """Levels 2.. of `levels`, those within the labeled cap; the note names the rest."""
+    n = levels[-1].graph.n
+    checks = [c for level in levels[2:]
+              for c in (*check_labeled_identities(level), *check_stationary_law(level).checks)]
     if not checks:
         raise InputError("labeled suite needs K >= 2 within the labeled cap")
     note = ("the time-reversed lookdown generator is not constructed; its intertwining "
             "with a labeled particle-addition operator is left unverified")
+    k = levels[-1].k + 1
     if k <= k_max:
-        levels = f"level k={k}" if k == k_max else f"levels k={k}..{k_max}"
-        note += (f"; {levels} skipped: {n}^{k} = {n ** k} labeled states"
+        skipped = f"level k={k}" if k == k_max else f"levels k={k}..{k_max}"
+        note += (f"; {skipped} skipped: {n}^{k} = {n ** k} labeled states"
                  f"{' and more' if k < k_max else ''} exceed the cap {LABELED_CAP}")
     return CheckSuite("lookdown", tuple(checks), note=note)
 
 
 def _run_suites(graph: Graph, k_max: int, suite: str, seed: int) -> dict:
-    """Run the requested suites on one shared ladder of levels; returns the
-    payload without its manifest."""
+    """Run the requested suites on one chain of levels 0..k_max, or 0..the labeled
+    top for the lookdown suite alone; returns the payload without its manifest."""
     rng = np.random.default_rng(seed)
-    ladder = Ladder(graph)
+    # the largest k <= k_max within the labeled cap, found bottom-up: n^k_max is never formed
+    labeled_top = min(k_max, 0)
+    while labeled_top < k_max and graph.n ** (labeled_top + 1) <= LABELED_CAP:
+        labeled_top += 1
+    levels = Level(graph, labeled_top if suite == "lookdown" else k_max).down_to(0)
     suites, payload = {}, {}
     if suite in ("all", "sip"):
-        suites["sip"], payload["gap_report"] = _suite_sip(ladder, k_max, rng)
+        suites["sip"], payload["gap_report"] = _suite_sip(levels, rng)
     if suite in ("all", "lookdown"):
-        suites["lookdown"] = _suite_lookdown(ladder, k_max)
+        suites["lookdown"] = _suite_lookdown(levels[:labeled_top + 1], k_max)
     if suite in ("all", "bep"):
-        report = bep_gap_report(ladder[k_max])
+        report = bep_gap_report(levels[-1])
         suites["bep"] = CheckSuite("bep", tuple(report.checks))
         payload["bep_report"] = report.to_dict()
     payload["pass"] = (all(s.passed for s in suites.values())
@@ -507,7 +507,7 @@ def cmd_tv_curve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """All three suites at K, on one shared ladder, with the state cap."""
+    """All three suites at K, on one chain of levels, with the state cap."""
     graph, digest = _resolve_graph(args.graph, args.alpha)
     payload = _run_suites(graph, args.K, "all", args.seed)
     payload["manifest"] = _manifest("report", {"graph": args.graph, "K": args.K,

@@ -16,8 +16,8 @@ checks every one of those identities, the split with no eigensolve, and
 the Dirichlet-form decomposition and single-walk comparison bounds that
 sandwich the spectral gap, over the walks with site weights alpha + xi, a
 row per (k-1)-configuration xi.  The checks take a `Level`, which builds
-each level-k piece once and keeps it; a `Ladder` shares each level with
-the one above it.
+each level-k piece once and keeps it; `Level.down_to` walks one chain of
+levels, each holding the one below as its `lower`.
 """
 
 from __future__ import annotations
@@ -85,16 +85,17 @@ class Level:
     that tie it to level k-1.
 
     Each piece is built on first use and kept: `generator` (with `space`
-    and `measure`); as CSR, `annihilation` (A_k), `creation` (C_k) and
-    `balanced_removal`, W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j);
-    the dense `spectrum` (eigenvalues only); `gap` from `sip_gap`; `peeling`
-    from `peeling_block`; `fresh`, the Q of `fresh_basis`, whose D_k^(-1/2) Q,
-    made on each read, is `kernel`, a mu-orthonormal basis of Ker C_k;
-    `shifted_walks` from `build_shifted_walks`; and `labeled`, the labeled
-    generators, label maps and law.  `lower` is level k-1, the one given or
-    one made on first use; `down_to` walks down those.  Level 0 has one state
-    and a 1x1 CSR zero generator, its own symmetric form.  Every level reads
-    the single-particle walk from the graph, `graph.walk` and `graph.walk_spectrum`.
+    and `measure`); as CSR, `annihilation` (A_k), `creation` (C_k),
+    `balanced_removal`, W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), and
+    `removal_sides`, the two sides (A_k L_{k-1}, L_k A_k); the dense `spectrum`
+    (eigenvalues only); `gap` from `sip_gap`; `peeling` from `peeling_block`;
+    `fresh`, the Q of `fresh_basis`, whose D_k^(-1/2) Q, made on each read, is
+    `kernel`, a mu-orthonormal basis of Ker C_k; `shifted_walks` from
+    `build_shifted_walks`; and `labeled`, the labeled generators, label maps
+    and law.  `lower` is level k-1, the one given or one made on first use;
+    `down_to` walks down those.  Level 0 has one state and a 1x1 CSR zero
+    generator, its own symmetric form.  Every level reads the single-particle
+    walk from the graph, `graph.walk` and `graph.walk_spectrum`.
     """
 
     def __init__(self, graph: Graph, k: int, lower: Level | None = None):
@@ -147,12 +148,19 @@ class Level:
 
     @cached_property
     def balanced_removal(self) -> scipy.sparse.csr_array:
-        # written onto A_k's pattern, as the generator's symmetric form is onto L_k's
-        a = self.annihilation
+        return self.balance(self.annihilation)
+
+    @cached_property
+    def removal_sides(self) -> tuple:
+        ann = self.annihilation
+        return ann @ self.lower.generator.matrix, self.generator.matrix @ ann
+
+    def balance(self, m: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+        """D_k^(1/2) m D_{k-1}^(-1/2) for a CSR m, level k-1 to k, on m's own pattern."""
         d, d_low = np.sqrt(self.measure.probabilities), np.sqrt(self.lower.measure.probabilities)
-        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        return scipy.sparse.csr_array((a.data * (d[rows] / d_low[a.indices]), a.indices,
-                                       a.indptr), shape=a.shape)
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        return scipy.sparse.csr_array((m.data * (d[rows] / d_low[m.indices]), m.indices,
+                                       m.indptr), shape=m.shape)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -181,22 +189,6 @@ class Level:
     @cached_property
     def labeled(self) -> LabeledLevel:
         return LabeledLevel(self)
-
-
-class Ladder:
-    """Levels 0, 1, 2, ... of one graph, made bottom-up on first request,
-    each holding the one below as its `lower`.  A level over the state cap
-    is refused before any level is made."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._levels = [Level(graph, 0)]
-
-    def __getitem__(self, k: int) -> Level:
-        capped_size(self.graph.n, k)
-        while len(self._levels) <= k:
-            self._levels.append(Level(self.graph, len(self._levels), self._levels[-1]))
-        return self._levels[k]
 
 
 def peeling_block(level: Level) -> tuple:
@@ -274,10 +266,9 @@ def check_adjoint(level: Level) -> CheckResult:
 
 def check_intertwinings(level: Level) -> tuple[CheckResult, CheckResult]:
     """Residuals of A L_{k-1} - L_k A and C L_k - L_{k-1} C."""
-    k = level.k
-    ann, cre = level.annihilation, level.creation
+    k, cre = level.k, level.creation
     high, low = level.generator.matrix, level.lower.generator.matrix
-    return (identity_check(f"removal-intertwining[k={k}]", ann @ low, high @ ann),
+    return (identity_check(f"removal-intertwining[k={k}]", *level.removal_sides),
             identity_check(f"addition-intertwining[k={k}]", cre @ high, low @ cre))
 
 
@@ -323,16 +314,17 @@ class EigenDichotomy:
 
 def eigen_dichotomy(level: Level) -> EigenDichotomy:
     """Check with no eigensolve that L_k splits into Range A_k, which carries
-    level k-1's spectrum, and Ker C_k.  With H_j = `generator.symmetric`,
+    level k-1's spectrum, and Ker C_k.  With H_k = `generator.symmetric`,
     W_k = `Level.balanced_removal` and Q = `Level.fresh`, it passes when A_k
     passes the exact check of `peeling_block`; when H_k W_k = W_k H_{k-1}
-    (with injectivity, level k-1's spectrum on Range W_k) and W_k^T H_k Q = 0,
-    within `residual_tol` of L_k's largest rate times W_k's largest entry; and
-    when c D_{k-1}^(1/2) C_k D_k^(-1/2) Q = 0 within `residual_tol` of W_k's
-    largest entry.  With no Q (margin <= 0) its two residuals read NaN."""
+    (with injectivity, level k-1's spectrum on Range W_k), read from
+    `Level.removal_sides` as D_k^(1/2) (A_k L_{k-1} - L_k A_k) D_{k-1}^(-1/2),
+    and W_k^T H_k Q = 0, within `residual_tol` of L_k's largest rate times
+    W_k's largest entry; and when c D_{k-1}^(1/2) C_k D_k^(-1/2) Q = 0 within
+    `residual_tol` of W_k's largest entry.  With no Q its two residuals are NaN."""
     k, w, h = level.k, level.balanced_removal, level.generator.symmetric
-    injectivity = level.peeling[3]
-    image_spectrum = max_abs(h @ w - w @ level.lower.generator.symmetric)
+    injectivity, (ann_gen, gen_ann) = level.peeling[3], level.removal_sides
+    image_spectrum = max_abs(level.balance(ann_gen - gen_ann))
     off_diagonal = kernel_residual = math.nan
     if injectivity > 0.0:
         off_diagonal = max_abs(w.T @ (h @ level.fresh))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -159,8 +160,9 @@ class LabeledLevel:
     generators as CSR, the shared law `omega`, and the label maps as
     arrays.  `unlabel` is P_k as a map, the occupation rank of each labeled
     state; `average` holds Q_k's value on each rank's row, prod eta_x! / k!,
-    one over the rank's labelings.  The top drop J_k sends labeled state a
-    to a // n, and the bottom particle of a sits at a // n^(k-1)."""
+    one over the rank's labelings, and `factors` their `symmetrizer` pair P_k,
+    Q_k, built on first read.  The top drop J_k sends labeled state a to
+    a // n, and the bottom particle of a sits at a // n^(k-1)."""
 
     def __init__(self, level: Level):
         graph, k = level.graph, level.k
@@ -169,6 +171,10 @@ class LabeledLevel:
         # each rank's labelings, k! / prod eta_x!, are the states it holds
         self.average = 1.0 / np.bincount(self.unlabel, minlength=level.space.size)
         self.omega = labeled_stationary_measure(graph, k)
+
+    @cached_property
+    def factors(self) -> tuple:
+        return symmetrizer(self.unlabel, self.average)
 
 
 def _block_check(identity: str, y, x, unlabel: np.ndarray, average: np.ndarray) -> CheckResult:
@@ -213,21 +219,19 @@ def check_labeled_identities(level: Level) -> list[CheckResult]:
 
     P_k, Q_k and J_k are CSR matrices, and every product is applied right
     to left.  Sides with the level-(k-1) ranks as columns are dense arrays,
-    under LABELED_CAP none over 560k entries; the others stay CSR.  P
-    gathers rows and reaches every rank, so sides P X and P Y are compared
-    as X and Y; S S = P (Q P) Q is compared with S through
+    under LABELED_CAP none over 560k entries, but `Level.removal_sides`; the
+    others stay CSR.  P gathers rows and reaches every rank, so sides P X and
+    P Y are compared as X and Y; S S = P (Q P) Q is compared with S through
     Q P = diag(fibers * average), and S = P Q is never formed.
     """
     k, n = level.k, level.graph.n
     if k < 2:
         raise InputError("labeled identity suite needs k >= 2")
     hi, lo = level.labeled, level.lower.labeled
-    unlabel, average = symmetrizer(hi.unlabel, hi.average)
-    unlabel_lo, average_lo = symmetrizer(lo.unlabel, lo.average)
+    (unlabel, average), (unlabel_lo, average_lo) = hi.factors, lo.factors
     drop, look, sym = drop_top_pullback(n, k), hi.lookdown, hi.symmetric
     gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix.toarray()
-    ann = level.annihilation.toarray()
-    ann_gen, gen_ann = ann @ gen_lo, gen_hi @ ann
+    ann, (ann_gen, gen_ann) = level.annihilation.toarray(), level.removal_sides
     flat_lo = unlabel_lo.toarray()  # P_{k-1}
     dropped = drop @ flat_lo  # J P_{k-1}
     lowered = average @ dropped  # Q J P_{k-1}

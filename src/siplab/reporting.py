@@ -62,8 +62,8 @@ def gap_tolerance(graph) -> float:
 
 def sandwich(graph, gap: float) -> dict:
     """The paper's sandwich (1 ^ alpha_min) gap_rw <= gap <= gap_rw as residuals, each
-    held to `gap_tolerance(graph)`: `lower` and `upper`, the violations clipped at
-    zero, and `equality`, |gap - gap_rw|, only when alpha_min >= 1."""
+    held to `gap_tolerance(graph)`: `lower` and `upper`, the violations clipped at zero
+    (at gap 0, `lower` is the bound), and `equality`, |gap - gap_rw|, if alpha_min >= 1."""
     gap_rw, a_min = graph.walk_spectrum.gap, graph.alpha_min
     sides = {"lower": max(0.0, min(1.0, a_min) * gap_rw - gap), "upper": max(0.0, gap - gap_rw)}
     return sides | ({"equality": abs(gap - gap_rw)} if a_min >= 1.0 else {})

@@ -271,7 +271,7 @@ def gap_sandwich_report(top: Level) -> GapReport:
         raise InputError(f"need k_max >= 2, got {top.k}")
     gaps = {level.k: level.gap for level in top.down_to(2)}
     gap_rw, atol, a_min = graph.walk_spectrum.gap, gap_tolerance(graph), graph.alpha_min
-    lower = min(1.0, a_min) * gap_rw
+    lower = sandwich(graph, 0.0)["lower"]
     failures = []
     if not graph.connected:
         failures.append(f"graph is disconnected ({graph.components} components), "

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import siplab.cli
 import siplab.configs
@@ -252,6 +254,15 @@ def test_levels_beyond_the_state_cap_are_refused(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1])
+@pytest.mark.parametrize("command", ["sip", "lookdown", "bep", "all", "report"])
+def test_small_and_negative_k_are_refused_in_every_suite(command, k, capsys):
+    # the diffusion truncated at degree 1 is the walk; every other suite needs K >= 2
+    argv = ["report"] if command == "report" else ["verify", "--suite", command]
+    code, _, err = run([argv[0], "path(3)", "--K", str(k), *argv[1:]], capsys)
+    assert code == (0 if (command, k) == ("bep", 1) else 2), err
+
+
 def _count_level_builds(monkeypatch):
     """Wrap the level builders in every siplab module that binds them and
     count their calls by level k."""
@@ -262,7 +273,10 @@ def _count_level_builds(monkeypatch):
               "fresh_basis": (siplab.intertwiners, lambda level: level.k),
               "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1),
               "sip_gap": (siplab.sip, lambda gen: gen.space.k),
-              "sip_spectrum": (siplab.sip, lambda gen, want_vectors=True: gen.space.k)}
+              "sip_spectrum": (siplab.sip, lambda gen, want_vectors=True: gen.space.k),
+              # on path(3), 3^k labeled states
+              "symmetrizer": (siplab.lookdown, lambda unlabel, average: round(
+                  math.log(unlabel.size, 3)))}
     counts = {name: collections.Counter() for name in levels}
     for name, (home, level_of) in levels.items():
         original = getattr(home, name)
@@ -272,6 +286,38 @@ def _count_level_builds(monkeypatch):
             return _original(*args, **kwargs)
 
         _rebind(monkeypatch, name, original, counted)
+    return counts
+
+
+def _count_removal_products(monkeypatch, graph, ks):
+    """Count by level k the products A_k L_{k-1} and L_k A_k formed with a CSR
+    factor, each factor told by its pattern: A_k's, raw, balanced or dense, and
+    the generator's, raw, symmetric or dense."""
+    def pattern(m):
+        return (m.toarray() if scipy.sparse.issparse(m) else np.asarray(m)) != 0
+
+    gens = {k: pattern(siplab.sip.build_sip_generator(graph, k).matrix)
+            for k in range(min(ks) - 1, max(ks) + 1)}
+    anns = {k: pattern(siplab.intertwiners.build_annihilation(
+        siplab.configs.enumerate_configs(graph.n, k - 1),
+        siplab.configs.enumerate_configs(graph.n, k))) for k in ks}
+    counts = collections.Counter()
+
+    def tally(left, right):
+        for k, ann in anns.items():
+            for side, factors in (("A L", (ann, gens[k - 1])), ("L A", (gens[k], ann))):
+                if all(np.shape(m) == p.shape and np.array_equal(pattern(m), p)
+                       for m, p in zip((left, right), factors)):
+                    counts[k, side] += 1
+
+    for name, order in (("__matmul__", 1), ("__rmatmul__", -1)):
+        original = getattr(scipy.sparse.csr_array, name)
+
+        def counted(self, other, _original=original, _order=order):
+            tally(*(self, other)[::_order])
+            return _original(self, other)
+
+        monkeypatch.setattr(scipy.sparse.csr_array, name, counted)
     return counts
 
 
@@ -285,9 +331,14 @@ def _rebind(monkeypatch, name, original, wrapper):
 @pytest.mark.parametrize("argv", [["verify", "path(3)", "--K", "4", "--suite", "all"],
                                   ["report", "path(3)", "--K", "4"]])
 def test_each_level_is_built_once_per_run(argv, capsys, monkeypatch):
+    products = _count_removal_products(monkeypatch, graph_from_preset("path(3)"), (2, 3, 4))
     counts = _count_level_builds(monkeypatch)
     code, _, _ = run(argv, capsys)
     assert code == 0
+    # the removal check, the dichotomy and the labeled chain read one pair per level
+    assert products == {(k, side): 1 for k in (2, 3, 4) for side in ("A L", "L A")}
+    # and the labeled chain reads one pair of symmetrizer factors per level
+    assert counts["symmetrizer"] == {1: 1, 2: 1, 3: 1, 4: 1}
     assert counts["build_sip_generator"] == {1: 1, 2: 1, 3: 1, 4: 1}
     # the gap report reads the shared generators: no level's moves are tabled twice
     assert counts["_move_table"] == {1: 1, 2: 1, 3: 1, 4: 1}

@@ -12,11 +12,11 @@ from conftest import (CONTRACT_RTOL, DEGENERATE_GRAPHS, assert_dichotomy_matches
                       loop_shifted_walks, loop_sip_generator, qr_eigen_dichotomy,
                       removal_composition, svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
-from siplab.errors import InputError
+from siplab.errors import InputError, StateCapError
 from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph,
                            graph_from_dict, path_graph, random_connected_graph, rw_dirichlet_form,
                            rw_spectrum, symmetrize_reversible)
-from siplab.intertwiners import (Ladder, Level, build_annihilation, build_creation, check_adjoint,
+from siplab.intertwiners import (Level, build_annihilation, build_creation, check_adjoint,
                                  check_intertwinings, comparison_tables,
                                  dirichlet_decomposition_check,
                                  eigen_dichotomy, eigen_groups, fresh_basis, invert_annihilation,
@@ -26,20 +26,33 @@ from siplab.reporting import ENERGY_RTOL
 from siplab.sip import build_sip_generator, sip_spectrum
 
 
-def test_ladder_shares_each_level_with_the_one_above():
+def test_down_to_links_each_level_to_the_one_below(monkeypatch):
     g = path_graph(3)
-    ladder = Ladder(g)
-    top = ladder[3]
-    assert top.lower is ladder[2] and ladder[2].lower is ladder[1]
-    assert top.generator is ladder[3].generator
-    np.testing.assert_array_equal(ladder[0].generator.matrix.toarray(), [[0.0]])
+    levels = Level(g, 3).down_to(0)
+    assert [level.k for level in levels] == [0, 1, 2, 3]
+    assert all(level.lower is below for below, level in zip(levels, levels[1:]))
+    assert levels[3].down_to(2) == levels[2:]
+    np.testing.assert_array_equal(levels[0].generator.matrix.toarray(), [[0.0]])
     assert Level(g, 2).lower.k == 1
     with pytest.raises(InputError):
-        Level(g, 2, lower=ladder[2])
+        Level(g, 2, lower=levels[2])
     with pytest.raises(InputError):
-        ladder[-1]
+        Level(g, -1)
     with pytest.raises(InputError):
-        ladder[0].lower
+        levels[0].lower
+    # an over-cap top is refused before any level below it is made
+    top = Level(g, 10 ** 5)
+    made = []
+    original = Level.__init__
+
+    def counted(self, graph, k, lower=None):
+        made.append(k)
+        original(self, graph, k, lower)
+
+    monkeypatch.setattr(Level, "__init__", counted)
+    with pytest.raises(StateCapError):
+        top.down_to(0)
+    assert made == []
 
 
 def _assert_level_operators_match_loops(graph, k):
@@ -75,7 +88,7 @@ def test_level_operators_match_the_loop_oracles(alpha_range, n):
 def test_level_operators_match_the_loop_oracles_past_int64_keys():
     # 3^40 > 2^63: the level-2 keys are Python integers
     _assert_level_operators_match_loops(path_graph(40), 2)
-    assert peeling_block(Ladder(path_graph(40))[2])[3] == 1.0
+    assert peeling_block(Level(path_graph(40), 2))[3] == 1.0
 
 
 def test_annihilation_on_constants_counts_particles():
@@ -289,20 +302,18 @@ def _dichotomy_levels():
     graphs = [random_connected_graph(n, rng, alpha_range=alpha_range)
               for n in range(3, 7) for alpha_range in [(0.3, 0.9), (1.0, 2.5)]]
     for g in graphs + [complete_graph(4)]:
-        ladder = Ladder(g)
-        for k in range(2, 6):
-            yield ladder[k]
+        yield from Level(g, 5).down_to(2)
 
 
 DICHOTOMY_LEVELS = list(_dichotomy_levels())
 # levels 2..5 of G1 and G2, where mu spans up to 17 decades
-DEGENERATE_LEVELS = [Ladder(graph_from_dict(spec))[k] for spec in DEGENERATE_GRAPHS.values()
+DEGENERATE_LEVELS = [Level(graph_from_dict(spec), k) for spec in DEGENERATE_GRAPHS.values()
                      for k in range(2, 6)]
 
 
 def test_eigen_dichotomy_matches_dense_oracle():
     """complete(5) at k=4 has eigenvalues of multiplicity up to 35."""
-    for level in DICHOTOMY_LEVELS + DEGENERATE_LEVELS + [Ladder(complete_graph(5))[4]]:
+    for level in DICHOTOMY_LEVELS + DEGENERATE_LEVELS + [Level(complete_graph(5), 4)]:
         assert eigen_dichotomy(level).passed, (level.graph.n, level.k)
         assert_dichotomy_matches_dense(level)
 
@@ -312,7 +323,7 @@ def test_eigen_groups_match_the_loop_oracle():
     eigenvalues within the output contract's 1e-12 relative: its fresh block
     is solved in another basis, and a group's sum may add its values in
     another order than `np.mean`."""
-    levels = DICHOTOMY_LEVELS + [Ladder(complete_graph(5))[4]]
+    levels = DICHOTOMY_LEVELS + [Level(complete_graph(5), 4)]
     assert max(g.dim for g in eigen_groups(levels[-1])) == 35
     for level in levels:
         got, want = eigen_groups(level), qr_eigen_dichotomy(level)
@@ -356,9 +367,7 @@ def test_lower_spectrum_and_fresh_block_make_the_level_spectrum():
 def _mutation_levels():
     rng = np.random.default_rng(42)
     for alpha_range in [(0.3, 0.9), (1.0, 2.5)]:
-        ladder = Ladder(random_connected_graph(4, rng, alpha_range=alpha_range))
-        for k in (2, 3, 4):
-            yield ladder[k]
+        yield from Level(random_connected_graph(4, rng, alpha_range=alpha_range), 4).down_to(2)
 
 
 def _failing_checks(result, level, tol=1e-8) -> set:
@@ -487,7 +496,7 @@ def test_eigen_groups_read_a_wrong_lower_spectrum():
 
 def test_peeling_margin_is_exactly_one():
     # cycle(7) at k=8 has 3003 states; the check needs no QR there
-    for level in DICHOTOMY_LEVELS + [Ladder(cycle_graph(7))[8]]:
+    for level in DICHOTOMY_LEVELS + [Level(cycle_graph(7), 8)]:
         rows, cols, block, margin = peeling_block(level)
         assert margin == 1.0, (level.graph.n, level.k)
         assert block.shape == (level.lower.space.size,) * 2
@@ -495,8 +504,9 @@ def test_peeling_margin_is_exactly_one():
         assert np.unique(rows).size == rows.size
 
 
-def test_an_entry_above_the_peeling_diagonal_fails_injectivity_only():
-    # the mutated A_k keeps the intact W_k, so only the peeling check reads it
+def test_an_entry_above_the_peeling_diagonal_fails_the_peeling_and_image_checks():
+    # the mutated A_k keeps the intact W_k, so the fresh basis holds, but the
+    # image check reads A_k through the removal pair
     for level in _mutation_levels():
         rows, cols, block, _ = peeling_block(level)
         # the first entry of the last row of the block goes to its first row
@@ -509,7 +519,7 @@ def test_an_entry_above_the_peeling_diagonal_fails_injectivity_only():
                            balanced_removal=level.balanced_removal)
         result = eigen_dichotomy(mutated)
         assert result.injectivity == 0.0 and not result.passed, level.k
-        assert _failing_checks(result, level) == {"injectivity"}
+        assert _failing_checks(result, level) == {"injectivity", "image_spectrum"}
         assert math.isnan(result.off_diagonal) and math.isnan(result.kernel_residual)
         with pytest.raises(InputError, match="peeling"):
             invert_annihilation(mutated, np.zeros(level.space.size))
@@ -606,9 +616,7 @@ def _walk_levels():
     rng = np.random.default_rng(30)
     for n in range(3, 8):
         for alpha_range in [(0.3, 0.9), (1.0, 2.5)]:
-            ladder = Ladder(random_connected_graph(n, rng, alpha_range=alpha_range))
-            for k in range(2, 6):
-                yield ladder[k]
+            yield from Level(random_connected_graph(n, rng, alpha_range=alpha_range), 5).down_to(2)
 
 
 WALK_LEVELS = list(_walk_levels())

@@ -12,7 +12,7 @@ from siplab.configs import enumerate_configs, sip_measure
 from siplab.errors import StateCapError, VerificationError
 from siplab.graphs import (build_rw_generator, graph_from_dict, path_graph,
                            random_connected_graph)
-from siplab.intertwiners import Ladder, Level
+from siplab.intertwiners import Level
 from siplab.lookdown import (build_labeled_generators, check_labeled_identities,
                              check_stationary_law, drop_top_pullback, labeled_index,
                              labeled_states, labeled_stationary_measure)
@@ -303,6 +303,12 @@ def test_sparse_suite_fails_on_a_perturbed_label_average():
     assert "symmetrizer-projection" in _failed(level)
 
 
+def _relabel(level, unlabel):
+    """Give `level` the label map `unlabel`, and drop the P_k, Q_k built from the last one."""
+    level.labeled.unlabel = unlabel
+    level.labeled.__dict__.pop("factors", None)
+
+
 def test_suite_fails_on_a_label_map_that_is_not_label_forgetting():
     level = Level(random_connected_graph(3, np.random.default_rng(13)), 3)
     ranks = level.labeled.unlabel
@@ -310,7 +316,7 @@ def test_suite_fails_on_a_label_map_that_is_not_label_forgetting():
     b = int(np.flatnonzero(ranks != ranks[a])[0])
     swapped = ranks.copy()
     swapped[[a, b]] = ranks[[b, a]]
-    level.labeled.unlabel = swapped
+    _relabel(level, swapped)
     failed = _failed(level)
     assert {"unlabel-symmetric", "unlabel-symmetric-averaged",
             "unlabel-lookdown-averaged"} <= failed
@@ -319,7 +325,7 @@ def test_suite_fails_on_a_label_map_that_is_not_label_forgetting():
     assert "symmetrizer-projection" not in failed
     moved = ranks.copy()
     moved[a] = ranks[b]
-    level.labeled.unlabel = moved
+    _relabel(level, moved)
     assert {"symmetrizer-projection", "unlabel-symmetric"} <= _failed(level)
 
 
@@ -334,8 +340,7 @@ def _five_vertex_levels():
         weights = [[x, y, rng.uniform(0.5, 2.0)] for x, y in edges]
         alpha = np.exp(rng.uniform(np.log(low), np.log(3.0), 5)).tolist()
         graph = graph_from_dict({"n": 5, "edges": weights, "alpha": alpha})
-        ladder = Ladder(graph)
-        yield from (ladder[k] for k in (2, 3, 4))
+        yield from Level(graph, 4).down_to(2)
 
 
 def _suite_levels(name):
@@ -347,11 +352,10 @@ def _suite_levels(name):
                                                    alpha_range=alpha_range), k)
     elif name == "degenerate":
         for data in DEGENERATE_GRAPHS.values():
-            ladder = Ladder(graph_from_dict(data))
-            yield from (ladder[k] for k in range(2, 6) if data["n"] ** k <= 256)
+            levels = Level(graph_from_dict(data), 5).down_to(0)
+            yield from (levels[k] for k in range(2, 6) if data["n"] ** k <= 256)
     elif name == "path2":
-        ladder = Ladder(path_graph(2))
-        yield from (ladder[k] for k in range(2, 9))
+        yield from Level(path_graph(2), 8).down_to(2)
     else:
         yield from _five_vertex_levels()
 
@@ -371,7 +375,7 @@ def test_label_maps_match_the_sparse_products(levels):
 def test_the_suite_forms_no_symmetrizer():
     """At k = 10 on two sites S = P Q has sum_j C(10, j)^2 = 184756 entries, and
     forming S and S S as sparse matrices peaks near 40 MB; the suite stays under 8 MB."""
-    level = Ladder(path_graph(2))[10]
+    level = Level(path_graph(2), 10)
     # the pieces the level keeps are built first: the peak is the suite's own
     _ = level.labeled, level.lower.labeled, level.lower.generator, level.annihilation
     tracemalloc.start()

@@ -14,7 +14,7 @@ from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
 from siplab.graphs import (Graph, build_rw_generator, complete_graph, graph_from_dict, path_graph,
                            random_connected_graph, rw_spectrum)
-from siplab.intertwiners import Ladder, Level
+from siplab.intertwiners import Level
 from siplab.reporting import gap_tolerance, require_reversible
 from siplab.sip import (SPARSE_GAP_MIN_STATES, build_sip_generator, gap_sandwich_report,
                         sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix,
@@ -141,10 +141,10 @@ def _stubbed(graph, k_max, gap):
     """Level k_max of `graph` with the gap of every level 1..k_max stubbed at
     gap(gap_rw, tolerance), for both reports: the diffusion report reads the
     least gap of levels 1..k_max, the particle report levels 2..k_max."""
-    ladder = Ladder(graph)
-    for k in range(1, k_max + 1):
-        ladder[k].gap = gap(graph.walk_spectrum.gap, gap_tolerance(graph))
-    return ladder[k_max]
+    levels = Level(graph, k_max).down_to(1)
+    for level in levels:
+        level.gap = gap(graph.walk_spectrum.gap, gap_tolerance(graph))
+    return levels[-1]
 
 
 GAP_VERDICTS = {
@@ -181,10 +181,10 @@ def test_both_gap_reports_give_each_sandwich_verdict(case):
 def test_gap_report_finishes_on_a_2000_deep_ladder():
     # levels up to 2000 of path(2) hold at most 2001 states each; their gaps
     # are stubbed at the walk gap 2.0, and the walk gap is read from the graph
-    ladder = Ladder(path_graph(2))
-    for k in range(2, 2001):
-        ladder[k].gap = 2.0
-    report = gap_sandwich_report(ladder[2000])
+    levels = Level(path_graph(2), 2000).down_to(2)
+    for level in levels:
+        level.gap = 2.0
+    report = gap_sandwich_report(levels[-1])
     assert report.passed, report.failures
     assert report.gap_rw == pytest.approx(2.0) and len(report.gaps) == 1999
 
