@@ -73,7 +73,7 @@ class HomogPolynomial:
         if space.n != self.n or space.k != self.degree:
             raise InputError("space does not match polynomial degree")
         terms, v = self.terms(), np.zeros(space.size)
-        v[space.rank_keys(terms.expo @ space.place)] = terms.coeff
+        v[space.rank_keys(space.keys_of(terms.expo))] = terms.coeff
         return v
 
 
@@ -193,7 +193,7 @@ def bep_matrix(level: Level) -> BepMatrix:
     # exact ratio: prod(eta!) as a float is infinite from degree 171 on
     image = _apply(Terms(np.arange(space.size), space.occupations, np.ones(space.size)),
                    level.graph, space.k)
-    rows = space.rank_keys(image.expo @ space.place)
+    rows = space.rank_keys(space.keys_of(image.expo))
     scale = _factorial_ratio(image.expo, space.occupations[image.col])
     m = scipy.sparse.csr_array((image.coeff * scale, (rows, image.col)), shape=(space.size,) * 2)
     check = identity_check(f"diffusion-matches-particles[k={level.k}]", m, gen.matrix)

@@ -171,7 +171,10 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _suite_sip(levels: list, rng: np.random.Generator) -> tuple[CheckSuite, dict]:
+def _suite_sip(levels: list) -> tuple[CheckSuite, dict]:
+    """Levels 2.. of `levels` and the top's gap report, with no random draw: the
+    Dirichlet trio reads D_k^(-1/2) q for the first three columns q of `Level.fresh`,
+    the last repeated when there are fewer."""
     report = gap_sandwich_report(levels[-1])
     checks = []
     for level in levels[2:]:
@@ -180,10 +183,10 @@ def _suite_sip(levels: list, rng: np.random.Generator) -> tuple[CheckSuite, dict
         dichotomy = eigen_dichotomy(level)
         checks.append(make_check(f"orthogonal-decomposition-dims[k={level.k}]",
                                  0.0 if dichotomy.passed else 1.0, 0.5))
-        for _ in range(3):
-            checks.extend(dirichlet_decomposition_check(
-                level, rng.standard_normal(level.space.size)).checks)
-        checks.extend(minmax_comparison_check(level, rng=rng).checks)
+        fresh = level.fresh[:, np.minimum(np.arange(3), level.fresh.shape[1] - 1)]
+        for f in (fresh / np.sqrt(level.measure.probabilities)[:, None]).T:
+            checks.extend(dirichlet_decomposition_check(level, f).checks)
+        checks.extend(minmax_comparison_check(level).checks)
     return CheckSuite("sip", tuple(checks)), report.to_dict()
 
 
@@ -204,10 +207,9 @@ def _suite_lookdown(levels: list, k_max: int) -> CheckSuite:
     return CheckSuite("lookdown", tuple(checks), note=note)
 
 
-def _run_suites(graph: Graph, k_max: int, suite: str, seed: int) -> dict:
+def _run_suites(graph: Graph, k_max: int, suite: str) -> dict:
     """Run the requested suites on one chain of levels 0..k_max, or 0..the labeled
     top for the lookdown suite alone; returns the payload without its manifest."""
-    rng = np.random.default_rng(seed)
     # the largest k <= k_max within the labeled cap, found bottom-up: n^k_max is never formed
     labeled_top = min(k_max, 0)
     while labeled_top < k_max and graph.n ** (labeled_top + 1) <= LABELED_CAP:
@@ -215,7 +217,7 @@ def _run_suites(graph: Graph, k_max: int, suite: str, seed: int) -> dict:
     levels = Level(graph, labeled_top if suite == "lookdown" else k_max).down_to(0)
     suites, payload = {}, {}
     if suite in ("all", "sip"):
-        suites["sip"], payload["gap_report"] = _suite_sip(levels, rng)
+        suites["sip"], payload["gap_report"] = _suite_sip(levels)
     if suite in ("all", "lookdown"):
         suites["lookdown"] = _suite_lookdown(levels[:labeled_top + 1], k_max)
     if suite in ("all", "bep"):
@@ -230,7 +232,7 @@ def _run_suites(graph: Graph, k_max: int, suite: str, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    payload = _run_suites(graph, args.K, args.suite, args.seed)
+    payload = _run_suites(graph, args.K, args.suite)
     payload["manifest"] = _manifest("verify", {"graph": args.graph, "K": args.K,
                                                "suite": args.suite, "alpha": args.alpha},
                                     digest, args.seed)
@@ -509,7 +511,7 @@ def cmd_tv_curve(args) -> int:
 def cmd_report(args) -> int:
     """All three suites at K, on one chain of levels, with the state cap."""
     graph, digest = _resolve_graph(args.graph, args.alpha)
-    payload = _run_suites(graph, args.K, "all", args.seed)
+    payload = _run_suites(graph, args.K, "all")
     payload["manifest"] = _manifest("report", {"graph": args.graph, "K": args.K,
                                                "alpha": args.alpha}, digest, args.seed)
     payload["state_cap"] = state_cap()

@@ -81,27 +81,17 @@ def unrank_composition(r: int, n: int, k: int) -> tuple:
     return tuple(eta)
 
 
-def _place_values(n: int, k: int) -> np.ndarray:
-    """Base-(k+1) place values (k+1)^(n-1), .., (k+1), 1.
-
-    Every occupation is at most k, so `occ @ place` is the
-    occupation read as a base-(k+1) numeral; lex order of the weak
-    compositions of k is the numeric order of these keys.  The keys are
-    int64 when (k+1)^n fits and Python integers otherwise.
-    """
-    base = k + 1
-    if base ** n <= np.iinfo(np.int64).max:
-        return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return np.array([base ** (n - 1 - i) for i in range(n)], dtype=object)
-
-
 @dataclass(frozen=True)
 class ConfigSpace:
     """All occupation vectors with n sites and k particles, in lex order.
 
-    `keys` holds the ascending base-(k+1) keys of the occupations, so a
-    whole array of configurations is ranked by one binary search; moving
-    one particle from x to y changes a key by place[y] - place[x].
+    `place` holds the base-(k+1) place values (k+1)^(n-1), .., (k+1), 1, as
+    int64 when (k+1)^n fits and as Python integers otherwise.  Every
+    occupation is at most k, so its key `occ @ place` reads it as a
+    base-(k+1) numeral, and lex order is the numeric order of the keys.
+    `keys` holds them ascending, so a whole array of configurations is ranked
+    by one binary search; moving one particle from x to y changes a key by
+    place[y] - place[x].
     """
 
     n: int
@@ -109,14 +99,27 @@ class ConfigSpace:
     occupations: np.ndarray
 
     def __post_init__(self):
-        place = _place_values(self.n, self.k)
-        keys = self.occupations @ place
+        base = self.k + 1
+        place = (base ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+                 if base ** self.n <= np.iinfo(np.int64).max
+                 else np.array([base ** (self.n - 1 - i) for i in range(self.n)], dtype=object))
+        place.setflags(write=False)
+        object.__setattr__(self, "place", place)
+        keys = self.keys_of(self.occupations)
         if np.any(keys[1:] <= keys[:-1]):
             raise InputError("occupations must be distinct and in lex order")
-        place.setflags(write=False)
         keys.setflags(write=False)
-        object.__setattr__(self, "place", place)
         object.__setattr__(self, "keys", keys)
+
+    def keys_of(self, occupations) -> np.ndarray:
+        """The key of each row; over Python-int place values, a sum over the
+        row's occupied sites, at most its particle count, not over all n."""
+        if self.place.dtype != object:
+            return occupations @ self.place
+        rows, sites = np.nonzero(occupations)
+        keys = np.zeros(len(occupations), dtype=object)
+        np.add.at(keys, rows, occupations[rows, sites] * self.place[sites])
+        return keys
 
     @property
     def size(self) -> int:

@@ -12,12 +12,13 @@ integer peeling argument read off A_k itself (`peeling_block`), whose
 triangular block also gives a basis of the fresh part, Ker C_k, in the
 balanced W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the
 scale of mu (`fresh_basis`).  This module builds A_k, C_k and W_k as CSR,
-checks every one of those identities, the split with no eigensolve, and
-the Dirichlet-form decomposition and single-walk comparison bounds that
-sandwich the spectral gap, over the walks with site weights alpha + xi, a
-row per (k-1)-configuration xi.  The checks take a `Level`, which builds
-each level-k piece once and keeps it; `Level.down_to` walks one chain of
-levels, each holding the one below as its `lower`.
+checks every one of those identities, the split with no eigensolve, the
+Dirichlet-form decomposition on given functions of Ker C_k, and the
+comparison with the walks of site weights alpha + xi, a row per
+(k-1)-configuration xi, for every test function, edge by edge and site by
+site; no check draws a random function.  The checks take a `Level`, which
+builds each level-k piece once and keeps it; `Level.down_to` walks one
+chain of levels, each holding the one below as its `lower`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def build_annihilation(low: ConfigSpace, high: ConfigSpace) -> scipy.sparse.csr_
     # keys are linear in the occupations: a level-k state read in the level-(k-1)
     # base, less place[x], is the key of eta - delta_x; one entry per occupied x
     s, x = np.nonzero(occ)
-    cols = low.rank_keys((occ @ low.place)[s] - low.place[x])
+    cols = low.rank_keys(low.keys_of(occ)[s] - low.place[x])
     return scipy.sparse.csr_array((occ[s, x].astype(float), (s, cols)),
                                   shape=(high.size, low.size))
 
@@ -60,7 +61,7 @@ def build_creation(graph: Graph, low: ConfigSpace, high: ConfigSpace) -> scipy.s
         raise InputError("need the spaces of levels k-1 and k on the same sites")
     occ = low.occupations
     # one entry per (state, site x): every state gains a particle at each site
-    cols = high.rank_keys(((occ @ high.place)[:, None] + high.place).ravel())
+    cols = high.rank_keys((high.keys_of(occ)[:, None] + high.place).ravel())
     rows = np.repeat(np.arange(low.size), graph.n)
     return scipy.sparse.csr_array(((occ + graph.site_weights).ravel(), (rows, cols)),
                                   shape=(low.size, high.size))
@@ -203,8 +204,8 @@ def peeling_block(level: Level) -> tuple:
     occ = level.lower.space.occupations
     cols = np.argsort(-occ.max(axis=1), kind="stable")
     y = occ[cols].argmax(axis=1)
-    place = level.space.place
-    rows = level.space.rank_keys(occ[cols] @ place + place[y])
+    space = level.space
+    rows = space.rank_keys(space.keys_of(occ[cols]) + space.place[y])
     block = level.annihilation[rows][:, cols]
     coo, pivots, diag = block.tocoo(), occ[cols, y] + 1.0, block.diagonal()
     margin = (0.0 if np.any(coo.col > coo.row)
@@ -379,8 +380,8 @@ def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
 
         E_k(f) = (|alpha|+k-1) (Z_{k-1}/Z_k) sum_xi mu_{k-1}(xi) D_{alpha+xi}(f_xi),
 
-    the mean-zero variance reduction of each section f_xi(x) = f(xi+delta_x),
-    and the lower bound E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f)."""
+    that each section f_xi(x) = f(xi+delta_x) has mean (C_k f)(xi) / (|alpha|+k-1)
+    zero under its walk's law, and E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f)."""
     graph, k, gen = level.graph, level.k, level.generator
     f = project_to_kernel(level, f)
     space, low, mu_low = gen.space, level.lower.space, level.lower.measure
@@ -389,15 +390,12 @@ def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
     energy = sip_dirichlet_form(gen, f)
     # row t holds the section f(xi + delta_x) of the t-th configuration xi,
     # and row t of beta its walk's site weights alpha + xi
-    raised = (low.occupations @ space.place)[:, None] + space.place[None, :]
+    raised = space.keys_of(low.occupations)[:, None] + space.place
     sections = f[space.rank_keys(raised.ravel())].reshape(low.size, graph.n)
     scale_f = max(1.0, float(np.abs(f).max()) ** 2)
     beta, _ = level.shifted_walks
     shifted_sum = float(mu_low.probabilities @ rw_dirichlet_forms(graph, beta, sections))
-    weights = beta / (a_total + k - 1)
-    plain_second = (weights * (sections * sections)).sum(axis=1)
-    sec_mean = (weights * sections).sum(axis=1)
-    var_residual = float(np.abs((plain_second - sec_mean ** 2) - plain_second).max())
+    var_residual = float(((level.creation @ f / (a_total + k - 1)) ** 2).max())
     decomposed = (a_total + k - 1) * z_ratio * shifted_sum
     scale_e = max(1.0, abs(energy), abs(decomposed))
     inf_gap = shifted_walk_gap_infimum(level)
@@ -421,51 +419,38 @@ class ComparisonReport:
         return all(c.passed for c in self.checks)
 
 
-def minmax_comparison_check(level: Level,
-                            rng: np.random.Generator | None = None) -> ComparisonReport:
-    """Compare the walk with site weights alpha to every shifted walk alpha + xi,
-    xi a configuration of k-1 particles.  Checked for each xi: the Dirichlet
-    form bound with factor |alpha| / (|alpha|+k-1) on 50 random test functions,
-    the norm bound with factor alpha_min (|alpha|+k-1) / (|alpha| (alpha_min+k-1)),
-    the resulting eigenvalue-by-eigenvalue bound with factor alpha_min /
-    (alpha_min+k-1), and the closing scalar inequality alpha_min k /
-    (alpha_min+k-1) >= min(1, alpha_min).  Every walk meets every test
-    function at once, in the tables of `comparison_tables`."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def minmax_comparison_check(level: Level) -> ComparisonReport:
+    """Compare the walk with site weights alpha to each shifted walk, beta =
+    alpha + xi a row of `Level.shifted_walks`, xi a configuration of k-1
+    particles, over every test function phi at once.  The Dirichlet form bound,
+    factor |alpha| / (|alpha|+k-1), holds when the weight c_xy (alpha_x alpha_y
+    - beta_x beta_y) / (|alpha|+k-1) of each edge's (phi_x - phi_y)^2 is <= 0;
+    the norm bound, factor alpha_min (|alpha|+k-1) / (|alpha| (alpha_min+k-1)),
+    when the weight (alpha_min beta_x - alpha_x (alpha_min+k-1)) / (|alpha|
+    (alpha_min+k-1)) of each site's phi_x^2 is.  Each residual is the largest
+    weight.  Then the eigenvalue bound, factor alpha_min / (alpha_min+k-1), and
+    the closing alpha_min k / (alpha_min+k-1) >= min(1, alpha_min)."""
     graph, k = level.graph, level.k
-    a_total = graph.alpha_total
-    a_min = graph.alpha_min
+    alpha, a_total, a_min = graph.site_weights, graph.alpha_total, graph.alpha_min
     base_vals = graph.walk_spectrum.eigenvalues
-    phis = rng.standard_normal((50, graph.n))
-    dirichlet_factor = a_total / (a_total + k - 1)
-    norm_factor = a_min * (a_total + k - 1) / (a_total * (a_min + k - 1))
-    eig_factor = a_min / (a_min + k - 1)
     beta, shift_vals = level.shifted_walks
-    base_d, base_norm = comparison_tables(graph, graph.site_weights[None, :], phis)
-    shift_d, shift_norm = comparison_tables(graph, beta, phis)
-    worst_dir = float((dirichlet_factor * base_d - shift_d).max())
-    worst_norm = float((norm_factor * shift_norm - base_norm).max())
-    worst_eig = float((eig_factor * base_vals - shift_vals).max())
+    x, y = np.nonzero(graph.edge_weights)
+    per_edge = graph.edge_weights[x, y] * (alpha[x] * alpha[y] - beta[:, x] * beta[:, y])
+    per_site = a_min * beta - alpha * (a_min + k - 1)
+    worst_dir = float(per_edge.max(initial=0.0)) / (a_total + k - 1)
+    worst_norm = float(per_site.max(initial=0.0)) / (a_total * (a_min + k - 1))
+    worst_eig = float((a_min / (a_min + k - 1) * base_vals - shift_vals).max())
     scale = max(1.0, float(np.abs(base_vals).max()))
     scalar_gap = min(1.0, a_min) - a_min * k / (a_min + k - 1) if k >= 2 else 0.0
     checks = (
-        make_check(f"dirichlet-comparison[k={k}]", max(0.0, worst_dir), ENERGY_RTOL * scale),
-        make_check(f"norm-comparison[k={k}]", max(0.0, worst_norm), ENERGY_RTOL),
+        make_check(f"dirichlet-comparison[k={k}]", worst_dir, ENERGY_RTOL * scale),
+        make_check(f"norm-comparison[k={k}]", worst_norm, ENERGY_RTOL),
         make_check(f"eigenvalue-comparison[k={k}]", max(0.0, worst_eig), ENERGY_RTOL * scale),
         # both terms lie in (0, 1] and carry no time scale, so an absolute
         # bound of a few ulp of 1 fits their difference
         make_check(f"scalar-bound[k={k}]", max(0.0, scalar_gap), 1e-15),
     )
     return ComparisonReport(checks)
-
-
-def comparison_tables(graph: Graph, beta: np.ndarray, phis: np.ndarray) -> tuple:
-    """(energies, norms), both (len(beta), len(phis)): D_beta(phi) and
-    sum_x beta_x phi(x)^2 / |beta| for every row beta of `beta` against
-    every row phi of `phis`."""
-    energies = rw_dirichlet_forms(graph, beta[:, None, :], phis[None, :, :])
-    return energies, (beta / beta.sum(axis=1, keepdims=True)) @ (phis * phis).T
 
 
 def shifted_walk_gap_infimum(level: Level) -> float:

@@ -132,7 +132,7 @@ def _level(cfg: SimConfig):
     graph, n, k = cfg.graph, cfg.graph.n, cfg.k
     if cfg.mode == "sip":
         space = enumerate_configs(n, k)
-        return (space.occupations, lambda batch: space.rank_keys(batch @ space.place),
+        return (space.occupations, lambda batch: space.rank_keys(space.keys_of(batch)),
                 lambda: sip_measure(graph, space).probabilities,
                 JumpTable.from_triplets(space.size, *_jumps(graph, space)))
     states = labeled_states(n, k)
@@ -338,7 +338,7 @@ def relaxation_estimate(cfg: SimConfig, observable=None) -> RelaxationFit:
         psi = spec.eigenfunctions[:, 1]
         f, lam = lift_eigenfunction(cfg.graph, psi, cfg.k)
         space = enumerate_configs(cfg.graph.n, cfg.k)
-        observable = lambda states: f[space.rank_keys(states @ space.place)]
+        observable = lambda states: f[space.rank_keys(space.keys_of(states))]
     summary = simulate(cfg, observable=observable)
     obs = summary.observable_samples
     f0 = obs[:, 0]

@@ -102,7 +102,7 @@ def test_criterion_4_identity_suite():
                 f = rng.standard_normal(level.space.size)
                 result = dirichlet_decomposition_check(level, f)
                 assert result.passed, result.checks
-            assert minmax_comparison_check(level, rng=rng).passed
+            assert minmax_comparison_check(level).passed
         ok = True
     finally:
         _report(4, "intertwining / adjoint / decomposition / comparison suite", ok)

@@ -1157,3 +1157,29 @@ def test_alpha_flag_validation(capsys):
 
 def test_unknown_flag_exits_two(capsys):
     assert main(["spectrum", "path(2)", "--bogus"]) == 2
+
+
+def test_verify_and_report_read_no_seed(capsys, monkeypatch):
+    """`--seed` is recorded in the manifest and changes no check of either command."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    for argv in (["verify", "cycle(4)", "--K", "3", "--alpha", "0.4,1,2,0.7"],
+                 ["report", "path(3)", "--K", "3", "--alpha", "0.3,1,2"]):
+        outputs = []
+        for seed in ("0", "5"):
+            code, out, _ = run(argv + ["--seed", seed], capsys)
+            assert code == 0
+            outputs.append(json.loads(out))
+        assert [o["manifest"].pop("master_seed") for o in outputs] == [0, 5]
+        assert outputs[0] == outputs[1]
+
+
+def test_sip_suite_on_two_sites_reads_its_one_fresh_column_three_times(capsys):
+    # with n = 2 each level adds one fresh state, so Level.fresh has one column
+    code, out, _ = run(["verify", "path(2)", "--K", "4", "--suite", "sip"], capsys)
+    assert code == 0
+    checks = json.loads(out)["suites"]["sip"]["checks"]
+    counts = collections.Counter(c["identity"] for c in checks)
+    for k in (2, 3, 4):
+        for name in ("dirichlet-decomposition", "section-variance-reduction",
+                     "kernel-energy-lower-bound"):
+            assert counts[f"{name}[k={k}]"] == 3

@@ -174,3 +174,17 @@ def test_rank_keys_fall_back_to_python_integers():
     picks = np.array([0, 17, space.size - 1])
     assert space.rank_keys(space.keys[picks]).tolist() == picks.tolist()
     assert space.rank((0,) * 39 + (1, 1)) == 1
+
+
+def test_keys_of_equal_the_place_value_product_on_both_branches():
+    # int64 place values, then Python integers: 3^199 and 4^40 do not fit in int64
+    for n, k in ((5, 3), (199, 2), (40, 3)):
+        space = enumerate_configs(n, k)
+        assert (space.place.dtype == object) == ((k + 1) ** n > np.iinfo(np.int64).max)
+        # a batch out of rank order, with a repeated row and an empty one
+        batch = np.concatenate([space.occupations[::-3], space.occupations[:1],
+                                np.zeros((1, n), dtype=np.int64)])
+        keys = space.keys_of(batch)
+        assert keys.dtype == space.place.dtype
+        assert keys.tolist() == (batch @ space.place).tolist()
+        np.testing.assert_array_equal(space.keys, space.occupations @ space.place)
