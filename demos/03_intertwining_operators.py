@@ -57,6 +57,5 @@ for group in eigen_groups(level):
     origin = "lifted" if group.dim_image else "new"
     print(f"  eigenvalue {group.eigenvalue:10.6f}  dim {group.dim}  -> {origin}")
 
-basis = level.kernel
-print("\nkernel dimension:", basis.shape[1],
+print("\nkernel dimension:", level.fresh.shape[1],
       "= level-k size minus level-(k-1) size:", size_high - size_low)

@@ -19,7 +19,7 @@ from .intertwiners import (Level, build_annihilation, build_creation, build_shif
                            check_adjoint, check_intertwinings, dirichlet_decomposition_check,
                            eigen_dichotomy, eigen_groups, fresh_basis, invert_annihilation,
                            lift_eigenfunction, minmax_comparison_check, peeling_block,
-                           project_to_kernel, shifted_walk_gap_infimum)
+                           shifted_walk_gap_infimum)
 from .lookdown import (LabeledLevel, build_labeled_generators, check_labeled_identities,
                        check_stationary_law, drop_top_pullback, labeled_index,
                        labeled_states, labeled_stationary_measure, symmetrizer,

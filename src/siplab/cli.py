@@ -173,7 +173,7 @@ def cmd_spectrum(args) -> int:
 
 def _suite_sip(levels: list) -> tuple[CheckSuite, dict]:
     """Levels 2.. of `levels` and the top's gap report, with no random draw: the
-    Dirichlet trio reads D_k^(-1/2) q for the first three columns q of `Level.fresh`,
+    Dirichlet trio reads D_k^(-1/2) g for the first three columns g of `Level.fresh`,
     the last repeated when there are fewer."""
     report = gap_sandwich_report(levels[-1])
     checks = []

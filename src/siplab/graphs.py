@@ -104,17 +104,18 @@ class Graph:
 
 def as_integer(raw, what: str) -> int:
     """`raw` as an int: a JSON integer, or an integral float such as 1e9.  A
-    fraction, a string or anything else is refused, not truncated."""
+    boolean, a fraction, a string or anything else is refused, not truncated."""
     if isinstance(raw, float) and raw.is_integer():
         return int(raw)
-    try:
-        return operator.index(raw)
-    except TypeError as exc:
-        raise InputError(f"{what} must be an integer, got {raw!r}") from exc
+    if isinstance(raw, bool) or not hasattr(type(raw), "__index__"):
+        raise InputError(f"{what} must be an integer, got {raw!r}")
+    return operator.index(raw)
 
 
 def as_number(raw, what: str) -> float:
-    """`raw` as a float; what float() cannot read is refused."""
+    """`raw` as a float; a boolean, or what float() cannot read, is refused."""
+    if isinstance(raw, bool):
+        raise InputError(f"{what} must be a number, got {raw!r}")
     try:
         return float(raw)
     except (TypeError, ValueError) as exc:
@@ -154,11 +155,9 @@ def graph_from_edges(n: int, edges, alpha) -> Graph:
         seen.add(key)
         w[x, y] = c
         w[y, x] = c
-    try:
-        alpha = np.asarray(alpha, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"site weights must be numbers, got {alpha!r}") from exc
-    return Graph(n, w, alpha)
+    if not isinstance(alpha, (list, tuple)):
+        raise InputError(f"site weights must be a list of numbers, got {alpha!r}")
+    return Graph(n, w, np.array([as_number(a, "site weight") for a in alpha]))
 
 
 def graph_from_dict(data: dict) -> Graph:

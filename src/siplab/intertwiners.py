@@ -11,14 +11,15 @@ in Ker C, and the two parts are orthogonal in the reversible inner product
 integer peeling argument read off A_k itself (`peeling_block`), whose
 triangular block also gives a basis of the fresh part, Ker C_k, in the
 balanced W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the
-scale of mu (`fresh_basis`).  This module builds A_k, C_k and W_k as CSR,
-checks every one of those identities, the split with no eigensolve, the
-Dirichlet-form decomposition on given functions of Ker C_k, and the
-comparison with the walks of site weights alpha + xi, a row per
-(k-1)-configuration xi, for every test function, edge by edge and site by
-site; no check draws a random function.  The checks take a `Level`, which
-builds each level-k piece once and keeps it; `Level.down_to` walks one
-chain of levels, each holding the one below as its `lower`.
+scale of mu (`fresh_basis`), of which every reader takes the span.  This
+module builds A_k, C_k and W_k as CSR, checks every one of those
+identities, the split with no eigensolve, the Dirichlet-form decomposition
+on given functions of Ker C_k, and the comparison with the walks of site
+weights alpha + xi, a row per (k-1)-configuration xi, for every test
+function, edge by edge and site by site; no check draws a random
+function.  The checks take a `Level`, which builds each level-k piece once
+and keeps it; `Level.down_to` walks one chain of levels, each holding the
+one below as its `lower`.
 """
 
 from __future__ import annotations
@@ -90,11 +91,10 @@ class Level:
     `balanced_removal`, W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), and
     `removal_sides`, the two sides (A_k L_{k-1}, L_k A_k); the dense `spectrum`
     (eigenvalues only); `gap` from `sip_gap`; `peeling` from `peeling_block`;
-    `fresh`, the Q of `fresh_basis`, whose D_k^(-1/2) Q, made on each read, is
-    `kernel`, a mu-orthonormal basis of Ker C_k; `shifted_walks` from
-    `build_shifted_walks`; and `labeled`, the labeled generators, label maps
-    and law.  `lower` is level k-1, the one given or one made on first use;
-    `down_to` walks down those.  Level 0 has one state and a 1x1 CSR zero
+    `fresh`, the G of `fresh_basis`, whose D_k^(-1/2) G spans Ker C_k;
+    `shifted_walks` from `build_shifted_walks`; and `labeled`, the labeled
+    generators, label maps and law.  `lower` is level k-1, the one given or
+    one made on first use; `down_to` walks down those.  Level 0 has one state and a 1x1 CSR zero
     generator, its own symmetric form.  Every level reads the single-particle
     walk from the graph, `graph.walk` and `graph.walk_spectrum`.
     """
@@ -157,10 +157,12 @@ class Level:
         return ann @ self.lower.generator.matrix, self.generator.matrix @ ann
 
     def balance(self, m: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
-        """D_k^(1/2) m D_{k-1}^(-1/2) for a CSR m, level k-1 to k, on m's own pattern."""
+        """D_k^(1/2) m D_{k-1}^(-1/2) for a CSR m from level k-1 to k, and D_{k-1}^(1/2)
+        m D_k^(-1/2) for one from level k to k-1, on m's own pattern."""
         d, d_low = np.sqrt(self.measure.probabilities), np.sqrt(self.lower.measure.probabilities)
+        left, right = (d, d_low) if m.shape[0] == d.size else (d_low, d)
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        return scipy.sparse.csr_array((m.data * (d[rows] / d_low[m.indices]), m.indices,
+        return scipy.sparse.csr_array((m.data * (left[rows] / right[m.indices]), m.indices,
                                        m.indptr), shape=m.shape)
 
     @cached_property
@@ -178,10 +180,6 @@ class Level:
     @cached_property
     def fresh(self) -> np.ndarray:
         return fresh_basis(self)
-
-    @property
-    def kernel(self) -> np.ndarray:
-        return self.fresh / np.sqrt(self.measure.probabilities)[:, None]
 
     @cached_property
     def shifted_walks(self) -> tuple:
@@ -228,11 +226,11 @@ def invert_annihilation(level: Level, h) -> np.ndarray:
 
 
 def fresh_basis(level: Level) -> np.ndarray:
-    """Q, S_k x (S_k - S_{k-1}), orthonormal columns spanning Ker W_k^T.  Each
-    state off the rows of `peeling_block` is free; 1 there, 0 at the other free
-    states and x on the rows, block^T x = -A_k[free][:, cols]^T, is a g in
-    Ker A_k^T, so D_k^(-1/2) g is in Ker W_k^T; an economic QR makes those
-    orthonormal.  The block must be triangular with a nonzero diagonal."""
+    """G, S_k x (S_k - S_{k-1}), unit columns spanning Ker W_k^T, not orthogonal.
+    Each state off the rows of `peeling_block` is free; 1 there, 0 at the other
+    free states and x on the rows, block^T x = -A_k[free][:, cols]^T, is a g in
+    Ker A_k^T, so D_k^(-1/2) g, scaled to a unit column of G, is in Ker W_k^T; G is
+    diagonal on the free states.  The block must be triangular with a nonzero diagonal."""
     rows, cols, block, margin = level.peeling
     if not margin > 0.0:
         raise InputError("the peeling block is not triangular with a nonzero diagonal")
@@ -242,9 +240,9 @@ def fresh_basis(level: Level) -> np.ndarray:
     g[rows] = scipy.linalg.solve_triangular(  # dense: the sparse solve costs more to set up
         block.toarray(), -level.annihilation[free].toarray()[:, cols].T, trans="T", lower=True)
     g /= np.sqrt(level.measure.probabilities)[:, None]
-    q = scipy.linalg.qr(g, overwrite_a=True, mode="economic", check_finite=False)[0]
-    q.setflags(write=False)
-    return q
+    g /= np.linalg.norm(g, axis=0)
+    g.setflags(write=False)
+    return g
 
 
 def check_adjoint(level: Level) -> CheckResult:
@@ -316,21 +314,22 @@ class EigenDichotomy:
 def eigen_dichotomy(level: Level) -> EigenDichotomy:
     """Check with no eigensolve that L_k splits into Range A_k, which carries
     level k-1's spectrum, and Ker C_k.  With H_k = `generator.symmetric`,
-    W_k = `Level.balanced_removal` and Q = `Level.fresh`, it passes when A_k
+    W_k = `Level.balanced_removal` and G = `Level.fresh`, it passes when A_k
     passes the exact check of `peeling_block`; when H_k W_k = W_k H_{k-1}
     (with injectivity, level k-1's spectrum on Range W_k), read from
     `Level.removal_sides` as D_k^(1/2) (A_k L_{k-1} - L_k A_k) D_{k-1}^(-1/2),
-    and W_k^T H_k Q = 0, within `residual_tol` of L_k's largest rate times
-    W_k's largest entry; and when c D_{k-1}^(1/2) C_k D_k^(-1/2) Q = 0 within
-    `residual_tol` of W_k's largest entry.  With no Q its two residuals are NaN."""
+    and W_k^T H_k G = 0, within `residual_tol` of L_k's largest rate times
+    W_k's largest entry; and when c D_{k-1}^(1/2) C_k D_k^(-1/2) G = 0, with
+    c = k / (|alpha|+k-1) and C_k balanced on its own pattern, within
+    `residual_tol` of W_k's largest entry.  With no G its two residuals are NaN."""
     k, w, h = level.k, level.balanced_removal, level.generator.symmetric
     injectivity, (ann_gen, gen_ann) = level.peeling[3], level.removal_sides
     image_spectrum = max_abs(level.balance(ann_gen - gen_ann))
     off_diagonal = kernel_residual = math.nan
     if injectivity > 0.0:
         off_diagonal = max_abs(w.T @ (h @ level.fresh))
-        balance = np.sqrt(level.lower.measure.probabilities) * k / (level.graph.alpha_total + k - 1)
-        kernel_residual = max_abs(balance[:, None] * (level.creation @ level.kernel))
+        c = k / (level.graph.alpha_total + k - 1)
+        kernel_residual = c * max_abs(level.balance(level.creation) @ level.fresh)
     bound = residual_tol(max_abs(level.generator.matrix) * max_abs(w))
     passed = (injectivity == 1.0 and off_diagonal <= bound and image_spectrum <= bound
               and kernel_residual <= residual_tol(max_abs(w)))
@@ -339,10 +338,11 @@ def eigen_dichotomy(level: Level) -> EigenDichotomy:
 
 def eigen_groups(level: Level) -> tuple:
     """L_k's spectrum as `EigenGroup`s: level k-1's, on the lifted part by
-    `eigen_dichotomy`, joined with eigvalsh of the lower triangle of Q^T H_k Q,
-    clustered up, each within SPECTRAL_RTOL (1 + |value|) of its first."""
-    low_vals, q = level.lower.spectrum.eigenvalues, level.fresh
-    vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(q.T @ (level.generator.symmetric @ q))])
+    `eigen_dichotomy`, joined with the pencil's eigvalsh(G^T H_k G, G^T G), each
+    read from its lower triangle, clustered up, each within SPECTRAL_RTOL
+    (1 + |value|) of its first."""
+    low_vals, g, h = level.lower.spectrum.eigenvalues, level.fresh, level.generator.symmetric
+    vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(g.T @ (h @ g), g.T @ g)])
     order = np.argsort(vals, kind="stable")
     vals, is_image = vals[order], order < low_vals.size
     ends = np.searchsorted(vals, vals + SPECTRAL_RTOL * (1.0 + np.abs(vals)), "right").tolist()
@@ -353,13 +353,6 @@ def eigen_groups(level: Level) -> tuple:
     means = np.add.reduceat(vals, starts) / dims
     return tuple(map(EigenGroup, means.tolist(), dims.tolist(), n_im.tolist(),
                      (dims - n_im).tolist()))
-
-
-def project_to_kernel(level: Level, f) -> np.ndarray:
-    """Orthogonal projection (reversible inner product) onto Ker C:
-    D_k^(-1/2) Q Q^T D_k^(1/2) f, Q = `Level.fresh`."""
-    d, q = np.sqrt(level.measure.probabilities), level.fresh
-    return q @ (q.T @ (d * np.asarray(f, float))) / d
 
 
 @dataclass(frozen=True)
@@ -375,7 +368,7 @@ class DirichletDecomposition:
 
 
 def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
-    """For f projected to Ker C, check in order the rewriting of the level-k
+    """For f in Ker C_k, taken as given, check in order the rewriting of the level-k
     energy as a weighted sum of single-walk energies with shifted site weights,
 
         E_k(f) = (|alpha|+k-1) (Z_{k-1}/Z_k) sum_xi mu_{k-1}(xi) D_{alpha+xi}(f_xi),
@@ -383,7 +376,7 @@ def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
     that each section f_xi(x) = f(xi+delta_x) has mean (C_k f)(xi) / (|alpha|+k-1)
     zero under its walk's law, and E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f)."""
     graph, k, gen = level.graph, level.k, level.generator
-    f = project_to_kernel(level, f)
+    f = np.asarray(f, dtype=float)
     space, low, mu_low = gen.space, level.lower.space, level.lower.measure
     a_total = graph.alpha_total
     z_ratio = math.exp(mu_low.log_normalization - gen.measure.log_normalization)

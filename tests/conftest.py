@@ -24,7 +24,7 @@ from siplab.errors import InputError, VerificationError
 from siplab.graphs import (Graph, Spectrum, build_rw_generator, detailed_balance_residual,
                            rw_dirichlet_form, rw_spectrum)
 from siplab.intertwiners import (EigenGroup, Level, build_annihilation, eigen_dichotomy,
-                                 eigen_groups, project_to_kernel)
+                                 eigen_groups)
 from siplab.lookdown import (build_labeled_generators, drop_top_pullback, labeled_states,
                              labeled_stationary_measure, symmetrizer, unlabel_map)
 from siplab.reporting import identity_check, make_check, max_abs, require_reversible
@@ -635,10 +635,11 @@ def spectrum_included(small: np.ndarray, large: np.ndarray, rtol: float = 1e-8) 
 def kernel_gap(level: Level) -> float:
     """Smallest eigenvalue of the negative generator restricted to Ker C.
 
-    The generator preserves Ker C, and in a mu-orthonormal basis B of it
-    the restriction is B^T diag(mu) (-L) B, symmetric by reversibility.
+    The generator preserves Ker C, and in a mu-orthonormal basis B of it,
+    `svd_kernel_basis`, the restriction is B^T diag(mu) (-L) B, symmetric by
+    reversibility.
     """
-    gen, basis = level.generator, level.kernel
+    gen, basis = level.generator, svd_kernel_basis(level)
     restricted = basis.T @ (gen.measure.probabilities[:, None] * -gen.matrix.toarray()) @ basis
     return float(scipy.linalg.eigvalsh(0.5 * (restricted + restricted.T))[0])
 
@@ -647,12 +648,21 @@ def svd_kernel_basis(level: Level) -> np.ndarray:
     """Basis of Ker C_k from the full SVD of the addition matrix, cut at
     1e-10 of the top singular value, then made orthonormal in the
     reversible inner product through the Cholesky factor of its Gram
-    matrix.  The oracle of `Level.kernel`."""
+    matrix.  The oracle of the span of D_k^(-1/2) `Level.fresh`."""
     _, sv, vt = scipy.linalg.svd(level.creation.toarray(), full_matrices=True)
     basis = vt[int(np.sum(sv > 1e-10 * sv[0])):].T
     gram = basis.T @ (level.measure.probabilities[:, None] * basis)
     chol = scipy.linalg.cholesky(gram, lower=False)
     return scipy.linalg.solve_triangular(chol, basis.T, trans="T").T
+
+
+def project_to_kernel(level: Level, f) -> np.ndarray:
+    """The orthogonal projection of f onto Ker C_k in the reversible inner
+    product, B B^T diag(mu) f with B = `svd_kernel_basis`, f a function or
+    columns of them: a function of Ker C_k for `dirichlet_decomposition_check`,
+    which takes f as given."""
+    basis, f = svd_kernel_basis(level), np.asarray(f, dtype=float)
+    return basis @ (basis.T @ (level.measure.probabilities * f.T).T)
 
 
 class DenseDichotomy(NamedTuple):
@@ -729,9 +739,8 @@ def loop_shifted_walks(level: Level) -> list:
 
 def loop_dirichlet_decomposition(level: Level, f, rtol: float = 1e-9) -> tuple:
     """The checks of `dirichlet_decomposition_check`, one walk and one
-    section at a time."""
+    section at a time, on f as given."""
     graph, k, gen = level.graph, level.k, level.generator
-    f = project_to_kernel(level, f)
     space, low, mu_low = gen.space, level.lower.space, level.lower.measure
     a_total = graph.alpha_total
     z_ratio = math.exp(mu_low.log_normalization - gen.measure.log_normalization)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import assert_dichotomy_matches_dense, hausdorff_gap
+from conftest import assert_dichotomy_matches_dense, hausdorff_gap, project_to_kernel
 from siplab.bep import bep_gap_report, bep_matrix
 from siplab.graphs import complete_graph, path_graph, random_connected_graph
 from siplab.intertwiners import (Level, check_adjoint, check_intertwinings,
@@ -99,7 +99,7 @@ def test_criterion_4_identity_suite():
             assert dichotomy.passed
             assert_dichotomy_matches_dense(level)
             for _ in range(per_combo):
-                f = rng.standard_normal(level.space.size)
+                f = project_to_kernel(level, rng.standard_normal(level.space.size))
                 result = dirichlet_decomposition_check(level, f)
                 assert result.passed, result.checks
             assert minmax_comparison_check(level).passed

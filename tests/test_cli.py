@@ -158,15 +158,39 @@ def _five_vertex_graph(tmp_path, alpha):
 @pytest.mark.parametrize("regime, alpha", [("general", [0.3, 0.8, 1.7, 0.5, 2.2]),
                                            ("equality", [1.0, 2.4, 1.3, 2.9, 1.6])])
 def test_lookdown_suite_keeps_the_recorded_identities(regime, alpha, tmp_path, capsys):
-    expected = json.loads(EXPECTED_CHECKS.read_text())["lookdown_K4"][regime]
-    code, out, _ = run(["verify", _five_vertex_graph(tmp_path, alpha), "--K", "4",
-                        "--suite", "lookdown"], capsys)
+    _assert_recorded_identities(_five_vertex_graph(tmp_path, alpha), "lookdown", 4, regime,
+                                capsys)
+
+
+def _assert_recorded_identities(path, suite, K, regime, capsys):
+    """Each identity the benchmark's gate lists for `suite` at `K` appears at
+    least as often as listed, and passes."""
+    expected = json.loads(EXPECTED_CHECKS.read_text())[f"{suite}_K{K}"][regime]
+    code, out, _ = run(["verify", path, "--K", str(K), "--suite", suite], capsys)
     assert code == 0
-    checks = json.loads(out)["suites"]["lookdown"]["checks"]
+    checks = json.loads(out)["suites"][suite]["checks"]
     seen = collections.Counter(c["identity"] for c in checks)
     for identity, count in expected.items():
         assert seen[identity] >= count, identity
     assert all(c["pass"] for c in checks if c["identity"] in expected)
+
+
+def _six_vertex_graph(tmp_path, alpha):
+    """A 6-cycle with chords (0, 3) and (1, 4), the topology of the benchmark's
+    identity and diffusion runs."""
+    edges = [[0, 1, 0.8], [1, 2, 1.4], [2, 3, 0.6], [3, 4, 1.9], [4, 5, 1.1], [5, 0, 0.7],
+             [0, 3, 1.2], [1, 4, 0.9]]
+    path = tmp_path / "g6.json"
+    path.write_text(json.dumps({"n": 6, "edges": edges, "alpha": alpha}))
+    return str(path)
+
+
+@pytest.mark.parametrize("suite", ["sip", "bep"])
+@pytest.mark.parametrize("regime, alpha", [("general", [0.4, 1.3, 0.7, 2.1, 0.9, 1.6]),
+                                           ("equality", [1.2, 2.6, 1.0, 1.8, 2.3, 1.4])])
+def test_identity_and_diffusion_suites_keep_the_recorded_identities(suite, regime, alpha,
+                                                                     tmp_path, capsys):
+    _assert_recorded_identities(_six_vertex_graph(tmp_path, alpha), suite, 5, regime, capsys)
 
 
 def test_each_labeled_level_is_built_once_per_run(tmp_path, capsys, monkeypatch):
@@ -424,9 +448,9 @@ def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypa
     assert counts["sip_gap"] == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
-def test_the_identity_suite_solves_no_level_spectrum_and_no_full_qr(capsys, monkeypatch):
-    """The dichotomy checks the split with no eigensolve, and builds the fresh
-    basis with an economic QR of its S_k - S_{k-1} columns."""
+def test_the_identity_suite_solves_no_level_spectrum_and_no_qr(capsys, monkeypatch):
+    """The dichotomy checks the split with no eigensolve, and every check reads
+    the span of the fresh basis, which is not orthogonalized."""
     counts = _count_level_builds(monkeypatch)
     modes, qr = [], scipy.linalg.qr
 
@@ -438,7 +462,7 @@ def test_the_identity_suite_solves_no_level_spectrum_and_no_full_qr(capsys, monk
     code, out, _ = run(["verify", "cycle(5)", "--K", "5", "--suite", "sip"], capsys)
     assert code == 0 and json.loads(out)["pass"]
     assert counts["sip_spectrum"] == {}
-    assert modes == ["economic"] * 4
+    assert modes == []
 
 
 def test_each_level_is_symmetrized_and_checked_once(capsys, monkeypatch):
@@ -671,6 +695,39 @@ def _sweep_spec(path, graphs, k_max, seed, n_samples=1):
     path.write_text(json.dumps({"graphs": graphs, "k_max": k_max, "seed": seed,
                                 "alpha": {"n_samples": n_samples, "range": [0.5, 2.0]}}))
     return str(path)
+
+
+GOOD_GRAPH = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]], "alpha": [1.0, 1.0, 1.0]}
+GOOD_SPEC = {"graphs": ["path(3)"], "k_max": 3, "seed": 1,
+             "alpha": {"n_samples": 1, "range": [0.5, 2.0]}}
+# each holds JSON true where one number belongs
+GRAPH_BOOLEANS = {"n": {**GOOD_GRAPH, "n": True},
+                  "vertex index": {**GOOD_GRAPH, "edges": [[True, 2, 1.0], [0, 1, 1.0]]},
+                  "edge weight": {**GOOD_GRAPH, "edges": [[0, 1, True], [1, 2, 2.0]]},
+                  "site weight": {**GOOD_GRAPH, "alpha": [True, 1.0, 1.0]}}
+SPEC_BOOLEANS = {"k_max": {**GOOD_SPEC, "k_max": True},
+                 "seed": {**GOOD_SPEC, "seed": True},
+                 "alpha.n_samples": {**GOOD_SPEC,
+                                     "alpha": {"n_samples": True, "range": [0.5, 2.0]}},
+                 "alpha.range entry": {**GOOD_SPEC,
+                                       "alpha": {"n_samples": 1, "range": [True, 2.0]}}}
+
+
+@pytest.mark.parametrize("field", list(GRAPH_BOOLEANS))
+def test_a_boolean_in_a_graph_file_is_refused(field, tmp_path, capsys):
+    """JSON true is no number: read as 1 it would make edge (1, 2) of [true, 2]."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(GRAPH_BOOLEANS[field]))
+    code, _, err = run(["spectrum", str(path), "--k", "2"], capsys)
+    assert code == 2 and f"{field} must be a" in err and "True" in err, err
+
+
+@pytest.mark.parametrize("field", list(SPEC_BOOLEANS))
+def test_a_boolean_in_a_sweep_spec_is_refused(field, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(SPEC_BOOLEANS[field]))
+    code, _, err = run(["sweep", str(path), "--jobs", "1"], capsys)
+    assert code == 2 and f"{field} must be a" in err and "True" in err, err
 
 
 # 1e300 * alpha 1e10 overflows the walk's rates, and 1e308 * alpha in [1, 2]

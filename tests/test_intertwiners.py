@@ -9,8 +9,8 @@ import scipy.sparse
 from conftest import (CONTRACT_RTOL, DEGENERATE_GRAPHS, assert_dichotomy_matches_dense,
                       binomial_removal_matrix, injectivity_margin, kernel_gap, loop_annihilation,
                       loop_creation, loop_dirichlet_decomposition, loop_minmax_comparison,
-                      loop_shifted_walks, loop_sip_generator, qr_eigen_dichotomy,
-                      removal_composition, svd_kernel_basis)
+                      loop_shifted_walks, loop_sip_generator, project_to_kernel,
+                      qr_eigen_dichotomy, removal_composition, svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError, StateCapError
 from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph,
@@ -20,9 +20,14 @@ from siplab.intertwiners import (Level, build_annihilation, build_creation, chec
                                  check_intertwinings, dirichlet_decomposition_check,
                                  eigen_dichotomy, eigen_groups, fresh_basis, invert_annihilation,
                                  lift_eigenfunction, minmax_comparison_check, peeling_block,
-                                 project_to_kernel, shifted_walk_gap_infimum)
-from siplab.reporting import ENERGY_RTOL
+                                 shifted_walk_gap_infimum)
+from siplab.reporting import ENERGY_RTOL, SPECTRAL_RTOL
 from siplab.sip import build_sip_generator, sip_spectrum
+
+
+def kernel_columns(level: Level) -> np.ndarray:
+    """D_k^(-1/2) G, G = `Level.fresh`: columns spanning Ker C_k."""
+    return level.fresh / np.sqrt(level.measure.probabilities)[:, None]
 
 
 def test_down_to_links_each_level_to_the_one_below(monkeypatch):
@@ -156,7 +161,7 @@ def test_kernel_dimension_and_mean_zero_condition():
     g = random_connected_graph(3, rng)
     for k in (1, 2, 3):
         level = Level(g, k)
-        basis = level.kernel
+        basis = kernel_columns(level)
         assert basis.shape[1] == level.space.size - level.lower.space.size
         np.testing.assert_allclose(level.creation @ basis, 0.0, atol=1e-10)
         # kernel functions integrate to zero against the reversible law
@@ -195,7 +200,7 @@ def test_image_orthogonal_to_kernel():
     rng = np.random.default_rng(7)
     g = random_connected_graph(3, rng)
     level = Level(g, 3)
-    basis = level.kernel
+    basis = kernel_columns(level)
     for _ in range(10):
         h = rng.standard_normal(level.lower.space.size)
         for j in range(basis.shape[1]):
@@ -336,26 +341,24 @@ def test_eigen_groups_match_the_loop_oracle():
 
 
 def test_kernel_basis_matches_svd_oracle():
-    rng = np.random.default_rng(41)
+    """D_k^(-1/2) G and the SVD oracle span one space: the oracle's projection
+    keeps each column, and both have S_k - S_{k-1} independent columns."""
     for level in DICHOTOMY_LEVELS:
-        mu = level.measure.probabilities
-        basis = level.kernel
+        basis = kernel_columns(level)
         assert basis.shape == (level.space.size, level.space.size - level.lower.space.size)
-        np.testing.assert_allclose(basis.T @ (mu[:, None] * basis), np.eye(basis.shape[1]),
-                                   rtol=0, atol=1e-12)
-        svd = svd_kernel_basis(level)
-        for _ in range(3):
-            f = rng.standard_normal(level.space.size)
-            np.testing.assert_allclose(project_to_kernel(level, f), svd @ (svd.T @ (mu * f)),
-                                       rtol=0, atol=1e-10)
+        assert svd_kernel_basis(level).shape == basis.shape
+        assert np.linalg.matrix_rank(level.fresh) == basis.shape[1]
+        np.testing.assert_allclose(project_to_kernel(level, basis), basis, rtol=0,
+                                   atol=1e-10 * np.abs(basis).max())
 
 
 def test_lower_spectrum_and_fresh_block_make_the_level_spectrum():
+    """The fresh block is the pencil (B^T D (-L_k) B, B^T D B), B = D_k^(-1/2) G."""
     for level in DICHOTOMY_LEVELS:
-        neg = -level.generator.matrix
-        basis = level.kernel
-        block = basis.T @ (level.measure.probabilities[:, None] * neg) @ basis
-        fresh = scipy.linalg.eigvalsh(0.5 * (block + block.T))
+        neg, mu = -level.generator.matrix, level.measure.probabilities
+        basis = kernel_columns(level)
+        block = basis.T @ (mu[:, None] * neg) @ basis
+        fresh = scipy.linalg.eigvalsh(0.5 * (block + block.T), basis.T @ (mu[:, None] * basis))
         low = sip_spectrum(level.lower.generator, want_vectors=False).eigenvalues
         dense = sip_spectrum(level.generator, want_vectors=False).eigenvalues
         scale = max(1.0, float(np.abs(neg).max()))
@@ -538,17 +541,36 @@ def test_invert_annihilation_matches_a_dense_least_squares_solve():
 
 
 def test_fresh_basis_spans_the_kernel_of_the_balanced_removal():
+    """Unit columns of full rank in Ker W_k^T, S_k - S_{k-1} of them, so they
+    span it, kept read-only."""
     for level in DICHOTOMY_LEVELS[:8] + DEGENERATE_LEVELS:
-        q, d = level.fresh, np.sqrt(level.measure.probabilities)
+        g, d = level.fresh, np.sqrt(level.measure.probabilities)
         balanced = (d[:, None] * level.annihilation.toarray()
                     / np.sqrt(level.lower.measure.probabilities)[None, :])
         np.testing.assert_allclose(level.balanced_removal.toarray(), balanced, rtol=1e-14, atol=0)
-        assert q.shape == (level.space.size, level.space.size - level.lower.space.size)
-        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(balanced.T @ q, 0.0, rtol=0,
+        assert g.shape == (level.space.size, level.space.size - level.lower.space.size)
+        np.testing.assert_allclose(np.linalg.norm(g, axis=0), 1.0, rtol=0, atol=1e-14)
+        assert np.linalg.matrix_rank(g) == g.shape[1]
+        np.testing.assert_allclose(balanced.T @ g, 0.0, rtol=0,
                                    atol=1e-14 * level.k * np.abs(balanced).max())
-        np.testing.assert_array_equal(level.kernel, q / d[:, None])
-        assert level.fresh is q and not q.flags.writeable
+        assert level.fresh is g and not g.flags.writeable
+
+
+def test_the_fresh_pencil_gives_the_dense_spectrum():
+    """eigen_groups, each mean repeated over its dimension, is the dense
+    spectrum within SPECTRAL_RTOL of its largest value, on 45 levels, G1 and
+    G2 among them; the Gram matrix G^T G of the pencil stays well conditioned."""
+    levels = DICHOTOMY_LEVELS + DEGENERATE_LEVELS + [Level(complete_graph(5), 4)]
+    assert len(levels) >= 30
+    worst = 0.0
+    for level in levels:
+        groups = eigen_groups(level)
+        got = np.repeat([gr.eigenvalue for gr in groups], [gr.dim for gr in groups])
+        dense = sip_spectrum(level.generator, want_vectors=False).eigenvalues
+        np.testing.assert_allclose(got, dense, rtol=0, atol=SPECTRAL_RTOL * dense[-1],
+                                   err_msg=str((level.graph.n, level.k)))
+        worst = max(worst, np.linalg.cond(level.fresh.T @ level.fresh))
+    assert worst < 1e3, worst
 
 
 def test_dirichlet_decomposition_zero_function():
@@ -558,7 +580,8 @@ def test_dirichlet_decomposition_zero_function():
 
 
 def test_dirichlet_decomposition_two_sites_hand_case():
-    result = dirichlet_decomposition_check(Level(path_graph(2), 2), np.array([1.0, -1.0, 1.0]))
+    level = Level(path_graph(2), 2)
+    result = dirichlet_decomposition_check(level, project_to_kernel(level, [1.0, -1.0, 1.0]))
     # each residual within 1e-12 of its scale, a thousandth of the ENERGY_RTOL tolerance
     assert all(c.residual <= 1e-12 / ENERGY_RTOL * c.tolerance for c in result.checks), result
     assert result.energy == pytest.approx(result.decomposed, abs=1e-12)
@@ -570,9 +593,20 @@ def test_dirichlet_decomposition_random_sweep():
     for k in (2, 3, 4):
         level = Level(g, k)
         for _ in range(34):  # 102 random functions across the three levels
-            f = rng.standard_normal(level.space.size)
+            f = project_to_kernel(level, rng.standard_normal(level.space.size))
             result = dirichlet_decomposition_check(level, f)
             assert result.passed, result.checks
+
+
+def test_a_function_outside_the_kernel_fails_the_section_means():
+    """The check takes f as given: off Ker C_k the sections have nonzero means,
+    while the energy identity, which holds for every f, still passes."""
+    rng = np.random.default_rng(12)
+    for level in DICHOTOMY_LEVELS[:8]:
+        f = rng.standard_normal(level.space.size)
+        verdicts = {c.identity: c.passed for c in dirichlet_decomposition_check(level, f).checks}
+        assert not verdicts[f"section-variance-reduction[k={level.k}]"], level.k
+        assert verdicts[f"dirichlet-decomposition[k={level.k}]"], level.k
 
 
 def test_minmax_comparisons():
@@ -638,7 +672,7 @@ def test_array_checks_match_loop_oracle():
     rounding noise summed in another order, seen below 6e-7 of its tolerance."""
     rng = np.random.default_rng(32)
     for level in WALK_LEVELS:
-        f = rng.standard_normal(level.space.size)
+        f = project_to_kernel(level, rng.standard_normal(level.space.size))
         fast = minmax_comparison_check(level).checks + dirichlet_decomposition_check(level, f).checks
         slow = loop_minmax_comparison(level) + loop_dirichlet_decomposition(level, f)
         assert [(c.identity, c.passed) for c in fast] == [(c.identity, c.passed) for c in slow]
@@ -676,7 +710,7 @@ def test_walk_off_by_a_little_fails_the_decomposition():
     rng = np.random.default_rng(33)
     for level in WALK_LEVELS:
         beta, vals = level.shifted_walks
-        f = rng.standard_normal(level.space.size)
+        f = project_to_kernel(level, rng.standard_normal(level.space.size))
         assert dirichlet_decomposition_check(level, f).passed
         shifted = beta.copy()
         shifted[beta.shape[0] // 2, 0] += 1e-3
