@@ -74,20 +74,18 @@ def _labeled_jumps(graph: Graph, k: int, lookdown: bool):
     One block per (label i, target site y): every state whose particle i
     sits next to y moves it there, which shifts the index by
     (y - x) n^(k-1-i).  Each (source, target) pair occurs once, and the
-    blocks come label-major, site-minor.
+    blocks come label-major, site-minor, sources ascending: c[x_i, y] laid
+    out as (label, site, state).  The order decides the Monte-Carlo pick.
     """
     n, c, alpha = graph.n, graph.edge_weights, graph.site_weights
     states = labeled_states(n, k)
-    blocks = []
-    for i in range(k):
-        x = states[:, i]
-        others = states[:, :i] if lookdown else states
-        for y in range(n):
-            s = np.flatnonzero(c[x, y])
-            company = (2 if lookdown else 1) * np.sum(others[s] == y, axis=1)
-            blocks.append((s, s + (y - x[s]) * n ** (k - 1 - i),
-                           c[x[s], y] * (alpha[y] + company)))
-    return tuple(np.concatenate(part) for part in zip(*blocks))
+    hits = states[:, :, None] == np.arange(n)  # hits[s, i, y]: particle i sits at y
+    # the particles at y that attract particle i: lower labels, doubled, or all
+    company = (2 * (np.cumsum(hits, axis=1) - hits) if lookdown
+               else np.broadcast_to(hits.sum(axis=1, keepdims=True), hits.shape))
+    i, y, s = np.nonzero(c[states].transpose(1, 2, 0))
+    x = states[s, i]
+    return s, s + (y - x) * n ** (k - 1 - i), c[x, y] * (alpha[y] + company[s, i, y])
 
 
 def _labeled_generator(graph: Graph, k: int, lookdown: bool) -> scipy.sparse.csr_array:

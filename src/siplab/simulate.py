@@ -5,15 +5,17 @@ state ranks of the chosen mode: occupation ranks (`sip`) or mixed-radix
 indices of labeled positions (`lookdown`), so every start enumerates that
 space under its state cap.  The moves are those of the level generators,
 as COO triplets (`sip._jumps`, `lookdown._labeled_jumps`), laid out once
-per call as a checked `JumpTable`.  All paths advance together: each round
-gathers every live path's exit rate, draws one exponential holding time
-and one uniform per path, records the sampling times the jump passes, and
-picks the move from the state's cumulative rates, all of them positive.
-A path whose state has exit rate 0 is absorbed and holds it to the horizon.
+per call as a checked `JumpTable`.  All paths advance together in rounds
+over the live paths alone: each round draws one exponential holding time
+and one uniform per live path, records only the paths whose jump crosses
+a sampling time, and picks the move from the state's cumulative rates,
+all of them positive.  A path whose state has exit rate 0 is absorbed and
+holds it to the horizon.
 
 Reproducibility: one `default_rng(seed)` stream drives every path, the
 initial draws included, so a summary is bit-identical from run to run for
-a given seed and path count.
+a given seed and path count; the draw order, move order and float
+operations of the stepper fix those bytes.
 """
 
 from __future__ import annotations
@@ -102,8 +104,12 @@ class JumpTable:
 
     def pick(self, s: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per path in state s, the move j with cum[s, j-1] <= target < cum[s, j];
-        when target = u * exit rounds up to the exit rate, the last move."""
-        return np.minimum(np.sum(self.cum[s] <= target[:, None], axis=1), self.degrees[s] - 1)
+        when target = u * exit rounds up to the exit rate, the last move.  A
+        float32 matvec counts exactly: no count exceeds the table width."""
+        rows = self.cum.take(s, axis=0)
+        hits = np.less_equal(rows, target[:, None], out=np.empty(rows.shape, dtype=np.float32))
+        count = hits @ np.ones(rows.shape[1], dtype=np.float32)
+        return np.minimum(count.astype(np.int64), self.degrees.take(s) - 1)
 
 
 @dataclass
@@ -157,33 +163,42 @@ def _initial_ranks(cfg: SimConfig, initial, rng, P: int, rank) -> np.ndarray:
 
 def _advance(table: JumpTable, times: np.ndarray, ranks: np.ndarray, rng):
     """Advance one batch of paths past the last sampling time; returns the
-    (P, T) sampled ranks and the number of absorbed paths."""
+    (P, T) sampled ranks and the number of absorbed paths.  A round holds
+    the live paths alone, in path order, records those that cross a sampling
+    time and compacts when one passes the last.  It draws m exponentials,
+    then m uniforms, and the jump time stays clock + hold / exit, a division:
+    so the samples are those of a stepper evaluating every channel rate."""
     P, T = ranks.size, times.size
     samples = np.empty((P, T), dtype=np.int64)
-    clock = np.zeros(P)
-    taken = np.zeros(P, dtype=np.int64)  # sampling times recorded per path
+    ids, cur = np.arange(P), ranks
+    clock, taken = np.zeros(P), np.zeros(P, dtype=np.int64)
+    width = table.targets.shape[1]
     n_absorbed = 0
-    live = np.arange(P)
-    while live.size:
-        s = ranks[live]
-        total = table.exits[s]
-        hold = rng.standard_exponential(live.size)
-        u = rng.random(live.size)
-        stuck = total <= 0.0
-        n_absorbed += int(stuck.sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jump_at = np.where(stuck, np.inf, clock[live] + hold / total)
-        # record the state at every sampling time before the jump
-        reached = np.searchsorted(times, jump_at)
-        fresh = reached - taken[live]
-        rows = np.repeat(live, fresh)
-        cols = np.repeat(reached - np.cumsum(fresh), fresh) + np.arange(rows.size)
-        samples[rows, cols] = ranks[rows]
-        taken[live] = reached
-        go = reached < T
-        live, s = live[go], s[go]
-        ranks[live] = table.targets[s, table.pick(s, (u * total)[go])]
-        clock[live] = jump_at[go]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while ids.size:
+            total = table.exits.take(cur)
+            hold = rng.standard_exponential(ids.size)
+            u = rng.random(ids.size)
+            jump_at = clock + hold / total
+            stuck = total <= 0.0
+            if stuck.any():
+                n_absorbed += int(np.count_nonzero(stuck))
+                jump_at[stuck] = np.inf
+            # record the state at every sampling time before the jump
+            reached = times.searchsorted(jump_at)
+            cross = np.flatnonzero(reached > taken)
+            if cross.size:
+                top = reached[cross]
+                fresh = top - taken[cross]
+                at = np.repeat(cross, fresh)
+                cols = np.repeat(top - np.cumsum(fresh), fresh) + np.arange(at.size)
+                samples[ids[at], cols] = cur[at]
+                if top.max() == T:
+                    go = np.flatnonzero(reached < T)
+                    ids, cur, total, u, jump_at, reached = (
+                        a.take(go) for a in (ids, cur, total, u, jump_at, reached))
+            cur = table.targets.take(cur * width + table.pick(cur, u * total))
+            clock, taken = jump_at, reached
     return samples, n_absorbed
 
 

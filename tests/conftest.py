@@ -226,6 +226,25 @@ def reference_jumps(graph: Graph, space: ConfigSpace):
     return np.concatenate(sources), np.concatenate(targets), np.concatenate(rates)
 
 
+def loop_labeled_jumps(graph: Graph, k: int, lookdown: bool):
+    """COO triplets (source, target, rate) of every jump of a labeled model,
+    one block per (label i, target site y), label-major and site-minor, with
+    sources ascending in each block.  The order oracle of
+    `lookdown._labeled_jumps`: the order decides the Monte-Carlo pick."""
+    n, c, alpha = graph.n, graph.edge_weights, graph.site_weights
+    states = labeled_states(n, k)
+    blocks = []
+    for i in range(k):
+        x = states[:, i]
+        others = states[:, :i] if lookdown else states
+        for y in range(n):
+            s = np.flatnonzero(c[x, y])
+            company = (2 if lookdown else 1) * np.sum(others[s] == y, axis=1)
+            blocks.append((s, s + (y - x[s]) * n ** (k - 1 - i),
+                           c[x[s], y] * (alpha[y] + company)))
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
 def reference_sip_generator(graph: Graph, k: int) -> SipGenerator:
     """Level k assembled by scipy.sparse arithmetic on the COO triplets of
     `reference_jumps`: a CSR conversion, the exit rates subtracted as a

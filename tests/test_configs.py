@@ -67,10 +67,14 @@ def test_log_factorials_from_a_table_match_gammaln_of_each_occupation():
         for x in range(g.n):
             table[x, 1:] = np.cumsum(np.log(alpha[x] + np.arange(k)))
         logw = table[np.arange(g.n)[None, :], occ].sum(axis=1) - gammaln(occ + 1.0).sum(axis=1)
-        log_z = float(logsumexp(logw))
+        top = logw.max()
+        log_z = float(top + np.log(np.exp(logw - top).sum()))
         probs = np.exp(logw - log_z)
         probs /= probs.sum()
         assert np.array_equal(mu.probabilities, probs) and mu.log_normalization == log_z, (g, k)
+        # the max-shift sum against scipy's
+        bar = 4 * np.finfo(float).eps * max(1.0, abs(log_z))
+        assert abs(mu.log_normalization - float(logsumexp(logw))) <= bar, (g, k)
 
 
 def test_rank_unrank_roundtrip_and_list_order():

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import (DEGENERATE_GRAPHS, dense_labeled_identities, dense_stationary_law,
-                      dense_symmetrizer, label_maps, reference_labeled_identities)
+                      dense_symmetrizer, label_maps, loop_labeled_jumps,
+                      reference_labeled_identities)
 from siplab.configs import enumerate_configs, sip_measure
 from siplab.errors import StateCapError, VerificationError
-from siplab.graphs import (build_rw_generator, graph_from_dict, path_graph,
-                           random_connected_graph)
+from siplab.graphs import (build_rw_generator, complete_graph, graph_from_dict,
+                           graph_from_edges, path_graph, random_connected_graph)
 from siplab.intertwiners import Level
-from siplab.lookdown import (build_labeled_generators, check_labeled_identities,
-                             check_stationary_law, drop_top_pullback, labeled_index,
-                             labeled_states, labeled_stationary_measure)
+from siplab.lookdown import (_labeled_jumps, build_labeled_generators,
+                             check_labeled_identities, check_stationary_law, drop_top_pullback,
+                             labeled_index, labeled_states, labeled_stationary_measure)
 
 
 def _loop_operators(graph, k):
@@ -96,6 +97,21 @@ def test_labeled_cap():
     # 2^13 = 8192 labeled states, over the cap of 4096: refused before any allocation
     with pytest.raises(StateCapError, match="8192 exceeds cap 4096"):
         build_labeled_generators(path_graph(2), 13)
+
+
+@pytest.mark.parametrize("lookdown", [False, True])
+def test_labeled_jumps_come_in_the_order_of_the_label_site_loop(lookdown):
+    # the order of the moves decides the Monte-Carlo pick, and with it the
+    # bytes of `simulate`; a dict comparison of moves would not see it
+    graphs = [graph_from_edges(5, [(0, 1, 1.3), (1, 2, 0.7), (2, 3, 1.9), (3, 4, 0.6),
+                                   (4, 0, 1.1), (0, 2, 1.4)], [0.4, 1.2, 2.5, 0.9, 1.7]),
+              complete_graph(4), path_graph(3, alpha=[0.3, 1.0, 2.5]),
+              graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0)], [1.0, 0.5, 2.0, 1.5])]  # site 3 isolated
+    for g in graphs:
+        for k in range(1, 5):
+            got, want = _labeled_jumps(g, k, lookdown), loop_labeled_jumps(g, k, lookdown)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b) and a.dtype == b.dtype, (g.n, k)
 
 
 def test_labeled_generators_zero_row_sums():

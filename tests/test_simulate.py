@@ -11,6 +11,7 @@ from siplab.graphs import (Graph, complete_graph, graph_from_edges, path_graph,
                            random_connected_graph)
 from siplab.simulate import (JumpTable, SimConfig, _level, chi_square_pvalue, projection_test,
                              relaxation_estimate, simulate, stationary_chi_square)
+from siplab.configs import sip_measure
 from siplab.sip import build_sip_generator, transition_matrix
 
 simulate_module = importlib.import_module("siplab.simulate")  # the package rebinds the name
@@ -201,6 +202,46 @@ def test_mixed_batch_of_absorbed_and_moving_paths(monkeypatch, entries, mode, st
                 assert sum(state) == 2 and min(state) >= 0
             assert state == stuck or (state[2] == 0 if mode == "sip" else 2 not in state)
     assert hist[moving] < 600 - n_stuck  # the moving paths did move
+
+
+def _cycle_with_chord(jump_rate: float) -> Graph:
+    """The 5-cycle with chord (0, 2), edge weights scaled so that 4 inclusion
+    particles in their stationary law jump at `jump_rate` on average."""
+    g = graph_from_edges(5, [(0, 1, 1.3), (1, 2, 0.7), (2, 3, 1.9), (3, 4, 0.6), (4, 0, 1.1),
+                             (0, 2, 1.4)], [0.4, 1.2, 2.5, 0.9, 1.7])
+    gen = build_sip_generator(g, 4)
+    mean_rate = -float(gen.matrix.diagonal() @ sip_measure(g, gen.space).probabilities)
+    return Graph(5, g.edge_weights * (jump_rate / mean_rate), g.site_weights)
+
+
+def _stepper_cases():
+    lone = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0)], [1.0, 0.5, 2.0, 1.5])  # site 3 isolated
+    for mode in ("sip", "lookdown"):
+        # the size of a Monte-Carlo benchmark op: about 60 jumps per path
+        yield pytest.param(SimConfig(_cycle_with_chord(20.0), 4, mode, 3.0, 1000, 3001,
+                                     (0.0, 1.0, 2.0, 3.0)), None, id=f"cycle-{mode}")
+        # every path jumps past the horizon in the first round
+        yield pytest.param(SimConfig(path_graph(3), 2, mode, 1e-9, 200, 5, (0.0, 1e-9)), None,
+                           id=f"first-round-{mode}")
+        # sampling times at 0 and at the horizon
+        yield pytest.param(SimConfig(path_graph(3, alpha=[0.3, 1.0, 2.5]), 3, mode, 1.5, 300, 8,
+                                     (0.0, 0.7, 1.5)), None, id=f"ends-{mode}")
+        # batches of a few paths, some absorbed at the isolated site
+        yield pytest.param(SimConfig(lone, 3, mode, 2.0, 250, 12, (0.5, 2.0)), 50,
+                           id=f"split-{mode}")
+
+
+@pytest.mark.parametrize("cfg, entries", list(_stepper_cases()))
+def test_stepper_edge_cases_match_rate_by_rate_oracle(monkeypatch, cfg, entries):
+    if entries is not None:
+        monkeypatch.setattr(simulate_module, "BATCH_ENTRIES", entries)
+    observable = lambda states: states[:, 0] * 1.5 - states[:, -1]
+    summary = simulate(cfg, observable=observable)
+    histograms, n_absorbed, obs = rate_simulate(cfg, None, observable)
+    assert summary.histograms == histograms
+    assert summary.n_absorbed == n_absorbed
+    assert np.array_equal(summary.observable_samples, obs)
+    assert n_absorbed > 0 or entries is None
 
 
 def test_sip_transient_law_from_fixed_state():
