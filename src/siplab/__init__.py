@@ -17,7 +17,8 @@ from .sip import (GapReport, SipGenerator, build_sip_generator, gap_sandwich_rep
                   sip_dirichlet_form, sip_gap, sip_spectrum, transition_matrix, tv_sandwich)
 from .intertwiners import (Level, build_annihilation, build_creation, build_shifted_walks,
                            check_adjoint, check_intertwinings, dirichlet_decomposition_check,
-                           eigen_dichotomy, eigen_groups, fresh_basis, invert_annihilation,
+                           dirichlet_form_identity, eigen_dichotomy, eigen_groups, fresh_basis,
+                           invert_annihilation, ladder_bound, ladder_covered,
                            lift_eigenfunction, minmax_comparison_check, peeling_block,
                            shifted_walk_gap_infimum)
 from .lookdown import (LabeledLevel, build_labeled_generators, check_labeled_identities,

@@ -35,14 +35,15 @@ import numpy as np
 
 from . import __version__
 from .bep import bep_gap_report
-from .configs import capped_size, space_size, state_cap
+from .configs import capped_size, enumerate_configs, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import Graph, as_integer, as_number, graph_from_preset, load_graph
-from .intertwiners import (Level, check_adjoint, check_intertwinings,
-                           dirichlet_decomposition_check, eigen_dichotomy,
+from .intertwiners import (Level, build_shifted_walks, check_adjoint, check_intertwinings,
+                           dirichlet_decomposition_check, dirichlet_form_identity,
+                           eigen_dichotomy, ladder_bound, ladder_covered,
                            minmax_comparison_check)
 from .lookdown import LABELED_CAP, check_labeled_identities, check_stationary_law
-from .reporting import CheckSuite, make_check
+from .reporting import CheckSuite, gap_tolerance, make_check
 from .sip import build_sip_generator, gap_sandwich_report, sip_gap, sip_spectrum, tv_sandwich
 from .simulate import SimConfig, simulate
 
@@ -172,21 +173,38 @@ def cmd_spectrum(args) -> int:
 
 
 def _suite_sip(levels: list) -> tuple[CheckSuite, dict]:
-    """Levels 2.. of `levels` and the top's gap report, with no random draw: the
+    """Levels 2.. of `levels` and the top's gap report, with no random draw.  The
     Dirichlet trio reads D_k^(-1/2) g for the first three columns g of `Level.fresh`,
-    the last repeated when there are fewer."""
+    the last repeated when there are fewer; the first function's energy entry is
+    `dirichlet_form_identity`, the decomposition for every f.  `ladder-certificate[k]`
+    holds each gap that `ladder_covered` decides, from the cached `Level.shifted_walks`,
+    to gap_rw within `gap_tolerance`; on another level it passes, and says so."""
     report = gap_sandwich_report(levels[-1])
+    graph = levels[-1].graph
+    gap_rw, tolerance = graph.walk_spectrum.gap, gap_tolerance(graph)
+    covered = ladder_covered(graph, range(2, len(levels)), lambda k: levels[k].shifted_walks[1])
     checks = []
     for level in levels[2:]:
+        k = level.k
         checks.append(check_adjoint(level))
         checks.extend(check_intertwinings(level))
         dichotomy = eigen_dichotomy(level)
-        checks.append(make_check(f"orthogonal-decomposition-dims[k={level.k}]",
+        checks.append(make_check(f"orthogonal-decomposition-dims[k={k}]",
                                  0.0 if dichotomy.passed else 1.0, 0.5))
         fresh = level.fresh[:, np.minimum(np.arange(3), level.fresh.shape[1] - 1)]
-        for f in (fresh / np.sqrt(level.measure.probabilities)[:, None]).T:
-            checks.extend(dirichlet_decomposition_check(level, f).checks)
+        trios = [dirichlet_decomposition_check(level, f).checks
+                 for f in (fresh / np.sqrt(level.measure.probabilities)[:, None]).T]
+        trios[0] = (dirichlet_form_identity(level), *trios[0][1:])
+        checks.extend(check for trio in trios for check in trio)
         checks.extend(minmax_comparison_check(level).checks)
+        if k in covered:
+            checks.append(make_check(f"ladder-certificate[k={k}]", abs(level.gap - gap_rw),
+                                     tolerance))
+        else:
+            gap_below = level.lower.gap if k > 2 else gap_rw
+            ratio = ladder_bound(k, level.shifted_walks[1]) / gap_below if gap_below else math.inf
+            checks.append(make_check(f"ladder-certificate[k={k}]", 0.0, tolerance,
+                                     f"not covered: b_k / gap_(k-1) = {ratio:.6g}"))
     return CheckSuite("sip", tuple(checks)), report.to_dict()
 
 
@@ -249,13 +267,16 @@ def _level_gap(graph: Graph, k: int):
 
 
 def _sweep_plan(graph: Graph, k_max: int) -> tuple:
-    """(walk gap, levels to solve, error that ends the rows or None) of one
-    sample, decided in the parent before any level is solved: a
-    disconnected graph or a failed walk solve has no levels, and the levels
-    stop below the first one over the state cap, whose StateCapError ends
-    the rows. So a k_max far past the cap costs no more than the levels
-    under it."""
-    gap_walk, k = float("nan"), 2
+    """(walk gap, levels the recursion covers, levels to solve, error that ends
+    the rows or None) of one sample, decided in the parent before any level is
+    solved: a disconnected graph or a failed walk solve has no levels, and the
+    levels stop below the first one over the state cap, whose StateCapError
+    ends the rows. So a k_max far past the cap costs no more than the levels
+    under it. Of those, `ladder_covered` takes the first ones, whose gap is
+    gap_rw, from the shifted walks of `build_shifted_walks` on k-1 particles
+    alone: no level matrix is built for them. A walk stack that fails covers
+    nothing, and its levels go to the solver."""
+    gap_walk, k, error = float("nan"), 2, None
     try:
         if not graph.connected:
             raise InputError(f"graph is disconnected ({graph.components} components) "
@@ -265,8 +286,14 @@ def _sweep_plan(graph: Graph, k_max: int) -> tuple:
             capped_size(graph.n, k)
             k += 1
     except SiplabError as exc:
-        return gap_walk, range(2, k), exc
-    return gap_walk, range(2, k), None
+        error = exc
+    levels = range(2, k)
+    try:
+        covered = len(ladder_covered(graph, levels, lambda j: build_shifted_walks(
+            graph, enumerate_configs(graph.n, j - 1))[1]))
+    except SiplabError:
+        covered = 0
+    return gap_walk, levels[:covered], levels[covered:], error
 
 
 @functools.cache  # siplab's imports load every BLAS it computes with
@@ -356,11 +383,13 @@ def _sweep_gaps(samples: dict, jobs: int | None) -> dict:
 
     Processes, not threads: the level builds, ARPACK's
     reverse-communication loop and the small dense solves hold the GIL.
-    Plain forks, not a pool: on 2 cores the gap_sweep benchmark's 12
-    levels take 55-90 ms in one process, a fork pool of 2 workers costs
-    12 ms to start and stop, and a fork with its pipe round trip 5 ms. A
-    child that ends without its gaps, or stops on an exception that is no
-    SiplabError, raises here, and a child still running when this process
+    Plain forks, not a pool: a fork pool of 2 workers costs 12 ms to start
+    and stop, and a fork with its pipe round trip 5 ms, while the levels
+    left are those `_sweep_plan` could not cover: none in 39 of the first
+    40 ops of the gap_sweep benchmark (seed 3001), and then no child is
+    forked. A child that ends
+    without its gaps, or stops on an exception that is no SiplabError,
+    raises here, and a child still running when this process
     raises is killed and reaped. Off Linux this process solves every level:
     macOS system libraries are not safe to fork, and a spawned worker would
     import numpy and scipy again, about 0.5 s."""
@@ -403,12 +432,13 @@ def _sweep_gaps(samples: dict, jobs: int | None) -> dict:
 
 
 def _sweep_rows(spec, ai, plan, gaps: dict) -> list:
-    """Rows of one sample from its plan and level gaps, k = 2, 3, ..: each
-    level up to the first failing one, then one -1 row for the error that
-    ended them."""
-    gap_walk, levels, error = plan
+    """Rows of one sample from its plan and the gaps of its solved levels,
+    k = 2, 3, ..: each covered level with gap_rw, each solved level up to the
+    first failing one, then one -1 row for the error that ended them."""
+    gap_walk, covered, solved, error = plan
+    gaps = dict.fromkeys(covered, gap_walk) | gaps
     rows = []
-    for k in levels:
+    for k in (*covered, *solved):
         if isinstance(gaps[k], SiplabError):
             error = gaps[k]
             break
@@ -458,11 +488,11 @@ def cmd_sweep(args) -> int:
             alpha = np.exp(rng.uniform(np.log(lo), np.log(hi), size=base.n))
             samples.append((spec, ai, base.with_site_weights(alpha)))
     plans = [_sweep_plan(graph, k_max) for _, _, graph in samples]
-    gaps = _sweep_gaps({i: (graph, plans[i][1]) for i, (_, _, graph) in enumerate(samples)},
+    gaps = _sweep_gaps({i: (graph, plans[i][2]) for i, (_, _, graph) in enumerate(samples)},
                        args.jobs)
     ordered = [row for i, (spec, ai, _) in enumerate(samples)
                for row in _sweep_rows(spec, ai, plans[i],
-                                      {k: gaps[i, k] for k in plans[i][1]})]
+                                      {k: gaps[i, k] for k in plans[i][2]})]
     manifest = _manifest("sweep", {"spec": args.spec, "k_max": k_max,
                                    "n_samples": n_samples}, spec_text, seed)
     _write_csv(args.csv, ("graph_id", "alpha_id", "k", "gap_k", "gap_rw", "ratio", "error"),

@@ -14,12 +14,15 @@ balanced W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the
 scale of mu (`fresh_basis`), of which every reader takes the span.  This
 module builds A_k, C_k and W_k as CSR, checks every one of those
 identities, the split with no eigensolve, the Dirichlet-form decomposition
-on given functions of Ker C_k, and the comparison with the walks of site
-weights alpha + xi, a row per (k-1)-configuration xi, for every test
-function, edge by edge and site by site; no check draws a random
-function.  The checks take a `Level`, which builds each level-k piece once
-and keeps it; `Level.down_to` walks one chain of levels, each holding the
-one below as its `lower`.
+for every f as one identity of quadratic forms and on given functions of
+Ker C_k, and the comparison with the walks of site weights alpha + xi, a
+row per (k-1)-configuration xi, for every test function, edge by edge and
+site by site; no check draws a random function.  The two facts together
+give the paper's recursion: gap_k = gap_{k-1} whenever
+b_k = k inf_xi gap_rw(alpha + xi) >= gap_{k-1}, which needs only the n x n
+shifted walks (`ladder_bound`, `ladder_covered`).  The checks take a
+`Level`, which builds each level-k piece once and keeps it; `Level.down_to`
+walks one chain of levels, each holding the one below as its `lower`.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, s
 from .errors import InputError
 from .graphs import Graph, Spectrum, rw_dirichlet_forms, symmetrize_reversible
 from .lookdown import LabeledLevel
-from .reporting import (ENERGY_RTOL, SPECTRAL_RTOL, CheckResult, identity_check, make_check,
-                        max_abs, residual_tol)
+from .reporting import (ENERGY_RTOL, SPECTRAL_RTOL, CheckResult, gap_tolerance, identity_check,
+                        make_check, max_abs, residual_tol)
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_gap, sip_spectrum
 
 
@@ -68,6 +71,7 @@ def build_creation(graph: Graph, low: ConfigSpace, high: ConfigSpace) -> scipy.s
                                   shape=(low.size, high.size))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rates that overflow fail require_reversible
 def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple[np.ndarray, np.ndarray]:
     """(beta, eigenvalues), both (space.size, n): row s of beta is alpha + xi for
     the s-th configuration xi of `space`, and row s of eigenvalues the ascending
@@ -92,7 +96,8 @@ class Level:
     `removal_sides`, the two sides (A_k L_{k-1}, L_k A_k); the dense `spectrum`
     (eigenvalues only); `gap` from `sip_gap`; `peeling` from `peeling_block`;
     `fresh`, the G of `fresh_basis`, whose D_k^(-1/2) G spans Ker C_k;
-    `shifted_walks` from `build_shifted_walks`; and `labeled`, the labeled
+    `shifted_walks` from `build_shifted_walks`, and `sections`, the level-k
+    ranks of xi + delta_x for its rows xi; and `labeled`, the labeled
     generators, label maps and law.  `lower` is level k-1, the one given or
     one made on first use; `down_to` walks down those.  Level 0 has one state and a 1x1 CSR zero
     generator, its own symmetric form.  Every level reads the single-particle
@@ -184,6 +189,16 @@ class Level:
     @cached_property
     def shifted_walks(self) -> tuple:
         return build_shifted_walks(self.graph, self.lower.space)
+
+    @cached_property
+    def sections(self) -> np.ndarray:
+        """(S_{k-1}, n) ranks: row t holds the level-k ranks of xi + delta_x, x = 0..n-1,
+        xi the t-th configuration of level k-1, the rows of `shifted_walks`."""
+        space, low = self.space, self.lower.space
+        raised = space.keys_of(low.occupations)[:, None] + space.place
+        ranks = space.rank_keys(raised.ravel()).reshape(low.size, self.graph.n)
+        ranks.setflags(write=False)
+        return ranks
 
     @cached_property
     def labeled(self) -> LabeledLevel:
@@ -374,17 +389,19 @@ def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
         E_k(f) = (|alpha|+k-1) (Z_{k-1}/Z_k) sum_xi mu_{k-1}(xi) D_{alpha+xi}(f_xi),
 
     that each section f_xi(x) = f(xi+delta_x) has mean (C_k f)(xi) / (|alpha|+k-1)
-    zero under its walk's law, and E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f)."""
+    zero under its walk's law, and E_k(f) >= k inf_xi gap_rw(alpha+xi) Var(f).  The
+    sections are read through `Level.sections`, the walks from `Level.shifted_walks`.
+    The first check holds for every f; `dirichlet_form_identity` checks it so, and
+    the sip suite reads that in place of the first function's entry."""
     graph, k, gen = level.graph, level.k, level.generator
     f = np.asarray(f, dtype=float)
-    space, low, mu_low = gen.space, level.lower.space, level.lower.measure
+    mu_low = level.lower.measure
     a_total = graph.alpha_total
     z_ratio = math.exp(mu_low.log_normalization - gen.measure.log_normalization)
     energy = sip_dirichlet_form(gen, f)
     # row t holds the section f(xi + delta_x) of the t-th configuration xi,
     # and row t of beta its walk's site weights alpha + xi
-    raised = space.keys_of(low.occupations)[:, None] + space.place
-    sections = f[space.rank_keys(raised.ravel())].reshape(low.size, graph.n)
+    sections = f[level.sections]
     scale_f = max(1.0, float(np.abs(f).max()) ** 2)
     beta, _ = level.shifted_walks
     shifted_sum = float(mu_low.probabilities @ rw_dirichlet_forms(graph, beta, sections))
@@ -446,6 +463,62 @@ def minmax_comparison_check(level: Level) -> ComparisonReport:
     return ComparisonReport(checks)
 
 
+def dirichlet_form_identity(level: Level) -> CheckResult:
+    """`dirichlet-decomposition[k]` for every f at once, as one identity of forms,
+
+        D_k (-L_k) = (|alpha|+k-1) (Z_{k-1}/Z_k) sum_xi mu_{k-1}(xi) R_xi^T B_{alpha+xi} R_xi,
+
+    R_xi the section map f -> f(xi + delta_.), read from `Level.sections`, and B_beta
+    the Dirichlet matrix of the walk with site weights beta, each beta a row of
+    `Level.shifted_walks`: -beta_x beta_y c_xy / |beta| off the diagonal and the
+    negated row sums on it.  The sum's terms are summed onto L_k's CSR pattern,
+    found by `np.searchsorted` in its keys row * S_k + column, which ascend since each
+    row's targets do, and compared there with mu_k (-L_k) by `identity_check`; a term
+    off the pattern is compared with 0."""
+    graph, k, gen = level.graph, level.k, level.generator.matrix
+    beta, ranks, mu_low = level.shifted_walks[0], level.sections, level.lower.measure
+    z_ratio = math.exp(mu_low.log_normalization - level.measure.log_normalization)
+    weight = (graph.alpha_total + k - 1) * z_ratio * mu_low.probabilities / beta.sum(axis=1)
+    x, y = np.nonzero(graph.edge_weights)
+    off = -weight[:, None] * beta[:, x] * beta[:, y] * graph.edge_weights[x, y]
+    diagonal = weight[:, None] * beta * (beta @ graph.edge_weights)
+    size = gen.shape[0]
+    rows = np.repeat(np.arange(size), np.diff(gen.indptr))
+    pattern = rows * size + gen.indices
+    cells = np.concatenate([ranks[:, x] * size + ranks[:, y], ranks * (size + 1)], axis=None)
+    terms = np.concatenate([off, diagonal], axis=None)
+    at = np.searchsorted(pattern, cells)
+    found = at < pattern.size
+    found[found] = pattern[at[found]] == cells[found]
+    lost = terms[~found]
+    energy_form = np.append(-gen.data * level.measure.probabilities[rows], np.zeros(lost.size))
+    sum_form = np.append(np.bincount(at[found], terms[found], minlength=pattern.size), lost)
+    return identity_check(f"dirichlet-decomposition[k={k}]", energy_form, sum_form)
+
+
 def shifted_walk_gap_infimum(level: Level) -> float:
     """inf over xi in the (k-1)-particle space of gap_rw(alpha + xi)."""
     return float(level.shifted_walks[1][:, 1].min())
+
+
+def ladder_bound(k: int, walk_values) -> float:
+    """b_k = k inf_xi gap_rw(alpha + xi), from `walk_values`, the eigenvalue rows of
+    `build_shifted_walks` on the (k-1)-particle space."""
+    return k * float(walk_values[:, 1].min())
+
+
+def ladder_covered(graph: Graph, ks, walk_values) -> list:
+    """The levels of `ks`, ascending from 2, whose gap is gap_rw by the paper's
+    recursion.  On Ker C_k the Dirichlet decomposition gives E_k(f) >= b_k Var(f),
+    `ladder_bound`, and the dichotomy spec(L_k) = spec(L_{k-1}) u spec(L_k | Ker C_k)
+    then gives gap_k = gap_{k-1} whenever b_k >= gap_{k-1}; from gap_1 = gap_rw, level
+    k is covered when every level below it is and b_k >= gap_rw + `gap_tolerance`.
+    `walk_values(k)` gives the walk eigenvalues of level k; none is asked for above
+    the first level not covered."""
+    margin = graph.walk_spectrum.gap + gap_tolerance(graph)
+    covered = []
+    for k in ks:
+        if not ladder_bound(k, walk_values(k)) >= margin:  # a NaN bound covers nothing
+            break
+        covered.append(k)
+    return covered

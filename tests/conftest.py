@@ -497,7 +497,8 @@ class SparseLabeled:
 def reference_labeled_identities(level: Level) -> list:
     """The labeled identity suite with every label map a scipy.sparse matrix
     and every step a sparse product, in the suite's order: the reference for
-    `check_labeled_identities`, which applies the maps by index arithmetic."""
+    `check_labeled_identities`, which multiplies CSR factors too, against dense
+    sides where its docstring says, and compares sides P X and P Y as X and Y."""
     graph, k = level.graph, level.k
     hi, lo = SparseLabeled(level), SparseLabeled(level.lower)
     gen_hi, gen_lo = level.generator.matrix, level.lower.generator.matrix

@@ -12,9 +12,10 @@ from conftest import assert_dichotomy_matches_dense, hausdorff_gap, project_to_k
 from siplab.bep import bep_gap_report, bep_matrix
 from siplab.graphs import complete_graph, path_graph, random_connected_graph
 from siplab.intertwiners import (Level, check_adjoint, check_intertwinings,
-                                 dirichlet_decomposition_check, eigen_dichotomy,
+                                 dirichlet_decomposition_check, eigen_dichotomy, ladder_covered,
                                  minmax_comparison_check)
 from siplab.lookdown import check_labeled_identities, check_stationary_law
+from siplab.reporting import gap_tolerance
 from siplab.sip import build_sip_generator, sip_gap, sip_spectrum, tv_sandwich
 from siplab.simulate import (SimConfig, projection_test, relaxation_estimate,
                              stationary_chi_square)
@@ -176,3 +177,22 @@ def test_criterion_8_monte_carlo():
         ok = True
     finally:
         _report(8, "Monte Carlo stationarity, projection, and relaxation", ok)
+
+
+def test_every_gap_the_ladder_covers_is_the_walk_gap():
+    """150 random graphs, n = 3..6, 30 with site weights U(lo, 3 lo) for each lo:
+    every level k = 2..5 that `ladder_covered` takes has its solved gap within
+    gap_tolerance of gap_rw; the certificate misses some levels at lo = 0.01 and
+    0.05, and none from lo = 0.2 on."""
+    rng = np.random.default_rng(11)
+    misses = {}
+    for lo in (0.01, 0.05, 0.2, 0.5, 1.0):
+        for i in range(30):
+            graph = random_connected_graph(3 + i % 4, rng, alpha_range=(lo, 3 * lo))
+            levels = Level(graph, 5).down_to(0)
+            covered = ladder_covered(graph, range(2, 6), lambda k: levels[k].shifted_walks[1])
+            for k in covered:
+                assert abs(levels[k].gap - graph.walk_spectrum.gap) <= gap_tolerance(graph), k
+            misses[lo] = misses.get(lo, 0) + 4 - len(covered)
+    assert misses[0.01] > 0 and misses[0.05] > 0
+    assert misses[0.2] == misses[0.5] == misses[1.0] == 0

@@ -26,6 +26,7 @@ from siplab.cli import main
 from siplab.configs import space_size
 from siplab.errors import EigensolverError
 from siplab.graphs import graph_from_preset, random_connected_graph
+from siplab.reporting import GAP_RTOL, gap_tolerance
 from siplab.simulate import SimConfig, simulate
 
 EXPECTED_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "expected_checks.json"
@@ -759,6 +760,24 @@ def test_sweep_reports_overflowing_rates_in_a_row(tmp_path, capsys):
     assert "overflow" in rows[0][-1]
 
 
+def test_a_walk_stack_that_overflows_covers_nothing(tmp_path, capsys):
+    """Edge weight 1e308 with site weights below 1 keeps the walk finite, but
+    the walks with site weights alpha + xi overflow: the recursion covers
+    nothing, and level 2's own overflow ends the rows, with no warning."""
+    graph = tmp_path / "G.json"
+    graph.write_text(json.dumps({**OVERFLOWING_GRAPH, "edges": [[0, 1, 1e308], [1, 2, 1.0]]}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"graphs": [str(graph)], "k_max": 3, "seed": 0,
+                                "alpha": {"n_samples": 1, "range": [0.5, 0.9]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["sweep", str(spec)], capsys)
+    _, rows = read_csv(out)
+    assert code == 1
+    assert [row[2:] for row in rows] == [
+        ["-1", "nan", "nan", "nan", "jump rates of level k=2 overflow to infinity"]]
+
+
 # alpha 1e160 takes the law of level 3 below the least float on some states,
 # and the labeled law of level 2 above the largest
 FAR_ALPHA = ["path(3)", "--alpha", "1e160,1,1"]
@@ -835,6 +854,11 @@ def _log_solves(monkeypatch, log: Path) -> None:
     monkeypatch.setattr(siplab.cli, "sip_gap", logged)
 
 
+def _cover_nothing(monkeypatch) -> None:
+    """Every level of the sweep goes to the solver: the recursion covers none."""
+    monkeypatch.setattr(siplab.cli, "ladder_covered", lambda graph, ks, walk_values: [])
+
+
 def _solves(log: Path) -> list:
     return [tuple(int(v) for v in line.split(",")) for line in log.read_text().splitlines()]
 
@@ -845,6 +869,7 @@ def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys
     at the first one over the cap, before any level is solved, so one level
     per sample reaches a solver."""
     monkeypatch.setenv("SIPLAB_STATE_CAP", "20")
+    _cover_nothing(monkeypatch)
     log = tmp_path / "solves.log"
     _log_solves(monkeypatch, log)
     outputs = []
@@ -863,6 +888,7 @@ def test_sweep_far_past_the_cap_solves_only_the_levels_under_it(tmp_path, capsys
 def test_sweep_rows_stop_at_a_failing_level(tmp_path, capsys, monkeypatch):
     """A level that fails in a worker ends its sample's rows with one -1 row
     after the levels below it; other samples and graphs keep every row."""
+    _cover_nothing(monkeypatch)
     spec = _sweep_spec(tmp_path / "sweep.json", ["path(5)", "cycle(4)"], 5, 3, n_samples=2)
     code, out, _ = run(["sweep", spec, "--jobs", "2"], capsys)
     assert code == 0
@@ -888,6 +914,7 @@ def test_sweep_asks_for_no_more_workers_than_cores_or_levels(tmp_path, capsys, m
     """--jobs 1000000 forks no more children than the cores or the levels
     leave besides this process, and --jobs 1 forks none. Each process
     solves its levels largest first."""
+    _cover_nothing(monkeypatch)
     cores = os.cpu_count() or 1
     eight_levels = _sweep_spec(tmp_path / "eight.json", ["path(3)", "cycle(4)"], 3, 0, 2)
     one_level = _sweep_spec(tmp_path / "one.json", ["path(3)"], 2, 0)
@@ -986,6 +1013,7 @@ def _injected():
 
 @needs_two_processes
 def test_sweep_raises_a_childs_exception(tmp_path, capsys, monkeypatch, forked, deadline):
+    _cover_nothing(monkeypatch)
     error = _sweep_with_a_child(tmp_path, monkeypatch, forked, _never,
                                 _at_ten_states(_injected))
     assert str(error) == "injected"
@@ -995,6 +1023,7 @@ def test_sweep_raises_a_childs_exception(tmp_path, capsys, monkeypatch, forked, 
 
 @needs_two_processes
 def test_sweep_raises_when_a_child_dies(tmp_path, capsys, monkeypatch, forked, deadline):
+    _cover_nothing(monkeypatch)
     error = _sweep_with_a_child(tmp_path, monkeypatch, forked, _never,
                                 _at_ten_states(lambda: os._exit(7)))
     assert "ended with status 7 before sending its gaps" in str(error)
@@ -1006,6 +1035,7 @@ def test_sweep_kills_its_children_when_it_raises(tmp_path, capsys, monkeypatch, 
                                                  deadline):
     """The child would solve for a minute; the parent's failure ends it
     within the deadline, and BLAS gets its thread count back."""
+    _cover_nothing(monkeypatch)
     before = _blas_thread_counts()
     error = _sweep_with_a_child(tmp_path, monkeypatch, forked, _at_ten_states(_injected),
                                 lambda gen: time.sleep(60))
@@ -1027,6 +1057,7 @@ def test_sweep_workers_fork_with_one_blas_thread(tmp_path, capsys, monkeypatch):
     controls = siplab.cli._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded in this process")
+    _cover_nothing(monkeypatch)
     before = _blas_thread_counts()
     monkeypatch.setattr(siplab.cli, "sip_gap", lambda gen: float(max(_blas_thread_counts())))
     try:
@@ -1040,6 +1071,149 @@ def test_sweep_workers_fork_with_one_blas_thread(tmp_path, capsys, monkeypatch):
     finally:
         for (_, set_count), count in zip(controls, before):
             set_count(count)
+
+
+def _log_builds_and_solves(monkeypatch, log: Path) -> None:
+    """`_log_solves`, and build_sip_generator, wherever bound, logs "pid,n,k,-1"."""
+    _log_solves(monkeypatch, log)
+    real = siplab.sip.build_sip_generator
+
+    def logged(graph, k):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()},{graph.n},{k},-1\n")
+        return real(graph, k)
+
+    _rebind(monkeypatch, "build_sip_generator", real, logged)
+
+
+def _benchmark_shaped_spec(tmp_path, lo, n_samples=2, k_max=7):
+    """path(7) and cycle(7) with edge weights U(0.5, 2), site weights log-uniform
+    on [lo, 3]: the shape of the gap_sweep benchmark."""
+    rng = np.random.default_rng(17)
+    graphs = []
+    for name, edges in (("path7", [(i, i + 1) for i in range(6)]),
+                        ("cycle7", [(i, (i + 1) % 7) for i in range(7)])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 7, "alpha": [1.0] * 7, "edges": [
+            [x, y, float(rng.uniform(0.5, 2.0))] for x, y in edges]}))
+        graphs.append(str(path))
+    spec = tmp_path / f"sweep-{lo}.json"
+    spec.write_text(json.dumps({"graphs": graphs, "k_max": k_max, "seed": 11,
+                                "alpha": {"n_samples": n_samples, "range": [lo, 3.0]}}))
+    return str(spec)
+
+
+@pytest.mark.parametrize("lo", [0.3, 1.0], ids=["general", "equality"])
+def test_a_covered_level_builds_no_generator_and_solves_nothing(lo, tmp_path, capsys,
+                                                               monkeypatch):
+    """On benchmark-shaped samples every level k = 2..7 is covered: its row is
+    gap_rw with ratio 1, and no level generator is built or solved."""
+    log = tmp_path / "calls.log"
+    _log_builds_and_solves(monkeypatch, log)
+    code, out, _ = run(["sweep", _benchmark_shaped_spec(tmp_path, lo), "--jobs", "2"], capsys)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [row[2] for row in rows] == [str(k) for k in range(2, 8)] * 4
+    assert all(row[3] == row[4] and row[5] == "1" for row in rows)
+    assert not log.exists()
+
+
+def _gap_rows(rows) -> list:
+    return [(row[:3], *(float(v) for v in row[3:6]), row[6]) for row in rows]
+
+
+def _assert_rows_within_gap_tolerance(rows, solved_rows):
+    """The same keys and errors, and each gap and ratio within GAP_RTOL of the row's gap_rw."""
+    assert [(key, error) for key, *_, error in _gap_rows(rows)] == [
+        (key, error) for key, *_, error in _gap_rows(solved_rows)]
+    for (key, gap, gap_rw, ratio, _), (_, solved, solved_rw, solved_ratio, _) in zip(
+            _gap_rows(rows), _gap_rows(solved_rows)):
+        assert gap_rw == solved_rw, key
+        assert abs(gap - solved) <= GAP_RTOL * gap_rw, key
+        assert abs(ratio - solved_ratio) <= GAP_RTOL, key
+
+
+def test_a_certificate_miss_solves_its_level_and_every_level_above(tmp_path, capsys,
+                                                                   monkeypatch):
+    """Site weights in [0.01, 0.03] on path(4): b_2 covers level 2, b_3 falls short
+    of gap_rw, so levels 3, 4 and 5 are built and solved, and only they."""
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"graphs": ["path(4)"], "k_max": 5, "seed": 0,
+                                "alpha": {"n_samples": 1, "range": [0.01, 0.03]}}))
+    log = tmp_path / "calls.log"
+    _log_builds_and_solves(monkeypatch, log)
+    code, out, _ = run(["sweep", str(spec), "--jobs", "1"], capsys)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows[0][3] == rows[0][4] and rows[0][5] == "1"
+    assert sorted((k, size) for _, _, k, size in _solves(log)) == [
+        (3, -1), (3, 20), (4, -1), (4, 35), (5, -1), (5, 56)]
+    _cover_nothing(monkeypatch)
+    code, out, _ = run(["sweep", str(spec), "--jobs", "1"], capsys)
+    assert code == 0
+    solved = read_csv(out)[1]
+    _assert_rows_within_gap_tolerance(rows, solved)
+    assert solved[1:] == rows[1:]
+
+
+@pytest.mark.parametrize("lo", [0.3, 1.0], ids=["general", "equality"])
+def test_certified_rows_match_a_sweep_that_solves_every_level(lo, tmp_path, capsys,
+                                                              monkeypatch):
+    """20 samples of path(7) and cycle(7), k = 2..5: the rows the recursion gives
+    agree with the solver's within gap_tolerance."""
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"graphs": ["path(7)", "cycle(7)"], "k_max": 5, "seed": 4,
+                                "alpha": {"n_samples": 10, "range": [lo, 3.0]}}))
+    code, out, _ = run(["sweep", str(spec), "--jobs", "2"], capsys)
+    assert code == 0
+    rows = read_csv(out)[1]
+    assert len(rows) == 20 * 4 and sum(row[5] == "1" for row in rows) >= 70
+    _cover_nothing(monkeypatch)
+    code, out, _ = run(["sweep", str(spec), "--jobs", "2"], capsys)
+    assert code == 0
+    _assert_rows_within_gap_tolerance(rows, read_csv(out)[1])
+
+
+def _ladder_checks(payload) -> dict:
+    return {c["identity"]: c for c in payload["suites"]["sip"]["checks"]
+            if c["identity"].startswith("ladder-certificate")}
+
+
+@pytest.mark.parametrize("alpha", [[0.4, 1.3, 0.7, 2.1, 0.9, 1.6],
+                                   [1.2, 2.6, 1.0, 1.8, 2.3, 1.4]], ids=["general", "equality"])
+def test_the_ladder_certificate_fails_a_covered_gap_lowered_by_three_tolerances(
+        alpha, tmp_path, capsys):
+    """On the benchmark's 6-vertex topology at K = 4 the recursion covers levels
+    2..4, each once, and each passes; a gap lowered by 3 gap_tolerance fails its
+    level's certificate and no other."""
+    path = _six_vertex_graph(tmp_path, alpha)
+    code, out, _ = run(["verify", path, "--K", "4", "--suite", "sip"], capsys)
+    assert code == 0
+    checks = _ladder_checks(json.loads(out))
+    assert list(checks) == [f"ladder-certificate[k={k}]" for k in (2, 3, 4)]
+    assert all(c["pass"] and "detail" not in c for c in checks.values())
+    graph = siplab.graphs.load_graph(path)
+    tolerance = gap_tolerance(graph)
+    for k in (2, 3, 4):
+        levels = siplab.intertwiners.Level(graph, 4).down_to(0)
+        levels[k].__dict__["gap"] = levels[k].gap - 3 * tolerance
+        verdicts = {c.identity: c.passed for c in siplab.cli._suite_sip(levels)[0].checks
+                    if c.identity.startswith("ladder-certificate")}
+        assert verdicts == {f"ladder-certificate[k={j}]": j != k for j in (2, 3, 4)}
+
+
+def test_a_level_the_ladder_misses_passes_and_names_its_ratio(capsys):
+    """path(4) with site weights 0.01..0.03: b_3 / gap_2 falls below 1, so
+    levels 3 and 4 read "not covered" with that ratio, and pass."""
+    code, out, _ = run(["verify", "path(4)", "--alpha", "0.01,0.02,0.03,0.015", "--K", "4",
+                        "--suite", "sip"], capsys)
+    assert code == 0
+    checks = _ladder_checks(json.loads(out))
+    assert "detail" not in checks["ladder-certificate[k=2]"]
+    for k in (3, 4):
+        check = checks[f"ladder-certificate[k={k}]"]
+        assert check["pass"] and check["residual"] == 0.0
+        assert check["detail"].startswith("not covered: b_k / gap_(k-1) = ")
 
 
 def test_sweep_disconnected_graph_is_an_error_row(tmp_path, capsys):

@@ -18,10 +18,11 @@ from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_g
                            rw_spectrum, symmetrize_reversible)
 from siplab.intertwiners import (Level, build_annihilation, build_creation, check_adjoint,
                                  check_intertwinings, dirichlet_decomposition_check,
-                                 eigen_dichotomy, eigen_groups, fresh_basis, invert_annihilation,
+                                 dirichlet_form_identity, eigen_dichotomy, eigen_groups,
+                                 fresh_basis, invert_annihilation, ladder_bound, ladder_covered,
                                  lift_eigenfunction, minmax_comparison_check, peeling_block,
                                  shifted_walk_gap_infimum)
-from siplab.reporting import ENERGY_RTOL, SPECTRAL_RTOL
+from siplab.reporting import ENERGY_RTOL, SPECTRAL_RTOL, gap_tolerance
 from siplab.sip import build_sip_generator, sip_spectrum
 
 
@@ -717,6 +718,92 @@ def test_walk_off_by_a_little_fails_the_decomposition():
         mutated = Level(level.graph, level.k, level.lower)
         mutated.__dict__["shifted_walks"] = (shifted, vals)
         assert not dirichlet_decomposition_check(mutated, f).checks[0].passed
+
+
+def loop_dirichlet_sum_form(level: Level) -> np.ndarray:
+    """(|alpha|+k-1) (Z_{k-1}/Z_k) sum_xi mu_{k-1}(xi) R_xi^T B_{alpha+xi} R_xi as a
+    dense matrix, one walk at a time, B_beta = diag(pi_beta) (-Q_beta) from each walk
+    of `loop_shifted_walks` and R_xi from `ConfigSpace.rank`."""
+    graph, k, space = level.graph, level.k, level.space
+    z_ratio = math.exp(level.lower.measure.log_normalization - level.measure.log_normalization)
+    total = np.zeros((space.size, space.size))
+    for (xi, walk, _), mu in zip(loop_shifted_walks(level), level.lower.measure.probabilities):
+        sections = np.zeros((graph.n, space.size))
+        for x in range(graph.n):
+            sections[x, space.rank(tuple(xi + np.eye(graph.n, dtype=int)[x]))] = 1.0
+        total += mu * sections.T @ (walk.stationary[:, None] * -walk.matrix) @ sections
+    return (graph.alpha_total + k - 1) * z_ratio * total
+
+
+def test_the_dirichlet_form_identity_holds_entry_by_entry_and_passes():
+    """mu_k (-L_k) equals the dense sum of the shifted walks' forms within
+    1e-12 of its largest entry, so the decomposition holds for every f, and
+    `dirichlet_form_identity` passes, on 48 levels, G1 and G2 among them."""
+    levels = WALK_LEVELS + DEGENERATE_LEVELS
+    for level in levels:
+        energy_form = level.measure.probabilities[:, None] * -level.generator.matrix.toarray()
+        np.testing.assert_allclose(loop_dirichlet_sum_form(level), energy_form, rtol=0,
+                                   atol=1e-12 * np.abs(energy_form).max())
+        check = dirichlet_form_identity(level)
+        assert check.identity == f"dirichlet-decomposition[k={level.k}]"
+        assert check.passed, (level.graph.n, level.k, check)
+
+
+def six_vertex_levels():
+    """Levels 2..4 of the benchmark's 6-vertex topology, a 6-cycle with chords
+    (0, 3) and (1, 4), with alpha_min below 1 and at least 1."""
+    edges = [[0, 1, 0.8], [1, 2, 1.4], [2, 3, 0.6], [3, 4, 1.9], [4, 5, 1.1], [5, 0, 0.7],
+             [0, 3, 1.2], [1, 4, 0.9]]
+    for alpha in ([0.4, 1.3, 0.7, 2.1, 0.9, 1.6], [1.2, 2.6, 1.0, 1.8, 2.3, 1.4]):
+        yield from Level(graph_from_dict({"n": 6, "edges": edges, "alpha": alpha}), 4).down_to(2)
+
+
+def test_the_form_identity_fails_a_walk_weight_or_a_rate_off_by_a_millionth():
+    """One shifted walk's site weight, or one off-diagonal rate of L_k, scaled by
+    1 + 1e-6 fails `dirichlet-decomposition[k]` on every level."""
+    for level in six_vertex_levels():
+        assert dirichlet_form_identity(level).passed
+        beta, vals = level.shifted_walks
+        for s, x in ((0, 0), (beta.shape[0] // 2, 3), (beta.shape[0] - 1, 5)):
+            shifted = beta.copy()
+            shifted[s, x] *= 1 + 1e-6
+            mutated = Level(level.graph, level.k, level.lower)
+            mutated.__dict__["shifted_walks"] = (shifted, vals)
+            assert not dirichlet_form_identity(mutated).passed, (level.k, s, x)
+        gen = level.generator
+        coo = gen.matrix.tocoo()
+        off = np.flatnonzero(coo.row != coo.col)
+        for entry in off[[0, off.size // 2, -1]]:
+            data = coo.data.copy()
+            data[entry] *= 1 + 1e-6
+            mutated = Level(level.graph, level.k, level.lower)
+            mutated.__dict__["generator"] = replace(gen, matrix=scipy.sparse.csr_array(
+                (data, (coo.row, coo.col)), shape=coo.shape))
+            assert not dirichlet_form_identity(mutated).passed, (level.k, entry)
+
+
+def test_the_ladder_covers_a_prefix_of_levels_and_asks_for_no_walk_above_it():
+    """b_k is k times the least second walk eigenvalue; coverage stops at the first
+    b_k below gap_rw + gap_tolerance, or at a NaN, and asks for no later level."""
+    graph = path_graph(3, alpha=[0.5, 1.0, 2.0])
+    gap_rw, tolerance = graph.walk_spectrum.gap, gap_tolerance(graph)
+    assert ladder_bound(3, np.array([[0.0, 0.5, 2.0], [0.0, 0.25, 1.0]])) == 0.75
+    asked = []
+
+    def values_with(bounds):
+        def walk_values(k):
+            asked.append(k)
+            return np.array([[0.0, bounds[k] / k]])
+        return walk_values
+
+    above, below = gap_rw + 2 * tolerance, gap_rw + 0.5 * tolerance
+    assert ladder_covered(graph, range(2, 6), values_with(dict.fromkeys(range(2, 6), above))) == [
+        2, 3, 4, 5]
+    asked.clear()
+    assert ladder_covered(graph, range(2, 6), values_with({2: above, 3: below, 4: above})) == [2]
+    assert asked == [2, 3]
+    assert ladder_covered(graph, range(2, 4), values_with({2: math.nan, 3: above})) == []
+    assert ladder_covered(graph, range(2, 2), values_with({})) == []
 
 
 def test_walk_stack_refuses_an_irreversible_walk():
