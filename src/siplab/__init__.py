@@ -20,7 +20,7 @@ from .intertwiners import (Level, build_annihilation, build_creation, build_shif
                            dirichlet_form_identity, eigen_dichotomy, eigen_groups, fresh_basis,
                            invert_annihilation, ladder_bound, ladder_covered,
                            lift_eigenfunction, minmax_comparison_check, peeling_block,
-                           shifted_walk_gap_infimum)
+                           shifted_walk_forms, shifted_walks_clear)
 from .lookdown import (LabeledLevel, build_labeled_generators, check_labeled_identities,
                        check_stationary_law, drop_top_pullback, labeled_index,
                        labeled_states, labeled_stationary_measure, symmetrizer,

@@ -38,10 +38,9 @@ from .bep import bep_gap_report
 from .configs import capped_size, enumerate_configs, space_size, state_cap
 from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import Graph, as_integer, as_number, graph_from_preset, load_graph
-from .intertwiners import (Level, build_shifted_walks, check_adjoint, check_intertwinings,
-                           dirichlet_decomposition_check, dirichlet_form_identity,
-                           eigen_dichotomy, ladder_bound, ladder_covered,
-                           minmax_comparison_check)
+from .intertwiners import (Level, check_adjoint, check_intertwinings, dirichlet_decomposition_check,
+                           dirichlet_form_identity, eigen_dichotomy, ladder_bound,
+                           ladder_covered, minmax_comparison_check)
 from .lookdown import LABELED_CAP, check_labeled_identities, check_stationary_law
 from .reporting import CheckSuite, gap_tolerance, make_check
 from .sip import build_sip_generator, gap_sandwich_report, sip_gap, sip_spectrum, tv_sandwich
@@ -177,12 +176,12 @@ def _suite_sip(levels: list) -> tuple[CheckSuite, dict]:
     Dirichlet trio reads D_k^(-1/2) g for the first three columns g of `Level.fresh`,
     the last repeated when there are fewer; the first function's energy entry is
     `dirichlet_form_identity`, the decomposition for every f.  `ladder-certificate[k]`
-    holds each gap that `ladder_covered` decides, from the cached `Level.shifted_walks`,
-    to gap_rw within `gap_tolerance`; on another level it passes, and says so."""
+    holds each gap that `ladder_covered` decides from the cached spaces to gap_rw within
+    `gap_tolerance`; on another level it passes, naming b_k / gap_(k-1) from `shifted_walks`."""
     report = gap_sandwich_report(levels[-1])
     graph = levels[-1].graph
     gap_rw, tolerance = graph.walk_spectrum.gap, gap_tolerance(graph)
-    covered = ladder_covered(graph, range(2, len(levels)), lambda k: levels[k].shifted_walks[1])
+    covered = ladder_covered(graph, range(2, len(levels)), lambda k: levels[k].lower.space)
     checks = []
     for level in levels[2:]:
         k = level.k
@@ -273,9 +272,9 @@ def _sweep_plan(graph: Graph, k_max: int) -> tuple:
     levels stop below the first one over the state cap, whose StateCapError
     ends the rows. So a k_max far past the cap costs no more than the levels
     under it. Of those, `ladder_covered` takes the first ones, whose gap is
-    gap_rw, from the shifted walks of `build_shifted_walks` on k-1 particles
-    alone: no level matrix is built for them. A walk stack that fails covers
-    nothing, and its levels go to the solver."""
+    gap_rw, from one Cholesky factor of the shifted walks on `enumerate_configs(n,
+    k-1)` per level: no level matrix and no eigensolve. A walk stack that fails
+    covers nothing, and its levels go to the solver."""
     gap_walk, k, error = float("nan"), 2, None
     try:
         if not graph.connected:
@@ -288,11 +287,7 @@ def _sweep_plan(graph: Graph, k_max: int) -> tuple:
     except SiplabError as exc:
         error = exc
     levels = range(2, k)
-    try:
-        covered = len(ladder_covered(graph, levels, lambda j: build_shifted_walks(
-            graph, enumerate_configs(graph.n, j - 1))[1]))
-    except SiplabError:
-        covered = 0
+    covered = len(ladder_covered(graph, levels, lambda j: enumerate_configs(graph.n, j - 1)))
     return gap_walk, levels[:covered], levels[covered:], error
 
 
@@ -387,10 +382,9 @@ def _sweep_gaps(samples: dict, jobs: int | None) -> dict:
     and stop, and a fork with its pipe round trip 5 ms, while the levels
     left are those `_sweep_plan` could not cover: none in 39 of the first
     40 ops of the gap_sweep benchmark (seed 3001), and then no child is
-    forked. A child that ends
-    without its gaps, or stops on an exception that is no SiplabError,
-    raises here, and a child still running when this process
-    raises is killed and reaped. Off Linux this process solves every level:
+    forked. A child that ends without its gaps, or stops on an exception
+    that is no SiplabError, raises here, and a child still running when
+    this process raises is killed and reaped. Off Linux this process solves every level:
     macOS system libraries are not safe to fork, and a spawned worker would
     import numpy and scipy again, about 0.5 s."""
     sizes = {(i, k): space_size(graph.n, k) for i, (graph, levels) in samples.items()

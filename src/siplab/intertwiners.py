@@ -17,10 +17,10 @@ identities, the split with no eigensolve, the Dirichlet-form decomposition
 for every f as one identity of quadratic forms and on given functions of
 Ker C_k, and the comparison with the walks of site weights alpha + xi, a
 row per (k-1)-configuration xi, for every test function, edge by edge and
-site by site; no check draws a random function.  The two facts together
-give the paper's recursion: gap_k = gap_{k-1} whenever
-b_k = k inf_xi gap_rw(alpha + xi) >= gap_{k-1}, which needs only the n x n
-shifted walks (`ladder_bound`, `ladder_covered`).  The checks take a
+site by site; no check draws a random function.  The two facts together give
+the paper's recursion: gap_k = gap_{k-1} whenever b_k = k inf_xi gap_rw(alpha + xi)
+>= gap_{k-1}, which `ladder_covered` decides from the n x n shifted walks alone,
+by a Cholesky factor and no eigensolve (`shifted_walks_clear`).  The checks take a
 `Level`, which builds each level-k piece once and keeps it; `Level.down_to`
 walks one chain of levels, each holding the one below as its `lower`.
 """
@@ -39,7 +39,7 @@ import scipy.sparse.linalg
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
 from .errors import InputError
-from .graphs import Graph, Spectrum, rw_dirichlet_forms, symmetrize_reversible
+from .graphs import Graph, Spectrum, rw_dirichlet_forms
 from .lookdown import LabeledLevel
 from .reporting import (ENERGY_RTOL, SPECTRAL_RTOL, CheckResult, gap_tolerance, identity_check,
                         make_check, max_abs, residual_tol)
@@ -71,19 +71,47 @@ def build_creation(graph: Graph, low: ConfigSpace, high: ConfigSpace) -> scipy.s
                                   shape=(low.size, high.size))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # rates that overflow fail require_reversible
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by name below
+def shifted_walk_forms(graph: Graph, beta) -> np.ndarray:
+    """H(beta), (len(beta), n, n): D^(1/2) (-Q) D^(-1/2) for the walk of each row of site
+    weights beta, -c_xy sqrt(beta_x beta_y) off the diagonal and sum_y c_xy beta_y on it."""
+    root, sites = np.sqrt(beta), np.arange(graph.n)
+    forms = -graph.edge_weights * root[:, :, None] * root[:, None, :]
+    forms[:, sites, sites] = beta @ graph.edge_weights
+    if not np.isfinite(forms).all():
+        raise InputError("shifted walk rates c[x, y] * (alpha + xi)[y] overflow to infinity")
+    return forms
+
+
 def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple[np.ndarray, np.ndarray]:
     """(beta, eigenvalues), both (space.size, n): row s of beta is alpha + xi for
     the s-th configuration xi of `space`, and row s of eigenvalues the ascending
-    spectrum of its walk, all built, checked and solved as one stack."""
+    spectrum of its walk, from one stack of `shifted_walk_forms` solved at once."""
     beta = graph.site_weights + space.occupations
-    rates = graph.edge_weights * beta[:, None, :]
-    sites = np.arange(graph.n)
-    rates[:, sites, sites] = -rates.sum(axis=2)
-    vals = np.linalg.eigvalsh(symmetrize_reversible(rates, beta / beta.sum(axis=1, keepdims=True)))
+    vals = np.linalg.eigvalsh(shifted_walk_forms(graph, beta))
     beta.setflags(write=False)
     vals.setflags(write=False)
     return beta, vals
+
+
+LADDER_CHUNK_BYTES = 4 << 20  # of walk forms per factor: 10,700 walks of 7 x 7, 13 of 199 x 199
+
+
+def shifted_walks_clear(graph: Graph, space: ConfigSpace, floor: float) -> bool:
+    """Whether each walk of `build_shifted_walks` on `space` has its gap, the second
+    eigenvalue of H = H(beta), above `floor` > 0, with no eigensolve: H u = 0 for u =
+    sqrt(beta / |beta|), so H - floor I + 2 floor u u^T is positive definite exactly then.
+    One Cholesky factor per LADDER_CHUNK_BYTES of forms, up to one that fails or is not finite."""
+    rows = max(1, LADDER_CHUNK_BYTES // (8 * graph.n ** 2))
+    for part in np.split(graph.site_weights + space.occupations, range(rows, space.size, rows)):
+        u = np.sqrt(part / part.sum(axis=1, keepdims=True))
+        try:
+            form = shifted_walk_forms(graph, part) + 2 * floor * u[:, :, None] * u[:, None, :]
+            if not np.isfinite(np.linalg.cholesky(form - floor * np.eye(graph.n))).all():
+                return False
+        except (InputError, np.linalg.LinAlgError):
+            return False
+    return True
 
 
 class Level:
@@ -375,7 +403,6 @@ class DirichletDecomposition:
     checks: tuple
     energy: float
     decomposed: float
-    inf_gap_shifted: float
 
     @property
     def passed(self) -> bool:
@@ -408,8 +435,7 @@ def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
     var_residual = float(((level.creation @ f / (a_total + k - 1)) ** 2).max())
     decomposed = (a_total + k - 1) * z_ratio * shifted_sum
     scale_e = max(1.0, abs(energy), abs(decomposed))
-    inf_gap = shifted_walk_gap_infimum(level)
-    bound = k * inf_gap * variance(gen.measure, f)
+    bound = ladder_bound(k, level.shifted_walks[1]) * variance(gen.measure, f)
     checks = (
         make_check(f"dirichlet-decomposition[k={k}]",
                    abs(energy - decomposed), ENERGY_RTOL * scale_e),
@@ -417,7 +443,7 @@ def dirichlet_decomposition_check(level: Level, f) -> DirichletDecomposition:
         make_check(f"kernel-energy-lower-bound[k={k}]",
                    max(0.0, bound - energy), ENERGY_RTOL * max(1.0, abs(bound))),
     )
-    return DirichletDecomposition(checks, energy, decomposed, inf_gap)
+    return DirichletDecomposition(checks, energy, decomposed)
 
 
 @dataclass(frozen=True)
@@ -496,29 +522,24 @@ def dirichlet_form_identity(level: Level) -> CheckResult:
     return identity_check(f"dirichlet-decomposition[k={k}]", energy_form, sum_form)
 
 
-def shifted_walk_gap_infimum(level: Level) -> float:
-    """inf over xi in the (k-1)-particle space of gap_rw(alpha + xi)."""
-    return float(level.shifted_walks[1][:, 1].min())
-
-
 def ladder_bound(k: int, walk_values) -> float:
     """b_k = k inf_xi gap_rw(alpha + xi), from `walk_values`, the eigenvalue rows of
     `build_shifted_walks` on the (k-1)-particle space."""
     return k * float(walk_values[:, 1].min())
 
 
-def ladder_covered(graph: Graph, ks, walk_values) -> list:
+def ladder_covered(graph: Graph, ks, lower_space) -> list:
     """The levels of `ks`, ascending from 2, whose gap is gap_rw by the paper's
     recursion.  On Ker C_k the Dirichlet decomposition gives E_k(f) >= b_k Var(f),
     `ladder_bound`, and the dichotomy spec(L_k) = spec(L_{k-1}) u spec(L_k | Ker C_k)
     then gives gap_k = gap_{k-1} whenever b_k >= gap_{k-1}; from gap_1 = gap_rw, level
-    k is covered when every level below it is and b_k >= gap_rw + `gap_tolerance`.
-    `walk_values(k)` gives the walk eigenvalues of level k; none is asked for above
-    the first level not covered."""
-    margin = graph.walk_spectrum.gap + gap_tolerance(graph)
+    k is covered when every level below it is and b_k >= gap_rw + `gap_tolerance`: when
+    `shifted_walks_clear` of `lower_space(k)`, its (k-1)-particle space, at that over k.
+    No space is asked for above the first level not covered, nor the walk for no level."""
     covered = []
     for k in ks:
-        if not ladder_bound(k, walk_values(k)) >= margin:  # a NaN bound covers nothing
+        margin = graph.walk_spectrum.gap + gap_tolerance(graph)
+        if not shifted_walks_clear(graph, lower_space(k), margin / k):
             break
         covered.append(k)
     return covered

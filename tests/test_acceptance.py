@@ -190,7 +190,7 @@ def test_every_gap_the_ladder_covers_is_the_walk_gap():
         for i in range(30):
             graph = random_connected_graph(3 + i % 4, rng, alpha_range=(lo, 3 * lo))
             levels = Level(graph, 5).down_to(0)
-            covered = ladder_covered(graph, range(2, 6), lambda k: levels[k].shifted_walks[1])
+            covered = ladder_covered(graph, range(2, 6), lambda k: levels[k].lower.space)
             for k in covered:
                 assert abs(levels[k].gap - graph.walk_spectrum.gap) <= gap_tolerance(graph), k
             misses[lo] = misses.get(lo, 0) + 4 - len(covered)

@@ -856,7 +856,7 @@ def _log_solves(monkeypatch, log: Path) -> None:
 
 def _cover_nothing(monkeypatch) -> None:
     """Every level of the sweep goes to the solver: the recursion covers none."""
-    monkeypatch.setattr(siplab.cli, "ladder_covered", lambda graph, ks, walk_values: [])
+    monkeypatch.setattr(siplab.cli, "ladder_covered", lambda graph, ks, lower_space: [])
 
 
 def _solves(log: Path) -> list:

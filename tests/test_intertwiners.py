@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import siplab.intertwiners
 from conftest import (CONTRACT_RTOL, DEGENERATE_GRAPHS, assert_dichotomy_matches_dense,
                       binomial_removal_matrix, injectivity_margin, kernel_gap, loop_annihilation,
                       loop_creation, loop_dirichlet_decomposition, loop_minmax_comparison,
@@ -19,9 +21,10 @@ from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_g
 from siplab.intertwiners import (Level, build_annihilation, build_creation, check_adjoint,
                                  check_intertwinings, dirichlet_decomposition_check,
                                  dirichlet_form_identity, eigen_dichotomy, eigen_groups,
-                                 fresh_basis, invert_annihilation, ladder_bound, ladder_covered,
-                                 lift_eigenfunction, minmax_comparison_check, peeling_block,
-                                 shifted_walk_gap_infimum)
+                                 build_shifted_walks, fresh_basis, invert_annihilation,
+                                 ladder_bound, ladder_covered, lift_eigenfunction,
+                                 minmax_comparison_check, peeling_block, shifted_walk_forms,
+                                 shifted_walks_clear)
 from siplab.reporting import ENERGY_RTOL, SPECTRAL_RTOL, gap_tolerance
 from siplab.sip import build_sip_generator, sip_spectrum
 
@@ -638,10 +641,9 @@ def test_lower_bound_induction_chain():
         a_min = g.alpha_min
         for k in (2, 3):
             level = Level(g, k)
-            kg = kernel_gap(level)
-            inf_shift = shifted_walk_gap_infimum(level)
-            assert kg >= k * inf_shift - 1e-9
-            assert k * inf_shift >= (a_min * k / (a_min + k - 1)) * walk_gap - 1e-9
+            b_k = ladder_bound(k, level.shifted_walks[1])
+            assert kernel_gap(level) >= b_k - 1e-9
+            assert b_k >= (a_min * k / (a_min + k - 1)) * walk_gap - 1e-9
 
 
 def _walk_levels():
@@ -668,9 +670,11 @@ def test_stacked_walk_spectra_match_per_walk_solves():
 
 
 def test_array_checks_match_loop_oracle():
-    """Same names, verdicts and tolerances as the loop oracle.  The comparison
-    residuals are equal; the decomposition's and the section means' are
-    rounding noise summed in another order, seen below 6e-7 of its tolerance."""
+    """Same names, verdicts and tolerances as the loop oracle.  The edge, site and
+    scalar comparison residuals are equal; the decomposition's and the section
+    means' are rounding noise summed in another order, seen below 6e-7 of its
+    tolerance, and the eigenvalue comparison's the rounding of the closed-form
+    walk stack against each walk symmetrized alone."""
     rng = np.random.default_rng(32)
     for level in WALK_LEVELS:
         f = project_to_kernel(level, rng.standard_normal(level.space.size))
@@ -680,7 +684,8 @@ def test_array_checks_match_loop_oracle():
         for a, b in zip(fast, slow):
             assert a.passed
             assert a.tolerance == pytest.approx(b.tolerance, rel=1e-12)
-            if a.identity.startswith(("dirichlet-decomposition", "section-variance")):
+            if a.identity.startswith(("dirichlet-decomposition", "section-variance",
+                                      "eigenvalue-comparison")):
                 assert abs(a.residual - b.residual) <= 1e-5 * a.tolerance
             else:
                 assert a.residual == b.residual, a.identity
@@ -782,28 +787,134 @@ def test_the_form_identity_fails_a_walk_weight_or_a_rate_off_by_a_millionth():
             assert not dirichlet_form_identity(mutated).passed, (level.k, entry)
 
 
-def test_the_ladder_covers_a_prefix_of_levels_and_asks_for_no_walk_above_it():
-    """b_k is k times the least second walk eigenvalue; coverage stops at the first
-    b_k below gap_rw + gap_tolerance, or at a NaN, and asks for no later level."""
+def test_the_ladder_covers_a_prefix_of_levels_and_asks_for_no_walk_above_it(monkeypatch):
+    """b_k is k times the least second walk eigenvalue; coverage asks `shifted_walks_clear`
+    of each level's (k-1)-particle space at (gap_rw + gap_tolerance) / k, stops at the first
+    level it refuses and asks for no later level's space, nor for the walk with no level."""
     graph = path_graph(3, alpha=[0.5, 1.0, 2.0])
-    gap_rw, tolerance = graph.walk_spectrum.gap, gap_tolerance(graph)
+    margin = graph.walk_spectrum.gap + gap_tolerance(graph)
     assert ladder_bound(3, np.array([[0.0, 0.5, 2.0], [0.0, 0.25, 1.0]])) == 0.75
-    asked = []
+    asked, clears = [], {}
 
-    def values_with(bounds):
-        def walk_values(k):
-            asked.append(k)
-            return np.array([[0.0, bounds[k] / k]])
-        return walk_values
+    def clear(g, space, floor):
+        assert g is graph and floor == margin / (space.k + 1)
+        return clears[space.k + 1]
 
-    above, below = gap_rw + 2 * tolerance, gap_rw + 0.5 * tolerance
-    assert ladder_covered(graph, range(2, 6), values_with(dict.fromkeys(range(2, 6), above))) == [
-        2, 3, 4, 5]
+    def lower_space(k):
+        asked.append(k)
+        return enumerate_configs(graph.n, k - 1)
+
+    monkeypatch.setattr(siplab.intertwiners, "shifted_walks_clear", clear)
+    clears = dict.fromkeys(range(2, 6), True)
+    assert ladder_covered(graph, range(2, 6), lower_space) == [2, 3, 4, 5]
     asked.clear()
-    assert ladder_covered(graph, range(2, 6), values_with({2: above, 3: below, 4: above})) == [2]
+    clears = {2: True, 3: False, 4: True}
+    assert ladder_covered(graph, range(2, 6), lower_space) == [2]
     assert asked == [2, 3]
-    assert ladder_covered(graph, range(2, 4), values_with({2: math.nan, 3: above})) == []
-    assert ladder_covered(graph, range(2, 2), values_with({})) == []
+    asked.clear()
+    no_walk = path_graph(3)
+    no_walk.__dict__["walk_spectrum"] = None  # reading its gap would fail
+    assert ladder_covered(no_walk, range(2, 2), lower_space) == [] and asked == []
+
+
+def test_a_walk_stack_that_overflows_clears_nothing():
+    """Edge weight 1e308 keeps the walk with site weights below 0.9 finite.  With alpha_1 =
+    0.85 the walk forms of weights alpha + xi overflow, which `build_shifted_walks` refuses;
+    with 0.7 they stay finite, but the factor does not.  Either stack clears no floor,
+    and no warning is raised."""
+    for alpha_1, forms_overflow in ((0.85, True), (0.7, False)):
+        graph = graph_from_dict({"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1.0]],
+                                 "alpha": [0.5, alpha_1, 0.9]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert graph.walk_spectrum.gap > 0.0
+            assert not shifted_walks_clear(graph, enumerate_configs(3, 1), 1e-300)
+            assert ladder_covered(graph, range(2, 4),
+                                  lambda k: enumerate_configs(3, k - 1)) == []
+            if forms_overflow:
+                with pytest.raises(InputError, match="overflow"):
+                    build_shifted_walks(graph, enumerate_configs(3, 1))
+            else:
+                assert np.isfinite(shifted_walk_forms(graph, graph.site_weights + np.eye(3))).all()
+
+
+def test_the_factor_decides_coverage_as_the_walk_eigenvalues_do():
+    """On 1200 levels, 240 random graphs, n = 3..6, 40 with site weights U(lo, 3 lo) for
+    each lo, k = 2..6, the stack clears (gap_rw + gap_tolerance) / k exactly when
+    `ladder_bound` of its eigenvalues reaches gap_rw + gap_tolerance; 73 levels miss."""
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for lo in (0.003, 0.01, 0.03, 0.05, 0.2, 1.0):
+        for i in range(40):
+            graph = random_connected_graph(3 + i % 4, rng, alpha_range=(lo, 3 * lo))
+            margin = graph.walk_spectrum.gap + gap_tolerance(graph)
+            for k in range(2, 7):
+                space = enumerate_configs(graph.n, k - 1)
+                bound = ladder_bound(k, build_shifted_walks(graph, space)[1])
+                verdicts.append((shifted_walks_clear(graph, space, margin / k), bound >= margin))
+    assert len(verdicts) == 1200
+    assert all(factor == eigenvalues for factor, eigenvalues in verdicts)
+    assert sum(not factor for factor, _ in verdicts) == 73
+
+
+def test_the_closed_form_walk_stack_is_the_symmetrized_walk():
+    """Each row of `shifted_walk_forms` equals `symmetrize_reversible` of its walk built
+    alone, within 4 ulps of the walk's largest rate."""
+    for level in WALK_LEVELS:
+        beta, _ = level.shifted_walks
+        forms = shifted_walk_forms(level.graph, beta)
+        for s, (_, walk, _) in enumerate(loop_shifted_walks(level)):
+            sym = symmetrize_reversible(walk.matrix, walk.stationary)
+            np.testing.assert_allclose(forms[s], sym, rtol=0,
+                                       atol=4 * np.spacing(np.abs(walk.matrix).max()))
+
+
+def _stack_with_one_walk_moved(level, factor):
+    """(beta, forms, floor): the closed-form stack of `level`'s walks with the second
+    eigenvalue of its middle walk moved to factor * floor, floor half the least one."""
+    beta = level.shifted_walks[0]
+    forms = shifted_walk_forms(level.graph, beta)
+    vals, vecs = np.linalg.eigh(forms)
+    floor, s = 0.5 * float(vals[:, 1].min()), beta.shape[0] // 2
+    forms[s] += (factor * floor - vals[s, 1]) * np.outer(vecs[s, :, 1], vecs[s, :, 1])
+    return beta, forms, floor
+
+
+def test_a_walk_whose_second_eigenvalue_dips_below_the_floor_is_refused(monkeypatch):
+    """Moving one walk's second eigenvalue to (1 - 1e-6) times the floor refuses the
+    stack, and to (1 + 1e-6) times it clears the stack, on every level."""
+    for level in six_vertex_levels():
+        for factor, clears in ((1 - 1e-6, False), (1 + 1e-6, True)):
+            beta, forms, floor = _stack_with_one_walk_moved(level, factor)
+            rows = {row.tobytes(): s for s, row in enumerate(beta)}
+            with monkeypatch.context() as patch:
+                patch.setattr(siplab.intertwiners, "shifted_walk_forms", lambda graph, part,
+                              _forms=forms: _forms[[rows[row.tobytes()] for row in part]])
+                assert shifted_walks_clear(level.graph, level.lower.space, floor) is clears
+
+
+def test_a_stack_split_in_chunks_gives_the_answer_of_one_chunk(monkeypatch):
+    """1, 7 and 64 walks a chunk decide as one chunk does, at floors below and above
+    the least second eigenvalue; the chunks stop at the first that fails."""
+    level = Level(cycle_graph(7, alpha=np.linspace(0.2, 0.8, 7)), 5)
+    graph, space = level.graph, level.lower.space
+    least = float(level.shifted_walks[1][:, 1].min())
+    floors = (0.5 * least, (1 - 1e-9) * least, (1 + 1e-9) * least, 2 * least)
+    one_chunk = [shifted_walks_clear(graph, space, floor) for floor in floors]
+    assert one_chunk == [True, True, False, False]
+    real, calls = shifted_walk_forms, []
+
+    def counted(graph, part):
+        calls.append(len(part))
+        return real(graph, part)
+
+    monkeypatch.setattr(siplab.intertwiners, "shifted_walk_forms", counted)
+    for walks in (1, 7, 64):
+        monkeypatch.setattr(siplab.intertwiners, "LADDER_CHUNK_BYTES", walks * 8 * graph.n ** 2)
+        assert [shifted_walks_clear(graph, space, floor) for floor in floors] == one_chunk
+    calls.clear()
+    shifted_walks_clear(graph, space, 2 * least)
+    assert calls == [64]
 
 
 def test_walk_stack_refuses_an_irreversible_walk():
