@@ -40,7 +40,7 @@ from .errors import InputError, SiplabError, StateCapError, VerificationError
 from .graphs import Graph, as_integer, as_number, graph_from_preset, load_graph
 from .intertwiners import (Level, check_adjoint, check_intertwinings, dirichlet_decomposition_check,
                            dirichlet_form_identity, eigen_dichotomy, ladder_bound,
-                           ladder_covered, minmax_comparison_check)
+                           ladder_covered, minmax_comparison_check, shifted_walks_clear)
 from .lookdown import LABELED_CAP, check_labeled_identities, check_stationary_law
 from .reporting import CheckSuite, gap_tolerance, make_check
 from .sip import build_sip_generator, gap_sandwich_report, sip_gap, sip_spectrum, tv_sandwich
@@ -176,12 +176,14 @@ def _suite_sip(levels: list) -> tuple[CheckSuite, dict]:
     Dirichlet trio reads D_k^(-1/2) g for the first three columns g of `Level.fresh`,
     the last repeated when there are fewer; the first function's energy entry is
     `dirichlet_form_identity`, the decomposition for every f.  `ladder-certificate[k]`
-    holds each gap that `ladder_covered` decides from the cached spaces to gap_rw within
-    `gap_tolerance`; on another level it passes, naming b_k / gap_(k-1) from `shifted_walks`."""
+    holds each gap that `ladder_covered` takes to gap_rw within `gap_tolerance`; on another
+    level it passes, naming b_k / gap_(k-1).  Both read `ladder_bound` of the eigenvalues
+    of `Level.shifted_walks`, which the comparison checks read too."""
     report = gap_sandwich_report(levels[-1])
     graph = levels[-1].graph
     gap_rw, tolerance = graph.walk_spectrum.gap, gap_tolerance(graph)
-    covered = ladder_covered(graph, range(2, len(levels)), lambda k: levels[k].lower.space)
+    covered = ladder_covered(graph, range(2, len(levels)), lambda k, margin: ladder_bound(
+        k, levels[k].shifted_walks[1]) >= margin)
     checks = []
     for level in levels[2:]:
         k = level.k
@@ -265,16 +267,17 @@ def _level_gap(graph: Graph, k: int):
         return exc
 
 
-def _sweep_plan(graph: Graph, k_max: int) -> tuple:
+def _sweep_plan(graph: Graph, k_max: int, spaces) -> tuple:
     """(walk gap, levels the recursion covers, levels to solve, error that ends
     the rows or None) of one sample, decided in the parent before any level is
     solved: a disconnected graph or a failed walk solve has no levels, and the
     levels stop below the first one over the state cap, whose StateCapError
     ends the rows. So a k_max far past the cap costs no more than the levels
     under it. Of those, `ladder_covered` takes the first ones, whose gap is
-    gap_rw, from one Cholesky factor of the shifted walks on `enumerate_configs(n,
-    k-1)` per level: no level matrix and no eigensolve. A walk stack that fails
-    covers nothing, and its levels go to the solver."""
+    gap_rw, from one Cholesky factor of the shifted walks on `spaces(n, k-1)`,
+    the command's store of configuration spaces, per level: no level matrix and
+    no eigensolve. A walk stack that fails covers nothing, and its levels go to
+    the solver."""
     gap_walk, k, error = float("nan"), 2, None
     try:
         if not graph.connected:
@@ -287,7 +290,8 @@ def _sweep_plan(graph: Graph, k_max: int) -> tuple:
     except SiplabError as exc:
         error = exc
     levels = range(2, k)
-    covered = len(ladder_covered(graph, levels, lambda j: enumerate_configs(graph.n, j - 1)))
+    covered = len(ladder_covered(graph, levels, lambda j, margin: shifted_walks_clear(
+        graph, spaces(graph.n, j - 1), margin / j)))
     return gap_walk, levels[:covered], levels[covered:], error
 
 
@@ -443,6 +447,10 @@ def _sweep_rows(spec, ai, plan, gaps: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
+    """Gap rows over the spec's graphs and site-weight samples. Each graph's
+    connectivity is counted once, its samples carrying it over; each (n, j)
+    configuration space is enumerated at most once, in a store that lives for
+    this call only, and every sample's `_sweep_plan` reads it."""
     try:
         spec_text = Path(args.spec).read_text()
         spec_data = json.loads(spec_text)
@@ -481,7 +489,8 @@ def cmd_sweep(args) -> int:
                                                                spawn_key=(gi, ai)))
             alpha = np.exp(rng.uniform(np.log(lo), np.log(hi), size=base.n))
             samples.append((spec, ai, base.with_site_weights(alpha)))
-    plans = [_sweep_plan(graph, k_max) for _, _, graph in samples]
+    spaces = functools.cache(enumerate_configs)
+    plans = [_sweep_plan(graph, k_max, spaces) for _, _, graph in samples]
     gaps = _sweep_gaps({i: (graph, plans[i][2]) for i, (_, _, graph) in enumerate(samples)},
                        args.jobs)
     ordered = [row for i, (spec, ai, _) in enumerate(samples)

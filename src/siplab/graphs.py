@@ -42,7 +42,8 @@ class Graph:
     nonnegative entries; site_weights must be strictly positive.  Connectivity of
     the positive-weight edge set, the single-particle `walk` and its
     `walk_spectrum` (eigenvalues only) are built on first use and kept, so
-    every reader of the walk gap shares one solve.
+    every reader of the walk gap shares one solve; `with_site_weights` keeps
+    the connectivity.
     """
 
     n: int
@@ -98,8 +99,11 @@ class Graph:
         return float(self.site_weights.min())
 
     def with_site_weights(self, alpha) -> "Graph":
-        """Same edges, different site weights."""
-        return replace(self, site_weights=np.asarray(alpha, dtype=float))
+        """Same edges, different site weights, and the same `components`, counted on
+        this graph once: they depend on the edges alone."""
+        graph = replace(self, site_weights=np.asarray(alpha, dtype=float))
+        graph.__dict__["components"] = self.components
+        return graph
 
 
 def as_integer(raw, what: str) -> int:

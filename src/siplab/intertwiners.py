@@ -19,10 +19,11 @@ Ker C_k, and the comparison with the walks of site weights alpha + xi, a
 row per (k-1)-configuration xi, for every test function, edge by edge and
 site by site; no check draws a random function.  The two facts together give
 the paper's recursion: gap_k = gap_{k-1} whenever b_k = k inf_xi gap_rw(alpha + xi)
->= gap_{k-1}, which `ladder_covered` decides from the n x n shifted walks alone,
-by a Cholesky factor and no eigensolve (`shifted_walks_clear`).  The checks take a
-`Level`, which builds each level-k piece once and keeps it; `Level.down_to`
-walks one chain of levels, each holding the one below as its `lower`.
+>= gap_{k-1}; `ladder_covered` walks the levels it covers, and `sweep` decides each
+from the n x n shifted walks alone, by a Cholesky factor of `coverage_forms` and no
+eigensolve (`shifted_walks_clear`).  The checks take a `Level`, which builds
+each level-k piece once and keeps it; `Level.down_to` walks one chain of
+levels, each holding the one below as its `lower`.
 """
 
 from __future__ import annotations
@@ -97,19 +98,32 @@ def build_shifted_walks(graph: Graph, space: ConfigSpace) -> tuple[np.ndarray, n
 LADDER_CHUNK_BYTES = 4 << 20  # of walk forms per factor: 10,700 walks of 7 x 7, 13 of 199 x 199
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite form is refused by the caller
+def coverage_forms(graph: Graph, beta, floor: float) -> np.ndarray:
+    """H(beta) - floor I + 2 floor u u^T, u = sqrt(beta / |beta|), for each row of site
+    weights beta, in one array: (2 floor / |beta| - c_xy) sqrt(beta_x beta_y), plus
+    sum_y c_xy beta_y - floor on the diagonal."""
+    root = np.sqrt(beta)
+    forms = 2 * floor / beta.sum(axis=1)[:, None, None] - graph.edge_weights
+    forms *= root[:, :, None]
+    forms *= root[:, None, :]
+    forms.reshape(len(beta), -1)[:, ::graph.n + 1] += beta @ graph.edge_weights - floor
+    return forms
+
+
 def shifted_walks_clear(graph: Graph, space: ConfigSpace, floor: float) -> bool:
     """Whether each walk of `build_shifted_walks` on `space` has its gap, the second
     eigenvalue of H = H(beta), above `floor` > 0, with no eigensolve: H u = 0 for u =
-    sqrt(beta / |beta|), so H - floor I + 2 floor u u^T is positive definite exactly then.
-    One Cholesky factor per LADDER_CHUNK_BYTES of forms, up to one that fails or is not finite."""
+    sqrt(beta / |beta|), so H - floor I + 2 floor u u^T, `coverage_forms`, is positive
+    definite exactly then.  One Cholesky factor per LADDER_CHUNK_BYTES of forms, up to
+    one that fails or whose forms or factor are not finite."""
     rows = max(1, LADDER_CHUNK_BYTES // (8 * graph.n ** 2))
     for part in np.split(graph.site_weights + space.occupations, range(rows, space.size, rows)):
-        u = np.sqrt(part / part.sum(axis=1, keepdims=True))
+        form = coverage_forms(graph, part, floor)
         try:
-            form = shifted_walk_forms(graph, part) + 2 * floor * u[:, :, None] * u[:, None, :]
-            if not np.isfinite(np.linalg.cholesky(form - floor * np.eye(graph.n))).all():
+            if not (np.isfinite(form).all() and np.isfinite(np.linalg.cholesky(form)).all()):
                 return False
-        except (InputError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return False
     return True
 
@@ -528,18 +542,18 @@ def ladder_bound(k: int, walk_values) -> float:
     return k * float(walk_values[:, 1].min())
 
 
-def ladder_covered(graph: Graph, ks, lower_space) -> list:
+def ladder_covered(graph: Graph, ks, clears) -> list:
     """The levels of `ks`, ascending from 2, whose gap is gap_rw by the paper's
     recursion.  On Ker C_k the Dirichlet decomposition gives E_k(f) >= b_k Var(f),
     `ladder_bound`, and the dichotomy spec(L_k) = spec(L_{k-1}) u spec(L_k | Ker C_k)
     then gives gap_k = gap_{k-1} whenever b_k >= gap_{k-1}; from gap_1 = gap_rw, level
-    k is covered when every level below it is and b_k >= gap_rw + `gap_tolerance`: when
-    `shifted_walks_clear` of `lower_space(k)`, its (k-1)-particle space, at that over k.
-    No space is asked for above the first level not covered, nor the walk for no level."""
+    k is covered when every level below it is and `clears(k, margin)`, the caller's test
+    of b_k >= margin = gap_rw + `gap_tolerance`: `sweep` asks `shifted_walks_clear` at
+    margin / k, and `verify` reads `ladder_bound` of the eigenvalues it holds.  No level
+    is tested above the first one not covered, nor the walk solved for no level."""
     covered = []
     for k in ks:
-        margin = graph.walk_spectrum.gap + gap_tolerance(graph)
-        if not shifted_walks_clear(graph, lower_space(k), margin / k):
+        if not clears(k, graph.walk_spectrum.gap + gap_tolerance(graph)):
             break
         covered.append(k)
     return covered

@@ -13,7 +13,7 @@ from siplab.bep import bep_gap_report, bep_matrix
 from siplab.graphs import complete_graph, path_graph, random_connected_graph
 from siplab.intertwiners import (Level, check_adjoint, check_intertwinings,
                                  dirichlet_decomposition_check, eigen_dichotomy, ladder_covered,
-                                 minmax_comparison_check)
+                                 minmax_comparison_check, shifted_walks_clear)
 from siplab.lookdown import check_labeled_identities, check_stationary_law
 from siplab.reporting import gap_tolerance
 from siplab.sip import build_sip_generator, sip_gap, sip_spectrum, tv_sandwich
@@ -190,7 +190,8 @@ def test_every_gap_the_ladder_covers_is_the_walk_gap():
         for i in range(30):
             graph = random_connected_graph(3 + i % 4, rng, alpha_range=(lo, 3 * lo))
             levels = Level(graph, 5).down_to(0)
-            covered = ladder_covered(graph, range(2, 6), lambda k: levels[k].lower.space)
+            covered = ladder_covered(graph, range(2, 6), lambda k, margin: shifted_walks_clear(
+                graph, levels[k].lower.space, margin / k))
             for k in covered:
                 assert abs(levels[k].gap - graph.walk_spectrum.gap) <= gap_tolerance(graph), k
             misses[lo] = misses.get(lo, 0) + 4 - len(covered)

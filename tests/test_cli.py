@@ -856,7 +856,7 @@ def _log_solves(monkeypatch, log: Path) -> None:
 
 def _cover_nothing(monkeypatch) -> None:
     """Every level of the sweep goes to the solver: the recursion covers none."""
-    monkeypatch.setattr(siplab.cli, "ladder_covered", lambda graph, ks, lower_space: [])
+    monkeypatch.setattr(siplab.cli, "ladder_covered", lambda graph, ks, clears: [])
 
 
 def _solves(log: Path) -> list:
@@ -1238,6 +1238,55 @@ def test_sweep_disconnected_graph_is_an_error_row(tmp_path, capsys):
     code, out, _ = run(["sweep", _sweep_spec(tmp_path / "split_only.json", [str(graph)], 3, 2)],
                        capsys)
     assert code == 1 and read_csv(out)[1] == [errors[0]]
+
+
+def test_sweep_counts_each_graphs_components_once(tmp_path, capsys, monkeypatch):
+    """Five samples of each graph call `connected_components` once per graph, since
+    each sample carries its graph's count over; the disconnected graph still gives its
+    error row for each sample."""
+    graph = tmp_path / "split.json"
+    graph.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1], [2, 3, 1]],
+                                 "alpha": [1, 1, 1, 1]}))
+    real, calls = siplab.graphs.connected_components, []
+
+    def counted(edges, *args, **kwargs):
+        calls.append(edges.shape[0])
+        return real(edges, *args, **kwargs)
+
+    monkeypatch.setattr(siplab.graphs, "connected_components", counted)
+    spec = _sweep_spec(tmp_path / "sweep.json", [str(graph), "path(3)"], 3, 2, n_samples=5)
+    code, out, _ = run(["sweep", spec, "--jobs", "1"], capsys)
+    assert code == 1 and calls == [4, 3]
+    _, rows = read_csv(out)
+    errors = [row for row in rows if row[-1]]
+    assert [row[:3] for row in errors] == [[str(graph), str(ai), "-1"] for ai in range(5)]
+    assert all("disconnected (2 components)" in row[-1] for row in errors)
+    assert len(rows) == 5 + 5 * 2  # each path(3) sample still gets k = 2, 3
+
+
+def test_sweep_enumerates_each_space_once_per_command(tmp_path, capsys, monkeypatch):
+    """A sweep of path(7) and cycle(7) to k_max 7 enumerates each (7, j) space, j = 1..6,
+    once, and hands the same space to both graphs' factors, each at (gap_rw +
+    gap_tolerance) / k with the (k-1)-particle space; a second sweep in the same process
+    enumerates them again, so the store belongs to one command."""
+    counts = _count_level_builds(monkeypatch)
+    real, asked = siplab.cli.shifted_walks_clear, collections.defaultdict(list)
+
+    def clear(graph, space, floor):
+        assert floor == (graph.walk_spectrum.gap + gap_tolerance(graph)) / (space.k + 1)
+        asked[space.k].append(space)
+        return real(graph, space, floor)
+
+    monkeypatch.setattr(siplab.cli, "shifted_walks_clear", clear)
+    spec = _sweep_spec(tmp_path / "sweep.json", ["path(7)", "cycle(7)"], 7, 3)
+    for calls in (1, 2):
+        asked.clear()
+        code, out, _ = run(["sweep", spec, "--jobs", "1"], capsys)
+        assert code == 0 and len(read_csv(out)[1]) == 12
+        assert counts["sip_gap"] == {}  # every level is covered, so none is solved
+        assert counts["enumerate_configs"] == {j: calls for j in range(1, 7)}
+        assert sorted(asked) == list(range(1, 7))
+        assert all(len(spaces) == 2 and spaces[0] is spaces[1] for spaces in asked.values())
 
 
 def test_sweep_byte_identical_across_jobs_and_calls(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,8 @@ from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_g
                            graph_from_dict, path_graph, random_connected_graph, rw_dirichlet_form,
                            rw_spectrum, symmetrize_reversible)
 from siplab.intertwiners import (Level, build_annihilation, build_creation, check_adjoint,
-                                 check_intertwinings, dirichlet_decomposition_check,
+                                 check_intertwinings, coverage_forms,
+                                 dirichlet_decomposition_check,
                                  dirichlet_form_identity, eigen_dichotomy, eigen_groups,
                                  build_shifted_walks, fresh_basis, invert_annihilation,
                                  ladder_bound, ladder_covered, lift_eigenfunction,
@@ -787,34 +788,30 @@ def test_the_form_identity_fails_a_walk_weight_or_a_rate_off_by_a_millionth():
             assert not dirichlet_form_identity(mutated).passed, (level.k, entry)
 
 
-def test_the_ladder_covers_a_prefix_of_levels_and_asks_for_no_walk_above_it(monkeypatch):
-    """b_k is k times the least second walk eigenvalue; coverage asks `shifted_walks_clear`
-    of each level's (k-1)-particle space at (gap_rw + gap_tolerance) / k, stops at the first
-    level it refuses and asks for no later level's space, nor for the walk with no level."""
+def test_the_ladder_covers_a_prefix_of_levels_and_asks_for_no_walk_above_it():
+    """b_k is k times the least second walk eigenvalue; coverage hands each level's test
+    the margin gap_rw + gap_tolerance, stops at the first level it refuses and tests no
+    later level, nor reads the walk with no level."""
     graph = path_graph(3, alpha=[0.5, 1.0, 2.0])
     margin = graph.walk_spectrum.gap + gap_tolerance(graph)
     assert ladder_bound(3, np.array([[0.0, 0.5, 2.0], [0.0, 0.25, 1.0]])) == 0.75
     asked, clears = [], {}
 
-    def clear(g, space, floor):
-        assert g is graph and floor == margin / (space.k + 1)
-        return clears[space.k + 1]
-
-    def lower_space(k):
+    def clear(k, at):
+        assert at == margin
         asked.append(k)
-        return enumerate_configs(graph.n, k - 1)
+        return clears[k]
 
-    monkeypatch.setattr(siplab.intertwiners, "shifted_walks_clear", clear)
     clears = dict.fromkeys(range(2, 6), True)
-    assert ladder_covered(graph, range(2, 6), lower_space) == [2, 3, 4, 5]
+    assert ladder_covered(graph, range(2, 6), clear) == [2, 3, 4, 5]
     asked.clear()
     clears = {2: True, 3: False, 4: True}
-    assert ladder_covered(graph, range(2, 6), lower_space) == [2]
+    assert ladder_covered(graph, range(2, 6), clear) == [2]
     assert asked == [2, 3]
     asked.clear()
     no_walk = path_graph(3)
     no_walk.__dict__["walk_spectrum"] = None  # reading its gap would fail
-    assert ladder_covered(no_walk, range(2, 2), lower_space) == [] and asked == []
+    assert ladder_covered(no_walk, range(2, 2), clear) == [] and asked == []
 
 
 def test_a_walk_stack_that_overflows_clears_nothing():
@@ -829,8 +826,8 @@ def test_a_walk_stack_that_overflows_clears_nothing():
             warnings.simplefilter("error")
             assert graph.walk_spectrum.gap > 0.0
             assert not shifted_walks_clear(graph, enumerate_configs(3, 1), 1e-300)
-            assert ladder_covered(graph, range(2, 4),
-                                  lambda k: enumerate_configs(3, k - 1)) == []
+            assert ladder_covered(graph, range(2, 4), lambda k, margin: shifted_walks_clear(
+                graph, enumerate_configs(3, k - 1), margin / k)) == []
             if forms_overflow:
                 with pytest.raises(InputError, match="overflow"):
                     build_shifted_walks(graph, enumerate_configs(3, 1))
@@ -869,6 +866,25 @@ def test_the_closed_form_walk_stack_is_the_symmetrized_walk():
                                        atol=4 * np.spacing(np.abs(walk.matrix).max()))
 
 
+def _lifted(beta, forms, floor):
+    """forms - floor I + 2 floor u u^T, u = sqrt(beta / |beta|), term by term."""
+    u = np.sqrt(beta / beta.sum(axis=1, keepdims=True))
+    return forms - floor * np.eye(beta.shape[1]) + 2 * floor * u[:, :, None] * u[:, None, :]
+
+
+def test_the_fused_coverage_forms_are_the_lifted_walk_forms():
+    """`coverage_forms` equals `shifted_walk_forms` less floor I plus 2 floor u u^T, each
+    term built alone, within 8 ulps of the walk's largest rate, at floors across the
+    walks' second eigenvalues."""
+    for level in WALK_LEVELS:
+        beta, vals = level.shifted_walks
+        forms = shifted_walk_forms(level.graph, beta)
+        for floor in (0.5 * vals[:, 1].min(), vals[:, 1].max(), 3.0 * vals[:, -1].max()):
+            np.testing.assert_allclose(coverage_forms(level.graph, beta, floor),
+                                       _lifted(beta, forms, floor), rtol=0,
+                                       atol=8 * np.spacing(max(np.abs(forms).max(), floor)))
+
+
 def _stack_with_one_walk_moved(level, factor):
     """(beta, forms, floor): the closed-form stack of `level`'s walks with the second
     eigenvalue of its middle walk moved to factor * floor, floor half the least one."""
@@ -886,10 +902,11 @@ def test_a_walk_whose_second_eigenvalue_dips_below_the_floor_is_refused(monkeypa
     for level in six_vertex_levels():
         for factor, clears in ((1 - 1e-6, False), (1 + 1e-6, True)):
             beta, forms, floor = _stack_with_one_walk_moved(level, factor)
+            lifted = _lifted(beta, forms, floor)
             rows = {row.tobytes(): s for s, row in enumerate(beta)}
             with monkeypatch.context() as patch:
-                patch.setattr(siplab.intertwiners, "shifted_walk_forms", lambda graph, part,
-                              _forms=forms: _forms[[rows[row.tobytes()] for row in part]])
+                patch.setattr(siplab.intertwiners, "coverage_forms", lambda graph, part, at,
+                              _lifted=lifted: _lifted[[rows[row.tobytes()] for row in part]])
                 assert shifted_walks_clear(level.graph, level.lower.space, floor) is clears
 
 
@@ -902,13 +919,13 @@ def test_a_stack_split_in_chunks_gives_the_answer_of_one_chunk(monkeypatch):
     floors = (0.5 * least, (1 - 1e-9) * least, (1 + 1e-9) * least, 2 * least)
     one_chunk = [shifted_walks_clear(graph, space, floor) for floor in floors]
     assert one_chunk == [True, True, False, False]
-    real, calls = shifted_walk_forms, []
+    real, calls = coverage_forms, []
 
-    def counted(graph, part):
+    def counted(graph, part, at):
         calls.append(len(part))
-        return real(graph, part)
+        return real(graph, part, at)
 
-    monkeypatch.setattr(siplab.intertwiners, "shifted_walk_forms", counted)
+    monkeypatch.setattr(siplab.intertwiners, "coverage_forms", counted)
     for walks in (1, 7, 64):
         monkeypatch.setattr(siplab.intertwiners, "LADDER_CHUNK_BYTES", walks * 8 * graph.n ** 2)
         assert [shifted_walks_clear(graph, space, floor) for floor in floors] == one_chunk
