@@ -14,11 +14,10 @@ it purely by symbolic differentiation and checks the coincidence, the
 algebraic form of the duality between the two processes.  Each degree's
 diffusion gap is then its level's `Level.gap`.
 
-The calculus acts on `Terms`, batches of monomial terms held as three
-arrays (column, exponent rows, coefficient), and composes G from d_x and
-z_x edge by edge, for every basis monomial of a level at once.  The
-simplex constraint sum(z) = 1 is never substituted; every identity is
-checked coefficientwise on the homogeneous carrier, where it is unique.
+The calculus acts on `Terms`, batches of monomial terms held as three arrays (column,
+exponent rows, coefficient), and composes G from d_x and z_x on every edge and basis
+monomial of a level in one batch.  The simplex constraint sum(z) = 1 is never substituted;
+every identity is checked coefficientwise on the homogeneous carrier, where it is unique.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .configs import ConfigSpace
 from .errors import InputError, VerificationError
 from .graphs import Graph
 from .intertwiners import Level
-from .reporting import CheckResult, gap_tolerance, identity_check, make_check, sandwich
+from .reporting import CheckResult, gap_tolerance, make_check, pattern_identity_check, sandwich
 
 
 @dataclass(frozen=True)
@@ -81,64 +80,66 @@ class HomogPolynomial:
 class Terms:
     """A batch of monomial terms: term i is coeff[i] z^expo[i], a part of
     the image of column col[i].  Equal monomials are not merged until the
-    batch is summed into a matrix or a polynomial."""
+    batch is summed into a matrix or a polynomial.  `d` and `z` take a site,
+    and `*` a factor, per term."""
 
     col: np.ndarray
     expo: np.ndarray
     coeff: np.ndarray
 
-    @staticmethod
-    def join(batches) -> Terms:
-        return Terms(*(np.concatenate(parts) for parts in
-                       zip(*((b.col, b.expo, b.coeff) for b in batches))))
-
-    def d(self, x: int) -> Terms:
+    def d(self, x: np.ndarray) -> Terms:
         """d/dz_x: lower exponent x and multiply by it; terms without z_x drop."""
-        keep = self.expo[:, x] > 0
+        power = self.expo[np.arange(self.col.size), x]
+        keep = np.flatnonzero(power)
         expo = self.expo[keep]
-        coeff = self.coeff[keep] * expo[:, x]
-        expo[:, x] -= 1
-        return Terms(self.col[keep], expo, coeff)
+        expo[np.arange(keep.size), x[keep]] -= 1
+        return Terms(self.col[keep], expo, self.coeff[keep] * power[keep])
 
-    def z(self, x: int) -> Terms:
+    def z(self, x: np.ndarray) -> Terms:
         """Multiplication by z_x: raise exponent x."""
         expo = self.expo.copy()
-        expo[:, x] += 1
+        expo[np.arange(self.col.size), x] += 1
         return Terms(self.col, expo, self.coeff)
 
-    def __rmul__(self, scale: float) -> Terms:
-        return Terms(self.col, self.expo, scale * self.coeff)
+    def __mul__(self, scale) -> Terms:
+        return Terms(self.col, self.expo, self.coeff * scale)
 
     def __sub__(self, other: Terms) -> Terms:
-        return Terms.join((self, -1.0 * other))
+        return Terms(np.concatenate([self.col, other.col]), np.concatenate([self.expo, other.expo]),
+                     np.concatenate([self.coeff, -other.coeff]))
 
 
 def _apply(terms: Terms, graph: Graph, degree: int) -> Terms:
-    """G applied to a batch of degree-`degree` terms.  The ordered pairs
-    (x, y) and (y, x) give equal terms, so each edge x < y is taken once,
-    without the 1/2.  Every image term must keep the degree, or a raised
-    exponent could alias another configuration's base-(degree+1) key."""
-    c, alpha = graph.edge_weights.tolist(), graph.site_weights.tolist()
-    images = [Terms(terms.col[:0], terms.expo[:0], terms.coeff[:0])]
-    for x, y in zip(*np.nonzero(np.triu(graph.edge_weights))):
-        first = terms.d(x) - terms.d(y)
-        # drift -(alpha_y z_x - alpha_x z_y)(d_x - d_y), diffusion z_x z_y (d_x - d_y)^2
-        images += [-c[x][y] * alpha[y] * first.z(x), c[x][y] * alpha[x] * first.z(y),
-                   c[x][y] * (first.d(x) - first.d(y)).z(x).z(y)]
-    image = Terms.join(images)
-    wrong = image.expo.sum(axis=1) != degree
+    """G applied to a batch of degree-`degree` terms, on every edge in one batch, each
+    edge x < y once, without the 1/2, as (x, y) and (y, x) give equal terms.  z_x d_x z^eta
+    = eta_x z^eta, so an edge's drift and diffusion are c_xy [z_y (alpha_x + eta_x) - z_x
+    (alpha_y + eta_y)] (d_x - d_y), eta read after d_x - d_y.  Every image term must keep
+    the degree, or a raised exponent could alias another configuration's base-(degree+1) key."""
+    x, y = np.nonzero(np.triu(graph.edge_weights))
+    m, alpha = terms.col.size, graph.site_weights
+    # term e * m + i of the batch is c_xy times term i, for edge e, and has col e * m + i
+    batch = Terms(np.arange(x.size * m), np.tile(terms.expo, (x.size, 1)),
+                  np.outer(graph.edge_weights[x, y], terms.coeff).ravel())
+    first = batch.d(np.repeat(x, m)) - batch.d(np.repeat(y, m))
+    sx, sy, at = x[first.col // m], y[first.col // m], np.arange(first.col.size)
+    image = ((first * (alpha[sx] + first.expo[at, sx])).z(sy)
+             - (first * (alpha[sy] + first.expo[at, sy])).z(sx))
+    wrong = image.expo @ np.ones(graph.n, dtype=image.expo.dtype) != degree
     if np.any(wrong):
         bad = image.expo[np.argmax(wrong)]
         raise VerificationError(f"generator produced exponent {tuple(bad.tolist())} of "
                                 f"degree {int(bad.sum())} from degree {degree}")
-    return image
+    return Terms(terms.col[image.col % m], image.expo, image.coeff)
 
 
 def _factorial_ratio(row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """prod_x row_x! / col_x! for exponent rows one particle move apart, as every
-    image term of G is: the gainer's new exponent over the loser's old one."""
-    move = row - col
-    return np.where(move > 0, row, 1).prod(axis=1) / np.where(move < 0, col, 1).prod(axis=1)
+    """prod_x row_x! / col_x! for exponent rows one particle move apart, as every image
+    term of G is: the gaining site's new exponent over the losing site's old one."""
+    move, n = (row - col).ravel(), row.shape[1]
+    gain, loss = np.flatnonzero(move > 0), np.flatnonzero(move < 0)
+    ratio = np.ones(row.shape[0])
+    ratio[gain // n] = row.ravel()[gain] / col.ravel()[loss]
+    return ratio
 
 
 def poly_lift(f, space: ConfigSpace) -> HomogPolynomial:
@@ -181,23 +182,22 @@ def bep_matrix(level: Level) -> BepMatrix:
     """Matrix of the diffusion generator on the degree-k scaled monomials.
 
     Column eta holds the expansion of G applied to z^eta / prod(eta!): one
-    batch carries every basis monomial through G, and its terms are ranked
-    by their keys and summed into a CSR.  The module's central check
-    compares this symbolically assembled matrix entrywise with the
-    independently assembled particle generator; they must agree to
-    rounding.
+    batch carries every basis monomial through G on every edge, and its terms
+    are ranked by their keys and summed onto the CSR pattern of the
+    independently assembled particle generator L_k.  The module's central check
+    compares the two there, and a term off it with 0; they must agree to rounding.
     """
-    gen = level.generator
-    space = gen.space
+    space, sip = level.generator.space, level.generator.matrix
     # the image of z^col / col! in row / row! carries row! / col!, taken as an
     # exact ratio: prod(eta!) as a float is infinite from degree 171 on
     image = _apply(Terms(np.arange(space.size), space.occupations, np.ones(space.size)),
                    level.graph, space.k)
     rows = space.rank_keys(space.keys_of(image.expo))
-    scale = _factorial_ratio(image.expo, space.occupations[image.col])
-    m = scipy.sparse.csr_array((image.coeff * scale, (rows, image.col)), shape=(space.size,) * 2)
-    check = identity_check(f"diffusion-matches-particles[k={level.k}]", m, gen.matrix)
-    return BepMatrix(space, m, gen.matrix, check)
+    values = image.coeff * _factorial_ratio(image.expo, space.occupations[image.col])
+    check, sums = pattern_identity_check(f"diffusion-matches-particles[k={level.k}]", sip,
+                                         np.ones(space.size), rows, image.col, values)
+    m = scipy.sparse.csr_array((sums, sip.indices, sip.indptr), shape=sip.shape)
+    return BepMatrix(space, m, sip, check)
 
 
 @dataclass(frozen=True)

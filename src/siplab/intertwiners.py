@@ -43,7 +43,7 @@ from .errors import InputError
 from .graphs import Graph, Spectrum, rw_dirichlet_forms
 from .lookdown import LabeledLevel
 from .reporting import (ENERGY_RTOL, SPECTRAL_RTOL, CheckResult, gap_tolerance, identity_check,
-                        make_check, max_abs, residual_tol)
+                        make_check, max_abs, pattern_identity_check, residual_tol)
 from .sip import SipGenerator, build_sip_generator, sip_dirichlet_form, sip_gap, sip_spectrum
 
 
@@ -303,21 +303,15 @@ def fresh_basis(level: Level) -> np.ndarray:
 
 
 def check_adjoint(level: Level) -> CheckResult:
-    """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity.
-    A_k^T and C_k share the pattern {(xi, xi + delta_x)}, so once their indices
-    are sorted the two sides are compared on their CSR values; a pattern that
-    differs goes through `identity_check` as sparse sides."""
+    """<A g, f>_k = (k / (|alpha| + k - 1)) <g, C f>_{k-1} as a matrix identity,
+    A_k^T D_k against c D_{k-1} C_k, c that factor, on C_k's CSR pattern by
+    `pattern_identity_check`: A_k^T shares it, {(xi, xi + delta_x)}."""
     k = level.k
     factor = k / (level.graph.alpha_total + k - 1)
-    mu, mu_low = level.measure.probabilities, factor * level.lower.measure.probabilities
-    ann_t = level.annihilation.T.tocsr()
-    cre = level.creation.sorted_indices()
-    if not (np.array_equal(ann_t.indptr, cre.indptr)
-            and np.array_equal(ann_t.indices, cre.indices)):
-        return identity_check(f"adjoint[k={k}]", ann_t * mu[None, :], mu_low[:, None] * cre)
-    lhs = ann_t.data * mu[ann_t.indices]
-    rhs = mu_low[np.repeat(np.arange(cre.shape[0]), np.diff(cre.indptr))] * cre.data
-    return identity_check(f"adjoint[k={k}]", lhs, rhs)
+    ann, cre = level.annihilation.tocoo(), level.creation.sorted_indices()
+    return pattern_identity_check(f"adjoint[k={k}]", cre,
+                                  factor * level.lower.measure.probabilities, ann.col, ann.row,
+                                  ann.data * level.measure.probabilities[ann.row])[0]
 
 
 def check_intertwinings(level: Level) -> tuple[CheckResult, CheckResult]:
@@ -511,10 +505,8 @@ def dirichlet_form_identity(level: Level) -> CheckResult:
     R_xi the section map f -> f(xi + delta_.), read from `Level.sections`, and B_beta
     the Dirichlet matrix of the walk with site weights beta, each beta a row of
     `Level.shifted_walks`: -beta_x beta_y c_xy / |beta| off the diagonal and the
-    negated row sums on it.  The sum's terms are summed onto L_k's CSR pattern,
-    found by `np.searchsorted` in its keys row * S_k + column, which ascend since each
-    row's targets do, and compared there with mu_k (-L_k) by `identity_check`; a term
-    off the pattern is compared with 0."""
+    negated row sums on it.  The sum's terms are summed onto L_k's CSR pattern and
+    compared there with mu_k (-L_k) by `pattern_identity_check`."""
     graph, k, gen = level.graph, level.k, level.generator.matrix
     beta, ranks, mu_low = level.shifted_walks[0], level.sections, level.lower.measure
     z_ratio = math.exp(mu_low.log_normalization - level.measure.log_normalization)
@@ -522,18 +514,10 @@ def dirichlet_form_identity(level: Level) -> CheckResult:
     x, y = np.nonzero(graph.edge_weights)
     off = -weight[:, None] * beta[:, x] * beta[:, y] * graph.edge_weights[x, y]
     diagonal = weight[:, None] * beta * (beta @ graph.edge_weights)
-    size = gen.shape[0]
-    rows = np.repeat(np.arange(size), np.diff(gen.indptr))
-    pattern = rows * size + gen.indices
-    cells = np.concatenate([ranks[:, x] * size + ranks[:, y], ranks * (size + 1)], axis=None)
-    terms = np.concatenate([off, diagonal], axis=None)
-    at = np.searchsorted(pattern, cells)
-    found = at < pattern.size
-    found[found] = pattern[at[found]] == cells[found]
-    lost = terms[~found]
-    energy_form = np.append(-gen.data * level.measure.probabilities[rows], np.zeros(lost.size))
-    sum_form = np.append(np.bincount(at[found], terms[found], minlength=pattern.size), lost)
-    return identity_check(f"dirichlet-decomposition[k={k}]", energy_form, sum_form)
+    rows, cols = (np.concatenate([ranks[:, s], ranks], axis=None) for s in (x, y))
+    return pattern_identity_check(f"dirichlet-decomposition[k={k}]", gen,
+                                  -level.measure.probabilities, rows, cols,
+                                  np.concatenate([off, diagonal], axis=None))[0]
 
 
 def ladder_bound(k: int, walk_values) -> float:

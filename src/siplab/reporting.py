@@ -37,7 +37,7 @@ def max_abs(m) -> float:
     its stored values with no index sort: scipy's products, sums and broadcast
     multiplies store each coordinate once; a COO one has its duplicates summed."""
     if not scipy.sparse.issparse(m):
-        return float(np.abs(m).max())
+        return float(np.abs(m).max(initial=0.0))
     if m.format == "coo" and not m.has_canonical_format:
         m = m.tocsr()
     return float(np.abs(m.data).max(initial=0.0))
@@ -100,6 +100,22 @@ def identity_check(identity: str, lhs, rhs) -> CheckResult:
     may be scipy.sparse; a difference of two sparse sides stays sparse."""
     scale = max(1.0, max_abs(lhs), max_abs(rhs))
     return make_check(identity, max_abs(lhs - rhs), IDENTITY_RTOL * scale)
+
+
+def pattern_identity_check(identity: str, pattern, weights, rows, cols, terms) -> tuple:
+    """diag(weights) pattern = the `terms` summed at their cells (rows, cols), by
+    `identity_check` on the cells the CSR `pattern` stores, found by `np.searchsorted` in
+    its keys row * S + column, which ascend as each row's columns do; a term off the
+    pattern is compared with 0.  Returns the check and the sums, one per stored cell."""
+    size = np.int64(pattern.shape[1])  # int32 indices times S would wrap in int32
+    stored = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    keys, cells = stored * size + pattern.indices, rows * size + cols
+    at = np.searchsorted(keys, cells)
+    found = at < keys.size
+    found[found] = keys[at[found]] == cells[found]
+    sums, lost = np.bincount(at[found], terms[found], minlength=keys.size), terms[~found]
+    lhs = np.append(weights[stored] * pattern.data, np.zeros(lost.size))
+    return identity_check(identity, lhs, np.append(sums, lost)), sums
 
 
 @dataclass(frozen=True)

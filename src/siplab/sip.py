@@ -128,12 +128,12 @@ def sip_spectrum(gen: SipGenerator, want_vectors: bool = True) -> Spectrum:
 
 # Levels with fewer states than this take the gap from a dense symmetric
 # solve; shift-invert ARPACK needs a few states beyond the two wanted
-# eigenpairs.  The measured crossover with the banded Cholesky route lies
-# lower, between 84 states (dense 0.7-0.8 ms, banded 1.3-1.8 ms) and 210
-# states (dense 2.7-3.1 ms, banded 1.7-1.9 ms), best of 30 on path(7) and
-# cycle(7) levels with one BLAS thread.  The bound stays at 300: lowering
-# it saves about a millisecond a level and moves small-level gaps by ulps.
-SPARSE_GAP_MIN_STATES = 300
+# eigenpairs.  The bound is the measured crossover with the banded Cholesky route,
+# best of 30 `sip_gap` calls, one BLAS thread, random weights: dense 0.87 ms against
+# banded 0.98 ms at 165 states (path(4), k=8), 0.90 against 0.89 ms at 171 (path(3),
+# k=17), 1.05 against 0.94 ms at 190 (path(3), k=18), 1.27 against 0.96 ms at 210
+# (path(7), k=4), 2.37 against 1.90 ms at 252 (6-cycle, chords (0, 3), (1, 4), k=5).
+SPARSE_GAP_MIN_STATES = 170
 # The shift sits this fraction of the largest exit rate below zero, the
 # bottom of the spectrum, so the two lowest eigenvalues dominate the
 # inverted operator.  It follows the operator's own scale with no floor,

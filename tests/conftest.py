@@ -41,6 +41,13 @@ DEGENERATE_GRAPHS = {
            "alpha": [6.14421235e-06, 6.14421235e-06, 1.76079682e-04, 6.93692007]},
 }
 
+# A 6-cycle with chords (0, 3) and (1, 4), the topology of the benchmark's identity
+# and diffusion runs, with site weights below 1 somewhere and at least 1 everywhere.
+SIX_VERTEX_EDGES = [[0, 1, 0.8], [1, 2, 1.4], [2, 3, 0.6], [3, 4, 1.9], [4, 5, 1.1],
+                    [5, 0, 0.7], [0, 3, 1.2], [1, 4, 0.9]]
+SIX_VERTEX_ALPHA = {"general": [0.4, 1.3, 0.7, 2.1, 0.9, 1.6],
+                    "equality": [1.2, 2.6, 1.0, 1.8, 2.3, 1.4]}
+
 
 def unreaped(pids) -> list:
     """The pids of `pids` not reaped yet: os.waitpid raises ChildProcessError

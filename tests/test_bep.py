@@ -1,16 +1,21 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import dict_bep_generator, dict_bep_matrix, hausdorff_gap
+import siplab.bep
+import siplab.intertwiners
+from conftest import (SIX_VERTEX_ALPHA, SIX_VERTEX_EDGES, dict_bep_generator, dict_bep_matrix,
+                      hausdorff_gap)
 from siplab.bep import (HomogPolynomial, Terms, _apply, _factorial_ratio, apply_bep_generator,
                         bep_gap_report, bep_matrix, poly_lift, simplex_measure)
 from siplab.configs import enumerate_configs
 from siplab.errors import InputError, StateCapError, VerificationError
-from siplab.graphs import (Graph, build_rw_generator, complete_graph, path_graph,
+from siplab.cli import _run_suites
+from siplab.graphs import (Graph, build_rw_generator, complete_graph, graph_from_dict, path_graph,
                            random_connected_graph, reversible_spectrum, rw_spectrum)
 from siplab.intertwiners import Level
 from siplab.reporting import gap_tolerance
@@ -275,6 +280,91 @@ def test_generator_matches_the_dict_oracle_on_random_polynomials():
         for expo in set(image) | set(expected):
             assert image.get(expo, 0.0) == pytest.approx(expected.get(expo, 0.0),
                                                          rel=1e-13, abs=1e-13)
+
+
+# A graph with an isolated vertex, one with an edge of weight 0, and one with no edges.
+MISSING_EDGE_GRAPHS = {
+    "isolated-vertex": {"n": 4, "edges": [[0, 1, 0.7], [1, 2, 1.3], [0, 2, 0.4]],
+                        "alpha": [0.5, 1.2, 2.0, 0.8]},
+    "zero-weight-edge": {"n": 4, "edges": [[0, 1, 0.9], [1, 2, 0.0], [2, 3, 1.6]],
+                         "alpha": [1.4, 0.3, 0.7, 2.2]},
+    "no-edges": {"n": 3, "edges": [], "alpha": [0.6, 1.0, 1.9]},
+}
+
+
+@pytest.mark.parametrize("name", MISSING_EDGE_GRAPHS)
+def test_the_batched_calculus_matches_the_dict_oracle_where_edges_are_missing(name):
+    g = graph_from_dict(MISSING_EDGE_GRAPHS[name])
+    for k in range(1, 5):
+        _assert_matches_dict_oracle(g, k)
+    rng = np.random.default_rng(12)
+    for degree in (0, 1, 2, 3):
+        space = enumerate_configs(g.n, degree)
+        poly = {tuple(occ): rng.standard_normal() for occ in space.occupations.tolist()}
+        image = apply_bep_generator(HomogPolynomial(g.n, degree, poly), g).coeffs
+        expected = dict_bep_generator(poly, g)
+        assert set(image) == set(expected), degree
+        for expo in image:
+            assert image[expo] == pytest.approx(expected[expo], rel=1e-13, abs=1e-13)
+        if name == "no-edges":
+            assert image == {}
+            assert _apply(Terms(np.arange(space.size), space.occupations, np.ones(space.size)),
+                          g, degree).coeff.size == 0
+    if name == "no-edges":
+        assert bep_matrix(Level(g, 3)).matrix.nnz == 0
+
+
+def _failing_diffusion_checks(graph) -> set:
+    payload = _run_suites(graph, 5, "bep")
+    return {c["identity"] for c in payload["suites"]["bep"]["checks"] if not c["pass"]}
+
+
+@pytest.mark.parametrize("regime", SIX_VERTEX_ALPHA)
+def test_each_diffusion_mutation_fails_exactly_its_level(regime, monkeypatch):
+    """On the benchmark's 6-vertex topology at K = 5, one off-diagonal rate of L_k
+    scaled by 1 + 1e-6, one symbolic image coefficient scaled by 1 + 1e-6, or one
+    image term moved off L_k's pattern fails `diffusion-matches-particles[k]` and
+    nothing else, at each level k."""
+    graph = graph_from_dict({"n": 6, "edges": SIX_VERTEX_EDGES,
+                             "alpha": SIX_VERTEX_ALPHA[regime]})
+    assert _failing_diffusion_checks(graph) == set()
+    build, apply = siplab.intertwiners.build_sip_generator, siplab.bep._apply
+
+    def rate(g, k, at):
+        gen = build(g, k)
+        if k != at:
+            return gen
+        matrix = gen.matrix.copy()
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        matrix.data[np.flatnonzero(rows != matrix.indices)[0]] *= 1 + 1e-6
+        return replace(gen, matrix=matrix)
+
+    def coefficient(terms, g, degree, at):
+        image = apply(terms, g, degree)
+        if degree != at:
+            return image
+        coeff = image.coeff.copy()
+        coeff[coeff.size // 2] *= 1 + 1e-6
+        return Terms(image.col, image.expo, coeff)
+
+    def moved(terms, g, degree, at):
+        # an image term of the column with every particle at 0 moved to all at 2, which is
+        # no neighbour of 0: at least two moves, or one across a missing edge, from its column
+        image = apply(terms, g, degree)
+        if degree != at:
+            return image
+        expo = image.expo.copy()
+        expo[np.flatnonzero(image.col == terms.col.size - 1)[0]] = [0, 0, degree, 0, 0, 0]
+        return Terms(image.col, expo, image.coeff)
+
+    for target, name, mutation in ((siplab.intertwiners, "build_sip_generator", rate),
+                                   (siplab.bep, "_apply", coefficient),
+                                   (siplab.bep, "_apply", moved)):
+        for k in range(1, 6):
+            monkeypatch.setattr(target, name, lambda *args, at=k: mutation(*args, at))
+            assert _failing_diffusion_checks(graph) == {f"diffusion-matches-particles[k={k}]"}, \
+                (mutation.__name__, k)
+        monkeypatch.undo()
 
 
 def test_a_degree_change_is_refused_before_ranking(monkeypatch):

@@ -21,7 +21,7 @@ import siplab.graphs
 import siplab.intertwiners
 import siplab.lookdown
 import siplab.sip
-from conftest import DEGENERATE_GRAPHS, unreaped
+from conftest import DEGENERATE_GRAPHS, SIX_VERTEX_ALPHA, SIX_VERTEX_EDGES, unreaped
 from siplab.cli import main
 from siplab.configs import space_size
 from siplab.errors import EigensolverError
@@ -179,10 +179,8 @@ def _assert_recorded_identities(path, suite, K, regime, capsys):
 def _six_vertex_graph(tmp_path, alpha):
     """A 6-cycle with chords (0, 3) and (1, 4), the topology of the benchmark's
     identity and diffusion runs."""
-    edges = [[0, 1, 0.8], [1, 2, 1.4], [2, 3, 0.6], [3, 4, 1.9], [4, 5, 1.1], [5, 0, 0.7],
-             [0, 3, 1.2], [1, 4, 0.9]]
     path = tmp_path / "g6.json"
-    path.write_text(json.dumps({"n": 6, "edges": edges, "alpha": alpha}))
+    path.write_text(json.dumps({"n": 6, "edges": SIX_VERTEX_EDGES, "alpha": alpha}))
     return str(path)
 
 

@@ -8,11 +8,12 @@ import scipy.linalg
 import scipy.sparse
 
 import siplab.intertwiners
-from conftest import (CONTRACT_RTOL, DEGENERATE_GRAPHS, assert_dichotomy_matches_dense,
-                      binomial_removal_matrix, injectivity_margin, kernel_gap, loop_annihilation,
-                      loop_creation, loop_dirichlet_decomposition, loop_minmax_comparison,
-                      loop_shifted_walks, loop_sip_generator, project_to_kernel,
-                      qr_eigen_dichotomy, removal_composition, svd_kernel_basis)
+from conftest import (CONTRACT_RTOL, DEGENERATE_GRAPHS, SIX_VERTEX_ALPHA, SIX_VERTEX_EDGES,
+                      assert_dichotomy_matches_dense, binomial_removal_matrix, injectivity_margin,
+                      kernel_gap, loop_annihilation, loop_creation, loop_dirichlet_decomposition,
+                      loop_minmax_comparison, loop_shifted_walks, loop_sip_generator,
+                      project_to_kernel, qr_eigen_dichotomy, removal_composition,
+                      svd_kernel_basis)
 from siplab.configs import enumerate_configs, inner_product, sip_measure, variance
 from siplab.errors import InputError, StateCapError
 from siplab.graphs import (Spectrum, build_rw_generator, complete_graph, cycle_graph,
@@ -758,10 +759,9 @@ def test_the_dirichlet_form_identity_holds_entry_by_entry_and_passes():
 def six_vertex_levels():
     """Levels 2..4 of the benchmark's 6-vertex topology, a 6-cycle with chords
     (0, 3) and (1, 4), with alpha_min below 1 and at least 1."""
-    edges = [[0, 1, 0.8], [1, 2, 1.4], [2, 3, 0.6], [3, 4, 1.9], [4, 5, 1.1], [5, 0, 0.7],
-             [0, 3, 1.2], [1, 4, 0.9]]
-    for alpha in ([0.4, 1.3, 0.7, 2.1, 0.9, 1.6], [1.2, 2.6, 1.0, 1.8, 2.3, 1.4]):
-        yield from Level(graph_from_dict({"n": 6, "edges": edges, "alpha": alpha}), 4).down_to(2)
+    for alpha in SIX_VERTEX_ALPHA.values():
+        graph = graph_from_dict({"n": 6, "edges": SIX_VERTEX_EDGES, "alpha": alpha})
+        yield from Level(graph, 4).down_to(2)
 
 
 def test_the_form_identity_fails_a_walk_weight_or_a_rate_off_by_a_millionth():
@@ -961,8 +961,8 @@ def test_adjoint_by_broadcasting_equals_diagonal_products():
 
 
 def test_adjoint_fails_on_a_scaled_or_dropped_creation_entry():
-    """The aligned comparison catches a wrong value, and a pattern that no
-    longer matches falls back to sparse sides with the true residual."""
+    """The comparison on C_k's pattern catches a wrong value, and an entry
+    dropped from that pattern is compared with 0, the true residual."""
     g = random_connected_graph(4, np.random.default_rng(35), alpha_range=(0.3, 2.5))
     level = Level(g, 3)
     factor = 3 / (g.alpha_total + 2)

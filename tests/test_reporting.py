@@ -11,7 +11,7 @@ import scipy.sparse
 import siplab
 from siplab.graphs import detailed_balance_residual, path_graph
 from siplab.reporting import (ENERGY_RTOL, GAP_RTOL, IDENTITY_RTOL, SPECTRAL_RTOL, TV_SLACK,
-                              identity_check, max_abs, sandwich)
+                              identity_check, max_abs, pattern_identity_check, sandwich)
 
 
 def _assert_same_as_dense(lhs, rhs):
@@ -54,6 +54,26 @@ def test_coo_with_duplicate_coordinates():
     _assert_same_as_dense(lhs, rhs)
     assert max_abs(lhs) == 2.0
     assert identity_check("x", lhs, rhs).residual == 0.0
+
+
+def test_pattern_terms_land_on_their_cells_past_int32_keys():
+    """On a 70,000-state pattern the keys row * S + column pass 2^31, and int32 cells,
+    as scipy's indices are, still land on their stored cells; weights scale the rows,
+    terms on one cell are summed, and a term off the pattern is compared with 0."""
+    size = 70_000
+    pattern = scipy.sparse.csr_array((np.array([2.0, 3.0]), (np.array([5, 69_999]),
+                                                              np.array([69_998, 1]))),
+                                     shape=(size, size))
+    weights = np.ones(size)
+    weights[69_999] = 0.5
+    rows = np.array([69_999, 5, 69_999], dtype=np.int32)
+    cols = np.array([1, 69_998, 1], dtype=np.int32)
+    check, sums = pattern_identity_check("x", pattern, weights, rows, cols,
+                                         np.array([1.0, 2.0, 0.5]))
+    assert check.passed and check.residual == 0.0 and sums.tolist() == [2.0, 1.5]
+    check, sums = pattern_identity_check("x", pattern, weights, np.append(rows, 69_999),
+                                         np.append(cols, 2), np.array([1.0, 2.0, 0.5, 0.25]))
+    assert not check.passed and check.residual == 0.25 and sums.tolist() == [2.0, 1.5]
 
 
 _SELECTORS = {"rtol", "tol", "slack", "cap", "n_phi", "fail_below", "min_expected"}

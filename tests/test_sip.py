@@ -7,8 +7,9 @@ import scipy.sparse.linalg
 
 import conftest
 import siplab.sip
-from conftest import (DEGENERATE_GRAPHS, hausdorff_gap, reference_jumps,
-                      reference_sip_generator, sip_dirichlet_oracle, spectrum_included)
+from conftest import (DEGENERATE_GRAPHS, SIX_VERTEX_ALPHA, SIX_VERTEX_EDGES, hausdorff_gap,
+                      reference_jumps, reference_sip_generator, sip_dirichlet_oracle,
+                      spectrum_included)
 from siplab.bep import bep_gap_report
 from siplab.configs import space_size
 from siplab.errors import EigensolverError, InputError, VerificationError
@@ -329,6 +330,27 @@ def test_sparse_gap_either_side_of_dense_fallback(monkeypatch):
     for k in (1, 2, 3):
         assert sip_gap(build_sip_generator(g, k)) == pytest.approx(dense_gap(g, k), rel=1e-10)
     assert calls == [SPARSE_GAP_MIN_STATES, 3, 4]
+
+
+def test_every_level_from_the_gap_bound_to_300_states_gives_the_dense_gap(monkeypatch):
+    """The levels of SPARSE_GAP_MIN_STATES to 299 states on the acceptance grid (the
+    150 graphs of `test_every_gap_the_ladder_covers_is_the_walk_gap`, k = 2..5) and on
+    the benchmark's 6-vertex topology at k = 5 take the banded route, and each gives
+    the dense eigh gap within 1e-12 relative."""
+    calls = count_eigsh_calls(monkeypatch)
+    rng = np.random.default_rng(11)
+    graphs = [random_connected_graph(3 + i % 4, rng, alpha_range=(lo, 3 * lo))
+              for lo in (0.01, 0.05, 0.2, 0.5, 1.0) for i in range(30)]
+    graphs += [graph_from_dict({"n": 6, "edges": SIX_VERTEX_EDGES, "alpha": alpha})
+               for alpha in SIX_VERTEX_ALPHA.values()]
+    levels = [(g, k) for g in graphs for k in range(2, 6)
+              if SPARSE_GAP_MIN_STATES <= space_size(g.n, k) < 300]
+    for g, k in levels:
+        gen = build_sip_generator(g, k)
+        dense = scipy.linalg.eigh(gen.symmetric.toarray(), eigvals_only=True,
+                                  subset_by_index=(0, 1))[1]
+        assert abs(sip_gap(gen) - dense) <= 1e-12 * dense, (g.n, k)
+    assert len(calls) == len(levels) == 37
 
 
 def _mutate_move_table(monkeypatch, mutate):
