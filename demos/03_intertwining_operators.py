@@ -9,7 +9,7 @@ ones annihilated by the addition operator.
 import numpy as np
 
 from siplab import (Level, check_adjoint, check_intertwinings, eigen_dichotomy, eigen_groups,
-                    invert_annihilation, lift_eigenfunction, peeling_block,
+                    fresh_basis, invert_annihilation, lift_eigenfunction, peeling_block,
                     random_connected_graph, build_rw_generator, rw_spectrum,
                     build_sip_generator)
 
@@ -31,7 +31,7 @@ for check in check_intertwinings(level):
 # decreasing largest occupancy, makes a lower triangular block of the
 # removal operator with integer diagonal, so it is injective with no
 # tolerance, and a function at level k-1 is peeled back from its lift by
-# one triangular solve.
+# one sweep over that block per value of the largest occupancy.
 print("\npeeling margin (exactly 1 when the block is triangular):", peeling_block(level)[3])
 gvec = rng.standard_normal(ann.shape[1])
 recovered = invert_annihilation(level, ann @ gvec)
@@ -57,5 +57,7 @@ for group in eigen_groups(level):
     origin = "lifted" if group.dim_image else "new"
     print(f"  eigenvalue {group.eigenvalue:10.6f}  dim {group.dim}  -> {origin}")
 
-print("\nkernel dimension:", level.fresh.shape[1],
+kernel_dim = fresh_basis(level).shape[1]
+print("\nkernel dimension:", kernel_dim,
       "= level-k size minus level-(k-1) size:", size_high - size_low)
+assert kernel_dim == size_high - size_low

@@ -173,8 +173,8 @@ def cmd_spectrum(args) -> int:
 
 def _suite_sip(levels: list) -> tuple[CheckSuite, dict]:
     """Levels 2.. of `levels` and the top's gap report, with no random draw.  The
-    Dirichlet trio reads D_k^(-1/2) g for the first three columns g of `Level.fresh`,
-    the last repeated when there are fewer; the first function's energy entry is
+    Dirichlet trio reads D_k^(-1/2) g for the three columns g of `Level.fresh`, the
+    last fresh state repeated when there are fewer; the first function's energy entry is
     `dirichlet_form_identity`, the decomposition for every f.  `ladder-certificate[k]`
     holds each gap that `ladder_covered` takes to gap_rw within `gap_tolerance`; on another
     level it passes, naming b_k / gap_(k-1).  Both read `ladder_bound` of the eigenvalues
@@ -192,9 +192,8 @@ def _suite_sip(levels: list) -> tuple[CheckSuite, dict]:
         dichotomy = eigen_dichotomy(level)
         checks.append(make_check(f"orthogonal-decomposition-dims[k={k}]",
                                  0.0 if dichotomy.passed else 1.0, 0.5))
-        fresh = level.fresh[:, np.minimum(np.arange(3), level.fresh.shape[1] - 1)]
         trios = [dirichlet_decomposition_check(level, f).checks
-                 for f in (fresh / np.sqrt(level.measure.probabilities)[:, None]).T]
+                 for f in (level.fresh / np.sqrt(level.measure.probabilities)[:, None]).T]
         trios[0] = (dirichlet_form_identity(level), *trios[0][1:])
         checks.extend(check for trio in trios for check in trio)
         checks.extend(minmax_comparison_check(level).checks)

@@ -9,9 +9,9 @@ so eigenfunctions at level k either come from level k-1 through A or live
 in Ker C, and the two parts are orthogonal in the reversible inner product
 (the recursion of Caputo, Liggett and Richthammer).  A_k is injective by an
 integer peeling argument read off A_k itself (`peeling_block`), whose
-triangular block also gives a basis of the fresh part, Ker C_k, in the
-balanced W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the
-scale of mu (`fresh_basis`), of which every reader takes the span.  This
+triangular block, solved by Jacobi sweeps, also gives the fresh part, Ker C_k, in
+the balanced W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), free of the
+scale of mu (`fresh_basis`); the checks read three of its columns.  This
 module builds A_k, C_k and W_k as CSR, checks every one of those
 identities, the split with no eigensolve, the Dirichlet-form decomposition
 for every f as one identity of quadratic forms and on given functions of
@@ -35,7 +35,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .configs import (ConfigSpace, SipMeasure, capped_size, enumerate_configs, sip_measure,
                       variance)
@@ -137,7 +136,7 @@ class Level:
     `balanced_removal`, W_k = D_k^(1/2) A_k D_{k-1}^(-1/2), D_j = diag(mu_j), and
     `removal_sides`, the two sides (A_k L_{k-1}, L_k A_k); the dense `spectrum`
     (eigenvalues only); `gap` from `sip_gap`; `peeling` from `peeling_block`;
-    `fresh`, the G of `fresh_basis`, whose D_k^(-1/2) G spans Ker C_k;
+    `fresh`, the `fresh_basis` columns of the first three free states, the last repeated if fewer;
     `shifted_walks` from `build_shifted_walks`, and `sections`, the level-k
     ranks of xi + delta_x for its rows xi; and `labeled`, the labeled
     generators, label maps and law.  `lower` is level k-1, the one given or
@@ -226,7 +225,8 @@ class Level:
 
     @cached_property
     def fresh(self) -> np.ndarray:
-        return fresh_basis(self)
+        fresh_size = self.space.size - self.lower.space.size
+        return fresh_basis(self, np.minimum(np.arange(3), fresh_size - 1))
 
     @cached_property
     def shifted_walks(self) -> tuple:
@@ -253,24 +253,33 @@ def peeling_block(level: Level) -> tuple:
     stable, and `rows` the states xi + delta_y, y the first site of largest
     occupancy of xi.  The other states xi + delta_y - delta_x a row reaches
     have a larger largest occupancy, so `block` = A_k[rows][:, cols] is lower
-    triangular with diagonal xi_y + 1.  `margin` is 0 if A_k puts an entry
-    above that diagonal, else the least min/max ratio of a diagonal entry to
-    its xi_y + 1: exactly 1.0 when the argument holds."""
+    triangular with diagonal xi_y + 1.  `margin` is 0 if A_k puts an entry off
+    that diagonal that reaches no larger largest occupancy, else the least min/max
+    ratio of a diagonal entry to its xi_y + 1: exactly 1.0 when the argument holds."""
     occ = level.lower.space.occupations
     cols = np.argsort(-occ.max(axis=1), kind="stable")
-    y = occ[cols].argmax(axis=1)
+    top, y = occ[cols].max(axis=1), occ[cols].argmax(axis=1)
     space = level.space
     rows = space.rank_keys(space.keys_of(occ[cols]) + space.place[y])
     block = level.annihilation[rows][:, cols]
     coo, pivots, diag = block.tocoo(), occ[cols, y] + 1.0, block.diagonal()
-    margin = (0.0 if np.any(coo.col > coo.row)
+    margin = (0.0 if np.any((coo.row != coo.col) & (top[coo.col] <= top[coo.row]))
               else float((np.minimum(diag, pivots) / np.maximum(diag, pivots)).min()))
     return rows, cols, block, margin
 
 
+def _peeling_sweeps(level: Level, block, rhs: np.ndarray) -> np.ndarray:
+    """x with block x = rhs, `peeling_block`'s block or its transpose: off the diagonal it
+    reaches larger largest occupancies, of <= max(k-1, 1) values, so as many sweeps solve it."""
+    x, diagonal = np.zeros_like(rhs), block.diagonal()[:, None]
+    for _ in range(max(level.k - 1, 1)):
+        x += (rhs - block @ x) / diagonal
+    return x
+
+
 def invert_annihilation(level: Level, h) -> np.ndarray:
-    """The g with A_k g = h, for h in Range A_k: one triangular solve on
-    the rows of `peeling_block`."""
+    """The g with A_k g = h, for h in Range A_k: `_peeling_sweeps` on the rows of
+    `peeling_block`."""
     h = np.asarray(h, dtype=float)
     if h.shape != (level.space.size,):
         raise InputError(f"h must have length {level.space.size}")
@@ -278,24 +287,23 @@ def invert_annihilation(level: Level, h) -> np.ndarray:
     if margin != 1.0:
         raise InputError("the removal matrix fails the peeling check")
     g = np.empty(cols.size)
-    g[cols] = scipy.sparse.linalg.spsolve_triangular(block, h[rows], lower=True)
+    g[cols] = _peeling_sweeps(level, block, h[rows, None])[:, 0]
     return g
 
 
-def fresh_basis(level: Level) -> np.ndarray:
-    """G, S_k x (S_k - S_{k-1}), unit columns spanning Ker W_k^T, not orthogonal.
-    Each state off the rows of `peeling_block` is free; 1 there, 0 at the other
-    free states and x on the rows, block^T x = -A_k[free][:, cols]^T, is a g in
-    Ker A_k^T, so D_k^(-1/2) g, scaled to a unit column of G, is in Ker W_k^T; G is
-    diagonal on the free states.  The block must be triangular with a nonzero diagonal."""
+def fresh_basis(level: Level, columns=slice(None)) -> np.ndarray:
+    """G, S_k x (S_k - S_{k-1}), unit columns spanning Ker W_k^T, not orthogonal, or its
+    `columns`.  Each state off the rows of `peeling_block` is free; 1 there, 0 at the other
+    free states and x on the rows, block^T x = -A_k[free][:, cols]^T by `_peeling_sweeps`,
+    is a g in Ker A_k^T, so D_k^(-1/2) g, scaled to a unit column of G, is in Ker W_k^T; G
+    is diagonal on the free states.  The block must pass the peeling order, diagonal nonzero."""
     rows, cols, block, margin = level.peeling
     if not margin > 0.0:
         raise InputError("the peeling block is not triangular with a nonzero diagonal")
-    free = np.setdiff1d(np.arange(level.space.size), rows, assume_unique=True)
+    free = np.setdiff1d(np.arange(level.space.size), rows, assume_unique=True)[columns]
     g = np.zeros((level.space.size, free.size))
     g[free, np.arange(free.size)] = 1.0
-    g[rows] = scipy.linalg.solve_triangular(  # dense: the sparse solve costs more to set up
-        block.toarray(), -level.annihilation[free].toarray()[:, cols].T, trans="T", lower=True)
+    g[rows] = _peeling_sweeps(level, block.T, -level.annihilation[free][:, cols].T.toarray())
     g /= np.sqrt(level.measure.probabilities)[:, None]
     g /= np.linalg.norm(g, axis=0)
     g.setflags(write=False)
@@ -364,15 +372,16 @@ class EigenDichotomy:
 
 def eigen_dichotomy(level: Level) -> EigenDichotomy:
     """Check with no eigensolve that L_k splits into Range A_k, which carries
-    level k-1's spectrum, and Ker C_k.  With H_k = `generator.symmetric`,
-    W_k = `Level.balanced_removal` and G = `Level.fresh`, it passes when A_k
+    level k-1's spectrum, and Ker C_k.  With H_k = `generator.symmetric`, W_k =
+    `Level.balanced_removal` and G = `Level.fresh`, three columns, it passes when A_k
     passes the exact check of `peeling_block`; when H_k W_k = W_k H_{k-1}
     (with injectivity, level k-1's spectrum on Range W_k), read from
     `Level.removal_sides` as D_k^(1/2) (A_k L_{k-1} - L_k A_k) D_{k-1}^(-1/2),
     and W_k^T H_k G = 0, within `residual_tol` of L_k's largest rate times
     W_k's largest entry; and when c D_{k-1}^(1/2) C_k D_k^(-1/2) G = 0, with
     c = k / (|alpha|+k-1) and C_k balanced on its own pattern, within
-    `residual_tol` of W_k's largest entry.  With no G its two residuals are NaN."""
+    `residual_tol` of W_k's largest entry.  With no G its two residuals are NaN.  The
+    other facts give W_k^T H_k g = H_{k-1} W_k^T g = 0 on Ker W_k^T; G checks the arithmetic."""
     k, w, h = level.k, level.balanced_removal, level.generator.symmetric
     injectivity, (ann_gen, gen_ann) = level.peeling[3], level.removal_sides
     image_spectrum = max_abs(level.balance(ann_gen - gen_ann))
@@ -392,7 +401,7 @@ def eigen_groups(level: Level) -> tuple:
     `eigen_dichotomy`, joined with the pencil's eigvalsh(G^T H_k G, G^T G), each
     read from its lower triangle, clustered up, each within SPECTRAL_RTOL
     (1 + |value|) of its first."""
-    low_vals, g, h = level.lower.spectrum.eigenvalues, level.fresh, level.generator.symmetric
+    low_vals, g, h = level.lower.spectrum.eigenvalues, fresh_basis(level), level.generator.symmetric
     vals = np.concatenate([low_vals, scipy.linalg.eigvalsh(g.T @ (h @ g), g.T @ g)])
     order = np.argsort(vals, kind="stable")
     vals, is_image = vals[order], order < low_vals.size

@@ -683,6 +683,27 @@ def svd_kernel_basis(level: Level) -> np.ndarray:
     return scipy.linalg.solve_triangular(chol, basis.T, trans="T").T
 
 
+def dense_peeling_solve(level: Level, rhs, trans: str = "N") -> np.ndarray:
+    """x with B x = rhs, or B^T x = rhs for trans="T", B the lower triangular block of
+    `peeling_block`, by one dense triangular solve: the oracle of the peeling sweeps
+    of `fresh_basis` and `invert_annihilation`."""
+    return scipy.linalg.solve_triangular(level.peeling[2].toarray(), rhs, trans=trans,
+                                         lower=True)
+
+
+def dense_fresh_basis(level: Level) -> np.ndarray:
+    """Every column of `fresh_basis`, the block^T x = -A_k[free][:, cols]^T of all free
+    states solved at once by `dense_peeling_solve`, then scaled by D_k^(-1/2) and to
+    unit columns."""
+    rows, cols, _, _ = level.peeling
+    free = np.setdiff1d(np.arange(level.space.size), rows, assume_unique=True)
+    g = np.zeros((level.space.size, free.size))
+    g[free, np.arange(free.size)] = 1.0
+    g[rows] = dense_peeling_solve(level, -level.annihilation[free].toarray()[:, cols].T, "T")
+    g /= np.sqrt(level.measure.probabilities)[:, None]
+    return g / np.linalg.norm(g, axis=0)
+
+
 def project_to_kernel(level: Level, f) -> np.ndarray:
     """The orthogonal projection of f onto Ker C_k in the reversible inner
     product, B B^T diag(mu) f with B = `svd_kernel_basis`, f a function or

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 import siplab.cli
 import siplab.configs
@@ -293,7 +294,7 @@ def _count_level_builds(monkeypatch):
               "build_sip_generator": (siplab.intertwiners, lambda graph, k: k),
               "_move_table": (siplab.sip, lambda graph, space: space.k),
               "peeling_block": (siplab.intertwiners, lambda level: level.k),
-              "fresh_basis": (siplab.intertwiners, lambda level: level.k),
+              "fresh_basis": (siplab.intertwiners, lambda level, *rest: level.k),
               "build_shifted_walks": (siplab.intertwiners, lambda graph, space: space.k + 1),
               "sip_gap": (siplab.sip, lambda gen: gen.space.k),
               "sip_spectrum": (siplab.sip, lambda gen, want_vectors=True: gen.space.k),
@@ -449,19 +450,29 @@ def test_the_diffusion_suite_solves_no_spectrum_above_level_one(capsys, monkeypa
 
 def test_the_identity_suite_solves_no_level_spectrum_and_no_qr(capsys, monkeypatch):
     """The dichotomy checks the split with no eigensolve, and every check reads
-    the span of the fresh basis, which is not orthogonalized."""
+    the span of the fresh basis, which is not orthogonalized; the fresh columns
+    come from sweeps on the sparse peeling block, with no triangular solver."""
     counts = _count_level_builds(monkeypatch)
     modes, qr = [], scipy.linalg.qr
+    solves = collections.Counter()
 
     def recorded(*args, mode="full", **kwargs):
         modes.append(mode)
         return qr(*args, mode=mode, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "qr", recorded)
+    for home, name in ((scipy.linalg, "solve_triangular"),
+                       (scipy.sparse.linalg, "spsolve_triangular")):
+        def counted(*args, _name=name, _original=getattr(home, name), **kwargs):
+            solves[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(home, name, counted)
     code, out, _ = run(["verify", "cycle(5)", "--K", "5", "--suite", "sip"], capsys)
     assert code == 0 and json.loads(out)["pass"]
     assert counts["sip_spectrum"] == {}
     assert modes == []
+    assert solves == {}
 
 
 def test_each_level_is_symmetrized_and_checked_once(capsys, monkeypatch):
@@ -1452,7 +1463,7 @@ def test_verify_and_report_read_no_seed(capsys, monkeypatch):
 
 
 def test_sip_suite_on_two_sites_reads_its_one_fresh_column_three_times(capsys):
-    # with n = 2 each level adds one fresh state, so Level.fresh has one column
+    # with n = 2 each level adds one fresh state, so Level.fresh repeats one column
     code, out, _ = run(["verify", "path(2)", "--K", "4", "--suite", "sip"], capsys)
     assert code == 0
     checks = json.loads(out)["suites"]["sip"]["checks"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ import scipy.sparse
 
 import siplab.intertwiners
 from conftest import (CONTRACT_RTOL, DEGENERATE_GRAPHS, SIX_VERTEX_ALPHA, SIX_VERTEX_EDGES,
-                      assert_dichotomy_matches_dense, binomial_removal_matrix, injectivity_margin,
+                      assert_dichotomy_matches_dense, binomial_removal_matrix, dense_fresh_basis,
+                      dense_peeling_solve, injectivity_margin,
                       kernel_gap, loop_annihilation, loop_creation, loop_dirichlet_decomposition,
                       loop_minmax_comparison, loop_shifted_walks, loop_sip_generator,
                       project_to_kernel, qr_eigen_dichotomy, removal_composition,
@@ -32,8 +34,8 @@ from siplab.sip import build_sip_generator, sip_spectrum
 
 
 def kernel_columns(level: Level) -> np.ndarray:
-    """D_k^(-1/2) G, G = `Level.fresh`: columns spanning Ker C_k."""
-    return level.fresh / np.sqrt(level.measure.probabilities)[:, None]
+    """D_k^(-1/2) G, G = `fresh_basis(level)`: columns spanning Ker C_k."""
+    return fresh_basis(level) / np.sqrt(level.measure.probabilities)[:, None]
 
 
 def test_down_to_links_each_level_to_the_one_below(monkeypatch):
@@ -353,7 +355,7 @@ def test_kernel_basis_matches_svd_oracle():
         basis = kernel_columns(level)
         assert basis.shape == (level.space.size, level.space.size - level.lower.space.size)
         assert svd_kernel_basis(level).shape == basis.shape
-        assert np.linalg.matrix_rank(level.fresh) == basis.shape[1]
+        assert np.linalg.matrix_rank(fresh_basis(level)) == basis.shape[1]
         np.testing.assert_allclose(project_to_kernel(level, basis), basis, rtol=0,
                                    atol=1e-10 * np.abs(basis).max())
 
@@ -550,7 +552,7 @@ def test_fresh_basis_spans_the_kernel_of_the_balanced_removal():
     """Unit columns of full rank in Ker W_k^T, S_k - S_{k-1} of them, so they
     span it, kept read-only."""
     for level in DICHOTOMY_LEVELS[:8] + DEGENERATE_LEVELS:
-        g, d = level.fresh, np.sqrt(level.measure.probabilities)
+        g, d = fresh_basis(level), np.sqrt(level.measure.probabilities)
         balanced = (d[:, None] * level.annihilation.toarray()
                     / np.sqrt(level.lower.measure.probabilities)[None, :])
         np.testing.assert_allclose(level.balanced_removal.toarray(), balanced, rtol=1e-14, atol=0)
@@ -559,7 +561,59 @@ def test_fresh_basis_spans_the_kernel_of_the_balanced_removal():
         assert np.linalg.matrix_rank(g) == g.shape[1]
         np.testing.assert_allclose(balanced.T @ g, 0.0, rtol=0,
                                    atol=1e-14 * level.k * np.abs(balanced).max())
-        assert level.fresh is g and not g.flags.writeable
+        assert not g.flags.writeable and not level.fresh.flags.writeable
+        assert level.fresh is level.fresh
+
+
+def test_the_peeling_sweeps_match_the_dense_triangular_solve():
+    """`fresh_basis`, whole and on a pick of its columns, `Level.fresh` and
+    `invert_annihilation` against one dense triangular solve of the peeling block,
+    to 1e-12 relative, on levels 2..6 of G1, G2 and a random graph per n = 3..5 in
+    each regime.  On the levels with n >= k - 1 the largest occupancy at level k-1
+    takes all k - 1 values, so every one of the sweeps is needed there."""
+    rng = np.random.default_rng(44)
+    graphs = [graph_from_dict(spec) for spec in DEGENERATE_GRAPHS.values()]
+    graphs += [random_connected_graph(n, rng, alpha_range=alpha_range)
+               for n in range(3, 6) for alpha_range in [(0.3, 0.9), (1.0, 2.5)]]
+    levels = [level for g in graphs for level in Level(g, 6).down_to(2)]
+    deepest = [level for level in levels if level.graph.n >= level.k - 1]
+    assert len(levels) >= 30 and len(deepest) >= 15
+    assert all(np.unique(level.lower.space.occupations.max(axis=1)).size == level.k - 1
+               for level in deepest)
+    for level in levels:
+        where = (level.graph.n, level.k)
+        want = dense_fresh_basis(level)
+        pick = rng.choice(want.shape[1], size=min(4, want.shape[1]), replace=False)
+        trio = np.minimum(np.arange(3), want.shape[1] - 1)
+        for got, cols in ((fresh_basis(level), slice(None)), (fresh_basis(level, pick), pick),
+                          (level.fresh, trio)):
+            assert got.shape == want[:, cols].shape, where
+            assert np.abs(got - want[:, cols]).max() <= 1e-12 * np.abs(want).max(), where
+        rows, cols, _, _ = level.peeling
+        lower = rng.standard_normal(level.lower.space.size)
+        h = level.annihilation @ lower
+        want = np.empty_like(lower)
+        want[cols] = dense_peeling_solve(level, h[rows])
+        assert np.abs(invert_annihilation(level, h) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(want - lower).max() <= 1e-10 * np.abs(lower).max(), where
+
+
+def test_the_dichotomy_reads_three_fresh_columns_in_little_memory():
+    """cycle(7) at k = 8, 3003 states: with the level's other pieces built, the
+    dichotomy solves for its three fresh columns alone, with no dense copy of the
+    peeling block, within 10 MiB of traced allocation."""
+    level = Level(cycle_graph(7, alpha=np.linspace(0.3, 1.5, 7)), 8)
+    for piece in ("generator", "balanced_removal", "removal_sides", "peeling", "creation"):
+        getattr(level, piece)
+    tracemalloc.start()
+    try:
+        result = eigen_dichotomy(level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert level.fresh.shape == (3003, 3)
+    assert peak < 10 * 2 ** 20, peak / 2 ** 20
 
 
 def test_the_fresh_pencil_gives_the_dense_spectrum():
@@ -575,7 +629,8 @@ def test_the_fresh_pencil_gives_the_dense_spectrum():
         dense = sip_spectrum(level.generator, want_vectors=False).eigenvalues
         np.testing.assert_allclose(got, dense, rtol=0, atol=SPECTRAL_RTOL * dense[-1],
                                    err_msg=str((level.graph.n, level.k)))
-        worst = max(worst, np.linalg.cond(level.fresh.T @ level.fresh))
+        g = fresh_basis(level)
+        worst = max(worst, np.linalg.cond(g.T @ g))
     assert worst < 1e3, worst
 
 
